@@ -1,7 +1,7 @@
 //! `jit-analysis` — the workspace's own static-analysis pass.
 //!
 //! The engine's correctness story rests on invariants no compiler checks:
-//! exact tuple↔batch cost-counter parity, deterministic replay for
+//! a fixed, audited set of cost-counter charge sites, deterministic replay for
 //! checkpoint/recovery, and the hot-path hashing/allocation discipline
 //! PRs 8–9 established. The equivalence suites catch violations only
 //! after a workload runs; this pass catches them at CI time, lexically,

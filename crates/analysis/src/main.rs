@@ -4,7 +4,7 @@
 //! cargo run -p jit-analysis -- check                 # the CI gate
 //! cargo run -p jit-analysis -- check --fix-baseline  # pin current findings
 //! cargo run -p jit-analysis -- rules                 # list the catalog
-//! cargo run -p jit-analysis -- dump-pairing          # pairing.toml skeleton
+//! cargo run -p jit-analysis -- dump-pairing          # pairing.toml from the code
 //! ```
 
 use std::path::PathBuf;

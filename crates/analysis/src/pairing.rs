@@ -3,73 +3,34 @@
 //! The counter-parity rule audits every cost-charge (`charge(CostKind::X)`)
 //! and statistics-counter mutation (`stats.field += …`) site in the
 //! operator data plane against this committed map. Each known counter lists
-//! its sanctioned sites as `"file::fn = lane"`, where the lane records
-//! which execution path reaches the site:
-//!
-//! * `shared` — a helper on **both** the tuple and the batch path (the
-//!   common case after PR 8 folded the two paths into one `process_row`).
-//! * `tuple` — reached only by per-tuple processing.
-//! * `batch` — reached only by batch ingestion (`prepare_batch`,
-//!   `ingest_block`, memo replay, …).
-//!
-//! The rule then enforces, per counter: (a) the observed site set equals
-//! the mapped site set — an unmapped charge is exactly the "one-sided
-//! addition" the PR 8/9 parity tests exist to catch, and removing a site
-//! without updating the map is flagged as stale; (b) lanes cover both
-//! paths (at least one `shared` site, or both a `tuple` and a `batch`
-//! site), unless the counter carries a `single_path` justification (e.g.
-//! scheduling overhead deliberately elided on the batch path).
+//! its sanctioned sites as `"file::fn"`, and the rule enforces set equality
+//! per counter: a charge at an unmapped site fails (a counter that starts
+//! being charged somewhere new changes what every cost figure means), and
+//! so does a mapped site the code no longer charges.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// Which execution path reaches a site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lane {
-    Tuple,
-    Batch,
-    Shared,
-}
-
-impl Lane {
-    fn parse(s: &str) -> Option<Lane> {
-        match s {
-            "tuple" => Some(Lane::Tuple),
-            "batch" => Some(Lane::Batch),
-            "shared" => Some(Lane::Shared),
-            _ => None,
-        }
-    }
-}
-
-/// One counter's sanctioned sites.
-#[derive(Debug, Clone, Default)]
-pub struct CounterEntry {
-    /// `site` (`"file::fn"`) → lane.
-    pub sites: BTreeMap<String, Lane>,
-    /// Justification for counters deliberately charged on one path only.
-    pub single_path: Option<String>,
-}
-
-/// The whole map: counter name (`cost:ProbePair`, `stat:probe_pairs`) →
-/// entry.
-pub type PairingMap = BTreeMap<String, CounterEntry>;
+/// The whole map: counter name (`cost:ProbePair`, `stat:probe_pairs`) → its
+/// sanctioned sites (`"file::fn"`).
+pub type PairingMap = BTreeMap<String, BTreeSet<String>>;
 
 /// Parse `pairing.toml` text (strict hand-parsed TOML subset: `[[counter]]`
-/// tables with `name`, optional `single_path`, and a `sites` string array).
+/// tables with `name` and a `sites` string array).
 pub fn parse(text: &str) -> Result<PairingMap, String> {
     let mut map = PairingMap::new();
     let mut cur_name: Option<String> = None;
-    let mut cur = CounterEntry::default();
+    let mut cur = BTreeSet::new();
     let mut in_sites = false;
 
-    let mut flush = |name: &mut Option<String>, entry: &mut CounterEntry| -> Result<(), String> {
-        if let Some(n) = name.take() {
-            if map.insert(n.clone(), std::mem::take(entry)).is_some() {
-                return Err(format!("pairing.toml: duplicate counter `{n}`"));
+    let mut flush =
+        |name: &mut Option<String>, entry: &mut BTreeSet<String>| -> Result<(), String> {
+            if let Some(n) = name.take() {
+                if map.insert(n.clone(), std::mem::take(entry)).is_some() {
+                    return Err(format!("pairing.toml: duplicate counter `{n}`"));
+                }
             }
-        }
-        Ok(())
-    };
+            Ok(())
+        };
 
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -83,16 +44,11 @@ pub fn parse(text: &str) -> Result<PairingMap, String> {
                 continue;
             }
             let item = line.trim_end_matches(',').trim();
-            let item = item
-                .strip_prefix('"')
-                .and_then(|s| s.strip_suffix('"'))
-                .ok_or_else(|| err("expected quoted site string"))?;
-            let (site, lane) = item
-                .split_once('=')
-                .ok_or_else(|| err("expected `file::fn = lane`"))?;
-            let lane =
-                Lane::parse(lane.trim()).ok_or_else(|| err("lane must be tuple|batch|shared"))?;
-            if cur.sites.insert(site.trim().to_string(), lane).is_some() {
+            let site = unquote(item).ok_or_else(|| err("expected quoted site string"))?;
+            if !site.contains("::") || site.contains('=') {
+                return Err(err("expected `file::fn`"));
+            }
+            if !cur.insert(site) {
                 return Err(err("duplicate site"));
             }
             continue;
@@ -110,10 +66,6 @@ pub fn parse(text: &str) -> Result<PairingMap, String> {
                     return Err(err("second `name` in one [[counter]] table"));
                 }
                 cur_name = Some(unquote(value).ok_or_else(|| err("expected quoted string"))?);
-            }
-            "single_path" => {
-                cur.single_path =
-                    Some(unquote(value).ok_or_else(|| err("expected quoted string"))?);
             }
             "sites" => {
                 if value.trim() != "[" {
@@ -147,15 +99,14 @@ mod tests {
 [[counter]]
 name = "cost:ProbePair"
 sites = [
-  "crates/exec/src/join.rs::process_row = shared",
-  "crates/core/src/jit_join.rs::replay_memo = batch",
+  "crates/exec/src/join.rs::process",
+  "crates/core/src/jit_join.rs::restore_suspended",
 ]
 
 [[counter]]
 name = "cost:TaskDispatch"
-single_path = "scheduling overhead, elided on the batch path by design"
 sites = [
-  "crates/exec/src/executor.rs::run_cascade = tuple",
+  "crates/exec/src/executor.rs::run_cascade",
 ]
 "#;
 
@@ -164,21 +115,14 @@ sites = [
         let map = parse(SAMPLE).expect("parses");
         assert_eq!(map.len(), 2);
         let pp = &map["cost:ProbePair"];
-        assert_eq!(
-            pp.sites["crates/exec/src/join.rs::process_row"],
-            Lane::Shared
-        );
-        assert_eq!(
-            pp.sites["crates/core/src/jit_join.rs::replay_memo"],
-            Lane::Batch
-        );
-        assert!(pp.single_path.is_none());
-        assert!(map["cost:TaskDispatch"].single_path.is_some());
+        assert!(pp.contains("crates/exec/src/join.rs::process"));
+        assert!(pp.contains("crates/core/src/jit_join.rs::restore_suspended"));
+        assert_eq!(map["cost:TaskDispatch"].len(), 1);
     }
 
     #[test]
-    fn rejects_bad_lane() {
-        let bad = "[[counter]]\nname = \"c\"\nsites = [\n\"f::g = sideways\",\n]\n";
+    fn rejects_malformed_site() {
+        let bad = "[[counter]]\nname = \"c\"\nsites = [\n\"f::g = shared\",\n]\n";
         assert!(parse(bad).is_err());
     }
 

@@ -1,27 +1,23 @@
 //! `counter-parity`: audit cost/statistics counter sites against the
 //! committed pairing map.
 //!
-//! PRs 8–9 bought exact tuple↔batch counter parity (the foundation the
-//! adaptive JIT↔REF switching cost model stands on) at real effort, and
-//! the equivalence suites only catch a one-sided counter *after* a
-//! workload runs. This rule catches it at CI time, lexically:
+//! The cost-unit figures every experiment reports are sums of per-site
+//! charges, and the equivalence suites only catch a miscounted one *after*
+//! a workload runs. This rule pins the charge sites at CI time, lexically:
 //!
 //! * every `charge(CostKind::X, …)` call and every `stats.field += …`
 //!   mutation in the operator data plane (`exec`, `core`) is extracted as
 //!   a site `(counter, file::fn)`;
 //! * the observed site set must exactly equal the committed map in
-//!   `crates/analysis/pairing.toml` — adding a charge without declaring
-//!   its lane (tuple / batch / shared) fails, as does a stale map entry;
-//! * per counter, the declared lanes must cover both paths (a `shared`
-//!   site, or both `tuple` and `batch`), unless the counter carries a
-//!   `single_path` justification;
+//!   `crates/analysis/pairing.toml` — adding a charge without declaring it
+//!   fails, as does a stale map entry;
 //! * `charge(…)` with a non-literal `CostKind` defeats the audit and is
 //!   rejected outright.
 
 use super::{diag, Rule};
 use crate::config::{under, COUNTER_SCOPE_PREFIXES};
 use crate::diag::{Diagnostic, Severity};
-use crate::pairing::{Lane, PairingMap};
+use crate::pairing::PairingMap;
 use crate::source::SourceFile;
 use std::collections::BTreeMap;
 
@@ -104,7 +100,7 @@ impl Rule for CounterParity {
     }
 
     fn describe(&self) -> &'static str {
-        "every cost/stat counter site must appear in pairing.toml with tuple+batch lane coverage"
+        "the cost/stat counter sites in exec and core must equal the set in pairing.toml"
     }
 
     fn severity(&self) -> Severity {
@@ -143,11 +139,11 @@ impl Rule for CounterParity {
 
     fn finish(&mut self, out: &mut Vec<Diagnostic>) {
         let map_file = "crates/analysis/pairing.toml";
-        // Observed sites missing from the map, and lane coverage.
+        // Observed sites missing from the map.
         for (counter, sites) in &self.observed {
             let entry = self.map.get(counter);
             for (site, (file, line)) in sites {
-                let known = entry.map(|e| e.sites.contains_key(site)).unwrap_or(false);
+                let known = entry.is_some_and(|sites| sites.contains(site));
                 if !known {
                     out.push(Diagnostic {
                         rule: self.id(),
@@ -156,8 +152,7 @@ impl Rule for CounterParity {
                         line: *line,
                         message: format!(
                             "counter `{counter}` charged at unmapped site `{site}`: declare \
-                             it in {map_file} with its lane (tuple/batch/shared) and add the \
-                             dual-path charge if one is missing"
+                             it in {map_file}"
                         ),
                         fingerprint: self
                             .fingerprints
@@ -167,36 +162,11 @@ impl Rule for CounterParity {
                     });
                 }
             }
-            if let Some(e) = entry {
-                let lanes: Vec<Lane> = e
-                    .sites
-                    .iter()
-                    .filter(|(s, _)| sites.contains_key(*s))
-                    .map(|(_, l)| *l)
-                    .collect();
-                let covered = lanes.contains(&Lane::Shared)
-                    || (lanes.contains(&Lane::Tuple) && lanes.contains(&Lane::Batch));
-                if !covered && e.single_path.is_none() {
-                    let (file, line) = sites.values().next().cloned().unwrap_or_default();
-                    out.push(Diagnostic {
-                        rule: self.id(),
-                        severity: self.severity(),
-                        file,
-                        line,
-                        message: format!(
-                            "counter `{counter}` is one-sided: its sites cover only one of \
-                             the tuple/batch paths — add the missing path's charge, or give \
-                             the counter a `single_path` justification in {map_file}"
-                        ),
-                        fingerprint: format!("one-sided:{counter}"),
-                    });
-                }
-            }
         }
         // Stale map entries (site vanished or moved).
-        for (counter, entry) in &self.map {
+        for (counter, sites) in &self.map {
             let observed = self.observed.get(counter);
-            for site in entry.sites.keys() {
+            for site in sites {
                 let live = observed.map(|s| s.contains_key(site)).unwrap_or(false);
                 if !live {
                     out.push(Diagnostic {
@@ -216,10 +186,9 @@ impl Rule for CounterParity {
     }
 }
 
-/// Render a `pairing.toml` skeleton from the workspace's current sites
-/// (the `dump-pairing` subcommand): every site is emitted with lane
-/// `shared` as a starting point — **hand-audit each lane** before
-/// committing; the skeleton is a bootstrap aid, not a classification.
+/// Render `pairing.toml` from the workspace's current sites (the
+/// `dump-pairing` subcommand). Review the diff against the committed map
+/// before replacing it: every changed line is a counter whose meaning moved.
 pub fn dump_pairing_skeleton(files: &[SourceFile]) -> String {
     use std::fmt::Write as _;
     let mut observed: BTreeMap<String, Vec<String>> = BTreeMap::new();
@@ -235,11 +204,12 @@ pub fn dump_pairing_skeleton(files: &[SourceFile]) -> String {
             }
         }
     }
-    let mut out = String::from("# pairing.toml skeleton — audit every lane before committing.\n");
+    let mut out =
+        String::from("# pairing.toml as the code stands — review the diff before committing.\n");
     for (counter, sites) in observed {
         let _ = write!(out, "\n[[counter]]\nname = \"{counter}\"\nsites = [\n");
         for s in sites {
-            let _ = writeln!(out, "  \"{s} = shared\",");
+            let _ = writeln!(out, "  \"{s}\",");
         }
         out.push_str("]\n");
     }

@@ -94,7 +94,7 @@ fn lock_violations_detected_in_runtime_scope() {
 }
 
 #[test]
-fn parity_unmapped_one_sided_and_stale_all_detected() {
+fn parity_unmapped_and_stale_detected() {
     let src = fixture("violations/parity.rs");
     let rel = "crates/exec/src/fx.rs";
 
@@ -106,42 +106,24 @@ fn parity_unmapped_one_sided_and_stale_all_detected() {
         .collect();
     assert_eq!(unmapped.len(), 2, "got {diags:?}");
 
-    // Fully declared shared sites: green.
+    // Every site declared: green.
     let map = pairing::parse(
         "[[counter]]\nname = \"cost:ProbePair\"\nsites = [\n\
-         \"crates/exec/src/fx.rs::process = shared\",\n]\n\
+         \"crates/exec/src/fx.rs::process\",\n]\n\
          [[counter]]\nname = \"stat:probe_pairs\"\nsites = [\n\
-         \"crates/exec/src/fx.rs::process = shared\",\n]\n",
+         \"crates/exec/src/fx.rs::process\",\n]\n",
     )
     .expect("fixture map parses");
     let diags = check_at(rel, &src, map);
     assert!(rules_hit(&diags).is_empty(), "got {diags:?}");
 
-    // Tuple-only lanes without a single_path justification: one-sided.
-    let map = pairing::parse(
-        "[[counter]]\nname = \"cost:ProbePair\"\nsites = [\n\
-         \"crates/exec/src/fx.rs::process = tuple\",\n]\n\
-         [[counter]]\nname = \"stat:probe_pairs\"\nsites = [\n\
-         \"crates/exec/src/fx.rs::process = tuple\",\n]\n",
-    )
-    .expect("fixture map parses");
-    let diags = check_at(rel, &src, map);
-    assert_eq!(
-        diags
-            .iter()
-            .filter(|d| d.message.contains("one-sided"))
-            .count(),
-        2,
-        "got {diags:?}"
-    );
-
     // A mapped site the code no longer charges: stale.
     let map = pairing::parse(
         "[[counter]]\nname = \"cost:ProbePair\"\nsites = [\n\
-         \"crates/exec/src/fx.rs::process = shared\",\n\
-         \"crates/exec/src/gone.rs::vanished = shared\",\n]\n\
+         \"crates/exec/src/fx.rs::process\",\n\
+         \"crates/exec/src/gone.rs::vanished\",\n]\n\
          [[counter]]\nname = \"stat:probe_pairs\"\nsites = [\n\
-         \"crates/exec/src/fx.rs::process = shared\",\n]\n",
+         \"crates/exec/src/fx.rs::process\",\n]\n",
     )
     .expect("fixture map parses");
     let diags = check_at(rel, &src, map);

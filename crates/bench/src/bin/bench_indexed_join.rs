@@ -26,16 +26,14 @@ use jit_exec::executor::ExecutorConfig;
 use jit_exec::state::StateIndexMode;
 use jit_plan::shapes::PlanShape;
 use jit_stream::{WorkloadGenerator, WorkloadSpec};
-use jit_types::{BatchPolicy, Duration};
+use jit_types::Duration;
 use serde::Serialize;
 
-/// One measured (mode, index, batch, duration) point.
+/// One measured (mode, index, duration) point.
 #[derive(Debug, Serialize)]
 struct BenchPoint {
     mode: String,
     index: String,
-    /// Columnar batch size the engine ran under (1 = tuple-at-a-time).
-    batch_rows: usize,
     duration_secs: u64,
     arrivals: u64,
     results: u64,
@@ -71,12 +69,7 @@ fn index_label(index: StateIndexMode) -> &'static str {
     }
 }
 
-fn run_point(
-    duration_secs: u64,
-    mode: ExecutionMode,
-    index: StateIndexMode,
-    batch_rows: usize,
-) -> (BenchPoint, u64) {
+fn run_point(duration_secs: u64, mode: ExecutionMode, index: StateIndexMode) -> (BenchPoint, u64) {
     // The 3-source clique figure workload; dmax shrunk from the figure
     // default (200) so short sweeps still produce joins to verify against.
     let spec = WorkloadSpec::bushy_default()
@@ -89,7 +82,6 @@ fn run_point(
         .workload(&spec, &PlanShape::bushy(3))
         .mode(mode)
         .state_index(index)
-        .batch_policy(BatchPolicy::rows(batch_rows))
         .executor_config(ExecutorConfig {
             collect_results: false,
             check_temporal_order: false,
@@ -104,7 +96,6 @@ fn run_point(
         BenchPoint {
             mode: mode.label().to_string(),
             index: index_label(index).to_string(),
-            batch_rows,
             duration_secs,
             arrivals,
             results: outcome.results_count,
@@ -139,43 +130,25 @@ fn main() {
     let mut failures = Vec::new();
     for &duration in &durations {
         for mode in modes {
-            let (scan_point, scan_results) = run_point(duration, mode, StateIndexMode::Scan, 1);
+            let (scan_point, scan_results) = run_point(duration, mode, StateIndexMode::Scan);
             let (indexed_point, indexed_results) =
-                run_point(duration, mode, StateIndexMode::Hashed, 1);
-            // The batch data plane on top of the indexed state: same
-            // workload, columnar blocks of up to 1024 arrivals.
-            let (batched_point, batched_results) =
-                run_point(duration, mode, StateIndexMode::Hashed, 1024);
+                run_point(duration, mode, StateIndexMode::Hashed);
             let factor = scan_point.probe_pairs as f64 / indexed_point.probe_pairs.max(1) as f64;
             println!(
                 "{:>4} {}s: probe_pairs scan {:>10} -> indexed {:>8}  ({factor:.1}x), \
-                 {:>9.0} vs {:>9.0} vs {:>9.0} (batched) tuples/s",
+                 {:>9.0} vs {:>9.0} tuples/s",
                 scan_point.mode,
                 duration,
                 scan_point.probe_pairs,
                 indexed_point.probe_pairs,
                 scan_point.tuples_per_sec,
                 indexed_point.tuples_per_sec,
-                batched_point.tuples_per_sec,
             );
             if scan_results != indexed_results {
                 failures.push(format!(
                     "{} {duration}s: result counts diverge (scan {scan_results}, \
                      indexed {indexed_results})",
                     scan_point.mode
-                ));
-            }
-            if batched_results != indexed_results {
-                failures.push(format!(
-                    "{} {duration}s: batched result count {batched_results} != tuple-mode \
-                     {indexed_results}",
-                    scan_point.mode
-                ));
-            }
-            if batched_point.probe_pairs != indexed_point.probe_pairs {
-                failures.push(format!(
-                    "{} {duration}s: batched probe_pairs {} != tuple-mode {}",
-                    scan_point.mode, batched_point.probe_pairs, indexed_point.probe_pairs
                 ));
             }
             if indexed_point.probe_pairs >= scan_point.probe_pairs {
@@ -193,7 +166,6 @@ fn main() {
             });
             points.push(scan_point);
             points.push(indexed_point);
-            points.push(batched_point);
         }
     }
 

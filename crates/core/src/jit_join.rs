@@ -43,14 +43,14 @@ use crate::lattice::CnsLattice;
 use crate::mns_buffer::MnsBuffer;
 use crate::policy::{JitPolicy, MnsDetection};
 use jit_exec::operator::{
-    BatchPrep, DataMessage, FeedbackOutcome, OpContext, Operator, OperatorOutput, Port, ProbePrep,
-    ResultBlock, SuppressionDigest, LEFT, RIGHT,
+    DataMessage, FeedbackOutcome, OpContext, Operator, OperatorOutput, Port, ResultBlock,
+    SuppressionDigest, LEFT, RIGHT,
 };
 use jit_exec::state::{JoinKeySpec, OperatorState, StateIndexMode};
 use jit_metrics::CostKind;
 use jit_types::{
-    Batch, ColumnRef, FastMap, Feedback, FeedbackCommand, PredicateSet, SourceSet, Timestamp,
-    Tuple, TupleKey, Value, Window,
+    ColumnRef, FastMap, Feedback, FeedbackCommand, PredicateSet, SourceSet, Timestamp, Tuple,
+    TupleKey, Window,
 };
 use serde::{Content, Deserialize, Serialize};
 
@@ -66,73 +66,6 @@ fn sorted_pairs<K: Ord + Clone, V: Clone>(map: &FastMap<K, V>) -> Vec<(K, V)> {
 /// once, expressed in the operator's logical event sequence (one tick per
 /// insertion or drain), so that same-millisecond events stay ordered.
 type PresenceHistory = FastMap<TupleKey, Vec<(u64, u64)>>;
-
-/// Window-verdict bounds recorded while one input walked the opposite
-/// state, classifying every `can_join` outcome it saw. A later input with
-/// the same value signature may replay the walk iff its timestamp provably
-/// reproduces every verdict (see [`ProbeMemo::window_verdicts_hold`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct WindowLog {
-    /// Smallest / largest stored timestamp that passed the window check.
-    pass_min: Option<Timestamp>,
-    pass_max: Option<Timestamp>,
-    /// Largest stored timestamp rejected as expired (older than probe − w).
-    rej_low_max: Option<Timestamp>,
-    /// Smallest stored timestamp rejected as future (newer than probe + w).
-    rej_high_min: Option<Timestamp>,
-}
-
-impl WindowLog {
-    fn note(&mut self, stored_ts: Timestamp, probe_ts: Timestamp, pass: bool) {
-        if pass {
-            self.pass_min = Some(self.pass_min.map_or(stored_ts, |t| t.min(stored_ts)));
-            self.pass_max = Some(self.pass_max.map_or(stored_ts, |t| t.max(stored_ts)));
-        } else if stored_ts < probe_ts {
-            self.rej_low_max = Some(self.rej_low_max.map_or(stored_ts, |t| t.max(stored_ts)));
-        } else {
-            self.rej_high_min = Some(self.rej_high_min.map_or(stored_ts, |t| t.min(stored_ts)));
-        }
-    }
-}
-
-/// One batch's memoized probe outcome for a distinct row value signature:
-/// the result partners, lattice verdicts, detected MNS shapes, and the
-/// counter deltas the walk charged. Replaying charges *identical* counters
-/// (probe pairs, predicate evaluations, lattice visits, Bloom checks) so
-/// batch and tuple mode stay bit-for-bit comparable, while doing one
-/// lattice membership walk per distinct signature instead of per row.
-#[derive(Debug, Clone)]
-struct ProbeMemo {
-    /// Opposite-state generation at capture; any insert/purge/drain/compact
-    /// in between invalidates the memo.
-    generation: u64,
-    probe_pairs: u64,
-    predicate_evals: u64,
-    lattice_nodes: u64,
-    bloom_checks: u64,
-    /// Probe handles of the stored partners that produced results, in
-    /// probe order.
-    result_seqs: Vec<u64>,
-    /// Source sets of the detected MNSs (Ø = empty set); the replay
-    /// projects the *new* input onto them.
-    detected: Vec<SourceSet>,
-    window_log: WindowLog,
-}
-
-impl ProbeMemo {
-    /// Would an input at `ts` have seen exactly the recorded window
-    /// verdicts? Passes must still pass (both bounds re-checked), expired
-    /// rejections must still be expired, future rejections still future.
-    fn window_verdicts_hold(&self, window: Window, ts: Timestamp) -> bool {
-        let w = &self.window_log;
-        w.pass_min.is_none_or(|t| window.can_join(ts, t))
-            && w.pass_max.is_none_or(|t| window.can_join(ts, t))
-            && w.rej_low_max
-                .is_none_or(|t| t < ts && !window.can_join(ts, t))
-            && w.rej_high_min
-                .is_none_or(|t| t > ts && !window.can_join(ts, t))
-    }
-}
 
 /// Binary sliding-window join with JIT feedback (consumer and producer roles).
 pub struct JitJoinOperator {
@@ -173,11 +106,6 @@ pub struct JitJoinOperator {
     /// Inputs buffered while fully suspended, with their arrival instants.
     pending: Vec<(Port, DataMessage, Timestamp)>,
     pending_bytes: usize,
-    /// Per-batch, per-port probe memo keyed by row value signature (both
-    /// ports of one block interleave, so each needs its own map). Cleared
-    /// at every [`Operator::prepare_batch`]; purely transient (never
-    /// checkpointed).
-    batch_memo: [FastMap<Vec<Value>, ProbeMemo>; 2],
 }
 
 impl JitJoinOperator {
@@ -244,7 +172,6 @@ impl JitJoinOperator {
             fully_suspended: false,
             pending: Vec::new(),
             pending_bytes: 0,
-            batch_memo: [FastMap::default(), FastMap::default()],
             name,
             left_schema,
             right_schema,
@@ -772,22 +699,28 @@ impl JitJoinOperator {
     }
 }
 
-impl JitJoinOperator {
-    /// The consumer/producer step for one input (the body of
-    /// [`Operator::process`]).
-    ///
-    /// `memo_key` is the row's value signature on the batch path (`None` on
-    /// the tuple path): rows of one batch that share a signature reuse the
-    /// first row's probe/lattice/detection walk when the [`ProbeMemo`]
-    /// guards prove the replay exact — one lattice membership walk per
-    /// distinct run of equal rows instead of per row, with every counter
-    /// charged identically.
-    fn process_impl(
+impl Operator for JitJoinOperator {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn output_schema(&self) -> SourceSet {
+        self.left_schema.union(self.right_schema)
+    }
+
+    fn num_ports(&self) -> usize {
+        2
+    }
+
+    fn is_suspended(&self) -> bool {
+        self.fully_suspended
+    }
+
+    fn process(
         &mut self,
         port: Port,
         msg: &DataMessage,
         ctx: &mut OpContext<'_>,
-        memo_key: Option<&[Value]>,
     ) -> OperatorOutput {
         debug_assert!(port == LEFT || port == RIGHT);
         let now = ctx.now;
@@ -835,52 +768,6 @@ impl JitJoinOperator {
             feedback.push((opp, Feedback::resume(resumed_mns)));
         }
 
-        // Batch memo: an equal-signature row earlier in this batch already
-        // walked the opposite state. Replay is exact iff the state is
-        // untouched since (generation) and the new timestamp provably
-        // reproduces every window verdict the walk saw.
-        let memo_ok = memo_key.is_some()
-            && self.states[opp].index_mode() == StateIndexMode::Hashed
-            && !self.states[opp].is_empty()
-            && msg.tuple.sources() == self.schema_of(port);
-        if memo_ok {
-            // INVARIANT: memo_ok checked memo_key.is_some() above.
-            let key = memo_key.expect("checked by memo_ok");
-            let hit = self.batch_memo[port].get(key).filter(|m| {
-                m.generation == self.states[opp].generation()
-                    && m.window_verdicts_hold(self.window, msg.tuple.ts())
-            });
-            if let Some(m) = hit {
-                let m = m.clone();
-                ctx.metrics.stats.state_probes += 1;
-                ctx.metrics.stats.probe_pairs += m.probe_pairs;
-                ctx.metrics.charge(CostKind::ProbePair, m.probe_pairs);
-                let mut results = ResultBlock::new();
-                for &seq in &m.result_seqs {
-                    let Some(stored) = self.states[opp].get(seq) else {
-                        continue;
-                    };
-                    if msg.tuple.sources().is_disjoint(stored.tuple.sources()) {
-                        ctx.metrics.charge(CostKind::ResultBuild, 1);
-                        results.push_join(&msg.tuple, &stored.tuple, msg.marked);
-                    }
-                }
-                ctx.metrics.stats.predicate_evals += m.predicate_evals;
-                ctx.metrics
-                    .charge(CostKind::PredicateEval, m.predicate_evals);
-                ctx.metrics.stats.lattice_nodes_visited += m.lattice_nodes;
-                ctx.metrics.charge(CostKind::LatticeNode, m.lattice_nodes);
-                ctx.metrics.stats.bloom_checks += m.bloom_checks;
-                ctx.metrics.charge(CostKind::BloomCheck, m.bloom_checks);
-                let detected: Vec<Tuple> = m
-                    .detected
-                    .iter()
-                    .map(|&srcs| msg.tuple.project(srcs))
-                    .collect();
-                return self.finish_process(port, msg, now, detected, results, feedback, ctx);
-            }
-        }
-
         // Consumer step 2: probe the opposite state, producing results and
         // feeding the CNS lattice.
         let candidates = self.candidate_sources(&msg.tuple, port);
@@ -891,15 +778,9 @@ impl JitJoinOperator {
             _ => None,
         };
         ctx.metrics.stats.state_probes += 1;
-        let walk_counters_before = (
-            ctx.metrics.stats.probe_pairs,
-            ctx.metrics.stats.lattice_nodes_visited,
-            ctx.metrics.stats.bloom_checks,
-        );
-        let mut window_log = WindowLog::default();
         let mut results = ResultBlock::new();
         let mut evals = 0u64;
-        let mut pairs: Vec<(u64, Tuple)> = Vec::new();
+        let mut pairs: Vec<Tuple> = Vec::new();
         if self.states[opp].index_mode() == StateIndexMode::Hashed {
             // Hash-indexed probe: only candidates carrying the full
             // spanning equi-join key (plus unindexable overflow entries)
@@ -924,9 +805,7 @@ impl JitJoinOperator {
                 };
                 ctx.metrics.stats.probe_pairs += 1;
                 ctx.metrics.charge(CostKind::ProbePair, 1);
-                let pass = self.window.can_join(msg.tuple.ts(), stored.tuple.ts());
-                window_log.note(stored.tuple.ts(), msg.tuple.ts(), pass);
-                if !pass {
+                if !self.window.can_join(msg.tuple.ts(), stored.tuple.ts()) {
                     continue;
                 }
                 let matched =
@@ -935,7 +814,7 @@ impl JitJoinOperator {
                     l.observe(matched, ctx.metrics);
                 }
                 if matched == candidates {
-                    pairs.push((seq, stored.tuple.clone()));
+                    pairs.push(stored.tuple.clone());
                 }
             }
             // The lattice's remaining nodes are settled by one membership
@@ -980,9 +859,7 @@ impl JitJoinOperator {
                         };
                         ctx.metrics.stats.probe_pairs += 1;
                         ctx.metrics.charge(CostKind::ProbePair, 1);
-                        let pass = self.window.can_join(msg.tuple.ts(), stored.tuple.ts());
-                        window_log.note(stored.tuple.ts(), msg.tuple.ts(), pass);
-                        if !pass {
+                        if !self.window.can_join(msg.tuple.ts(), stored.tuple.ts()) {
                             continue;
                         }
                         if self.matched_components(&msg.tuple, &stored.tuple, node, &mut evals)
@@ -1011,16 +888,14 @@ impl JitJoinOperator {
                     l.observe(matched, ctx.metrics);
                 }
                 if matched == candidates {
-                    pairs.push((u64::MAX, stored.tuple.clone()));
+                    pairs.push(stored.tuple.clone());
                 }
             }
         }
-        let mut result_seqs = Vec::new();
-        for (seq, stored_tuple) in pairs {
+        for stored_tuple in pairs {
             if msg.tuple.sources().is_disjoint(stored_tuple.sources()) {
                 ctx.metrics.charge(CostKind::ResultBuild, 1);
                 results.push_join(&msg.tuple, &stored_tuple, msg.marked);
-                result_seqs.push(seq);
             }
         }
         ctx.metrics.stats.predicate_evals += evals;
@@ -1029,40 +904,7 @@ impl JitJoinOperator {
         // Consumer step 3: detect MNSs of the input and report them to the
         // producer of this side.
         let detected = self.detect_mns(&msg.tuple, port, candidates, lattice.as_ref(), ctx);
-        if memo_ok {
-            // INVARIANT: memo_ok checked memo_key.is_some() above.
-            let key = memo_key.expect("checked by memo_ok");
-            self.batch_memo[port].insert(
-                key.to_vec(),
-                ProbeMemo {
-                    generation: self.states[opp].generation(),
-                    probe_pairs: ctx.metrics.stats.probe_pairs - walk_counters_before.0,
-                    predicate_evals: evals,
-                    lattice_nodes: ctx.metrics.stats.lattice_nodes_visited - walk_counters_before.1,
-                    bloom_checks: ctx.metrics.stats.bloom_checks - walk_counters_before.2,
-                    result_seqs,
-                    detected: detected.iter().map(|t| t.sources()).collect(),
-                    window_log,
-                },
-            );
-        }
-        self.finish_process(port, msg, now, detected, results, feedback, ctx)
-    }
 
-    /// Shared tail of [`JitJoinOperator::process_impl`] (live walk and memo
-    /// replay): MNS-buffer insertion + suspension feedback, then
-    /// purge--probe--insert completes with the insertion.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_process(
-        &mut self,
-        port: Port,
-        msg: &DataMessage,
-        now: Timestamp,
-        detected: Vec<Tuple>,
-        results: ResultBlock,
-        mut feedback: Vec<(Port, Feedback)>,
-        ctx: &mut OpContext<'_>,
-    ) -> OperatorOutput {
         let mut fresh = Vec::new();
         for mns in detected {
             if self.mns_buffers[port].insert(mns.clone(), now) {
@@ -1085,110 +927,6 @@ impl JitJoinOperator {
             columnar: (!results.is_empty()).then_some(results),
             feedback,
         }
-    }
-}
-
-impl Operator for JitJoinOperator {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn output_schema(&self) -> SourceSet {
-        self.left_schema.union(self.right_schema)
-    }
-
-    fn num_ports(&self) -> usize {
-        2
-    }
-
-    fn is_suspended(&self) -> bool {
-        self.fully_suspended
-    }
-
-    fn process(
-        &mut self,
-        port: Port,
-        msg: &DataMessage,
-        ctx: &mut OpContext<'_>,
-    ) -> OperatorOutput {
-        self.process_impl(port, msg, ctx, None)
-    }
-
-    fn prepare_batch(
-        &mut self,
-        port: Port,
-        batch: &Batch,
-        _block_min_ts: Timestamp,
-        _ctx: &mut OpContext<'_>,
-    ) -> Option<BatchPrep> {
-        // The memo never outlives the block that built it (both per-port
-        // maps are cleared: one block prepares every subscribed port before
-        // its first row).
-        self.batch_memo[LEFT].clear();
-        self.batch_memo[RIGHT].clear();
-        if self.fully_suspended {
-            return None;
-        }
-        let arity = batch.rows().first().map_or(0, |r| r.arity());
-        if arity == 0
-            || batch.len() < 2
-            || self.states[Self::opposite(port)].index_mode() != StateIndexMode::Hashed
-        {
-            return None;
-        }
-        // Row signature = every column of the source, extracted columnar-ly
-        // (typed arrays are copied slice-at-a-time); rows with identical
-        // signatures share one probe/lattice walk via the batch memo.
-        let cols: Vec<ColumnRef> = (0..arity)
-            .map(|c| ColumnRef::new(batch.source(), c as u16))
-            .collect();
-        let mut keys = Vec::new();
-        let mut valid = Vec::new();
-        jit_types::kernel::extract_probe_keys(batch, &cols, &mut keys, &mut valid);
-        // Only signatures that occur more than once in this batch can ever
-        // be replayed; unique rows skip the memo bookkeeping entirely
-        // (their walk is live either way).
-        let mut occurrences: FastMap<&[Value], u32> = FastMap::default();
-        for r in 0..batch.len() {
-            if valid[r] {
-                *occurrences
-                    .entry(&keys[r * arity..(r + 1) * arity])
-                    .or_insert(0) += 1;
-            }
-        }
-        let repeated: Vec<bool> = (0..batch.len())
-            .map(|r| {
-                valid[r]
-                    && occurrences
-                        .get(&keys[r * arity..(r + 1) * arity])
-                        .is_some_and(|&n| n > 1)
-            })
-            .collect();
-        valid = repeated;
-        if !valid.iter().any(|&v| v) {
-            return None;
-        }
-        Some(BatchPrep::Probe(ProbePrep {
-            keys,
-            valid,
-            arity,
-            skip_purge: false,
-        }))
-    }
-
-    fn process_batch_row(
-        &mut self,
-        port: Port,
-        row: usize,
-        prep: &BatchPrep,
-        msg: &DataMessage,
-        ctx: &mut OpContext<'_>,
-    ) -> OperatorOutput {
-        let key = match prep {
-            BatchPrep::Probe(p) => p.key(row),
-            _ => None,
-        };
-        self.process_impl(port, msg, ctx, key)
     }
 
     fn flush(&mut self, ctx: &mut OpContext<'_>) -> FeedbackOutcome {

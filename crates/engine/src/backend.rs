@@ -21,7 +21,7 @@ use jit_exec::operator::SuppressionDigest;
 use jit_metrics::MetricsSnapshot;
 use jit_runtime::{ShardOutcome, ShardedSession};
 use jit_stream::arrival::ArrivalEvent;
-use jit_types::{BaseTuple, Block, SourceId, Timestamp, Tuple};
+use jit_types::{BaseTuple, SourceId, Timestamp, Tuple};
 use serde::Content;
 use std::sync::Arc;
 
@@ -70,19 +70,6 @@ pub trait Backend {
     /// Ingest one base tuple from `source`. Arrivals must be pushed in
     /// non-decreasing timestamp order.
     fn push(&mut self, source: SourceId, tuple: Arc<BaseTuple>);
-
-    /// Ingest one columnar [`Block`] of arrivals (assembled by the session's
-    /// batcher under a batching [`jit_types::BatchPolicy`]).
-    ///
-    /// The default replays the block row by row through [`Backend::push`],
-    /// which is always semantically correct; the single-threaded backend
-    /// overrides it to hand the whole block to the executor's vectorized
-    /// ingest path.
-    fn push_block(&mut self, block: Block) {
-        for (source, tuple) in block.iter() {
-            self.push(source, Arc::clone(tuple));
-        }
-    }
 
     /// Drain the results that are ready to hand out. For the sharded
     /// backend this releases only what is complete up to the cross-shard
@@ -138,10 +125,6 @@ impl SingleThreadBackend {
 impl Backend for SingleThreadBackend {
     fn push(&mut self, source: SourceId, tuple: Arc<BaseTuple>) {
         self.executor.ingest(source, tuple);
-    }
-
-    fn push_block(&mut self, block: Block) {
-        self.executor.ingest_block(&block);
     }
 
     fn poll_results(&mut self) -> Vec<Tuple> {

@@ -162,24 +162,14 @@ impl EngineBuilder {
         self
     }
 
-    /// Set the columnar batching policy of the data plane. The default
-    /// ([`BatchPolicy::default`], one row per flush) is tuple-equivalent:
-    /// the engine behaves exactly as before the batch layer existed.
-    ///
-    /// With a batching policy (`max_rows > 1`):
-    ///
-    /// * on the **single-threaded** backend, sessions accumulate accepted
-    ///   arrivals into columnar [`jit_types::Block`]s and ship each block
-    ///   through the executor's vectorized ingest path;
-    /// * on the **sharded** backend, the runtime's channel batch size is
-    ///   raised to `max_rows` (if smaller) and shard workers re-assemble
-    ///   arrivals into columnar blocks on their own threads
-    ///   ([`RuntimeConfig`]'s `vectorize` knob).
-    ///
-    /// Results, their order, and the workload counters (probes, predicate
-    /// evaluations, purges, insertions) are identical either way — batching
-    /// only amortises per-tuple overhead. Arrival-to-result latency grows by
-    /// at most `max_rows` arrivals or `max_delay` of event time.
+    /// Set the batching policy. Operators always process one arrival at a
+    /// time, so the policy has exactly one effect: on the **sharded**
+    /// backend, arrivals travel to each shard worker in channel chunks of
+    /// `max(RuntimeConfig::batch_size, policy.max_rows)` rows (a partial
+    /// chunk is sent before every watermark, poll, metrics read, checkpoint
+    /// and finish). On the **single-threaded** backend the policy is inert.
+    /// Results, their order and every counter are identical for every
+    /// policy; only shard-channel synchronisation per arrival changes.
     pub fn batch_policy(mut self, policy: BatchPolicy) -> Self {
         self.batch = policy;
         self
@@ -309,16 +299,9 @@ impl Engine {
         self.disorder
     }
 
-    /// The columnar batching policy every session runs under.
+    /// The batching policy (see [`EngineBuilder::batch_policy`]).
     pub fn batch_policy(&self) -> BatchPolicy {
         self.batch
-    }
-
-    /// The batching policy the single-threaded session batcher should use
-    /// (`None` when batching is off or the sharded runtime batches at the
-    /// channel/worker level instead).
-    fn session_batch(&self) -> Option<BatchPolicy> {
-        (self.runtime.is_none() && self.batch.is_batched()).then_some(self.batch)
     }
 
     /// Open a live session: instantiate the plan(s), spawn shard workers if
@@ -326,7 +309,7 @@ impl Engine {
     pub fn session(&self) -> Result<Session, EngineError> {
         let backend = self.backend(None)?;
         let buffer = self.disorder.lateness().map(ReorderBuffer::new);
-        Ok(Session::new(backend, buffer, self.session_batch()))
+        Ok(Session::new(backend, buffer))
     }
 
     /// Build the configured backend; with `restore` set, rebuild it from a
@@ -359,17 +342,10 @@ impl Engine {
                 Box::new(SingleThreadBackend::new(executor, self.mode.label()))
             }
             Some(config) => {
-                // A batching policy turns on the columnar block path in the
-                // shard workers and makes the channel chunks at least one
-                // policy batch wide.
-                let config = if self.batch.is_batched() {
-                    config
-                        .clone()
-                        .with_vectorize(true)
-                        .with_batch_size(config.batch_size.max(self.batch.max_rows))
-                } else {
-                    config.clone()
-                };
+                // Channel chunks are at least one policy batch wide.
+                let config = config
+                    .clone()
+                    .with_batch_size(config.batch_size.max(self.batch.max_rows));
                 let runtime = ShardedRuntime::new(config.clone()).with_partitioner(
                     ShardPartitioner::new(config.shards).with_key_column(self.key_column),
                 );
@@ -455,7 +431,6 @@ impl Engine {
             pushed,
             last_push_ts,
             buffer,
-            self.session_batch(),
             ckpt_bytes,
             ckpt_millis,
         ))
@@ -516,7 +491,6 @@ mod tests {
                 shards: 0,
                 batch_size: 8,
                 channel_capacity: 8,
-                vectorize: false,
             })
             .build();
         match zero_shards {
@@ -528,7 +502,6 @@ mod tests {
                 shards: 2,
                 batch_size: 0,
                 channel_capacity: 8,
-                vectorize: false,
             })
             .build();
         assert!(matches!(zero_batch, Err(EngineError::Config(_))));
@@ -608,9 +581,9 @@ mod tests {
         let shape = PlanShape::left_deep(2);
         let builder = Engine::builder().workload(&spec, &shape);
         let tuple_mode = builder.clone().build().unwrap();
-        assert!(!tuple_mode.batch_policy().is_batched());
+        assert_eq!(tuple_mode.batch_policy(), BatchPolicy::default());
         let batched = builder.batch_policy(BatchPolicy::rows(64)).build().unwrap();
-        assert!(batched.batch_policy().is_batched());
+        assert_eq!(batched.batch_policy(), BatchPolicy::rows(64));
         let a = tuple_mode.run_trace(&trace).unwrap();
         let b = batched.run_trace(&trace).unwrap();
         assert_eq!(a.results_count, b.results_count);

@@ -7,7 +7,7 @@ use jit_exec::operator::SuppressionDigest;
 use jit_metrics::MetricsSnapshot;
 use jit_stream::arrival::ArrivalEvent;
 use jit_stream::Trace;
-use jit_types::{BaseTuple, BatchPolicy, BlockBuilder, SourceId, Timestamp, Tuple};
+use jit_types::{BaseTuple, SourceId, Timestamp, Tuple};
 use serde::{Content, Serialize};
 use std::path::Path;
 use std::sync::Arc;
@@ -39,18 +39,6 @@ type Buffered = (SourceId, Arc<BaseTuple>);
 /// backend's watermark clock *second*, so a released tuple always probes
 /// the state as it stood before any expiry at its watermark.
 ///
-/// ## Batching
-///
-/// Under a batching [`BatchPolicy`] (set via
-/// [`crate::EngineBuilder::batch_policy`] on the single-threaded backend) a
-/// [`BlockBuilder`] sits between `push` and the backend: accepted arrivals
-/// accumulate into a columnar [`jit_types::Block`] and are flushed as one
-/// [`Backend::push_block`] call when the policy says to (row count or
-/// event-time delay). Every observation point — polling, metrics,
-/// suppression digests, checkpoints, watermark advances, finish — flushes
-/// the buffer first, so batching is never observable in *what* the session
-/// produces, only in how fast.
-///
 /// ## Durability
 ///
 /// [`Session::checkpoint`] serialises everything needed to resume — backend
@@ -65,26 +53,9 @@ pub struct Session {
     pushed: u64,
     /// The reorder stage; present only under a bounded disorder policy.
     disorder: Option<ReorderBuffer<Buffered>>,
-    /// The columnar batcher; present only under a batching [`BatchPolicy`].
-    batcher: Option<Batcher>,
     /// Cumulative checkpoint-file cost, surfaced through metrics.
     ckpt_bytes: u64,
     ckpt_millis: u64,
-}
-
-/// Accumulates accepted arrivals into columnar blocks per the policy.
-struct Batcher {
-    policy: BatchPolicy,
-    builder: BlockBuilder,
-}
-
-impl Batcher {
-    fn new(policy: BatchPolicy) -> Self {
-        Batcher {
-            policy,
-            builder: BlockBuilder::new(),
-        }
-    }
 }
 
 impl std::fmt::Debug for Session {
@@ -102,14 +73,12 @@ impl Session {
     pub(crate) fn new(
         backend: Box<dyn Backend>,
         disorder: Option<ReorderBuffer<Buffered>>,
-        batch: Option<BatchPolicy>,
     ) -> Self {
         Session {
             backend,
             last_push_ts: Timestamp::ZERO,
             pushed: 0,
             disorder,
-            batcher: batch.map(Batcher::new),
             ckpt_bytes: 0,
             ckpt_millis: 0,
         }
@@ -117,13 +86,11 @@ impl Session {
 
     /// Rebuild a session from checkpointed control state (done by
     /// [`crate::Engine::restore`]).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn restored(
         backend: Box<dyn Backend>,
         pushed: u64,
         last_push_ts: Timestamp,
         disorder: Option<ReorderBuffer<Buffered>>,
-        batch: Option<BatchPolicy>,
         ckpt_bytes: u64,
         ckpt_millis: u64,
     ) -> Self {
@@ -132,35 +99,8 @@ impl Session {
             last_push_ts,
             pushed,
             disorder,
-            // Checkpoints flush the batcher first, so it restores empty.
-            batcher: batch.map(Batcher::new),
             ckpt_bytes,
             ckpt_millis,
-        }
-    }
-
-    /// Hand one accepted arrival to the backend — directly, or through the
-    /// batcher when a batching policy is set.
-    fn enqueue(&mut self, source: SourceId, tuple: Arc<BaseTuple>) {
-        match &mut self.batcher {
-            None => self.backend.push(source, tuple),
-            Some(batcher) => {
-                batcher.builder.push(source, tuple);
-                if batcher.builder.should_flush(&batcher.policy) {
-                    self.backend.push_block(batcher.builder.finish());
-                }
-            }
-        }
-    }
-
-    /// Flush any batched-but-unshipped arrivals to the backend. Called
-    /// before every observation of backend state so batching never changes
-    /// what the session reports, only the per-arrival overhead.
-    fn flush_batcher(&mut self) {
-        if let Some(batcher) = &mut self.batcher {
-            if !batcher.builder.is_empty() {
-                self.backend.push_block(batcher.builder.finish());
-            }
         }
     }
 
@@ -192,7 +132,7 @@ impl Session {
                 });
             }
             self.last_push_ts = tuple.ts;
-            self.enqueue(source, tuple);
+            self.backend.push(source, tuple);
             return Ok(PushOutcome::Accepted);
         };
         let ts = tuple.ts;
@@ -203,13 +143,10 @@ impl Session {
             let released = buffer.release(target);
             // Push first, advance second: the released tuples must probe
             // state as of the previous watermark before any expiry at the
-            // new one runs. Under a batching policy the whole released run
-            // ships as columnar blocks, and the batcher is drained before
-            // the watermark moves.
+            // new one runs.
             for (_ts, (source, tuple)) in released {
-                self.enqueue(source, tuple);
+                self.backend.push(source, tuple);
             }
-            self.flush_batcher();
             self.backend.advance_watermark(target);
         }
         Ok(outcome)
@@ -250,14 +187,12 @@ impl Session {
     /// watermark (sharded). Polled results are excluded from the final
     /// outcome — nothing is ever delivered twice.
     pub fn poll_results(&mut self) -> Vec<Tuple> {
-        self.flush_batcher();
         self.backend.poll_results()
     }
 
     /// A live metrics aggregate (cost, memory, counters) for the work done
     /// so far, including the session's own disorder and checkpoint counters.
     pub fn metrics_snapshot(&mut self) -> MetricsSnapshot {
-        self.flush_batcher();
         let mut snapshot = self.backend.metrics_snapshot();
         self.overlay(&mut snapshot);
         snapshot
@@ -279,7 +214,6 @@ impl Session {
     /// backends that cannot aggregate it, notably the sharded runtime). See
     /// [`SuppressionDigest`].
     pub fn suppression_digest(&mut self) -> SuppressionDigest {
-        self.flush_batcher();
         self.backend.suppression_digest()
     }
 
@@ -292,9 +226,6 @@ impl Session {
     /// push/progress frontier. Wrap it in a file with
     /// [`Session::checkpoint_to`] or `jit_durable::write_checkpoint`.
     pub fn checkpoint(&mut self) -> Result<Content, EngineError> {
-        // Ship buffered arrivals first: the checkpoint then covers them as
-        // backend state, and a restored session's batcher starts empty.
-        self.flush_batcher();
         let backend_state = self.backend.checkpoint()?;
         let disorder = match &self.disorder {
             None => Content::Null,
@@ -339,13 +270,11 @@ impl Session {
         if let Some(mut buffer) = self.disorder.take() {
             let released = buffer.flush();
             for (_ts, (source, tuple)) in released {
-                self.enqueue(source, tuple);
+                self.backend.push(source, tuple);
             }
-            self.flush_batcher();
             self.backend.advance_watermark(buffer.frontier());
             self.disorder = Some(buffer); // keep counters for the overlay
         }
-        self.flush_batcher();
         let backend = std::mem::replace(&mut self.backend, Box::new(NullBackend));
         let mut outcome = backend.finish()?;
         self.overlay(&mut outcome.snapshot);

@@ -9,13 +9,11 @@
 //! are non-decreasing at the sinks (the temporal-order requirement of
 //! Section II).
 
-use crate::operator::{
-    BatchPrep, DataMessage, OpContext, OperatorId, OperatorOutput, Port, ResultBlock,
-};
+use crate::operator::{DataMessage, OpContext, OperatorId, OperatorOutput, Port, ResultBlock};
 use crate::plan::{ExecutablePlan, Input, OperatorSlot};
 use crate::scheduler::{Priority, Scheduler, Task, TaskKind};
 use jit_metrics::{CostKind, MemComponentId, MetricsSnapshot, RunMetrics};
-use jit_types::{BaseTuple, Block, FeedbackCommand, SourceId, Timestamp, Tuple};
+use jit_types::{BaseTuple, FeedbackCommand, SourceId, Timestamp, Tuple};
 use serde::{Content, Serialize};
 use std::sync::Arc;
 
@@ -139,100 +137,6 @@ impl Executor {
             );
         }
         self.run_cascade();
-    }
-
-    /// Ingest a [`Block`] of batched arrivals — the vectorized front door.
-    ///
-    /// Rows are replayed in the block's exact global push order, so results
-    /// and every result-relevant counter match a tuple-at-a-time run. What
-    /// the batch path saves is the per-arrival *leaf hop*: for a source
-    /// with exactly one subscriber the row is delivered inline instead of
-    /// through the scheduler, skipping the leaf task's queue/dispatch
-    /// charges (`queued_tuples`, `QueueOp`, `tasks_executed`,
-    /// `TaskDispatch`) and the per-leaf-task memory sample — those
-    /// bookkeeping costs are the overhead being optimized away, not part
-    /// of the workload's observable behaviour. Downstream cascades still
-    /// run (and sample memory) identically between rows.
-    ///
-    /// Additionally, each batch gets one [`crate::operator::Operator::prepare_batch`]
-    /// pass so operators with columnar kernels (selection bitmaps,
-    /// pre-extracted probe keys, purge elision) can front-load per-row
-    /// work. Sources with zero or multiple subscribers fall back to
-    /// [`Executor::ingest`] verbatim, preserving the scheduler
-    /// interleaving of competing leaf tasks.
-    pub fn ingest_block(&mut self, block: &Block) {
-        if block.is_empty() {
-            return;
-        }
-        // Upper bound on the executor clock while the block replays: rows
-        // advance it at most to the block's max timestamp (on the
-        // watermark clock it does not move at all).
-        let prep_now = if self.watermark_clock {
-            self.current_time
-        } else {
-            self.current_time.max(block.max_ts())
-        };
-        let block_min_ts = block.min_ts();
-        // One routing decision + prep pass per batch.
-        let mut lanes: Vec<Option<(OperatorId, Port, Option<BatchPrep>)>> =
-            Vec::with_capacity(block.batches().len());
-        for batch in block.batches() {
-            let subs = self.source_subscribers.get(batch.source().index());
-            let lane = match subs.map(Vec::as_slice) {
-                Some(&[(op, port)]) => {
-                    let prep = {
-                        let slot = &mut self.slots[op.0];
-                        let mut ctx = OpContext::new(prep_now, &mut self.metrics);
-                        slot.operator
-                            .prepare_batch(port, batch, block_min_ts, &mut ctx)
-                    };
-                    Some((op, port, prep))
-                }
-                _ => None,
-            };
-            lanes.push(lane);
-        }
-        for &(b, r) in block.order() {
-            let batch = &block.batches()[b as usize];
-            let tuple = &batch.rows()[r as usize];
-            let Some((op, port, prep)) = &lanes[b as usize] else {
-                self.ingest(batch.source(), Arc::clone(tuple));
-                continue;
-            };
-            if !self.watermark_clock {
-                debug_assert!(
-                    tuple.ts >= self.current_time,
-                    "arrivals must be ingested in timestamp order"
-                );
-                self.current_time = tuple.ts;
-            }
-            self.metrics.stats.tuples_arrived += 1;
-            if let Some(BatchPrep::Mask(mask)) = prep {
-                // Selection bitmap: forward or drop the row without a
-                // per-row dispatch; the predicate was charged in prep.
-                if mask.get(r as usize) {
-                    let msg = DataMessage::new(Tuple::from_base(Arc::clone(tuple)));
-                    self.route_results(*op, vec![msg], Priority::Normal);
-                    self.run_cascade();
-                }
-                continue;
-            }
-            let msg = DataMessage::new(Tuple::from_base(Arc::clone(tuple)));
-            let now = self.current_time;
-            let output = {
-                let slot = &mut self.slots[op.0];
-                let mut ctx = OpContext::new(now, &mut self.metrics);
-                match prep {
-                    Some(prep) => slot
-                        .operator
-                        .process_batch_row(*port, r as usize, prep, &msg, &mut ctx),
-                    None => slot.operator.process(*port, &msg, &mut ctx),
-                }
-            };
-            self.route_output(*op, output, Priority::Normal);
-            self.run_cascade();
-        }
-        self.sample_memory();
     }
 
     /// Advance the executor clock to watermark `w` and give every operator
@@ -830,135 +734,5 @@ mod tests {
         exec.ingest(SourceId(5), base(5, 0, 10));
         assert_eq!(exec.results_count(), 0);
         assert_eq!(exec.metrics().stats.tuples_arrived, 1);
-    }
-
-    fn keyed(source: u16, seq: u64, ts: u64, key: i64) -> Arc<BaseTuple> {
-        Arc::new(BaseTuple::new(
-            SourceId(source),
-            seq,
-            Timestamp::from_millis(ts),
-            vec![Value::int(key)],
-        ))
-    }
-
-    fn ref_join_exec() -> Executor {
-        use jit_types::{Duration, PredicateSet, Window};
-        let mut b = PlanBuilder::new();
-        b.add_operator(
-            Box::new(crate::join::RefJoinOperator::new(
-                "A⋈B",
-                SourceSet::single(SourceId(0)),
-                SourceSet::single(SourceId(1)),
-                PredicateSet::clique(2),
-                Window::new(Duration::from_secs(2)),
-            )),
-            vec![Input::Source(SourceId(0)), Input::Source(SourceId(1))],
-        );
-        Executor::with_defaults(b.build().unwrap())
-    }
-
-    /// The satellite contract pinned for the batch probe kernel: replaying
-    /// the same arrivals through `ingest_block` yields byte-identical
-    /// results and identical workload counters (`probe_pairs` in
-    /// particular is charged once per candidate examined, never twice).
-    #[test]
-    fn block_ingest_matches_tuple_ingest_results_and_counters() {
-        let arrivals: Vec<(u16, u64, u64, i64)> = (0..200u64)
-            .map(|i| ((i % 2) as u16, i, i * 37, (i % 5) as i64))
-            .collect();
-
-        let mut tuple_exec = ref_join_exec();
-        for &(s, seq, ts, key) in &arrivals {
-            tuple_exec.ingest(SourceId(s), keyed(s, seq, ts, key));
-        }
-
-        let mut batch_exec = ref_join_exec();
-        let mut builder = jit_types::BlockBuilder::new();
-        for chunk in arrivals.chunks(16) {
-            for &(s, seq, ts, key) in chunk {
-                builder.push(SourceId(s), keyed(s, seq, ts, key));
-            }
-            let block = builder.finish();
-            batch_exec.ingest_block(&block);
-        }
-
-        assert_eq!(tuple_exec.results(), batch_exec.results());
-        assert!(!tuple_exec.results().is_empty());
-        let t = tuple_exec.metrics().stats;
-        let b = batch_exec.metrics().stats;
-        assert_eq!(t.probe_pairs, b.probe_pairs);
-        assert_eq!(t.predicate_evals, b.predicate_evals);
-        assert_eq!(t.purged_tuples, b.purged_tuples);
-        assert!(t.purged_tuples > 0, "workload must exercise purging");
-        assert_eq!(t.state_insertions, b.state_insertions);
-        assert_eq!(t.state_probes, b.state_probes);
-        assert_eq!(t.results_emitted, b.results_emitted);
-        assert_eq!(t.tuples_arrived, b.tuples_arrived);
-        assert_eq!(batch_exec.order_violations(), 0);
-        // The point of the batch path: the per-arrival leaf hop is gone.
-        assert!(b.tasks_executed < t.tasks_executed);
-        assert!(b.queued_tuples < t.queued_tuples);
-    }
-
-    #[test]
-    fn block_ingest_applies_selection_mask() {
-        use jit_types::{ColumnRef, FilterPredicate};
-        let build = || {
-            let mut b = PlanBuilder::new();
-            b.add_operator(
-                Box::new(crate::selection::SelectionOperator::new(
-                    "σ",
-                    FilterPredicate::gt(ColumnRef::new(SourceId(0), 0), 2),
-                    SourceSet::single(SourceId(0)),
-                )),
-                vec![Input::Source(SourceId(0))],
-            );
-            Executor::with_defaults(b.build().unwrap())
-        };
-        let mut tuple_exec = build();
-        let mut batch_exec = build();
-        let mut builder = jit_types::BlockBuilder::new();
-        for i in 0..10u64 {
-            tuple_exec.ingest(SourceId(0), keyed(0, i, i * 10, (i % 5) as i64));
-            builder.push(SourceId(0), keyed(0, i, i * 10, (i % 5) as i64));
-        }
-        batch_exec.ingest_block(&builder.finish());
-        // Values 3 and 4 pass in each cycle of 5.
-        assert_eq!(tuple_exec.results_count(), 4);
-        assert_eq!(tuple_exec.results(), batch_exec.results());
-        assert_eq!(
-            tuple_exec.metrics().stats.predicate_evals,
-            batch_exec.metrics().stats.predicate_evals
-        );
-        assert_eq!(
-            tuple_exec.metrics().stats.results_emitted,
-            batch_exec.metrics().stats.results_emitted
-        );
-    }
-
-    #[test]
-    fn block_ingest_falls_back_for_multi_subscriber_sources() {
-        let build = || {
-            let mut b = PlanBuilder::new();
-            b.add_operator(Forward::boxed("one"), vec![Input::Source(SourceId(0))]);
-            b.add_operator(Forward::boxed("two"), vec![Input::Source(SourceId(0))]);
-            Executor::with_defaults(b.build().unwrap())
-        };
-        let mut tuple_exec = build();
-        let mut batch_exec = build();
-        let mut builder = jit_types::BlockBuilder::new();
-        for i in 0..6u64 {
-            tuple_exec.ingest(SourceId(0), base(0, i, i * 10));
-            builder.push(SourceId(0), base(0, i, i * 10));
-        }
-        batch_exec.ingest_block(&builder.finish());
-        // The fallback is the tuple path verbatim: every counter matches,
-        // including the scheduler bookkeeping.
-        assert_eq!(tuple_exec.results(), batch_exec.results());
-        let t = tuple_exec.metrics().stats;
-        let b = batch_exec.metrics().stats;
-        assert_eq!(t.tasks_executed, b.tasks_executed);
-        assert_eq!(t.queued_tuples, b.queued_tuples);
-        assert_eq!(t.results_emitted, b.results_emitted);
     }
 }

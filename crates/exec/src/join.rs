@@ -9,12 +9,11 @@
 //! [`StateIndexMode::Scan`] forcing the historical behaviour).
 
 use crate::operator::{
-    BatchPrep, DataMessage, OpContext, Operator, OperatorOutput, Port, ProbePrep, ResultBlock,
-    LEFT, RIGHT,
+    DataMessage, OpContext, Operator, OperatorOutput, Port, ResultBlock, LEFT, RIGHT,
 };
 use crate::state::{JoinKeySpec, OperatorState, StateIndexMode};
 use jit_metrics::{CostKind, RunMetrics};
-use jit_types::{kernel, Batch, PredicateSet, SourceSet, Timestamp, Value, Window};
+use jit_types::{PredicateSet, SourceSet, Window};
 use serde::Content;
 
 /// Binary sliding-window equi-join without feedback (the REF baseline).
@@ -95,20 +94,25 @@ impl RefJoinOperator {
     pub fn right_len(&self) -> usize {
         self.right_state.len()
     }
+}
 
-    /// The purge–probe–insert core shared by the tuple and batch paths.
-    ///
-    /// `precomputed_key` is `None` on the tuple path (the key is assembled
-    /// from the message) and `Some(key)` on the batch path (the key was
-    /// extracted columnar-ly in [`RefJoinOperator::prepare_batch`]; an
-    /// inner `None` means the row has no usable key and scans). The two
-    /// paths charge exactly the same counters.
-    fn process_row(
+impl Operator for RefJoinOperator {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn output_schema(&self) -> SourceSet {
+        self.left_schema.union(self.right_schema)
+    }
+
+    fn num_ports(&self) -> usize {
+        2
+    }
+
+    fn process(
         &mut self,
         port: Port,
         msg: &DataMessage,
-        precomputed_key: Option<Option<&[Value]>>,
-        skip_purge: bool,
         ctx: &mut OpContext<'_>,
     ) -> OperatorOutput {
         debug_assert!(port == LEFT || port == RIGHT);
@@ -128,15 +132,10 @@ impl RefJoinOperator {
             )
         };
 
-        // Purge: drop expired tuples from both states. The batch path skips
-        // this only when `prepare_batch` proved the purge would be empty —
-        // `StatePurge` is charged per purged tuple, so the skip is
-        // counter-neutral.
-        if !skip_purge {
-            let purged = own_state.purge(self.window, now) + opp_state.purge(self.window, now);
-            ctx.metrics.stats.purged_tuples += purged as u64;
-            ctx.metrics.charge(CostKind::StatePurge, purged as u64);
-        }
+        // Purge: drop expired tuples from both states.
+        let purged = own_state.purge(self.window, now) + opp_state.purge(self.window, now);
+        ctx.metrics.stats.purged_tuples += purged as u64;
+        ctx.metrics.charge(CostKind::StatePurge, purged as u64);
 
         // Probe: only the candidate partners the index returns; the scan
         // baseline iterates the slab directly (no per-probe allocation).
@@ -164,10 +163,7 @@ impl RefJoinOperator {
                     examine(entry, ctx.metrics);
                 }
             } else {
-                match precomputed_key {
-                    Some(key) => opp_state.probe_slice_into(spec, key, &mut hits),
-                    None => opp_state.probe_into(spec, &msg.tuple, &mut hits),
-                }
+                opp_state.probe_into(spec, &msg.tuple, &mut hits);
                 for &seq in &hits {
                     if let Some(entry) = opp_state.get(seq) {
                         examine(entry, ctx.metrics);
@@ -186,100 +182,6 @@ impl RefJoinOperator {
         hits.clear();
         self.scratch_hits = hits;
         OperatorOutput::with_columnar(results)
-    }
-}
-
-impl Operator for RefJoinOperator {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn output_schema(&self) -> SourceSet {
-        self.left_schema.union(self.right_schema)
-    }
-
-    fn num_ports(&self) -> usize {
-        2
-    }
-
-    fn process(
-        &mut self,
-        port: Port,
-        msg: &DataMessage,
-        ctx: &mut OpContext<'_>,
-    ) -> OperatorOutput {
-        self.process_row(port, msg, None, false, ctx)
-    }
-
-    fn prepare_batch(
-        &mut self,
-        port: Port,
-        batch: &Batch,
-        block_min_ts: Timestamp,
-        ctx: &mut OpContext<'_>,
-    ) -> Option<BatchPrep> {
-        debug_assert!(port == LEFT || port == RIGHT);
-        let (opp_state, spec) = if port == LEFT {
-            (&self.right_state, &self.probe_right_spec)
-        } else {
-            (&self.left_state, &self.probe_left_spec)
-        };
-
-        // Purge elision: `ctx.now` bounds the executor clock for the whole
-        // block. If neither state holds a tuple expiring by then, and no
-        // tuple inserted *during* the block can expire either (every such
-        // tuple — leaf row or intermediate — has ts ≥ `block_min_ts`), then
-        // every per-row purge would remove zero tuples. `StatePurge` is
-        // charged per purged tuple, so eliding those calls changes no
-        // counter.
-        let horizon = ctx.now;
-        let clear = |s: &OperatorState| {
-            s.next_expiry()
-                .is_none_or(|ts| !self.window.is_expired(ts, horizon))
-        };
-        let skip_purge = clear(&self.left_state)
-            && clear(&self.right_state)
-            && !self.window.is_expired(block_min_ts, horizon);
-
-        // Columnar key extraction via the shared kernel: one pass per key
-        // column over the batch, instead of one `Vec<Value>` assembly per
-        // row at probe time. Rows whose key cannot be formed fall back to
-        // the scan path, exactly as a failed `probe_key` does in tuple mode.
-        let mut keys = Vec::new();
-        let mut valid = Vec::new();
-        let mut arity = 0;
-        if opp_state.index_mode() != StateIndexMode::Scan && !spec.is_empty() {
-            let cols: Vec<_> = spec.probe_columns().collect();
-            if cols.iter().all(|c| c.source == batch.source()) {
-                arity = cols.len();
-                kernel::extract_probe_keys(batch, &cols, &mut keys, &mut valid);
-            }
-            // else: a probe column lives on another source, so no row of
-            // this leaf batch can form the key — arity 0 makes every row
-            // scan, matching tuple mode.
-        }
-        Some(BatchPrep::Probe(ProbePrep {
-            keys,
-            valid,
-            arity,
-            skip_purge,
-        }))
-    }
-
-    fn process_batch_row(
-        &mut self,
-        port: Port,
-        row: usize,
-        prep: &BatchPrep,
-        msg: &DataMessage,
-        ctx: &mut OpContext<'_>,
-    ) -> OperatorOutput {
-        let BatchPrep::Probe(prep) = prep else {
-            return self.process(port, msg, ctx);
-        };
-        // `prep` borrows from the executor's block state, not from `self`,
-        // so the key slice stays available across the mutable call.
-        self.process_row(port, msg, Some(prep.key(row)), prep.skip_purge, ctx)
     }
 
     fn memory_bytes(&self) -> usize {

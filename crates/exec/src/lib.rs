@@ -52,8 +52,8 @@ pub mod static_join;
 pub use executor::{Executor, ExecutorConfig};
 pub use join::RefJoinOperator;
 pub use operator::{
-    BatchPrep, DataMessage, FeedbackOutcome, OpContext, Operator, OperatorId, OperatorOutput, Port,
-    ProbePrep, SuppressionDigest, LEFT, RIGHT,
+    DataMessage, FeedbackOutcome, OpContext, Operator, OperatorId, OperatorOutput, Port,
+    SuppressionDigest, LEFT, RIGHT,
 };
 pub use plan::{ExecutablePlan, Input, PlanBuilder, PlanError};
 pub use scheduler::{Priority, Scheduler, Task, TaskKind};

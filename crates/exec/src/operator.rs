@@ -8,10 +8,7 @@
 //! propagating feedback further upstream (Section III-C of the paper).
 
 use jit_metrics::RunMetrics;
-use jit_types::{
-    BaseTuple, Batch, BitMask, ColumnRef, Feedback, Signature, SourceId, SourceSet, Timestamp,
-    Tuple, Value,
-};
+use jit_types::{BaseTuple, ColumnRef, Feedback, Signature, SourceId, SourceSet, Timestamp, Tuple};
 use serde::Content;
 use std::fmt;
 use std::sync::Arc;
@@ -326,67 +323,6 @@ fn cmp_sig(a: &(Vec<ColumnRef>, Signature), b: &(Vec<ColumnRef>, Signature)) -> 
     (&a.0, &a.1 .0).cmp(&(&b.0, &b.1 .0))
 }
 
-/// A per-batch acceleration structure returned by
-/// [`Operator::prepare_batch`]: the result of one vectorized pass over a
-/// leaf [`Batch`] that the executor then consumes while replaying the rows
-/// in arrival order.
-///
-/// Batching never changes results or metrics-relevant counters — a prep is
-/// purely a cheaper way to do per-row work that the columnar layout lets
-/// the operator front-load:
-///
-/// * [`BatchPrep::Mask`] — a selection bitmap, packed 64 rows per word
-///   ([`BitMask`]). The executor forwards row `i` to the operator's
-///   consumers iff bit `i` is set, without dispatching a per-row `process`
-///   call (the predicate charges were paid in `prepare_batch`). Masked-out
-///   rows are simply not forwarded; the batch itself is never dropped.
-/// * [`BatchPrep::Probe`] — pre-extracted hash-probe keys for a join. The
-///   executor still calls [`Operator::process_batch_row`] per row, which
-///   probes with the ready-made key slice instead of re-assembling a
-///   `Vec<Value>` key per tuple.
-#[derive(Debug, Clone)]
-pub enum BatchPrep {
-    /// Selection bitmap over the batch rows (see above); consumed by the
-    /// executor directly.
-    Mask(BitMask),
-    /// Pre-extracted probe keys; consumed by
-    /// [`Operator::process_batch_row`].
-    Probe(ProbePrep),
-}
-
-/// Pre-extracted hash-probe keys for one batch (see [`BatchPrep::Probe`]).
-///
-/// The keys live in one flat row-major arena — row `i`'s key is
-/// `keys[i·arity .. (i+1)·arity]` when `valid[i]` — so a batch pays one
-/// allocation for all of its keys instead of one `Vec<Value>` per tuple.
-#[derive(Debug, Clone)]
-pub struct ProbePrep {
-    /// Row-major key arena (`len == rows · arity`).
-    pub keys: Vec<Value>,
-    /// Per-row key validity; an invalid row (a probe column was missing)
-    /// falls back to the scan path, exactly as in tuple mode.
-    pub valid: Vec<bool>,
-    /// Number of key columns; `0` means no usable key (scan fallback for
-    /// every row) and leaves `keys`/`valid` empty.
-    pub arity: usize,
-    /// Both join states were proven to have nothing to purge for the whole
-    /// block (see `RefJoinOperator::prepare_batch`), so the per-row purge
-    /// calls — which would each remove zero tuples and charge zero cost —
-    /// are skipped.
-    pub skip_purge: bool,
-}
-
-impl ProbePrep {
-    /// The pre-extracted key of `row`, or `None` when the row must fall
-    /// back to the scan path.
-    pub fn key(&self, row: usize) -> Option<&[Value]> {
-        if self.arity == 0 || !self.valid[row] {
-            return None;
-        }
-        Some(&self.keys[row * self.arity..(row + 1) * self.arity])
-    }
-}
-
 /// Per-call execution context handed to operators: the current application
 /// time and mutable access to the run's metrics.
 pub struct OpContext<'a> {
@@ -425,43 +361,6 @@ pub trait Operator: Send {
     /// Process one data message arriving on `port`.
     fn process(&mut self, port: Port, msg: &DataMessage, ctx: &mut OpContext<'_>)
         -> OperatorOutput;
-
-    /// Vectorized pass over a leaf [`Batch`] about to be replayed row by
-    /// row (the batch data plane's kernel hook).
-    ///
-    /// Called once per batch by `Executor::ingest_block` before any of the
-    /// batch's rows are delivered. `ctx.now` is an *upper bound* on the
-    /// executor clock for the whole block (not the current arrival time),
-    /// and `block_min_ts` is the earliest row timestamp across the block —
-    /// together they let a stateful operator prove that no purge during the
-    /// block can remove anything. Returning `None` (the default) keeps the
-    /// exact tuple-at-a-time path for every row.
-    fn prepare_batch(
-        &mut self,
-        port: Port,
-        batch: &Batch,
-        block_min_ts: Timestamp,
-        ctx: &mut OpContext<'_>,
-    ) -> Option<BatchPrep> {
-        let _ = (port, batch, block_min_ts, ctx);
-        None
-    }
-
-    /// Process row `row` of a batch for which [`Operator::prepare_batch`]
-    /// returned `prep`. `ctx.now` is the regular per-arrival clock, and the
-    /// output contract is identical to [`Operator::process`] — the prep is
-    /// only a cheaper way to arrive at the same results and counters.
-    fn process_batch_row(
-        &mut self,
-        port: Port,
-        row: usize,
-        prep: &BatchPrep,
-        msg: &DataMessage,
-        ctx: &mut OpContext<'_>,
-    ) -> OperatorOutput {
-        let _ = (row, prep);
-        self.process(port, msg, ctx)
-    }
 
     /// Handle a feedback message sent by a downstream consumer.
     ///

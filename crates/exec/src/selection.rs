@@ -4,9 +4,9 @@
 //! that JIT consumers need not be joins. This module provides the plain
 //! (REF) selection; the MNS-detecting variant lives in `jit-core`.
 
-use crate::operator::{BatchPrep, DataMessage, OpContext, Operator, OperatorOutput, Port};
+use crate::operator::{DataMessage, OpContext, Operator, OperatorOutput, Port};
 use jit_metrics::CostKind;
-use jit_types::{kernel, Batch, BitMask, CompareOp, FilterPredicate, SourceSet, Timestamp};
+use jit_types::{FilterPredicate, SourceSet};
 
 /// A stateless filter that forwards only the tuples satisfying its predicate.
 #[derive(Debug)]
@@ -33,39 +33,6 @@ impl SelectionOperator {
     /// The filter predicate.
     pub fn predicate(&self) -> &FilterPredicate {
         &self.predicate
-    }
-
-    /// Evaluate the predicate over every row of `batch` into a packed mask —
-    /// one [`kernel::filter_mask`] call when the batch carries a columnar
-    /// projection of the filtered column, the scalar per-row check
-    /// otherwise. "Not applicable" (a row not carrying the column) is a
-    /// rejection, exactly as on the tuple path.
-    fn eval_batch(&self, batch: &Batch, mask: &mut BitMask) {
-        let col = self.predicate.column;
-        if col.source != batch.source() {
-            // The filtered column cannot appear on any row of this batch.
-            *mask = BitMask::zeros(batch.len());
-            return;
-        }
-        if let Some(array) = batch.column(col.column as usize) {
-            kernel::filter_mask(array, self.predicate.op, &self.predicate.constant, mask);
-            return;
-        }
-        // No columnar projection (or the column is beyond it): decide each
-        // row from its base tuple.
-        *mask = BitMask::zeros(batch.len());
-        let op = self.predicate.op;
-        for (i, row) in batch.rows().iter().enumerate() {
-            let pass = row.value(col.column).is_some_and(|v| match op {
-                CompareOp::Eq => *v == self.predicate.constant,
-                CompareOp::Ne => *v != self.predicate.constant,
-                CompareOp::Lt => *v < self.predicate.constant,
-                CompareOp::Le => *v <= self.predicate.constant,
-                CompareOp::Gt => *v > self.predicate.constant,
-                CompareOp::Ge => *v >= self.predicate.constant,
-            });
-            mask.set(i, pass);
-        }
     }
 }
 
@@ -97,23 +64,6 @@ impl Operator for SelectionOperator {
         } else {
             OperatorOutput::empty()
         }
-    }
-
-    fn prepare_batch(
-        &mut self,
-        _port: Port,
-        batch: &Batch,
-        _block_min_ts: Timestamp,
-        ctx: &mut OpContext<'_>,
-    ) -> Option<BatchPrep> {
-        // One predicate evaluation per row, exactly as the tuple path
-        // charges — front-loaded so the whole batch is charged in one call.
-        ctx.metrics.stats.predicate_evals += batch.len() as u64;
-        ctx.metrics
-            .charge(CostKind::PredicateEval, batch.len() as u64);
-        let mut mask = BitMask::new();
-        self.eval_batch(batch, &mut mask);
-        Some(BatchPrep::Mask(mask))
     }
 
     fn memory_bytes(&self) -> usize {

@@ -194,8 +194,9 @@ impl JoinKeySpec {
         true
     }
 
-    /// The probe-side column references, in pair order — what the batch
-    /// kernel extracts key vectors from.
+    /// The probe-side column references, in pair order. No engine caller is
+    /// left; `bench_e2e` uses it to build a layer drive (see
+    /// `jit_types::kernel::extract_probe_keys`).
     pub fn probe_columns(&self) -> impl Iterator<Item = ColumnRef> + '_ {
         self.pairs.iter().map(|&(_, probe_col)| probe_col)
     }
@@ -420,12 +421,6 @@ pub struct OperatorState {
     /// formed here and only cloned into an owned `Vec` when a bucket sees a
     /// key for the first time.
     key_scratch: Vec<Value>,
-    /// Content-mutation counter: bumped by every insertion, removal,
-    /// compaction (which rebases probe handles) and restore. Probes do not
-    /// bump it (lazy index construction does not change the stored
-    /// contents). Lets callers cache probe outcomes — equal generation
-    /// guarantees identical contents *and* stable handles.
-    generation: u64,
 }
 
 impl OperatorState {
@@ -510,7 +505,6 @@ impl OperatorState {
     }
 
     fn admit(&mut self, entry: StoredTuple) {
-        self.generation += 1;
         let seq = self.base + self.slots.len() as u64;
         self.bytes += entry.tuple.size_bytes();
         self.expiry.push(entry.tuple.ts(), seq);
@@ -527,7 +521,6 @@ impl OperatorState {
     fn take(&mut self, seq: u64) -> Option<StoredTuple> {
         let idx = seq.checked_sub(self.base)? as usize;
         let entry = self.slots.get_mut(idx)?.take()?;
-        self.generation += 1;
         self.bytes -= entry.tuple.size_bytes();
         self.live_count -= 1;
         Some(entry)
@@ -585,16 +578,12 @@ impl OperatorState {
                 drained.push(entry);
             }
         }
-        if !drained.is_empty() {
-            self.generation += 1;
-        }
         self.maybe_compact();
         drained
     }
 
     /// Remove everything (indexes included; they rebuild lazily).
     pub fn clear(&mut self) {
-        self.generation += 1;
         // Rebase past every handle ever issued so stale handles stay dead.
         self.base += self.slots.len() as u64;
         self.slots.clear();
@@ -665,7 +654,7 @@ impl OperatorState {
     /// Allocation-free variant of [`OperatorState::probe`]: the candidates
     /// are written into the caller-owned `out` (cleared first), and the
     /// probe key is formed in the state's scratch buffer instead of a fresh
-    /// `Vec<Value>` per probe — the tuple-mode hot-path fix.
+    /// `Vec<Value>` per probe.
     pub fn probe_into(&mut self, spec: &JoinKeySpec, probe: &Tuple, out: &mut Vec<u64>) {
         out.clear();
         if self.mode == StateIndexMode::Scan || spec.is_empty() {
@@ -681,28 +670,7 @@ impl OperatorState {
         self.key_scratch = scratch;
     }
 
-    /// Batch-kernel probe: look up a pre-extracted key slice (one hash pass
-    /// per batch computed the keys; see `jit_exec::operator::BatchPrep`).
-    /// `None` means the probing side is missing a key column — the scan
-    /// fallback, exactly as in [`OperatorState::probe`].
-    pub fn probe_slice_into(
-        &mut self,
-        spec: &JoinKeySpec,
-        key: Option<&[Value]>,
-        out: &mut Vec<u64>,
-    ) {
-        out.clear();
-        if self.mode == StateIndexMode::Scan || spec.is_empty() {
-            self.all_live_into(out);
-            return;
-        }
-        match key {
-            None => self.all_live_into(out),
-            Some(key) => self.probe_key_slice_into(spec, key, out),
-        }
-    }
-
-    /// Shared tail of the hashed probe paths: bucket/overflow merge,
+    /// The hashed probe proper: bucket/overflow merge for one formed key,
     /// written into `out`.
     ///
     /// Index buckets hold handles of since-removed tuples until compaction
@@ -747,21 +715,13 @@ impl OperatorState {
 
     /// The timestamp of the next entry the expiry heap would consider, if
     /// any — a *lower bound* on the earliest live tuple timestamp (stale
-    /// heap entries for drained tuples may report an earlier time). Used by
-    /// the batch kernels to elide provably empty purges: if even this bound
-    /// has not expired by a batch's max timestamp, no purge in the batch
-    /// can remove anything, and skipping it is counter-neutral
-    /// (`purged_tuples` and `CostKind::StatePurge` are charged per removed
-    /// tuple, not per purge call).
+    /// heap entries for drained tuples may report an earlier time). Lets a
+    /// caller elide a provably empty purge: if even this bound has not
+    /// expired, the purge can remove nothing, and skipping it is
+    /// counter-neutral (`purged_tuples` and `CostKind::StatePurge` are
+    /// charged per removed tuple, not per purge call).
     pub fn next_expiry(&self) -> Option<Timestamp> {
         self.expiry.peek().map(|(ts, _)| ts)
-    }
-
-    /// The state's content-mutation counter (see the field docs): while two
-    /// observations return the same generation, the stored contents are
-    /// identical and every probe handle remains valid.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Append all live handles in insertion order to `out` (the scan path).
@@ -797,7 +757,6 @@ impl OperatorState {
         if self.slots.len() <= 64 || self.slots.len() <= 2 * self.live_count {
             return;
         }
-        self.generation += 1;
         self.base += self.slots.len() as u64;
         let entries: Vec<StoredTuple> = self.slots.drain(..).flatten().collect();
         let mut pairs: Vec<(Timestamp, u64)> = entries

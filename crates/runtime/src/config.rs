@@ -40,10 +40,6 @@ impl std::error::Error for ConfigError {}
 /// * `channel_capacity` — bound (in batches) of each shard's ingestion
 ///   channel. A full channel blocks the feeder (backpressure) instead of
 ///   queueing unboundedly.
-/// * `vectorize` — run each ingestion batch through the columnar block
-///   path (`Executor::ingest_block`) instead of tuple-at-a-time. Results
-///   and workload counters are identical either way; the engine layer
-///   turns this on when a batching [`jit_types::BatchPolicy`] is set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Number of shards / worker threads (≥ 1).
@@ -52,8 +48,6 @@ pub struct RuntimeConfig {
     pub batch_size: usize,
     /// Per-shard channel bound, in batches (≥ 1).
     pub channel_capacity: usize,
-    /// Ingest each batch through the columnar block path.
-    pub vectorize: bool,
 }
 
 impl Default for RuntimeConfig {
@@ -64,7 +58,6 @@ impl Default for RuntimeConfig {
                 .unwrap_or(1),
             batch_size: 64,
             channel_capacity: 32,
-            vectorize: false,
         }
     }
 }
@@ -87,12 +80,6 @@ impl RuntimeConfig {
     /// Set the per-shard channel bound (in batches).
     pub fn with_channel_capacity(mut self, channel_capacity: usize) -> Self {
         self.channel_capacity = channel_capacity;
-        self
-    }
-
-    /// Enable or disable the columnar block ingestion path.
-    pub fn with_vectorize(mut self, vectorize: bool) -> Self {
-        self.vectorize = vectorize;
         self
     }
 
@@ -150,12 +137,10 @@ mod tests {
                 shards: 0,
                 batch_size: 7,
                 channel_capacity: 9,
-                vectorize: false,
             }
             .normalized()
             .shards,
             1
         );
-        assert!(RuntimeConfig::with_shards(2).with_vectorize(true).vectorize);
     }
 }

@@ -175,7 +175,6 @@ impl ShardedRuntime {
     /// Move the prepared executors onto their worker threads.
     fn launch(&self, executors: Vec<Executor>) -> ShardedSession {
         let shards = executors.len();
-        let vectorize = self.config().vectorize;
         let (chunk_tx, chunk_rx) = mpsc::channel::<ShardChunk>();
         let mut senders = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
@@ -186,10 +185,6 @@ impl ShardedRuntime {
                 .name(format!("jit-shard-{shard}"))
                 .spawn(move || {
                     let mut arrivals = 0u64;
-                    // Columnar assembly happens here, on the shard thread:
-                    // the pusher ships raw arrival chunks and each worker
-                    // pays its own column-building pass in parallel.
-                    let mut block_builder = jit_types::BlockBuilder::new();
                     while let Ok(msg) = rx.recv() {
                         // One chunk per message: progress for the watermark,
                         // drained results, and a point-in-time snapshot.
@@ -203,15 +198,8 @@ impl ShardedRuntime {
                         let state = match msg {
                             WorkerMsg::Batch(batch) => {
                                 arrivals += batch.len() as u64;
-                                if vectorize {
-                                    for event in batch {
-                                        block_builder.push(event.source, event.tuple);
-                                    }
-                                    executor.ingest_block(&block_builder.finish());
-                                } else {
-                                    for event in batch {
-                                        executor.ingest(event.source, event.tuple);
-                                    }
+                                for event in batch {
+                                    executor.ingest(event.source, event.tuple);
                                 }
                                 None
                             }
@@ -340,6 +328,15 @@ impl ShardedSession {
         self.send(shard, WorkerMsg::Batch(batch));
     }
 
+    /// Send every shard's partial chunk. Every observation of worker state
+    /// (poll, metrics, finish) starts here, so an arrival never waits for
+    /// `batch_size − 1` successors before it is processed.
+    fn dispatch_all(&mut self) {
+        for shard in 0..self.workers.len() {
+            self.dispatch(shard);
+        }
+    }
+
     /// Send one message to shard `shard`, maintaining the
     /// one-chunk-per-message accounting.
     fn send(&mut self, shard: usize, msg: WorkerMsg) {
@@ -391,6 +388,7 @@ impl ShardedSession {
     }
 
     /// Release every result that is safe to emit in global timestamp order.
+    /// Partial chunks are sent to their shards first.
     ///
     /// Returns the newly released results (empty when `collect_results` is
     /// off or nothing has been confirmed past the watermark yet). Across the
@@ -406,6 +404,7 @@ impl ShardedSession {
     /// are released together once the watermark moves past them (or by
     /// [`Self::finish`]).
     pub fn poll_results(&mut self) -> Vec<Tuple> {
+        self.dispatch_all();
         self.drain_chunks();
         let watermark = self.watermark();
         let mut released = Vec::new();
@@ -519,9 +518,11 @@ impl ShardedSession {
 
     /// A live aggregate of the workers' most recently reported metrics
     /// (counters and cost summed, wall-clock maxed, memory summed — the
-    /// same rules as the final [`ParallelOutcome::snapshot`]). Shards that
-    /// have not completed a batch yet contribute zeros.
+    /// same rules as the final [`ParallelOutcome::snapshot`]). Partial chunks
+    /// are sent to their shards first; shards that have not completed a
+    /// batch yet contribute zeros.
     pub fn metrics_snapshot(&mut self) -> MetricsSnapshot {
+        self.dispatch_all();
         self.drain_chunks();
         MetricsSnapshot::aggregate_parallel(self.latest.iter())
     }
@@ -535,9 +536,7 @@ impl ShardedSession {
     /// result is ever delivered twice. Counters (`results_count`,
     /// `order_violations`, metrics) always cover the whole run.
     pub fn finish(mut self) -> Result<ParallelOutcome, RuntimeError> {
-        for shard in 0..self.workers.len() {
-            self.dispatch(shard);
-        }
+        self.dispatch_all();
         self.senders.clear(); // close every channel: workers drain and exit
         let joined: Vec<Result<ShardOutcome, RuntimeError>> = self
             .workers
@@ -706,6 +705,51 @@ mod tests {
         seen.extend(outcome.results);
         assert_eq!(seen.len(), 50);
         assert!(seen.windows(2).all(|w| w[0].ts() <= w[1].ts()));
+    }
+
+    /// Retry `done` for up to ~5 s (the workers run on their own threads).
+    fn eventually(mut done: impl FnMut() -> bool) -> bool {
+        for _ in 0..5_000 {
+            if done() {
+                return true;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        false
+    }
+
+    /// A slow stream under a wide channel chunk: fewer arrivals than
+    /// `batch_size` are pushed, so no chunk ever fills. Polling must still
+    /// get them processed — without `finish`.
+    #[test]
+    fn polling_dispatches_partial_chunks() {
+        let mut live = session(2, 1024);
+        for i in 0..50 {
+            live.push(event(i));
+        }
+        // The last arrival ties with the watermark and stays buffered (a
+        // same-timestamp push is still legal); the 49 before it come out.
+        let mut seen = Vec::new();
+        assert!(eventually(|| {
+            seen.extend(live.poll_results());
+            seen.len() >= 49
+        }));
+        assert_eq!(seen.len(), 49);
+        assert!(seen.windows(2).all(|w| w[0].ts() <= w[1].ts()));
+        assert_eq!(live.finish().unwrap().results.len(), 1);
+    }
+
+    /// Same slow stream, observed through the metrics only.
+    #[test]
+    fn metrics_snapshot_dispatches_partial_chunks() {
+        let mut live = session(2, 1024);
+        for i in 0..50 {
+            live.push(event(i));
+        }
+        assert!(eventually(
+            || live.metrics_snapshot().stats.tuples_arrived == 50
+        ));
+        live.finish().unwrap();
     }
 
     #[test]

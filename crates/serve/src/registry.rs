@@ -99,9 +99,8 @@ pub struct ServeOptions {
     /// a watermark-driven reorder stage and turns too-late arrivals into
     /// counted drops (surfaced through each pipeline's metrics).
     pub disorder: DisorderPolicy,
-    /// Columnar batching policy of every pipeline's data plane. The default
-    /// (one row per flush) is tuple-equivalent; a batching policy amortises
-    /// per-arrival overhead without changing any results or counters (see
+    /// Batching policy of every pipeline's engine: widens the shard-channel
+    /// chunks when `runtime` is set, inert otherwise (see
     /// [`jit_engine::EngineBuilder::batch_policy`]).
     pub batch: BatchPolicy,
 }

@@ -9,68 +9,45 @@
 //! the sharded sink merges instead of individual tuples.
 //!
 //! A [`Block`] packages the batches of one flush window across sources,
-//! plus the exact global arrival order as `(batch, row)` index pairs. The
-//! executor replays rows in that order, so a batched run observes the same
-//! interleaving a tuple-at-a-time run would — batching changes the physical
-//! plumbing, never the semantics.
+//! plus the exact global arrival order as `(batch, row)` index pairs, so a
+//! consumer can replay the rows in the interleaving they arrived in.
 //!
 //! # Building
 //!
 //! [`BlockBuilder`] accumulates pushed arrivals (grouping consecutive rows
-//! by source) until the engine's [`BatchPolicy`] says to flush: either
-//! `max_rows` rows are buffered or the oldest buffered row is `max_delay`
-//! older (in event time) than the newest. Column building is optional —
-//! when the consumer has no columnar kernels (or batching is off) the
+//! by source) until its owner calls [`BlockBuilder::finish`]. Column
+//! building is optional — when the consumer has no columnar kernels the
 //! builder skips the column pass entirely.
 
 use crate::array::{ArrayBuilder, ArrayImpl};
 use crate::schema::SourceId;
-use crate::timestamp::{Duration, Timestamp};
+use crate::timestamp::Timestamp;
 use crate::tuple::BaseTuple;
 use std::sync::Arc;
 
-/// When the engine flushes buffered arrivals into a [`Block`].
+/// How many arrivals the engine groups before handing them on.
 ///
-/// The default (`max_rows == 1`) is tuple-equivalent: every push flushes
-/// immediately and the engine behaves exactly as before the batch layer
-/// existed. Larger `max_rows` trades arrival-to-result latency (bounded by
-/// `max_delay` in event time) for per-tuple overhead.
+/// Operators process one arrival at a time whatever the policy; its one
+/// effect is the width of the sharded runtime's channel chunks (see
+/// `EngineBuilder::batch_policy`). The default is one row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
-    /// Flush after this many buffered rows (≥ 1).
+    /// Rows per group (≥ 1).
     pub max_rows: usize,
-    /// Flush when the oldest buffered row is this much older (event time)
-    /// than the newest pushed row. [`Duration::ZERO`] disables the bound.
-    pub max_delay: Duration,
 }
 
 impl Default for BatchPolicy {
     fn default() -> Self {
-        BatchPolicy {
-            max_rows: 1,
-            max_delay: Duration::ZERO,
-        }
+        BatchPolicy { max_rows: 1 }
     }
 }
 
 impl BatchPolicy {
-    /// A policy that flushes every `max_rows` rows with no delay bound.
+    /// A policy that groups `max_rows` rows.
     pub fn rows(max_rows: usize) -> Self {
         BatchPolicy {
             max_rows: max_rows.max(1),
-            max_delay: Duration::ZERO,
         }
-    }
-
-    /// Set the event-time delay bound.
-    pub fn with_max_delay(mut self, max_delay: Duration) -> Self {
-        self.max_delay = max_delay;
-        self
-    }
-
-    /// Does this policy actually batch (more than one row per flush)?
-    pub fn is_batched(&self) -> bool {
-        self.max_rows > 1
     }
 }
 
@@ -270,8 +247,6 @@ pub struct BlockBuilder {
     with_columns: bool,
     batches: Vec<BatchInProgress>,
     order: Vec<(u32, u32)>,
-    first_push_ts: Option<Timestamp>,
-    last_push_ts: Timestamp,
 }
 
 impl Default for BlockBuilder {
@@ -287,8 +262,6 @@ impl BlockBuilder {
             with_columns: true,
             batches: Vec::new(),
             order: Vec::new(),
-            first_push_ts: None,
-            last_push_ts: Timestamp::ZERO,
         }
     }
 
@@ -309,32 +282,8 @@ impl BlockBuilder {
         self.order.is_empty()
     }
 
-    /// Timestamp of the first buffered row (`None` when empty) — the age
-    /// anchor for [`BatchPolicy::max_delay`].
-    pub fn first_push_ts(&self) -> Option<Timestamp> {
-        self.first_push_ts
-    }
-
-    /// Should the buffered rows be flushed under `policy`, given the newest
-    /// pushed timestamp?
-    pub fn should_flush(&self, policy: &BatchPolicy) -> bool {
-        if self.len() >= policy.max_rows {
-            return true;
-        }
-        if policy.max_delay > Duration::ZERO {
-            if let Some(first) = self.first_push_ts {
-                return self.last_push_ts.saturating_sub(first) >= policy.max_delay;
-            }
-        }
-        false
-    }
-
     /// Append one arrival.
     pub fn push(&mut self, source: SourceId, tuple: Arc<BaseTuple>) {
-        if self.first_push_ts.is_none() {
-            self.first_push_ts = Some(tuple.ts);
-        }
-        self.last_push_ts = tuple.ts;
         // Few sources per query: a linear scan beats a map.
         let batch_idx = match self.batches.iter().position(|b| b.source == source) {
             Some(idx) => idx,
@@ -351,8 +300,6 @@ impl BlockBuilder {
 
     /// Drain the buffered rows into a [`Block`], leaving the builder empty.
     pub fn finish(&mut self) -> Block {
-        self.first_push_ts = None;
-        self.last_push_ts = Timestamp::ZERO;
         Block {
             batches: self
                 .batches
@@ -428,23 +375,10 @@ mod tests {
     }
 
     #[test]
-    fn policy_flush_conditions() {
-        let policy = BatchPolicy::rows(3).with_max_delay(Duration::from_millis(50));
-        assert!(policy.is_batched());
-        assert!(!BatchPolicy::default().is_batched());
-        let mut b = BlockBuilder::new();
-        assert!(!b.should_flush(&policy));
-        b.push(SourceId(0), base(0, 0, 0, 1));
-        assert!(!b.should_flush(&policy));
-        // Event-time age exceeds max_delay → flush even below max_rows.
-        b.push(SourceId(0), base(0, 1, 60, 1));
-        assert!(b.should_flush(&policy));
-        let _ = b.finish();
-        // Row count reaches max_rows → flush.
-        for i in 0..3u64 {
-            b.push(SourceId(0), base(0, i, i, 1));
-        }
-        assert!(b.should_flush(&policy));
+    fn policy_row_counts() {
+        assert_eq!(BatchPolicy::rows(3).max_rows, 3);
+        assert_eq!(BatchPolicy::default().max_rows, 1);
+        assert_eq!(BatchPolicy::rows(0), BatchPolicy::default());
     }
 
     #[test]

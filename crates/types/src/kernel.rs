@@ -274,6 +274,12 @@ pub fn filter_mask(array: &ArrayImpl, op: CompareOp, constant: &Value, out: &mut
 /// Typed `Int64` columns are copied in one pass over the `&[i64]` slice;
 /// other arrays go through [`ArrayImpl::get`]; a column with no columnar
 /// projection (or out of the projection's range) reads the row tuples.
+///
+/// No engine code calls this any more: the join operators form their probe
+/// key per arrival (`OperatorState::probe_into`). It is kept because the
+/// stand-alone `bench_e2e` package times it
+/// (`types.probe_key_extract_ns_per_row`) and may not change in the same
+/// PR as engine code; remove it together with that metric.
 pub fn extract_probe_keys(
     batch: &Batch,
     cols: &[ColumnRef],
