@@ -9,7 +9,7 @@
 //! moved back and joined only with the opposite tuples they have not been
 //! joined with yet.
 
-use jit_exec::state::StateIndexMode;
+use jit_exec::state::{ExpiryQueue, StateIndexMode};
 use jit_types::{ColumnRef, FastMap, Signature, Timestamp, Tuple, TupleKey, Window};
 use serde::{Content, Deserialize, Serialize};
 use std::fmt;
@@ -72,6 +72,21 @@ impl BlacklistEntry {
 
 /// The blacklist attached to one operator state.
 ///
+/// # Storage
+///
+/// Entries live in a slab (`slots`): an entry keeps its position for as
+/// long as it lives, positions ascend in insertion order, and a removal
+/// leaves a `None` tombstone — the same shape as
+/// [`crate::mns_buffer::MnsBuffer`]. So resuming one MNS un-files one entry
+/// from the hash indexes instead of renumbering all of them, and every
+/// "first entry in ascending order" contract below holds on positions.
+/// Compaction (once tombstones outnumber live entries) repacks the slab and
+/// rebuilds what is derived from it, amortised O(1) per removal.
+///
+/// Expiry is driven by a timestamp-ordered queue of `(ts, position)` pairs
+/// — one per suspended tuple, one per non-Ø MNS — so [`Blacklist::purge`]
+/// visits only the entries something expired in, never the whole list.
+///
 /// # The index layer
 ///
 /// Every arrival is probed against the blacklist (the producer-side
@@ -90,26 +105,45 @@ impl BlacklistEntry {
 #[derive(Debug, Clone, Default)]
 pub struct Blacklist {
     name: String,
-    entries: Vec<BlacklistEntry>,
+    /// Live entries and tombstones, in insertion order.
+    slots: Vec<Option<BlacklistEntry>>,
+    /// Number of `Some` slots.
+    live: usize,
     bytes: usize,
     mode: StateIndexMode,
-    /// MNS identity → entry index (all entries).
+    /// MNS identity → entry position (all entries).
     by_key: FastMap<TupleKey, usize>,
-    /// Indices of entries whose MNS is Ø (they capture every tuple).
+    /// Positions of entries whose MNS is Ø (they capture every tuple).
     empty_entries: Vec<usize>,
     /// Non-empty entries keyed by the identity of their MNS's first
     /// component: any super-tuple of the MNS carries that component.
+    /// Positions ascending; a bucket is dropped when its last entry leaves.
     by_component: FastMap<(u16, u64), Vec<usize>>,
     /// Similar-capture entries grouped by signature column set, then by the
-    /// MNS's signature on those columns.
+    /// MNS's signature on those columns. Positions ascending.
     by_signature: FastMap<Vec<ColumnRef>, FastMap<Signature, Vec<usize>>>,
-    /// Conservative lower bound on the earliest timestamp whose expiry could
-    /// make [`Blacklist::purge`] remove something (a suspended tuple's `ts`
-    /// or a non-Ø entry's MNS `ts`). `None` means no purge can remove
-    /// anything. Lowered on insertions, recomputed exactly by `purge` (which
-    /// scans every entry anyway); removals leave it stale-low, which only
-    /// costs one recomputing purge scan.
-    min_expiry: Option<Timestamp>,
+    /// `(ts, position)` for every suspended tuple and every non-Ø MNS whose
+    /// expiry has not been acted on yet. Pairs of removed entries are
+    /// skipped when they surface.
+    expiry: ExpiryQueue,
+}
+
+/// Remove `pos` from an ascending position list.
+fn unfile(bucket: &mut Vec<usize>, pos: usize) {
+    if let Ok(at) = bucket.binary_search(&pos) {
+        bucket.remove(at);
+    }
+}
+
+/// Analytical bytes of one entry: its MNS, signature and suspended tuples.
+fn entry_bytes(entry: &BlacklistEntry) -> usize {
+    entry.mns.size_bytes()
+        + entry.signature.size_bytes()
+        + entry
+            .tuples
+            .iter()
+            .map(|t| t.tuple.size_bytes())
+            .sum::<usize>()
 }
 
 impl Blacklist {
@@ -134,39 +168,107 @@ impl Blacklist {
         self.mode
     }
 
-    /// File entry `idx` in the hash indexes.
-    fn index_entry(&mut self, idx: usize) {
-        let entry = &self.entries[idx];
-        self.by_key.insert(entry.mns.key(), idx);
-        if entry.mns.is_empty() {
-            self.empty_entries.push(idx);
-        } else {
-            let first = &entry.mns.parts()[0];
-            self.by_component
-                .entry((first.source.0, first.seq))
+    /// File `entry`, stored at `pos`, in the hash indexes. Callers file in
+    /// ascending `pos` order, which keeps every position list ascending.
+    fn index_entry(&mut self, pos: usize, entry: &BlacklistEntry) {
+        self.by_key.insert(entry.mns.key(), pos);
+        let Some(first) = entry.mns.parts().first() else {
+            self.empty_entries.push(pos);
+            return;
+        };
+        self.by_component
+            .entry((first.source.0, first.seq))
+            .or_default()
+            .push(pos);
+        if !entry.signature_columns.is_empty() {
+            self.by_signature
+                .entry(entry.signature_columns.clone())
                 .or_default()
-                .push(idx);
-            if !entry.signature_columns.is_empty() {
-                self.by_signature
-                    .entry(entry.signature_columns.clone())
-                    .or_default()
-                    .entry(entry.signature.clone())
-                    .or_default()
-                    .push(idx);
+                .entry(entry.signature.clone())
+                .or_default()
+                .push(pos);
+        }
+    }
+
+    /// Undo [`Blacklist::index_entry`] for one entry: O(its own buckets).
+    fn unindex_entry(&mut self, pos: usize, entry: &BlacklistEntry) {
+        self.by_key.remove(&entry.mns.key());
+        let Some(first) = entry.mns.parts().first() else {
+            unfile(&mut self.empty_entries, pos);
+            return;
+        };
+        let component = (first.source.0, first.seq);
+        if let Some(bucket) = self.by_component.get_mut(&component) {
+            unfile(bucket, pos);
+            if bucket.is_empty() {
+                self.by_component.remove(&component);
+            }
+        }
+        if let Some(groups) = self.by_signature.get_mut(&entry.signature_columns) {
+            if let Some(bucket) = groups.get_mut(&entry.signature) {
+                unfile(bucket, pos);
+                if bucket.is_empty() {
+                    groups.remove(&entry.signature);
+                }
+            }
+            // A column set with no entry left would still cost every probe
+            // a signature extraction.
+            if groups.is_empty() {
+                self.by_signature.remove(&entry.signature_columns);
             }
         }
     }
 
-    /// Rebuild every hash index from scratch (entry indices shift whenever
-    /// an entry is removed; removals are rare feedback events, probes are
-    /// per-arrival, so the O(entries) rebuild is the cheap side).
+    /// Rebuild the hash indexes and the expiry queue from the slab. Needed
+    /// only after wholesale slab replacement — compaction and restore.
     fn reindex(&mut self) {
         self.by_key.clear();
         self.empty_entries.clear();
         self.by_component.clear();
         self.by_signature.clear();
-        for idx in 0..self.entries.len() {
-            self.index_entry(idx);
+        let slots = std::mem::take(&mut self.slots);
+        let mut pairs = Vec::new();
+        for (pos, entry) in slots.iter().enumerate() {
+            let Some(entry) = entry else { continue };
+            self.index_entry(pos, entry);
+            pairs.extend(entry.tuples.iter().map(|t| (t.tuple.ts(), pos as u64)));
+            if !entry.mns.is_empty() {
+                pairs.push((entry.mns.ts(), pos as u64));
+            }
+        }
+        self.expiry = pairs.into_iter().collect();
+        self.slots = slots;
+    }
+
+    /// Reclaim tombstones once they outnumber the live entries: repack the
+    /// slab and rebuild the derived structures — amortised O(1) per removal.
+    fn maybe_compact(&mut self) {
+        if self.slots.len() - self.live <= self.live.max(16) {
+            return;
+        }
+        self.slots.retain(Option::is_some);
+        self.reindex();
+    }
+
+    /// Tombstone the entry at `pos` and un-file it everywhere but the
+    /// expiry queue, whose pairs for it go stale.
+    fn take_at(&mut self, pos: usize) -> Option<BlacklistEntry> {
+        let entry = self.slots.get_mut(pos)?.take()?;
+        self.live -= 1;
+        self.bytes -= entry_bytes(&entry);
+        self.unindex_entry(pos, &entry);
+        Some(entry)
+    }
+
+    /// Pop stale pairs off the front of the expiry queue, so that its front
+    /// — and with it [`Blacklist::next_expiry`] — always names something
+    /// live. Every pair is popped once, here or in [`Blacklist::purge`].
+    fn trim_expiry(&mut self) {
+        while let Some((_, pos)) = self.expiry.peek() {
+            if self.entry(pos as usize).is_some() {
+                break;
+            }
+            self.expiry.pop();
         }
     }
 
@@ -177,17 +279,17 @@ impl Blacklist {
 
     /// Number of entries (distinct MNSs).
     pub fn num_entries(&self) -> usize {
-        self.entries.len()
+        self.live
     }
 
     /// Total number of suspended tuples across all entries.
     pub fn num_tuples(&self) -> usize {
-        self.entries.iter().map(|e| e.tuples.len()).sum()
+        self.entries().map(|e| e.tuples.len()).sum()
     }
 
     /// Is the blacklist empty?
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.live == 0
     }
 
     /// Analytical size in bytes (MNSs plus suspended tuples).
@@ -195,20 +297,29 @@ impl Blacklist {
         self.bytes
     }
 
-    /// The entries, for inspection.
-    pub fn entries(&self) -> &[BlacklistEntry] {
-        &self.entries
+    /// The entries in insertion order, for inspection.
+    pub fn entries(&self) -> impl Iterator<Item = &BlacklistEntry> {
+        self.slots.iter().filter_map(Option::as_ref)
     }
 
-    /// Index of the entry for an MNS, if present.
+    /// The entry at a position returned by [`Blacklist::upsert_entry`],
+    /// [`Blacklist::entry_index`] or [`Blacklist::matching_entry`], if it
+    /// is still live. Positions are stable until the next removal.
+    pub fn entry(&self, pos: usize) -> Option<&BlacklistEntry> {
+        self.slots.get(pos)?.as_ref()
+    }
+
+    /// Position of the entry for an MNS, if present.
     pub fn entry_index(&self, key: &TupleKey) -> Option<usize> {
         if self.mode == StateIndexMode::Hashed {
             return self.by_key.get(key).copied();
         }
-        self.entries.iter().position(|e| &e.mns.key() == key)
+        self.slots
+            .iter()
+            .position(|slot| slot.as_ref().is_some_and(|e| &e.mns.key() == key))
     }
 
-    /// Create (or find) the entry for `mns`. Returns its index.
+    /// Create (or find) the entry for `mns`. Returns its position.
     pub fn upsert_entry(
         &mut self,
         mns: Tuple,
@@ -216,54 +327,50 @@ impl Blacklist {
         mode: SuspendMode,
         now: Timestamp,
     ) -> usize {
-        if let Some(idx) = self.entry_index(&mns.key()) {
+        if let Some(pos) = self.entry_index(&mns.key()) {
             // Upgrade a mark-only entry to a full suspension if asked.
             if mode == SuspendMode::Suspend {
-                self.entries[idx].mode = SuspendMode::Suspend;
+                if let Some(entry) = self.slots[pos].as_mut() {
+                    entry.mode = SuspendMode::Suspend;
+                }
             }
-            return idx;
+            return pos;
         }
         let signature = Signature::of(&mns, &signature_columns);
-        if !mns.is_empty() {
-            self.note_expiry(mns.ts());
-        }
-        self.bytes += mns.size_bytes() + signature.size_bytes();
-        self.entries.push(BlacklistEntry {
+        let entry = BlacklistEntry {
             mns,
             signature_columns,
             signature,
             mode,
             suspended_at: now,
             tuples: Vec::new(),
-        });
-        let idx = self.entries.len() - 1;
-        self.index_entry(idx);
-        idx
+        };
+        let pos = self.slots.len();
+        self.bytes += entry_bytes(&entry);
+        if !entry.mns.is_empty() {
+            self.expiry.push(entry.mns.ts(), pos as u64);
+        }
+        self.index_entry(pos, &entry);
+        self.slots.push(Some(entry));
+        self.live += 1;
+        pos
     }
 
-    /// Lower the purge bound to cover a timestamp that just became purgeable
-    /// in the future.
-    fn note_expiry(&mut self, ts: Timestamp) {
-        self.min_expiry = Some(match self.min_expiry {
-            Some(cur) => cur.min(ts),
-            None => ts,
-        });
-    }
-
-    /// The earliest timestamp whose window expiry could make
-    /// [`Blacklist::purge`] remove a tuple or an entry, or `None` when a
-    /// purge provably removes nothing. Conservative (see the field docs):
-    /// a premature instant only triggers a purge scan that removes nothing
-    /// — which charges nothing — and tightens the bound.
+    /// The earliest timestamp whose window expiry makes
+    /// [`Blacklist::purge`] remove a tuple or an entry, or `None` when no
+    /// purge can remove anything.
     pub fn next_expiry(&self) -> Option<Timestamp> {
-        self.min_expiry
+        self.expiry.peek().map(|(ts, _)| ts)
     }
 
-    /// Add a suspended tuple to an entry.
-    pub fn add_tuple(&mut self, entry: usize, tuple: Tuple, joined_up_to: Option<Timestamp>) {
-        self.note_expiry(tuple.ts());
+    /// Add a suspended tuple to the (live) entry at `pos`.
+    pub fn add_tuple(&mut self, pos: usize, tuple: Tuple, joined_up_to: Option<Timestamp>) {
+        // INVARIANT: callers pass a position obtained from upsert_entry or
+        // matching_entry with no removal in between, so the slot is live.
+        let entry = self.slots[pos].as_mut().expect("live entry");
+        self.expiry.push(tuple.ts(), pos as u64);
         self.bytes += tuple.size_bytes();
-        self.entries[entry].tuples.push(BlacklistedTuple {
+        entry.tuples.push(BlacklistedTuple {
             tuple,
             joined_up_to,
         });
@@ -276,14 +383,15 @@ impl Blacklist {
     /// exactly the linear scan's first match); under
     /// [`StateIndexMode::Scan`] every entry is examined in order.
     pub fn matching_entry(&self, tuple: &Tuple, allow_similar: bool) -> Option<usize> {
-        if self.entries.is_empty() {
+        if self.live == 0 {
             return None;
         }
+        let captures = |pos: usize| {
+            self.entry(pos)
+                .is_some_and(|e| e.captures(tuple, allow_similar))
+        };
         if self.mode == StateIndexMode::Scan {
-            return self
-                .entries
-                .iter()
-                .position(|e| e.captures(tuple, allow_similar));
+            return (0..self.slots.len()).find(|&pos| captures(pos));
         }
         let mut candidates: Vec<usize> = self.empty_entries.clone();
         for part in tuple.parts() {
@@ -300,82 +408,105 @@ impl Blacklist {
         }
         candidates.sort_unstable();
         candidates.dedup();
-        candidates
-            .into_iter()
-            .find(|&idx| self.entries[idx].captures(tuple, allow_similar))
+        candidates.into_iter().find(|&pos| captures(pos))
     }
 
     /// Remove and return the entry for an MNS (resumption).
     pub fn remove_entry(&mut self, key: &TupleKey) -> Option<BlacklistEntry> {
-        let idx = self.entry_index(key)?;
-        let entry = self.entries.remove(idx);
-        self.bytes -= entry.mns.size_bytes() + entry.signature.size_bytes();
-        self.bytes -= entry
-            .tuples
-            .iter()
-            .map(|t| t.tuple.size_bytes())
-            .sum::<usize>();
-        self.reindex();
+        let pos = self.entry_index(key)?;
+        let entry = self.take_at(pos)?;
+        self.trim_expiry();
+        self.maybe_compact();
         Some(entry)
     }
 
+    /// Remove and return every entry, in insertion order (end-of-stream
+    /// flush: everything still suspended is released at once).
+    pub fn drain_entries(&mut self) -> Vec<BlacklistEntry> {
+        let emptied = Blacklist {
+            name: std::mem::take(&mut self.name),
+            mode: self.mode,
+            ..Blacklist::default()
+        };
+        let full = std::mem::replace(self, emptied);
+        full.slots.into_iter().flatten().collect()
+    }
+
     /// Drop expired suspended tuples and entries that have become useless
-    /// (MNS expired and no live tuples remain). Returns the number of tuples
-    /// removed.
-    pub fn purge(&mut self, window: Window, now: Timestamp) -> usize {
-        let mut removed = 0usize;
-        let mut freed = 0usize;
-        for entry in &mut self.entries {
-            entry.tuples.retain(|t| {
-                if window.is_expired(t.tuple.ts(), now) {
-                    removed += 1;
-                    freed += t.tuple.size_bytes();
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        let before = self.entries.len();
-        self.entries.retain(|e| {
-            let dead =
-                e.tuples.is_empty() && !e.mns.is_empty() && window.is_expired(e.mns.ts(), now);
-            if dead {
-                freed += e.mns.size_bytes() + e.signature.size_bytes();
+    /// (MNS expired and no live tuples remain), handing each dropped tuple
+    /// to `on_removed`. Returns the number of tuples removed.
+    ///
+    /// O(expired pairs + size of the entries they name): the expiry queue is
+    /// popped only while its front has expired, and only the entries named
+    /// by the popped pairs are looked at. An entry whose MNS expired while
+    /// it still held live tuples is dropped when its last tuple's pair
+    /// surfaces.
+    pub fn purge(
+        &mut self,
+        window: Window,
+        now: Timestamp,
+        mut on_removed: impl FnMut(&Tuple),
+    ) -> usize {
+        let mut touched: Vec<usize> = Vec::new();
+        while let Some((ts, pos)) = self.expiry.peek() {
+            if !window.is_expired(ts, now) {
+                break;
             }
-            !dead
-        });
-        if self.entries.len() != before {
-            self.reindex();
+            self.expiry.pop();
+            touched.push(pos as usize);
         }
-        self.bytes -= freed;
-        // The scan visited everything, so recompute the purge bound exactly.
-        self.min_expiry = self
-            .entries
-            .iter()
-            .flat_map(|e| {
-                e.tuples
-                    .iter()
-                    .map(|t| t.tuple.ts())
-                    .chain((!e.mns.is_empty()).then(|| e.mns.ts()))
-            })
-            .min();
+        if touched.is_empty() {
+            return 0;
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        let mut removed = 0usize;
+        for pos in touched {
+            // Pairs of entries removed since they were queued are stale.
+            let Some(entry) = self.slots[pos].as_mut() else {
+                continue;
+            };
+            let before = entry.tuples.len();
+            let mut freed = 0usize;
+            entry.tuples.retain(|t| {
+                let expired = window.is_expired(t.tuple.ts(), now);
+                if expired {
+                    freed += t.tuple.size_bytes();
+                    on_removed(&t.tuple);
+                }
+                !expired
+            });
+            removed += before - entry.tuples.len();
+            self.bytes -= freed;
+            if entry.tuples.is_empty()
+                && !entry.mns.is_empty()
+                && window.is_expired(entry.mns.ts(), now)
+            {
+                self.take_at(pos);
+            }
+        }
+        self.trim_expiry();
+        self.maybe_compact();
         removed
     }
 
-    /// Serialise the entries for a durability checkpoint. The index mode and
-    /// the hash indexes are runtime configuration / derived structure and are
-    /// not persisted.
+    /// Serialise the entries for a durability checkpoint. The index mode,
+    /// the hash indexes and the expiry queue are runtime configuration /
+    /// derived structure and are not persisted.
     pub fn checkpoint(&self) -> Content {
         Content::Map(vec![
             ("name".to_string(), Content::Str(self.name.clone())),
-            ("entries".to_string(), self.entries.to_content()),
+            (
+                "entries".to_string(),
+                Content::Seq(self.entries().map(Serialize::to_content).collect()),
+            ),
         ])
     }
 
     /// Replace the entries with a checkpointed set, rebuilding the byte
-    /// accounting and the hash indexes. The checkpoint must carry the same
-    /// diagnostic name (i.e. come from the same operator slot).
+    /// accounting, the hash indexes and the expiry queue. The checkpoint
+    /// must carry the same diagnostic name (i.e. come from the same
+    /// operator slot).
     pub fn restore_checkpoint(&mut self, content: &Content) -> Result<(), serde::Error> {
         let map = content
             .as_map()
@@ -388,24 +519,9 @@ impl Blacklist {
             )));
         }
         let entries: Vec<BlacklistEntry> = serde::field(map, "entries", "Blacklist")?;
-        self.min_expiry = entries
-            .iter()
-            .flat_map(|e| {
-                e.tuples
-                    .iter()
-                    .map(|t| t.tuple.ts())
-                    .chain((!e.mns.is_empty()).then(|| e.mns.ts()))
-            })
-            .min();
-        self.bytes = entries
-            .iter()
-            .map(|e| {
-                e.mns.size_bytes()
-                    + e.signature.size_bytes()
-                    + e.tuples.iter().map(|t| t.tuple.size_bytes()).sum::<usize>()
-            })
-            .sum();
-        self.entries = entries;
+        self.bytes = entries.iter().map(entry_bytes).sum();
+        self.live = entries.len();
+        self.slots = entries.into_iter().map(Some).collect();
         self.reindex();
         Ok(())
     }
@@ -515,11 +631,17 @@ mod tests {
         bl.add_tuple(idx, a2, None);
         // At t = 70s, a1 (ts 0, window 60s) has expired but a2 is alive; the
         // entry stays because it still holds a live tuple.
-        assert_eq!(bl.purge(window(), Timestamp::from_millis(70_000)), 1);
+        assert_eq!(
+            bl.purge(window(), Timestamp::from_millis(70_000), |_| {}),
+            1
+        );
         assert_eq!(bl.num_entries(), 1);
         assert_eq!(bl.num_tuples(), 1);
         // Once a2 expires too, the entry disappears.
-        assert_eq!(bl.purge(window(), Timestamp::from_millis(120_000)), 1);
+        assert_eq!(
+            bl.purge(window(), Timestamp::from_millis(120_000), |_| {}),
+            1
+        );
         assert_eq!(bl.num_entries(), 0);
         assert_eq!(bl.size_bytes(), 0);
     }
@@ -529,9 +651,9 @@ mod tests {
         let mut bl = Blacklist::new("B");
         let a1 = tup(0, 1, 0, &[7, 100]);
         let idx = bl.upsert_entry(a1.clone(), sig_cols(), SuspendMode::Mark, a1.ts());
-        assert_eq!(bl.entries()[idx].mode, SuspendMode::Mark);
+        assert_eq!(bl.entry(idx).unwrap().mode, SuspendMode::Mark);
         bl.upsert_entry(a1.clone(), sig_cols(), SuspendMode::Suspend, a1.ts());
-        assert_eq!(bl.entries()[idx].mode, SuspendMode::Suspend);
+        assert_eq!(bl.entry(idx).unwrap().mode, SuspendMode::Suspend);
     }
 
     /// The hashed index and the linear scan must pick the same entry for
@@ -590,8 +712,8 @@ mod tests {
         hashed.remove_entry(&mnss[1].key());
         scan.remove_entry(&mnss[1].key());
         // Purge the oldest entries (indices shift again).
-        hashed.purge(window(), Timestamp::from_millis(62_000));
-        scan.purge(window(), Timestamp::from_millis(62_000));
+        hashed.purge(window(), Timestamp::from_millis(62_000), |_| {});
+        scan.purge(window(), Timestamp::from_millis(62_000), |_| {});
         assert_eq!(hashed.num_entries(), scan.num_entries());
         for allow_similar in [false, true] {
             for p in &probes {
@@ -634,9 +756,10 @@ mod tests {
         assert_eq!(restored.num_entries(), bl.num_entries());
         assert_eq!(restored.num_tuples(), bl.num_tuples());
         assert_eq!(restored.size_bytes(), bl.size_bytes());
-        assert_eq!(restored.entries()[0].mode, SuspendMode::Suspend);
+        let first = restored.entry(0).unwrap();
+        assert_eq!(first.mode, SuspendMode::Suspend);
         assert_eq!(
-            restored.entries()[0].tuples[0].joined_up_to,
+            first.tuples[0].joined_up_to,
             Some(Timestamp::from_millis(5))
         );
         // The rebuilt indexes answer probes like the original.
@@ -661,7 +784,215 @@ mod tests {
         );
         assert_eq!(bl.matching_entry(&tup(0, 1, 5, &[1]), false), Some(idx));
         // The Ø entry has no timestamp, so it is never purged by the window.
-        assert_eq!(bl.purge(window(), Timestamp::from_millis(10_000_000)), 0);
+        assert_eq!(
+            bl.purge(window(), Timestamp::from_millis(10_000_000), |_| {}),
+            0
+        );
         assert_eq!(bl.num_entries(), 1);
+    }
+
+    /// The slab blacklist against the `Vec`-and-scan implementation it
+    /// replaced, on random operation sequences.
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::rand::{rngs::StdRng, Rng, SeedableRng};
+
+        /// The replaced implementation: entries in a `Vec`, every operation a
+        /// scan, indices shifting on removal.
+        #[derive(Default)]
+        struct Model {
+            entries: Vec<BlacklistEntry>,
+        }
+
+        impl Model {
+            fn entry_index(&self, key: &TupleKey) -> Option<usize> {
+                self.entries.iter().position(|e| &e.mns.key() == key)
+            }
+
+            fn upsert_entry(
+                &mut self,
+                mns: Tuple,
+                cols: Vec<ColumnRef>,
+                mode: SuspendMode,
+            ) -> usize {
+                if let Some(idx) = self.entry_index(&mns.key()) {
+                    if mode == SuspendMode::Suspend {
+                        self.entries[idx].mode = SuspendMode::Suspend;
+                    }
+                    return idx;
+                }
+                self.entries.push(BlacklistEntry {
+                    signature: Signature::of(&mns, &cols),
+                    suspended_at: Timestamp::ZERO,
+                    mns,
+                    signature_columns: cols,
+                    mode,
+                    tuples: Vec::new(),
+                });
+                self.entries.len() - 1
+            }
+
+            fn matching_entry(&self, tuple: &Tuple, allow_similar: bool) -> Option<usize> {
+                self.entries
+                    .iter()
+                    .position(|e| e.captures(tuple, allow_similar))
+            }
+
+            fn remove_entry(&mut self, key: &TupleKey) -> Option<BlacklistEntry> {
+                self.entry_index(key).map(|idx| self.entries.remove(idx))
+            }
+
+            fn purge(&mut self, window: Window, now: Timestamp) -> Vec<TupleKey> {
+                let mut removed = Vec::new();
+                for e in &mut self.entries {
+                    e.tuples.retain(|t| {
+                        let expired = window.is_expired(t.tuple.ts(), now);
+                        if expired {
+                            removed.push(t.tuple.key());
+                        }
+                        !expired
+                    });
+                }
+                self.entries.retain(|e| {
+                    !(e.tuples.is_empty()
+                        && !e.mns.is_empty()
+                        && window.is_expired(e.mns.ts(), now))
+                });
+                removed
+            }
+
+            /// The earliest timestamp whose expiry makes `purge` remove something.
+            fn next_expiry(&self) -> Option<Timestamp> {
+                self.entries
+                    .iter()
+                    .filter_map(|e| {
+                        let first_tuple = e.tuples.iter().map(|t| t.tuple.ts()).min();
+                        first_tuple.or((!e.mns.is_empty()).then(|| e.mns.ts()))
+                    })
+                    .min()
+            }
+        }
+
+        /// What both sides must agree on: the entries in order, down to the
+        /// suspended tuples, plus bytes and the purge bound.
+        fn assert_same(slab: &Blacklist, model: &Model, step: usize) {
+            let shape = |e: &BlacklistEntry| {
+                let tuples: Vec<_> = e
+                    .tuples
+                    .iter()
+                    .map(|t| (t.tuple.key(), t.joined_up_to))
+                    .collect();
+                (e.mns.key(), e.mode, e.signature.clone(), tuples)
+            };
+            let live: Vec<_> = slab.entries().map(shape).collect();
+            let expected: Vec<_> = model.entries.iter().map(shape).collect();
+            assert_eq!(live, expected, "step {step}: live entries");
+            assert_eq!(slab.num_entries(), model.entries.len());
+            // Removals un-file eagerly: the indexes hold live positions only.
+            let filed = slab.by_component.values().map(Vec::len).sum::<usize>();
+            assert_eq!(filed + slab.empty_entries.len(), slab.live, "step {step}");
+            assert_eq!(slab.by_key.len(), slab.live, "step {step}");
+            let by_signature = slab.by_signature.values().flat_map(|g| g.values());
+            let with_signature = slab.entries().filter(|e| !e.signature_columns.is_empty());
+            assert_eq!(
+                by_signature.map(Vec::len).sum::<usize>(),
+                with_signature.filter(|e| !e.mns.is_empty()).count(),
+                "step {step}"
+            );
+            let bytes: usize = model.entries.iter().map(entry_bytes).sum();
+            assert_eq!(slab.size_bytes(), bytes, "step {step}: bytes");
+            match (slab.next_expiry(), model.next_expiry()) {
+                (None, None) => {}
+                (Some(bound), Some(due)) => assert!(bound <= due, "step {step}: purge bound late"),
+                other => panic!("step {step}: purge bound {other:?}"),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+            #[test]
+            fn slab_blacklist_matches_vec_and_scan_model(seed in 0u64..1_000_000, scan in proptest::bool::ANY) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let window = Window::new(Duration::from_secs(20));
+                            let mut slab = Blacklist::new("B");
+                if scan {
+                    slab.set_index_mode(StateIndexMode::Scan);
+                }
+                let mut model = Model::default();
+                // Every MNS ever upserted: removals pick from here, so they hit
+                // live, removed and purged entries alike.
+                let mut known: Vec<Tuple> = Vec::new();
+                let (mut now_ms, mut seq, mut compactions) = (0u64, 0u64, 0usize);
+                let identity = |slab: &Blacklist, pos: Option<usize>| {
+                    pos.map(|p| slab.entry(p).expect("returned position is live").mns.key())
+                };
+                for step in 0..700 {
+                    now_ms += rng.gen_range(0u64..1_500);
+                    seq += 1;
+                    // Timestamps jitter backwards, join values repeat.
+                    let ts = now_ms.saturating_sub(rng.gen_range(0u64..4_000));
+                    let a = tup(0, seq, ts, &[rng.gen_range(0i64..4), rng.gen_range(0i64..6)]);
+                    let tuple = if rng.gen_bool(0.3) {
+                        a.join(&tup(1, seq, ts + 1, &[0, 0])).expect("disjoint sources")
+                    } else {
+                        a.clone()
+                    };
+                    let slots_before = slab.slots.len();
+                    match rng.gen_range(0u32..100) {
+                        0..=29 => {
+                            let mns = match rng.gen_range(0u32..10) {
+                                0 => Tuple::empty(),
+                                1..=3 if !known.is_empty() => known[rng.gen_range(0..known.len())].clone(),
+                                _ => a.clone(),
+                            };
+                            let cols = if rng.gen_bool(0.8) { sig_cols() } else { Vec::new() };
+                            let mode = if rng.gen_bool(0.5) { SuspendMode::Suspend } else { SuspendMode::Mark };
+                            let pos = slab.upsert_entry(mns.clone(), cols.clone(), mode, Timestamp::ZERO);
+                            let idx = model.upsert_entry(mns.clone(), cols, mode);
+                            assert_eq!(identity(&slab, Some(pos)), Some(model.entries[idx].mns.key()));
+                            known.push(mns);
+                        }
+                        30..=69 => {
+                            let similar = rng.gen_bool(0.7);
+                            let pos = slab.matching_entry(&tuple, similar);
+                            let idx = model.matching_entry(&tuple, similar);
+                            assert_eq!(
+                                identity(&slab, pos),
+                                idx.map(|i| model.entries[i].mns.key()),
+                                "step {step}: entry chosen"
+                            );
+                            if let (Some(pos), Some(idx), true) = (pos, idx, rng.gen_bool(0.7)) {
+                                let joined = rng.gen_bool(0.5).then_some(Timestamp::from_millis(now_ms));
+                                slab.add_tuple(pos, tuple.clone(), joined);
+                                model.entries[idx].tuples.push(BlacklistedTuple { tuple, joined_up_to: joined });
+                            }
+                        }
+                        70..=84 if !known.is_empty() => {
+                            let key = known[rng.gen_range(0..known.len())].key();
+                            assert_eq!(slab.entry_index(&key).is_some(), model.entry_index(&key).is_some());
+                            let got = slab.remove_entry(&key).map(|e| (e.mns.key(), e.tuples));
+                            let want = model.remove_entry(&key).map(|e| (e.mns.key(), e.tuples));
+                            assert_eq!(got, want, "step {step}: removed entry");
+                        }
+                        _ => {
+                            let now = Timestamp::from_millis(now_ms);
+                            let mut dropped = Vec::new();
+                            let removed = slab.purge(window, now, |t| dropped.push(t.key()));
+                            assert_eq!(dropped.len(), removed);
+                            assert_eq!(dropped, model.purge(window, now), "step {step}: purged tuples");
+                        }
+                    }
+                    compactions += usize::from(slab.slots.len() < slots_before);
+                    assert_same(&slab, &model, step);
+                }
+                assert!(compactions > 0, "the sequence must cross a compaction");
+                let drained: Vec<_> = slab.drain_entries().iter().map(|e| e.mns.key()).collect();
+                let all: Vec<_> = model.entries.iter().map(|e| e.mns.key()).collect();
+                assert_eq!(drained, all);
+                assert_eq!((slab.size_bytes(), slab.next_expiry(), slab.num_entries()), (0, None, 0));
+            }
+        }
     }
 }

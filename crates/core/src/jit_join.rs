@@ -35,7 +35,11 @@
 //! already produced. This implementation keeps, for every tuple that has
 //! ever been blacklisted, its past *presence intervals* in the state; a pair
 //! is regenerated iff its members' presence intervals never overlapped. This
-//! makes resumed production exactly duplicate-free.
+//! makes resumed production exactly duplicate-free. The bookkeeping is
+//! dropped when its tuple leaves for good — purged from the state or the
+//! blacklist, or found expired on resumption — so it is bounded by the
+//! window, like the containers it describes; a lookup only ever concerns a
+//! tuple that is stored or being restored, so none can miss.
 
 use crate::blacklist::{Blacklist, SuspendMode};
 use crate::bloom::BloomFilter;
@@ -101,6 +105,11 @@ pub struct JitJoinOperator {
     /// Per-port lattice nodes in settling order (largest first), so the
     /// hashed probe path allocates and sorts nothing per tuple.
     node_order: [Vec<SourceSet>; 2],
+    /// Per MNS coverage (which fixes the side), the columns used to
+    /// recognise tuples "similar" to such an MNS and the spec that finds
+    /// the stored tuples carrying its values on them. Filled on the first
+    /// suspension of each coverage.
+    suspend_shapes: FastMap<SourceSet, (Vec<ColumnRef>, JoinKeySpec)>,
     /// Ø-suspension: when set, all inputs are buffered unprocessed.
     fully_suspended: bool,
     /// Inputs buffered while fully suspended, with their arrival instants.
@@ -157,6 +166,7 @@ impl JitJoinOperator {
             probe_specs,
             node_specs,
             node_order,
+            suspend_shapes: FastMap::default(),
             mns_buffers: [
                 MnsBuffer::new(format!("{name}.NB_L")),
                 MnsBuffer::new(format!("{name}.NB_R")),
@@ -185,8 +195,9 @@ impl JitJoinOperator {
     /// answer probes (default [`StateIndexMode::Hashed`]).
     ///
     /// Under the hashed mode the consumer probe, the lattice-based MNS
-    /// detection, `Resume_Production`'s regeneration probe, the MNS-buffer
-    /// match and the blacklist diversion check all go through hash indexes;
+    /// detection, `Resume_Production`'s regeneration probe,
+    /// `Suspend_Production`'s state drain, the MNS-buffer match and the
+    /// blacklist diversion check all go through hash indexes;
     /// [`StateIndexMode::Scan`] restores the historical nested-loop
     /// behaviour (the two are result- and feedback-equivalent, see the
     /// equivalence suite).
@@ -246,21 +257,10 @@ impl JitJoinOperator {
         self.fully_suspended
     }
 
-    /// Columns used to recognise tuples "similar" to an MNS covering
-    /// `mns_sources`: the join attributes of those sources towards the part
-    /// of the query outside this operator's output.
-    fn similarity_columns(&self, mns_sources: SourceSet) -> Vec<ColumnRef> {
-        let external = self
-            .predicates
-            .referenced_sources()
-            .difference(self.output_schema());
-        self.predicates.join_columns(mns_sources, external)
-    }
-
     /// Can a purge at `now` remove anything from any of the six containers?
-    /// Each container maintains a (conservative) earliest-expiry bound, so
-    /// the common case — nothing has expired since the last arrival — is
-    /// answered with six O(1) peeks instead of scans. A purge that removes
+    /// Each container reports its earliest expiry (states and MNS buffers
+    /// conservatively), so the common case — nothing has expired since the
+    /// last arrival — is answered with six O(1) peeks. A purge that removes
     /// nothing charges nothing and emits no feedback, so eliding it is
     /// observationally identical.
     fn purge_due(&self, now: Timestamp) -> bool {
@@ -286,8 +286,17 @@ impl JitJoinOperator {
         }
         let mut purged = 0usize;
         for side in [LEFT, RIGHT] {
-            purged += self.states[side].purge(self.window, now);
-            purged += self.blacklists[side].purge(self.window, now);
+            // A tuple that expires leaves for good: drop its presence
+            // bookkeeping with it, so both maps stay window-sized.
+            let (started, history) = (&mut self.interval_start[side], &mut self.histories[side]);
+            purged += self.states[side].purge_with(self.window, now, |tuple| {
+                let key = tuple.key();
+                started.remove(&key);
+                history.remove(&key);
+            });
+            purged += self.blacklists[side].purge(self.window, now, |tuple| {
+                history.remove(&tuple.key());
+            });
             let expired = self.mns_buffers[side].take_expired(self.window, now);
             purged += expired.len();
             if !expired.is_empty() {
@@ -542,13 +551,31 @@ impl JitJoinOperator {
         } else {
             SuspendMode::Suspend
         };
-        let sig_columns = self.similarity_columns(mns.sources());
-        let entry_idx = self.blacklists[side].upsert_entry(mns.clone(), sig_columns, mode, now);
+        // "Similar" tuples are recognised on the join attributes of the
+        // MNS's sources towards the part of the query outside this
+        // operator's output.
+        let (predicates, output) = (&self.predicates, self.left_schema.union(self.right_schema));
+        let (sig_columns, drain_spec) =
+            self.suspend_shapes.entry(mns.sources()).or_insert_with(|| {
+                let external = predicates.referenced_sources().difference(output);
+                let columns = predicates.join_columns(mns.sources(), external);
+                let spec = JoinKeySpec::on_columns(&columns);
+                (columns, spec)
+            });
+        let entry_idx =
+            self.blacklists[side].upsert_entry(mns.clone(), sig_columns.clone(), mode, now);
         // Drain super-tuples (and similar tuples) of the MNS from the state.
+        // Either kind carries the MNS's own values on the signature columns
+        // (they belong to the MNS's sources), so the state's hash index on
+        // those columns surfaces every capturable tuple; `captures` decides.
         let capture_similar = self.policy.capture_similar;
-        let entry_snapshot = self.blacklists[side].entries()[entry_idx].clone();
-        let drained = self.states[side]
-            .drain_where(|stored| entry_snapshot.captures(&stored.tuple, capture_similar));
+        let blacklist = &self.blacklists[side];
+        // INVARIANT: upsert_entry returned this position just above and
+        // nothing has been removed from the blacklist since.
+        let entry = blacklist.entry(entry_idx).expect("just upserted");
+        let drained = self.states[side].drain_matching(drain_spec, mns, |stored| {
+            entry.captures(&stored.tuple, capture_similar)
+        });
         for stored in drained {
             // Close the tuple's presence interval at the current event.
             let key = stored.tuple.key();
@@ -596,7 +623,25 @@ impl JitJoinOperator {
             (_, true) => RIGHT,
             _ => return, // Type II: nothing was suspended locally.
         };
-        // Propagate so our own producer regenerates what it suppressed.
+        self.propagate_resume(side, mns, command, ctx, outcome);
+        let Some(entry) = self.blacklists[side].remove_entry(&mns.key()) else {
+            return;
+        };
+        for suspended in entry.tuples {
+            self.restore_suspended(side, suspended, now, ctx, outcome);
+        }
+    }
+
+    /// Pass a resumption on to the producer of `side`, so that it
+    /// regenerates what it suppressed on behalf of `mns`.
+    fn propagate_resume(
+        &self,
+        side: Port,
+        mns: &Tuple,
+        command: FeedbackCommand,
+        ctx: &mut OpContext<'_>,
+        outcome: &mut FeedbackOutcome,
+    ) {
         if self.policy.propagate_feedback {
             outcome.propagate.push((
                 side,
@@ -606,12 +651,6 @@ impl JitJoinOperator {
                 },
             ));
             ctx.metrics.stats.feedback_propagated += 1;
-        }
-        let Some(entry) = self.blacklists[side].remove_entry(&mns.key()) else {
-            return;
-        };
-        for suspended in entry.tuples {
-            self.restore_suspended(side, suspended, now, ctx, outcome);
         }
     }
 
@@ -629,6 +668,7 @@ impl JitJoinOperator {
     ) {
         // Expired tuples can no longer contribute results.
         if self.window.is_expired(suspended.tuple.ts(), now) {
+            self.histories[side].remove(&suspended.tuple.key());
             return;
         }
         let opp = Self::opposite(side);
@@ -743,7 +783,8 @@ impl Operator for JitJoinOperator {
         if let Some(idx) =
             self.blacklists[port].matching_entry(&msg.tuple, self.policy.capture_similar)
         {
-            if self.blacklists[port].entries()[idx].mode == SuspendMode::Suspend {
+            let entry = self.blacklists[port].entry(idx);
+            if entry.is_some_and(|e| e.mode == SuspendMode::Suspend) {
                 self.blacklists[port].add_tuple(idx, msg.tuple.clone(), None);
                 ctx.metrics.stats.blacklisted_tuples += 1;
                 ctx.metrics.stats.intermediate_suppressed += 1;
@@ -937,14 +978,14 @@ impl Operator for JitJoinOperator {
             outcome.resumed.extend(results);
             outcome.propagate.extend(feedback);
         }
+        // Everything still suspended is resumed, entry by entry as
+        // `resume_one` would, but the blacklist is emptied in one pass.
         for side in [LEFT, RIGHT] {
-            let suspended: Vec<Tuple> = self.blacklists[side]
-                .entries()
-                .iter()
-                .map(|entry| entry.mns.clone())
-                .collect();
-            for mns in suspended {
-                self.resume_one(&mns, FeedbackCommand::Resume, now, ctx, &mut outcome);
+            for entry in self.blacklists[side].drain_entries() {
+                self.propagate_resume(side, &entry.mns, FeedbackCommand::Resume, ctx, &mut outcome);
+                for suspended in entry.tuples {
+                    self.restore_suspended(side, suspended, now, ctx, &mut outcome);
+                }
             }
         }
         outcome
@@ -1486,5 +1527,94 @@ mod tests {
         assert!(!op.is_suspended());
         assert_eq!(op.policy().detection, MnsDetection::FullLattice);
         assert_eq!(op.name(), "A⋈B");
+    }
+
+    /// The presence bookkeeping (`interval_start`, `histories`) follows the
+    /// window, not the stream: over a ten-window stream through the
+    /// producer/consumer pair of Figure 1, both maps stay bounded by what
+    /// is currently stored or suspended, and so does the checkpoint.
+    #[test]
+    fn presence_bookkeeping_stays_window_sized() {
+        use proptest::rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::VecDeque;
+
+        enum Work {
+            /// An AB partial result on its way into the consumer.
+            Partial(DataMessage),
+            /// Consumer feedback on its way back to the producer.
+            Feedback(Feedback),
+        }
+        let mut producer = op1(JitPolicy::full());
+        let mut consumer = op2(JitPolicy::full());
+        let mut metrics = RunMetrics::new();
+        let mut rng = StdRng::seed_from_u64(7);
+        let window_s = 300;
+        let mut checkpoint_bytes = Vec::new();
+        let mut most_histories = 0;
+        for seq in 0..10 * window_s {
+            let now = Timestamp::from_secs(seq);
+            let (x, y) = (rng.gen_range(0i64..12), rng.gen_range(0i64..40));
+            let mut queue = VecDeque::new();
+            let mut ctx = OpContext::new(now, &mut metrics);
+            // Feedback a producer addresses to the sources is dropped.
+            match seq % 3 {
+                0 => queue.extend(
+                    producer
+                        .process(LEFT, &a(seq, seq, x, y), &mut ctx)
+                        .result_messages()
+                        .into_iter()
+                        .map(Work::Partial),
+                ),
+                1 => queue.extend(
+                    producer
+                        .process(RIGHT, &b(seq, seq, x), &mut ctx)
+                        .result_messages()
+                        .into_iter()
+                        .map(Work::Partial),
+                ),
+                _ => {
+                    let out = consumer.process(RIGHT, &c(seq, seq, y), &mut ctx);
+                    let to_producer = out.feedback.into_iter().filter(|(port, _)| *port == LEFT);
+                    queue.extend(to_producer.map(|(_, fb)| Work::Feedback(fb)));
+                }
+            }
+            while let Some(work) = queue.pop_front() {
+                match work {
+                    Work::Partial(msg) => {
+                        let out = consumer.process(LEFT, &msg, &mut ctx);
+                        let to_producer =
+                            out.feedback.into_iter().filter(|(port, _)| *port == LEFT);
+                        queue.extend(to_producer.map(|(_, fb)| Work::Feedback(fb)));
+                    }
+                    Work::Feedback(fb) => {
+                        let outcome = producer.handle_feedback(&fb, &mut ctx);
+                        queue.extend(outcome.resumed.into_iter().map(Work::Partial));
+                    }
+                }
+            }
+            for op in [&producer, &consumer] {
+                for side in [LEFT, RIGHT] {
+                    assert_eq!(op.interval_start[side].len(), op.states[side].len());
+                    assert!(
+                        op.histories[side].len()
+                            <= op.blacklists[side].num_tuples() + op.states[side].len(),
+                        "histories outlive their tuples at t = {seq} s"
+                    );
+                }
+            }
+            most_histories = most_histories.max(producer.histories[LEFT].len());
+            if seq + 1 == 2 * window_s || seq + 1 == 10 * window_s {
+                let blob = |op: &JitJoinOperator| serde_json::to_string(&op.checkpoint()).unwrap();
+                checkpoint_bytes.push(blob(&producer).len() + blob(&consumer).len());
+            }
+        }
+        // The run did suspend, resume and expire suspended tuples.
+        assert!(metrics.stats.blacklisted_tuples > 100 && metrics.stats.resumed_tuples > 100);
+        assert!(most_histories > 0);
+        let (early, late) = (checkpoint_bytes[0], checkpoint_bytes[1]);
+        assert!(
+            2 * late <= 3 * early,
+            "checkpoint grew with the stream: {early} B at 2 windows, {late} B at 10"
+        );
     }
 }

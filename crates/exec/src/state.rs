@@ -135,6 +135,18 @@ impl JoinKeySpec {
         JoinKeySpec { pairs }
     }
 
+    /// The spec pairing each of `columns` with itself: stored tuples file
+    /// under their own values on those columns and a probing tuple looks up
+    /// its values on the same columns. This is how JIT's
+    /// `Suspend_Production` finds the stored tuples carrying an MNS's
+    /// join-attribute values (see [`OperatorState::drain_matching`]).
+    pub fn on_columns(columns: &[ColumnRef]) -> Self {
+        let mut pairs: Vec<(ColumnRef, ColumnRef)> = columns.iter().map(|&c| (c, c)).collect();
+        pairs.sort();
+        pairs.dedup();
+        JoinKeySpec { pairs }
+    }
+
     /// Is the spec empty (no equi-join predicate spans the two inputs)?
     pub fn is_empty(&self) -> bool {
         self.pairs.is_empty()
@@ -209,33 +221,52 @@ impl JoinKeySpec {
 /// sift per operation. Out-of-order pushes (restores of drained entries with
 /// their original timestamps) binary-search their slot; the memmove is rare
 /// in practice.
+///
+/// Shared by [`OperatorState`] and JIT's blacklist: both store handles into
+/// a slab and skip the handles of since-removed entries when they surface.
 #[derive(Debug, Clone, Default)]
-struct ExpiryQueue {
+pub struct ExpiryQueue {
     /// `(timestamp, handle)`, ascending by timestamp from the front.
     entries: VecDeque<(Timestamp, u64)>,
 }
 
 impl ExpiryQueue {
-    fn push(&mut self, ts: Timestamp, seq: u64) {
+    /// Queue `handle` to surface once everything older than `ts` has.
+    pub fn push(&mut self, ts: Timestamp, handle: u64) {
         match self.entries.back() {
             Some(&(last, _)) if ts < last => {
                 let idx = self.entries.partition_point(|&(t, _)| t <= ts);
-                self.entries.insert(idx, (ts, seq));
+                self.entries.insert(idx, (ts, handle));
             }
-            _ => self.entries.push_back((ts, seq)),
+            _ => self.entries.push_back((ts, handle)),
         }
     }
 
-    fn peek(&self) -> Option<(Timestamp, u64)> {
+    /// The pair with the earliest timestamp, if any.
+    pub fn peek(&self) -> Option<(Timestamp, u64)> {
         self.entries.front().copied()
     }
 
-    fn pop(&mut self) -> Option<(Timestamp, u64)> {
+    /// Remove and return the pair with the earliest timestamp.
+    pub fn pop(&mut self) -> Option<(Timestamp, u64)> {
         self.entries.pop_front()
     }
 
-    fn clear(&mut self) {
+    /// Drop every queued pair.
+    pub fn clear(&mut self) {
         self.entries.clear();
+    }
+}
+
+/// Bulk construction (compaction, restore): one sort instead of a
+/// binary-searched insert per pair.
+impl FromIterator<(Timestamp, u64)> for ExpiryQueue {
+    fn from_iter<I: IntoIterator<Item = (Timestamp, u64)>>(pairs: I) -> Self {
+        let mut pairs: Vec<(Timestamp, u64)> = pairs.into_iter().collect();
+        pairs.sort_unstable();
+        ExpiryQueue {
+            entries: pairs.into(),
+        }
     }
 }
 
@@ -544,6 +575,18 @@ impl OperatorState {
     /// is `[ts, ts + w)`), not on when it was inserted — a resumed
     /// intermediate result inserted late still expires at its original time.
     pub fn purge(&mut self, window: Window, now: Timestamp) -> usize {
+        self.purge_with(window, now, |_| {})
+    }
+
+    /// [`OperatorState::purge`], handing each removed tuple to `on_removed`
+    /// — for callers that keep per-tuple bookkeeping beside the state (JIT's
+    /// presence intervals) and must drop it when the tuple leaves for good.
+    pub fn purge_with(
+        &mut self,
+        window: Window,
+        now: Timestamp,
+        mut on_removed: impl FnMut(&Tuple),
+    ) -> usize {
         let mut removed = 0usize;
         while let Some((ts, seq)) = self.expiry.peek() {
             if let Some(entry) = self.get(seq) {
@@ -552,7 +595,8 @@ impl OperatorState {
                 }
                 debug_assert_eq!(ts, entry.tuple.ts());
                 // INVARIANT: get(seq) returned Some above, so the slot is live.
-                self.take(seq).expect("checked live");
+                let entry = self.take(seq).expect("checked live");
+                on_removed(&entry.tuple);
                 removed += 1;
             }
             // Stale queue entries (drained tuples) are skipped silently.
@@ -563,19 +607,30 @@ impl OperatorState {
         removed
     }
 
-    /// Remove and return every entry for which `pred` holds, in insertion
-    /// order (used by `Suspend_Production` to move super-tuples of an MNS
-    /// into a blacklist). Index and heap references to the drained entries
-    /// are reclaimed lazily.
-    pub fn drain_where(&mut self, mut pred: impl FnMut(&StoredTuple) -> bool) -> Vec<StoredTuple> {
+    /// Remove and return, in insertion order, every entry among the
+    /// candidates of [`OperatorState::probe`]`(spec, probe)` for which
+    /// `pred` holds (used by `Suspend_Production` to move the super-tuples
+    /// of an MNS, and the tuples sharing its join-attribute values, into a
+    /// blacklist).
+    ///
+    /// The caller chooses `spec` so that every entry `pred` accepts carries
+    /// the probe's key — then the hashed probe visits only those entries
+    /// (plus the overflow list) and the drain costs O(candidates) instead
+    /// of O(n). With an empty spec, a probe missing a key column or
+    /// [`StateIndexMode::Scan`] every live entry is a candidate: the
+    /// paper's "scan the state" (Section IV-B). Index and heap references
+    /// to the drained entries are reclaimed lazily.
+    pub fn drain_matching(
+        &mut self,
+        spec: &JoinKeySpec,
+        probe: &Tuple,
+        mut pred: impl FnMut(&StoredTuple) -> bool,
+    ) -> Vec<StoredTuple> {
         let mut drained = Vec::new();
-        for slot in &mut self.slots {
-            if slot.as_ref().is_some_and(&mut pred) {
-                // INVARIANT: is_some_and held, so the slot is occupied.
-                let entry = slot.take().expect("checked some");
-                self.bytes -= entry.tuple.size_bytes();
-                self.live_count -= 1;
-                drained.push(entry);
+        for seq in self.probe(spec, probe) {
+            if self.get(seq).is_some_and(&mut pred) {
+                // INVARIANT: get(seq) returned Some on the line above.
+                drained.push(self.take(seq).expect("checked live"));
             }
         }
         self.maybe_compact();
@@ -759,17 +814,13 @@ impl OperatorState {
         }
         self.base += self.slots.len() as u64;
         let entries: Vec<StoredTuple> = self.slots.drain(..).flatten().collect();
-        let mut pairs: Vec<(Timestamp, u64)> = entries
+        // Slab order is only near-sorted when restores interleaved; the
+        // queue's invariant is full timestamp order (collect sorts).
+        self.expiry = entries
             .iter()
             .enumerate()
             .map(|(idx, entry)| (entry.tuple.ts(), self.base + idx as u64))
             .collect();
-        // Slab order is only near-sorted when restores interleaved; the
-        // queue's invariant is full timestamp order.
-        pairs.sort_unstable();
-        self.expiry = ExpiryQueue {
-            entries: pairs.into(),
-        };
         for (spec, index) in self.indexes.iter_mut() {
             index.clear();
             for (idx, entry) in entries.iter().enumerate() {
@@ -1013,13 +1064,22 @@ mod tests {
         assert_eq!(left, vec![1]);
     }
 
+    /// Drain by predicate alone: the empty spec makes every live entry a
+    /// candidate (the paper's "scan the state").
+    fn drain_scan(
+        s: &mut OperatorState,
+        pred: impl FnMut(&StoredTuple) -> bool,
+    ) -> Vec<StoredTuple> {
+        s.drain_matching(&JoinKeySpec::on_columns(&[]), &tuple(0, 0), pred)
+    }
+
     #[test]
-    fn drain_where_moves_matching_entries() {
+    fn drain_matching_moves_matching_entries() {
         let mut s = OperatorState::new("S");
         for i in 0..6 {
             s.insert(tuple(i, i * 100), Timestamp::from_millis(i * 100));
         }
-        let drained = s.drain_where(|e| e.tuple.parts()[0].seq % 2 == 0);
+        let drained = drain_scan(&mut s, |e| e.tuple.parts()[0].seq % 2 == 0);
         assert_eq!(drained.len(), 3);
         assert_eq!(s.len(), 3);
         let expected: usize = s.iter().map(|e| e.tuple.size_bytes()).sum();
@@ -1147,7 +1207,7 @@ mod tests {
         }
         // Build the index, then mutate the state in every supported way.
         assert_eq!(s.probe(&spec, &keyed(0, 0, 5_000, 0)).len(), 3);
-        let drained = s.drain_where(|e| e.tuple.parts()[0].seq == 2);
+        let drained = drain_scan(&mut s, |e| e.tuple.parts()[0].seq == 2);
         assert_eq!(drained.len(), 1);
         assert_eq!(s.probe(&spec, &keyed(0, 0, 5_000, 0)).len(), 2);
         s.restore(drained.into_iter().next().unwrap());
@@ -1259,7 +1319,7 @@ mod tests {
         }
         // A drained-and-restored entry keeps its original insertion time
         // through the checkpoint.
-        let drained = s.drain_where(|e| e.tuple.parts()[0].seq == 2);
+        let drained = drain_scan(&mut s, |e| e.tuple.parts()[0].seq == 2);
         s.restore(drained.into_iter().next().unwrap());
         let blob = s.checkpoint();
 
@@ -1318,6 +1378,123 @@ mod tests {
                     .collect()
             };
             assert_eq!(matching(&mut hashed), matching(&mut scan), "key {key}");
+        }
+    }
+    /// `drain_matching` through the hash index against the same drain
+    /// under `Scan`, on random states: composite tuples, tuples missing a
+    /// key column (overflow), repeated key values, and drains interleaved
+    /// with purges, restores and compactions.
+    mod drain_model {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::rand::{rngs::StdRng, Rng, SeedableRng};
+
+        fn base(source: u16, seq: u64, ts_ms: u64, vals: [i64; 2]) -> Tuple {
+            Tuple::from_base(Arc::new(BaseTuple::new(
+                SourceId(source),
+                seq,
+                Timestamp::from_millis(ts_ms),
+                vals.iter().map(|&v| Value::int(v)).collect(),
+            )))
+        }
+
+        fn keys(entries: &[StoredTuple]) -> Vec<(jit_types::TupleKey, Timestamp)> {
+            let key = |e: &StoredTuple| (e.tuple.key(), e.inserted_at);
+            entries.iter().map(key).collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+            #[test]
+            fn hashed_drain_equals_scan_drain(seed in 0u64..1_000_000) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let window = Window::new(Duration::from_secs(30));
+                let col = |c: u16| ColumnRef::new(SourceId(0), c);
+                let drain_specs = [
+                    JoinKeySpec::on_columns(&[col(1)]),
+                    JoinKeySpec::on_columns(&[col(0), col(1)]),
+                    JoinKeySpec::on_columns(&[]),
+                ];
+                // S_A probed from B on A.x0 = B.x0, as the join itself does.
+                let probe_spec = JoinKeySpec::between(
+                    &PredicateSet::clique(2),
+                    SourceSet::single(SourceId(0)),
+                    SourceSet::single(SourceId(1)),
+                );
+                let mut hashed = OperatorState::new("S");
+                let mut scan = OperatorState::with_index_mode("S", StateIndexMode::Scan);
+                let mut parked: Vec<StoredTuple> = Vec::new();
+                let (mut now_ms, mut seq, mut compactions) = (0u64, 0u64, 0usize);
+                for step in 0..900 {
+                    now_ms += rng.gen_range(0u64..400);
+                    let now = Timestamp::from_millis(now_ms);
+                    let issued = hashed.base + hashed.slots.len() as u64;
+                    match rng.gen_range(0u32..100) {
+                        0..=54 => {
+                            seq += 1;
+                            let vals = [rng.gen_range(0i64..5), rng.gen_range(0i64..4)];
+                            let tuple = match rng.gen_range(0u32..10) {
+                                // No source-0 component: overflow in every drain index.
+                                0 => base(2, seq, now_ms, vals),
+                                1..=3 => base(0, seq, now_ms, vals)
+                                    .join(&base(1, seq, now_ms, [0, 0]))
+                                    .expect("disjoint sources"),
+                                _ => base(0, seq, now_ms, vals),
+                            };
+                            hashed.insert(tuple.clone(), now);
+                            scan.insert(tuple, now);
+                        }
+                        55..=74 => {
+                            let spec = &drain_specs[rng.gen_range(0..drain_specs.len())];
+                            // A source-2 "MNS" cannot form the key: scan fallback.
+                            let source = if rng.gen_bool(0.1) { 2 } else { 0 };
+                            let mns = base(source, 0, now_ms, [rng.gen_range(0i64..5), rng.gen_range(0i64..4)]);
+                            let residue = rng.gen_range(0u64..3);
+                            // Accepts only entries carrying the MNS's values on
+                            // the spec's columns, or unable to (overflow).
+                            let pred = |e: &StoredTuple| {
+                                let carries = spec.stored_key(&e.tuple).is_none_or(|k| Some(k) == spec.probe_key(&mns));
+                                carries && e.tuple.parts()[0].seq % 3 != residue
+                            };
+                            let got = hashed.drain_matching(spec, &mns, pred);
+                            let want = scan.drain_matching(spec, &mns, pred);
+                            assert_eq!(keys(&got), keys(&want), "step {step}: drained");
+                            parked.extend(got);
+                        }
+                        75..=84 => {
+                            // Restore some parked entries (original timestamps:
+                            // out-of-order expiry pushes).
+                            for entry in parked.drain(..).filter(|_| rng.gen_bool(0.6)).collect::<Vec<_>>() {
+                                hashed.restore(entry.clone());
+                                scan.restore(entry);
+                            }
+                        }
+                        _ => {
+                            let mut gone = (Vec::new(), Vec::new());
+                            let removed = hashed.purge_with(window, now, |t| gone.0.push(t.key()));
+                            assert_eq!(removed, scan.purge_with(window, now, |t| gone.1.push(t.key())));
+                            assert_eq!(gone.0, gone.1, "step {step}: purged");
+                            assert_eq!(gone.0.len(), removed);
+                        }
+                    }
+                    compactions += usize::from(!hashed.is_empty() && hashed.base >= issued);
+                    assert_eq!(hashed.len(), scan.len(), "step {step}");
+                    assert_eq!(hashed.size_bytes(), scan.size_bytes(), "step {step}");
+                    let stored = |s: &OperatorState| keys(&s.iter().cloned().collect::<Vec<_>>());
+                    assert_eq!(stored(&hashed), stored(&scan), "step {step}: contents");
+                    // Later probes agree on the matches they surface.
+                    let b = base(1, 0, now_ms, [rng.gen_range(0i64..5), 0]);
+                    let matches = |s: &mut OperatorState| -> Vec<jit_types::TupleKey> {
+                        let hits = s.probe(&probe_spec, &b);
+                        let carried = |t: &&Tuple| t.value(col(0)).is_none_or(|v| Some(v) == b.value(ColumnRef::new(SourceId(1), 0)));
+                        hits.iter().filter_map(|&h| s.get(h).map(|e| &e.tuple)).filter(carried).map(Tuple::key).collect()
+                    };
+                    assert_eq!(matches(&mut hashed), matches(&mut scan), "step {step}: probe");
+                }
+                assert!(compactions > 0, "the sequence must cross a compaction");
+                assert!(hashed.num_indexes() >= 3, "drain and probe specs each built an index");
+            }
         }
     }
 }

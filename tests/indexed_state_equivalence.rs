@@ -379,3 +379,119 @@ fn jit_feedback_counters_match_between_index_modes() {
         "suppression"
     );
 }
+
+/// The `bench_e2e` shared-key shape (3 sources on one key, 5000 key values,
+/// half-minute windows, 150 arrivals/s) under full JIT, long enough that
+/// every producer holds thousands of blacklist entries and suspended tuples
+/// — the size at which a per-feedback scan of the blacklist or of the
+/// drained state would dominate, and which the small fixed-seed cases above
+/// never reach.
+fn sharedkey_jit_builder(shards: Option<usize>) -> (EngineBuilder, Trace) {
+    let spec = WorkloadSpec::bushy_default()
+        .with_sources(3)
+        .with_shared_key()
+        .with_window_minutes(0.5)
+        .with_dmax(5000)
+        .with_rate(50.0)
+        .with_duration(Duration::from_secs(140))
+        .with_seed(7);
+    let trace = WorkloadGenerator::generate(&spec);
+    assert!(trace.len() >= 20_000, "only {} arrivals", trace.len());
+    let mut builder = Engine::builder()
+        .workload(&spec, &PlanShape::left_deep(3))
+        .mode(ExecutionMode::Jit(JitPolicy::full()));
+    if let Some(shards) = shards {
+        builder = builder.sharded(RuntimeConfig::with_shards(shards));
+    }
+    (builder, trace)
+}
+
+/// Hashed and Scan agree on the ordered results and on the whole
+/// [`MetricsSnapshot`] except what counts candidates examined: the index
+/// narrows which stored tuples and buffered MNSs a probe looks at, so
+/// `probe_pairs`, `predicate_evals`, `mns_buffer_probes`,
+/// `lattice_nodes_visited` (one observation per examined tuple under Scan,
+/// one per settled node under Hashed) and the cost units charged per
+/// candidate differ by design — and nothing else does. In
+/// particular suspension, diversion, purge and resumption move the same
+/// tuples in the same order.
+fn assert_sharedkey_jit_modes_agree(shards: Option<usize>) {
+    let (builder, trace) = sharedkey_jit_builder(shards);
+    let run = |index| {
+        let engine = builder.clone().state_index(index).build();
+        engine
+            .expect("engine builds")
+            .run_trace(&trace)
+            .expect("trace runs")
+    };
+    let (scan, hashed) = (run(StateIndexMode::Scan), run(StateIndexMode::Hashed));
+    assert_eq!(scan.results, hashed.results, "ordered result streams");
+    assert_eq!(hashed.order_violations, 0);
+    let beside_candidate_counts = |outcome: &EngineOutcome| {
+        let mut snapshot = outcome.snapshot.clone();
+        snapshot.wall_seconds = 0.0;
+        snapshot.cost_units = 0;
+        snapshot.steady_cost_units = 0;
+        snapshot.stats.probe_pairs = 0;
+        snapshot.stats.predicate_evals = 0;
+        snapshot.stats.mns_buffer_probes = 0;
+        snapshot.stats.lattice_nodes_visited = 0;
+        snapshot
+    };
+    assert_eq!(
+        beside_candidate_counts(&scan),
+        beside_candidate_counts(&hashed),
+        "shards={shards:?}"
+    );
+    let stats = &hashed.snapshot.stats;
+    assert!(
+        stats.blacklisted_tuples > 2_000 && stats.resumed_tuples > 100,
+        "the producer path must be exercised at size: {stats:?}"
+    );
+    assert!(hashed.snapshot.stats.probe_pairs < scan.snapshot.stats.probe_pairs);
+}
+
+#[test]
+fn sharedkey_jit_at_bench_size_modes_agree_single_threaded() {
+    assert_sharedkey_jit_modes_agree(None);
+}
+
+#[test]
+fn sharedkey_jit_at_bench_size_modes_agree_on_4_shards() {
+    assert_sharedkey_jit_modes_agree(Some(4));
+}
+
+/// A checkpoint taken mid-stream at that size — blacklists, presence
+/// bookkeeping and MNS buffers all populated — restores and replays to the
+/// uninterrupted result stream, single-threaded and on 4 shards.
+#[test]
+fn sharedkey_jit_at_bench_size_survives_a_mid_stream_checkpoint() {
+    for shards in [None, Some(4)] {
+        let (builder, trace) = sharedkey_jit_builder(shards);
+        let events: Vec<ArrivalEvent> = trace.iter().cloned().collect();
+        let engine = builder.clone().build().expect("engine builds");
+        let straight = engine.run_trace(&trace).expect("trace runs").results;
+
+        let mut path = std::env::temp_dir();
+        path.push(format!(
+            "jit-dsms-sharedkey-{}-{shards:?}.ckpt",
+            std::process::id()
+        ));
+        let cut = events.len() / 2;
+        let mut session = engine.session().expect("session opens");
+        for event in &events[..cut] {
+            let _ = session.push_event(event.clone()).expect("push");
+        }
+        let mut recovered = session.poll_results();
+        session.checkpoint_to(&path).expect("checkpoint writes");
+        drop(session);
+        let engine = builder.build().expect("engine rebuilds");
+        let mut session = engine.restore_file(&path).expect("restore");
+        for event in &events[cut..] {
+            let _ = session.push_event(event.clone()).expect("replayed push");
+        }
+        recovered.extend(session.finish().expect("finish").results);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(straight, recovered, "shards={shards:?}");
+    }
+}
