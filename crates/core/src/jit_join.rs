@@ -115,6 +115,13 @@ pub struct JitJoinOperator {
     /// Inputs buffered while fully suspended, with their arrival instants.
     pending: Vec<(Port, DataMessage, Timestamp)>,
     pending_bytes: usize,
+    /// Buffers reused from call to call, so that a call that finds nothing
+    /// allocates nothing: state-probe handles, matched partners, detected
+    /// MNSs, and each port's lattice (its inputs share their candidates).
+    probe_hits: Vec<u64>,
+    pairs: Vec<Tuple>,
+    detected: Vec<Tuple>,
+    lattices: [Option<CnsLattice>; 2],
 }
 
 impl JitJoinOperator {
@@ -182,6 +189,10 @@ impl JitJoinOperator {
             fully_suspended: false,
             pending: Vec::new(),
             pending_bytes: 0,
+            probe_hits: Vec::new(),
+            pairs: Vec::new(),
+            detected: Vec::new(),
+            lattices: [None, None],
             name,
             left_schema,
             right_schema,
@@ -327,18 +338,23 @@ impl JitJoinOperator {
     ) -> SourceSet {
         let mut matched = SourceSet::EMPTY;
         for source in candidates.iter() {
-            let component = input.project(SourceSet::single(source));
+            // `holds_across` on the component alone, without projecting it
+            // out of the input first: only its own columns have a value.
+            let own = |col: ColumnRef| (col.source == source).then(|| input.value(col)).flatten();
             let mut ok = true;
             for p in self.predicates.predicates() {
                 if p.spans(SourceSet::single(source), stored.sources()) {
                     *evals += 1;
-                    match p.holds_across(&component, stored) {
-                        Some(true) => {}
-                        Some(false) => {
-                            ok = false;
-                            break;
-                        }
-                        None => {}
+                    let holds = match (own(p.left), stored.value(p.right)) {
+                        (Some(a), Some(b)) => a == b,
+                        _ => match (own(p.right), stored.value(p.left)) {
+                            (Some(a), Some(b)) => a == b,
+                            _ => true,
+                        },
+                    };
+                    if !holds {
+                        ok = false;
+                        break;
                     }
                 }
             }
@@ -349,8 +365,21 @@ impl JitJoinOperator {
         matched
     }
 
+    /// An all-alive lattice over `candidates`: the port's previous one,
+    /// reset, unless this input's candidates differ.
+    fn fresh_lattice(&mut self, port: Port, candidates: SourceSet) -> CnsLattice {
+        match self.lattices[port].take() {
+            Some(mut lattice) if lattice.candidates() == candidates => {
+                lattice.reset();
+                lattice
+            }
+            _ => CnsLattice::new(candidates),
+        }
+    }
+
     /// MNS detection for an input whose probe of the opposite state has been
-    /// summarised in `lattice` (if the full algorithm is active).
+    /// summarised in `lattice` (if the full algorithm is active). The MNSs
+    /// are appended to `self.detected`.
     fn detect_mns(
         &mut self,
         input: &Tuple,
@@ -358,26 +387,25 @@ impl JitJoinOperator {
         candidates: SourceSet,
         lattice: Option<&CnsLattice>,
         ctx: &mut OpContext<'_>,
-    ) -> Vec<Tuple> {
+    ) {
         let opp = Self::opposite(port);
         if self.states[opp].is_empty() {
             // Figure 8, line 2: an empty opposite state makes Ø the only MNS.
-            return vec![Tuple::empty()];
+            self.detected.push(Tuple::empty());
+            return;
         }
         match self.policy.detection {
-            MnsDetection::EmptyStateOnly => Vec::new(),
-            MnsDetection::FullLattice => lattice
-                .map(|l| {
-                    l.minimal_alive()
-                        .into_iter()
-                        .map(|sources| input.project(sources))
-                        .collect()
-                })
-                .unwrap_or_default(),
+            MnsDetection::EmptyStateOnly => {}
+            MnsDetection::FullLattice => {
+                if let Some(l) = lattice {
+                    let minimal = l.minimal_alive_iter();
+                    self.detected
+                        .extend(minimal.map(|sources| input.project(sources)));
+                }
+            }
             MnsDetection::Bloom => {
                 // A level-1 component is an MNS if any of its equi-join
                 // values is definitively absent from the opposite state.
-                let mut found = Vec::new();
                 for source in candidates.iter() {
                     let single = SourceSet::single(source);
                     let mut absent = false;
@@ -390,24 +418,22 @@ impl JitJoinOperator {
                         } else {
                             (p.right, p.left)
                         };
-                        let value = match input.value(own_col) {
-                            Some(v) => v.clone(),
-                            None => continue,
+                        let Some(value) = input.value(own_col) else {
+                            continue;
                         };
                         ctx.metrics.stats.bloom_checks += 1;
                         ctx.metrics.charge(CostKind::BloomCheck, 1);
                         if let Some(filter) = self.blooms[opp].get(&opp_col) {
-                            if filter.definitely_absent(&value) {
+                            if filter.definitely_absent(value) {
                                 absent = true;
                                 break;
                             }
                         }
                     }
                     if absent {
-                        found.push(input.project(single));
+                        self.detected.push(input.project(single));
                     }
                 }
-                found
             }
         }
     }
@@ -701,8 +727,9 @@ impl JitJoinOperator {
             );
             &spec_owned
         };
-        let seqs = self.states[opp].probe(spec, &suspended.tuple);
-        for seq in seqs {
+        let mut hits = std::mem::take(&mut self.probe_hits);
+        self.states[opp].probe_into(spec, &suspended.tuple, &mut hits);
+        for &seq in &hits {
             let Some(stored) = self.states[opp].get(seq) else {
                 continue;
             };
@@ -727,6 +754,7 @@ impl JitJoinOperator {
                 }
             }
         }
+        self.probe_hits = hits;
         ctx.metrics.stats.predicate_evals += evals;
         ctx.metrics.charge(CostKind::PredicateEval, evals);
         outcome.resumed.extend(produced);
@@ -814,14 +842,14 @@ impl Operator for JitJoinOperator {
         let candidates = self.candidate_sources(&msg.tuple, port);
         let mut lattice = match self.policy.detection {
             MnsDetection::FullLattice if !self.states[opp].is_empty() && !candidates.is_empty() => {
-                Some(CnsLattice::new(candidates))
+                Some(self.fresh_lattice(port, candidates))
             }
             _ => None,
         };
         ctx.metrics.stats.state_probes += 1;
         let mut results = ResultBlock::new();
         let mut evals = 0u64;
-        let mut pairs: Vec<Tuple> = Vec::new();
+        let mut pairs = std::mem::take(&mut self.pairs);
         if self.states[opp].index_mode() == StateIndexMode::Hashed {
             // Hash-indexed probe: only candidates carrying the full
             // spanning equi-join key (plus unindexable overflow entries)
@@ -839,8 +867,9 @@ impl Operator for JitJoinOperator {
                 );
                 &spec_owned
             };
-            let seqs = self.states[opp].probe(spec, &msg.tuple);
-            for seq in seqs {
+            let mut hits = std::mem::take(&mut self.probe_hits);
+            self.states[opp].probe_into(spec, &msg.tuple, &mut hits);
+            for &seq in &hits {
                 let Some(stored) = self.states[opp].get(seq) else {
                     continue;
                 };
@@ -892,9 +921,9 @@ impl Operator for JitJoinOperator {
                             &node_spec_owned
                         }
                     };
-                    let seqs = self.states[opp].probe(node_spec, &msg.tuple);
+                    self.states[opp].probe_into(node_spec, &msg.tuple, &mut hits);
                     let mut hit = false;
-                    for seq in seqs {
+                    for &seq in &hits {
                         let Some(stored) = self.states[opp].get(seq) else {
                             continue;
                         };
@@ -915,6 +944,7 @@ impl Operator for JitJoinOperator {
                     }
                 }
             }
+            self.probe_hits = hits;
         } else {
             // Scan baseline: every stored tuple is examined and observed.
             for stored in self.states[opp].iter() {
@@ -933,21 +963,24 @@ impl Operator for JitJoinOperator {
                 }
             }
         }
-        for stored_tuple in pairs {
+        for stored_tuple in pairs.drain(..) {
             if msg.tuple.sources().is_disjoint(stored_tuple.sources()) {
                 ctx.metrics.charge(CostKind::ResultBuild, 1);
                 results.push_join(&msg.tuple, &stored_tuple, msg.marked);
             }
         }
+        self.pairs = pairs;
         ctx.metrics.stats.predicate_evals += evals;
         ctx.metrics.charge(CostKind::PredicateEval, evals);
 
         // Consumer step 3: detect MNSs of the input and report them to the
         // producer of this side.
-        let detected = self.detect_mns(&msg.tuple, port, candidates, lattice.as_ref(), ctx);
-
+        self.detect_mns(&msg.tuple, port, candidates, lattice.as_ref(), ctx);
+        if lattice.is_some() {
+            self.lattices[port] = lattice;
+        }
         let mut fresh = Vec::new();
-        for mns in detected {
+        for mns in self.detected.drain(..) {
             if self.mns_buffers[port].insert(mns.clone(), now) {
                 fresh.push(mns);
             }

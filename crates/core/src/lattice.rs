@@ -62,6 +62,14 @@ impl CnsLattice {
         self.candidates
     }
 
+    /// Make every node alive again — the lattice as [`CnsLattice::new`]
+    /// built it, for the next input with the same candidates.
+    pub fn reset(&mut self) {
+        for node in &mut self.nodes {
+            node.alive = true;
+        }
+    }
+
     /// Number of lattice nodes (excluding Ø).
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
@@ -109,21 +117,19 @@ impl CnsLattice {
     /// Because aliveness is upward closed, these are the alive nodes none of
     /// whose proper subsets (within the lattice) are alive.
     pub fn minimal_alive(&self) -> Vec<SourceSet> {
-        let mut result = Vec::new();
-        for node in &self.nodes {
-            if !node.alive {
-                continue;
-            }
-            let has_alive_subset = self.nodes.iter().any(|other| {
-                other.alive
-                    && other.sources != node.sources
-                    && other.sources.is_subset(node.sources)
-            });
-            if !has_alive_subset {
-                result.push(node.sources);
-            }
-        }
-        result
+        self.minimal_alive_iter().collect()
+    }
+
+    /// [`CnsLattice::minimal_alive`] without the `Vec`, in the same order.
+    pub fn minimal_alive_iter(&self) -> impl Iterator<Item = SourceSet> + '_ {
+        let alive = || self.nodes.iter().filter(|n| n.alive);
+        alive()
+            .filter(move |node| {
+                !alive().any(|other| {
+                    other.sources != node.sources && other.sources.is_subset(node.sources)
+                })
+            })
+            .map(|node| node.sources)
     }
 
     /// Is the lattice empty (no candidate components)? In that case the input
@@ -217,6 +223,20 @@ mod tests {
         let mns = l.minimal_alive();
         // a is dead; b is alive and minimal; ab has alive child b → not minimal.
         assert_eq!(mns, vec![set(&[1])]);
+    }
+
+    #[test]
+    fn reset_revives_every_node() {
+        let mut metrics = RunMetrics::new();
+        let mut l = CnsLattice::new(set(&[0, 1]));
+        l.observe(set(&[0, 1]), &mut metrics);
+        assert!(l.all_dead());
+        l.reset();
+        assert_eq!(
+            l.minimal_alive(),
+            CnsLattice::new(set(&[0, 1])).minimal_alive()
+        );
+        assert_eq!(l.minimal_alive(), vec![set(&[0]), set(&[1])]);
     }
 
     #[test]

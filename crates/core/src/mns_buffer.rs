@@ -5,12 +5,13 @@
 //! the MNS buffer." A match removes the MNS and triggers a resumption
 //! feedback to the producer.
 
-use jit_exec::state::{JoinKeySpec, StateIndexMode};
+use jit_exec::state::{sweep_due, HashIndex, JoinKeySpec, StateIndexMode};
 use jit_metrics::{CostKind, RunMetrics};
 use jit_types::{FastMap, PredicateSet, SourceSet, Timestamp, Tuple, TupleKey, Value, Window};
 use serde::{Content, Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// One buffered MNS.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -21,73 +22,123 @@ pub struct MnsEntry {
     pub detected_at: Timestamp,
 }
 
-/// Candidate entries for probes of one MNS-coverage class, keyed on the
-/// equi-join key between that coverage and the probing tuples' sources —
-/// the [`JoinKeySpec`] machinery of `state.rs` generalised to the buffer.
+/// The entries of one MNS-coverage class, indexed on the equi-join key
+/// between that coverage and the probing tuples' sources — the
+/// [`JoinKeySpec`] / [`HashIndex`] machinery of `state.rs` applied to the
+/// buffer. A group is created when its coverage is first filed and then
+/// lives as long as the probe shape does, empty or not.
 #[derive(Debug, Clone)]
 struct ProbeGroup {
     /// The source coverage shared by the group's entries.
     coverage: SourceSet,
-    /// The stored/probe key pairing for this coverage.
+    /// The stored/probe key pairing for this coverage. Empty when a bucket
+    /// miss could not exclude an entry anyway (Ø, no spanning predicate, a
+    /// coverage overlapping the probing sources): the group is then all
+    /// overflow and every probe examines all of it.
     spec: JoinKeySpec,
-    /// Stored-key values → entry positions, ascending.
-    buckets: FastMap<Vec<Value>, Vec<usize>>,
-    /// Positions that cannot be keyed (Ø, empty spec, overlapping sources
-    /// or missing key columns); always examined.
-    overflow: Vec<usize>,
-    /// All positions in the group, ascending (missing-probe-key fallback).
-    all: Vec<usize>,
+    index: HashIndex,
 }
 
-/// Lazily built candidate index for one probe shape (Hashed mode only).
+/// What the groups are keyed for. Each group's spec is a pure function of
+/// `(predicates, coverage, sources)`, so comparing the shape revalidates
+/// every group without recomputing a single spec — the per-probe fast path.
 #[derive(Debug, Clone)]
-struct ProbeCache {
-    /// The probing tuples' source coverage the cache was built for.
-    probe_sources: SourceSet,
-    /// The predicates the group specs were derived from. Each spec is a
-    /// pure function of `(predicates, coverage, probe_sources)`, so an
-    /// equality check here revalidates every group without recomputing a
-    /// single spec — the per-probe fast path.
+struct ProbeShape {
+    /// The probing tuples' source coverage.
+    sources: SourceSet,
     predicates: PredicateSet,
-    groups: Vec<ProbeGroup>,
 }
 
 /// A buffer of detected MNSs for one input side of a consumer.
+///
+/// # Storage
+///
+/// Every entry gets a handle when it is inserted; handles ascend and are
+/// never reused. The entries live in a map by handle, and everything else —
+/// the insertion-order list, the identity map, the expiry heap, the probe
+/// groups — refers to them by handle, so all of it survives every insertion
+/// and removal: nothing is rebuilt in steady state (a restore rebuilds it
+/// once). A position-indexed slab like [`jit_exec::state::OperatorState`]'s
+/// would not do: an MNS is older than its detection by up to a window, so
+/// MNSs leave in an order unrelated to the one they came in; their
+/// tombstones sit mid-slab, where trimming the front cannot reach them, and
+/// every repacking renumbers everything derived. Handles of removed entries
+/// linger in the derived lists; readers skip them, and a sweep drops them
+/// after O(live) removals.
 ///
 /// # The index layer
 ///
 /// Every arrival probes the opposite MNS buffer, so the historical
 /// entry-by-entry scan of [`MnsBuffer::take_matching`] is a per-arrival
 /// cost term. Under [`StateIndexMode::Hashed`] (the default) the buffer
-/// lazily builds, per probe shape actually observed, a hash index over the
-/// entries' equi-join key values — the same [`JoinKeySpec`] discipline as
-/// [`jit_exec::state::OperatorState`] — and examines only the candidate
-/// entries. Matched MNSs, their order and all removals are identical in
-/// both modes; only the number of entries examined (the
-/// `mns_buffer_probes` statistic and [`CostKind::MnsBufferProbe`] charge)
-/// shrinks. [`StateIndexMode::Scan`] restores the historical scan,
-/// charges included.
+/// keeps, for the probe shape it is asked about, one hash index per MNS
+/// coverage over the entries' equi-join key values and examines only the
+/// candidate entries. The indexes are built when the first probe names the
+/// shape, extended on every insertion, and never dropped. Matched MNSs,
+/// their order and all removals are identical in both modes; only the number
+/// of entries examined (the `mns_buffer_probes` statistic and
+/// [`CostKind::MnsBufferProbe`] charge) shrinks. [`StateIndexMode::Scan`]
+/// restores the historical scan, charges included.
 #[derive(Debug, Clone, Default)]
 pub struct MnsBuffer {
     name: String,
-    /// Slab of entries: removals leave `None` tombstones so positions stay
-    /// stable — the probe cache and identity map survive removals instead
-    /// of being rebuilt O(entries) per expiry or match. Compaction (once
-    /// tombstones outnumber live entries) reclaims the space, amortised
-    /// O(1) per removal.
-    slots: Vec<Option<MnsEntry>>,
-    /// Number of `Some` slots.
-    live: usize,
+    /// The buffered entries, by handle.
+    entries: FastMap<u64, MnsEntry>,
+    /// Handles in insertion order.
+    order: VecDeque<u64>,
+    next_handle: u64,
     bytes: usize,
     mode: StateIndexMode,
-    /// Min-heap of `(mns timestamp, position)` over non-empty entries:
+    /// Min-heap of `(mns timestamp, handle)` over non-empty entries:
     /// purges pop only what has expired instead of scanning the buffer.
-    /// The empty MNS Ø never expires, so it is never pushed. Positions of
-    /// removed entries are skipped as stale when popped.
-    expiry: BinaryHeap<Reverse<(Timestamp, usize)>>,
-    /// MNS identity → entry position (kept in sync across removals).
-    by_key: FastMap<TupleKey, usize>,
-    cache: Option<ProbeCache>,
+    /// The empty MNS Ø never expires, so it is never pushed.
+    expiry: BinaryHeap<Reverse<(Timestamp, u64)>>,
+    /// MNS identity → handle (kept in sync across removals).
+    by_key: FastMap<TupleKey, u64>,
+    /// The probe shape the groups answer for; `None` until the first hashed
+    /// probe, and nothing is filed before it.
+    shape: Option<ProbeShape>,
+    groups: Vec<ProbeGroup>,
+    /// Entries removed since the derived lists were last swept.
+    removed_since_sweep: usize,
+    /// Reused buffers: candidate / expired handles, and key values.
+    handles: Vec<u64>,
+    key: Vec<Value>,
+    /// Wholesale re-filings of the groups, for the tests' no-rebuild claim.
+    #[cfg(test)]
+    refiles: usize,
+}
+
+/// File one entry in the group of its coverage, creating the group if this
+/// is the coverage's first entry. Callers file in ascending handle order.
+fn file(
+    groups: &mut Vec<ProbeGroup>,
+    shape: &ProbeShape,
+    mns: &Tuple,
+    handle: u64,
+    key: &mut Vec<Value>,
+) {
+    let coverage = mns.sources();
+    let group = match groups.iter_mut().position(|g| g.coverage == coverage) {
+        Some(at) => &mut groups[at],
+        None => {
+            // Only fully keyed entries of a disjoint coverage can be
+            // excluded by a bucket miss; everything else stays scanned.
+            let spec = if coverage.is_disjoint(shape.sources) {
+                JoinKeySpec::between(&shape.predicates, coverage, shape.sources)
+            } else {
+                JoinKeySpec::on_columns(&[])
+            };
+            groups.push(ProbeGroup {
+                coverage,
+                spec,
+                index: HashIndex::default(),
+            });
+            // INVARIANT: a group was pushed on the line above.
+            groups.last_mut().expect("just pushed")
+        }
+    };
+    group.index.file_with(&group.spec, mns, handle, key);
 }
 
 impl MnsBuffer {
@@ -104,7 +155,8 @@ impl MnsBuffer {
     /// modes; only the probe count charged differs.
     pub fn set_index_mode(&mut self, mode: StateIndexMode) {
         self.mode = mode;
-        self.cache = None;
+        self.shape = None;
+        self.groups.clear();
     }
 
     /// The probing mode in effect.
@@ -112,131 +164,117 @@ impl MnsBuffer {
         self.mode
     }
 
-    /// Rebuild everything derived from the slab (identity map, expiry
-    /// heap; the probe cache is dropped and rebuilt lazily). Needed only
-    /// after wholesale slab replacement — compaction and restore.
+    /// File every live entry in the groups, from scratch.
+    fn refile_groups(&mut self) {
+        #[cfg(test)]
+        {
+            self.refiles += 1;
+        }
+        self.groups.clear();
+        let Some(shape) = &self.shape else { return };
+        for handle in self.order.iter() {
+            if let Some(entry) = self.entries.get(handle) {
+                file(&mut self.groups, shape, &entry.mns, *handle, &mut self.key);
+            }
+        }
+    }
+
+    /// Rebuild everything derived from the entries (identity map, expiry
+    /// heap, probe groups). Needed only after they are replaced wholesale —
+    /// a restore.
     fn rebuild_derived(&mut self) {
         self.by_key.clear();
         self.expiry.clear();
-        for (pos, slot) in self.slots.iter().enumerate() {
-            if let Some(e) = slot {
-                self.by_key.insert(e.mns.key(), pos);
-                if !e.mns.is_empty() {
-                    self.expiry.push(Reverse((e.mns.ts(), pos)));
-                }
+        for handle in &self.order {
+            let Some(entry) = self.entries.get(handle) else {
+                continue;
+            };
+            self.by_key.insert(entry.mns.key(), *handle);
+            if !entry.mns.is_empty() {
+                self.expiry.push(Reverse((entry.mns.ts(), *handle)));
             }
         }
-        self.cache = None;
+        self.refile_groups();
     }
 
-    /// Reclaim tombstones once they outnumber the live entries: repack the
-    /// slab and rebuild the derived structures — amortised O(1) per
-    /// removal.
-    fn maybe_compact(&mut self) {
-        if self.slots.len() - self.live <= self.live.max(16) {
-            return;
+    /// Amortised reclamation after removals: drop the dead handles at the
+    /// front of the insertion-order list (MNSs mostly leave oldest first),
+    /// and sweep the rest out of it and out of the groups once enough
+    /// have piled up.
+    fn reclaim(&mut self) {
+        let entries = &self.entries;
+        while self.order.front().is_some_and(|h| !entries.contains_key(h)) {
+            self.order.pop_front();
         }
-        let entries: Vec<MnsEntry> = self.slots.drain(..).flatten().collect();
-        self.slots = entries.into_iter().map(Some).collect();
-        self.rebuild_derived();
+        if sweep_due(self.removed_since_sweep, entries.len()) {
+            self.order.retain(|h| entries.contains_key(h));
+            for group in &mut self.groups {
+                group.index.sweep(|h| entries.contains_key(&h));
+            }
+            self.removed_since_sweep = 0;
+        }
     }
 
-    /// Tombstone the entry at `pos`, maintaining the byte accounting and
-    /// the identity map (the probe cache keeps the stale position and
-    /// filters it on the next probe). Panics if the slot is already dead.
-    fn take_at(&mut self, pos: usize) -> MnsEntry {
-        // INVARIANT: take_at's contract (doc above) requires a live slot;
-        // callers pass positions read from the identity map or candidates().
-        let entry = self.slots[pos].take().expect("live entry");
-        self.live -= 1;
+    /// Remove the live entry with handle `handle`, maintaining the byte
+    /// accounting and the identity map (the derived lists keep the stale
+    /// handle and filter it when read). Panics if the entry is already gone.
+    fn take_at(&mut self, handle: u64) -> MnsEntry {
+        // INVARIANT: take_at's contract (doc above) requires a live entry;
+        // callers pass handles read from the identity map or candidates().
+        let entry = self.entries.remove(&handle).expect("live entry");
+        self.removed_since_sweep += 1;
         self.bytes -= entry.mns.size_bytes();
         self.by_key.remove(&entry.mns.key());
         entry
     }
 
-    /// Make sure the probe cache answers for probes covering
-    /// `probe_sources` under `predicates`, rebuilding it if the probe
-    /// shape (or the predicate-derived key pairing) changed.
-    fn ensure_cache(&mut self, predicates: &PredicateSet, probe_sources: SourceSet) {
-        if let Some(cache) = &self.cache {
-            if cache.probe_sources == probe_sources && &cache.predicates == predicates {
+    /// Make the groups answer for probes covering `sources` under
+    /// `predicates`, re-filing every entry if the shape changed (in a
+    /// well-formed plan: on the first probe only).
+    fn ensure_shape(&mut self, predicates: &PredicateSet, sources: SourceSet) {
+        if let Some(shape) = &self.shape {
+            if shape.sources == sources && &shape.predicates == predicates {
                 return;
             }
         }
-        let mut groups: Vec<ProbeGroup> = Vec::new();
-        let live = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, slot)| slot.as_ref().map(|e| (pos, e)));
-        for (pos, entry) in live {
-            let coverage = entry.mns.sources();
-            let group = match groups.iter_mut().find(|g| g.coverage == coverage) {
-                Some(g) => g,
-                None => {
-                    groups.push(ProbeGroup {
-                        coverage,
-                        spec: JoinKeySpec::between(predicates, coverage, probe_sources),
-                        buckets: FastMap::default(),
-                        overflow: Vec::new(),
-                        all: Vec::new(),
-                    });
-                    // INVARIANT: a group was pushed on the line above.
-                    groups.last_mut().expect("just pushed")
-                }
-            };
-            group.all.push(pos);
-            // Only fully keyed entries of a disjoint coverage can be
-            // excluded by a bucket miss; everything else stays scanned.
-            let keyed = !group.spec.is_empty() && coverage.is_disjoint(probe_sources);
-            match group.spec.stored_key(&entry.mns) {
-                Some(key) if keyed => group.buckets.entry(key).or_default().push(pos),
-                _ => group.overflow.push(pos),
-            }
-        }
-        self.cache = Some(ProbeCache {
-            probe_sources,
+        self.shape = Some(ProbeShape {
+            sources,
             predicates: predicates.clone(),
-            groups,
         });
+        self.refile_groups();
     }
 
-    /// The candidate entry positions for `tuple`, ascending: per group, the
-    /// probe key's bucket plus the overflow list, or the whole group when
-    /// no key can be formed. A non-candidate entry is fully keyed with a
-    /// differing key value, so some spanning predicate evaluates to false —
-    /// candidates are exactly a superset of the matches.
-    fn candidates(&mut self, tuple: &Tuple) -> Vec<usize> {
-        // Removals leave stale positions behind in the cached lists;
-        // retain-live maintenance on the lists a probe actually consults
-        // keeps the examined candidates — and the probe charges — exactly
-        // the live entries, as a freshly built cache would return.
-        let slots = &self.slots;
-        let is_live = |pos: &usize| slots.get(*pos).is_some_and(Option::is_some);
-        // INVARIANT: every probe path calls ensure_cache first, which
-        // fills self.cache.
-        let cache = self.cache.as_mut().expect("ensure_cache called");
-        let mut cand = Vec::new();
-        let mut key = Vec::new();
-        for g in &mut cache.groups {
-            if g.spec.is_empty() {
-                g.all.retain(is_live);
-                cand.extend_from_slice(&g.all);
-            } else if g.spec.probe_key_into(tuple, &mut key) {
-                if let Some(bucket) = g.buckets.get_mut(&key[..]) {
-                    bucket.retain(is_live);
-                    cand.extend_from_slice(bucket);
+    /// Fill `self.handles` with the candidate handles for `tuple`,
+    /// ascending: under `Scan` every live entry; under `Hashed`, per group,
+    /// the probe key's bucket plus the overflow list, or the whole group
+    /// when no key can be formed. A non-candidate entry is fully keyed with
+    /// a differing key value, so some spanning predicate evaluates to false
+    /// — candidates are exactly a superset of the matches, and all live.
+    fn candidates(&mut self, tuple: &Tuple, predicates: &PredicateSet) {
+        let mut cand = std::mem::take(&mut self.handles);
+        cand.clear();
+        if self.mode == StateIndexMode::Scan {
+            cand.extend(self.order.iter().filter(|h| self.entries.contains_key(h)));
+        } else {
+            self.ensure_shape(predicates, tuple.sources());
+            let entries = &self.entries;
+            for g in &mut self.groups {
+                if g.spec.probe_key_into(tuple, &mut self.key) {
+                    let live = |h: u64| entries.contains_key(&h);
+                    g.index.live_candidates_into(&self.key, live, &mut cand);
+                } else {
+                    // The probe lacks a key column: the spanning predicate
+                    // is not applicable, so the whole group is examined.
+                    let in_group = |h: &u64| {
+                        let entry = entries.get(h);
+                        entry.is_some_and(|e| e.mns.sources() == g.coverage)
+                    };
+                    cand.extend(self.order.iter().copied().filter(in_group));
                 }
-                g.overflow.retain(is_live);
-                cand.extend_from_slice(&g.overflow);
-            } else {
-                g.all.retain(is_live);
-                cand.extend_from_slice(&g.all);
             }
+            cand.sort_unstable();
         }
-        cand.sort_unstable();
-        cand.dedup();
-        cand
+        self.handles = cand;
     }
 
     /// The buffer's diagnostic name.
@@ -246,12 +284,12 @@ impl MnsBuffer {
 
     /// Number of buffered MNSs.
     pub fn len(&self) -> usize {
-        self.live
+        self.entries.len()
     }
 
     /// Is the buffer empty?
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.entries.is_empty()
     }
 
     /// Analytical size in bytes.
@@ -267,49 +305,27 @@ impl MnsBuffer {
     /// Buffer a newly detected MNS (ignored if an identical one is present).
     /// Returns whether it was inserted.
     pub fn insert(&mut self, mns: Tuple, now: Timestamp) -> bool {
-        if self.contains(&mns) {
-            return false;
-        }
+        // The new entry takes the largest handle, so filing it keeps every
+        // derived list ascending.
+        let handle = self.next_handle;
+        match self.by_key.entry(mns.key()) {
+            Entry::Occupied(_) => return false,
+            Entry::Vacant(slot) => slot.insert(handle),
+        };
+        self.next_handle += 1;
         self.bytes += mns.size_bytes();
-        let pos = self.slots.len();
-        self.by_key.insert(mns.key(), pos);
         if !mns.is_empty() {
-            self.expiry.push(Reverse((mns.ts(), pos)));
+            self.expiry.push(Reverse((mns.ts(), handle)));
         }
-        // Extend the probe cache in place rather than dropping it: the new
-        // entry takes the largest position, so pushing keeps every
-        // candidate list ascending. Detection fires on (nearly) every
-        // non-joining arrival, so an O(entries) rebuild per insert would
-        // make probing quadratic. Only an unseen coverage class (no group
-        // to file the entry under, whose spec would need the predicates we
-        // don't have here) forces a rebuild on the next probe.
-        let mut keep_cache = true;
-        if let Some(cache) = &mut self.cache {
-            match cache
-                .groups
-                .iter_mut()
-                .find(|g| g.coverage == mns.sources())
-            {
-                Some(group) => {
-                    group.all.push(pos);
-                    let keyed =
-                        !group.spec.is_empty() && mns.sources().is_disjoint(cache.probe_sources);
-                    match group.spec.stored_key(&mns) {
-                        Some(key) if keyed => group.buckets.entry(key).or_default().push(pos),
-                        _ => group.overflow.push(pos),
-                    }
-                }
-                None => keep_cache = false,
-            }
+        if let Some(shape) = &self.shape {
+            file(&mut self.groups, shape, &mns, handle, &mut self.key);
         }
-        if !keep_cache {
-            self.cache = None;
-        }
-        self.slots.push(Some(MnsEntry {
+        self.order.push_back(handle);
+        let entry = MnsEntry {
             mns,
             detected_at: now,
-        }));
-        self.live += 1;
+        };
+        self.entries.insert(handle, entry);
         true
     }
 
@@ -327,28 +343,26 @@ impl MnsBuffer {
     /// its behalf, otherwise their future join partners would be missed.
     pub fn take_expired(&mut self, window: Window, now: Timestamp) -> Vec<Tuple> {
         // O(expired): pop the heap only while its minimum timestamp has
-        // expired; stale positions (already-removed entries) are skipped.
-        let mut expired_at = Vec::new();
-        while let Some(&Reverse((ts, pos))) = self.expiry.peek() {
+        // expired; stale handles (already-removed entries) are skipped.
+        let mut expired_at = std::mem::take(&mut self.handles);
+        expired_at.clear();
+        while let Some(&Reverse((ts, handle))) = self.expiry.peek() {
             if !window.is_expired(ts, now) {
                 break;
             }
             self.expiry.pop();
-            if self.slots[pos].is_some() {
-                expired_at.push(pos);
+            if self.entries.contains_key(&handle) {
+                expired_at.push(handle);
             }
-        }
-        if expired_at.is_empty() {
-            return Vec::new();
         }
         // Heap order is by timestamp; the historical contract is entry
         // (insertion) order.
         expired_at.sort_unstable();
-        let expired = expired_at
-            .into_iter()
-            .map(|pos| self.take_at(pos).mns)
-            .collect();
-        self.maybe_compact();
+        let expired: Vec<Tuple> = expired_at.iter().map(|&h| self.take_at(h).mns).collect();
+        self.handles = expired_at;
+        if !expired.is_empty() {
+            self.reclaim();
+        }
         expired
     }
 
@@ -370,32 +384,21 @@ impl MnsBuffer {
                 || (window.can_join(entry.mns.ts(), tuple.ts())
                     && predicates.matches(&entry.mns, tuple))
         };
+        // Candidate handles are ascending, so matched MNSs come out in
+        // entry order — in both modes.
+        self.candidates(tuple, predicates);
+        let probes = self.handles.len() as u64;
         let mut matched = Vec::new();
-        let mut probes = 0u64;
-        if self.mode == StateIndexMode::Hashed {
-            self.ensure_cache(predicates, tuple.sources());
-            // Candidate positions are ascending, so matched MNSs come out
-            // in entry order — exactly the scan's output order.
-            for pos in self.candidates(tuple) {
-                probes += 1;
-                // INVARIANT: candidates() retains only live slot positions.
-                if is_match(self.slots[pos].as_ref().expect("candidates are live")) {
-                    matched.push(self.take_at(pos).mns);
-                }
-            }
-        } else {
-            for pos in 0..self.slots.len() {
-                let Some(entry) = &self.slots[pos] else {
-                    continue;
-                };
-                probes += 1;
-                if is_match(entry) {
-                    matched.push(self.take_at(pos).mns);
-                }
+        for i in 0..self.handles.len() {
+            let handle = self.handles[i];
+            // INVARIANT: candidates() yields handles of live entries only,
+            // each once, and this loop removes none before examining it.
+            if is_match(self.entries.get(&handle).expect("candidates are live")) {
+                matched.push(self.take_at(handle).mns);
             }
         }
         if !matched.is_empty() {
-            self.maybe_compact();
+            self.reclaim();
         }
         metrics.stats.mns_buffer_probes += probes;
         metrics.charge(CostKind::MnsBufferProbe, probes);
@@ -403,7 +406,7 @@ impl MnsBuffer {
     }
 
     /// The earliest timestamp at which any buffered MNS *could* expire — the
-    /// expiry heap's minimum. Conservative: stale heap positions (already
+    /// expiry heap's minimum. Conservative: stale heap handles (already
     /// removed entries) may report an instant at which [`MnsBuffer::take_expired`]
     /// removes nothing, which is harmless (it charges nothing and emits no
     /// feedback). `None` means no purge can ever remove anything (the buffer
@@ -418,21 +421,21 @@ impl MnsBuffer {
     pub fn remove(&mut self, key: &TupleKey) -> bool {
         // Identities are unique in the buffer (insert dedups), so the map
         // lookup finds the only possible entry.
-        let Some(&pos) = self.by_key.get(key) else {
+        let Some(&handle) = self.by_key.get(key) else {
             return false;
         };
-        self.take_at(pos);
-        self.maybe_compact();
+        self.take_at(handle);
+        self.reclaim();
         true
     }
 
     /// Iterate over buffered entries, in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &MnsEntry> {
-        self.slots.iter().filter_map(Option::as_ref)
+        self.order.iter().filter_map(|h| self.entries.get(h))
     }
 
     /// Serialise the entries for a durability checkpoint. The index mode,
-    /// the identity map and the probe cache are runtime configuration /
+    /// the identity map and the probe groups are runtime configuration /
     /// derived structure and are not persisted.
     pub fn checkpoint(&self) -> Content {
         Content::Map(vec![
@@ -445,7 +448,7 @@ impl MnsBuffer {
     }
 
     /// Replace the entries with a checkpointed set, rebuilding the byte
-    /// accounting and the identity map. The checkpoint must carry the same
+    /// accounting and everything derived. The checkpoint must carry the same
     /// diagnostic name (i.e. come from the same operator slot).
     pub fn restore_checkpoint(&mut self, content: &Content) -> Result<(), serde::Error> {
         let map = content
@@ -460,8 +463,13 @@ impl MnsBuffer {
         }
         let entries: Vec<MnsEntry> = serde::field(map, "entries", "MnsBuffer")?;
         self.bytes = entries.iter().map(|e| e.mns.size_bytes()).sum();
-        self.live = entries.len();
-        self.slots = entries.into_iter().map(Some).collect();
+        self.order.clear();
+        self.entries.clear();
+        for entry in entries {
+            self.order.push_back(self.next_handle);
+            self.entries.insert(self.next_handle, entry);
+            self.next_handle += 1;
+        }
         self.rebuild_derived();
         Ok(())
     }
@@ -671,5 +679,259 @@ mod tests {
         b.insert(tup(0, 1, 0, &[1]), Timestamp::from_millis(42));
         let times: Vec<Timestamp> = b.iter().map(|e| e.detected_at).collect();
         assert_eq!(times, vec![Timestamp::from_millis(42)]);
+    }
+
+    /// The buffer against the observable contract of the implementation it
+    /// replaced (a `Vec` in insertion order; under `Hashed`, a probe
+    /// examines the entries a bucket miss cannot exclude), on random
+    /// operation sequences.
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::rand::{rngs::StdRng, Rng, SeedableRng};
+
+        struct Model {
+            entries: Vec<MnsEntry>,
+            mode: StateIndexMode,
+        }
+
+        /// Would the replaced probe cache have examined `entry` for `probe`?
+        /// Everything but a fully keyed entry, of a coverage disjoint from
+        /// the probe's, whose key differs from the probe's.
+        fn examined(entry: &MnsEntry, probe: &Tuple, predicates: &PredicateSet) -> bool {
+            let coverage = entry.mns.sources();
+            let spec = JoinKeySpec::between(predicates, coverage, probe.sources());
+            if spec.is_empty() || !coverage.is_disjoint(probe.sources()) {
+                return true;
+            }
+            match (spec.stored_key(&entry.mns), spec.probe_key(probe)) {
+                (Some(stored), Some(probed)) => stored == probed,
+                _ => true,
+            }
+        }
+
+        impl Model {
+            fn insert(&mut self, mns: Tuple, now: Timestamp) -> bool {
+                if self.entries.iter().any(|e| e.mns.key() == mns.key()) {
+                    return false;
+                }
+                self.entries.push(MnsEntry {
+                    mns,
+                    detected_at: now,
+                });
+                true
+            }
+
+            /// The matched MNSs in entry order, and the probes charged.
+            fn take_matching(
+                &mut self,
+                probe: &Tuple,
+                predicates: &PredicateSet,
+                window: Window,
+            ) -> (Vec<Tuple>, u64) {
+                let (mut matched, mut probes) = (Vec::new(), 0);
+                self.entries.retain(|e| {
+                    if self.mode == StateIndexMode::Hashed && !examined(e, probe, predicates) {
+                        return true;
+                    }
+                    probes += 1;
+                    let hit = e.mns.is_empty()
+                        || (window.can_join(e.mns.ts(), probe.ts())
+                            && predicates.matches(&e.mns, probe));
+                    if hit {
+                        matched.push(e.mns.clone());
+                    }
+                    !hit
+                });
+                (matched, probes)
+            }
+
+            fn take_expired(&mut self, window: Window, now: Timestamp) -> Vec<Tuple> {
+                let mut expired = Vec::new();
+                self.entries.retain(|e| {
+                    let gone = !e.mns.is_empty() && window.is_expired(e.mns.ts(), now);
+                    if gone {
+                        expired.push(e.mns.clone());
+                    }
+                    !gone
+                });
+                expired
+            }
+
+            fn remove(&mut self, key: &TupleKey) -> bool {
+                let before = self.entries.len();
+                self.entries.retain(|e| &e.mns.key() != key);
+                self.entries.len() < before
+            }
+
+            fn next_expiry(&self) -> Option<Timestamp> {
+                let dated = self.entries.iter().filter(|e| !e.mns.is_empty());
+                dated.map(|e| e.mns.ts()).min()
+            }
+        }
+
+        fn keys(tuples: &[Tuple]) -> Vec<TupleKey> {
+            tuples.iter().map(Tuple::key).collect()
+        }
+
+        fn assert_same(buffer: &MnsBuffer, model: &Model, step: usize) {
+            let shape = |e: &MnsEntry| (e.mns.key(), e.detected_at);
+            let live: Vec<_> = buffer.iter().map(shape).collect();
+            let expected: Vec<_> = model.entries.iter().map(shape).collect();
+            assert_eq!(live, expected, "step {step}: entries in order");
+            assert_eq!(buffer.len(), model.entries.len(), "step {step}");
+            assert_eq!(buffer.is_empty(), model.entries.is_empty());
+            let bytes: usize = model.entries.iter().map(|e| e.mns.size_bytes()).sum();
+            assert_eq!(buffer.size_bytes(), bytes, "step {step}: bytes");
+            assert_eq!(
+                buffer.by_key.len(),
+                buffer.len(),
+                "step {step}: identity map"
+            );
+            if let Some(due) = model.next_expiry() {
+                let bound = buffer.next_expiry().expect("a dated entry is queued");
+                assert!(bound <= due, "step {step}: purge bound late");
+            }
+            // Dead handles stay within a multiple of the live entries.
+            let dead = buffer.order.len() - buffer.len();
+            assert!(
+                dead <= 2 * buffer.len() + 65,
+                "step {step}: {dead} dead handles"
+            );
+        }
+
+        const WINDOW_MS: u64 = 20_000;
+
+        /// One random step applied to both sides. `quiet` keeps to the
+        /// steady-state operations of one operator: one probe shape, no
+        /// restore.
+        #[allow(clippy::too_many_arguments)]
+        fn step(
+            rng: &mut StdRng,
+            buffer: &mut MnsBuffer,
+            model: &mut Model,
+            known: &mut Vec<Tuple>,
+            now_ms: u64,
+            seq: u64,
+            quiet: bool,
+            step: usize,
+        ) {
+            let window = Window::new(Duration::from_millis(WINDOW_MS));
+            let predicates = PredicateSet::clique(3);
+            let now = Timestamp::from_millis(now_ms);
+            // Timestamps jitter backwards (an MNS is older than its
+            // detection), join values repeat.
+            let ts = now_ms.saturating_sub(rng.gen_range(0u64..WINDOW_MS));
+            let vals = |rng: &mut StdRng| [rng.gen_range(0i64..4), rng.gen_range(0i64..4)];
+            match rng.gen_range(0u32..100) {
+                0..=44 => {
+                    // Coverage {0,1} comes in bursts, so its group empties
+                    // out and is filed into again.
+                    let pair_phase = (now_ms / (3 * WINDOW_MS)).is_multiple_of(2);
+                    let mns = match rng.gen_range(0u32..20) {
+                        0 => Tuple::empty(),
+                        1..=3 if !known.is_empty() => known[rng.gen_range(0..known.len())].clone(),
+                        4..=9 if pair_phase => tup(0, seq, ts, &vals(rng))
+                            .join(&tup(1, seq, ts / 2, &vals(rng)))
+                            .expect("disjoint sources"),
+                        10..=14 => tup(1, seq, ts, &vals(rng)),
+                        _ => tup(0, seq, ts, &vals(rng)),
+                    };
+                    assert_eq!(
+                        buffer.insert(mns.clone(), now),
+                        model.insert(mns.clone(), now),
+                        "step {step}: inserted"
+                    );
+                    known.push(mns);
+                }
+                45..=74 => {
+                    let probe = match rng.gen_range(0u32..10) {
+                        // Too few columns to form a probe key: whole groups.
+                        0 => tup(2, seq, now_ms, &[]),
+                        // Sources overlapping the coverages {1} and {0,1}.
+                        1 if !quiet => tup(1, seq, now_ms, &vals(rng))
+                            .join(&tup(2, seq, now_ms, &vals(rng)))
+                            .expect("disjoint sources"),
+                        _ => tup(2, seq, now_ms, &vals(rng)),
+                    };
+                    let mut metrics = RunMetrics::new();
+                    let got = buffer.take_matching(&probe, &predicates, window, &mut metrics);
+                    let (want, probes) = model.take_matching(&probe, &predicates, window);
+                    assert_eq!(keys(&got), keys(&want), "step {step}: matched");
+                    assert_eq!(
+                        metrics.stats.mns_buffer_probes, probes,
+                        "step {step}: probes"
+                    );
+                }
+                75..=84 => {
+                    let got = buffer.take_expired(window, now);
+                    assert_eq!(
+                        keys(&got),
+                        keys(&model.take_expired(window, now)),
+                        "step {step}"
+                    );
+                }
+                85..=94 if !known.is_empty() => {
+                    let key = known[rng.gen_range(0..known.len())].key();
+                    assert_eq!(
+                        buffer.remove(&key),
+                        model.remove(&key),
+                        "step {step}: removed"
+                    );
+                }
+                _ if !quiet => {
+                    let blob = buffer.checkpoint();
+                    let mut restored = MnsBuffer::new(buffer.name());
+                    restored.set_index_mode(buffer.index_mode());
+                    restored.restore_checkpoint(&blob).expect("own checkpoint");
+                    *buffer = restored;
+                }
+                _ => {}
+            }
+            assert_same(buffer, model, step);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+            #[test]
+            fn buffer_matches_vec_model(seed in 0u64..1_000_000, scan in proptest::bool::ANY) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mode = if scan { StateIndexMode::Scan } else { StateIndexMode::Hashed };
+                let mut buffer = MnsBuffer::new("NB");
+                buffer.set_index_mode(mode);
+                let mut model = Model { entries: Vec::new(), mode };
+                let mut known: Vec<Tuple> = Vec::new();
+                let (mut now_ms, mut seq) = (0u64, 0u64);
+                for i in 0..600 {
+                    now_ms += rng.gen_range(0u64..400);
+                    seq += 1;
+                    step(&mut rng, &mut buffer, &mut model, &mut known, now_ms, seq, false, i);
+                }
+                // Steady state — one probe shape, no restore: twelve more
+                // windows of churn, with coverages emptying out and coming
+                // back, re-file nothing after the shape's first probe.
+                let mut metrics = RunMetrics::new();
+                let settle = tup(2, 0, now_ms, &[0, 0]);
+                let window = Window::new(Duration::from_millis(WINDOW_MS));
+                let got = buffer.take_matching(&settle, &PredicateSet::clique(3), window, &mut metrics);
+                let (want, _) = model.take_matching(&settle, &PredicateSet::clique(3), window);
+                prop_assert_eq!(keys(&got), keys(&want));
+                let (refiles, quiet_until) = (buffer.refiles, now_ms + 12 * WINDOW_MS);
+                let mut i = 600;
+                while now_ms < quiet_until {
+                    now_ms += rng.gen_range(0u64..400);
+                    seq += 1;
+                    i += 1;
+                    step(&mut rng, &mut buffer, &mut model, &mut known, now_ms, seq, true, i);
+                }
+                prop_assert_eq!(buffer.refiles, refiles, "groups re-filed in steady state");
+                if !scan {
+                    let coverages = buffer.groups.iter().map(|g| g.coverage.len());
+                    prop_assert!(coverages.max() == Some(2), "the two-source coverage was filed");
+                    prop_assert!(buffer.groups.len() >= 3);
+                }
+            }
+        }
     }
 }

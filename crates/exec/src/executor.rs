@@ -116,13 +116,10 @@ impl Executor {
             self.current_time = tuple.ts;
         }
         self.metrics.stats.tuples_arrived += 1;
-        let subscribers = self
-            .source_subscribers
-            .get(source.index())
-            .cloned()
-            .unwrap_or_default();
         let msg = DataMessage::new(Tuple::from_base(tuple));
-        for (op, port) in subscribers {
+        let subscribers = self.source_subscribers.get(source.index());
+        for i in 0..subscribers.map_or(0, Vec::len) {
+            let (op, port) = self.source_subscribers[source.index()][i];
             self.metrics.stats.queued_tuples += 1;
             self.metrics.charge(CostKind::QueueOp, 1);
             self.scheduler.push(

@@ -77,14 +77,12 @@ impl DataMessage {
 /// a sink that merely counts and order-checks results never rowifies.
 #[derive(Debug, Default, Clone)]
 pub struct ResultBlock {
-    /// Covered sources, ascending; fixed by the first pushed match.
-    sources: Vec<SourceId>,
-    /// One component column per source, all of equal length.
-    columns: Vec<Vec<Arc<BaseTuple>>>,
-    /// Per-row result timestamp (max component timestamp).
-    ts: Vec<Timestamp>,
-    /// Per-row mark flag.
-    marked: Vec<bool>,
+    /// One component column per covered source, sources ascending, all of
+    /// equal length; fixed by the first pushed match.
+    columns: Vec<(SourceId, Vec<Arc<BaseTuple>>)>,
+    /// Per row: the result timestamp (max component timestamp) and the mark
+    /// flag.
+    rows: Vec<(Timestamp, bool)>,
 }
 
 impl ResultBlock {
@@ -95,12 +93,12 @@ impl ResultBlock {
 
     /// Number of result rows.
     pub fn len(&self) -> usize {
-        self.ts.len()
+        self.rows.len()
     }
 
     /// Is the block empty?
     pub fn is_empty(&self) -> bool {
-        self.ts.is_empty()
+        self.rows.is_empty()
     }
 
     /// Append the join of two tuples with disjoint source coverage — the
@@ -108,10 +106,11 @@ impl ResultBlock {
     /// their source columns; no per-row sort, no per-row `Arc` slice).
     pub fn push_join(&mut self, a: &Tuple, b: &Tuple, marked: bool) {
         debug_assert!(a.sources().is_disjoint(b.sources()));
-        if self.sources.is_empty() && self.columns.is_empty() {
+        let mut ai = a.parts().iter().peekable();
+        let mut bi = b.parts().iter().peekable();
+        if self.columns.is_empty() {
             // First match fixes the layout: merge the two sorted part lists.
-            let mut ai = a.parts().iter().peekable();
-            let mut bi = b.parts().iter().peekable();
+            self.columns.reserve_exact(a.num_parts() + b.num_parts());
             while ai.peek().is_some() || bi.peek().is_some() {
                 let from_a = match (ai.peek(), bi.peek()) {
                     (Some(x), Some(y)) => x.source < y.source,
@@ -125,13 +124,10 @@ impl ResultBlock {
                     // INVARIANT: the loop condition plus !from_a imply bi peeked Some.
                     bi.next().expect("peeked")
                 };
-                self.sources.push(part.source);
-                self.columns.push(vec![part.clone()]);
+                self.columns.push((part.source, vec![part.clone()]));
             }
         } else {
-            let mut ai = a.parts().iter().peekable();
-            let mut bi = b.parts().iter().peekable();
-            for (source, column) in self.sources.iter().zip(&mut self.columns) {
+            for (source, column) in &mut self.columns {
                 let part = if ai.peek().is_some_and(|p| p.source == *source) {
                     // INVARIANT: the branch condition peeked Some on ai.
                     ai.next().expect("peeked")
@@ -147,27 +143,26 @@ impl ResultBlock {
             }
             debug_assert!(ai.next().is_none() && bi.next().is_none());
         }
-        self.ts.push(a.ts().max(b.ts()));
-        self.marked.push(marked);
+        self.rows.push((a.ts().max(b.ts()), marked));
     }
 
     /// Row `r`'s result timestamp.
     pub fn row_ts(&self, r: usize) -> Timestamp {
-        self.ts[r]
+        self.rows[r].0
     }
 
     /// Row `r`'s mark flag.
     pub fn row_marked(&self, r: usize) -> bool {
-        self.marked[r]
+        self.rows[r].1
     }
 
     /// Materialise row `r` as a [`DataMessage`] (the row/column boundary:
     /// called only when a consumer needs an actual tuple).
     pub fn row_message(&self, r: usize) -> DataMessage {
-        let parts: Vec<Arc<BaseTuple>> = self.columns.iter().map(|c| c[r].clone()).collect();
+        let parts: Vec<Arc<BaseTuple>> = self.columns.iter().map(|(_, c)| c[r].clone()).collect();
         DataMessage {
             tuple: Tuple::from_sorted_parts(parts),
-            marked: self.marked[r],
+            marked: self.rows[r].1,
         }
     }
 }

@@ -270,6 +270,39 @@ impl FromIterator<(Timestamp, u64)> for ExpiryQueue {
     }
 }
 
+/// The handles filed under one key, ascending. In a sparse join nearly every
+/// key holds a single tuple at a time, so one handle lives in the bucket
+/// itself and only a second one takes a heap block.
+#[derive(Debug, Clone)]
+pub(crate) enum Bucket {
+    One(u64),
+    Many(Vec<u64>),
+}
+
+impl Bucket {
+    fn as_slice(&self) -> &[u64] {
+        match self {
+            Bucket::One(handle) => std::slice::from_ref(handle),
+            Bucket::Many(handles) => handles,
+        }
+    }
+
+    fn push(&mut self, handle: u64) {
+        match self {
+            Bucket::One(first) => *self = Bucket::Many(vec![*first, handle]),
+            Bucket::Many(handles) => handles.push(handle),
+        }
+    }
+
+    fn retain(&mut self, keep: impl Fn(u64) -> bool) {
+        match self {
+            Bucket::One(handle) if !keep(*handle) => *self = Bucket::Many(Vec::new()),
+            Bucket::One(_) => {}
+            Bucket::Many(handles) => handles.retain(|&h| keep(h)),
+        }
+    }
+}
+
 /// Bucket storage for a [`HashIndex`], specialized by key shape.
 ///
 /// The dominant equi-join key in practice is a single `Int` column; for it
@@ -282,9 +315,9 @@ impl FromIterator<(Timestamp, u64)> for ExpiryQueue {
 #[derive(Debug, Clone)]
 pub(crate) enum Buckets {
     /// Single-column integer keys, stored inline.
-    Int(FastMap<i64, Vec<u64>>),
+    Int(FastMap<i64, Bucket>),
     /// Composite or non-integer keys.
-    Generic(FastMap<Vec<Value>, Vec<u64>>),
+    Generic(FastMap<Vec<Value>, Bucket>),
 }
 
 impl Default for Buckets {
@@ -297,7 +330,7 @@ impl Buckets {
     /// The bucket filed under `key`, if any. A non-`Int` probe key against
     /// an `Int`-mode map correctly finds nothing (only single-integer keys
     /// have ever been filed in it).
-    fn get(&self, key: &[Value]) -> Option<&Vec<u64>> {
+    fn get(&self, key: &[Value]) -> Option<&Bucket> {
         match self {
             Buckets::Int(map) => match key {
                 [Value::Int(v)] => map.get(v),
@@ -308,7 +341,7 @@ impl Buckets {
     }
 
     /// Mutable variant of [`Buckets::get`].
-    fn get_mut(&mut self, key: &[Value]) -> Option<&mut Vec<u64>> {
+    fn get_mut(&mut self, key: &[Value]) -> Option<&mut Bucket> {
         match self {
             Buckets::Int(map) => match key {
                 [Value::Int(v)] => map.get_mut(v),
@@ -325,10 +358,12 @@ impl Buckets {
             match self {
                 Buckets::Int(map) => {
                     if let [Value::Int(v)] = key {
-                        map.entry(*v).or_default().push(handle);
+                        map.entry(*v)
+                            .and_modify(|bucket| bucket.push(handle))
+                            .or_insert(Bucket::One(handle));
                         return;
                     }
-                    let migrated: FastMap<Vec<Value>, Vec<u64>> = map
+                    let migrated: FastMap<Vec<Value>, Bucket> = map
                         .drain()
                         .map(|(k, bucket)| (vec![Value::Int(k)], bucket))
                         .collect();
@@ -341,7 +376,7 @@ impl Buckets {
                     match map.get_mut(key) {
                         Some(bucket) => bucket.push(handle),
                         None => {
-                            map.insert(key.to_vec(), vec![handle]);
+                            map.insert(key.to_vec(), Bucket::One(handle));
                         }
                     }
                     return;
@@ -356,43 +391,70 @@ impl Buckets {
             Buckets::Generic(map) => map.clear(),
         }
     }
+
+    /// Keep only the handles `is_live` accepts and drop the buckets that
+    /// empty out.
+    fn sweep(&mut self, is_live: impl Fn(u64) -> bool) {
+        let keep = |bucket: &mut Bucket| {
+            bucket.retain(&is_live);
+            !bucket.as_slice().is_empty()
+        };
+        match self {
+            Buckets::Int(map) => map.retain(|_, bucket| keep(bucket)),
+            Buckets::Generic(map) => map.retain(|_, bucket| keep(bucket)),
+        }
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        match self {
+            Buckets::Int(map) => map.len(),
+            Buckets::Generic(map) => map.len(),
+        }
+    }
 }
 
-/// One hash index over a tuple collection, for one [`JoinKeySpec`] — the
+/// One hash index over a slab of tuples, for one [`JoinKeySpec`] — the
 /// bucket/overflow machinery shared by [`OperatorState`] (lazily built,
-/// incrementally maintained) and the static join (built once over an
-/// immutable relation).
+/// incrementally maintained), the static join (built once over an immutable
+/// relation) and JIT's MNS buffer (one index per MNS coverage).
+///
+/// The index holds handles and never learns of a removal: readers pass the
+/// owner's liveness test to [`HashIndex::live_candidates_into`], and the
+/// owner calls [`HashIndex::sweep`] once removals have piled up — which
+/// bounds the dead handles *and* the emptied buckets (a stream keyed by an
+/// order or session id files every key exactly once).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct HashIndex {
+pub struct HashIndex {
     /// Key → handles of stored tuples carrying that key, ascending (i.e.
     /// in insertion order). Keyed with the fast multiplicative hasher:
-    /// buckets are probed once per arrival. Handles of removed tuples are
-    /// reclaimed lazily (the reader filters through `get`); compaction
-    /// rebuilds the index wholesale, which bounds the stale fraction.
+    /// buckets are probed once per arrival.
     buckets: Buckets,
-    /// Handles of stored tuples missing a stored-side key column; always
-    /// scanned in addition to the bucket. Ascending.
+    /// Handles of stored tuples that cannot be keyed (a missing stored-side
+    /// column, an empty spec); always examined in addition to the bucket.
+    /// Ascending.
     overflow: Vec<u64>,
 }
 
 impl HashIndex {
-    /// File `handle` under the tuple's stored-side key, or in the overflow
-    /// list when the tuple is missing a key column.
+    /// [`HashIndex::file_with`], forming the key in a buffer of its own.
     pub(crate) fn file(&mut self, spec: &JoinKeySpec, tuple: &Tuple, handle: u64) {
         let mut scratch = Vec::with_capacity(spec.len());
         self.file_with(spec, tuple, handle, &mut scratch);
     }
 
-    /// Like [`HashIndex::file`], but the key is formed in a caller-owned
-    /// scratch buffer.
-    pub(crate) fn file_with(
+    /// File `handle` under the tuple's stored-side key (formed in the
+    /// caller's `scratch`), or in the overflow list when the tuple is
+    /// missing a key column or the spec is empty and keys nothing. Handles
+    /// must be filed in ascending order.
+    pub fn file_with(
         &mut self,
         spec: &JoinKeySpec,
         tuple: &Tuple,
         handle: u64,
         scratch: &mut Vec<Value>,
     ) {
-        if spec.stored_key_into(tuple, scratch) {
+        if !spec.is_empty() && spec.stored_key_into(tuple, scratch) {
             self.buckets.push(scratch, handle);
         } else {
             self.overflow.push(handle);
@@ -403,11 +465,46 @@ impl HashIndex {
     /// overflow list, ascending. May include handles of since-removed
     /// tuples; the caller's `get` filters them.
     pub(crate) fn candidates(&self, key: &[Value]) -> Vec<u64> {
-        let bucket = self.buckets.get(key).map(Vec::as_slice).unwrap_or_default();
+        let bucket = self.buckets.get(key).map_or(&[][..], Bucket::as_slice);
         if self.overflow.is_empty() {
             return bucket.to_vec();
         }
         merge_ascending(bucket, &self.overflow)
+    }
+
+    /// Append to `out`, ascending, the handles filed under `key` or in the
+    /// overflow list that `is_live` accepts. The common case (no overflow)
+    /// filters the bucket read-only, so the hot path stays alloc- and
+    /// write-free; a bucket is rewritten only once dead handles dominate it.
+    pub fn live_candidates_into(
+        &mut self,
+        key: &[Value],
+        is_live: impl Fn(u64) -> bool,
+        out: &mut Vec<u64>,
+    ) {
+        let Some(bucket) = self.buckets.get_mut(key) else {
+            self.overflow.retain(|&h| is_live(h));
+            out.extend_from_slice(&self.overflow);
+            return;
+        };
+        if self.overflow.is_empty() {
+            let before = out.len();
+            out.extend(bucket.as_slice().iter().copied().filter(|&h| is_live(h)));
+            if bucket.as_slice().len() > 2 * (out.len() - before) + 8 {
+                bucket.retain(&is_live);
+            }
+        } else {
+            bucket.retain(&is_live);
+            self.overflow.retain(|&h| is_live(h));
+            merge_ascending_into(bucket.as_slice(), &self.overflow, out);
+        }
+    }
+
+    /// Drop every handle `is_live` rejects and every bucket that empties.
+    /// O(filed handles): call it once per O(live) removals.
+    pub fn sweep(&mut self, is_live: impl Fn(u64) -> bool) {
+        self.buckets.sweep(&is_live);
+        self.overflow.retain(|&h| is_live(h));
     }
 
     /// Drop every filed handle.
@@ -415,6 +512,13 @@ impl HashIndex {
         self.buckets.clear();
         self.overflow.clear();
     }
+}
+
+/// Has an index owner let enough removals pile up to call
+/// [`HashIndex::sweep`]? As many as it has live entries (a sweep then costs
+/// O(1) per removal), and never fewer than 64.
+pub fn sweep_due(removed_since_sweep: usize, live: usize) -> bool {
+    removed_since_sweep > live.max(64)
 }
 
 /// A window-bounded collection of tuples with running byte accounting,
@@ -452,6 +556,8 @@ pub struct OperatorState {
     /// formed here and only cloned into an owned `Vec` when a bucket sees a
     /// key for the first time.
     key_scratch: Vec<Value>,
+    /// Entries removed since the indexes were last swept (or rebuilt).
+    removed_since_sweep: usize,
 }
 
 impl OperatorState {
@@ -554,6 +660,7 @@ impl OperatorState {
         let entry = self.slots.get_mut(idx)?.take()?;
         self.bytes -= entry.tuple.size_bytes();
         self.live_count -= 1;
+        self.removed_since_sweep += 1;
         Some(entry)
     }
 
@@ -603,7 +710,7 @@ impl OperatorState {
             self.expiry.pop();
         }
         self.trim_front();
-        self.maybe_compact();
+        self.reclaim();
         removed
     }
 
@@ -633,7 +740,7 @@ impl OperatorState {
                 drained.push(self.take(seq).expect("checked live"));
             }
         }
-        self.maybe_compact();
+        self.reclaim();
         drained
     }
 
@@ -646,6 +753,7 @@ impl OperatorState {
         self.expiry.clear();
         self.indexes.clear();
         self.bytes = 0;
+        self.removed_since_sweep = 0;
     }
 
     /// Serialise the resumable content of the state: the live entries in
@@ -725,47 +833,18 @@ impl OperatorState {
         self.key_scratch = scratch;
     }
 
-    /// The hashed probe proper: bucket/overflow merge for one formed key,
-    /// written into `out`.
-    ///
-    /// Index buckets hold handles of since-removed tuples until compaction
-    /// rebuilds them (which bounds the stale fraction at ~50%); the probe
-    /// filters them out read-only here instead of rewriting the bucket on
-    /// every lookup, so the hot path stays alloc- and write-free.
+    /// The hashed probe proper: the live bucket/overflow merge for one
+    /// formed key, written into `out`.
     fn probe_key_slice_into(&mut self, spec: &JoinKeySpec, key: &[Value], out: &mut Vec<u64>) {
         self.ensure_index(spec);
-        let slots = &self.slots;
-        let base = self.base;
-        let is_live = |seq: u64| {
-            seq.checked_sub(base)
-                .and_then(|idx| slots.get(idx as usize))
-                .is_some_and(|slot| slot.is_some())
-        };
+        let (slots, base) = (&self.slots, self.base);
         let index = self
             .indexes
             .iter_mut()
             .find_map(|(s, index)| (s == spec).then_some(index))
             // INVARIANT: ensure_index(spec) above inserted this spec's index.
             .expect("just ensured");
-        let Some(bucket) = index.buckets.get_mut(key) else {
-            index.overflow.retain(|&s| is_live(s));
-            out.extend_from_slice(&index.overflow);
-            return;
-        };
-        if index.overflow.is_empty() {
-            out.extend(bucket.iter().copied().filter(|&s| is_live(s)));
-            // Amortized reclamation: the filter above is read-only, so a
-            // bucket is rewritten only once dead handles clearly dominate
-            // it — every bucket stays O(live handles) without a write on
-            // each probe.
-            if bucket.len() > 2 * out.len() + 8 {
-                bucket.retain(|&s| is_live(s));
-            }
-        } else {
-            bucket.retain(|&s| is_live(s));
-            index.overflow.retain(|&s| is_live(s));
-            merge_ascending_into(bucket, &index.overflow, out);
-        }
+        index.live_candidates_into(key, |seq| is_live(slots, base, seq), out);
     }
 
     /// The timestamp of the next entry the expiry heap would consider, if
@@ -804,14 +883,28 @@ impl OperatorState {
         self.indexes.push((spec.clone(), index));
     }
 
-    /// Reclaim tombstones once they outnumber the live entries: rebase
-    /// `base` past every handle ever issued, drop the tombstones, and
-    /// rebuild the heap and indexes over the fresh handles — amortised O(1)
-    /// per removal.
-    fn maybe_compact(&mut self) {
-        if self.slots.len() <= 64 || self.slots.len() <= 2 * self.live_count {
-            return;
+    /// Amortised reclamation after removals: compact the slab once
+    /// tombstones outnumber the live entries (rare — purges trim the front),
+    /// else sweep the indexes once enough dead handles have piled up.
+    /// Purges never touch an index, so without the sweep a bucket outlives
+    /// its last tuple until its key is probed again, and its map entry
+    /// forever.
+    fn reclaim(&mut self) {
+        if self.slots.len() > 64 && self.slots.len() > 2 * self.live_count {
+            self.compact();
+        } else if sweep_due(self.removed_since_sweep, self.live_count) {
+            let (slots, base) = (&self.slots, self.base);
+            for (_, index) in self.indexes.iter_mut() {
+                index.sweep(|seq| is_live(slots, base, seq));
+            }
+            self.removed_since_sweep = 0;
         }
+    }
+
+    /// Rebase `base` past every handle ever issued, drop the tombstones,
+    /// and rebuild the heap and indexes over the fresh handles — amortised
+    /// O(1) per removal.
+    fn compact(&mut self) {
         self.base += self.slots.len() as u64;
         let entries: Vec<StoredTuple> = self.slots.drain(..).flatten().collect();
         // Slab order is only near-sorted when restores interleaved; the
@@ -828,8 +921,17 @@ impl OperatorState {
             }
         }
         self.slots = entries.into_iter().map(Some).collect();
+        self.removed_since_sweep = 0;
         debug_assert_eq!(self.slots.len(), self.live_count);
     }
+}
+
+/// Is the slot of handle `seq` occupied, in a slab whose front slot has
+/// handle `base`?
+fn is_live(slots: &VecDeque<Option<StoredTuple>>, base: u64, seq: u64) -> bool {
+    seq.checked_sub(base)
+        .and_then(|idx| slots.get(idx as usize))
+        .is_some_and(Option::is_some)
 }
 
 /// Merge two ascending handle lists into one ascending list.
@@ -1245,6 +1347,73 @@ mod tests {
         s.insert(keyed(1, 1_000, 400_000, 2), Timestamp::from_millis(400_000));
         assert_eq!(s.probe(&spec, &keyed(0, 0, 400_000, 2)).len(), 1);
         assert_eq!(s.iter().count(), 1);
+    }
+
+    /// A stream keyed by an ever-fresh id (order, session, trace) files
+    /// every key once: the index must give the bucket back when the tuple
+    /// is purged, not hold one bucket per key ever seen.
+    #[test]
+    fn purged_keys_leave_no_bucket_behind() {
+        let w = Window::new(Duration::from_secs(1));
+        // One integer key column, and a composite (generic) key.
+        let int_spec = ab_spec();
+        let pair_spec = JoinKeySpec::between(
+            &PredicateSet::from_predicates(
+                [0, 1]
+                    .map(|c| {
+                        jit_types::EquiPredicate::new(
+                            ColumnRef::new(SourceId(1), c),
+                            ColumnRef::new(SourceId(0), c),
+                        )
+                    })
+                    .to_vec(),
+            ),
+            SourceSet::single(SourceId(1)),
+            SourceSet::single(SourceId(0)),
+        );
+        let row = |source: u16, seq: u64, ts_ms: u64| {
+            Tuple::from_base(Arc::new(BaseTuple::new(
+                SourceId(source),
+                seq,
+                Timestamp::from_millis(ts_ms),
+                vec![Value::int(seq as i64), Value::int((seq % 7) as i64)],
+            )))
+        };
+        for (spec, inserts) in [(&int_spec, 100_000u64), (&pair_spec, 2_000)] {
+            let mut hashed = OperatorState::new("S");
+            let mut scan = OperatorState::with_index_mode("S", StateIndexMode::Scan);
+            // 100 tuples per window: ten (resp. a thousand) windows.
+            for seq in 0..inserts {
+                let now = Timestamp::from_millis(seq * 10);
+                for state in [&mut hashed, &mut scan] {
+                    state.purge(w, now);
+                    state.insert(row(1, seq, seq * 10), now);
+                }
+                let buckets: usize = hashed.indexes.iter().map(|(_, i)| i.buckets.len()).sum();
+                assert!(
+                    buckets <= 2 * hashed.len() + 64,
+                    "{buckets} buckets for {} tuples at insert {seq}",
+                    hashed.len()
+                );
+                if seq % 97 == 0 {
+                    // A live key, a purged key and a key never seen.
+                    for key in [seq, seq.saturating_sub(150), seq + 1_000_000] {
+                        let probe = row(0, key, seq * 10);
+                        let found = |state: &mut OperatorState| -> Vec<u64> {
+                            let hits = state.probe(spec, &probe);
+                            let tuples = hits.iter().filter_map(|&h| state.get(h));
+                            tuples
+                                .filter(|e| spec.stored_key(&e.tuple) == spec.probe_key(&probe))
+                                .map(|e| e.tuple.parts()[0].seq)
+                                .collect()
+                        };
+                        assert_eq!(found(&mut hashed), found(&mut scan), "key {key} at {seq}");
+                    }
+                }
+            }
+            assert_eq!(hashed.len(), 100);
+            assert_eq!(hashed.slots.len(), 100);
+        }
     }
 
     #[test]

@@ -262,7 +262,12 @@ impl QueryRegistry {
     ///   exactly like a dedicated engine fed the full history, counting
     ///   deliveries from registration onward. Results emitted *before*
     ///   registration are drained to the existing subscribers first and
-    ///   never reach the new query.
+    ///   never reach the new query. On the sharded backend "emitted" means
+    ///   released by the cross-shard watermark: a result of
+    ///   pre-registration arrivals that was still behind it reaches the
+    ///   new query too. Whatever the timing, the new query's stream is a
+    ///   suffix of the full-history stream that holds every result
+    ///   completed by a post-registration arrival.
     pub fn register(&mut self, cql: &str) -> Result<QueryId, ServeError> {
         let canonical = CanonicalQuery::from_cql(cql, &self.catalog)?;
         let qid = QueryId(self.next_query);

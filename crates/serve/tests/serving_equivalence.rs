@@ -190,21 +190,16 @@ fn mid_stream_scenario(options: &ServeOptions) {
     let mut cold_delivered = Vec::new();
     let mut warm_delivered = Vec::new();
     let (mut q_cold, mut q_warm) = (None, None);
-    // The warm baseline runs alongside from the start but only counts
-    // deliveries after the registration boundary.
-    let (warm_canonical, mut warm_baseline) = dedicated_session(warm_query, &cat, options);
     for (i, arrival) in arrivals.iter().enumerate() {
         if i == 80 {
             q_cold = Some(reg.register(cold_query).unwrap());
             q_warm = Some(reg.register(warm_query).unwrap());
-            warm_baseline.poll_results(); // discard the pre-registration past
         }
         if i == 160 {
             // Mid-stream exit: the cold query collects only what was ready.
             cold_delivered.extend(reg.deregister(q_cold.take().unwrap()).unwrap());
         }
         reg.push(arrival.clone()).unwrap();
-        feed(&warm_canonical, &mut warm_baseline, arrival);
         if (i + 1) % 31 == 0 {
             full_delivered.extend(reg.poll_results(q_full).unwrap());
             if let Some(q) = q_warm {
@@ -247,15 +242,32 @@ fn mid_stream_scenario(options: &ServeOptions) {
         assert_eq!(cold_delivered.len(), cold_isolated.len());
     }
 
-    // Warm registration onto a shared pipeline: full-history engine,
-    // deliveries counted from the registration boundary.
-    let mut warm_isolated = warm_baseline.poll_results();
-    warm_isolated.extend(warm_baseline.finish().unwrap().results);
-    assert!(
-        !warm_isolated.is_empty(),
-        "warm window must produce results"
+    // Warm registration onto a shared pipeline: a full-history engine,
+    // deliveries counted from the registration boundary. The boundary is
+    // what the pipeline had *released* when the query registered — on the
+    // sharded backend, how far the cross-shard watermark got, which depends
+    // on worker timing. Independent of timing: the deliveries are a suffix
+    // of the full-history stream, and hold every result completed by an
+    // arrival pushed after registration (a REF result is emitted by the
+    // arrival of its last component, so those are the stream minus what the
+    // first 80 arrivals produce on their own).
+    let warm_full = dedicated_results(warm_query, &cat, options, &arrivals);
+    let early = dedicated_results(warm_query, &cat, options, &arrivals[..80]);
+    let before = early.len();
+    assert_eq!(early, warm_full[..before]);
+    assert!(warm_full.len() > before, "warm window must produce results");
+    assert!(warm_delivered.len() >= warm_full.len() - before);
+    assert!(warm_delivered.len() <= warm_full.len());
+    assert_eq!(
+        warm_delivered,
+        warm_full[warm_full.len() - warm_delivered.len()..],
+        "warm deliveries must be a suffix of the full-history stream"
     );
-    assert_eq!(warm_delivered, warm_isolated);
+    if options.runtime.is_none() {
+        // Single-threaded "released" = everything emitted so far: nothing
+        // from before the registration reaches the new query.
+        assert_eq!(warm_delivered.len(), warm_full.len() - before);
+    }
 }
 
 #[test]

@@ -79,13 +79,116 @@ impl fmt::Display for BaseTuple {
 
 /// Identity of a composite tuple: the sorted list of `(source, seq)` pairs of
 /// its components. Two tuples with equal keys represent the same join result.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
-pub struct TupleKey(pub Vec<(u16, u64)>);
+///
+/// Keys are built to look something up on every operator call, so up to
+/// [`TupleKey::INLINE`] pairs live in the key itself; only wider composites
+/// spill to the heap. Equality, ordering, hashing, `Debug`, `Display` and the
+/// serialised form all read the key as its pair sequence, whichever way it is
+/// stored.
+#[derive(Clone)]
+pub struct TupleKey(KeyPairs);
+
+#[derive(Clone)]
+enum KeyPairs {
+    Inline {
+        len: u8,
+        pairs: [(u16, u64); TupleKey::INLINE],
+    },
+    Spilled(Vec<(u16, u64)>),
+}
+
+impl TupleKey {
+    /// Most pairs a key holds without a heap allocation.
+    pub const INLINE: usize = 4;
+
+    /// The `(source, seq)` pairs, in the order they were given.
+    pub fn pairs(&self) -> &[(u16, u64)] {
+        match &self.0 {
+            KeyPairs::Inline { len, pairs } => &pairs[..*len as usize],
+            KeyPairs::Spilled(pairs) => pairs,
+        }
+    }
+}
+
+impl Default for TupleKey {
+    fn default() -> Self {
+        TupleKey(KeyPairs::Inline {
+            len: 0,
+            pairs: [(0, 0); TupleKey::INLINE],
+        })
+    }
+}
+
+impl FromIterator<(u16, u64)> for TupleKey {
+    fn from_iter<I: IntoIterator<Item = (u16, u64)>>(iter: I) -> Self {
+        let mut inline = [(0, 0); TupleKey::INLINE];
+        let mut len = 0;
+        let mut iter = iter.into_iter();
+        while let Some(pair) = iter.next() {
+            if len == TupleKey::INLINE {
+                let mut spilled = inline.to_vec();
+                spilled.push(pair);
+                spilled.extend(iter);
+                return TupleKey(KeyPairs::Spilled(spilled));
+            }
+            inline[len] = pair;
+            len += 1;
+        }
+        TupleKey(KeyPairs::Inline {
+            len: len as u8,
+            pairs: inline,
+        })
+    }
+}
+
+impl PartialEq for TupleKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.pairs() == other.pairs()
+    }
+}
+
+impl Eq for TupleKey {}
+
+impl PartialOrd for TupleKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for TupleKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.pairs().cmp(other.pairs())
+    }
+}
+
+impl std::hash::Hash for TupleKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.pairs().hash(state);
+    }
+}
+
+impl fmt::Debug for TupleKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("TupleKey").field(&self.pairs()).finish()
+    }
+}
+
+impl Serialize for TupleKey {
+    fn to_content(&self) -> serde::Content {
+        self.pairs().to_content()
+    }
+}
+
+impl Deserialize for TupleKey {
+    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
+        Vec::<(u16, u64)>::from_content(content).map(|pairs| pairs.into_iter().collect())
+    }
+}
 
 impl fmt::Display for TupleKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, (s, q)) in self.0.iter().enumerate() {
+        for (i, (s, q)) in self.pairs().iter().enumerate() {
             if i > 0 {
                 write!(f, " ")?;
             }
@@ -310,10 +413,20 @@ impl Tuple {
     /// Produces the (possibly empty) sub-tuple covering
     /// `self.sources() ∩ keep`.
     pub fn project(&self, keep: SourceSet) -> Tuple {
-        let parts: Vec<Arc<BaseTuple>> = self
-            .parts()
-            .iter()
-            .filter(|p| keep.contains(p.source))
+        if self.sources.is_subset(keep) {
+            // Everything is kept (an MNS that is the whole input): share.
+            return self.clone();
+        }
+        let mut kept = self.parts().iter().filter(|p| keep.contains(p.source));
+        let (first, second) = (kept.next(), kept.next());
+        if let (Some(only), None) = (first, second) {
+            // One component (what nearly every MNS is): no part list to build.
+            return Tuple::from_base(only.clone());
+        }
+        let parts: Vec<Arc<BaseTuple>> = first
+            .into_iter()
+            .chain(second)
+            .chain(kept)
             .cloned()
             .collect();
         let mut sources = SourceSet::EMPTY;
@@ -352,7 +465,7 @@ impl Tuple {
 
     /// The identity key of the tuple (sorted `(source, seq)` pairs).
     pub fn key(&self) -> TupleKey {
-        TupleKey(self.parts().iter().map(|p| (p.source.0, p.seq)).collect())
+        self.parts().iter().map(|p| (p.source.0, p.seq)).collect()
     }
 
     /// Approximate footprint in bytes.
@@ -524,8 +637,43 @@ mod tests {
         let a = Tuple::from_base(base(0, 7, 100, &[1]));
         let b = Tuple::from_base(base(1, 9, 50, &[1]));
         let ab = a.join(&b).unwrap();
-        assert_eq!(ab.key(), TupleKey(vec![(0, 7), (1, 9)]));
+        assert_eq!(ab.key(), TupleKey::from_iter([(0, 7), (1, 9)]));
         assert_eq!(ab.key().to_string(), "[A7 B9]");
+    }
+
+    /// A key reads as its pair sequence whether it is stored inline or
+    /// spilled: same equality, order, hash, `Debug` and serialised form as
+    /// the `Vec` of pairs it replaces.
+    #[test]
+    fn key_is_its_pair_sequence_inline_or_spilled() {
+        use std::hash::{Hash, Hasher};
+        let hash = |v: &dyn Fn(&mut crate::FastHasher)| {
+            let mut h = crate::FastHasher::default();
+            v(&mut h);
+            h.finish()
+        };
+        let mut keys = Vec::new();
+        for len in 0..=TupleKey::INLINE + 2 {
+            let pairs: Vec<(u16, u64)> = (0..len as u16).map(|s| (s, 100 - s as u64)).collect();
+            let key: TupleKey = pairs.iter().copied().collect();
+            assert_eq!(key.pairs(), &pairs[..]);
+            assert_eq!(
+                hash(&|h| key.hash(h)),
+                hash(&|h| pairs.hash(h)),
+                "len {len}"
+            );
+            assert_eq!(format!("{key:?}"), format!("TupleKey({pairs:?})"));
+            assert_eq!(key.to_content(), pairs.to_content());
+            assert_eq!(TupleKey::from_content(&key.to_content()).unwrap(), key);
+            keys.push((key, pairs));
+        }
+        for (a, pa) in &keys {
+            for (b, pb) in &keys {
+                assert_eq!(a.cmp(b), pa.cmp(pb));
+                assert_eq!(a == b, pa == pb);
+            }
+        }
+        assert_eq!(TupleKey::default(), Tuple::empty().key());
     }
 
     #[test]
