@@ -272,3 +272,51 @@ fn checkpoint_cost_is_visible_in_metrics() {
     session.finish().unwrap();
     std::fs::remove_file(&path).ok();
 }
+
+/// The workload the committed v1 fixtures were cut from.
+fn fixture_spec() -> WorkloadSpec {
+    WorkloadSpec::bushy_default()
+        .with_sources(4)
+        .with_rate(1.0)
+        .with_dmax(5)
+        .with_window_minutes(0.3)
+        .with_duration(Duration::from_secs(60))
+        .with_seed(907)
+}
+
+/// `tests/fixtures/checkpoint_v1_{ref,jit}.ckpt` were written by the build
+/// at commit cd7d7d4 (PR 15): `Session::checkpoint_to` on the
+/// single-threaded backend after the first three fifths of
+/// `fixture_spec()`'s trace on `PlanShape::bushy(4)`, nothing polled. They
+/// are never regenerated: a build that cannot restore them has changed the
+/// v1 format and must bump the version instead.
+#[test]
+fn v1_checkpoints_written_by_an_earlier_build_restore() {
+    let spec = fixture_spec();
+    let shape = PlanShape::bushy(4);
+    let trace = WorkloadGenerator::generate(&spec);
+    let events: Vec<ArrivalEvent> = trace.iter().cloned().collect();
+    for (mode_tag, mode) in [
+        ("ref", ExecutionMode::Ref),
+        ("jit", ExecutionMode::Jit(JitPolicy::full())),
+    ] {
+        let builder = Engine::builder().workload(&spec, &shape).mode(mode);
+        let straight = run_straight(&builder, &events);
+        assert!(!straight.is_empty(), "{mode_tag}: no results");
+
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join(format!("tests/fixtures/checkpoint_v1_{mode_tag}.ckpt"));
+        let engine = builder.build().expect("engine builds");
+        let mut session = engine.restore_file(&path).expect("v1 fixture restores");
+        let cut = session.pushed() as usize;
+        assert_eq!(cut, events.len() * 3 / 5, "{mode_tag}: replay cursor");
+        for event in events.iter().skip(cut) {
+            let _ = session.push_event(event.clone()).expect("replayed push");
+        }
+        let outcome = session.finish().expect("finish");
+        assert_eq!(
+            straight, outcome.results,
+            "{mode_tag}: fixture + tail diverged from the uninterrupted run"
+        );
+    }
+}
