@@ -51,11 +51,6 @@ pub const DETERMINISM_ALLOWED_PREFIXES: &[&str] = &[
     "crates/durable/src/checkpoint.rs",
 ];
 
-/// Trees audited for counter accounting (rule `counter-parity`): the
-/// operator data plane, where every cost-counter charge site must be
-/// declared in `pairing.toml`.
-pub const COUNTER_SCOPE_PREFIXES: &[&str] = &["crates/exec/src", "crates/core/src"];
-
 /// Trees audited for lock/channel discipline (rule `lock-order`): the
 /// sharded backend, where the PR 1 deadlock class lived.
 pub const LOCK_SCOPE_PREFIXES: &[&str] =

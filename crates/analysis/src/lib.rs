@@ -1,8 +1,8 @@
 //! `jit-analysis` — the workspace's own static-analysis pass.
 //!
 //! The engine's correctness story rests on invariants no compiler checks:
-//! a fixed, audited set of cost-counter charge sites, deterministic replay for
-//! checkpoint/recovery, and the hot-path hashing/allocation discipline
+//! deterministic replay for checkpoint/recovery, provably unreachable
+//! panic sites, and the hot-path hashing/allocation discipline
 //! PRs 8–9 established. The equivalence suites catch violations only
 //! after a workload runs; this pass catches them at CI time, lexically,
 //! with zero external dependencies (the build environment has no
@@ -17,7 +17,6 @@
 //!   to add a rule.
 //! * [`baseline`] — the committed allowlist pinning pre-existing accepted
 //!   findings of baseline-severity rules.
-//! * [`pairing`] — the counter pairing map consumed by `counter-parity`.
 //! * [`config`] — scan roots and per-rule scopes (code, so reach changes
 //!   review as diffs).
 //!
@@ -37,7 +36,6 @@ pub mod baseline;
 pub mod config;
 pub mod diag;
 pub mod lexer;
-pub mod pairing;
 pub mod rules;
 pub mod source;
 
@@ -69,8 +67,8 @@ pub struct Report {
     pub files_scanned: usize,
     /// Where the regenerated baseline was written, if `fix_baseline`.
     pub wrote_baseline: Option<PathBuf>,
-    /// Configuration / IO errors (missing pairing map, unparseable
-    /// baseline) — always failures.
+    /// Configuration / IO errors (unreadable source tree, unparseable
+    /// baseline, bad waivers) — always failures.
     pub errors: Vec<String>,
 }
 
@@ -116,14 +114,13 @@ pub fn load_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
 
 /// Run all rules over `sources` (no baseline/waiver handling) — the raw
 /// diagnostic stream, used by the fixture tests and [`run`].
-pub fn run_rules(sources: &[SourceFile], pairing: pairing::PairingMap) -> Vec<Diagnostic> {
-    let mut rules = rules::all_rules(pairing);
+pub fn run_rules(sources: &[SourceFile]) -> Vec<Diagnostic> {
+    let mut rules = rules::all_rules();
     let mut diags = Vec::new();
     for rule in &mut rules {
         for file in sources {
             rule.check_file(file, &mut diags);
         }
-        rule.finish(&mut diags);
     }
     diags
 }
@@ -143,32 +140,11 @@ pub fn run(root: &Path, opts: &Options) -> Report {
     let by_path: BTreeMap<&str, &SourceFile> =
         sources.iter().map(|s| (s.rel_path.as_str(), s)).collect();
 
-    let pairing_path = root.join("crates/analysis/pairing.toml");
-    let pairing = match std::fs::read_to_string(&pairing_path) {
-        Ok(text) => match pairing::parse(&text) {
-            Ok(map) => map,
-            Err(e) => {
-                report.errors.push(e);
-                return report;
-            }
-        },
-        Err(e) => {
-            report.errors.push(format!(
-                "{}: {e} (the counter-parity rule needs it)",
-                pairing_path.display()
-            ));
-            return report;
-        }
-    };
-
-    let diags = run_rules(&sources, pairing);
+    let diags = run_rules(&sources);
 
     // Waiver application. Track which waivers matched so unused ones can be
     // flagged (a waiver that waives nothing is a stale claim).
-    let known_rules: Vec<&'static str> = rules::all_rules(pairing::PairingMap::new())
-        .iter()
-        .map(|r| r.id())
-        .collect();
+    let known_rules: Vec<&'static str> = rules::all_rules().iter().map(|r| r.id()).collect();
     let mut used_waivers: BTreeMap<(String, u32), usize> = BTreeMap::new();
     let mut deny_failures = Vec::new();
     let mut baseline_candidates = Vec::new();

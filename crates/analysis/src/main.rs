@@ -4,7 +4,6 @@
 //! cargo run -p jit-analysis -- check                 # the CI gate
 //! cargo run -p jit-analysis -- check --fix-baseline  # pin current findings
 //! cargo run -p jit-analysis -- rules                 # list the catalog
-//! cargo run -p jit-analysis -- dump-pairing          # pairing.toml from the code
 //! ```
 
 use std::path::PathBuf;
@@ -18,7 +17,7 @@ fn main() -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "check" | "rules" | "dump-pairing" if cmd.is_none() => cmd = Some(a.clone()),
+            "check" | "rules" if cmd.is_none() => cmd = Some(a.clone()),
             "--fix-baseline" => fix_baseline = true,
             "--root" => root = it.next().map(PathBuf::from),
             other => {
@@ -40,7 +39,7 @@ fn main() -> ExitCode {
 
     match cmd.as_str() {
         "rules" => {
-            for rule in jit_analysis::rules::all_rules(Default::default()) {
+            for rule in jit_analysis::rules::all_rules() {
                 println!(
                     "{:<16} {:<9} {}",
                     rule.id(),
@@ -50,16 +49,6 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        "dump-pairing" => match jit_analysis::load_sources(&root) {
-            Ok(sources) => {
-                print!("{}", jit_analysis::rules::dump_pairing_skeleton(&sources));
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("scanning workspace: {e}");
-                ExitCode::FAILURE
-            }
-        },
         "check" => {
             let report = jit_analysis::run(&root, &jit_analysis::Options { fix_baseline });
             for f in &report.failures {
@@ -101,7 +90,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> ExitCode {
-    eprintln!("usage: jit-analysis <check [--fix-baseline] | rules | dump-pairing> [--root DIR]");
+    eprintln!("usage: jit-analysis <check [--fix-baseline] | rules> [--root DIR]");
     ExitCode::FAILURE
 }
 

@@ -3,11 +3,8 @@
 //! # Adding a rule
 //!
 //! 1. Create `src/rules/<name>.rs` with a type implementing [`Rule`].
-//!    Rules are stateful visitors: [`Rule::check_file`] is called once per
-//!    scanned [`SourceFile`] (alphabetical path order), then
-//!    [`Rule::finish`] once — emit per-file findings from the former and
-//!    cross-file findings (anything needing the whole workspace, like the
-//!    counter-parity set comparison) from the latter.
+//!    [`Rule::check_file`] is called once per scanned [`SourceFile`]
+//!    (alphabetical path order) and emits that file's findings.
 //! 2. Pick a stable kebab-case id (it appears in waiver comments, the
 //!    baseline and CI output) and a [`Severity`]:
 //!    * `Deny` for invariants with an in-code escape hatch the rule itself
@@ -30,10 +27,7 @@ mod determinism;
 mod hasher;
 mod locks;
 mod panic_hygiene;
-mod parity;
 mod unsafety;
-
-pub use parity::dump_pairing_skeleton;
 
 /// One lint pass.
 pub trait Rule {
@@ -44,17 +38,13 @@ pub trait Rule {
     fn severity(&self) -> Severity;
     /// Visit one file.
     fn check_file(&mut self, file: &SourceFile, out: &mut Vec<Diagnostic>);
-    /// Emit findings that need the whole workspace.
-    fn finish(&mut self, _out: &mut Vec<Diagnostic>) {}
 }
 
-/// Construct the full rule catalog. `pairing` is the parsed counter map
-/// (see [`crate::pairing`]); pass the workspace's committed map.
-pub fn all_rules(pairing: crate::pairing::PairingMap) -> Vec<Box<dyn Rule>> {
+/// Construct the full rule catalog.
+pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(hasher::DefaultHasher),
         Box::new(determinism::Determinism),
-        Box::new(parity::CounterParity::new(pairing)),
         Box::new(panic_hygiene::PanicHygiene),
         Box::new(unsafety::UnsafeAudit),
         Box::new(locks::LockOrder),

@@ -21,7 +21,7 @@ pub struct Waiver {
 /// One scanned file.
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators (stable across hosts —
-    /// used in diagnostics, the baseline and the pairing map).
+    /// used in diagnostics and the baseline).
     pub rel_path: String,
     pub tokens: Vec<Token>,
     /// Per-token scope facts, same length as `tokens`.

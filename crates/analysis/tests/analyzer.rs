@@ -7,7 +7,6 @@
 //! be green — so `cargo test` enforces the same gate CI does.
 
 use jit_analysis::diag::Diagnostic;
-use jit_analysis::pairing::{self, PairingMap};
 use jit_analysis::source::SourceFile;
 use jit_analysis::{run, run_rules, Options};
 
@@ -17,52 +16,45 @@ fn fixture(name: &str) -> String {
 }
 
 /// Run the full rule catalog over one fixture presented at `rel_path`.
-fn check_at(rel_path: &str, src: &str, map: PairingMap) -> Vec<Diagnostic> {
+fn check_at(rel_path: &str, src: &str) -> Vec<Diagnostic> {
     let file = SourceFile::parse(rel_path, src);
-    run_rules(&[file], map)
-}
-
-fn rules_hit(diags: &[Diagnostic]) -> Vec<&'static str> {
-    let mut rules: Vec<&'static str> = diags.iter().map(|d| d.rule).collect();
-    rules.sort_unstable();
-    rules.dedup();
-    rules
+    run_rules(&[file])
 }
 
 #[test]
 fn hasher_violation_detected_in_data_plane_only() {
     let src = fixture("violations/hasher.rs");
-    let diags = check_at("crates/exec/src/fx.rs", &src, PairingMap::new());
+    let diags = check_at("crates/exec/src/fx.rs", &src);
     assert!(
         diags.iter().any(|d| d.rule == "default-hasher"),
         "expected a default-hasher finding, got {diags:?}"
     );
     // The same file outside the data plane is not the hasher rule's business.
-    let diags = check_at("crates/harness/src/fx.rs", &src, PairingMap::new());
+    let diags = check_at("crates/harness/src/fx.rs", &src);
     assert!(diags.iter().all(|d| d.rule != "default-hasher"));
 }
 
 #[test]
 fn determinism_violation_detected_outside_allowed_trees() {
     let src = fixture("violations/determinism.rs");
-    let diags = check_at("crates/exec/src/fx.rs", &src, PairingMap::new());
+    let diags = check_at("crates/exec/src/fx.rs", &src);
     assert!(
         diags.iter().any(|d| d.rule == "determinism"),
         "expected a determinism finding, got {diags:?}"
     );
     // Metrics may read wall clocks.
-    let diags = check_at("crates/metrics/src/fx.rs", &src, PairingMap::new());
+    let diags = check_at("crates/metrics/src/fx.rs", &src);
     assert!(diags.iter().all(|d| d.rule != "determinism"));
 }
 
 #[test]
 fn panic_hygiene_violations_detected_in_library_code_only() {
     let src = fixture("violations/panic_hygiene.rs");
-    let diags = check_at("crates/exec/src/fx.rs", &src, PairingMap::new());
+    let diags = check_at("crates/exec/src/fx.rs", &src);
     let hits: Vec<_> = diags.iter().filter(|d| d.rule == "panic-hygiene").collect();
     assert_eq!(hits.len(), 2, "unwrap + panic! expected, got {diags:?}");
     // Binaries may exit noisily.
-    let diags = check_at("crates/exec/src/bin/fx/main.rs", &src, PairingMap::new());
+    let diags = check_at("crates/exec/src/bin/fx/main.rs", &src);
     assert!(diags.iter().all(|d| d.rule != "panic-hygiene"));
 }
 
@@ -70,7 +62,7 @@ fn panic_hygiene_violations_detected_in_library_code_only() {
 fn unsafe_violation_detected_everywhere() {
     let src = fixture("violations/unsafety.rs");
     for rel in ["crates/exec/src/fx.rs", "crates/harness/src/fx.rs"] {
-        let diags = check_at(rel, &src, PairingMap::new());
+        let diags = check_at(rel, &src);
         assert!(
             diags.iter().any(|d| d.rule == "unsafe-audit"),
             "expected an unsafe-audit finding at {rel}, got {diags:?}"
@@ -81,7 +73,7 @@ fn unsafe_violation_detected_everywhere() {
 #[test]
 fn lock_violations_detected_in_runtime_scope() {
     let src = fixture("violations/locks.rs");
-    let diags = check_at("crates/runtime/src/fx.rs", &src, PairingMap::new());
+    let diags = check_at("crates/runtime/src/fx.rs", &src);
     let hits: Vec<_> = diags.iter().filter(|d| d.rule == "lock-order").collect();
     assert_eq!(
         hits.len(),
@@ -89,49 +81,8 @@ fn lock_violations_detected_in_runtime_scope() {
         "unbounded channel + nested lock expected, got {diags:?}"
     );
     // The stream crate is outside the lock-discipline scope.
-    let diags = check_at("crates/stream/src/fx.rs", &src, PairingMap::new());
+    let diags = check_at("crates/stream/src/fx.rs", &src);
     assert!(diags.iter().all(|d| d.rule != "lock-order"));
-}
-
-#[test]
-fn parity_unmapped_and_stale_detected() {
-    let src = fixture("violations/parity.rs");
-    let rel = "crates/exec/src/fx.rs";
-
-    // Empty map: both sites are unmapped.
-    let diags = check_at(rel, &src, PairingMap::new());
-    let unmapped: Vec<_> = diags
-        .iter()
-        .filter(|d| d.rule == "counter-parity" && d.message.contains("unmapped"))
-        .collect();
-    assert_eq!(unmapped.len(), 2, "got {diags:?}");
-
-    // Every site declared: green.
-    let map = pairing::parse(
-        "[[counter]]\nname = \"cost:ProbePair\"\nsites = [\n\
-         \"crates/exec/src/fx.rs::process\",\n]\n\
-         [[counter]]\nname = \"stat:probe_pairs\"\nsites = [\n\
-         \"crates/exec/src/fx.rs::process\",\n]\n",
-    )
-    .expect("fixture map parses");
-    let diags = check_at(rel, &src, map);
-    assert!(rules_hit(&diags).is_empty(), "got {diags:?}");
-
-    // A mapped site the code no longer charges: stale.
-    let map = pairing::parse(
-        "[[counter]]\nname = \"cost:ProbePair\"\nsites = [\n\
-         \"crates/exec/src/fx.rs::process\",\n\
-         \"crates/exec/src/gone.rs::vanished\",\n]\n\
-         [[counter]]\nname = \"stat:probe_pairs\"\nsites = [\n\
-         \"crates/exec/src/fx.rs::process\",\n]\n",
-    )
-    .expect("fixture map parses");
-    let diags = check_at(rel, &src, map);
-    assert_eq!(
-        diags.iter().filter(|d| d.message.contains("stale")).count(),
-        1,
-        "got {diags:?}"
-    );
 }
 
 #[test]
@@ -142,7 +93,7 @@ fn clean_fixture_passes_every_scope() {
         "crates/runtime/src/clean.rs",
         "crates/core/src/clean.rs",
     ] {
-        let diags = check_at(rel, &src, PairingMap::new());
+        let diags = check_at(rel, &src);
         assert!(diags.is_empty(), "clean fixture at {rel} got {diags:?}");
     }
 }
@@ -155,7 +106,6 @@ fn baseline_round_trips() {
     let src_dir = root.join("crates/exec/src");
     std::fs::create_dir_all(&src_dir).expect("temp dirs");
     std::fs::create_dir_all(root.join("crates/analysis")).expect("temp dirs");
-    std::fs::write(root.join("crates/analysis/pairing.toml"), "").expect("write");
     std::fs::write(src_dir.join("lib.rs"), fixture("violations/hasher.rs")).expect("write");
 
     // Unpinned, the violation fails the check.

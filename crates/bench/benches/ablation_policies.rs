@@ -13,9 +13,9 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use jit_bench::{BENCH_DURATION_SCALE, BENCH_SEED};
 use jit_core::policy::{ExecutionMode, JitPolicy};
+use jit_engine::Engine;
 use jit_exec::executor::ExecutorConfig;
 use jit_harness::config::ExperimentConfig;
-use jit_plan::runtime::QueryRuntime;
 use jit_stream::WorkloadGenerator;
 
 fn bench(c: &mut Criterion) {
@@ -23,11 +23,13 @@ fn bench(c: &mut Criterion) {
         .with_duration_scale(BENCH_DURATION_SCALE)
         .with_seed(BENCH_SEED);
     let trace = WorkloadGenerator::generate(&config.workload);
-    let exec_config = ExecutorConfig {
-        collect_results: false,
-        check_temporal_order: false,
-    };
-    let variants: Vec<(&str, ExecutionMode)> = vec![
+    let builder = Engine::builder()
+        .workload(&config.workload, &config.shape)
+        .executor_config(ExecutorConfig {
+            collect_results: false,
+            check_temporal_order: false,
+        });
+    let variants: Vec<(&str, Engine)> = [
         ("REF", ExecutionMode::Ref),
         ("DOE", ExecutionMode::Doe),
         ("JIT-bloom", ExecutionMode::Jit(JitPolicy::bloom())),
@@ -40,20 +42,19 @@ fn bench(c: &mut Criterion) {
             ExecutionMode::Jit(JitPolicy::full().without_propagation()),
         ),
         ("JIT-full", ExecutionMode::Jit(JitPolicy::full())),
-    ];
+    ]
+    .into_iter()
+    .map(|(label, mode)| {
+        let engine = builder.clone().mode(mode).build().expect("plan builds");
+        (label, engine)
+    })
+    .collect();
 
     // Print the per-variant counters once so the ablation can be read off the
     // bench log (intermediate results produced / suppressed, feedback volume).
     println!("ablation on {} ({}):", config.name, config.shape.label());
-    for (label, mode) in &variants {
-        let outcome = QueryRuntime::run_trace(
-            &trace,
-            &config.workload,
-            &config.shape,
-            *mode,
-            exec_config.clone(),
-        )
-        .expect("plan builds");
+    for (label, engine) in &variants {
+        let outcome = engine.run_trace(&trace).expect("trace runs");
         println!(
             "  {:>18}: cost {:>12} u, peak mem {:>9.1} KB, intermediates {:>8}, suppressed {:>8}, feedback {:>6}, results {}",
             label,
@@ -68,20 +69,11 @@ fn bench(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("ablation_policies");
     group.sample_size(10);
-    for (label, mode) in &variants {
+    for (label, engine) in &variants {
         group.bench_function(*label, |b| {
             b.iter_batched(
                 || trace.clone(),
-                |t| {
-                    QueryRuntime::run_trace(
-                        &t,
-                        &config.workload,
-                        &config.shape,
-                        *mode,
-                        exec_config.clone(),
-                    )
-                    .expect("plan builds")
-                },
+                |t| engine.run_trace(&t).expect("trace runs"),
                 BatchSize::LargeInput,
             )
         });

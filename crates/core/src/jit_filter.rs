@@ -73,7 +73,6 @@ impl Operator for JitSelectionOperator {
         msg: &DataMessage,
         ctx: &mut OpContext<'_>,
     ) -> OperatorOutput {
-        ctx.metrics.stats.predicate_evals += 1;
         ctx.metrics.charge(CostKind::PredicateEval, 1);
         if self.predicate.holds_on(&msg.tuple).unwrap_or(false) {
             return OperatorOutput::with_results(vec![msg.clone()]);
@@ -167,7 +166,6 @@ impl Operator for JitStaticJoinOperator {
         let mut results = ResultBlock::new();
         let mut evals = 0u64;
         for rel_tuple in &self.relation {
-            ctx.metrics.stats.probe_pairs += 1;
             ctx.metrics.charge(CostKind::ProbePair, 1);
             let rel = Tuple::from_base(rel_tuple.clone());
             // Per-component matching feeds the lattice and the join result.
@@ -200,7 +198,6 @@ impl Operator for JitStaticJoinOperator {
                 results.push_join(&msg.tuple, &rel, msg.marked);
             }
         }
-        ctx.metrics.stats.predicate_evals += evals;
         ctx.metrics.charge(CostKind::PredicateEval, evals);
 
         // Report MNSs; the relation never changes, so suspension is final.

@@ -316,7 +316,6 @@ impl JitJoinOperator {
                 output.push((side, Feedback::resume(expired)));
             }
         }
-        ctx.metrics.stats.purged_tuples += purged as u64;
         ctx.metrics.charge(CostKind::StatePurge, purged as u64);
     }
 
@@ -421,7 +420,6 @@ impl JitJoinOperator {
                         let Some(value) = input.value(own_col) else {
                             continue;
                         };
-                        ctx.metrics.stats.bloom_checks += 1;
                         ctx.metrics.charge(CostKind::BloomCheck, 1);
                         if let Some(filter) = self.blooms[opp].get(&opp_col) {
                             if filter.definitely_absent(value) {
@@ -733,7 +731,6 @@ impl JitJoinOperator {
             let Some(stored) = self.states[opp].get(seq) else {
                 continue;
             };
-            ctx.metrics.stats.probe_pairs += 1;
             ctx.metrics.charge(CostKind::ProbePair, 1);
             if !self
                 .window
@@ -755,14 +752,12 @@ impl JitJoinOperator {
             }
         }
         self.probe_hits = hits;
-        ctx.metrics.stats.predicate_evals += evals;
         ctx.metrics.charge(CostKind::PredicateEval, evals);
         outcome.resumed.extend(produced);
         // Back into the state; a fresh presence interval starts now.
         self.states[side].insert(suspended.tuple.clone(), now);
         self.note_insertion(side, key);
         self.update_bloom(side, &suspended.tuple);
-        ctx.metrics.stats.state_insertions += 1;
         ctx.metrics.charge(CostKind::StateInsert, 1);
     }
 }
@@ -873,7 +868,6 @@ impl Operator for JitJoinOperator {
                 let Some(stored) = self.states[opp].get(seq) else {
                     continue;
                 };
-                ctx.metrics.stats.probe_pairs += 1;
                 ctx.metrics.charge(CostKind::ProbePair, 1);
                 if !self.window.can_join(msg.tuple.ts(), stored.tuple.ts()) {
                     continue;
@@ -927,7 +921,6 @@ impl Operator for JitJoinOperator {
                         let Some(stored) = self.states[opp].get(seq) else {
                             continue;
                         };
-                        ctx.metrics.stats.probe_pairs += 1;
                         ctx.metrics.charge(CostKind::ProbePair, 1);
                         if !self.window.can_join(msg.tuple.ts(), stored.tuple.ts()) {
                             continue;
@@ -948,7 +941,6 @@ impl Operator for JitJoinOperator {
         } else {
             // Scan baseline: every stored tuple is examined and observed.
             for stored in self.states[opp].iter() {
-                ctx.metrics.stats.probe_pairs += 1;
                 ctx.metrics.charge(CostKind::ProbePair, 1);
                 if !self.window.can_join(msg.tuple.ts(), stored.tuple.ts()) {
                     continue;
@@ -970,7 +962,6 @@ impl Operator for JitJoinOperator {
             }
         }
         self.pairs = pairs;
-        ctx.metrics.stats.predicate_evals += evals;
         ctx.metrics.charge(CostKind::PredicateEval, evals);
 
         // Consumer step 3: detect MNSs of the input and report them to the
@@ -993,7 +984,6 @@ impl Operator for JitJoinOperator {
         self.states[port].insert(msg.tuple.clone(), now);
         self.note_insertion(port, msg.tuple.key());
         self.update_bloom(port, &msg.tuple);
-        ctx.metrics.stats.state_insertions += 1;
         ctx.metrics.charge(CostKind::StateInsert, 1);
 
         OperatorOutput {

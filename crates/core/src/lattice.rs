@@ -98,7 +98,6 @@ impl CnsLattice {
                 node.alive = false;
             }
         }
-        metrics.stats.lattice_nodes_visited += visited;
         metrics.charge(CostKind::LatticeNode, visited);
     }
 

@@ -400,7 +400,6 @@ impl MnsBuffer {
         if !matched.is_empty() {
             self.reclaim();
         }
-        metrics.stats.mns_buffer_probes += probes;
         metrics.charge(CostKind::MnsBufferProbe, probes);
         matched
     }

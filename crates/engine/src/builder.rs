@@ -20,12 +20,10 @@ use std::sync::Arc;
 
 /// Typed, defaulted construction of an [`Engine`].
 ///
-/// Replaces the positional-argument sprawl of the historical entry points
-/// (`QueryRuntime::run`, `run_parallel`, `run_parallel_trace`): the query
-/// comes in as CQL *or* as a plan shape + predicates, the execution mode and
-/// executor knobs default sensibly, and a single [`EngineBuilder::sharded`]
-/// call switches the same program from the single-threaded executor to the
-/// hash-partitioned multi-core runtime.
+/// The query comes in as CQL *or* as a plan shape + predicates, the
+/// execution mode and executor knobs default sensibly, and a single
+/// [`EngineBuilder::sharded`] call switches the same program from the
+/// single-threaded executor to the hash-partitioned multi-core runtime.
 ///
 /// Every input is validated at [`EngineBuilder::build`] time with a typed
 /// [`EngineError`] — including the key-partitionability of the workload when
@@ -595,6 +593,72 @@ mod tests {
             .all(|(x, y)| x.ts() == y.ts()));
         assert_eq!(b.order_violations, 0);
         assert_eq!(a.snapshot.stats.probe_pairs, b.snapshot.stats.probe_pairs);
+    }
+
+    #[test]
+    fn compared_modes_agree_on_results() {
+        use jit_core::policy::JitPolicy;
+        use jit_exec::output;
+        use jit_stream::{WorkloadGenerator, WorkloadSpec};
+        let spec = WorkloadSpec::bushy_default()
+            .with_sources(3)
+            .with_rate(1.0)
+            .with_dmax(10)
+            .with_window_minutes(2.0)
+            .with_duration(jit_types::Duration::from_secs(180))
+            .with_seed(11);
+        let outcomes = Engine::builder()
+            .workload(&spec, &PlanShape::left_deep(3))
+            .compare(
+                &WorkloadGenerator::generate(&spec),
+                &[
+                    ExecutionMode::Ref,
+                    ExecutionMode::Jit(JitPolicy::full()),
+                    ExecutionMode::Doe,
+                ],
+            )
+            .unwrap();
+        let [ref_run, jit_run, doe_run] = &outcomes[..] else {
+            panic!("expected three outcomes");
+        };
+        assert_eq!(ref_run.mode_label, "REF");
+        assert!(ref_run.results_count > 0, "workload produced no results");
+        assert!(output::same_results(&ref_run.results, &jit_run.results));
+        assert!(output::same_results(&ref_run.results, &doe_run.results));
+        assert_eq!(jit_run.order_violations, 0);
+        assert!(!output::has_duplicates(&jit_run.results));
+    }
+
+    #[test]
+    fn jit_suppresses_intermediates_on_a_selective_workload() {
+        // High selectivity (large dmax relative to window content) is where
+        // the paper's savings come from.
+        use jit_core::policy::JitPolicy;
+        use jit_stream::{WorkloadGenerator, WorkloadSpec};
+        let spec = WorkloadSpec::bushy_default()
+            .with_sources(4)
+            .with_rate(1.0)
+            .with_dmax(200)
+            .with_window_minutes(5.0)
+            .with_duration(jit_types::Duration::from_secs(300))
+            .with_seed(3);
+        let outcomes = Engine::builder()
+            .workload(&spec, &PlanShape::bushy(4))
+            .executor_config(ExecutorConfig {
+                collect_results: false,
+                check_temporal_order: true,
+            })
+            .compare(
+                &WorkloadGenerator::generate(&spec),
+                &[ExecutionMode::Ref, ExecutionMode::Jit(JitPolicy::full())],
+            )
+            .unwrap();
+        let (ref_run, jit_run) = (&outcomes[0], &outcomes[1]);
+        assert!(
+            jit_run.snapshot.stats.intermediate_produced
+                <= ref_run.snapshot.stats.intermediate_produced
+        );
+        assert!(jit_run.snapshot.stats.intermediate_suppressed > 0);
     }
 
     #[test]

@@ -119,12 +119,10 @@ impl Operator for EddyOperator {
         for state in &mut self.states {
             purged += state.purge(self.window, now);
         }
-        ctx.metrics.stats.purged_tuples += purged as u64;
         ctx.metrics.charge(CostKind::StatePurge, purged as u64);
 
         // Insert the new tuple into its own STeM.
         self.states[port].insert(msg.tuple.clone(), now);
-        ctx.metrics.stats.state_insertions += 1;
         ctx.metrics.charge(CostKind::StateInsert, 1);
 
         // Route through the remaining STeMs, accumulating partial results.
@@ -157,7 +155,6 @@ impl Operator for EddyOperator {
             for partial in &partials {
                 let mut examine =
                     |entry: &crate::state::StoredTuple, metrics: &mut jit_metrics::RunMetrics| {
-                        metrics.stats.probe_pairs += 1;
                         metrics.charge(CostKind::ProbePair, 1);
                         if window.can_join(partial.ts(), entry.tuple.ts())
                             && predicates.join_matches(partial, &entry.tuple, &mut evals)
@@ -180,7 +177,6 @@ impl Operator for EddyOperator {
                     }
                 }
             }
-            ctx.metrics.stats.predicate_evals += evals;
             ctx.metrics.charge(CostKind::PredicateEval, evals);
             // Partial results that did not reach the full schema yet continue
             // routing; in this clique setting every STeM visit extends the

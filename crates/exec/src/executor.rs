@@ -120,7 +120,6 @@ impl Executor {
         let subscribers = self.source_subscribers.get(source.index());
         for i in 0..subscribers.map_or(0, Vec::len) {
             let (op, port) = self.source_subscribers[source.index()][i];
-            self.metrics.stats.queued_tuples += 1;
             self.metrics.charge(CostKind::QueueOp, 1);
             self.scheduler.push(
                 Task {
@@ -163,7 +162,6 @@ impl Executor {
     /// Run scheduled tasks until the cascade is drained.
     fn run_cascade(&mut self) {
         while let Some(task) = self.scheduler.pop() {
-            self.metrics.stats.tasks_executed += 1;
             self.metrics.charge(CostKind::TaskDispatch, 1);
             self.dispatch(task);
             self.sample_memory();
@@ -249,7 +247,6 @@ impl Executor {
             for r in 0..block.len() {
                 let msg = block.row_message(r);
                 for (consumer, port) in &consumers {
-                    self.metrics.stats.queued_tuples += 1;
                     self.metrics.charge(CostKind::QueueOp, 1);
                     self.scheduler.push(
                         Task {
@@ -298,7 +295,6 @@ impl Executor {
             self.metrics.stats.intermediate_produced += results.len() as u64;
             for msg in results {
                 for (consumer, port) in &consumers {
-                    self.metrics.stats.queued_tuples += 1;
                     self.metrics.charge(CostKind::QueueOp, 1);
                     self.scheduler.push(
                         Task {

@@ -134,7 +134,6 @@ impl Operator for RefJoinOperator {
 
         // Purge: drop expired tuples from both states.
         let purged = own_state.purge(self.window, now) + opp_state.purge(self.window, now);
-        ctx.metrics.stats.purged_tuples += purged as u64;
         ctx.metrics.charge(CostKind::StatePurge, purged as u64);
 
         // Probe: only the candidate partners the index returns; the scan
@@ -148,7 +147,6 @@ impl Operator for RefJoinOperator {
         let predicates = &self.predicates;
         {
             let mut examine = |entry: &crate::state::StoredTuple, metrics: &mut RunMetrics| {
-                metrics.stats.probe_pairs += 1;
                 metrics.charge(CostKind::ProbePair, 1);
                 if window.can_join(msg.tuple.ts(), entry.tuple.ts())
                     && predicates.join_matches(&msg.tuple, &entry.tuple, &mut evals)
@@ -171,12 +169,10 @@ impl Operator for RefJoinOperator {
                 }
             }
         }
-        ctx.metrics.stats.predicate_evals += evals;
         ctx.metrics.charge(CostKind::PredicateEval, evals);
 
         // Insert: store the incoming tuple in its own state.
         own_state.insert(msg.tuple.clone(), now);
-        ctx.metrics.stats.state_insertions += 1;
         ctx.metrics.charge(CostKind::StateInsert, 1);
 
         hits.clear();

@@ -89,14 +89,12 @@ impl Operator for HalfJoinOperator {
     ) -> OperatorOutput {
         let now = ctx.now;
         let purged = self.state.purge(self.window, now);
-        ctx.metrics.stats.purged_tuples += purged as u64;
         ctx.metrics.charge(CostKind::StatePurge, purged as u64);
 
         match port {
             MAINTENANCE_PORT => {
                 // Maintain the state; produce nothing.
                 self.state.insert(msg.tuple.clone(), now);
-                ctx.metrics.stats.state_insertions += 1;
                 ctx.metrics.charge(CostKind::StateInsert, 1);
                 OperatorOutput::empty()
             }
@@ -116,7 +114,6 @@ impl Operator for HalfJoinOperator {
                 {
                     let mut examine =
                         |entry: &crate::state::StoredTuple, metrics: &mut RunMetrics| {
-                            metrics.stats.probe_pairs += 1;
                             metrics.charge(CostKind::ProbePair, 1);
                             if window.can_join(msg.tuple.ts(), entry.tuple.ts())
                                 && predicates.join_matches(&msg.tuple, &entry.tuple, &mut evals)
@@ -138,7 +135,6 @@ impl Operator for HalfJoinOperator {
                         }
                     }
                 }
-                ctx.metrics.stats.predicate_evals += evals;
                 ctx.metrics.charge(CostKind::PredicateEval, evals);
                 OperatorOutput::with_columnar(results)
             }

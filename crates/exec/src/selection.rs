@@ -55,7 +55,6 @@ impl Operator for SelectionOperator {
         msg: &DataMessage,
         ctx: &mut OpContext<'_>,
     ) -> OperatorOutput {
-        ctx.metrics.stats.predicate_evals += 1;
         ctx.metrics.charge(CostKind::PredicateEval, 1);
         // A tuple that does not cover the filtered column cannot satisfy the
         // filter; treat "not applicable" as rejection.

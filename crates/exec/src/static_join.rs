@@ -129,7 +129,6 @@ impl Operator for StaticJoinOperator {
         let mut results = Vec::new();
         let mut evals = 0u64;
         for pos in self.candidate_positions(&msg.tuple) {
-            ctx.metrics.stats.probe_pairs += 1;
             ctx.metrics.charge(CostKind::ProbePair, 1);
             let rel = Tuple::from_base(self.relation[pos].clone());
             if self.predicates.join_matches(&msg.tuple, &rel, &mut evals) {
@@ -142,7 +141,6 @@ impl Operator for StaticJoinOperator {
                 }
             }
         }
-        ctx.metrics.stats.predicate_evals += evals;
         ctx.metrics.charge(CostKind::PredicateEval, evals);
         OperatorOutput::with_results(results)
     }

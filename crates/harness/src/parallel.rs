@@ -87,7 +87,6 @@ pub fn run_parallel_trace(
 mod tests {
     use super::*;
     use jit_exec::output;
-    use jit_plan::runtime::QueryRuntime;
     use jit_types::Duration;
 
     fn small_spec() -> WorkloadSpec {
@@ -103,14 +102,12 @@ mod tests {
         let spec = small_spec();
         let shape = PlanShape::bushy(3);
         let trace = WorkloadGenerator::generate(&spec);
-        let sequential = QueryRuntime::run_trace(
-            &trace,
-            &spec,
-            &shape,
-            ExecutionMode::Ref,
-            ExecutorConfig::default(),
-        )
-        .unwrap();
+        let sequential = Engine::builder()
+            .workload(&spec, &shape)
+            .build()
+            .unwrap()
+            .run_trace(&trace)
+            .unwrap();
         let parallel = run_parallel_trace(
             &trace,
             &spec,

@@ -12,35 +12,50 @@ use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// The elementary operations charged by the cost model.
+///
+/// `RunMetrics::charge` also adds the charged count to the `ExecStats`
+/// field named on each variant, so call sites never count those events
+/// themselves. `ResultBuild`, `FeedbackHandle` and `BlacklistMove` feed no
+/// statistic through `charge`: their counters depend on something the kind
+/// does not carry, and the call sites keep explicit `stats` statements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CostKind {
     /// Examining one *candidate* stored tuple while probing a state: every
     /// live tuple under a nested-loop scan, only the hash partition (plus
     /// unindexable overflow) under indexed states. Charged once per
-    /// candidate actually examined, in lock-step with the `probe_pairs`
-    /// statistic.
+    /// candidate actually examined. Feeds `probe_pairs`.
     ProbePair,
-    /// Evaluating one equi-join or filter predicate.
+    /// Evaluating one equi-join or filter predicate. Feeds
+    /// `predicate_evals`.
     PredicateEval,
-    /// Materialising one (partial or final) result tuple.
+    /// Materialising one (partial or final) result tuple. No statistic:
+    /// whether it counts as `intermediate_produced` or `results_emitted` is
+    /// decided where the result is routed, not where it is built.
     ResultBuild,
-    /// Inserting a tuple into an operator state.
+    /// Inserting a tuple into an operator state. Feeds `state_insertions`.
     StateInsert,
-    /// Removing an expired tuple from an operator state.
+    /// Removing an expired tuple from an operator state. Feeds
+    /// `purged_tuples`.
     StatePurge,
-    /// Enqueuing / dequeuing a tuple on an inter-operator queue.
+    /// Enqueuing / dequeuing a tuple on an inter-operator queue. Feeds
+    /// `queued_tuples`.
     QueueOp,
-    /// Probing an MNS buffer entry.
+    /// Probing an MNS buffer entry. Feeds `mns_buffer_probes`.
     MnsBufferProbe,
-    /// Visiting a node of the CNS lattice during `Identify_MNS`.
+    /// Visiting a node of the CNS lattice during `Identify_MNS`. Feeds
+    /// `lattice_nodes_visited`.
     LatticeNode,
-    /// One Bloom filter hash-and-test.
+    /// One Bloom filter hash-and-test. Feeds `bloom_checks`.
     BloomCheck,
-    /// Creating or handling one feedback message.
+    /// Creating or handling one feedback message. No statistic: the
+    /// `feedback_*` counters are per command and counted where the message
+    /// is sent.
     FeedbackHandle,
     /// Moving one tuple between a state and a blacklist (either direction).
+    /// No statistic: the direction picks `blacklisted_tuples` or
+    /// `resumed_tuples`.
     BlacklistMove,
-    /// Scheduler task dispatch overhead.
+    /// Scheduler task dispatch overhead. Feeds `tasks_executed`.
     TaskDispatch,
 }
 
@@ -97,6 +112,7 @@ impl Default for CostModel {
 
 impl CostModel {
     /// The weight for a given operation kind.
+    #[inline]
     pub fn weight(&self, kind: CostKind) -> u64 {
         match kind {
             CostKind::ProbePair => self.probe_pair,
@@ -142,6 +158,7 @@ impl CostTracker {
     }
 
     /// Charge `count` operations of the given kind.
+    #[inline]
     pub fn charge(&mut self, kind: CostKind, count: u64) {
         self.total_units += self.model.weight(kind) * count;
     }

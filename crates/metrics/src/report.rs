@@ -33,9 +33,27 @@ impl RunMetrics {
         }
     }
 
-    /// Charge `count` operations of `kind` to the cost model.
+    /// Charge `count` operations of `kind` to the cost model **and** add
+    /// `count` to the statistic that kind feeds, so a charge and its counter
+    /// cannot drift apart. This match is the only place that pairing is
+    /// written down; the three kinds in its last arm have no 1:1 statistic
+    /// (see [`CostKind`]) and their call sites count explicitly.
+    #[inline]
     pub fn charge(&mut self, kind: CostKind, count: u64) {
         self.cost.charge(kind, count);
+        let stats = &mut self.stats;
+        match kind {
+            CostKind::ProbePair => stats.probe_pairs += count,
+            CostKind::PredicateEval => stats.predicate_evals += count,
+            CostKind::StateInsert => stats.state_insertions += count,
+            CostKind::StatePurge => stats.purged_tuples += count,
+            CostKind::QueueOp => stats.queued_tuples += count,
+            CostKind::MnsBufferProbe => stats.mns_buffer_probes += count,
+            CostKind::LatticeNode => stats.lattice_nodes_visited += count,
+            CostKind::BloomCheck => stats.bloom_checks += count,
+            CostKind::TaskDispatch => stats.tasks_executed += count,
+            CostKind::ResultBuild | CostKind::FeedbackHandle | CostKind::BlacklistMove => {}
+        }
     }
 
     /// Register a memory component.
@@ -235,6 +253,39 @@ mod tests {
         // Zero is the identity.
         let same = MetricsSnapshot::aggregate_parallel([&total, &MetricsSnapshot::zero()]);
         assert_eq!(same, total);
+    }
+
+    #[test]
+    fn charge_moves_cost_units_and_exactly_the_documented_statistic() {
+        type Field = fn(&mut ExecStats) -> &mut u64;
+        let table: [(CostKind, Option<Field>); 12] = [
+            (CostKind::ProbePair, Some(|s| &mut s.probe_pairs)),
+            (CostKind::PredicateEval, Some(|s| &mut s.predicate_evals)),
+            (CostKind::ResultBuild, None),
+            (CostKind::StateInsert, Some(|s| &mut s.state_insertions)),
+            (CostKind::StatePurge, Some(|s| &mut s.purged_tuples)),
+            (CostKind::QueueOp, Some(|s| &mut s.queued_tuples)),
+            (CostKind::MnsBufferProbe, Some(|s| &mut s.mns_buffer_probes)),
+            (
+                CostKind::LatticeNode,
+                Some(|s| &mut s.lattice_nodes_visited),
+            ),
+            (CostKind::BloomCheck, Some(|s| &mut s.bloom_checks)),
+            (CostKind::FeedbackHandle, None),
+            (CostKind::BlacklistMove, None),
+            (CostKind::TaskDispatch, Some(|s| &mut s.tasks_executed)),
+        ];
+        let weights = CostModel::default();
+        for (kind, field) in table {
+            let mut m = RunMetrics::new();
+            m.charge(kind, 7);
+            assert_eq!(m.cost.total_units(), weights.weight(kind) * 7, "{kind:?}");
+            let mut expected = ExecStats::default();
+            if let Some(field) = field {
+                *field(&mut expected) = 7;
+            }
+            assert_eq!(m.stats, expected, "{kind:?}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! # jit-plan
 //!
-//! Query-plan construction and the end-to-end query runtime.
+//! Query-plan construction.
 //!
 //! * [`shapes`] — the plan shapes of Table II (bushy and left-deep binary
 //!   join trees for `N = 3..8`), plus M-Join and Eddy alternatives.
@@ -12,10 +12,8 @@
 //!   normalizes it to a hashable [`canonical::CanonicalKey`], so a
 //!   multi-query serving tier can detect queries that denote the same
 //!   computation and share one pipeline between them.
-//! * [`runtime`] — [`runtime::QueryRuntime`] generates (or accepts) an
-//!   arrival trace and drives it through the plan, returning results and a
-//!   metrics snapshot; this is the entry point examples, tests and the
-//!   experiment harness all share.
+//!
+//! Plans are driven through `jit_engine::Engine`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -23,7 +21,6 @@
 pub mod builder;
 pub mod canonical;
 pub mod cql;
-pub mod runtime;
 pub mod shapes;
 
 pub use builder::{
@@ -32,5 +29,4 @@ pub use builder::{
 };
 pub use canonical::{CanonicalKey, CanonicalQuery, FilterTerm};
 pub use cql::{parse_cql, CqlQuery};
-pub use runtime::{QueryRuntime, RunOutcome};
 pub use shapes::{JoinNode, PlanInput, PlanShape, TreeShape};

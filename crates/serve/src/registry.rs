@@ -427,40 +427,6 @@ impl QueryRegistry {
     /// filter class, folded once into each shared leaf window, and routed
     /// to every pipeline whose class passed.
     pub fn push(&mut self, tuple: Arc<BaseTuple>) -> Result<(), ServeError> {
-        self.push_classified(tuple, None)
-    }
-
-    /// Push one source's pre-batched run of arrivals. Identical routing and
-    /// accounting to pushing each row with [`QueryRegistry::push`], except
-    /// classification is vectorized: every distinct filter class on the
-    /// batch's source is evaluated in one
-    /// [`SelectionIndex::classify_batch`] call — a packed-mask kernel pass
-    /// per class term when the batch carries a columnar projection — instead
-    /// of once per row. Rows must respect the registry's timestamp contract
-    /// exactly as individual pushes would.
-    pub fn push_batch(&mut self, batch: &jit_types::Batch) -> Result<(), ServeError> {
-        let source = batch.source();
-        if self.catalog.source(source).is_none() {
-            return Err(ServeError::UnknownSource(source));
-        }
-        let masks = self.selection.classify_batch(source, batch);
-        let per_row: Vec<Vec<(ClassId, bool)>> = (0..batch.len())
-            .map(|r| masks.iter().map(|(c, m)| (*c, m.get(r))).collect())
-            .collect();
-        for (row, verdicts) in batch.rows().iter().zip(per_row) {
-            self.push_classified(Arc::clone(row), Some(verdicts))?;
-        }
-        Ok(())
-    }
-
-    /// Shared body of [`QueryRegistry::push`] and
-    /// [`QueryRegistry::push_batch`]: `precomputed` carries this arrival's
-    /// class verdicts when a batch classification already produced them.
-    fn push_classified(
-        &mut self,
-        tuple: Arc<BaseTuple>,
-        precomputed: Option<Vec<(ClassId, bool)>>,
-    ) -> Result<(), ServeError> {
         let source = tuple.source;
         if self.catalog.source(source).is_none() {
             return Err(ServeError::UnknownSource(source));
@@ -486,12 +452,8 @@ impl QueryRegistry {
         let global_tuple = Tuple::from_base(tuple.clone());
 
         // Shared selection: one evaluation per distinct class on this
-        // source, reused by every holder (already done batch-wide when the
-        // arrival came in through `push_batch`).
-        let verdicts = match precomputed {
-            Some(v) => v,
-            None => self.selection.classify(source, &global_tuple),
-        };
+        // source, reused by every holder.
+        let verdicts = self.selection.classify(source, &global_tuple);
         let mut passed: FastMap<ClassId, bool> =
             FastMap::with_capacity_and_hasher(verdicts.len(), Default::default());
         for (class, ok) in verdicts {
@@ -1065,61 +1027,6 @@ mod tests {
         assert_eq!(report.routed, 4);
         assert_eq!(reg.poll_results(q1).unwrap().len(), 1);
         assert_eq!(reg.poll_results(q2).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn push_batch_matches_per_row_pushes() {
-        use jit_types::BlockBuilder;
-        let filtered = "SELECT * FROM A [RANGE 1 minutes], B [RANGE 1 minutes] \
-                        WHERE A.k = B.k AND A.v > 10";
-        let build = |reg: &mut QueryRegistry| {
-            (
-                reg.register(filtered).unwrap(),
-                reg.register(JOIN_AB).unwrap(),
-            )
-        };
-        let a_rows: Vec<(u64, Vec<i64>)> =
-            vec![(0, vec![7, 5]), (1, vec![7, 20]), (2, vec![8, 30])];
-
-        let mut row_reg = QueryRegistry::new(catalog());
-        let (rq1, rq2) = build(&mut row_reg);
-        for (ts, values) in &a_rows {
-            push(&mut row_reg, 0, *ts, values.clone());
-        }
-        push(&mut row_reg, 1, 3, vec![7, 0]);
-
-        let mut batch_reg = QueryRegistry::new(catalog());
-        let (bq1, bq2) = build(&mut batch_reg);
-        let mut builder = BlockBuilder::new().with_columns(true);
-        for (i, (ts, values)) in a_rows.iter().enumerate() {
-            builder.push(
-                SourceId(0),
-                Arc::new(BaseTuple::new(
-                    SourceId(0),
-                    i as u64,
-                    Timestamp(*ts),
-                    values.iter().map(|&v| Value::int(v)).collect(),
-                )),
-            );
-        }
-        let block = builder.finish();
-        batch_reg.push_batch(&block.batches()[0]).unwrap();
-        push(&mut batch_reg, 1, 3, vec![7, 0]);
-
-        // Identical results per query and identical sharing accounting.
-        assert_eq!(
-            row_reg.poll_results(rq1).unwrap(),
-            batch_reg.poll_results(bq1).unwrap()
-        );
-        assert_eq!(
-            row_reg.poll_results(rq2).unwrap(),
-            batch_reg.poll_results(bq2).unwrap()
-        );
-        let (r, b) = (row_reg.sharing_report(), batch_reg.sharing_report());
-        assert_eq!(r.routed, b.routed);
-        assert_eq!(r.classifications, b.classifications);
-        assert_eq!(r.classifications_saved, b.classifications_saved);
-        assert!(b.routed > 0);
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! a later one holding the same terms.
 
 use jit_plan::FilterTerm;
-use jit_types::kernel::{self, BitMask};
-use jit_types::{Batch, ColumnRef, CompareOp, FastMap, FilterPredicate, SourceId, Tuple, Value};
+use jit_types::{ColumnRef, CompareOp, FastMap, FilterPredicate, SourceId, Tuple, Value};
 
 /// Stable handle to one deduplicated filter conjunction.
 pub type ClassId = usize;
@@ -122,63 +121,6 @@ impl SelectionIndex {
         verdicts
     }
 
-    /// Batched [`SelectionIndex::classify`]: evaluate every distinct class
-    /// on `source` against a whole batch at once, returning one packed
-    /// verdict mask per class. When the batch carries a columnar projection
-    /// each term runs as one [`kernel::filter_mask`] pass and the terms AND
-    /// together word-wise; otherwise the scalar per-row check decides each
-    /// bit. Either way a row not carrying the filtered column is rejected,
-    /// and `evaluations` advances by one per class per row — exactly as if
-    /// [`SelectionIndex::classify`] had run on every row.
-    pub fn classify_batch(&mut self, source: SourceId, batch: &Batch) -> Vec<(ClassId, BitMask)> {
-        let Some(ids) = self.by_source.get(&source) else {
-            return Vec::new();
-        };
-        let n = batch.len();
-        let num_classes = ids.len();
-        let mut verdicts = Vec::with_capacity(num_classes);
-        let mut term_mask = BitMask::new();
-        for &id in ids {
-            // INVARIANT: by_source only references live class slots (removed
-            // together in release).
-            let entry = self.classes[id].as_ref().expect("live class");
-            let mut mask = BitMask::filled(n, true);
-            for p in &entry.predicates {
-                if p.column.source != source {
-                    // The filtered column cannot appear on any row here.
-                    mask = BitMask::zeros(n);
-                    break;
-                }
-                if let Some(array) = batch.column(p.column.column as usize) {
-                    kernel::filter_mask(array, p.op, &p.constant, &mut term_mask);
-                } else {
-                    // No columnar projection (or the column is beyond it):
-                    // decide each row from its base tuple. A missing cell
-                    // rejects, as on the per-tuple path.
-                    term_mask = BitMask::zeros(n);
-                    for (r, row) in batch.rows().iter().enumerate() {
-                        let pass = row.value(p.column.column).is_some_and(|v| match p.op {
-                            CompareOp::Eq => *v == p.constant,
-                            CompareOp::Ne => *v != p.constant,
-                            CompareOp::Lt => *v < p.constant,
-                            CompareOp::Le => *v <= p.constant,
-                            CompareOp::Gt => *v > p.constant,
-                            CompareOp::Ge => *v >= p.constant,
-                        });
-                        term_mask.set(r, pass);
-                    }
-                }
-                mask.and_assign(&term_mask);
-                if !mask.any() {
-                    break;
-                }
-            }
-            verdicts.push((id, mask));
-        }
-        self.evaluations += (num_classes * n) as u64;
-        verdicts
-    }
-
     /// Number of references currently held on `id` (0 if released).
     pub fn refcount(&self, id: ClassId) -> usize {
         self.classes
@@ -259,66 +201,6 @@ mod tests {
         // A tuple missing the filtered column is rejected, not passed.
         let short = index.classify(SourceId(0), &tuple(0, vec![20]));
         assert_eq!(short, vec![(gt, true), (lt, false)]);
-    }
-
-    #[test]
-    fn classify_batch_matches_per_row_classify() {
-        use jit_types::BlockBuilder;
-        let mut index = SelectionIndex::new();
-        let gt = index
-            .acquire(SourceId(0), &[term(0, 0, CompareOp::Gt, 10)])
-            .unwrap();
-        let lt = index
-            .acquire(SourceId(0), &[term(0, 1, CompareOp::Lt, 5)])
-            .unwrap();
-        let both = index
-            .acquire(
-                SourceId(0),
-                &[term(0, 0, CompareOp::Gt, 10), term(0, 1, CompareOp::Lt, 5)],
-            )
-            .unwrap();
-        let rows: Vec<Vec<i64>> = vec![vec![20, 9], vec![5, 1], vec![30, 2], vec![11, 5]];
-        let mut builder = BlockBuilder::new().with_columns(true);
-        for (i, values) in rows.iter().enumerate() {
-            builder.push(
-                SourceId(0),
-                Arc::new(BaseTuple::new(
-                    SourceId(0),
-                    i as u64,
-                    Timestamp(i as u64),
-                    values.iter().map(|&v| Value::int(v)).collect(),
-                )),
-            );
-        }
-        let block = builder.finish();
-        let batch = &block.batches()[0];
-        let masks = index.classify_batch(SourceId(0), batch);
-        assert_eq!(masks.len(), 3);
-        // Three classes × four rows, charged as if classified row by row.
-        assert_eq!(index.evaluations(), 12);
-        // Kernel masks agree bit-for-bit with the scalar path.
-        let mut scalar = SelectionIndex::new();
-        scalar.acquire(SourceId(0), &[term(0, 0, CompareOp::Gt, 10)]);
-        scalar.acquire(SourceId(0), &[term(0, 1, CompareOp::Lt, 5)]);
-        scalar.acquire(
-            SourceId(0),
-            &[term(0, 0, CompareOp::Gt, 10), term(0, 1, CompareOp::Lt, 5)],
-        );
-        for (r, values) in rows.iter().enumerate() {
-            let verdicts = scalar.classify(SourceId(0), &tuple(0, values.clone()));
-            for ((class, mask), (scalar_class, passed)) in masks.iter().zip(verdicts) {
-                assert_eq!(*class, scalar_class);
-                assert_eq!(mask.get(r), passed, "class {class} row {r}");
-            }
-        }
-        assert_eq!(
-            masks
-                .iter()
-                .map(|(_, m)| m.count_ones())
-                .collect::<Vec<_>>(),
-            vec![3, 2, 1]
-        );
-        let _ = (gt, lt, both);
     }
 
     #[test]

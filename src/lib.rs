@@ -61,7 +61,6 @@ pub mod prelude {
     pub use jit_harness::figures::{run_figure, FigureSpec};
     pub use jit_harness::parallel::{parallel_workload, run_parallel, run_parallel_trace};
     pub use jit_plan::cql::parse_cql;
-    pub use jit_plan::runtime::{QueryRuntime, RunOutcome};
     pub use jit_plan::shapes::{PlanShape, TreeShape};
     pub use jit_runtime::{ParallelOutcome, RuntimeConfig, ShardedRuntime, ShardedSession};
     pub use jit_serve::{QueryId, QueryRegistry, ServeOptions};

@@ -4,9 +4,8 @@
 //! The headline test drives the *same* pushed tuple sequence through both
 //! `Backend` implementations — the single-threaded executor and the sharded
 //! runtime at 1 and 4 shards — purely by builder configuration, and asserts
-//! set-equal, timestamp-ordered results and matching steady-state metrics
-//! against the legacy `QueryRuntime::run` path (which still drives the raw
-//! executor directly, making it an independent oracle).
+//! set-equal, timestamp-ordered results and matching steady-state metrics,
+//! with the single-threaded backend as the reference.
 
 use jit_dsms::prelude::*;
 use std::sync::Arc;
@@ -30,24 +29,16 @@ fn push_through(builder: EngineBuilder, trace: &Trace) -> EngineOutcome {
 }
 
 #[test]
-fn same_pushed_sequence_through_both_backends_matches_legacy_runtime() {
+fn same_pushed_sequence_through_both_backends_matches() {
     let spec = shared_key_spec();
     let shape = PlanShape::bushy(4);
     let trace = WorkloadGenerator::generate(&spec);
 
-    // Legacy oracle: the pre-engine batch driver on the raw executor.
-    let legacy = QueryRuntime::run_trace(
-        &trace,
-        &spec,
-        &shape,
-        ExecutionMode::Ref,
-        ExecutorConfig::default(),
-    )
-    .expect("legacy plan builds");
-    assert!(legacy.results_count > 0, "workload must produce results");
-
     let builder = Engine::builder().workload(&spec, &shape); // REF by default
     let single = push_through(builder.clone(), &trace);
+    assert!(single.results_count > 0, "workload must produce results");
+    assert!(output::is_temporally_ordered(&single.results));
+    assert_eq!(single.order_violations, 0);
     let one_shard = push_through(
         builder.clone().sharded(RuntimeConfig::with_shards(1)),
         &trace,
@@ -57,53 +48,44 @@ fn same_pushed_sequence_through_both_backends_matches_legacy_runtime() {
         &trace,
     );
 
-    for (label, outcome) in [
-        ("single-threaded", &single),
-        ("1 shard", &one_shard),
-        ("4 shards", &four_shards),
-    ] {
+    for (label, outcome) in [("1 shard", &one_shard), ("4 shards", &four_shards)] {
         assert!(
-            output::same_results(&legacy.results, &outcome.results),
-            "{label} diverged from the legacy runtime: missing {}, extra {}",
-            output::missing_from(&legacy.results, &outcome.results).len(),
-            output::missing_from(&outcome.results, &legacy.results).len(),
+            output::same_results(&single.results, &outcome.results),
+            "{label} diverged from the single-threaded backend: missing {}, extra {}",
+            output::missing_from(&single.results, &outcome.results).len(),
+            output::missing_from(&outcome.results, &single.results).len(),
         );
         assert!(
             output::is_temporally_ordered(&outcome.results),
             "{label} results out of timestamp order"
         );
         assert_eq!(outcome.order_violations, 0, "{label}");
-        assert_eq!(outcome.results_count, legacy.results_count, "{label}");
+        assert_eq!(outcome.results_count, single.results_count, "{label}");
     }
 
     // Steady-state metrics. The single-threaded backend and the one-shard
     // sharded backend run the identical executor over the identical
-    // sequence, so every deterministic metric matches the legacy run
-    // exactly (wall-clock is the one nondeterministic field).
-    for (label, outcome) in [("single-threaded", &single), ("1 shard", &one_shard)] {
-        assert_eq!(outcome.snapshot.stats, legacy.snapshot.stats, "{label}");
-        assert_eq!(
-            outcome.snapshot.steady_cost_units, legacy.snapshot.steady_cost_units,
-            "{label}"
-        );
-        assert_eq!(
-            outcome.snapshot.cost_units, legacy.snapshot.cost_units,
-            "{label}"
-        );
-        assert_eq!(
-            outcome.snapshot.steady_peak_memory_bytes, legacy.snapshot.steady_peak_memory_bytes,
-            "{label}"
-        );
-    }
+    // sequence, so every deterministic metric matches exactly (wall-clock
+    // is the one nondeterministic field).
+    assert_eq!(one_shard.snapshot.stats, single.snapshot.stats);
+    assert_eq!(
+        one_shard.snapshot.steady_cost_units,
+        single.snapshot.steady_cost_units
+    );
+    assert_eq!(one_shard.snapshot.cost_units, single.snapshot.cost_units);
+    assert_eq!(
+        one_shard.snapshot.steady_peak_memory_bytes,
+        single.snapshot.steady_peak_memory_bytes
+    );
     // At 4 shards the partition-invariant counters still agree (per-probe
     // cost shrinks with per-shard state, so cost units legitimately drop).
     assert_eq!(
         four_shards.snapshot.stats.tuples_arrived,
-        legacy.snapshot.stats.tuples_arrived
+        single.snapshot.stats.tuples_arrived
     );
     assert_eq!(
         four_shards.snapshot.stats.results_emitted,
-        legacy.snapshot.stats.results_emitted
+        single.snapshot.stats.results_emitted
     );
     assert_eq!(four_shards.per_shard.len(), 4);
 }

@@ -156,8 +156,11 @@ fn all_table2_plans_run_under_every_mode() {
             .with_dmax(6)
             .with_duration(Duration::from_secs(90))
             .with_seed(13);
-        let outcomes =
-            QueryRuntime::compare(&spec, &shape, &modes, ExecutorConfig::default()).unwrap();
+        let trace = WorkloadGenerator::generate(&spec);
+        let outcomes = Engine::builder()
+            .workload(&spec, &shape)
+            .compare(&trace, &modes)
+            .unwrap();
         let reference = &outcomes[0];
         for other in &outcomes[1..] {
             assert!(
@@ -234,14 +237,12 @@ fn mjoin_and_eddy_plans_match_the_tree_plan_results() {
     let trace = WorkloadGenerator::generate(&spec);
 
     // Reference: left-deep tree.
-    let tree = QueryRuntime::run_trace(
-        &trace,
-        &spec,
-        &PlanShape::left_deep(n),
-        ExecutionMode::Ref,
-        ExecutorConfig::default(),
-    )
-    .unwrap();
+    let tree = Engine::builder()
+        .workload(&spec, &PlanShape::left_deep(n))
+        .build()
+        .unwrap()
+        .run_trace(&trace)
+        .unwrap();
 
     // M-Join: no stored intermediate results, same final results.
     let mut mjoin_exec = Executor::new(

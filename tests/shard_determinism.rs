@@ -21,8 +21,13 @@ fn spec(sources: usize, seed: u64) -> WorkloadSpec {
 
 fn check_against_sequential(spec: &WorkloadSpec, shape: &PlanShape, mode: ExecutionMode) {
     let trace = WorkloadGenerator::generate(spec);
-    let sequential = QueryRuntime::run_trace(&trace, spec, shape, mode, ExecutorConfig::default())
-        .expect("sequential plan builds");
+    let sequential = Engine::builder()
+        .workload(spec, shape)
+        .mode(mode)
+        .build()
+        .expect("sequential plan builds")
+        .run_trace(&trace)
+        .expect("sequential run succeeds");
     assert!(
         sequential.results_count > 0,
         "workload must produce results for the comparison to mean anything"
@@ -78,14 +83,12 @@ fn jit_matches_sequential_ref_result_set() {
     let spec = spec(4, 7);
     let shape = PlanShape::bushy(4);
     let trace = WorkloadGenerator::generate(&spec);
-    let reference = QueryRuntime::run_trace(
-        &trace,
-        &spec,
-        &shape,
-        ExecutionMode::Ref,
-        ExecutorConfig::default(),
-    )
-    .expect("plan builds");
+    let reference = Engine::builder()
+        .workload(&spec, &shape)
+        .build()
+        .expect("plan builds")
+        .run_trace(&trace)
+        .expect("sequential REF runs");
     assert!(reference.results_count > 0);
     for shards in SHARD_COUNTS {
         let parallel = run_parallel_trace(
