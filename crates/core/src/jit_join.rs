@@ -7,7 +7,15 @@
 //!   feedback), then the opposite state (producing join results and feeding
 //!   the CNS lattice), then reports newly detected MNSs as suspension
 //!   feedback to the producer of its own input, and is finally inserted into
-//!   its own state.
+//!   its own state. Detection is demand-driven: a port looks only for the
+//!   MNSs its producer can act on ([`Producer`], stated by the plan builder).
+//!   Fed by a source or a selection chain it looks for none and runs the
+//!   plain join path — no lattice, no membership probes, no MNS buffer
+//!   entry, no feedback, no Bloom filter on the opposite state; fed by a
+//!   join it leaves out the MNSs spanning both of that join's inputs unless
+//!   [`JitPolicy::handle_type2`] is on. Ignoring a message is always legal
+//!   (Section IV-B), so not sending one the receiver would ignore changes
+//!   no suppression decision.
 //! * **Producer** (`Handle_Feedback`): suspension feedback drains the
 //!   super-tuples of the named MNS (and, optionally, "similar" tuples with
 //!   the same join-attribute values) from the corresponding state into a
@@ -71,6 +79,47 @@ fn sorted_pairs<K: Ord + Clone, V: Clone>(map: &FastMap<K, V>) -> Vec<(K, V)> {
 /// insertion or drain), so that same-millisecond events stay ordered.
 type PresenceHistory = FastMap<TupleKey, Vec<(u64, u64)>>;
 
+/// What feeds one input port of a [`JitJoinOperator`], i.e. which of the
+/// port's MNSs a `<suspend>` could do anything about. A fact of the plan,
+/// fixed when the plan is built ([`JitJoinOperator::fed_by`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Producer {
+    /// Not stated (an operator constructed outside a plan builder): every
+    /// MNS is detected, buffered and reported.
+    #[default]
+    Unknown,
+    /// A raw source or a selection chain. Neither withholds production, so
+    /// feedback to it is dropped and the port detects nothing, Ø included.
+    Passive,
+    /// A join with these two input schemas. It acts on Ø and on an MNS lying
+    /// inside one of its inputs; one spanning both (Type II, Section IV-B)
+    /// it ignores unless [`JitPolicy::handle_type2`] is on.
+    Join {
+        /// Schema of the producer's left input.
+        left: SourceSet,
+        /// Schema of the producer's right input.
+        right: SourceSet,
+    },
+}
+
+impl Producer {
+    /// Does the port report anything at all?
+    fn listens(self) -> bool {
+        self != Producer::Passive
+    }
+
+    /// Would the producer act on feedback naming an MNS with this coverage?
+    fn acts_on(self, coverage: SourceSet, handle_type2: bool) -> bool {
+        match self {
+            Producer::Unknown => true,
+            Producer::Passive => false,
+            Producer::Join { left, right } => {
+                handle_type2 || coverage.is_subset(left) || coverage.is_subset(right)
+            }
+        }
+    }
+}
+
 /// Binary sliding-window join with JIT feedback (consumer and producer roles).
 pub struct JitJoinOperator {
     name: String,
@@ -79,6 +128,8 @@ pub struct JitJoinOperator {
     predicates: PredicateSet,
     window: Window,
     policy: JitPolicy,
+    /// Per-port: what feeds the port, hence which MNSs it detects.
+    producers: [Producer; 2],
     /// Per-side operator states (index 0 = left, 1 = right).
     states: [OperatorState; 2],
     /// Per-side MNS buffers: MNSs detected on that side's inputs.
@@ -98,13 +149,11 @@ pub struct JitJoinOperator {
     /// Full-key spec for probing the *opposite* state with an input
     /// arriving on each port, precomputed from the predicates.
     probe_specs: [JoinKeySpec; 2],
-    /// Per-port membership-probe specs for every lattice node (subset of
-    /// the port's candidate sources), precomputed so the hashed probe path
-    /// allocates no spec per tuple.
-    node_specs: [FastMap<SourceSet, JoinKeySpec>; 2],
-    /// Per-port lattice nodes in settling order (largest first), so the
-    /// hashed probe path allocates and sorts nothing per tuple.
-    node_order: [Vec<SourceSet>; 2],
+    /// Per-port lattice nodes (the subsets of the port's candidate sources
+    /// its producer acts on) in settling order, largest first, each with its
+    /// membership-probe spec — precomputed so the hashed probe path
+    /// allocates and sorts nothing per tuple.
+    nodes: [Vec<(SourceSet, JoinKeySpec)>; 2],
     /// Per MNS coverage (which fixes the side), the columns used to
     /// recognise tuples "similar" to such an MNS and the spec that finds
     /// the stored tuples carrying its values on them. Filled on the first
@@ -149,21 +198,10 @@ impl JitJoinOperator {
                 schema_of(port),
             )
         });
-        let node_specs = [LEFT, RIGHT].map(|port| {
+        let nodes = [LEFT, RIGHT].map(|port| {
             let opp_schema = schema_of(Self::opposite(port));
-            predicates
-                .sources_facing(schema_of(port), opp_schema)
-                .non_empty_subsets()
-                .into_iter()
-                .map(|node| (node, JoinKeySpec::between(&predicates, opp_schema, node)))
-                .collect()
-        });
-        let node_order = [LEFT, RIGHT].map(|port| {
-            let mut nodes = predicates
-                .sources_facing(schema_of(port), schema_of(Self::opposite(port)))
-                .non_empty_subsets();
-            nodes.sort_by_key(|s| std::cmp::Reverse(s.len()));
-            nodes
+            let candidates = predicates.sources_facing(schema_of(port), opp_schema);
+            Self::settling_nodes(&predicates, opp_schema, candidates)
         });
         JitJoinOperator {
             states: [
@@ -171,8 +209,8 @@ impl JitJoinOperator {
                 OperatorState::new(format!("{name}.SR")),
             ],
             probe_specs,
-            node_specs,
-            node_order,
+            nodes,
+            producers: [Producer::Unknown; 2],
             suspend_shapes: FastMap::default(),
             mns_buffers: [
                 MnsBuffer::new(format!("{name}.NB_L")),
@@ -200,6 +238,41 @@ impl JitJoinOperator {
             window,
             policy,
         }
+    }
+
+    /// State what feeds the left and the right port. A port detects, buffers
+    /// and reports only the MNSs its producer acts on (see [`Producer`]); a
+    /// [`Producer::Passive`] port runs the plain join path. Plan builders
+    /// call this with what the plan says; without it both ports are
+    /// [`Producer::Unknown`].
+    pub fn fed_by(mut self, producers: [Producer; 2]) -> Self {
+        self.producers = producers;
+        let handle_type2 = self.policy.handle_type2;
+        for port in [LEFT, RIGHT] {
+            self.nodes[port].retain(|(node, _)| producers[port].acts_on(*node, handle_type2));
+        }
+        self
+    }
+
+    /// The subsets of `candidates` in the order the hashed probe path
+    /// settles them (largest first), each with the spec of its membership
+    /// probe of the state covering `opp_schema`.
+    fn settling_nodes(
+        predicates: &PredicateSet,
+        opp_schema: SourceSet,
+        candidates: SourceSet,
+    ) -> Vec<(SourceSet, JoinKeySpec)> {
+        let mut nodes = candidates.non_empty_subsets();
+        nodes.sort_by_key(|s| std::cmp::Reverse(s.len()));
+        nodes
+            .into_iter()
+            .map(|node| (node, JoinKeySpec::between(predicates, opp_schema, node)))
+            .collect()
+    }
+
+    /// Does `port` report an MNS with this coverage to its producer?
+    fn reports(&self, port: Port, coverage: SourceSet) -> bool {
+        self.producers[port].acts_on(coverage, self.policy.handle_type2)
     }
 
     /// Select how the two operator states, MNS buffers and blacklists
@@ -364,15 +437,16 @@ impl JitJoinOperator {
         matched
     }
 
-    /// An all-alive lattice over `candidates`: the port's previous one,
-    /// reset, unless this input's candidates differ.
+    /// An all-alive lattice over the subsets of `candidates` the port
+    /// reports: the port's previous one, reset, unless this input's
+    /// candidates differ.
     fn fresh_lattice(&mut self, port: Port, candidates: SourceSet) -> CnsLattice {
         match self.lattices[port].take() {
             Some(mut lattice) if lattice.candidates() == candidates => {
                 lattice.reset();
                 lattice
             }
-            _ => CnsLattice::new(candidates),
+            _ => CnsLattice::restricted(candidates, |node| self.reports(port, node)),
         }
     }
 
@@ -436,9 +510,12 @@ impl JitJoinOperator {
         }
     }
 
-    /// Record a value insertion in the Bloom filters of `port`'s state.
+    /// Record a value insertion in the Bloom filters of `port`'s state,
+    /// which only the opposite port's detection reads.
     fn update_bloom(&mut self, port: Port, tuple: &Tuple) {
-        if self.policy.detection != MnsDetection::Bloom {
+        if self.policy.detection != MnsDetection::Bloom
+            || !self.producers[Self::opposite(port)].listens()
+        {
             return;
         }
         let own_schema = self.schema_of(port);
@@ -822,21 +899,26 @@ impl Operator for JitJoinOperator {
 
         // Consumer step 1: probe the opposite MNS buffer; matches trigger
         // resumption at the opposite producer.
-        let resumed_mns = self.mns_buffers[opp].take_matching(
-            &msg.tuple,
-            &self.predicates,
-            self.window,
-            ctx.metrics,
-        );
-        if !resumed_mns.is_empty() {
-            feedback.push((opp, Feedback::resume(resumed_mns)));
+        if !self.mns_buffers[opp].is_empty() {
+            let resumed_mns = self.mns_buffers[opp].take_matching(
+                &msg.tuple,
+                &self.predicates,
+                self.window,
+                ctx.metrics,
+            );
+            if !resumed_mns.is_empty() {
+                feedback.push((opp, Feedback::resume(resumed_mns)));
+            }
         }
 
         // Consumer step 2: probe the opposite state, producing results and
-        // feeding the CNS lattice.
+        // — if this port's producer listens — feeding the CNS lattice.
+        let listens = self.producers[port].listens();
         let candidates = self.candidate_sources(&msg.tuple, port);
         let mut lattice = match self.policy.detection {
-            MnsDetection::FullLattice if !self.states[opp].is_empty() && !candidates.is_empty() => {
+            MnsDetection::FullLattice
+                if listens && !self.states[opp].is_empty() && !candidates.is_empty() =>
+            {
                 Some(self.fresh_lattice(port, candidates))
             }
             _ => None,
@@ -888,33 +970,25 @@ impl Operator for JitJoinOperator {
             // per-tuple scan used to establish. The top node is already
             // settled by the full probe above.
             if let Some(l) = lattice.as_mut() {
-                // Settling order is precomputed per port; derive it fresh
-                // only for inputs not covering the port's schema exactly.
-                let node_order_owned;
-                let node_order: &[SourceSet] = if msg.tuple.sources() == self.schema_of(port) {
-                    &self.node_order[port]
+                // The nodes are precomputed per port; derive them fresh only
+                // for inputs not covering the port's schema exactly.
+                let nodes_owned;
+                let nodes = if msg.tuple.sources() == self.schema_of(port) {
+                    &self.nodes[port]
                 } else {
-                    let mut nodes = candidates.non_empty_subsets();
-                    nodes.sort_by_key(|s| std::cmp::Reverse(s.len()));
-                    node_order_owned = nodes;
-                    &node_order_owned
+                    let mut nodes =
+                        Self::settling_nodes(&self.predicates, self.schema_of(opp), candidates);
+                    nodes.retain(|(node, _)| self.reports(port, *node));
+                    nodes_owned = nodes;
+                    &nodes_owned
                 };
-                for &node in node_order {
+                for &(node, ref node_spec) in nodes {
                     if l.all_dead() {
                         break;
                     }
                     if node == candidates || !l.is_alive(node) {
                         continue;
                     }
-                    let node_spec_owned;
-                    let node_spec = match self.node_specs[port].get(&node) {
-                        Some(spec) => spec,
-                        None => {
-                            node_spec_owned =
-                                JoinKeySpec::between(&self.predicates, self.schema_of(opp), node);
-                            &node_spec_owned
-                        }
-                    };
                     self.states[opp].probe_into(node_spec, &msg.tuple, &mut hits);
                     let mut hit = false;
                     for &seq in &hits {
@@ -964,21 +1038,23 @@ impl Operator for JitJoinOperator {
         self.pairs = pairs;
         ctx.metrics.charge(CostKind::PredicateEval, evals);
 
-        // Consumer step 3: detect MNSs of the input and report them to the
-        // producer of this side.
-        self.detect_mns(&msg.tuple, port, candidates, lattice.as_ref(), ctx);
-        if lattice.is_some() {
-            self.lattices[port] = lattice;
-        }
-        let mut fresh = Vec::new();
-        for mns in self.detected.drain(..) {
-            if self.mns_buffers[port].insert(mns.clone(), now) {
-                fresh.push(mns);
+        // Consumer step 3: detect the MNSs of the input this side's producer
+        // acts on, and report them to it.
+        if listens {
+            self.detect_mns(&msg.tuple, port, candidates, lattice.as_ref(), ctx);
+            if lattice.is_some() {
+                self.lattices[port] = lattice;
             }
-        }
-        if !fresh.is_empty() {
-            ctx.metrics.stats.mns_detected += fresh.len() as u64;
-            feedback.push((port, Feedback::suspend(fresh)));
+            let mut fresh = Vec::new();
+            for mns in self.detected.drain(..) {
+                if self.mns_buffers[port].insert(mns.clone(), now) {
+                    fresh.push(mns);
+                }
+            }
+            if !fresh.is_empty() {
+                ctx.metrics.stats.mns_detected += fresh.len() as u64;
+                feedback.push((port, Feedback::suspend(fresh)));
+            }
         }
 
         self.states[port].insert(msg.tuple.clone(), now);
@@ -1068,7 +1144,7 @@ impl Operator for JitJoinOperator {
 
     fn checkpoint(&self) -> Content {
         // Everything derivable from the query is rebuilt by the constructor
-        // (probe/node specs, node order); everything that evolved with the
+        // (probe specs, lattice nodes); everything that evolved with the
         // stream is persisted. `pending_bytes` is recomputed on restore.
         let pending: Vec<(usize, Tuple, bool, Timestamp)> = self
             .pending
@@ -1110,6 +1186,11 @@ impl Operator for JitJoinOperator {
         ])
     }
 
+    /// Restores a [`JitJoinOperator::checkpoint`] blob. A checkpoint written
+    /// by a build that detected everything (or under another plan) may hold
+    /// buffered MNSs this port does not report to its producer; they are
+    /// dropped here rather than left to expire — all one could still do is
+    /// send a `<resume>` its producer ignores, and Ø never expires.
     fn restore(&mut self, state: &Content) -> Result<(), serde::Error> {
         const TY: &str = "JitJoinOperator";
         let map = state
@@ -1129,6 +1210,14 @@ impl Operator for JitJoinOperator {
         for side in [LEFT, RIGHT] {
             self.states[side].restore_checkpoint(&states[side])?;
             self.mns_buffers[side].restore_checkpoint(&mns_buffers[side])?;
+            let unreported: Vec<TupleKey> = self.mns_buffers[side]
+                .iter()
+                .filter(|entry| !self.reports(side, entry.mns.sources()))
+                .map(|entry| entry.mns.key())
+                .collect();
+            for key in &unreported {
+                self.mns_buffers[side].remove(key);
+            }
             self.blacklists[side].restore_checkpoint(&blacklists[side])?;
             self.histories[side] =
                 Vec::<(TupleKey, Vec<(u64, u64)>)>::from_content(&histories[side])?
@@ -1141,6 +1230,9 @@ impl Operator for JitJoinOperator {
             self.blooms[side] = Vec::<(ColumnRef, BloomFilter)>::from_content(&blooms[side])?
                 .into_iter()
                 .collect();
+            if !self.producers[Self::opposite(side)].listens() {
+                self.blooms[side].clear();
+            }
         }
         self.event_seq = serde::field(map, "event_seq", TY)?;
         self.fully_suspended = serde::field(map, "fully_suspended", TY)?;
@@ -1552,12 +1644,20 @@ mod tests {
         assert_eq!(op.name(), "A⋈B");
     }
 
-    /// The presence bookkeeping (`interval_start`, `histories`) follows the
-    /// window, not the stream: over a ten-window stream through the
-    /// producer/consumer pair of Figure 1, both maps stay bounded by what
-    /// is currently stored or suspended, and so does the checkpoint.
-    #[test]
-    fn presence_bookkeeping_stays_window_sized() {
+    /// Drive the producer/consumer pair of Figure 1 (`A⋈B` feeding `AB⋈C`)
+    /// over a seeded stream, one arrival per second, as an executor would:
+    /// partial results go down, the consumer's feedback for its left port
+    /// goes back up, what either detects on a port fed by a source is
+    /// dropped (counted in the second return value). `each_step` sees both
+    /// operators once an arrival has been processed to quiescence. Returns
+    /// the identities of the consumer's results, in order.
+    fn drive_figure1_pair(
+        producer: &mut JitJoinOperator,
+        consumer: &mut JitJoinOperator,
+        metrics: &mut RunMetrics,
+        seconds: u64,
+        mut each_step: impl FnMut(u64, &JitJoinOperator, &JitJoinOperator),
+    ) -> (Vec<TupleKey>, usize) {
         use proptest::rand::{rngs::StdRng, Rng, SeedableRng};
         use std::collections::VecDeque;
 
@@ -1567,47 +1667,46 @@ mod tests {
             /// Consumer feedback on its way back to the producer.
             Feedback(Feedback),
         }
-        let mut producer = op1(JitPolicy::full());
-        let mut consumer = op2(JitPolicy::full());
-        let mut metrics = RunMetrics::new();
         let mut rng = StdRng::seed_from_u64(7);
-        let window_s = 300;
-        let mut checkpoint_bytes = Vec::new();
-        let mut most_histories = 0;
-        for seq in 0..10 * window_s {
+        let mut results = Vec::new();
+        let mut to_sources = 0;
+        for seq in 0..seconds {
             let now = Timestamp::from_secs(seq);
             let (x, y) = (rng.gen_range(0i64..12), rng.gen_range(0i64..40));
             let mut queue = VecDeque::new();
-            let mut ctx = OpContext::new(now, &mut metrics);
-            // Feedback a producer addresses to the sources is dropped.
+            let mut ctx = OpContext::new(now, &mut *metrics);
+            // The consumer's output: results kept, feedback for the producer
+            // queued, the number of messages for source C returned.
+            let mut consume = |out: OperatorOutput, queue: &mut VecDeque<Work>| {
+                results.extend(out.result_messages().iter().map(|m| m.tuple.key()));
+                let (up, dropped): (Vec<_>, Vec<_>) = out
+                    .feedback
+                    .into_iter()
+                    .partition(|(port, _)| *port == LEFT);
+                queue.extend(up.into_iter().map(|(_, fb)| Work::Feedback(fb)));
+                dropped.len()
+            };
             match seq % 3 {
-                0 => queue.extend(
-                    producer
-                        .process(LEFT, &a(seq, seq, x, y), &mut ctx)
-                        .result_messages()
-                        .into_iter()
-                        .map(Work::Partial),
-                ),
-                1 => queue.extend(
-                    producer
-                        .process(RIGHT, &b(seq, seq, x), &mut ctx)
-                        .result_messages()
-                        .into_iter()
-                        .map(Work::Partial),
-                ),
-                _ => {
+                2 => {
                     let out = consumer.process(RIGHT, &c(seq, seq, y), &mut ctx);
-                    let to_producer = out.feedback.into_iter().filter(|(port, _)| *port == LEFT);
-                    queue.extend(to_producer.map(|(_, fb)| Work::Feedback(fb)));
+                    to_sources += consume(out, &mut queue);
+                }
+                port => {
+                    let msg = if port == 0 {
+                        a(seq, seq, x, y)
+                    } else {
+                        b(seq, seq, x)
+                    };
+                    let out = producer.process(port as Port, &msg, &mut ctx);
+                    to_sources += out.feedback.len();
+                    queue.extend(out.result_messages().into_iter().map(Work::Partial));
                 }
             }
             while let Some(work) = queue.pop_front() {
                 match work {
                     Work::Partial(msg) => {
                         let out = consumer.process(LEFT, &msg, &mut ctx);
-                        let to_producer =
-                            out.feedback.into_iter().filter(|(port, _)| *port == LEFT);
-                        queue.extend(to_producer.map(|(_, fb)| Work::Feedback(fb)));
+                        to_sources += consume(out, &mut queue);
                     }
                     Work::Feedback(fb) => {
                         let outcome = producer.handle_feedback(&fb, &mut ctx);
@@ -1615,22 +1714,47 @@ mod tests {
                     }
                 }
             }
-            for op in [&producer, &consumer] {
-                for side in [LEFT, RIGHT] {
-                    assert_eq!(op.interval_start[side].len(), op.states[side].len());
-                    assert!(
-                        op.histories[side].len()
-                            <= op.blacklists[side].num_tuples() + op.states[side].len(),
-                        "histories outlive their tuples at t = {seq} s"
-                    );
-                }
-            }
-            most_histories = most_histories.max(producer.histories[LEFT].len());
-            if seq + 1 == 2 * window_s || seq + 1 == 10 * window_s {
-                let blob = |op: &JitJoinOperator| serde_json::to_string(&op.checkpoint()).unwrap();
-                checkpoint_bytes.push(blob(&producer).len() + blob(&consumer).len());
-            }
+            each_step(seq, producer, consumer);
         }
+        (results, to_sources)
+    }
+
+    /// The presence bookkeeping (`interval_start`, `histories`) follows the
+    /// window, not the stream: over a ten-window stream through the
+    /// producer/consumer pair of Figure 1, both maps stay bounded by what
+    /// is currently stored or suspended, and so does the checkpoint.
+    #[test]
+    fn presence_bookkeeping_stays_window_sized() {
+        let mut producer = op1(JitPolicy::full());
+        let mut consumer = op2(JitPolicy::full());
+        let mut metrics = RunMetrics::new();
+        let window_s = 300;
+        let mut checkpoint_bytes = Vec::new();
+        let mut most_histories = 0;
+        drive_figure1_pair(
+            &mut producer,
+            &mut consumer,
+            &mut metrics,
+            10 * window_s,
+            |seq, producer, consumer| {
+                for op in [producer, consumer] {
+                    for side in [LEFT, RIGHT] {
+                        assert_eq!(op.interval_start[side].len(), op.states[side].len());
+                        assert!(
+                            op.histories[side].len()
+                                <= op.blacklists[side].num_tuples() + op.states[side].len(),
+                            "histories outlive their tuples at t = {seq} s"
+                        );
+                    }
+                }
+                most_histories = most_histories.max(producer.histories[LEFT].len());
+                if seq + 1 == 2 * window_s || seq + 1 == 10 * window_s {
+                    let blob =
+                        |op: &JitJoinOperator| serde_json::to_string(&op.checkpoint()).unwrap();
+                    checkpoint_bytes.push(blob(producer).len() + blob(consumer).len());
+                }
+            },
+        );
         // The run did suspend, resume and expire suspended tuples.
         assert!(metrics.stats.blacklisted_tuples > 100 && metrics.stats.resumed_tuples > 100);
         assert!(most_histories > 0);
@@ -1639,5 +1763,232 @@ mod tests {
             2 * late <= 3 * early,
             "checkpoint grew with the stream: {early} B at 2 windows, {late} B at 10"
         );
+    }
+
+    /// Everything the blacklists of an operator hold: per side, per entry,
+    /// the MNS and the suspended tuples.
+    fn blacklist_contents(op: &JitJoinOperator) -> Vec<(Port, TupleKey, Vec<TupleKey>)> {
+        [LEFT, RIGHT]
+            .into_iter()
+            .flat_map(|side| {
+                op.blacklists[side].entries().map(move |entry| {
+                    let tuples = entry.tuples.iter().map(|t| t.tuple.key()).collect();
+                    (side, entry.mns.key(), tuples)
+                })
+            })
+            .collect()
+    }
+
+    /// Ports fed by sources detect nothing and it costs no suppression: the
+    /// Figure 1 pair with its plan stated (`A`, `B`, `C` sources; `AB` from
+    /// `A⋈B`) produces the results and holds the blacklists, step by step,
+    /// of the pair that detects everything — without one buffered MNS or one
+    /// message on a source-fed port.
+    #[test]
+    fn source_fed_ports_detect_nothing_and_suppression_is_unchanged() {
+        let ab = Producer::Join {
+            left: SourceSet::single(SourceId(0)),
+            right: SourceSet::single(SourceId(1)),
+        };
+        for policy in [JitPolicy::full(), JitPolicy::bloom(), JitPolicy::doe()] {
+            let mut blacklists = Vec::new();
+            let mut everything = RunMetrics::new();
+            let (expected, dropped) = drive_figure1_pair(
+                &mut op1(policy),
+                &mut op2(policy),
+                &mut everything,
+                900,
+                |_, producer, _| blacklists.push(blacklist_contents(producer)),
+            );
+            assert!(dropped > 0 && !expected.is_empty());
+
+            let mut step = 0;
+            let mut demanded = RunMetrics::new();
+            let (results, dropped) = drive_figure1_pair(
+                &mut op1(policy).fed_by([Producer::Passive; 2]),
+                &mut op2(policy).fed_by([ab, Producer::Passive]),
+                &mut demanded,
+                900,
+                |seq, producer, consumer| {
+                    assert_eq!(
+                        blacklist_contents(producer),
+                        blacklists[step],
+                        "t = {seq} s"
+                    );
+                    step += 1;
+                    let buffered = [
+                        producer.mns_buffer_len(LEFT),
+                        producer.mns_buffer_len(RIGHT),
+                        consumer.mns_buffer_len(RIGHT),
+                    ];
+                    assert_eq!(buffered, [0; 3], "t = {seq} s");
+                    assert!(producer.blooms[LEFT].is_empty() && producer.blooms[RIGHT].is_empty());
+                },
+            );
+            assert_eq!(results, expected);
+            assert_eq!(dropped, 0, "a source-fed port sent feedback");
+            let (all, few) = (&everything.stats, &demanded.stats);
+            assert_eq!(few.blacklisted_tuples, all.blacklisted_tuples);
+            assert_eq!(few.resumed_tuples, all.resumed_tuples);
+            assert_eq!(few.intermediate_suppressed, all.intermediate_suppressed);
+            assert_eq!(few.probe_pairs, all.probe_pairs);
+            assert!(few.mns_detected < all.mns_detected);
+        }
+    }
+
+    /// `A.x0 = D.x0`, `B.x0 = D.x1`, `C.x0 = D.x2`: the top join of a
+    /// left-deep plan over A, B, C, D, whose left input comes from `AB⋈C`.
+    fn top_join(policy: JitPolicy, mode: StateIndexMode) -> JitJoinOperator {
+        let facing = |source: u16, column: u16| {
+            jit_types::EquiPredicate::new(
+                ColumnRef::new(SourceId(source), 0),
+                ColumnRef::new(SourceId(3), column),
+            )
+        };
+        JitJoinOperator::new(
+            "ABC⋈D",
+            SourceSet::first_n(3),
+            SourceSet::single(SourceId(3)),
+            PredicateSet::from_predicates(vec![facing(0, 0), facing(1, 1), facing(2, 2)]),
+            window(),
+            policy,
+        )
+        .with_state_index(mode)
+    }
+
+    fn d(seq: u64, ts_s: u64, values: [i64; 3]) -> DataMessage {
+        DataMessage::new(Tuple::from_base(Arc::new(BaseTuple::new(
+            SourceId(3),
+            seq,
+            Timestamp::from_secs(ts_s),
+            values.into_iter().map(Value::int).collect(),
+        ))))
+    }
+
+    /// The coverages of the MNSs an `abc` input yields at `consumer` when one
+    /// stored `d` matches its `a` only and another its `c` only: `b` (inside
+    /// the producer's `AB` input) and `ac` (spanning both inputs).
+    fn mns_coverages_of_abc(consumer: &mut JitJoinOperator) -> (Vec<SourceSet>, Feedback) {
+        let mut metrics = RunMetrics::new();
+        process(consumer, RIGHT, &d(1, 0, [1, 90, 91]), &mut metrics);
+        process(consumer, RIGHT, &d(2, 0, [92, 93, 3]), &mut metrics);
+        let ab = a(1, 1, 1, 0).tuple.join(&b(1, 1, 2).tuple).unwrap();
+        let abc = DataMessage::new(ab.join(&c(1, 1, 3).tuple).unwrap());
+        let out = process(consumer, LEFT, &abc, &mut metrics);
+        assert!(out.result_messages().is_empty());
+        let (_, suspend) = out
+            .feedback
+            .into_iter()
+            .find(|(port, fb)| *port == LEFT && fb.command == FeedbackCommand::Suspend)
+            .expect("the input has MNSs");
+        let coverages = suspend.mns_set.iter().map(Tuple::sources).collect();
+        assert_eq!(consumer.mns_buffer_len(LEFT), suspend.mns_set.len());
+        (coverages, suspend)
+    }
+
+    /// A join-fed port reports the MNS inside one producer input and not the
+    /// one spanning both; the producer suspends for what it is told.
+    #[test]
+    fn join_fed_port_reports_one_sided_mnss_only() {
+        let (b_only, ac) = (
+            SourceSet::single(SourceId(1)),
+            SourceSet::from_iter([SourceId(0), SourceId(2)]),
+        );
+        let ab_c = Producer::Join {
+            left: SourceSet::first_n(2),
+            right: SourceSet::single(SourceId(2)),
+        };
+        for mode in [StateIndexMode::Hashed, StateIndexMode::Scan] {
+            let mut everything = top_join(JitPolicy::full(), mode);
+            assert_eq!(mns_coverages_of_abc(&mut everything).0, vec![b_only, ac]);
+
+            let mut consumer = top_join(JitPolicy::full(), mode).fed_by([ab_c, Producer::Passive]);
+            let (coverages, suspend) = mns_coverages_of_abc(&mut consumer);
+            assert_eq!(coverages, vec![b_only], "{mode:?}");
+            // Ø, inside both inputs, is still reported.
+            let mut empty = top_join(JitPolicy::full(), mode).fed_by([ab_c, Producer::Passive]);
+            let abc = DataMessage::new(
+                a(1, 1, 1, 0)
+                    .tuple
+                    .join(&b(1, 1, 2).tuple)
+                    .unwrap()
+                    .join(&c(1, 1, 3).tuple)
+                    .unwrap(),
+            );
+            let out = process(&mut empty, LEFT, &abc, &mut RunMetrics::new());
+            assert!(out.feedback[0].1.mns_set[0].is_empty());
+
+            // The producer AB⋈C holds `ab` in its left state and blacklists
+            // it on behalf of `b`.
+            let mut producer = JitJoinOperator::new(
+                "AB⋈C",
+                SourceSet::first_n(2),
+                SourceSet::single(SourceId(2)),
+                top_join(JitPolicy::full(), mode).predicates,
+                window(),
+                JitPolicy::full(),
+            )
+            .with_state_index(mode);
+            let mut metrics = RunMetrics::new();
+            let ab = DataMessage::new(a(1, 1, 1, 0).tuple.join(&b(1, 1, 2).tuple).unwrap());
+            process(&mut producer, LEFT, &ab, &mut metrics);
+            let mut ctx = OpContext::new(Timestamp::from_secs(1), &mut metrics);
+            producer.handle_feedback(&suspend, &mut ctx);
+            assert_eq!(
+                (producer.blacklist_len(LEFT), producer.state_len(LEFT)),
+                (1, 0)
+            );
+        }
+    }
+
+    /// With `handle_type2` on, a join-fed port detects what an operator
+    /// that detects everything does.
+    #[test]
+    fn handle_type2_keeps_spanning_mnss() {
+        let type2 = JitPolicy {
+            handle_type2: true,
+            ..JitPolicy::full()
+        };
+        let ab_c = Producer::Join {
+            left: SourceSet::first_n(2),
+            right: SourceSet::single(SourceId(2)),
+        };
+        for mode in [StateIndexMode::Hashed, StateIndexMode::Scan] {
+            let (expected, _) = mns_coverages_of_abc(&mut top_join(type2, mode));
+            assert_eq!(expected.len(), 2);
+            let mut consumer = top_join(type2, mode).fed_by([ab_c, Producer::Passive]);
+            assert_eq!(mns_coverages_of_abc(&mut consumer).0, expected, "{mode:?}");
+            assert_eq!(consumer.nodes[LEFT].len(), 7);
+        }
+    }
+
+    /// A checkpoint holding MNSs the port no longer reports (written by a
+    /// build that detected everything) restores without them.
+    #[test]
+    fn restore_drops_buffered_mnss_the_port_does_not_report() {
+        let ab_c = Producer::Join {
+            left: SourceSet::first_n(2),
+            right: SourceSet::single(SourceId(2)),
+        };
+        let mut everything = top_join(JitPolicy::full(), StateIndexMode::Hashed);
+        mns_coverages_of_abc(&mut everything);
+        // `b` and `ac` wait on the left port; a `d` matching nothing stored
+        // leaves itself on the right one.
+        let unmatched = d(3, 2, [7, 7, 7]);
+        process(&mut everything, RIGHT, &unmatched, &mut RunMetrics::new());
+        let buffered = |op: &JitJoinOperator| [op.mns_buffer_len(LEFT), op.mns_buffer_len(RIGHT)];
+        assert_eq!(buffered(&everything), [2, 1]);
+        let blob = everything.checkpoint();
+
+        let mut restored =
+            top_join(JitPolicy::full(), StateIndexMode::Hashed).fed_by([ab_c, Producer::Passive]);
+        restored.restore(&blob).unwrap();
+        assert_eq!(buffered(&restored), [1, 0]);
+        let kept: Vec<SourceSet> = restored.mns_buffers[LEFT]
+            .iter()
+            .map(|e| e.mns.sources())
+            .collect();
+        assert_eq!(kept, vec![SourceSet::single(SourceId(1))]);
+        assert_eq!(restored.state_len(LEFT), 1);
     }
 }

@@ -46,9 +46,23 @@ impl CnsLattice {
     /// The number of nodes is `2^|candidates| − 1`; the paper's experiments
     /// go up to 4 candidate components per input (15 nodes).
     pub fn new(candidates: SourceSet) -> Self {
+        Self::restricted(candidates, |_| true)
+    }
+
+    /// The lattice over `candidates` holding only the nodes `keep` accepts,
+    /// in [`CnsLattice::new`]'s node order.
+    ///
+    /// When `keep` is closed under subsets — every non-empty subset of a
+    /// kept node is kept — [`CnsLattice::minimal_alive`] over the restricted
+    /// lattice is exactly the full lattice's answer filtered by `keep`:
+    /// whether a node is an MNS depends on the node and its subsets only.
+    /// The JIT join uses this to leave out the nodes its producer could not
+    /// act on (those spanning both of the producer's inputs).
+    pub fn restricted(candidates: SourceSet, keep: impl Fn(SourceSet) -> bool) -> Self {
         let nodes = candidates
             .non_empty_subsets()
             .into_iter()
+            .filter(|&sources| keep(sources))
             .map(|sources| CnsNode {
                 sources,
                 alive: true,
@@ -236,6 +250,68 @@ mod tests {
             CnsLattice::new(set(&[0, 1])).minimal_alive()
         );
         assert_eq!(l.minimal_alive(), vec![set(&[0]), set(&[1])]);
+    }
+
+    /// Leaving out the nodes that span both of a producer's inputs loses
+    /// nothing a producer could act on: over every candidate set of up to
+    /// four sources, every way to split it between two producer inputs and
+    /// every reachable lattice state, the restricted lattice reports the
+    /// full lattice's MNSs that lie inside one input, in the same order.
+    #[test]
+    fn restricted_lattice_reports_the_one_sided_mnss_of_the_full_one() {
+        let mut metrics = RunMetrics::new();
+        let mut states = 0;
+        for candidates in set(&[0, 1, 2, 3]).non_empty_subsets() {
+            let subsets = candidates.non_empty_subsets();
+            for family in 0u32..(1 << subsets.len()) {
+                let observed: Vec<SourceSet> = (0..subsets.len())
+                    .filter(|i| family & (1 << i) != 0)
+                    .map(|i| subsets[i])
+                    .collect();
+                // A lattice state is the down-closure of what was observed,
+                // so antichains of observations reach every state once.
+                let redundant = |a: &SourceSet| observed.iter().any(|b| a != b && a.is_subset(*b));
+                if observed.iter().any(redundant) {
+                    continue;
+                }
+                states += 1;
+                let mut full = CnsLattice::new(candidates);
+                for &matched in &observed {
+                    full.observe(matched, &mut metrics);
+                }
+                for left in std::iter::once(SourceSet::EMPTY).chain(subsets.iter().copied()) {
+                    let right = candidates.difference(left);
+                    let one_sided = |n: SourceSet| n.is_subset(left) || n.is_subset(right);
+                    let mut restricted = CnsLattice::restricted(candidates, one_sided);
+                    for &matched in &observed {
+                        restricted.observe(matched, &mut metrics);
+                    }
+                    let expected: Vec<SourceSet> = full
+                        .minimal_alive_iter()
+                        .filter(|&n| one_sided(n))
+                        .collect();
+                    assert_eq!(
+                        restricted.minimal_alive(),
+                        expected,
+                        "candidates {candidates}, inputs {left} / {right}, observed {observed:?}"
+                    );
+                }
+            }
+        }
+        // 4 one-source, 6 two-source, 4 three-source and 1 four-source
+        // candidate sets with 2, 5, 19 and 167 antichains each.
+        assert_eq!(states, 4 * 2 + 6 * 5 + 4 * 19 + 167);
+    }
+
+    #[test]
+    fn restricted_lattice_keeps_the_node_order_of_the_full_one() {
+        let l = CnsLattice::restricted(set(&[0, 1, 2]), |n| {
+            n.is_subset(set(&[0, 1])) || n.len() == 1
+        });
+        assert_eq!(l.num_nodes(), 4);
+        assert_eq!(l.candidates(), set(&[0, 1, 2]));
+        assert_eq!(l.minimal_alive(), vec![set(&[0]), set(&[1]), set(&[2])]);
+        assert!(l.is_alive(set(&[0, 1])) && !l.is_alive(set(&[0, 2])));
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod policy;
 
 pub use blacklist::{Blacklist, BlacklistEntry, BlacklistedTuple, SuspendMode};
 pub use bloom::BloomFilter;
-pub use jit_join::JitJoinOperator;
+pub use jit_join::{JitJoinOperator, Producer};
 pub use lattice::CnsLattice;
 pub use mns_buffer::{MnsBuffer, MnsEntry};
 pub use policy::{ExecutionMode, JitPolicy, MnsDetection};

@@ -35,8 +35,12 @@ pub struct JitPolicy {
     /// JIT only affects the immediate producer.
     pub propagate_feedback: bool,
     /// Handle Type II MNSs (sub-tuples spanning both of the producer's
-    /// inputs) via mark-result feedback. When off, such MNSs are ignored by
-    /// the producer, which is always legal (Section IV-B).
+    /// inputs) via mark-result feedback. When off, the producer ignores such
+    /// MNSs, which is always legal (Section IV-B) — so when off the
+    /// *consumer* does not detect such MNSs in the first place: a port whose
+    /// plan says it is fed by a join ([`crate::Producer::Join`]) keeps only
+    /// the lattice nodes lying inside one of that join's inputs, and neither
+    /// buffers nor reports the rest.
     pub handle_type2: bool,
     /// Number of bits in each Bloom filter (only used with
     /// [`MnsDetection::Bloom`]).

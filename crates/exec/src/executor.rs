@@ -58,6 +58,10 @@ pub struct Executor {
     /// past them yet), and the in-order `ingest` assertion is waived. This is
     /// the execution regime of `DisorderPolicy::Bounded`.
     watermark_clock: bool,
+    /// An operator ran outside a dispatched task (`on_watermark`, `flush`)
+    /// and has not been sampled since: the next sample sweeps every
+    /// operator instead of only the one that just ran.
+    memory_stale: bool,
 }
 
 impl Executor {
@@ -85,6 +89,7 @@ impl Executor {
             config,
             current_time: Timestamp::ZERO,
             watermark_clock: false,
+            memory_stale: false,
         }
     }
 
@@ -154,6 +159,7 @@ impl Executor {
                 let mut ctx = OpContext::new(w, &mut self.metrics);
                 slot.operator.on_watermark(&mut ctx)
             };
+            self.memory_stale = true;
             self.route_output(OperatorId(idx), output, Priority::Resumed);
             self.run_cascade();
         }
@@ -162,9 +168,17 @@ impl Executor {
     /// Run scheduled tasks until the cascade is drained.
     fn run_cascade(&mut self) {
         while let Some(task) = self.scheduler.pop() {
+            let ran = task.to.0;
             self.metrics.charge(CostKind::TaskDispatch, 1);
             self.dispatch(task);
-            self.sample_memory();
+            // A task changes the memory of the operator it ran on and of the
+            // queues, nothing else — unless an operator has also run outside
+            // a task since the last sweep.
+            if self.memory_stale {
+                self.sample_memory();
+            } else {
+                self.sample_operator(ran);
+            }
         }
     }
 
@@ -341,13 +355,24 @@ impl Executor {
         }
     }
 
-    /// Refresh the per-operator and queue memory accounting.
+    /// Refresh the memory accounting of every operator and of the queues.
     fn sample_memory(&mut self) {
         for (i, slot) in self.slots.iter().enumerate() {
             self.metrics
                 .memory
                 .set(self.op_mem[i], slot.operator.memory_bytes());
         }
+        self.metrics
+            .memory
+            .set(self.queue_mem, self.scheduler.queued_bytes());
+        self.memory_stale = false;
+    }
+
+    /// Refresh the memory accounting of one operator and of the queues.
+    fn sample_operator(&mut self, idx: usize) {
+        self.metrics
+            .memory
+            .set(self.op_mem[idx], self.slots[idx].operator.memory_bytes());
         self.metrics
             .memory
             .set(self.queue_mem, self.scheduler.queued_bytes());
@@ -533,6 +558,7 @@ impl Executor {
                     let mut ctx = OpContext::new(now, &mut self.metrics);
                     slot.operator.flush(&mut ctx)
                 };
+                self.memory_stale = true;
                 if !outcome.resumed.is_empty() || !outcome.propagate.is_empty() {
                     quiescent = false;
                 }
@@ -701,6 +727,83 @@ mod tests {
         // The feedback had nowhere to go but the execution completes cleanly.
         assert_eq!(exec.metrics().stats.feedback_suspend, 0);
         assert_eq!(exec.results_count(), 1);
+    }
+
+    /// Holds 100 bytes until its first `on_watermark`, 10 after; counts how
+    /// often the executor reads its memory.
+    struct Shrinker {
+        bytes: usize,
+        reads: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Operator for Shrinker {
+        fn name(&self) -> &str {
+            "shrinker"
+        }
+        fn output_schema(&self) -> SourceSet {
+            SourceSet::first_n(1)
+        }
+        fn num_ports(&self) -> usize {
+            1
+        }
+        fn process(
+            &mut self,
+            _port: Port,
+            msg: &DataMessage,
+            _ctx: &mut OpContext<'_>,
+        ) -> OperatorOutput {
+            OperatorOutput::with_results(vec![msg.clone()])
+        }
+        fn on_watermark(&mut self, _ctx: &mut OpContext<'_>) -> OperatorOutput {
+            self.bytes = 10;
+            OperatorOutput::empty()
+        }
+        fn memory_bytes(&self) -> usize {
+            self.reads
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.bytes
+        }
+    }
+
+    #[test]
+    fn a_task_samples_the_operator_it_ran_on_and_a_watermark_resamples_all() {
+        let reads = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let read_count = || reads.load(std::sync::atomic::Ordering::Relaxed);
+        let mut b = PlanBuilder::new();
+        b.add_operator(
+            Box::new(Shrinker {
+                bytes: 100,
+                reads: reads.clone(),
+            }),
+            vec![Input::Source(SourceId(0))],
+        );
+        b.add_operator(Forward::boxed("other"), vec![Input::Source(SourceId(1))]);
+        let mut exec = Executor::with_defaults(b.build().unwrap());
+        exec.set_watermark_clock(true);
+
+        exec.ingest(SourceId(0), base(0, 0, 10));
+        assert_eq!(
+            (read_count(), exec.metrics().memory.current_bytes()),
+            (1, 100)
+        );
+        // Tasks on the other operator leave the shrinker unread.
+        exec.ingest(SourceId(1), base(1, 0, 20));
+        exec.ingest(SourceId(1), base(1, 1, 30));
+        assert_eq!(
+            (read_count(), exec.metrics().memory.current_bytes()),
+            (1, 164)
+        );
+        // It shrinks outside a task: the next task, on whichever operator,
+        // sweeps them all, and the peak keeps what was actually held.
+        exec.advance_watermark(Timestamp::from_millis(40));
+        exec.ingest(SourceId(1), base(1, 2, 50));
+        assert_eq!(
+            (read_count(), exec.metrics().memory.current_bytes()),
+            (2, 74)
+        );
+        exec.ingest(SourceId(1), base(1, 3, 60));
+        assert_eq!(read_count(), 2);
+        assert_eq!(exec.metrics().memory.peak_bytes(), 164);
     }
 
     #[test]

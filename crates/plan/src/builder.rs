@@ -1,8 +1,8 @@
 //! Building executable plans from shapes.
 
-use crate::shapes::{PlanInput, PlanShape};
+use crate::shapes::{JoinNode, PlanInput, PlanShape};
 use jit_core::policy::ExecutionMode;
-use jit_core::JitJoinOperator;
+use jit_core::{JitJoinOperator, Producer};
 use jit_exec::eddy::{EddyOperator, RoutingPolicy};
 use jit_exec::join::RefJoinOperator;
 use jit_exec::mjoin::HalfJoinOperator;
@@ -87,7 +87,8 @@ pub fn build_tree_plan_with(
     }
     let mut op_ids: Vec<OperatorId> = Vec::new();
     let schemas = shape.node_schemas();
-    for node in shape.nodes().iter() {
+    let nodes = shape.nodes();
+    for node in &nodes {
         let left_schema = resolve_schema(node.left, &schemas);
         let right_schema = resolve_schema(node.right, &schemas);
         let name = format!("{}⋈{}", left_schema, right_schema);
@@ -105,6 +106,7 @@ pub fn build_tree_plan_with(
                     window,
                     policy,
                 )
+                .fed_by([node.left, node.right].map(|input| producer_of(input, &nodes, &schemas)))
                 .with_state_index(options.index_mode),
             ),
         };
@@ -203,6 +205,19 @@ pub fn build_eddy_plan_with(
     builder.build()
 }
 
+/// What feeds a join port: an earlier join of the shape with its two input
+/// schemas, or — a raw source, filtered through a selection chain or not —
+/// something that cannot act on feedback.
+fn producer_of(input: PlanInput, nodes: &[JoinNode], node_schemas: &[SourceSet]) -> Producer {
+    match input {
+        PlanInput::Source(_) => Producer::Passive,
+        PlanInput::Node(i) => Producer::Join {
+            left: resolve_schema(nodes[i].left, node_schemas),
+            right: resolve_schema(nodes[i].right, node_schemas),
+        },
+    }
+}
+
 fn resolve_schema(input: PlanInput, node_schemas: &[SourceSet]) -> SourceSet {
     match input {
         PlanInput::Source(i) => SourceSet::single(SourceId(i as u16)),
@@ -260,6 +275,77 @@ mod tests {
         let desc = plan.describe();
         assert!(desc.contains("(sink)"));
         assert_eq!(plan.num_operators(), 3);
+    }
+
+    /// The `tests/cql_filters.rs` query under JIT, every A arriving before
+    /// its B partner: both join ports are fed by something that cannot act
+    /// on feedback — B raw, A through its selection — so nothing is detected.
+    #[test]
+    fn a_selection_fed_port_counts_as_source_fed() {
+        use jit_exec::executor::Executor;
+        use jit_types::{BaseTuple, Timestamp, Value};
+        use std::sync::Arc;
+
+        let query = crate::cql::parse_cql(
+            "SELECT * FROM A [RANGE 5 minutes], B [RANGE 5 minutes] \
+             WHERE A.x = B.x AND A.x > 5",
+        )
+        .unwrap();
+        let options = PlanOptions {
+            filters: query.filter_predicates().unwrap(),
+            ..PlanOptions::default()
+        };
+        let plan = build_tree_plan_with(
+            &PlanShape::left_deep(2),
+            &query.predicates().unwrap(),
+            query.window(),
+            ExecutionMode::Jit(JitPolicy::full()),
+            &options,
+        )
+        .unwrap();
+        assert_eq!(plan.num_operators(), 2);
+        let mut exec = Executor::with_defaults(plan);
+        for v in 1..=10u64 {
+            for (source, ts) in [(0, v * 1_000), (1, v * 1_000 + 10)] {
+                let tuple = BaseTuple::new(
+                    SourceId(source),
+                    v,
+                    Timestamp::from_millis(ts),
+                    vec![Value::int(v as i64)],
+                );
+                exec.ingest(SourceId(source), Arc::new(tuple));
+            }
+        }
+        assert_eq!(exec.results_count(), 5);
+        let stats = &exec.metrics().stats;
+        assert_eq!((stats.mns_detected, stats.mns_buffer_probes), (0, 0));
+    }
+
+    /// A port fed by a join does report: the top join of a left-deep plan
+    /// suspends production at `A⋈B`.
+    #[test]
+    fn a_join_fed_port_reports_to_its_producer() {
+        use jit_exec::executor::Executor;
+        use jit_stream::{WorkloadGenerator, WorkloadSpec};
+
+        let spec = WorkloadSpec::leftdeep_default()
+            .with_sources(3)
+            .with_dmax(8)
+            .with_duration(jit_types::Duration::from_secs(120));
+        let plan = build_tree_plan(
+            &PlanShape::left_deep(3),
+            &PredicateSet::clique(3),
+            spec.window(),
+            ExecutionMode::Jit(JitPolicy::full()),
+        )
+        .unwrap();
+        let mut exec = Executor::with_defaults(plan);
+        for event in WorkloadGenerator::generate(&spec).iter() {
+            exec.ingest(event.source, event.tuple.clone());
+        }
+        let stats = &exec.metrics().stats;
+        assert!(stats.mns_detected > 0 && stats.feedback_suspend > 0);
+        assert!(stats.blacklisted_tuples > 0);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! REF and JIT mode, under both disorder policies.
 
 use jit_dsms::prelude::*;
+use serde::Content;
 use std::path::PathBuf;
 
 fn spec() -> WorkloadSpec {
@@ -284,12 +285,43 @@ fn fixture_spec() -> WorkloadSpec {
         .with_seed(907)
 }
 
+/// Buffered MNSs per operator and port of a single-threaded JIT session,
+/// read off its checkpoint body.
+fn buffered_mnss(session: &mut Session) -> Vec<[usize; 2]> {
+    fn field(content: &Content, name: &str) -> Content {
+        let map = content.as_map().expect("a checkpoint object");
+        serde::field(map, name, "checkpoint").expect(name)
+    }
+    let body = session.checkpoint().expect("checkpoint");
+    let operators = field(&field(&body, "backend"), "operators");
+    let operators = operators.as_seq().expect("operator list");
+    operators
+        .iter()
+        .map(|op| {
+            let buffers = field(&field(op, "state"), "mns_buffers");
+            let sides = buffers.as_seq_n(2, "mns_buffers").expect("one per port");
+            [0, 1].map(|port| {
+                field(&sides[port], "entries")
+                    .as_seq()
+                    .expect("entries")
+                    .len()
+            })
+        })
+        .collect()
+}
+
 /// `tests/fixtures/checkpoint_v1_{ref,jit}.ckpt` were written by the build
 /// at commit cd7d7d4 (PR 15): `Session::checkpoint_to` on the
 /// single-threaded backend after the first three fifths of
 /// `fixture_spec()`'s trace on `PlanShape::bushy(4)`, nothing polled. They
 /// are never regenerated: a build that cannot restore them has changed the
 /// v1 format and must bump the version instead.
+///
+/// That build detected every MNS on every port: the JIT fixture's top join
+/// buffers 45 + 66 of them, 43 + 63 spanning both inputs of `A⋈B` / `C⋈D`.
+/// A port no longer looks for those, and restoring drops them (the
+/// source-fed ports of operators 0 and 1 happen to hold none at this cut,
+/// and must not gain any).
 #[test]
 fn v1_checkpoints_written_by_an_earlier_build_restore() {
     let spec = fixture_spec();
@@ -310,9 +342,26 @@ fn v1_checkpoints_written_by_an_earlier_build_restore() {
         let mut session = engine.restore_file(&path).expect("v1 fixture restores");
         let cut = session.pushed() as usize;
         assert_eq!(cut, events.len() * 3 / 5, "{mode_tag}: replay cursor");
+        let one_window_on = events[cut].ts + spec.window().length;
+        let jit = mode_tag == "jit";
+        if jit {
+            assert_eq!(buffered_mnss(&mut session), [[0, 0], [0, 0], [2, 3]]);
+        }
+        let mut buffers_checked = !jit;
         for event in events.iter().skip(cut) {
+            if !buffers_checked && event.ts > one_window_on {
+                let buffered = buffered_mnss(&mut session);
+                assert_eq!(buffered.len(), 3);
+                assert_eq!(
+                    buffered[..2],
+                    [[0, 0]; 2],
+                    "source-fed ports buffer nothing"
+                );
+                buffers_checked = true;
+            }
             let _ = session.push_event(event.clone()).expect("replayed push");
         }
+        assert!(buffers_checked, "the tail is shorter than a window");
         let outcome = session.finish().expect("finish");
         assert_eq!(
             straight, outcome.results,
