@@ -95,6 +95,13 @@ pub trait Backend {
     /// was built with the watermark clock enabled (the bounded-disorder
     /// path); the session calls it *after* pushing every tuple released at
     /// or under `w`, never before.
+    ///
+    /// The advance is ordered against `push`, not immediate: every executor
+    /// applies it after the pushes that preceded the call and before those
+    /// that follow. The single-threaded backend does so inline; the sharded
+    /// backend queues it in each shard's chunk like an arrival, so it takes
+    /// effect when the chunk fills or at the next `poll_results`,
+    /// `metrics_snapshot`, `checkpoint` or `finish`.
     fn advance_watermark(&mut self, w: Timestamp);
 
     /// Serialise the backend's full resumable state (operator state,

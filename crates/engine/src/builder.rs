@@ -162,10 +162,12 @@ impl EngineBuilder {
 
     /// Set the batching policy. Operators always process one arrival at a
     /// time, so the policy has exactly one effect: on the **sharded**
-    /// backend, arrivals travel to each shard worker in channel chunks of
-    /// `max(RuntimeConfig::batch_size, policy.max_rows)` rows (a partial
-    /// chunk is sent before every watermark, poll, metrics read, checkpoint
-    /// and finish). On the **single-threaded** backend the policy is inert.
+    /// backend, arrivals — and, under [`DisorderPolicy::Bounded`], the
+    /// watermark advances between them — travel to each shard worker in
+    /// channel chunks of `max(RuntimeConfig::batch_size, policy.max_rows)`
+    /// steps (a partial chunk is sent before every poll, metrics read,
+    /// checkpoint and finish). On the **single-threaded** backend the
+    /// policy is inert.
     /// Results, their order and every counter are identical for every
     /// policy; only shard-channel synchronisation per arrival changes.
     pub fn batch_policy(mut self, policy: BatchPolicy) -> Self {

@@ -37,7 +37,11 @@ type Buffered = (SourceId, Arc<BaseTuple>);
 /// watermark are dropped and counted ([`PushOutcome::LateDrop`]) instead of
 /// erroring. Each release pushes the ready tuples *first* and advances the
 /// backend's watermark clock *second*, so a released tuple always probes
-/// the state as it stood before any expiry at its watermark.
+/// the state as it stood before any expiry at its watermark. On the sharded
+/// backend both travel in the same per-shard chunks, in that order
+/// ([`Backend::advance_watermark`]), so a bounded-disorder session batches
+/// exactly as a strict one does: what has been pushed is processed, and its
+/// results become pollable, when a chunk fills or at the next poll.
 ///
 /// ## Durability
 ///

@@ -5,13 +5,25 @@
 //! [`ShardedRuntime::run`]: the workers are spawned up front (each with its
 //! own plan instance, built on the caller's thread and *moved* to the
 //! worker), and the caller then pushes arrivals incrementally. Ingestion
-//! keeps the PR-1 batching/backpressure semantics — arrivals are grouped
-//! into `batch_size` batches per shard and sent over a *bounded* channel, so
-//! a slow shard blocks the pusher instead of queueing unboundedly.
+//! keeps the PR-1 batching/backpressure semantics — what the caller pushes
+//! is grouped into chunks of `batch_size` *steps* per shard and sent over a
+//! *bounded* channel, so a slow shard blocks the pusher instead of queueing
+//! unboundedly.
+//!
+//! A step is an arrival or a watermark advance
+//! ([`ShardedSession::advance_watermark`], the clock of bounded-disorder
+//! execution). Watermarks travel *in-band*: one is appended to every shard's
+//! partial chunk behind the arrivals already pushed, and the worker replays
+//! a chunk in order, so each executor sees exactly the interleaving of
+//! ingests and advances the caller produced — and a session whose watermark
+//! moves after nearly every push still ships full chunks, one message and
+//! one acknowledgement per `batch_size` steps. A partial chunk is sent by
+//! the next poll, metrics read, checkpoint or finish; that is the latency
+//! contract of arrivals and watermarks alike.
 //!
 //! Two things flow back while the session runs:
 //!
-//! * **Results.** After every batch a worker drains its executor's collected
+//! * **Results.** After every chunk a worker drains its executor's collected
 //!   results and ships them to the session. [`ShardedSession::poll_results`]
 //!   releases them in globally merged timestamp order under a *watermark*:
 //!   a result is released only once every shard is known to have processed
@@ -19,11 +31,11 @@
 //!   outcome) replays exactly the k-way merge a one-shot run would produce.
 //!   How many results each individual poll returns depends on worker timing;
 //!   the order and the overall set do not.
-//! * **Metrics.** Each batch also carries a point-in-time
+//! * **Metrics.** Each chunk's acknowledgement also carries a point-in-time
 //!   [`MetricsSnapshot`]; [`ShardedSession::metrics_snapshot`] aggregates
 //!   the latest one per shard, giving a live view of cost and memory.
 //!
-//! [`ShardedSession::finish`] flushes pending batches, closes the channels
+//! [`ShardedSession::finish`] sends the partial chunks, closes the channels
 //! (each worker then runs the end-of-stream flush of `Executor::finish`),
 //! joins the workers and returns the same [`ParallelOutcome`] as the
 //! one-shot path — minus any results already handed out through
@@ -42,15 +54,23 @@ use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::thread::JoinHandle;
 
+/// One step of a shard's chunk. The worker replays a chunk's steps in the
+/// order the session queued them, so each executor sees exactly the
+/// interleaving of arrivals and watermark advances the caller produced.
+enum Step {
+    /// Ingest this arrival.
+    Arrival(ArrivalEvent),
+    /// Advance the executor's watermark clock (expiry runs here when the
+    /// session was started with the watermark clock enabled).
+    Watermark(Timestamp),
+}
+
 /// One instruction to a shard worker. Every message is acknowledged with
 /// exactly one [`ShardChunk`], so `batches_sent == chunks_seen` remains the
 /// caught-up test for all message kinds.
 enum WorkerMsg {
-    /// Ingest these arrivals.
-    Batch(Vec<ArrivalEvent>),
-    /// Advance the executor's watermark clock (expiry runs here when the
-    /// session was started with the watermark clock enabled).
-    Watermark(Timestamp),
+    /// Replay these steps in order.
+    Chunk(Vec<Step>),
     /// Reply with a serialised snapshot of the executor's full state.
     Checkpoint,
 }
@@ -167,6 +187,10 @@ impl ShardedRuntime {
         }
         let mut session = self.launch(executors);
         session.buffered = buffered.into_iter().map(VecDeque::from).collect();
+        // Every step queued before the barrier was acknowledged by it, so
+        // each restored executor's clock stands at its progress mark: a
+        // watermark at or below the lowest of them advances none.
+        session.queued_watermark = progress.iter().copied().min().unwrap_or(Timestamp::ZERO);
         session.progress = progress;
         session.last_push_ts = last_push_ts;
         Ok(session)
@@ -196,15 +220,16 @@ impl ShardedRuntime {
                         // means the session stopped listening; results
                         // still reach it through the join below.
                         let state = match msg {
-                            WorkerMsg::Batch(batch) => {
-                                arrivals += batch.len() as u64;
-                                for event in batch {
-                                    executor.ingest(event.source, event.tuple);
+                            WorkerMsg::Chunk(steps) => {
+                                for step in steps {
+                                    match step {
+                                        Step::Arrival(event) => {
+                                            arrivals += 1;
+                                            executor.ingest(event.source, event.tuple);
+                                        }
+                                        Step::Watermark(w) => executor.advance_watermark(w),
+                                    }
                                 }
-                                None
-                            }
-                            WorkerMsg::Watermark(w) => {
-                                executor.advance_watermark(w);
                                 None
                             }
                             WorkerMsg::Checkpoint => Some(executor.checkpoint()),
@@ -240,7 +265,8 @@ impl ShardedRuntime {
             partitioner: self.partitioner().clone(),
             batch_size: self.config().batch_size,
             senders,
-            pending: vec![Vec::new(); shards],
+            pending: std::iter::repeat_with(Vec::new).take(shards).collect(),
+            queued_watermark: Timestamp::ZERO,
             chunks: chunk_rx,
             workers,
             buffered: vec![VecDeque::new(); shards],
@@ -261,7 +287,12 @@ pub struct ShardedSession {
     partitioner: ShardPartitioner,
     batch_size: usize,
     senders: Vec<Option<mpsc::SyncSender<WorkerMsg>>>,
-    pending: Vec<Vec<ArrivalEvent>>,
+    /// Each shard's partial chunk: the steps queued since its last dispatch.
+    pending: Vec<Vec<Step>>,
+    /// The latest watermark queued (every shard gets each one); a watermark
+    /// at or below it would be discarded by every executor anyway, so it is
+    /// never queued.
+    queued_watermark: Timestamp,
     chunks: mpsc::Receiver<ShardChunk>,
     workers: Vec<Option<JoinHandle<ShardOutcome>>>,
     /// Results received from each shard but not yet released by a poll.
@@ -300,7 +331,15 @@ impl ShardedSession {
     pub fn push(&mut self, event: ArrivalEvent) {
         self.last_push_ts = self.last_push_ts.max(event.ts);
         let shard = self.partitioner.shard_of(&event.tuple);
-        self.pending[shard].push(event);
+        self.queue(shard, Step::Arrival(event));
+    }
+
+    /// Append one step to shard `shard`'s partial chunk and send the chunk
+    /// once it holds `batch_size` steps. The bound counts steps, not
+    /// arrivals: a shard that is routed no arrivals still ships (and frees)
+    /// its queued watermarks every `batch_size` advances.
+    fn queue(&mut self, shard: usize, step: Step) {
+        self.pending[shard].push(step);
         if self.pending[shard].len() >= self.batch_size {
             self.dispatch(shard);
         }
@@ -318,14 +357,14 @@ impl ShardedSession {
         self.push_batch(trace.iter().cloned());
     }
 
-    /// Send shard `shard`'s pending batch. A send failure means the worker
+    /// Send shard `shard`'s partial chunk. A send failure means the worker
     /// died early (it panicked); the panic surfaces at [`Self::finish`].
     fn dispatch(&mut self, shard: usize) {
-        let batch = std::mem::take(&mut self.pending[shard]);
-        if batch.is_empty() {
+        let steps = std::mem::take(&mut self.pending[shard]);
+        if steps.is_empty() {
             return;
         }
-        self.send(shard, WorkerMsg::Batch(batch));
+        self.send(shard, WorkerMsg::Chunk(steps));
     }
 
     /// Send every shard's partial chunk. Every observation of worker state
@@ -367,7 +406,7 @@ impl ShardedSession {
     }
 
     /// The timestamp below which every shard's output is complete. A shard
-    /// that is fully caught up (no pending batch, every sent batch acked)
+    /// that is fully caught up (no queued step, every sent chunk acked)
     /// is credited with the session-wide push time: any arrival it receives
     /// later must carry a larger timestamp, so it can no longer produce an
     /// earlier result (JIT's documented late re-emissions excepted — those
@@ -451,18 +490,33 @@ impl ShardedSession {
         released
     }
 
-    /// Broadcast a watermark to every shard.
+    /// Queue a watermark for every shard.
     ///
-    /// Pending batches are dispatched first, so each executor processes
-    /// every arrival already pushed *before* it purges state at `w` — the
-    /// same push-then-advance ordering `Executor::advance_watermark`
-    /// documents. Under the watermark clock this is what drives expiry;
-    /// without it the call still advances the session's progress floor.
+    /// The watermark travels *in-band*: it is appended to each shard's
+    /// partial chunk behind the arrivals already pushed, and the worker
+    /// replays the chunk in that order — so each executor processes every
+    /// earlier arrival *before* it purges state at `w`, the push-then-advance
+    /// ordering `Executor::advance_watermark` documents, and a session that
+    /// advances after every push still ships `batch_size`-step chunks. Like
+    /// an arrival, a queued watermark reaches its executor when the chunk
+    /// fills or at the next [`Self::poll_results`] /
+    /// [`Self::metrics_snapshot`] / [`Self::checkpoint`] / [`Self::finish`].
+    /// Under the watermark clock this is what drives expiry; without it the
+    /// call still advances the session's progress floor.
+    ///
+    /// Every advancing watermark is delivered: under JIT an advance that
+    /// expires MNSs sends its own resume feedback, so two consecutive
+    /// advances are not one (`tests/watermark_steps.rs`). A watermark that
+    /// does not advance past the last one is dropped here — the executors
+    /// would ignore it.
     pub fn advance_watermark(&mut self, w: Timestamp) {
         self.last_push_ts = self.last_push_ts.max(w);
+        if w <= self.queued_watermark {
+            return;
+        }
+        self.queued_watermark = w;
         for shard in 0..self.workers.len() {
-            self.dispatch(shard);
-            self.send(shard, WorkerMsg::Watermark(w));
+            self.queue(shard, Step::Watermark(w));
         }
     }
 
@@ -472,7 +526,7 @@ impl ShardedSession {
     /// shard channel, and blocks until each shard has acknowledged every
     /// message up to and including the marker. Per-shard FIFO ordering makes
     /// the set of replies a consistent cut: every shard's state reflects
-    /// exactly the arrivals and watermarks sent before this call, and the
+    /// exactly the arrivals and watermarks queued before this call, and the
     /// session's own buffers cover everything those executors emitted.
     ///
     /// The returned blob (shard states plus the session's unpolled results,
@@ -631,16 +685,16 @@ mod tests {
     }
 
     fn event(i: u64) -> ArrivalEvent {
+        keyed_event(i, i as i64)
+    }
+
+    /// The `i`-th arrival, routed by `key` instead of by its own index.
+    fn keyed_event(i: u64, key: i64) -> ArrivalEvent {
         let ts = Timestamp::from_millis(i * 10);
         ArrivalEvent {
             ts,
             source: SourceId(0),
-            tuple: Arc::new(BaseTuple::new(
-                SourceId(0),
-                i,
-                ts,
-                vec![Value::int(i as i64)],
-            )),
+            tuple: Arc::new(BaseTuple::new(SourceId(0), i, ts, vec![Value::int(key)])),
         }
     }
 
@@ -750,6 +804,75 @@ mod tests {
             || live.metrics_snapshot().stats.tuples_arrived == 50
         ));
         live.finish().unwrap();
+    }
+
+    /// Block until every message sent so far is acknowledged — a barrier,
+    /// not a sleep.
+    fn settle(live: &mut ShardedSession) {
+        while live.chunks_seen != live.batches_sent {
+            let chunk = live.chunks.recv().expect("workers are running");
+            live.absorb(chunk);
+        }
+    }
+
+    /// The bounded-disorder engine path advances the watermark after nearly
+    /// every push. Watermarks ride in the chunks, so the message count is
+    /// steps / chunk size — not three messages per arrival.
+    #[test]
+    fn a_watermark_after_every_push_still_ships_full_chunks() {
+        const CHUNK: usize = 1024;
+        let mut live = session(2, CHUNK);
+        let n = 3_000u64;
+        let mut steps = [n as usize; 2]; // every watermark reaches every shard
+        for i in 1..=n {
+            let e = event(i);
+            steps[live.partitioner.shard_of(&e.tuple)] += 1;
+            let ts = e.ts;
+            live.push(e);
+            live.advance_watermark(ts);
+        }
+        let queued = |live: &ShardedSession| live.pending.iter().map(Vec::len).collect::<Vec<_>>();
+        assert_eq!(live.batches_sent, steps.map(|s| (s / CHUNK) as u64));
+        assert_eq!(queued(&live), steps.map(|s| s % CHUNK));
+        // A watermark that does not advance is not queued.
+        live.advance_watermark(Timestamp::from_millis(n * 10));
+        live.advance_watermark(Timestamp::from_millis(10));
+        assert_eq!(queued(&live), steps.map(|s| s % CHUNK));
+        // An explicit poll sends each partial chunk: one more message per
+        // shard, and nothing when nothing is pending.
+        let mut seen = live.poll_results().len();
+        assert_eq!(live.batches_sent, steps.map(|s| s.div_ceil(CHUNK) as u64));
+        let sent = live.batches_sent.clone();
+        seen += live.poll_results().len();
+        assert_eq!(live.batches_sent, sent);
+        let outcome = live.finish().unwrap();
+        assert_eq!(seen + outcome.results.len(), n as usize);
+        assert_eq!(outcome.results_count, n);
+    }
+
+    /// Every arrival routes to one shard; the other receives watermarks
+    /// only. Its partial chunk is bounded by the chunk size all the same,
+    /// and a poll brings it to the last watermark.
+    #[test]
+    fn a_shard_fed_only_watermarks_ships_at_the_chunk_bound() {
+        const CHUNK: usize = 1024;
+        let mut live = session(2, CHUNK);
+        let busy = live.partitioner.shard_of(&keyed_event(0, 7).tuple);
+        let idle = 1 - busy;
+        let n = 2_500u64;
+        for i in 1..=n {
+            let e = keyed_event(i, 7);
+            let ts = e.ts;
+            live.push(e);
+            live.advance_watermark(ts);
+        }
+        assert_eq!(live.batches_sent[idle], n / CHUNK as u64);
+        assert_eq!(live.pending[idle].len(), n as usize % CHUNK);
+        live.poll_results();
+        settle(&mut live);
+        let last = Timestamp::from_millis(n * 10);
+        assert_eq!(live.progress, vec![last; 2]);
+        assert_eq!(live.finish().unwrap().per_shard[idle].arrivals, 0);
     }
 
     #[test]

@@ -139,6 +139,33 @@ fn crash_recovery_under_bounded_disorder_keeps_the_reorder_stage() {
     assert_eq!(straight, recovered);
 }
 
+/// The sharded backend queues watermark advances in the shard chunks. With
+/// 1024-step chunks none ever fills on this trace, so at a cut between two
+/// polls every shard holds a partial chunk of interleaved arrivals and
+/// watermarks: the checkpoint barrier must ship it ahead of the marker.
+#[test]
+fn crash_recovery_with_watermark_steps_pending_in_a_wide_chunk() {
+    let spec = spec();
+    let shape = PlanShape::bushy(3);
+    let trace = WorkloadGenerator::generate(&spec);
+    let lateness = Duration::from_secs(5);
+    let events = DisorderSpec::new(0.1, lateness, 31).apply(&trace);
+    let cut = events.len() / 2 + 3;
+    assert_ne!((cut - 1) % 40, 0, "the cut must not follow a poll");
+    for mode in [ExecutionMode::Ref, ExecutionMode::Jit(JitPolicy::full())] {
+        let builder = Engine::builder()
+            .workload(&spec, &shape)
+            .mode(mode)
+            .disorder(DisorderPolicy::Bounded(lateness))
+            .batch_policy(BatchPolicy::rows(1024))
+            .sharded(RuntimeConfig::with_shards(2));
+        let straight = run_straight(&builder, &events);
+        assert!(!straight.is_empty());
+        let tag = format!("wide-chunk-{}", mode.label());
+        assert_eq!(straight, run_with_crash(&builder, &events, cut, &tag));
+    }
+}
+
 #[test]
 fn bounded_policy_tolerates_disorder_within_the_bound_exactly() {
     // In-order strict run vs disordered bounded run with lateness ≥ the

@@ -213,19 +213,46 @@ fn batch_sizes() -> [BatchPolicy; 2] {
 }
 
 /// The batch-size axis on the key-partitionable 3-source workload, REF and
-/// JIT, on one backend.
-fn sweep_batch_sizes(shards: Option<usize>) {
-    let spec = WorkloadSpec::bushy_default()
+/// JIT, on one backend. With a `lateness` the session runs under
+/// `DisorderPolicy::Bounded` over a disordered replay of the same trace
+/// (5% of the arrivals up to `lateness` late, windows short enough to
+/// expire mid-stream): the watermark then advances after nearly every push
+/// and travels in the same chunks as the arrivals.
+fn sweep_batch_sizes(shards: Option<usize>, lateness: Option<Duration>) {
+    let mut spec = WorkloadSpec::bushy_default()
         .with_sources(3)
         .with_shared_key()
         .with_dmax(40)
         .with_duration(Duration::from_mins(2))
         .with_seed(7);
+    if lateness.is_some() {
+        spec = spec.with_window_minutes(0.5);
+    }
     let shape = PlanShape::left_deep(3);
     let trace = WorkloadGenerator::generate(&spec);
+    let disordered = lateness.map(|l| (l, DisorderSpec::new(0.05, l, 13).apply(&trace)));
     for mode in [ExecutionMode::Ref, ExecutionMode::Jit(JitPolicy::full())] {
-        let run = |policy| {
-            run_config(
+        let run = |policy| match &disordered {
+            Some((lateness, events)) => {
+                let mut builder = Engine::builder()
+                    .workload(&spec, &shape)
+                    .mode(mode)
+                    .batch_policy(policy)
+                    .disorder(DisorderPolicy::Bounded(*lateness));
+                if let Some(shards) = shards {
+                    builder = builder.sharded(RuntimeConfig::with_shards(shards));
+                }
+                let mut session = builder
+                    .build()
+                    .expect("engine builds")
+                    .session()
+                    .expect("session opens");
+                session
+                    .push_batch(events.iter().cloned())
+                    .expect("a bounded session accepts every push");
+                session.finish().expect("session finishes")
+            }
+            None => run_config(
                 &spec,
                 &shape,
                 &trace,
@@ -233,12 +260,23 @@ fn sweep_batch_sizes(shards: Option<usize>) {
                 StateIndexMode::Hashed,
                 shards,
                 policy,
-            )
+            ),
         };
         let rows1 = run(BatchPolicy::rows(1));
         assert!(rows1.results_count > 0, "workload must produce results");
+        if lateness.is_some() {
+            assert_eq!(rows1.snapshot.late_dropped, 0, "the bound covers the delay");
+            assert!(rows1.snapshot.late_arrivals > 0, "disorder must be present");
+            assert!(
+                rows1.snapshot.stats.purged_tuples > 0,
+                "expiry must be active"
+            );
+        }
         for policy in batch_sizes() {
-            let label = format!("{} shards={shards:?} {policy:?}", mode.label());
+            let label = format!(
+                "{} shards={shards:?} lateness={lateness:?} {policy:?}",
+                mode.label()
+            );
             assert_batch_size_invisible(&rows1, &run(policy), &label);
         }
     }
@@ -246,12 +284,17 @@ fn sweep_batch_sizes(shards: Option<usize>) {
 
 #[test]
 fn batch_size_is_invisible_single_threaded() {
-    sweep_batch_sizes(None);
+    sweep_batch_sizes(None, None);
 }
 
 #[test]
 fn batch_size_is_invisible_on_4_shards() {
-    sweep_batch_sizes(Some(4));
+    sweep_batch_sizes(Some(4), None);
+}
+
+#[test]
+fn batch_size_is_invisible_under_bounded_disorder_on_4_shards() {
+    sweep_batch_sizes(Some(4), Some(Duration::from_secs(3)));
 }
 
 /// Push a fixed arrival script through a CQL query. Sequence numbers are
