@@ -5,8 +5,8 @@
 //! of shared pipelines) on one [`jit_serve::QueryRegistry`], pushes one
 //! mixed A/B stream, and measures the *serving* cost per arrival as N
 //! grows. Writes `BENCH_multi_query.json` with registrations/sec,
-//! arrivals/sec, µs/arrival and the shared-vs-isolated state bytes the
-//! registry's refcounted caches account for.
+//! arrivals/sec, µs/arrival and the state bytes the pipelines hold against
+//! what one dedicated engine per query would hold.
 //!
 //! Usage:
 //!
@@ -16,8 +16,9 @@
 //!
 //! The run *asserts* (exiting non-zero otherwise) that
 //!
-//! * shared state bytes never exceed the isolated-serving baseline, and are
-//!   strictly below it whenever queries outnumber pipelines;
+//! * the pipelines hold strictly fewer state bytes than the isolated-serving
+//!   baseline whenever queries outnumber pipelines (never more: the baseline
+//!   is each pipeline's bytes times its subscribers);
 //! * per-arrival cost grows sublinearly in the query count: going from the
 //!   smallest to the largest N must cost well under half the proportional
 //!   (linear) slowdown.
@@ -49,7 +50,7 @@ struct BenchPoint {
     shared_state_bytes: usize,
     isolated_state_bytes: usize,
     /// `isolated / shared` — how many times over the isolated baseline
-    /// would store the same windows.
+    /// would store the pipelines' state (≈ subscribers per pipeline).
     state_sharing_factor: f64,
     sentinel_results: usize,
 }
@@ -195,12 +196,6 @@ fn main() {
         );
         if point.sentinel_results == 0 {
             failures.push(format!("{n} queries: sentinel query saw no results"));
-        }
-        if report.shared_state_bytes > report.isolated_state_bytes {
-            failures.push(format!(
-                "{n} queries: shared state {} B exceeds isolated baseline {} B",
-                report.shared_state_bytes, report.isolated_state_bytes
-            ));
         }
         if report.queries > report.pipelines
             && report.shared_state_bytes >= report.isolated_state_bytes

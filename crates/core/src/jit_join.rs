@@ -12,10 +12,9 @@
 //!   Fed by a source or a selection chain it looks for none and runs the
 //!   plain join path — no lattice, no membership probes, no MNS buffer
 //!   entry, no feedback, no Bloom filter on the opposite state; fed by a
-//!   join it leaves out the MNSs spanning both of that join's inputs unless
-//!   [`JitPolicy::handle_type2`] is on. Ignoring a message is always legal
-//!   (Section IV-B), so not sending one the receiver would ignore changes
-//!   no suppression decision.
+//!   join it leaves out the MNSs spanning both of that join's inputs.
+//!   Ignoring a message is always legal (Section IV-B), so not sending one
+//!   the receiver would ignore changes no suppression decision.
 //! * **Producer** (`Handle_Feedback`): suspension feedback drains the
 //!   super-tuples of the named MNS (and, optionally, "similar" tuples with
 //!   the same join-attribute values) from the corresponding state into a
@@ -55,8 +54,8 @@ use crate::lattice::CnsLattice;
 use crate::mns_buffer::MnsBuffer;
 use crate::policy::{JitPolicy, MnsDetection};
 use jit_exec::operator::{
-    DataMessage, FeedbackOutcome, OpContext, Operator, OperatorOutput, Port, ResultBlock,
-    SuppressionDigest, LEFT, RIGHT,
+    DataMessage, FeedbackOutcome, OpContext, Operator, OperatorOutput, Port, ResultBlock, LEFT,
+    RIGHT,
 };
 use jit_exec::state::{JoinKeySpec, OperatorState, StateIndexMode};
 use jit_metrics::CostKind;
@@ -93,7 +92,7 @@ pub enum Producer {
     Passive,
     /// A join with these two input schemas. It acts on Ø and on an MNS lying
     /// inside one of its inputs; one spanning both (Type II, Section IV-B)
-    /// it ignores unless [`JitPolicy::handle_type2`] is on.
+    /// it ignores.
     Join {
         /// Schema of the producer's left input.
         left: SourceSet,
@@ -109,13 +108,11 @@ impl Producer {
     }
 
     /// Would the producer act on feedback naming an MNS with this coverage?
-    fn acts_on(self, coverage: SourceSet, handle_type2: bool) -> bool {
+    fn acts_on(self, coverage: SourceSet) -> bool {
         match self {
             Producer::Unknown => true,
             Producer::Passive => false,
-            Producer::Join { left, right } => {
-                handle_type2 || coverage.is_subset(left) || coverage.is_subset(right)
-            }
+            Producer::Join { left, right } => coverage.is_subset(left) || coverage.is_subset(right),
         }
     }
 }
@@ -247,9 +244,8 @@ impl JitJoinOperator {
     /// [`Producer::Unknown`].
     pub fn fed_by(mut self, producers: [Producer; 2]) -> Self {
         self.producers = producers;
-        let handle_type2 = self.policy.handle_type2;
         for port in [LEFT, RIGHT] {
-            self.nodes[port].retain(|(node, _)| producers[port].acts_on(*node, handle_type2));
+            self.nodes[port].retain(|(node, _)| producers[port].acts_on(*node));
         }
         self
     }
@@ -272,7 +268,7 @@ impl JitJoinOperator {
 
     /// Does `port` report an MNS with this coverage to its producer?
     fn reports(&self, port: Port, coverage: SourceSet) -> bool {
-        self.producers[port].acts_on(coverage, self.policy.handle_type2)
+        self.producers[port].acts_on(coverage)
     }
 
     /// Select how the two operator states, MNS buffers and blacklists
@@ -618,23 +614,9 @@ impl JitJoinOperator {
         let side = match (on_left, on_right) {
             (true, _) => LEFT,
             (_, true) => RIGHT,
-            _ => {
-                // Type II MNS: spans both inputs. Handling it requires the
-                // mark-result machinery; ignoring it is always legal
-                // (Section IV-B) and is the default policy.
-                if self.policy.handle_type2 && self.policy.propagate_feedback {
-                    let left_part = mns.project(self.left_schema);
-                    let right_part = mns.project(self.right_schema);
-                    outcome
-                        .propagate
-                        .push((LEFT, Feedback::mark(vec![left_part])));
-                    outcome
-                        .propagate
-                        .push((RIGHT, Feedback::mark(vec![right_part])));
-                    ctx.metrics.stats.feedback_propagated += 2;
-                }
-                return;
-            }
+            // Type II MNS: spans both inputs. Handling it would need a
+            // mark-result path; ignoring it is always legal (Section IV-B).
+            _ => return,
         };
         // Propagate before handling (Section III-C, rule (i)).
         if self.policy.propagate_feedback {
@@ -1247,16 +1229,6 @@ impl Operator for JitJoinOperator {
             .map(|(_, msg, _)| msg.size_bytes())
             .sum();
         Ok(())
-    }
-
-    fn suppression_digest(&self) -> SuppressionDigest {
-        let mut digest = SuppressionDigest::default();
-        for side in [LEFT, RIGHT] {
-            for entry in self.blacklists[side].entries() {
-                digest.add(entry.signature_columns.clone(), entry.signature.clone());
-            }
-        }
-        digest
     }
 }
 
@@ -1938,27 +1910,6 @@ mod tests {
                 (producer.blacklist_len(LEFT), producer.state_len(LEFT)),
                 (1, 0)
             );
-        }
-    }
-
-    /// With `handle_type2` on, a join-fed port detects what an operator
-    /// that detects everything does.
-    #[test]
-    fn handle_type2_keeps_spanning_mnss() {
-        let type2 = JitPolicy {
-            handle_type2: true,
-            ..JitPolicy::full()
-        };
-        let ab_c = Producer::Join {
-            left: SourceSet::first_n(2),
-            right: SourceSet::single(SourceId(2)),
-        };
-        for mode in [StateIndexMode::Hashed, StateIndexMode::Scan] {
-            let (expected, _) = mns_coverages_of_abc(&mut top_join(type2, mode));
-            assert_eq!(expected.len(), 2);
-            let mut consumer = top_join(type2, mode).fed_by([ab_c, Producer::Passive]);
-            assert_eq!(mns_coverages_of_abc(&mut consumer).0, expected, "{mode:?}");
-            assert_eq!(consumer.nodes[LEFT].len(), 7);
         }
     }
 

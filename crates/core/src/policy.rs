@@ -2,10 +2,9 @@
 //!
 //! Section III-A stresses that the framework is flexible: a consumer "may
 //! choose not to detect all MNSs", a producer "may decide to ignore the
-//! message", and Section IV-B lists optional refinements (similar-tuple
-//! capture, Type II handling). [`JitPolicy`] exposes these choices so the
-//! ablation benchmarks can quantify each one, and so the DOE baseline falls
-//! out as a preset.
+//! message", and Section IV-B lists an optional refinement (similar-tuple
+//! capture). [`JitPolicy`] exposes these choices so the ablation benchmarks
+//! can quantify each one, and so the DOE baseline falls out as a preset.
 
 use serde::{Deserialize, Serialize};
 
@@ -34,14 +33,6 @@ pub struct JitPolicy {
     /// Propagate feedback to upstream operators (Section III-C). Without it,
     /// JIT only affects the immediate producer.
     pub propagate_feedback: bool,
-    /// Handle Type II MNSs (sub-tuples spanning both of the producer's
-    /// inputs) via mark-result feedback. When off, the producer ignores such
-    /// MNSs, which is always legal (Section IV-B) — so when off the
-    /// *consumer* does not detect such MNSs in the first place: a port whose
-    /// plan says it is fed by a join ([`crate::Producer::Join`]) keeps only
-    /// the lattice nodes lying inside one of that join's inputs, and neither
-    /// buffers nor reports the rest.
-    pub handle_type2: bool,
     /// Number of bits in each Bloom filter (only used with
     /// [`MnsDetection::Bloom`]).
     pub bloom_bits: usize,
@@ -62,7 +53,6 @@ impl JitPolicy {
             detection: MnsDetection::FullLattice,
             capture_similar: true,
             propagate_feedback: true,
-            handle_type2: false,
             bloom_bits: 4096,
             bloom_hashes: 3,
         }
@@ -75,7 +65,6 @@ impl JitPolicy {
             detection: MnsDetection::EmptyStateOnly,
             capture_similar: false,
             propagate_feedback: true,
-            handle_type2: false,
             ..JitPolicy::full()
         }
     }
@@ -138,12 +127,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn full_policy_enables_everything_but_type2() {
+    fn full_policy_enables_everything() {
         let p = JitPolicy::full();
         assert_eq!(p.detection, MnsDetection::FullLattice);
         assert!(p.capture_similar);
         assert!(p.propagate_feedback);
-        assert!(!p.handle_type2);
     }
 
     #[test]

@@ -17,7 +17,6 @@
 
 use crate::error::EngineError;
 use jit_exec::executor::Executor;
-use jit_exec::operator::SuppressionDigest;
 use jit_metrics::MetricsSnapshot;
 use jit_runtime::{ShardOutcome, ShardedSession};
 use jit_stream::arrival::ArrivalEvent;
@@ -79,16 +78,11 @@ pub trait Backend {
     /// A live point-in-time metrics aggregate.
     fn metrics_snapshot(&mut self) -> MetricsSnapshot;
 
-    /// A digest of the suppression knowledge (blacklisted MNS signatures)
-    /// the plan currently holds — observational input to cross-query
-    /// reporting in the serving tier; never used to drop deliveries.
-    ///
-    /// The default is empty, which is always sound: a backend that cannot
-    /// cheaply aggregate its operators' blacklists (the sharded backend's
-    /// plans live on worker threads) simply reports no knowledge.
-    fn suppression_digest(&mut self) -> SuppressionDigest {
-        SuppressionDigest::default()
-    }
+    /// Analytical bytes the plan's containers currently hold (states, MNS
+    /// buffers, blacklists). Never a round trip: the sharded backend sums
+    /// what each shard last acknowledged, so the figure trails the pushes
+    /// still in flight.
+    fn state_bytes(&self) -> usize;
 
     /// Advance the backend's watermark clock: operators purge state expired
     /// at `w` and application time becomes `w`. Meaningful when the backend
@@ -142,8 +136,8 @@ impl Backend for SingleThreadBackend {
         self.executor.metrics().snapshot()
     }
 
-    fn suppression_digest(&mut self) -> SuppressionDigest {
-        self.executor.suppression_digest()
+    fn state_bytes(&self) -> usize {
+        self.executor.metrics().memory.current_bytes()
     }
 
     fn advance_watermark(&mut self, w: Timestamp) {
@@ -200,6 +194,10 @@ impl Backend for ShardedBackend {
 
     fn metrics_snapshot(&mut self) -> MetricsSnapshot {
         self.session.metrics_snapshot()
+    }
+
+    fn state_bytes(&self) -> usize {
+        self.session.state_bytes()
     }
 
     fn advance_watermark(&mut self, w: Timestamp) {

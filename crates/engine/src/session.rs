@@ -3,7 +3,6 @@
 use crate::backend::{Backend, EngineOutcome};
 use crate::error::EngineError;
 use jit_durable::{write_checkpoint, CheckpointStats, PushOutcome, ReorderBuffer};
-use jit_exec::operator::SuppressionDigest;
 use jit_metrics::MetricsSnapshot;
 use jit_stream::arrival::ArrivalEvent;
 use jit_stream::Trace;
@@ -214,11 +213,12 @@ impl Session {
         snapshot.checkpoint_millis += self.ckpt_millis;
     }
 
-    /// The suppression knowledge the running plan currently holds (empty on
-    /// backends that cannot aggregate it, notably the sharded runtime). See
-    /// [`SuppressionDigest`].
-    pub fn suppression_digest(&mut self) -> SuppressionDigest {
-        self.backend.suppression_digest()
+    /// Analytical bytes the running plan currently holds, without touching
+    /// the backend (see [`Backend::state_bytes`]): exact on the
+    /// single-threaded backend, as of each shard's last acknowledged chunk
+    /// on the sharded one.
+    pub fn state_bytes(&self) -> usize {
+        self.backend.state_bytes()
     }
 
     /// Serialise the session's full resumable state as a checkpoint body
@@ -301,6 +301,9 @@ impl Backend for NullBackend {
     }
     fn metrics_snapshot(&mut self) -> MetricsSnapshot {
         MetricsSnapshot::zero()
+    }
+    fn state_bytes(&self) -> usize {
+        0
     }
     fn advance_watermark(&mut self, _w: Timestamp) {}
     fn checkpoint(&mut self) -> Result<Content, EngineError> {

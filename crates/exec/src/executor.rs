@@ -419,16 +419,6 @@ impl Executor {
         self.slots[id.0].operator.as_ref()
     }
 
-    /// The union of every operator's [`crate::operator::SuppressionDigest`] — the plan's
-    /// current suppression knowledge, for cross-pipeline reporting.
-    pub fn suppression_digest(&self) -> crate::operator::SuppressionDigest {
-        let mut digest = crate::operator::SuppressionDigest::default();
-        for slot in &self.slots {
-            digest.merge(&slot.operator.suppression_digest());
-        }
-        digest
-    }
-
     /// Serialise the executor's resumable state: the clock, the sink
     /// bookkeeping, any collected-but-undrained results, and one blob per
     /// operator (validated by name on restore).

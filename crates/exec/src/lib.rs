@@ -52,9 +52,9 @@ pub mod static_join;
 pub use executor::{Executor, ExecutorConfig};
 pub use join::RefJoinOperator;
 pub use operator::{
-    DataMessage, FeedbackOutcome, OpContext, Operator, OperatorId, OperatorOutput, Port,
-    SuppressionDigest, LEFT, RIGHT,
+    DataMessage, FeedbackOutcome, OpContext, Operator, OperatorId, OperatorOutput, Port, LEFT,
+    RIGHT,
 };
 pub use plan::{ExecutablePlan, Input, PlanBuilder, PlanError};
 pub use scheduler::{Priority, Scheduler, Task, TaskKind};
-pub use state::{JoinKeySpec, OperatorState, SharedState, StateCache, StateIndexMode, StoredTuple};
+pub use state::{JoinKeySpec, OperatorState, StateIndexMode, StoredTuple};

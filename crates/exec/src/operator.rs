@@ -8,7 +8,7 @@
 //! propagating feedback further upstream (Section III-C of the paper).
 
 use jit_metrics::RunMetrics;
-use jit_types::{BaseTuple, ColumnRef, Feedback, Signature, SourceId, SourceSet, Timestamp, Tuple};
+use jit_types::{BaseTuple, Feedback, SourceId, SourceSet, Timestamp, Tuple};
 use serde::Content;
 use std::fmt;
 use std::sync::Arc;
@@ -248,76 +248,6 @@ impl FeedbackOutcome {
     }
 }
 
-/// A portable summary of the suppression knowledge an operator (or a whole
-/// plan) has accumulated: the signatures of the minimal non-demanded
-/// sub-tuples it is currently capturing by similarity.
-///
-/// The digest is *observational*: it lets a multi-query serving tier see
-/// which value regions one query's JIT machinery has already learned to be
-/// unproductive and compare that against its sibling queries
-/// ([`SuppressionDigest::overlap`]) — cross-pollination reporting. It is
-/// never used to drop deliveries: each pipeline's own feedback loop remains
-/// the only authority over what it suppresses, so sharing the digest cannot
-/// change any query's results.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct SuppressionDigest {
-    /// Distinct `(signature columns, signature)` pairs under similarity
-    /// capture, sorted and deduplicated.
-    pub signatures: Vec<(Vec<ColumnRef>, Signature)>,
-    /// Total number of blacklist entries backing the digest (including
-    /// entries without a similarity signature).
-    pub entries: usize,
-}
-
-impl SuppressionDigest {
-    /// No suppression knowledge.
-    pub fn new() -> Self {
-        SuppressionDigest::default()
-    }
-
-    /// Is there nothing in the digest?
-    pub fn is_empty(&self) -> bool {
-        self.signatures.is_empty() && self.entries == 0
-    }
-
-    /// Record one blacklist entry. Entries without signature columns count
-    /// toward [`SuppressionDigest::entries`] but contribute no signature
-    /// (they capture exact super-tuples only, which is not transferable
-    /// knowledge).
-    pub fn add(&mut self, columns: Vec<ColumnRef>, signature: Signature) {
-        self.entries += 1;
-        if !columns.is_empty() {
-            self.signatures.push((columns, signature));
-            self.normalize();
-        }
-    }
-
-    /// Fold another digest into this one.
-    pub fn merge(&mut self, other: &SuppressionDigest) {
-        self.entries += other.entries;
-        self.signatures.extend(other.signatures.iter().cloned());
-        self.normalize();
-    }
-
-    /// Number of `(columns, signature)` pairs present in both digests — the
-    /// suppression knowledge two pipelines share.
-    pub fn overlap(&self, other: &SuppressionDigest) -> usize {
-        self.signatures
-            .iter()
-            .filter(|s| other.signatures.binary_search_by(|o| cmp_sig(o, s)).is_ok())
-            .count()
-    }
-
-    fn normalize(&mut self) {
-        self.signatures.sort_by(cmp_sig);
-        self.signatures.dedup();
-    }
-}
-
-fn cmp_sig(a: &(Vec<ColumnRef>, Signature), b: &(Vec<ColumnRef>, Signature)) -> std::cmp::Ordering {
-    (&a.0, &a.1 .0).cmp(&(&b.0, &b.1 .0))
-}
-
 /// Per-call execution context handed to operators: the current application
 /// time and mutable access to the run's metrics.
 pub struct OpContext<'a> {
@@ -370,13 +300,6 @@ pub trait Operator: Send {
     /// Current analytical memory footprint of all containers held by the
     /// operator (states, MNS buffers, blacklists, …). Must be O(1).
     fn memory_bytes(&self) -> usize;
-
-    /// A digest of the suppression knowledge this operator currently holds
-    /// (see [`SuppressionDigest`]). The default — correct for every operator
-    /// without a blacklist — is empty.
-    fn suppression_digest(&self) -> SuppressionDigest {
-        SuppressionDigest::default()
-    }
 
     /// Is the operator currently suspended (used by the DOE baseline and by
     /// scheduling diagnostics)?
@@ -541,36 +464,5 @@ mod tests {
     #[test]
     fn operator_id_display() {
         assert_eq!(OperatorId(3).to_string(), "Op3");
-    }
-
-    #[test]
-    fn suppression_digest_merges_and_overlaps() {
-        use jit_types::SourceId;
-        let col = |c: u16| ColumnRef::new(SourceId(0), c);
-        let sig = |c: u16, v: i64| Signature(vec![(col(c), Value::int(v))]);
-
-        let mut a = SuppressionDigest::new();
-        assert!(a.is_empty());
-        a.add(vec![col(0)], sig(0, 1));
-        a.add(vec![col(0)], sig(0, 1)); // duplicate signature, second entry
-        a.add(vec![], Signature::default()); // exact-capture entry: no signature
-        assert_eq!(a.entries, 3);
-        assert_eq!(a.signatures.len(), 1);
-
-        let mut b = SuppressionDigest::new();
-        b.add(vec![col(0)], sig(0, 1));
-        b.add(vec![col(1)], sig(1, 2));
-        assert_eq!(a.overlap(&b), 1);
-        assert_eq!(b.overlap(&a), 1);
-
-        a.merge(&b);
-        assert_eq!(a.entries, 5);
-        assert_eq!(a.signatures.len(), 2);
-        assert_eq!(a.overlap(&b), 2);
-        // The trait default reports no knowledge.
-        let op = PassThrough {
-            name: "pass".into(),
-        };
-        assert!(op.suppression_digest().is_empty());
     }
 }

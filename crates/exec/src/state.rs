@@ -71,11 +71,8 @@
 
 use jit_types::{ColumnRef, FastMap, PredicateSet, SourceSet, Timestamp, Tuple, Value, Window};
 use serde::{Content, Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
-use std::hash::Hash;
-use std::rc::Rc;
 
 /// One tuple stored in an operator state.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -964,116 +961,6 @@ impl fmt::Display for OperatorState {
     }
 }
 
-/// A shared handle to an [`OperatorState`], as vended by [`StateCache`].
-///
-/// `Rc<RefCell<…>>` rather than `Arc<Mutex<…>>` on purpose: sharing happens
-/// inside one serving thread (the multi-query registry routes every arrival
-/// itself), so the cache stays off the sharded runtime's hot path and pays
-/// no synchronization cost.
-pub type SharedState = Rc<RefCell<OperatorState>>;
-
-/// A refcounted cache of [`OperatorState`]s shared across consumers.
-///
-/// This is the substrate of cross-query state sharing in the serving tier:
-/// two queries whose plans contain the *same* window state (same source,
-/// same window, same pre-join filtering — the key `K` encodes whatever
-/// "same" means to the caller) hold one [`SharedState`] instead of two
-/// copies. [`StateCache::acquire`] hands out the existing handle (bumping a
-/// refcount) or materializes the state on first demand;
-/// [`StateCache::release`] drops the entry once the last consumer leaves, so
-/// a deregistered query's state is reclaimed exactly when nobody else needs
-/// it.
-///
-/// [`StateCache::shared_bytes`] reports the bytes of every cached state
-/// *once*, while [`StateCache::isolated_bytes`] reports what the same
-/// consumers would hold without sharing (each state multiplied by its
-/// refcount) — the pair the multi-query bench compares.
-#[derive(Debug, Default)]
-pub struct StateCache<K> {
-    entries: FastMap<K, CacheEntry>,
-}
-
-#[derive(Debug)]
-struct CacheEntry {
-    state: SharedState,
-    refcount: usize,
-}
-
-impl<K: Hash + Eq + Clone> StateCache<K> {
-    /// An empty cache.
-    pub fn new() -> Self {
-        StateCache {
-            entries: FastMap::default(),
-        }
-    }
-
-    /// Acquire the shared state under `key`, creating it with `make` if this
-    /// is the first acquisition. Every `acquire` must be paired with one
-    /// [`StateCache::release`].
-    pub fn acquire(&mut self, key: K, make: impl FnOnce() -> OperatorState) -> SharedState {
-        let entry = self.entries.entry(key).or_insert_with(|| CacheEntry {
-            state: Rc::new(RefCell::new(make())),
-            refcount: 0,
-        });
-        entry.refcount += 1;
-        Rc::clone(&entry.state)
-    }
-
-    /// Release one reference to the state under `key`; the entry is dropped
-    /// when its refcount reaches zero. Returns `true` if the entry was
-    /// removed. Releasing an unknown key is a no-op returning `false`.
-    pub fn release(&mut self, key: &K) -> bool {
-        let Some(entry) = self.entries.get_mut(key) else {
-            return false;
-        };
-        entry.refcount -= 1;
-        if entry.refcount == 0 {
-            self.entries.remove(key);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The shared handle under `key` without bumping the refcount, if cached.
-    pub fn peek(&self, key: &K) -> Option<SharedState> {
-        self.entries.get(key).map(|e| Rc::clone(&e.state))
-    }
-
-    /// Current number of consumers of the state under `key` (0 if absent).
-    pub fn refcount(&self, key: &K) -> usize {
-        self.entries.get(key).map_or(0, |e| e.refcount)
-    }
-
-    /// Number of distinct cached states.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Total analytical bytes of the cached states, each counted once —
-    /// what the serving tier actually holds.
-    pub fn shared_bytes(&self) -> usize {
-        self.entries
-            .values()
-            .map(|e| e.state.borrow().size_bytes())
-            .sum()
-    }
-
-    /// Analytical bytes the same consumers would hold *without* sharing:
-    /// each state's bytes multiplied by its refcount.
-    pub fn isolated_bytes(&self) -> usize {
-        self.entries
-            .values()
-            .map(|e| e.refcount * e.state.borrow().size_bytes())
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1414,65 +1301,6 @@ mod tests {
             assert_eq!(hashed.len(), 100);
             assert_eq!(hashed.slots.len(), 100);
         }
-    }
-
-    #[test]
-    fn state_cache_shares_one_state_per_key() {
-        let mut cache: StateCache<(u16, u64)> = StateCache::new();
-        let a1 = cache.acquire((0, 60_000), || OperatorState::new("S_A"));
-        let a2 = cache.acquire((0, 60_000), || {
-            unreachable!("second acquire must reuse the cached state")
-        });
-        assert!(Rc::ptr_eq(&a1, &a2));
-        assert_eq!(cache.refcount(&(0, 60_000)), 2);
-        assert_eq!(cache.len(), 1);
-        // A mutation through one handle is visible through the other.
-        a1.borrow_mut()
-            .insert(tuple(1, 100), Timestamp::from_millis(100));
-        assert_eq!(a2.borrow().len(), 1);
-        // A different key materializes a fresh state.
-        let b = cache.acquire((1, 60_000), || OperatorState::new("S_B"));
-        assert!(!Rc::ptr_eq(&a1, &b));
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn state_cache_release_reclaims_at_zero() {
-        let mut cache: StateCache<&'static str> = StateCache::new();
-        let s = cache.acquire("k", || OperatorState::new("S"));
-        let _s2 = cache.acquire("k", || OperatorState::new("unused"));
-        assert!(!cache.release(&"k"), "one consumer remains");
-        assert_eq!(cache.refcount(&"k"), 1);
-        assert!(cache.peek(&"k").is_some());
-        assert!(cache.release(&"k"), "last release drops the entry");
-        assert!(cache.is_empty());
-        assert_eq!(cache.refcount(&"k"), 0);
-        assert!(cache.peek(&"k").is_none());
-        // Releasing an unknown key is a no-op.
-        assert!(!cache.release(&"k"));
-        // The handle itself stays alive for whoever still holds it.
-        s.borrow_mut().insert(tuple(1, 0), Timestamp::ZERO);
-        assert_eq!(s.borrow().len(), 1);
-        // Re-acquiring after reclamation starts from a fresh state.
-        let fresh = cache.acquire("k", || OperatorState::new("S"));
-        assert!(fresh.borrow().is_empty());
-    }
-
-    #[test]
-    fn state_cache_accounts_shared_vs_isolated_bytes() {
-        let mut cache: StateCache<u8> = StateCache::new();
-        let a = cache.acquire(0, || OperatorState::new("S_A"));
-        let _a2 = cache.acquire(0, || OperatorState::new("unused"));
-        let _a3 = cache.acquire(0, || OperatorState::new("unused"));
-        let b = cache.acquire(1, || OperatorState::new("S_B"));
-        a.borrow_mut().insert(tuple(1, 0), Timestamp::ZERO);
-        b.borrow_mut().insert(tuple(2, 0), Timestamp::ZERO);
-        let a_bytes = a.borrow().size_bytes();
-        let b_bytes = b.borrow().size_bytes();
-        assert_eq!(cache.shared_bytes(), a_bytes + b_bytes);
-        // Without sharing, the three consumers of key 0 would each hold a
-        // copy of S_A.
-        assert_eq!(cache.isolated_bytes(), 3 * a_bytes + b_bytes);
     }
 
     #[test]

@@ -581,6 +581,13 @@ impl ShardedSession {
         MetricsSnapshot::aggregate_parallel(self.latest.iter())
     }
 
+    /// Analytical bytes the shards' plans held when each last acknowledged a
+    /// chunk. Unlike [`Self::metrics_snapshot`] it sends and receives
+    /// nothing, so it trails the steps still queued or in flight.
+    pub fn state_bytes(&self) -> usize {
+        self.latest.iter().map(|s| s.final_memory_bytes).sum()
+    }
+
     /// Close the session: flush pending batches, end every shard's stream
     /// (which triggers the executor's end-of-stream flush), join the
     /// workers, and merge what remains.

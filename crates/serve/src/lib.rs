@@ -24,27 +24,19 @@
 //!   query applies to a source is deduplicated into a registry-wide class
 //!   index; an arrival is classified once per *distinct* class, not once per
 //!   query, and only pipelines whose class passed see the tuple.
-//! * **Shared window state (STeM cache)** — the per-source sliding windows
-//!   (the leaf STeMs of every plan, keyed by canonical sub-pattern: source,
-//!   window, filter class) are kept once in a refcounted
-//!   [`jit_exec::state::StateCache`] and maintained once per arrival,
-//!   whatever the number of subscribing queries. The cache also prices the
-//!   sharing: [`SharingReport::shared_state_bytes`] vs
-//!   [`SharingReport::isolated_state_bytes`].
-//! * **JIT cross-pollination** — suppression knowledge (blacklisted MNS
-//!   signatures) learned by one pipeline is collected as a
-//!   [`jit_exec::operator::SuppressionDigest`], rebased into the global
-//!   catalog's column space, and compared across sibling pipelines: overlap
-//!   and per-arrival pre-filter hits are *reported*
-//!   ([`QueryRegistry::suppression_overlap`],
-//!   [`SharingReport::cross_pollination_hits`]), never used to drop
-//!   deliveries — each query's results stay byte-identical to a dedicated
-//!   engine's.
 //!
-//! That last guarantee is the tier's contract: for every registered query,
-//! the result stream equals what an independent [`jit_engine::Engine`] would
-//! produce for the same query over the same arrivals (the
-//! `serving_equivalence` integration tests pin this on both backends).
+//! Those two layers are all the tier shares. Every pipeline's joins keep
+//! their own windows inside its session: two pipelines over the same source
+//! and window hold two copies, and [`SharingReport::shared_state_bytes`]
+//! counts both. [`SharingReport::isolated_state_bytes`] prices the same
+//! state at one dedicated engine per query (each pipeline's bytes times its
+//! subscribers), so the ratio of the two is what pipeline sharing saves and
+//! nothing more.
+//!
+//! The tier's contract: for every registered query, the result stream
+//! equals what an independent [`jit_engine::Engine`] would produce for the
+//! same query over the same arrivals (the `serving_equivalence` integration
+//! tests pin this on both backends).
 
 pub mod registry;
 pub mod selection;

@@ -3,15 +3,13 @@
 use crate::selection::{ClassId, SelectionIndex};
 use jit_core::ExecutionMode;
 use jit_engine::{CheckpointError, DisorderPolicy, Engine, EngineError, EngineOutcome, Session};
-use jit_exec::operator::SuppressionDigest;
-use jit_exec::state::{OperatorState, StateCache, StateIndexMode};
+use jit_exec::state::StateIndexMode;
 use jit_metrics::MetricsSnapshot;
 use jit_plan::canonical::{CanonicalKey, CanonicalQuery, FilterTerm};
 use jit_plan::cql::CqlError;
 use jit_runtime::RuntimeConfig;
 use jit_types::{
-    BaseTuple, BatchPolicy, Catalog, ColumnRef, FastMap, Signature, SourceId, Timestamp, Tuple,
-    Value, Window,
+    BaseTuple, BatchPolicy, Catalog, ColumnRef, FastMap, SourceId, Timestamp, Tuple, Value,
 };
 use serde::{Content, Serialize};
 use std::sync::Arc;
@@ -119,10 +117,6 @@ impl Default for ServeOptions {
     }
 }
 
-/// Identity of one shared leaf window state: the canonical sub-pattern
-/// (global source, window, filter class) every subscribing query agrees on.
-type StemKey = (SourceId, Window, Option<ClassId>);
-
 /// One executing pipeline: a session plus the queries subscribed to it.
 struct Pipeline {
     canonical: CanonicalQuery,
@@ -131,8 +125,6 @@ struct Pipeline {
     /// Per local source: the selection class gating arrivals (None =
     /// unfiltered source, everything passes).
     class_of_local: Vec<Option<ClassId>>,
-    /// Per local source: the shared leaf-window cache key.
-    stem_keys: Vec<StemKey>,
 }
 
 /// Sharing counters accumulated by one registry.
@@ -141,7 +133,6 @@ struct SharingStats {
     arrivals: u64,
     routed: u64,
     classifications_saved: u64,
-    cross_pollination_hits: u64,
 }
 
 /// A point-in-time account of how much work the serving tier is sharing.
@@ -161,17 +152,13 @@ pub struct SharingReport {
     pub classifications: u64,
     /// Evaluations avoided versus classifying once per holder of a class.
     pub classifications_saved: u64,
-    /// Bytes held in the shared leaf-window cache, counting each state once.
+    /// Analytical bytes the live pipelines hold (each session's
+    /// [`Session::state_bytes`], summed). Two pipelines over the same
+    /// source and window each keep their own copy, and both are counted.
     pub shared_state_bytes: usize,
-    /// Bytes the same windows would occupy if every holder kept its own
-    /// copy (refcount × bytes) — the isolated-serving baseline.
+    /// Bytes one dedicated engine per query would hold: each pipeline's
+    /// bytes times its subscribers — the isolated-serving baseline.
     pub isolated_state_bytes: usize,
-    /// Arrivals matching a suppression signature learned by a *sibling*
-    /// pipeline (see [`QueryRegistry::refresh_suppression`]). Observational:
-    /// nothing is dropped.
-    pub cross_pollination_hits: u64,
-    /// Suppression signatures currently cached from the pipelines.
-    pub suppression_signatures: usize,
 }
 
 /// A registry of standing continuous queries over one shared stream.
@@ -194,10 +181,6 @@ pub struct QueryRegistry {
     queries: FastMap<QueryId, usize>,
     mailboxes: FastMap<QueryId, Vec<Tuple>>,
     selection: SelectionIndex,
-    stems: StateCache<StemKey>,
-    /// Per-pipeline suppression digests in global column space, as of the
-    /// last [`QueryRegistry::refresh_suppression`].
-    digests: Vec<(usize, SuppressionDigest)>,
     stats: SharingStats,
     next_query: u64,
     /// Per-source sequence counters for [`QueryRegistry::push_values`].
@@ -233,8 +216,6 @@ impl QueryRegistry {
             queries: FastMap::default(),
             mailboxes: FastMap::default(),
             selection: SelectionIndex::new(),
-            stems: StateCache::new(),
-            digests: Vec::new(),
             stats: SharingStats::default(),
             next_query: 0,
             seqs: FastMap::default(),
@@ -287,9 +268,9 @@ impl QueryRegistry {
             }
         };
 
-        // Per-query references on the shared selection classes and leaf
-        // windows: the refcounts price what isolated serving would keep.
-        let (sources, window, local_classes, is_fresh) = {
+        // Per-query references on the shared selection classes: the
+        // refcounts price the classifications isolated serving would run.
+        let (sources, local_classes, is_fresh) = {
             // INVARIANT: the queries map only holds indices of live pipeline
             // slots (entries are removed together in unregister).
             let pipeline = self.pipelines[idx].as_ref().expect("live pipeline");
@@ -297,36 +278,20 @@ impl QueryRegistry {
             let local_classes: Vec<Vec<FilterTerm>> = (0..sources.len())
                 .map(|l| pipeline.canonical.filter_class(SourceId(l as u16)))
                 .collect();
-            let window = pipeline.canonical.window();
-            (
-                sources,
-                window,
-                local_classes,
-                pipeline.subscribers.is_empty(),
-            )
+            (sources, local_classes, pipeline.subscribers.is_empty())
         };
         let mut class_of_local = Vec::with_capacity(sources.len());
-        let mut stem_keys = Vec::with_capacity(sources.len());
         for (local, &global) in sources.iter().enumerate() {
             let terms = rebase_terms(&local_classes[local], global);
-            let class = self.selection.acquire(global, &terms);
-            let key = (global, window, class);
-            let mode = self.options.state_index;
-            self.stems.acquire(key, || {
-                OperatorState::with_index_mode(format!("stem:{global}"), mode)
-            });
-            class_of_local.push(class);
-            stem_keys.push(key);
+            class_of_local.push(self.selection.acquire(global, &terms));
         }
         // INVARIANT: the queries map only holds indices of live pipeline
         // slots (entries are removed together in unregister).
         let pipeline = self.pipelines[idx].as_mut().expect("live pipeline");
         if is_fresh {
             pipeline.class_of_local = class_of_local;
-            pipeline.stem_keys = stem_keys;
         } else {
             debug_assert_eq!(pipeline.class_of_local, class_of_local);
-            debug_assert_eq!(pipeline.stem_keys, stem_keys);
         }
         pipeline.subscribers.push(qid);
 
@@ -348,7 +313,6 @@ impl QueryRegistry {
             session,
             subscribers: Vec::new(),
             class_of_local: Vec::new(),
-            stem_keys: Vec::new(),
         }));
         Ok(idx)
     }
@@ -381,7 +345,7 @@ impl QueryRegistry {
     /// delivered into its mailbox first, and the mailbox remainder is
     /// returned; results not yet emitted are *not* flushed (the query asked
     /// to stop listening). When the last subscriber leaves, the pipeline is
-    /// shut down and its shared state references released.
+    /// shut down and its window state freed with it.
     pub fn deregister(&mut self, qid: QueryId) -> Result<Vec<Tuple>, ServeError> {
         let idx = *self
             .queries
@@ -396,12 +360,8 @@ impl QueryRegistry {
         pipeline.subscribers.retain(|&q| q != qid);
         let empty = pipeline.subscribers.is_empty();
         let classes = pipeline.class_of_local.clone();
-        let keys = pipeline.stem_keys.clone();
         for class in classes.into_iter().flatten() {
             self.selection.release(class);
-        }
-        for key in &keys {
-            self.stems.release(key);
         }
 
         if empty {
@@ -414,7 +374,6 @@ impl QueryRegistry {
                     ids.retain(|&i| i != idx);
                 }
             }
-            self.digests.retain(|(i, _)| *i != idx);
             // Join workers / drain cleanly; the orphaned flush output has
             // no subscriber and is discarded.
             pipeline.session.finish()?;
@@ -424,8 +383,7 @@ impl QueryRegistry {
 
     /// Push one arrival, carrying the *global* source id in
     /// [`BaseTuple::source`]. The arrival is classified once per distinct
-    /// filter class, folded once into each shared leaf window, and routed
-    /// to every pipeline whose class passed.
+    /// filter class and routed to every pipeline whose class passed.
     pub fn push(&mut self, tuple: Arc<BaseTuple>) -> Result<(), ServeError> {
         let source = tuple.source;
         if self.catalog.source(source).is_none() {
@@ -464,49 +422,6 @@ impl QueryRegistry {
             |class: Option<ClassId>| class.is_none_or(|c| *passed.get(&c).unwrap_or(&false));
 
         let route = self.routes.get(&source).cloned().unwrap_or_default();
-
-        // Cross-pollination (observational): does a sibling pipeline's
-        // learned suppression knowledge cover this arrival?
-        if !self.digests.is_empty() && !route.is_empty() {
-            for (owner, digest) in &self.digests {
-                if !route.iter().any(|i| i != owner) {
-                    continue;
-                }
-                for (columns, signature) in &digest.signatures {
-                    if !columns.is_empty()
-                        && columns.iter().all(|c| c.source == source)
-                        && Signature::of(&global_tuple, columns) == *signature
-                    {
-                        self.stats.cross_pollination_hits += 1;
-                    }
-                }
-            }
-        }
-
-        // Maintain each touched shared leaf window exactly once.
-        let mut touched: Vec<StemKey> = Vec::new();
-        for &idx in &route {
-            let Some(pipeline) = self.pipelines[idx].as_ref() else {
-                continue;
-            };
-            let local = pipeline
-                .canonical
-                .local_id(source)
-                // INVARIANT: routes entries only name pipelines whose canonical
-                // query covers the routed source.
-                .expect("routed pipeline references source");
-            let key = pipeline.stem_keys[local.0 as usize];
-            if class_passes(key.2) && !touched.contains(&key) {
-                touched.push(key);
-            }
-        }
-        for key in &touched {
-            if let Some(state) = self.stems.peek(key) {
-                let mut state = state.borrow_mut();
-                state.purge(key.1, tuple.ts);
-                state.insert(global_tuple.clone(), tuple.ts);
-            }
-        }
 
         // Route once per subscribed pipeline (not per query), in creation
         // order, remapped to the pipeline's local id space over the shared
@@ -602,91 +517,10 @@ impl QueryRegistry {
         Ok(pipeline.session.metrics_snapshot())
     }
 
-    /// The current contents of the shared window on `source` as `qid` sees
-    /// it (post-selection, purged to the last pushed timestamp), in global
-    /// id space.
-    pub fn window_contents(
-        &mut self,
-        qid: QueryId,
-        source: SourceId,
-    ) -> Result<Vec<Tuple>, ServeError> {
-        let idx = *self
-            .queries
-            .get(&qid)
-            .ok_or(ServeError::UnknownQuery(qid))?;
-        // INVARIANT: the queries map only holds indices of live pipeline
-        // slots (entries are removed together in unregister).
-        let pipeline = self.pipelines[idx].as_ref().expect("live pipeline");
-        let local = pipeline
-            .canonical
-            .local_id(source)
-            .ok_or(ServeError::UnknownSource(source))?;
-        let key = pipeline.stem_keys[local.0 as usize];
-        // INVARIANT: stem_keys entries hold an acquire() refcount until
-        // the pipeline is unregistered.
-        let state = self.stems.peek(&key).expect("acquired stem");
-        let mut state = state.borrow_mut();
-        state.purge(key.1, self.last_push_ts);
-        Ok(state.iter().map(|s| s.tuple.clone()).collect())
-    }
-
-    /// Re-collect every pipeline's suppression digest (rebased to the
-    /// global column space) for cross-pollination accounting. Returns the
-    /// number of signatures now cached. Digests are empty on backends that
-    /// cannot aggregate them (notably the sharded runtime) and in non-JIT
-    /// modes — then this is a cheap no-op.
-    pub fn refresh_suppression(&mut self) -> usize {
-        self.digests.clear();
-        for (idx, slot) in self.pipelines.iter_mut().enumerate() {
-            let Some(pipeline) = slot else { continue };
-            let local_digest = pipeline.session.suppression_digest();
-            if local_digest.signatures.is_empty() {
-                continue;
-            }
-            let sources = pipeline.canonical.sources();
-            let mut global = SuppressionDigest::new();
-            for (columns, signature) in &local_digest.signatures {
-                let columns = columns
-                    .iter()
-                    .map(|c| ColumnRef::new(sources[c.source.0 as usize], c.column))
-                    .collect::<Vec<_>>();
-                let values = Signature(
-                    signature
-                        .0
-                        .iter()
-                        .map(|(c, v)| {
-                            (
-                                ColumnRef::new(sources[c.source.0 as usize], c.column),
-                                v.clone(),
-                            )
-                        })
-                        .collect(),
-                );
-                global.add(columns, values);
-            }
-            global.entries = local_digest.entries;
-            self.digests.push((idx, global));
-        }
-        self.digests.iter().map(|(_, d)| d.signatures.len()).sum()
-    }
-
-    /// Total pairwise overlap between the cached pipeline digests: how many
-    /// suppression signatures were learned independently by more than one
-    /// pipeline — knowledge one query could have handed its siblings.
-    pub fn suppression_overlap(&self) -> usize {
-        let mut total = 0;
-        for (i, (_, a)) in self.digests.iter().enumerate() {
-            for (_, b) in &self.digests[i + 1..] {
-                total += a.overlap(b);
-            }
-        }
-        total
-    }
-
     /// Serialise the registry's full resumable state: every pipeline's
-    /// session (operator state, reorder stage, progress), the shared
-    /// leaf-window contents, undelivered mailboxes, per-source sequence
-    /// counters, the push frontier and the sharing statistics.
+    /// session (operator state, reorder stage, progress), undelivered
+    /// mailboxes, per-source sequence counters, the push frontier and the
+    /// sharing statistics.
     ///
     /// What is *not* serialised — and deliberately so — is the query text
     /// and registration structure: a checkpoint is restored by creating a
@@ -704,13 +538,6 @@ impl QueryRegistry {
                 Some(pipeline) => pipelines.push(pipeline.session.checkpoint()?),
             }
         }
-        let mut stem_states = Vec::new();
-        for key in self.stem_key_order() {
-            // INVARIANT: stem_key_order() lists only keys currently holding
-            // an acquire() refcount.
-            let state = self.stems.peek(&key).expect("acquired stem");
-            stem_states.push(state.borrow().checkpoint());
-        }
         let mut mailboxes: Vec<(u64, Vec<Tuple>)> = self
             .mailboxes
             .iter()
@@ -723,7 +550,6 @@ impl QueryRegistry {
             ("next_query".to_string(), Content::U64(self.next_query)),
             ("last_push_ts".to_string(), self.last_push_ts.to_content()),
             ("pipelines".to_string(), Content::Seq(pipelines)),
-            ("stems".to_string(), Content::Seq(stem_states)),
             ("mailboxes".to_string(), mailboxes.to_content()),
             ("seqs".to_string(), seqs.to_content()),
             (
@@ -735,10 +561,6 @@ impl QueryRegistry {
                         "classifications_saved".to_string(),
                         Content::U64(self.stats.classifications_saved),
                     ),
-                    (
-                        "cross_pollination_hits".to_string(),
-                        Content::U64(self.stats.cross_pollination_hits),
-                    ),
                 ]),
             ),
         ]))
@@ -748,13 +570,13 @@ impl QueryRegistry {
     ///
     /// Call on a registry whose queries have been re-registered identically
     /// (same texts, same order, same options) but which has seen no
-    /// arrivals. Structural mismatches — different query count, pipeline
-    /// layout or stem set — are typed errors
-    /// ([`jit_engine::CheckpointError::Mismatch`] under
-    /// [`ServeError::Engine`]); nothing is partially applied on the
-    /// pipeline level before validation passes. Suppression digests are not
-    /// part of the checkpoint — call [`QueryRegistry::refresh_suppression`]
-    /// after restoring if cross-pollination accounting is wanted.
+    /// arrivals. Structural mismatches — different query count or pipeline
+    /// layout, a mailbox for a query this registry does not have — are typed
+    /// errors ([`jit_engine::CheckpointError::Mismatch`] under
+    /// [`ServeError::Engine`]). The whole blob is parsed and validated
+    /// before the registry is touched: on any error nothing is applied.
+    /// Keys this build does not write (earlier builds added a `stems`
+    /// section and one more `stats` counter) are not read.
     pub fn restore(&mut self, checkpoint: &Content) -> Result<(), ServeError> {
         const TY: &str = "QueryRegistry checkpoint";
         let mismatch = |detail: String| {
@@ -786,8 +608,30 @@ impl QueryRegistry {
             }
             _ => return Err(mismatch("pipelines is not a sequence".to_string())),
         };
-        // Rebuild every live pipeline's session before touching anything,
-        // so a failing slot leaves the registry unchanged.
+        let mailboxes: Vec<(u64, Vec<Tuple>)> =
+            serde::field(map, "mailboxes", TY).map_err(corrupt)?;
+        if let Some((qid, _)) = mailboxes
+            .iter()
+            .find(|(qid, _)| !self.mailboxes.contains_key(&QueryId(*qid)))
+        {
+            return Err(mismatch(format!(
+                "checkpoint mailbox for unknown query Q{qid}"
+            )));
+        }
+        let seqs: Vec<(SourceId, u64)> = serde::field(map, "seqs", TY).map_err(corrupt)?;
+        let last_push_ts: Timestamp = serde::field(map, "last_push_ts", TY).map_err(corrupt)?;
+        let stats = serde::field::<Content>(map, "stats", TY).map_err(corrupt)?;
+        let stats_map = stats
+            .as_map()
+            .ok_or_else(|| mismatch("stats is not an object".to_string()))?;
+        let stats = SharingStats {
+            arrivals: serde::field(stats_map, "arrivals", TY).map_err(corrupt)?,
+            routed: serde::field(stats_map, "routed", TY).map_err(corrupt)?,
+            classifications_saved: serde::field(stats_map, "classifications_saved", TY)
+                .map_err(corrupt)?,
+        };
+        // Rebuild every live pipeline's session last of the fallible steps,
+        // so a refused blob starts no worker threads it then has to drop.
         let mut sessions: Vec<Option<Session>> = Vec::with_capacity(blobs.len());
         for (idx, (slot, blob)) in self.pipelines.iter().zip(&blobs).enumerate() {
             match (slot, blob) {
@@ -803,68 +647,29 @@ impl QueryRegistry {
                 }
             }
         }
-        let stem_blobs = serde::field::<Content>(map, "stems", TY).map_err(corrupt)?;
-        let stem_order = self.stem_key_order();
-        let stem_blobs = stem_blobs.as_seq_n(stem_order.len(), TY).map_err(corrupt)?;
-        for (key, blob) in stem_order.iter().zip(stem_blobs.iter()) {
-            // INVARIANT: stem_key_order() lists only keys currently holding
-            // an acquire() refcount.
-            let state = self.stems.peek(key).expect("acquired stem");
-            state
-                .borrow_mut()
-                .restore_checkpoint(blob)
-                .map_err(corrupt)?;
-        }
+        // Everything parsed and validated: apply. Nothing below can fail.
         for (slot, session) in self.pipelines.iter_mut().zip(sessions) {
             if let (Some(pipeline), Some(session)) = (slot.as_mut(), session) {
                 pipeline.session = session;
             }
         }
-        let mailboxes: Vec<(u64, Vec<Tuple>)> =
-            serde::field(map, "mailboxes", TY).map_err(corrupt)?;
         for (qid, tuples) in mailboxes {
-            let slot = self
-                .mailboxes
-                .get_mut(&QueryId(qid))
-                .ok_or_else(|| mismatch(format!("checkpoint mailbox for unknown query Q{qid}")))?;
-            *slot = tuples;
+            self.mailboxes.insert(QueryId(qid), tuples);
         }
-        let seqs: Vec<(SourceId, u64)> = serde::field(map, "seqs", TY).map_err(corrupt)?;
         self.seqs = seqs.into_iter().collect();
-        self.last_push_ts = serde::field(map, "last_push_ts", TY).map_err(corrupt)?;
-        let stats = serde::field::<Content>(map, "stats", TY).map_err(corrupt)?;
-        let stats_map = stats
-            .as_map()
-            .ok_or_else(|| mismatch("stats is not an object".to_string()))?;
-        self.stats = SharingStats {
-            arrivals: serde::field(stats_map, "arrivals", TY).map_err(corrupt)?,
-            routed: serde::field(stats_map, "routed", TY).map_err(corrupt)?,
-            classifications_saved: serde::field(stats_map, "classifications_saved", TY)
-                .map_err(corrupt)?,
-            cross_pollination_hits: serde::field(stats_map, "cross_pollination_hits", TY)
-                .map_err(corrupt)?,
-        };
-        self.digests.clear();
+        self.last_push_ts = last_push_ts;
+        self.stats = stats;
         Ok(())
-    }
-
-    /// The shared leaf-window keys in deterministic first-use order
-    /// (pipeline slot order, then local source order) — the order both
-    /// [`Self::checkpoint`] and [`Self::restore`] serialise stem states in.
-    fn stem_key_order(&self) -> Vec<StemKey> {
-        let mut order: Vec<StemKey> = Vec::new();
-        for pipeline in self.pipelines.iter().flatten() {
-            for key in &pipeline.stem_keys {
-                if !order.contains(key) {
-                    order.push(*key);
-                }
-            }
-        }
-        order
     }
 
     /// How much work the tier is currently sharing.
     pub fn sharing_report(&self) -> SharingReport {
+        let (mut shared_state_bytes, mut isolated_state_bytes) = (0, 0);
+        for pipeline in self.pipelines.iter().flatten() {
+            let bytes = pipeline.session.state_bytes();
+            shared_state_bytes += bytes;
+            isolated_state_bytes += pipeline.subscribers.len() * bytes;
+        }
         SharingReport {
             queries: self.queries.len(),
             pipelines: self.num_pipelines(),
@@ -873,10 +678,8 @@ impl QueryRegistry {
             routed: self.stats.routed,
             classifications: self.selection.evaluations(),
             classifications_saved: self.stats.classifications_saved,
-            shared_state_bytes: self.stems.shared_bytes(),
-            isolated_state_bytes: self.stems.isolated_bytes(),
-            cross_pollination_hits: self.stats.cross_pollination_hits,
-            suppression_signatures: self.digests.iter().map(|(_, d)| d.signatures.len()).sum(),
+            shared_state_bytes,
+            isolated_state_bytes,
         }
     }
 
@@ -1029,25 +832,67 @@ mod tests {
         assert_eq!(reg.poll_results(q2).unwrap().len(), 1);
     }
 
+    const JOIN_ABC: &str = "SELECT * FROM A [RANGE 1 minutes], B [RANGE 1 minutes], \
+                            C [RANGE 1 minutes] WHERE A.k = B.k AND B.k = C.k";
+
+    /// Register `queries` and push a fixed stream. On the sharded backend
+    /// the bytes are those of each shard's last acknowledged chunk:
+    /// `checkpoint` is the barrier that gets every chunk acknowledged (a
+    /// poll alone sends them and returns), so the figures are exact.
+    fn priced(options: &ServeOptions, queries: &[&str]) -> (QueryRegistry, Vec<QueryId>) {
+        let mut reg = QueryRegistry::with_options(catalog(), options.clone());
+        let ids: Vec<QueryId> = queries.iter().map(|q| reg.register(q).unwrap()).collect();
+        for i in 0..20u64 {
+            push(&mut reg, (i % 3) as u16, i, vec![(i % 4) as i64, i as i64]);
+        }
+        reg.checkpoint().unwrap();
+        reg.poll_results(ids[0]).unwrap();
+        (reg, ids)
+    }
+
+    fn state_bytes_are_priced_from_the_pipelines(options: &ServeOptions) {
+        let bytes = |reg: &QueryRegistry| {
+            let report = reg.sharing_report();
+            (report.shared_state_bytes, report.isolated_state_bytes)
+        };
+        let (ab, _) = priced(options, &[JOIN_AB]);
+        let (abc, _) = priced(options, &[JOIN_ABC]);
+        let (ab_bytes, abc_bytes) = (bytes(&ab).0, bytes(&abc).0);
+        assert!(ab_bytes > 0 && abc_bytes > ab_bytes);
+        assert_eq!(bytes(&ab), (ab_bytes, ab_bytes));
+
+        // Two subscribers of one pipeline: one copy held, two priced.
+        let (twice, _) = priced(options, &[JOIN_AB, JOIN_AB]);
+        assert_eq!(bytes(&twice), (ab_bytes, 2 * ab_bytes));
+
+        // Two pipelines over the same A and B windows (same source, window
+        // and filter class) each hold their own copy: no fictional sharing.
+        let (mut both, ids) = priced(options, &[JOIN_AB, JOIN_ABC, JOIN_AB]);
+        assert_eq!(both.num_pipelines(), 2);
+        assert_eq!(
+            bytes(&both),
+            (ab_bytes + abc_bytes, 2 * ab_bytes + abc_bytes)
+        );
+        // A subscriber leaving changes the price, the last one the holding.
+        both.deregister(ids[0]).unwrap();
+        assert_eq!(bytes(&both), (ab_bytes + abc_bytes, ab_bytes + abc_bytes));
+        both.deregister(ids[2]).unwrap();
+        assert_eq!(bytes(&both), (abc_bytes, abc_bytes));
+        both.deregister(ids[1]).unwrap();
+        assert_eq!(bytes(&both), (0, 0));
+    }
+
     #[test]
-    fn stem_cache_shares_windows_and_prices_isolation() {
-        let mut reg = QueryRegistry::new(catalog());
-        let q1 = reg.register(JOIN_AB).unwrap();
-        let _q2 = reg.register(JOIN_AB).unwrap();
-        push(&mut reg, 0, 0, vec![1, 1]);
-        push(&mut reg, 0, 1, vec![2, 2]);
-        let report = reg.sharing_report();
-        assert!(report.shared_state_bytes > 0);
-        // Two subscribers per stem: isolation would store everything twice.
-        assert_eq!(report.isolated_state_bytes, 2 * report.shared_state_bytes);
-        let window = reg.window_contents(q1, SourceId(0)).unwrap();
-        assert_eq!(window.len(), 2);
-        // The window slides: push past the 1-minute range.
-        push(&mut reg, 0, 61_000, vec![3, 3]);
-        let window = reg.window_contents(q1, SourceId(0)).unwrap();
-        assert_eq!(window.len(), 1);
-        // Windows are registry-level state, in global id space.
-        assert_eq!(window[0].parts()[0].source, SourceId(0));
+    fn state_bytes_are_priced_from_the_pipelines_single_threaded() {
+        state_bytes_are_priced_from_the_pipelines(&ServeOptions::default());
+    }
+
+    #[test]
+    fn state_bytes_are_priced_from_the_pipelines_on_two_shards() {
+        state_bytes_are_priced_from_the_pipelines(&ServeOptions {
+            runtime: Some(RuntimeConfig::with_shards(2)),
+            ..ServeOptions::default()
+        });
     }
 
     #[test]
@@ -1130,33 +975,42 @@ mod tests {
         assert_eq!(finished[1].1.results.len(), 4);
     }
 
-    #[test]
-    fn checkpoint_restore_resumes_every_query_mid_stream() {
+    const JOIN_AB_WIDE: &str =
+        "SELECT * FROM A [RANGE 2 minutes], B [RANGE 2 minutes] WHERE A.k = B.k";
+
+    /// A live registry cut after two arrivals (q1 polled, q2 not), its
+    /// checkpoint, and a fresh twin with the same queries re-registered.
+    fn cut_pair() -> (QueryRegistry, Content, QueryRegistry) {
         let mut reg = QueryRegistry::new(catalog());
         let q1 = reg.register(JOIN_AB).unwrap();
-        let q2 = reg
-            .register("SELECT * FROM A [RANGE 2 minutes], B [RANGE 2 minutes] WHERE A.k = B.k")
-            .unwrap();
+        reg.register(JOIN_AB_WIDE).unwrap();
         push(&mut reg, 0, 0, vec![7, 1]);
         push(&mut reg, 1, 10, vec![7, 2]);
-        // q1 has polled, q2 has not: the checkpoint must preserve both the
-        // delivered-already cursor and the undelivered mailbox.
         assert_eq!(reg.poll_results(q1).unwrap().len(), 1);
         let blob = reg.checkpoint().unwrap();
+        let mut twin = QueryRegistry::new(catalog());
+        twin.register(JOIN_AB).unwrap();
+        twin.register(JOIN_AB_WIDE).unwrap();
+        (reg, blob, twin)
+    }
 
-        // "Crash": rebuild from configuration + blob.
-        let mut restored = QueryRegistry::new(catalog());
-        let r1 = restored.register(JOIN_AB).unwrap();
-        let r2 = restored
-            .register("SELECT * FROM A [RANGE 2 minutes], B [RANGE 2 minutes] WHERE A.k = B.k")
-            .unwrap();
-        assert_eq!((r1, r2), (q1, q2), "identical registration order");
+    #[test]
+    fn checkpoint_restore_resumes_every_query_mid_stream() {
+        // q1 has polled, q2 has not: the checkpoint must preserve both the
+        // delivered-already cursor and the undelivered mailbox. "Crash":
+        // rebuild from configuration + blob.
+        let (mut reg, blob, mut restored) = cut_pair();
+        assert_eq!(
+            restored.queries(),
+            reg.queries(),
+            "identical registration order"
+        );
         restored.restore(&blob).unwrap();
 
-        // The shared windows came back…
+        // The window state came back…
         assert_eq!(
-            restored.window_contents(r1, SourceId(0)).unwrap(),
-            reg.window_contents(q1, SourceId(0)).unwrap()
+            restored.sharing_report().shared_state_bytes,
+            reg.sharing_report().shared_state_bytes
         );
         // …and both streams continue identically from the cut.
         push(&mut reg, 0, 20, vec![7, 3]);
@@ -1191,32 +1045,72 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn suppression_reporting_is_wired_and_observational() {
-        use jit_core::JitPolicy;
-        let mut reg = QueryRegistry::with_options(
-            catalog(),
-            ServeOptions {
-                mode: ExecutionMode::Jit(JitPolicy::full()),
-                ..ServeOptions::default()
-            },
+    /// Push the same tail into both and compare everything a caller sees.
+    fn assert_same_tail(mut a: QueryRegistry, mut b: QueryRegistry) {
+        for reg in [&mut a, &mut b] {
+            push(reg, 0, 20, vec![7, 3]);
+            push(reg, 1, 21, vec![7, 4]);
+        }
+        let (ra, rb) = (a.sharing_report(), b.sharing_report());
+        assert_eq!(
+            (ra.arrivals, ra.routed, ra.shared_state_bytes),
+            (rb.arrivals, rb.routed, rb.shared_state_bytes)
         );
-        let q1 = reg.register(JOIN_AB).unwrap();
-        push(&mut reg, 0, 0, vec![7, 1]);
-        push(&mut reg, 1, 1, vec![7, 2]);
-        // Nothing suppressed in this tiny stream: the digest cache is
-        // empty, overlap zero, and no hit is ever counted — but the calls
-        // are valid at any time.
-        reg.refresh_suppression();
-        assert_eq!(reg.suppression_overlap(), 0);
-        push(&mut reg, 0, 2, vec![7, 3]);
-        let report = reg.sharing_report();
-        assert_eq!(report.suppression_signatures, 0);
-        assert_eq!(report.cross_pollination_hits, 0);
-        // JIT never changes what a query receives: 2 join results total,
-        // whether polled or flushed.
-        let polled = reg.poll_results(q1).unwrap().len();
-        let finished = reg.finish().unwrap();
-        assert_eq!(polled + finished[0].1.results.len(), 2);
+        let (fa, fb) = (a.finish().unwrap(), b.finish().unwrap());
+        assert_eq!(fa.len(), fb.len());
+        for ((qa, oa), (qb, ob)) in fa.iter().zip(&fb) {
+            assert_eq!((qa, &oa.results), (qb, &ob.results));
+            assert!(!oa.results.is_empty());
+        }
+    }
+
+    fn entry<'a>(map: &'a mut Content, key: &str) -> &'a mut Content {
+        let Content::Map(entries) = map else {
+            panic!("not a map")
+        };
+        &mut entries.iter_mut().find(|(k, _)| k == key).unwrap().1
+    }
+
+    #[test]
+    fn a_refused_blob_leaves_the_registry_untouched() {
+        let (_, mut blob, mut twin) = cut_pair();
+        // One mailbox names a query the registry never registered.
+        let Content::Seq(mailboxes) = entry(&mut blob, "mailboxes") else {
+            panic!("mailboxes is a sequence")
+        };
+        let Content::Seq(pair) = &mut mailboxes[1] else {
+            panic!("a mailbox is a (query, tuples) pair")
+        };
+        pair[0] = Content::U64(99);
+        assert!(matches!(
+            twin.restore(&blob),
+            Err(ServeError::Engine(EngineError::Checkpoint(
+                CheckpointError::Mismatch(_)
+            )))
+        ));
+        // The refusal applied nothing: the twin is still a fresh registry.
+        let mut fresh = QueryRegistry::new(catalog());
+        fresh.register(JOIN_AB).unwrap();
+        fresh.register(JOIN_AB_WIDE).unwrap();
+        assert_same_tail(twin, fresh);
+    }
+
+    #[test]
+    fn blobs_written_before_the_shadow_state_was_removed_still_restore() {
+        let (reg, mut blob, mut twin) = cut_pair();
+        // What an earlier build wrote on top of today's keys.
+        let Content::Map(entries) = &mut blob else {
+            panic!("not a map")
+        };
+        entries.push((
+            "stems".to_string(),
+            Content::Seq(vec![Content::Null, Content::U64(3)]),
+        ));
+        let Content::Map(stats) = entry(&mut blob, "stats") else {
+            panic!("stats is a map")
+        };
+        stats.push(("cross_pollination_hits".to_string(), Content::U64(5)));
+        twin.restore(&blob).unwrap();
+        assert_same_tail(reg, twin);
     }
 }

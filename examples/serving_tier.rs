@@ -8,10 +8,9 @@
 //! matches) and an audit feed (a second subscription to the dashboard's
 //! query, phrased differently) are registered on one
 //! [`jit_serve::QueryRegistry`]. Every market event is pushed **once**; the
-//! registry classifies it against the deduplicated filter set, folds it once
-//! into the shared per-source windows, and routes it to the pipelines that
-//! need it. Mid-run the alert rule is cancelled — its pipeline is torn down
-//! and its share of the state reclaimed — while the other queries keep
+//! registry classifies it against the deduplicated filter set and routes it
+//! to the pipelines that need it. Mid-run the alert rule is cancelled — its
+//! pipeline is torn down and its state freed — while the other queries keep
 //! serving, never missing a result.
 
 use jit_dsms::prelude::*;
@@ -93,13 +92,13 @@ fn main() {
             alarm_count += alarms;
             let matches = registry.poll_results(dashboard).expect("dashboard polls");
             println!(
-                "[t={:>3}s] dashboard +{:<4} alarms +{alarms:<3} (window: {} trades live)",
+                "[t={:>3}s] dashboard +{:<4} alarms +{alarms:<3} (pipeline state: {} B)",
                 (i + 1) / 4,
                 matches.len(),
                 registry
-                    .window_contents(dashboard, trades)
-                    .expect("window readable")
-                    .len()
+                    .metrics_snapshot(dashboard)
+                    .expect("dashboard is registered")
+                    .final_memory_bytes
             );
         }
     }
@@ -107,7 +106,7 @@ fn main() {
     let report = registry.sharing_report();
     println!(
         "\nsharing: {} arrivals classified {} times ({} saved), \
-         windows {} B shared vs {} B isolated",
+         pipelines hold {} B vs {} B for one engine per query",
         report.arrivals,
         report.classifications,
         report.classifications_saved,
