@@ -29,10 +29,6 @@ pub struct BlacklistedTuple {
     /// The suspended tuple (a super-tuple of the entry's MNS, or a similar
     /// tuple captured by signature).
     pub tuple: Tuple,
-    /// The opposite-state tuples this tuple has already been joined with are
-    /// exactly those inserted at or before this instant. `None` means the
-    /// tuple was diverted on arrival and has never probed the opposite state.
-    pub joined_up_to: Option<Timestamp>,
 }
 
 /// All tuples suspended on behalf of one MNS.
@@ -364,16 +360,13 @@ impl Blacklist {
     }
 
     /// Add a suspended tuple to the (live) entry at `pos`.
-    pub fn add_tuple(&mut self, pos: usize, tuple: Tuple, joined_up_to: Option<Timestamp>) {
+    pub fn add_tuple(&mut self, pos: usize, tuple: Tuple) {
         // INVARIANT: callers pass a position obtained from upsert_entry or
         // matching_entry with no removal in between, so the slot is live.
         let entry = self.slots[pos].as_mut().expect("live entry");
         self.expiry.push(tuple.ts(), pos as u64);
         self.bytes += tuple.size_bytes();
-        entry.tuples.push(BlacklistedTuple {
-            tuple,
-            joined_up_to,
-        });
+        entry.tuples.push(BlacklistedTuple { tuple });
     }
 
     /// The first entry that captures an arriving tuple, if any.
@@ -602,14 +595,13 @@ mod tests {
         let mut bl = Blacklist::new("B");
         let a1 = tup(0, 1, 0, &[7, 100]);
         let idx = bl.upsert_entry(a1.clone(), sig_cols(), SuspendMode::Suspend, a1.ts());
-        bl.add_tuple(idx, a1.clone(), Some(Timestamp::from_millis(0)));
-        bl.add_tuple(idx, tup(0, 2, 10, &[9, 100]), None);
+        bl.add_tuple(idx, a1.clone());
+        bl.add_tuple(idx, tup(0, 2, 10, &[9, 100]));
         assert_eq!(bl.num_tuples(), 2);
         let bytes_with_tuples = bl.size_bytes();
         let entry = bl.remove_entry(&a1.key()).unwrap();
         assert_eq!(entry.tuples.len(), 2);
-        assert_eq!(entry.tuples[0].joined_up_to, Some(Timestamp::ZERO));
-        assert_eq!(entry.tuples[1].joined_up_to, None);
+        assert_eq!(entry.tuples[0].tuple.key(), a1.key());
         assert!(bl.is_empty());
         assert!(bl.size_bytes() < bytes_with_tuples);
         assert_eq!(bl.size_bytes(), 0);
@@ -626,9 +618,9 @@ mod tests {
         let mut bl = Blacklist::new("B");
         let a1 = tup(0, 1, 0, &[7, 100]);
         let idx = bl.upsert_entry(a1.clone(), sig_cols(), SuspendMode::Suspend, a1.ts());
-        bl.add_tuple(idx, a1.clone(), Some(Timestamp::ZERO));
+        bl.add_tuple(idx, a1.clone());
         let a2 = tup(0, 2, 50_000, &[9, 100]);
-        bl.add_tuple(idx, a2, None);
+        bl.add_tuple(idx, a2);
         // At t = 70s, a1 (ts 0, window 60s) has expired but a2 is alive; the
         // entry stays because it still holds a live tuple.
         assert_eq!(
@@ -747,8 +739,8 @@ mod tests {
         let mut bl = Blacklist::new("B");
         let a1 = tup(0, 1, 0, &[7, 100]);
         let idx = bl.upsert_entry(a1.clone(), sig_cols(), SuspendMode::Suspend, a1.ts());
-        bl.add_tuple(idx, a1.clone(), Some(Timestamp::from_millis(5)));
-        bl.add_tuple(idx, tup(0, 2, 10, &[9, 100]), None);
+        bl.add_tuple(idx, a1.clone());
+        bl.add_tuple(idx, tup(0, 2, 10, &[9, 100]));
         bl.upsert_entry(tup(0, 3, 20, &[1, 200]), vec![], SuspendMode::Mark, a1.ts());
         let blob = bl.checkpoint();
         let mut restored = Blacklist::new("B");
@@ -758,10 +750,7 @@ mod tests {
         assert_eq!(restored.size_bytes(), bl.size_bytes());
         let first = restored.entry(0).unwrap();
         assert_eq!(first.mode, SuspendMode::Suspend);
-        assert_eq!(
-            first.tuples[0].joined_up_to,
-            Some(Timestamp::from_millis(5))
-        );
+        assert_eq!(first.tuples[0].tuple.key(), a1.key());
         // The rebuilt indexes answer probes like the original.
         assert_eq!(
             restored.matching_entry(&a1, true),
@@ -878,11 +867,7 @@ mod tests {
         /// suspended tuples, plus bytes and the purge bound.
         fn assert_same(slab: &Blacklist, model: &Model, step: usize) {
             let shape = |e: &BlacklistEntry| {
-                let tuples: Vec<_> = e
-                    .tuples
-                    .iter()
-                    .map(|t| (t.tuple.key(), t.joined_up_to))
-                    .collect();
+                let tuples: Vec<_> = e.tuples.iter().map(|t| t.tuple.key()).collect();
                 (e.mns.key(), e.mode, e.signature.clone(), tuples)
             };
             let live: Vec<_> = slab.entries().map(shape).collect();
@@ -964,9 +949,8 @@ mod tests {
                                 "step {step}: entry chosen"
                             );
                             if let (Some(pos), Some(idx), true) = (pos, idx, rng.gen_bool(0.7)) {
-                                let joined = rng.gen_bool(0.5).then_some(Timestamp::from_millis(now_ms));
-                                slab.add_tuple(pos, tuple.clone(), joined);
-                                model.entries[idx].tuples.push(BlacklistedTuple { tuple, joined_up_to: joined });
+                                slab.add_tuple(pos, tuple.clone());
+                                model.entries[idx].tuples.push(BlacklistedTuple { tuple });
                             }
                         }
                         70..=84 if !known.is_empty() => {

@@ -39,14 +39,14 @@
 //! before" using a per-tuple suspension timestamp. When *both* inputs of the
 //! same operator have suspended tuples with interleaved suspension/resumption
 //! cycles, a single timestamp cannot tell whether a particular pair was
-//! already produced. This implementation keeps, for every tuple that has
-//! ever been blacklisted, its past *presence intervals* in the state; a pair
-//! is regenerated iff its members' presence intervals never overlapped. This
-//! makes resumed production exactly duplicate-free. The bookkeeping is
-//! dropped when its tuple leaves for good — purged from the state or the
-//! blacklist, or found expired on resumption — so it is bounded by the
-//! window, like the containers it describes; a lookup only ever concerns a
-//! tuple that is stored or being restored, so none can miss.
+//! already produced. This implementation regenerates a pair iff its
+//! members' *presence intervals* in the two states never overlapped, which
+//! makes resumed production exactly duplicate-free. The start of a stored
+//! tuple's current presence is the stamp in its state slot
+//! ([`StoredTuple::stamp`]); only a tuple that has been blacklisted has
+//! closed intervals, in a map dropped with its tuple — purged from the state
+//! or the blacklist, or found expired on resumption — so nothing beside the
+//! states grows with them and a run that suspends nothing keeps no map.
 
 use crate::blacklist::{Blacklist, SuspendMode};
 use crate::bloom::BloomFilter;
@@ -57,7 +57,7 @@ use jit_exec::operator::{
     DataMessage, FeedbackOutcome, OpContext, Operator, OperatorOutput, Port, ResultBlock, LEFT,
     RIGHT,
 };
-use jit_exec::state::{JoinKeySpec, OperatorState, StateIndexMode};
+use jit_exec::state::{JoinKeySpec, OperatorState, StateIndexMode, StoredTuple};
 use jit_metrics::CostKind;
 use jit_types::{
     ColumnRef, FastMap, Feedback, FeedbackCommand, PredicateSet, SourceSet, Timestamp, Tuple,
@@ -73,9 +73,9 @@ fn sorted_pairs<K: Ord + Clone, V: Clone>(map: &FastMap<K, V>) -> Vec<(K, V)> {
     pairs
 }
 
-/// Past presence intervals of a tuple that has been blacklisted at least
-/// once, expressed in the operator's logical event sequence (one tick per
-/// insertion or drain), so that same-millisecond events stay ordered.
+/// Closed presence intervals of the tuples that have been blacklisted at
+/// least once, expressed in the operator's logical event sequence (one tick
+/// per insertion or drain), so that same-millisecond events stay ordered.
 type PresenceHistory = FastMap<TupleKey, Vec<(u64, u64)>>;
 
 /// What feeds one input port of a [`JitJoinOperator`], i.e. which of the
@@ -135,11 +135,9 @@ pub struct JitJoinOperator {
     blacklists: [Blacklist; 2],
     /// Per-side presence histories for tuples that have been blacklisted.
     histories: [PresenceHistory; 2],
-    /// Logical event counter (ticks on every state insertion or drain).
+    /// Logical event counter (ticks on every state insertion or drain). A
+    /// stored tuple's stamp is the tick its current presence started at.
     event_seq: u64,
-    /// For every tuple currently stored in a state, the event at which its
-    /// current presence interval started.
-    interval_start: [FastMap<TupleKey, u64>; 2],
     /// Per-side Bloom filters over the state's join-column values
     /// (only maintained under [`MnsDetection::Bloom`]).
     blooms: [FastMap<ColumnRef, BloomFilter>; 2],
@@ -219,7 +217,6 @@ impl JitJoinOperator {
             ],
             histories: [FastMap::default(), FastMap::default()],
             event_seq: 0,
-            interval_start: [FastMap::default(), FastMap::default()],
             blooms: [FastMap::default(), FastMap::default()],
             fully_suspended: false,
             pending: Vec::new(),
@@ -367,16 +364,15 @@ impl JitJoinOperator {
         let mut purged = 0usize;
         for side in [LEFT, RIGHT] {
             // A tuple that expires leaves for good: drop its presence
-            // bookkeeping with it, so both maps stay window-sized.
-            let (started, history) = (&mut self.interval_start[side], &mut self.histories[side]);
-            purged += self.states[side].purge_with(self.window, now, |tuple| {
-                let key = tuple.key();
-                started.remove(&key);
-                history.remove(&key);
-            });
-            purged += self.blacklists[side].purge(self.window, now, |tuple| {
-                history.remove(&tuple.key());
-            });
+            // history with it, if any tuple has one.
+            let history = &mut self.histories[side];
+            let mut forget = |tuple: &Tuple| {
+                if !history.is_empty() {
+                    history.remove(&tuple.key());
+                }
+            };
+            purged += self.states[side].purge_with(self.window, now, &mut forget);
+            purged += self.blacklists[side].purge(self.window, now, &mut forget);
             let expired = self.mns_buffers[side].take_expired(self.window, now);
             purged += expired.len();
             if !expired.is_empty() {
@@ -529,33 +525,28 @@ impl JitJoinOperator {
         }
     }
 
-    /// Record an insertion into the state of `side` (normal processing or a
-    /// restore): ticks the event clock and starts a presence interval.
-    fn note_insertion(&mut self, side: Port, key: TupleKey) {
+    /// Insert into the state of `side` (normal processing or a restore):
+    /// ticks the event clock and starts a presence interval.
+    fn insert_present(&mut self, side: Port, tuple: Tuple) {
         self.event_seq += 1;
-        self.interval_start[side].insert(key, self.event_seq);
+        let stamp = self.event_seq;
+        self.states[side].restore(StoredTuple { tuple, stamp });
     }
 
-    /// Has the pair (restoring tuple on `side`, stored opposite tuple) been
-    /// produced before? True iff their presence intervals ever overlapped:
-    /// a pair is joined exactly when one member is inserted while the other
-    /// is present, so overlapping presence ⇔ already produced.
-    fn produced_before(&self, side: Port, restoring_key: &TupleKey, opp_key: &TupleKey) -> bool {
-        let empty = Vec::new();
-        let own_hist = self.histories[side].get(restoring_key).unwrap_or(&empty);
+    /// Has the pair (restoring tuple with the closed intervals `own_hist`,
+    /// tuple `stored` on side `opp`) been produced before? True iff their
+    /// presence intervals ever overlapped: a pair is joined exactly when one
+    /// member is inserted while the other is present.
+    fn produced_before(&self, own_hist: &[(u64, u64)], opp: Port, stored: &StoredTuple) -> bool {
         if own_hist.is_empty() {
             // Diverted on arrival: never present, never joined anything.
             return false;
         }
-        let opp_side = Self::opposite(side);
-        let opp_hist = self.histories[opp_side].get(opp_key).unwrap_or(&empty);
+        let opp_hist = self.histories[opp].get(&stored.tuple.key());
+        let opp_hist = opp_hist.map_or(&[][..], Vec::as_slice);
         let overlaps = |a: (u64, u64), b: (u64, u64)| a.0 < b.1 && b.0 < a.1;
         // The opposite tuple's current (ongoing) presence interval.
-        let opp_current_start = self.interval_start[opp_side]
-            .get(opp_key)
-            .copied()
-            .unwrap_or(0);
-        let opp_current = (opp_current_start, u64::MAX);
+        let opp_current = (stored.stamp, u64::MAX);
         own_hist.iter().any(|&interval| {
             overlaps(interval, opp_current)
                 || opp_hist.iter().any(|&other| overlaps(interval, other))
@@ -661,16 +652,14 @@ impl JitJoinOperator {
         });
         for stored in drained {
             // Close the tuple's presence interval at the current event.
-            let key = stored.tuple.key();
-            let started = self.interval_start[side].remove(&key).unwrap_or(0);
             self.event_seq += 1;
             self.histories[side]
-                .entry(key)
+                .entry(stored.tuple.key())
                 .or_default()
-                .push((started, self.event_seq));
+                .push((stored.stamp, self.event_seq));
             ctx.metrics.stats.blacklisted_tuples += 1;
             ctx.metrics.charge(CostKind::BlacklistMove, 1);
-            self.blacklists[side].add_tuple(entry_idx, stored.tuple, Some(now));
+            self.blacklists[side].add_tuple(entry_idx, stored.tuple);
         }
     }
 
@@ -771,7 +760,8 @@ impl JitJoinOperator {
         // Regenerate exactly the pairs never produced before, probing only
         // the candidates sharing the restored tuple's equi-join key.
         let mut evals = 0u64;
-        let key = suspended.tuple.key();
+        let own_hist = self.histories[side].get(&suspended.tuple.key());
+        let own_hist = own_hist.map_or(&[][..], Vec::as_slice);
         let mut produced = Vec::new();
         let spec_owned;
         let spec = if suspended.tuple.sources() == self.schema_of(side) {
@@ -797,7 +787,7 @@ impl JitJoinOperator {
             {
                 continue;
             }
-            if self.produced_before(side, &key, &stored.tuple.key()) {
+            if self.produced_before(own_hist, opp, stored) {
                 continue;
             }
             if self
@@ -814,8 +804,7 @@ impl JitJoinOperator {
         ctx.metrics.charge(CostKind::PredicateEval, evals);
         outcome.resumed.extend(produced);
         // Back into the state; a fresh presence interval starts now.
-        self.states[side].insert(suspended.tuple.clone(), now);
-        self.note_insertion(side, key);
+        self.insert_present(side, suspended.tuple.clone());
         self.update_bloom(side, &suspended.tuple);
         ctx.metrics.charge(CostKind::StateInsert, 1);
     }
@@ -867,7 +856,7 @@ impl Operator for JitJoinOperator {
         {
             let entry = self.blacklists[port].entry(idx);
             if entry.is_some_and(|e| e.mode == SuspendMode::Suspend) {
-                self.blacklists[port].add_tuple(idx, msg.tuple.clone(), None);
+                self.blacklists[port].add_tuple(idx, msg.tuple.clone());
                 ctx.metrics.stats.blacklisted_tuples += 1;
                 ctx.metrics.stats.intermediate_suppressed += 1;
                 ctx.metrics.charge(CostKind::BlacklistMove, 1);
@@ -1039,8 +1028,7 @@ impl Operator for JitJoinOperator {
             }
         }
 
-        self.states[port].insert(msg.tuple.clone(), now);
-        self.note_insertion(port, msg.tuple.key());
+        self.insert_present(port, msg.tuple.clone());
         self.update_bloom(port, &msg.tuple);
         ctx.metrics.charge(CostKind::StateInsert, 1);
 
@@ -1153,10 +1141,6 @@ impl Operator for JitJoinOperator {
             ),
             ("event_seq".to_string(), self.event_seq.to_content()),
             (
-                "interval_start".to_string(),
-                per_side(&|s| sorted_pairs(&self.interval_start[s]).to_content()),
-            ),
-            (
                 "blooms".to_string(),
                 per_side(&|s| sorted_pairs(&self.blooms[s]).to_content()),
             ),
@@ -1172,7 +1156,9 @@ impl Operator for JitJoinOperator {
     /// by a build that detected everything (or under another plan) may hold
     /// buffered MNSs this port does not report to its producer; they are
     /// dropped here rather than left to expire — all one could still do is
-    /// send a `<resume>` its producer ignores, and Ø never expires.
+    /// send a `<resume>` its producer ignores, and Ø never expires. A blob
+    /// from a build that kept presence starts in a map (`interval_start`)
+    /// has no stamp in its state entries: they are stamped from the map.
     fn restore(&mut self, state: &Content) -> Result<(), serde::Error> {
         const TY: &str = "JitJoinOperator";
         let map = state
@@ -1187,7 +1173,11 @@ impl Operator for JitJoinOperator {
         let mns_buffers = sides("mns_buffers")?;
         let blacklists = sides("blacklists")?;
         let histories = sides("histories")?;
-        let interval_start = sides("interval_start")?;
+        let legacy_starts = map
+            .iter()
+            .any(|(name, _)| name == "interval_start")
+            .then(|| sides("interval_start"))
+            .transpose()?;
         let blooms = sides("blooms")?;
         for side in [LEFT, RIGHT] {
             self.states[side].restore_checkpoint(&states[side])?;
@@ -1205,10 +1195,11 @@ impl Operator for JitJoinOperator {
                 Vec::<(TupleKey, Vec<(u64, u64)>)>::from_content(&histories[side])?
                     .into_iter()
                     .collect();
-            self.interval_start[side] =
-                Vec::<(TupleKey, u64)>::from_content(&interval_start[side])?
-                    .into_iter()
-                    .collect();
+            if let Some(starts) = &legacy_starts {
+                let starts = Vec::<(TupleKey, u64)>::from_content(&starts[side])?;
+                let starts: FastMap<TupleKey, u64> = starts.into_iter().collect();
+                self.states[side].restamp(|t| starts.get(&t.key()).copied().unwrap_or(0));
+            }
             self.blooms[side] = Vec::<(ColumnRef, BloomFilter)>::from_content(&blooms[side])?
                 .into_iter()
                 .collect();
@@ -1341,7 +1332,7 @@ mod tests {
 
         // Resuming a1 must release the same tuples with the same
         // catch-up joins in both operators (exercises the restored
-        // presence histories and joined-up-to instants).
+        // presence histories and the stamps in the state).
         let fb = Feedback::resume(vec![a(1, 1, 1, 100).tuple]);
         let mut ctx = OpContext::new(Timestamp::from_secs(3), &mut metrics);
         let out_orig = orig.handle_feedback(&fb, &mut ctx);
@@ -1620,15 +1611,16 @@ mod tests {
     /// over a seeded stream, one arrival per second, as an executor would:
     /// partial results go down, the consumer's feedback for its left port
     /// goes back up, what either detects on a port fed by a source is
-    /// dropped (counted in the second return value). `each_step` sees both
-    /// operators once an arrival has been processed to quiescence. Returns
-    /// the identities of the consumer's results, in order.
+    /// dropped (counted in the second return value). `each_step` gets both
+    /// operators once an arrival has been processed to quiescence, and may
+    /// swap one for its restored checkpoint. Returns the identities of the
+    /// consumer's results, in order.
     fn drive_figure1_pair(
         producer: &mut JitJoinOperator,
         consumer: &mut JitJoinOperator,
         metrics: &mut RunMetrics,
         seconds: u64,
-        mut each_step: impl FnMut(u64, &JitJoinOperator, &JitJoinOperator),
+        mut each_step: impl FnMut(u64, &mut JitJoinOperator, &mut JitJoinOperator),
     ) -> (Vec<TupleKey>, usize) {
         use proptest::rand::{rngs::StdRng, Rng, SeedableRng};
         use std::collections::VecDeque;
@@ -1691,10 +1683,10 @@ mod tests {
         (results, to_sources)
     }
 
-    /// The presence bookkeeping (`interval_start`, `histories`) follows the
-    /// window, not the stream: over a ten-window stream through the
-    /// producer/consumer pair of Figure 1, both maps stay bounded by what
-    /// is currently stored or suspended, and so does the checkpoint.
+    /// The presence histories follow the window, not the stream: over a
+    /// ten-window stream through the producer/consumer pair of Figure 1,
+    /// every history belongs to a tuple that is stored or suspended right
+    /// now, and the checkpoint stays the size of a window.
     #[test]
     fn presence_bookkeeping_stays_window_sized() {
         let mut producer = op1(JitPolicy::full());
@@ -1709,13 +1701,17 @@ mod tests {
             &mut metrics,
             10 * window_s,
             |seq, producer, consumer| {
-                for op in [producer, consumer] {
+                for op in [&*producer, &*consumer] {
                     for side in [LEFT, RIGHT] {
-                        assert_eq!(op.interval_start[side].len(), op.states[side].len());
+                        let stored = op.states[side].iter().map(|e| e.tuple.key());
+                        let suspended = op.blacklists[side].entries();
+                        let suspended =
+                            suspended.flat_map(|e| e.tuples.iter().map(|t| t.tuple.key()));
+                        let held: std::collections::HashSet<TupleKey> =
+                            stored.chain(suspended).collect();
                         assert!(
-                            op.histories[side].len()
-                                <= op.blacklists[side].num_tuples() + op.states[side].len(),
-                            "histories outlive their tuples at t = {seq} s"
+                            op.histories[side].keys().all(|key| held.contains(key)),
+                            "a history outlives its tuple at t = {seq} s"
                         );
                     }
                 }
@@ -1735,6 +1731,108 @@ mod tests {
             2 * late <= 3 * early,
             "checkpoint grew with the stream: {early} B at 2 windows, {late} B at 10"
         );
+    }
+
+    /// A checkpoint as a build that kept presence starts in a map beside the
+    /// states wrote it: `interval_start` per side, and state entries carrying
+    /// an (unread) `inserted_at` instant in place of the stamp.
+    fn legacy_shaped(blob: Content) -> Content {
+        let Content::Map(mut fields) = blob else {
+            panic!("an operator checkpoint is a map")
+        };
+        let mut starts = Vec::new();
+        let (_, Content::Seq(states)) = &mut fields[0] else {
+            panic!("`states` comes first")
+        };
+        for state in states {
+            let Content::Map(state) = state else {
+                panic!("a state checkpoint is a map")
+            };
+            let (_, Content::Seq(entries)) = &mut state[1] else {
+                panic!("`entries` follows `name`")
+            };
+            let mut side: Vec<(TupleKey, u64)> = Vec::new();
+            for entry in entries {
+                let stored = StoredTuple::from_content(entry).unwrap();
+                side.push((stored.tuple.key(), stored.stamp));
+                *entry = Content::Map(vec![
+                    ("tuple".to_string(), stored.tuple.to_content()),
+                    ("inserted_at".to_string(), stored.tuple.ts().to_content()),
+                ]);
+            }
+            side.sort();
+            starts.push(side.to_content());
+        }
+        fields.push(("interval_start".to_string(), Content::Seq(starts)));
+        Content::Map(fields)
+    }
+
+    /// Presence without a map beside the states. In the Figure 1 drive, take
+    /// the first `a` that sits in the producer's blacklist for the second
+    /// time (two closed intervals in `histories`), and right there replace
+    /// the producer by its checkpoint — once as written today, once in the
+    /// shape an earlier build wrote. When the tuple is resumed, what it
+    /// regenerates is decided by its two intervals against its partners'
+    /// stamps, read from the restored state: the consumer's results must be
+    /// those of the uninterrupted run, each exactly once.
+    #[test]
+    fn twice_suspended_tuple_resumes_exactly_across_a_checkpoint() {
+        let run = |swap: Option<fn(Content) -> Content>| {
+            let mut metrics = RunMetrics::new();
+            // The tuple watched, and the producer's event clock at the swap.
+            let mut watched: Option<(TupleKey, u64)> = None;
+            let mut resumed_after_swap = false;
+            let (results, _) = drive_figure1_pair(
+                &mut op1(JitPolicy::full()),
+                &mut op2(JitPolicy::full()),
+                &mut metrics,
+                900,
+                |_, producer, _| match &watched {
+                    None => {
+                        let twice = producer.blacklists[LEFT]
+                            .entries()
+                            .flat_map(|e| e.tuples.iter().map(|t| t.tuple.key()))
+                            .find(|key| {
+                                producer.histories[LEFT]
+                                    .get(key)
+                                    .is_some_and(|h| h.len() == 2)
+                            });
+                        let Some(key) = twice else { return };
+                        watched = Some((key, producer.event_seq));
+                        if let Some(shape) = swap {
+                            let blob = shape(producer.checkpoint());
+                            // Through bytes, as a checkpoint file would go.
+                            let json = serde_json::to_string(&blob).unwrap();
+                            *producer = op1(JitPolicy::full());
+                            producer
+                                .restore(&serde_json::from_str(&json).unwrap())
+                                .unwrap();
+                        }
+                    }
+                    Some((key, swapped_at)) => {
+                        let back = producer.states[LEFT].iter().find(|e| e.tuple.key() == *key);
+                        resumed_after_swap |= back.is_some_and(|e| e.stamp > *swapped_at);
+                    }
+                },
+            );
+            assert!(resumed_after_swap, "the watched tuple was never resumed");
+            (
+                results,
+                metrics.stats.resumed_tuples,
+                metrics.stats.probe_pairs,
+            )
+        };
+        let uninterrupted = run(None);
+        let distinct: std::collections::HashSet<_> = uninterrupted.0.iter().collect();
+        assert_eq!(
+            distinct.len(),
+            uninterrupted.0.len(),
+            "a pair was produced twice"
+        );
+        assert!(!uninterrupted.0.is_empty());
+        // Not `assert_eq!`: a mismatch would print some thousand keys.
+        assert!(run(Some(|blob| blob)) == uninterrupted, "today's blob");
+        assert!(run(Some(legacy_shaped)) == uninterrupted, "earlier blob");
     }
 
     /// Everything the blacklists of an operator hold: per side, per entry,

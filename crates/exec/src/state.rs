@@ -47,17 +47,17 @@
 //!
 //! ## Ordered expiry
 //!
-//! `purge(now)` used to re-scan every stored tuple on every message. The
-//! state now keeps a min-heap of `(expiry timestamp, seq)` so a purge pops
-//! exactly the expired entries: O(expired) instead of O(n). Expiry is based
-//! on the tuple's own timestamp (its lifespan is `[ts, ts + w)`), not on
-//! when it was inserted — a resumed intermediate result inserted late still
-//! expires at its original time, which is also why
-//! [`OperatorState::restore`] preserves the original
-//! [`StoredTuple::inserted_at`]: JIT's `Resume_Production` uses the
-//! insertion time to avoid regenerating results that were already produced
-//! before a suspension, and the heap keyed on `tuple.ts()` keeps purge
-//! counts identical no matter how often a tuple is drained and restored.
+//! The state keeps a queue of `(tuple timestamp, seq)` so a purge pops
+//! exactly the expired entries: O(expired), not O(n). Expiry is based on the
+//! tuple's own timestamp (its lifespan is `[ts, ts + w)`), not on when it
+//! was inserted — a resumed intermediate result inserted late still expires
+//! at its original time, so purge counts are identical no matter how often a
+//! tuple is drained and restored. What an owner needs to know about *when*
+//! a tuple entered rides in the slot as [`StoredTuple::stamp`], which the
+//! state carries and never interprets: JIT keeps there the event at which
+//! the tuple's current presence began (`Resume_Production` must not
+//! regenerate results produced before a suspension) and so needs no second,
+//! hash-keyed copy of "which tuples are stored" beside the state.
 //!
 //! ## Accounting invariants
 //!
@@ -75,14 +75,28 @@ use std::collections::VecDeque;
 use std::fmt;
 
 /// One tuple stored in an operator state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct StoredTuple {
     /// The stored tuple.
     pub tuple: Tuple,
-    /// When the tuple was inserted into this state (application time). Used
-    /// by `Resume_Production` to avoid regenerating results that were
-    /// already produced before a suspension.
-    pub inserted_at: Timestamp,
+    /// The owner's stamp, carried and never interpreted by the state: what
+    /// the entry handed to [`OperatorState::restore`] holds, 0 under
+    /// [`OperatorState::insert`].
+    pub stamp: u64,
+}
+
+/// An entry written before the stamp existed (it carried an `inserted_at`
+/// instant nothing read) loads with stamp 0, for its owner to [`OperatorState::restamp`].
+impl Deserialize for StoredTuple {
+    fn from_content(content: &Content) -> Result<Self, serde::Error> {
+        let expected = || serde::Error::expected("object", "StoredTuple");
+        let fields = content.as_map().ok_or_else(expected)?;
+        let stamp = fields.iter().find(|(name, _)| name == "stamp");
+        Ok(StoredTuple {
+            tuple: serde::field(fields, "tuple", "StoredTuple")?,
+            stamp: stamp.map_or(Ok(0), |(_, stamp)| u64::from_content(stamp))?,
+        })
+    }
 }
 
 /// How a state answers probes.
@@ -623,22 +637,24 @@ impl OperatorState {
         self.slots.get(idx)?.as_ref()
     }
 
-    /// Insert a tuple at time `now`.
-    pub fn insert(&mut self, tuple: Tuple, now: Timestamp) {
-        self.admit(StoredTuple {
-            tuple,
-            inserted_at: now,
-        });
+    /// Insert a tuple for an owner that keeps no stamp (it is stored with
+    /// stamp 0). `_now` is unused: no slot records when it was filled.
+    pub fn insert(&mut self, tuple: Tuple, _now: Timestamp) {
+        self.restore(StoredTuple { tuple, stamp: 0 });
     }
 
-    /// Re-insert a previously drained entry, preserving its original
-    /// insertion time (used by `Resume_Production`: the insertion time
-    /// encodes which partners the tuple was already joined with).
+    /// Re-stamp every stored entry in place — for an owner whose entries
+    /// were loaded from a checkpoint written before the stamp existed.
+    pub fn restamp(&mut self, mut stamp_of: impl FnMut(&Tuple) -> u64) {
+        for entry in self.slots.iter_mut().flatten() {
+            entry.stamp = stamp_of(&entry.tuple);
+        }
+    }
+
+    /// Admit an entry at the back of the insertion order with the stamp it
+    /// carries: a previously drained entry coming back, or a new one under
+    /// its owner's stamp.
     pub fn restore(&mut self, entry: StoredTuple) {
-        self.admit(entry);
-    }
-
-    fn admit(&mut self, entry: StoredTuple) {
         let seq = self.base + self.slots.len() as u64;
         self.bytes += entry.tuple.size_bytes();
         self.expiry.push(entry.tuple.ts(), seq);
@@ -683,8 +699,8 @@ impl OperatorState {
     }
 
     /// [`OperatorState::purge`], handing each removed tuple to `on_removed`
-    /// — for callers that keep per-tuple bookkeeping beside the state (JIT's
-    /// presence intervals) and must drop it when the tuple leaves for good.
+    /// — for callers that keep bookkeeping on some stored tuples (JIT's
+    /// presence histories) and must drop it when the tuple leaves for good.
     pub fn purge_with(
         &mut self,
         window: Window,
@@ -754,8 +770,8 @@ impl OperatorState {
     }
 
     /// Serialise the resumable content of the state: the live entries in
-    /// insertion order (tuples plus their original `inserted_at`), tagged
-    /// with the state's name for validation on restore.
+    /// insertion order (tuples plus their stamps), tagged with the state's
+    /// name for validation on restore.
     ///
     /// The expiry heap and the hash indexes are deliberately *not*
     /// serialised: both are pure functions of the entries
@@ -1046,7 +1062,7 @@ mod tests {
         s.insert(tuple(1, 8_000), Timestamp::from_millis(8_000));
         s.restore(StoredTuple {
             tuple: tuple(2, 1_000),
-            inserted_at: Timestamp::from_millis(1_000),
+            stamp: 1_000,
         });
         assert_eq!(s.purge(w, Timestamp::from_millis(11_500)), 1);
         let left: Vec<u64> = s.iter().map(|e| e.tuple.parts()[0].seq).collect();
@@ -1073,13 +1089,104 @@ mod tests {
         assert_eq!(s.len(), 3);
         let expected: usize = s.iter().map(|e| e.tuple.size_bytes()).sum();
         assert_eq!(s.size_bytes(), expected);
-        // Restoring brings them back with their original insertion time.
-        let original_time = drained[0].inserted_at;
         for d in drained {
             s.restore(d);
         }
         assert_eq!(s.len(), 6);
-        assert!(s.iter().any(|e| e.inserted_at == original_time));
+    }
+
+    /// The stamp is the owner's: it comes back unchanged from every path
+    /// that moves an entry — drain and restore, front-trim, compaction, a
+    /// checkpoint round trip — and it costs REF nothing: the slot is the
+    /// size it was when these 8 bytes held an unread insertion time.
+    #[test]
+    fn stamp_rides_in_the_slot_through_every_move() {
+        assert_eq!(
+            std::mem::size_of::<StoredTuple>(),
+            std::mem::size_of::<Tuple>() + 8
+        );
+        let w = Window::new(Duration::from_secs(1));
+        let stamp_of = |seq: u64| 1_000_000 + 7 * seq;
+        let stamps = |s: &OperatorState| -> Vec<(u64, u64)> {
+            s.iter()
+                .map(|e| (e.tuple.parts()[0].seq, e.stamp))
+                .collect()
+        };
+        let mut s = OperatorState::new("S");
+        for seq in 0..200u64 {
+            s.restore(StoredTuple {
+                tuple: tuple(seq, seq * 10),
+                stamp: stamp_of(seq),
+            });
+        }
+        // `insert` is for owners that keep no stamp.
+        s.insert(tuple(200, 2_000), Timestamp::from_millis(2_000));
+        assert_eq!(s.iter().last().unwrap().stamp, 0);
+        drain_scan(&mut s, |e| e.tuple.parts()[0].seq == 200);
+
+        // Drain → restore: the entry moves to the back, stamp intact.
+        let drained = drain_scan(&mut s, |e| e.tuple.parts()[0].seq % 50 == 3);
+        assert_eq!(drained.len(), 4);
+        assert!(drained
+            .iter()
+            .all(|e| e.stamp == stamp_of(e.tuple.parts()[0].seq)));
+        for entry in drained {
+            s.restore(entry);
+        }
+        // Front-trim: a purge pops the oldest slots and advances `base`.
+        let base = s.base;
+        assert_eq!(s.purge(w, Timestamp::from_millis(1_500)), 51);
+        assert!(s.base > base);
+        // Compaction: tombstone most of the slab mid-way.
+        let issued = s.base + s.slots.len() as u64;
+        drain_scan(&mut s, |e| e.tuple.parts()[0].seq % 4 != 0);
+        assert!(s.base >= issued, "the drain must have compacted");
+        assert!(!s.is_empty());
+        assert!(stamps(&s)
+            .iter()
+            .all(|&(seq, stamp)| stamp == stamp_of(seq)));
+        // Probe handles reach the same slots.
+        for handle in s.probe(&JoinKeySpec::on_columns(&[]), &tuple(0, 0)) {
+            let entry = s.get(handle).unwrap();
+            assert_eq!(entry.stamp, stamp_of(entry.tuple.parts()[0].seq));
+        }
+        // Checkpoint round trip.
+        let mut r = OperatorState::new("S");
+        r.restore_checkpoint(&s.checkpoint()).unwrap();
+        assert_eq!(stamps(&r), stamps(&s));
+    }
+
+    /// An entry written before the stamp existed (`inserted_at`, an
+    /// application time nothing read) loads with stamp 0, and its owner
+    /// re-stamps it in place.
+    #[test]
+    fn entries_without_a_stamp_load_with_stamp_zero() {
+        let mut s = OperatorState::new("S");
+        s.restore(StoredTuple {
+            tuple: tuple(1, 100),
+            stamp: 42,
+        });
+        let Content::Map(mut blob) = s.checkpoint() else {
+            panic!("a state checkpoint is a map")
+        };
+        let Some((_, Content::Seq(entries))) = blob.iter_mut().find(|(k, _)| k == "entries") else {
+            panic!("no entries")
+        };
+        let Content::Map(fields) = &mut entries[0] else {
+            panic!("an entry is a map")
+        };
+        assert_eq!(fields[1].0, "stamp");
+        fields[1] = (
+            "inserted_at".to_string(),
+            Timestamp::from_millis(100).to_content(),
+        );
+        let mut r = OperatorState::new("S");
+        r.restore_checkpoint(&Content::Map(blob)).unwrap();
+        let entry = r.iter().next().unwrap();
+        assert_eq!((entry.tuple.key(), entry.stamp), (tuple(1, 100).key(), 0));
+        r.restamp(|tuple| tuple.ts().as_millis() + 1);
+        assert_eq!(r.iter().next().unwrap().stamp, 101);
+        assert_eq!((r.len(), r.size_bytes()), (s.len(), s.size_bytes()));
     }
 
     #[test]
@@ -1314,8 +1421,6 @@ mod tests {
                 Timestamp::from_millis(i * 1_000),
             );
         }
-        // A drained-and-restored entry keeps its original insertion time
-        // through the checkpoint.
         let drained = drain_scan(&mut s, |e| e.tuple.parts()[0].seq == 2);
         s.restore(drained.into_iter().next().unwrap());
         let blob = s.checkpoint();
@@ -1395,8 +1500,8 @@ mod tests {
             )))
         }
 
-        fn keys(entries: &[StoredTuple]) -> Vec<(jit_types::TupleKey, Timestamp)> {
-            let key = |e: &StoredTuple| (e.tuple.key(), e.inserted_at);
+        fn keys(entries: &[StoredTuple]) -> Vec<(jit_types::TupleKey, u64)> {
+            let key = |e: &StoredTuple| (e.tuple.key(), e.stamp);
             entries.iter().map(key).collect()
         }
 

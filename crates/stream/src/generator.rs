@@ -40,15 +40,17 @@ impl WorkloadGenerator {
                 },
             };
             let times = process.arrival_times(duration_ms, &mut rng);
+            // Built once per source: a Zipf table costs O(`dmax`).
+            let sampler = source_spec.sampler();
             for (seq, ts) in times.into_iter().enumerate() {
                 let values = if spec.shared_key {
                     // Shared-key mode: one draw, replicated across all
                     // columns, so every clique predicate reduces to an
                     // equality between tuple keys (key-partitionable).
-                    let key = source_spec.default_domain.sample(&mut rng);
+                    let key = sampler.default.sample(&mut rng);
                     vec![key; source_spec.num_columns]
                 } else {
-                    source_spec.sample_values(&mut rng)
+                    sampler.sample_values(&mut rng)
                 };
                 let tuple = Arc::new(BaseTuple::new(source, seq as u64, ts, values));
                 events.push(ArrivalEvent { ts, source, tuple });
@@ -156,6 +158,51 @@ mod tests {
             .map(|e| (e.ts.as_millis(), e.tuple.seq))
             .collect();
         assert_eq!(a, b);
+    }
+
+    /// FNV-1a over everything a trace holds, in order.
+    fn trace_hash(trace: &Trace) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for e in trace.iter() {
+            mix(e.ts.as_millis());
+            mix(u64::from(e.source.0));
+            mix(e.tuple.seq);
+            for v in e.tuple.values.iter() {
+                mix(v.as_int().expect("generated values are integers") as u64);
+            }
+        }
+        hash
+    }
+
+    /// A Zipf workload builds one prefix-sum table per source — it used to
+    /// build one per value drawn, O(`dmax`) each — and draws the trace it
+    /// always drew: the hashes were computed by the build that still did.
+    #[test]
+    fn zipf_tables_are_built_once_per_source_and_the_trace_is_unchanged() {
+        use crate::skew::TABLES_BUILT;
+        let mut spec = WorkloadSpec::bushy_default()
+            .with_sources(3)
+            .with_rate(100.0)
+            .with_dmax(5_000)
+            .with_duration(Duration::from_secs(340))
+            .with_seed(31);
+        spec.zipf_exponent = Some(1.1);
+        for (spec, values_at_least, hash) in [
+            (spec.clone(), 200_000, 0xc514_9068_b090_2314u64),
+            (spec.with_shared_key(), 100_000, 0xf944_a9d6_6d88_fb3au64),
+        ] {
+            let before = TABLES_BUILT.with(|built| built.get());
+            let trace = WorkloadGenerator::generate(&spec);
+            assert_eq!(TABLES_BUILT.with(|built| built.get()) - before, 3);
+            let drawn = if spec.shared_key { 1 } else { 2 } * trace.len();
+            assert!(drawn >= values_at_least, "{drawn} values drawn");
+            assert_eq!(trace_hash(&trace), hash, "{:#018x}", trace_hash(&trace));
+        }
     }
 
     #[test]

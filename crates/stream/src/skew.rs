@@ -7,6 +7,12 @@
 
 use rand::Rng;
 
+#[cfg(test)]
+thread_local! {
+    /// Tables built on this thread, for tests that pin how often.
+    pub(crate) static TABLES_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Samples integers in `[1..=n]` with probability proportional to
 /// `1 / k^s`.
 #[derive(Debug, Clone)]
@@ -19,6 +25,8 @@ impl ZipfSampler {
     ///
     /// `n` is clamped to at least 1; `s ≤ 0` degenerates to uniform.
     pub fn new(n: u64, s: f64) -> Self {
+        #[cfg(test)]
+        TABLES_BUILT.with(|built| built.set(built.get() + 1));
         let n = n.max(1) as usize;
         let s = s.max(0.0);
         let mut weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();

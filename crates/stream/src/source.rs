@@ -37,14 +37,37 @@ impl ValueDomain {
         }
     }
 
-    /// Draw one value.
+    /// Draw one value. A Zipf draw builds the domain's O(`max`) table each
+    /// time: fine for one value, not for a trace.
     pub fn sample(&self, rng: &mut impl Rng) -> Value {
-        match self {
-            ValueDomain::Uniform { max } => Value::int(rng.gen_range(1..=(*max).max(1)) as i64),
+        DomainSampler::new(*self).sample(rng)
+    }
+}
+
+/// A [`ValueDomain`] ready to draw from. A Zipf domain's prefix-sum table
+/// costs O(`max`) to build, so whoever draws many values builds the sampler
+/// once, not [`ValueDomain::sample`]'s one per value.
+#[derive(Debug, Clone)]
+pub(crate) enum DomainSampler {
+    Uniform { max: u64 },
+    Zipf(ZipfSampler),
+}
+
+impl DomainSampler {
+    pub(crate) fn new(domain: ValueDomain) -> Self {
+        match domain {
+            ValueDomain::Uniform { max } => DomainSampler::Uniform { max },
             ValueDomain::Zipf { max, exponent } => {
-                let sampler = ZipfSampler::new(*max, *exponent);
-                Value::int(sampler.sample(rng) as i64)
+                DomainSampler::Zipf(ZipfSampler::new(max, exponent))
             }
+        }
+    }
+
+    /// Draw one value.
+    pub(crate) fn sample(&self, rng: &mut impl Rng) -> Value {
+        match self {
+            DomainSampler::Uniform { max } => Value::int(rng.gen_range(1..=(*max).max(1)) as i64),
+            DomainSampler::Zipf(table) => Value::int(table.sample(rng) as i64),
         }
     }
 }
@@ -106,10 +129,40 @@ impl SourceSpec {
             .unwrap_or(self.default_domain)
     }
 
-    /// Draw the column values for one tuple.
+    /// Draw the column values for one tuple. Builds the source's samplers
+    /// for this one draw; the generator keeps them for the whole source.
     pub fn sample_values(&self, rng: &mut impl Rng) -> Vec<Value> {
-        (0..self.num_columns)
-            .map(|c| self.domain_of(c).sample(rng))
+        self.sampler().sample_values(rng)
+    }
+
+    /// The source's samplers: one for the default domain, one more per
+    /// overridden column.
+    pub(crate) fn sampler(&self) -> SourceSampler {
+        let overridden = |c: usize| self.column_domains.get(c).copied().flatten();
+        SourceSampler {
+            default: DomainSampler::new(self.default_domain),
+            columns: (0..self.num_columns)
+                .map(|c| overridden(c).map(DomainSampler::new))
+                .collect(),
+        }
+    }
+}
+
+/// What [`SourceSpec::sampler`] builds, once per source.
+#[derive(Debug, Clone)]
+pub(crate) struct SourceSampler {
+    /// Sampler of [`SourceSpec::default_domain`].
+    pub(crate) default: DomainSampler,
+    /// Per column, the sampler of its override if it has one.
+    columns: Vec<Option<DomainSampler>>,
+}
+
+impl SourceSampler {
+    /// Draw the column values for one tuple, column by column.
+    pub(crate) fn sample_values(&self, rng: &mut impl Rng) -> Vec<Value> {
+        let columns = self.columns.iter();
+        columns
+            .map(|c| c.as_ref().unwrap_or(&self.default).sample(rng))
             .collect()
     }
 }
@@ -178,6 +231,27 @@ mod tests {
         let spec2 =
             SourceSpec::uniform("D", 1.0, 2, 50).with_column_domain(9, ValueDomain::uniform(5_000));
         assert_eq!(spec2.domain_of(0).max(), 50);
+    }
+
+    /// The samplers a generator keeps draw what `sample_values` draws, and a
+    /// Zipf override costs its source one table more, not one per value.
+    #[test]
+    fn source_sampler_honours_overrides_and_builds_each_table_once() {
+        use crate::skew::TABLES_BUILT;
+        let zipf = |max| ValueDomain::Zipf { max, exponent: 1.1 };
+        let spec = SourceSpec::uniform("D", 1.0, 3, 50)
+            .with_domain(zipf(40))
+            .with_column_domain(1, zipf(5_000));
+        let before = TABLES_BUILT.with(|built| built.get());
+        let sampler = spec.sampler();
+        let mut rng = StdRng::seed_from_u64(5);
+        let rows: Vec<_> = (0..500).map(|_| sampler.sample_values(&mut rng)).collect();
+        assert_eq!(TABLES_BUILT.with(|built| built.get()) - before, 2);
+        let mut rng = StdRng::seed_from_u64(5);
+        assert!(rows.iter().all(|row| *row == spec.sample_values(&mut rng)));
+        let max_of = |c: usize| rows.iter().map(|row| row[c].as_int().unwrap()).max();
+        assert!(max_of(0) <= Some(40) && max_of(2) <= Some(40));
+        assert!(max_of(1) > Some(40), "column 1 draws from the override");
     }
 
     #[test]

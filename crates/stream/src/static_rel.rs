@@ -5,7 +5,7 @@
 //! same value model as the streams so the extension can be exercised in
 //! tests and examples.
 
-use crate::source::ValueDomain;
+use crate::source::{DomainSampler, ValueDomain};
 use jit_types::{BaseTuple, SourceId, Timestamp, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,10 +30,11 @@ impl StaticRelation {
         seed: u64,
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
+        let sampler = DomainSampler::new(domain);
         let tuples = (0..cardinality)
             .map(|seq| {
                 let values: Vec<Value> =
-                    (0..num_columns).map(|_| domain.sample(&mut rng)).collect();
+                    (0..num_columns).map(|_| sampler.sample(&mut rng)).collect();
                 Arc::new(BaseTuple::new(source, seq as u64, Timestamp::ZERO, values))
             })
             .collect();
