@@ -14,9 +14,7 @@
 //! notes the producer may simply delete the suppressed tuples.
 
 use crate::lattice::CnsLattice;
-use jit_exec::operator::{
-    DataMessage, OpContext, Operator, OperatorOutput, Port, ResultBlock, LEFT,
-};
+use jit_exec::operator::{DataMessage, OpContext, Operator, OperatorOutput, Port, LEFT};
 use jit_metrics::CostKind;
 use jit_types::{
     BaseTuple, FastSet, Feedback, FilterPredicate, PredicateSet, SourceId, SourceSet, Tuple,
@@ -163,7 +161,7 @@ impl Operator for JitStaticJoinOperator {
             Some(CnsLattice::new(candidates))
         };
         ctx.metrics.stats.state_probes += 1;
-        let mut results = ResultBlock::new();
+        let mut results = Vec::new();
         let mut evals = 0u64;
         for rel_tuple in &self.relation {
             ctx.metrics.charge(CostKind::ProbePair, 1);
@@ -189,13 +187,15 @@ impl Operator for JitStaticJoinOperator {
             if let Some(l) = lattice.as_mut() {
                 l.observe(matched, ctx.metrics);
             }
-            // Matches assemble columnar-ly, as in the symmetric join
-            // ([`Tuple::join`] fails exactly when the coverages overlap, so
-            // the disjointness guard is the same filter the row path
-            // applied).
-            if matched == candidates && msg.tuple.sources().is_disjoint(rel.sources()) {
-                ctx.metrics.charge(CostKind::ResultBuild, 1);
-                results.push_join(&msg.tuple, &rel, msg.marked);
+            if matched == candidates {
+                // `join` fails exactly when the coverages overlap.
+                if let Ok(tuple) = msg.tuple.join(&rel) {
+                    ctx.metrics.charge(CostKind::ResultBuild, 1);
+                    results.push(DataMessage {
+                        tuple,
+                        marked: msg.marked,
+                    });
+                }
             }
         }
         ctx.metrics.charge(CostKind::PredicateEval, evals);
@@ -221,7 +221,7 @@ impl Operator for JitStaticJoinOperator {
                 fresh.push(mns);
             }
         }
-        let mut output = OperatorOutput::with_columnar(results);
+        let mut output = OperatorOutput::with_results(results);
         if !fresh.is_empty() {
             output.feedback.push((LEFT, Feedback::suspend(fresh)));
         }
@@ -325,12 +325,16 @@ mod tests {
         let mut ctx = OpContext::new(Timestamp::ZERO, &mut metrics);
         // Matching stream tuple joins, no feedback.
         let out = op.process(0, &a_msg(1, 2), &mut ctx);
-        assert!(out.results.is_empty(), "static-join output is columnar");
-        assert_eq!(out.columnar.map_or(0, |b| b.len()), 1);
+        // One row: a1 joined with the relation tuple carrying x = 2.
+        assert_eq!(out.results.len(), 1);
+        assert_eq!(
+            out.results[0].tuple.key(),
+            jit_types::TupleKey::from_iter([(0, 1), (2, 1)])
+        );
         assert!(out.feedback.is_empty());
         // Non-matching tuple: no results, suspension naming the component.
         let out = op.process(0, &a_msg(2, 9), &mut ctx);
-        assert!(out.columnar.is_none_or(|b| b.is_empty()));
+        assert!(out.results.is_empty());
         assert_eq!(out.feedback.len(), 1);
         assert_eq!(out.feedback[0].1.command, FeedbackCommand::Suspend);
         assert_eq!(
@@ -354,7 +358,6 @@ mod tests {
         let mut ctx = OpContext::new(Timestamp::ZERO, &mut metrics);
         let out = op.process(0, &a_msg(1, 1), &mut ctx);
         assert!(out.results.is_empty());
-        assert!(out.columnar.is_none_or(|b| b.is_empty()));
         assert_eq!(out.feedback.len(), 1);
         assert!(out.feedback[0].1.mns_set[0].is_empty());
         // Reported only once.

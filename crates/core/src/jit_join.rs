@@ -54,8 +54,7 @@ use crate::lattice::CnsLattice;
 use crate::mns_buffer::MnsBuffer;
 use crate::policy::{JitPolicy, MnsDetection};
 use jit_exec::operator::{
-    DataMessage, FeedbackOutcome, OpContext, Operator, OperatorOutput, Port, ResultBlock, LEFT,
-    RIGHT,
+    DataMessage, FeedbackOutcome, OpContext, Operator, OperatorOutput, Port, LEFT, RIGHT,
 };
 use jit_exec::state::{JoinKeySpec, OperatorState, StateIndexMode, StoredTuple};
 use jit_metrics::CostKind;
@@ -160,10 +159,9 @@ pub struct JitJoinOperator {
     pending: Vec<(Port, DataMessage, Timestamp)>,
     pending_bytes: usize,
     /// Buffers reused from call to call, so that a call that finds nothing
-    /// allocates nothing: state-probe handles, matched partners, detected
-    /// MNSs, and each port's lattice (its inputs share their candidates).
+    /// allocates nothing: state-probe handles, detected MNSs, and each
+    /// port's lattice (its inputs share their candidates).
     probe_hits: Vec<u64>,
-    pairs: Vec<Tuple>,
     detected: Vec<Tuple>,
     lattices: [Option<CnsLattice>; 2],
 }
@@ -222,7 +220,6 @@ impl JitJoinOperator {
             pending: Vec::new(),
             pending_bytes: 0,
             probe_hits: Vec::new(),
-            pairs: Vec::new(),
             detected: Vec::new(),
             lattices: [None, None],
             name,
@@ -573,7 +570,7 @@ impl JitJoinOperator {
         for (port, msg, arrived_at) in pending {
             let mut inner = OpContext::new(arrived_at, &mut *ctx.metrics);
             let out = self.process(port, &msg, &mut inner);
-            results.extend(out.result_messages());
+            results.extend(out.results);
             feedback.extend(out.feedback);
         }
         (results, feedback)
@@ -862,7 +859,6 @@ impl Operator for JitJoinOperator {
                 ctx.metrics.charge(CostKind::BlacklistMove, 1);
                 return OperatorOutput {
                     results: Vec::new(),
-                    columnar: None,
                     feedback,
                 };
             }
@@ -895,9 +891,8 @@ impl Operator for JitJoinOperator {
             _ => None,
         };
         ctx.metrics.stats.state_probes += 1;
-        let mut results = ResultBlock::new();
+        let mut results = Vec::new();
         let mut evals = 0u64;
-        let mut pairs = std::mem::take(&mut self.pairs);
         if self.states[opp].index_mode() == StateIndexMode::Hashed {
             // Hash-indexed probe: only candidates carrying the full
             // spanning equi-join key (plus unindexable overflow entries)
@@ -931,7 +926,14 @@ impl Operator for JitJoinOperator {
                     l.observe(matched, ctx.metrics);
                 }
                 if matched == candidates {
-                    pairs.push(stored.tuple.clone());
+                    // `join` fails exactly when the coverages overlap.
+                    if let Ok(tuple) = msg.tuple.join(&stored.tuple) {
+                        ctx.metrics.charge(CostKind::ResultBuild, 1);
+                        results.push(DataMessage {
+                            tuple,
+                            marked: msg.marked,
+                        });
+                    }
                 }
             }
             // The lattice's remaining nodes are settled by one membership
@@ -996,17 +998,17 @@ impl Operator for JitJoinOperator {
                     l.observe(matched, ctx.metrics);
                 }
                 if matched == candidates {
-                    pairs.push(stored.tuple.clone());
+                    // `join` fails exactly when the coverages overlap.
+                    if let Ok(tuple) = msg.tuple.join(&stored.tuple) {
+                        ctx.metrics.charge(CostKind::ResultBuild, 1);
+                        results.push(DataMessage {
+                            tuple,
+                            marked: msg.marked,
+                        });
+                    }
                 }
             }
         }
-        for stored_tuple in pairs.drain(..) {
-            if msg.tuple.sources().is_disjoint(stored_tuple.sources()) {
-                ctx.metrics.charge(CostKind::ResultBuild, 1);
-                results.push_join(&msg.tuple, &stored_tuple, msg.marked);
-            }
-        }
-        self.pairs = pairs;
         ctx.metrics.charge(CostKind::PredicateEval, evals);
 
         // Consumer step 3: detect the MNSs of the input this side's producer
@@ -1032,11 +1034,7 @@ impl Operator for JitJoinOperator {
         self.update_bloom(port, &msg.tuple);
         ctx.metrics.charge(CostKind::StateInsert, 1);
 
-        OperatorOutput {
-            results: Vec::new(),
-            columnar: (!results.is_empty()).then_some(results),
-            feedback,
-        }
+        OperatorOutput { results, feedback }
     }
 
     fn flush(&mut self, ctx: &mut OpContext<'_>) -> FeedbackOutcome {
@@ -1074,7 +1072,6 @@ impl Operator for JitJoinOperator {
         self.purge_all(ctx.now, ctx, &mut feedback);
         OperatorOutput {
             results: Vec::new(),
-            columnar: None,
             feedback,
         }
     }
@@ -1343,10 +1340,7 @@ mod tests {
         // And the next arrival joins identically.
         let out_orig = process(&mut orig, RIGHT, &b(5, 4, 1), &mut metrics);
         let out_rest = process(&mut restored, RIGHT, &b(5, 4, 1), &mut metrics);
-        assert_eq!(
-            keys(&out_rest.result_messages()),
-            keys(&out_orig.result_messages())
-        );
+        assert_eq!(keys(&out_rest.results), keys(&out_orig.results));
     }
 
     /// Ø suspension survives a checkpoint: the buffered pending inputs are
@@ -1386,7 +1380,7 @@ mod tests {
         let b1 = b(1, 0, 1);
         let a1b1 = DataMessage::new(a1.tuple.join(&b1.tuple).unwrap());
         let out = process(&mut consumer, LEFT, &a1b1, &mut metrics);
-        assert!(out.result_messages().is_empty());
+        assert!(out.results.is_empty());
         let (port, fb) = out
             .feedback
             .iter()
@@ -1423,14 +1417,10 @@ mod tests {
         // b1, b2, b3 then a1: the probe produces three partial results.
         for (i, bm) in [b(1, 0, 1), b(2, 0, 1), b(3, 0, 1)].iter().enumerate() {
             let out = process(&mut producer, RIGHT, bm, &mut metrics);
-            assert!(
-                out.result_messages().is_empty(),
-                "b{} should produce nothing",
-                i + 1
-            );
+            assert!(out.results.is_empty(), "b{} should produce nothing", i + 1);
         }
         let out = process(&mut producer, LEFT, &a(1, 1, 1, 100), &mut metrics);
-        assert_eq!(out.num_results(), 3);
+        assert_eq!(out.results.len(), 3);
         // The consumer reports a1 as MNS.
         let a1_sub = a(1, 1, 1, 100).tuple;
         let mut ctx = OpContext::new(Timestamp::from_secs(1), &mut metrics);
@@ -1440,15 +1430,15 @@ mod tests {
         assert_eq!(producer.state_len(LEFT), 0);
         // b4 arrives: a1 is no longer in the state, so nothing is produced.
         let out = process(&mut producer, RIGHT, &b(4, 2, 1), &mut metrics);
-        assert!(out.result_messages().is_empty());
+        assert!(out.results.is_empty());
         // a2 has the same join attribute y=100 → diverted into the blacklist.
         let out = process(&mut producer, LEFT, &a(2, 3, 1, 100), &mut metrics);
-        assert!(out.result_messages().is_empty());
+        assert!(out.results.is_empty());
         assert_eq!(producer.blacklist_len(LEFT), 2);
         assert!(metrics.stats.intermediate_suppressed >= 1);
         // An unrelated A tuple (different y) is processed normally.
         let out = process(&mut producer, LEFT, &a(3, 4, 1, 200), &mut metrics);
-        assert_eq!(out.num_results(), 4); // joins b1..b4
+        assert_eq!(out.results.len(), 4); // joins b1..b4
     }
 
     /// Resumption regenerates exactly the missing partial results: a1 is not
@@ -1462,7 +1452,7 @@ mod tests {
         }
         // a1 probes and produces a1b1, a1b2, a1b3 (batch granularity).
         let out = process(&mut producer, LEFT, &a(1, 1, 1, 100), &mut metrics);
-        assert_eq!(out.num_results(), 3);
+        assert_eq!(out.results.len(), 3);
         let a1_sub = a(1, 1, 1, 100).tuple;
         let mut ctx = OpContext::new(Timestamp::from_secs(1), &mut metrics);
         producer.handle_feedback(&Feedback::suspend(vec![a1_sub.clone()]), &mut ctx);
@@ -1501,7 +1491,7 @@ mod tests {
             .any(|(port, fb)| *port == LEFT && fb.command == FeedbackCommand::Resume));
         assert_eq!(consumer.mns_buffer_len(LEFT), 0);
         // c1 also joins the stored a1b1 directly.
-        assert_eq!(out.num_results(), 1);
+        assert_eq!(out.results.len(), 1);
     }
 
     /// Ø suspension buffers inputs and reprocesses them faithfully on resume.
@@ -1642,7 +1632,7 @@ mod tests {
             // The consumer's output: results kept, feedback for the producer
             // queued, the number of messages for source C returned.
             let mut consume = |out: OperatorOutput, queue: &mut VecDeque<Work>| {
-                results.extend(out.result_messages().iter().map(|m| m.tuple.key()));
+                results.extend(out.results.iter().map(|m| m.tuple.key()));
                 let (up, dropped): (Vec<_>, Vec<_>) = out
                     .feedback
                     .into_iter()
@@ -1663,7 +1653,7 @@ mod tests {
                     };
                     let out = producer.process(port as Port, &msg, &mut ctx);
                     to_sources += out.feedback.len();
-                    queue.extend(out.result_messages().into_iter().map(Work::Partial));
+                    queue.extend(out.results.into_iter().map(Work::Partial));
                 }
             }
             while let Some(work) = queue.pop_front() {
@@ -1945,7 +1935,7 @@ mod tests {
         let ab = a(1, 1, 1, 0).tuple.join(&b(1, 1, 2).tuple).unwrap();
         let abc = DataMessage::new(ab.join(&c(1, 1, 3).tuple).unwrap());
         let out = process(consumer, LEFT, &abc, &mut metrics);
-        assert!(out.result_messages().is_empty());
+        assert!(out.results.is_empty());
         let (_, suspend) = out
             .feedback
             .into_iter()

@@ -140,7 +140,7 @@ impl EngineBuilder {
     /// [`StateIndexMode::Hashed`] (the default — hash-partitioned on the
     /// equi-join key, with a scan fallback when no hashable key spans two
     /// inputs) or [`StateIndexMode::Scan`] (the paper's nested-loop
-    /// baseline, used by the figure harness and the probe-scaling bench).
+    /// baseline, used by the figure harness and the equivalence suite).
     /// Both modes produce byte-identical result sets; only the probe cost
     /// differs.
     pub fn state_index(mut self, mode: StateIndexMode) -> Self {

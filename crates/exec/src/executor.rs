@@ -9,7 +9,7 @@
 //! are non-decreasing at the sinks (the temporal-order requirement of
 //! Section II).
 
-use crate::operator::{DataMessage, OpContext, OperatorId, OperatorOutput, Port, ResultBlock};
+use crate::operator::{DataMessage, OpContext, OperatorId, OperatorOutput, Port};
 use crate::plan::{ExecutablePlan, Input, OperatorSlot};
 use crate::scheduler::{Priority, Scheduler, Task, TaskKind};
 use jit_metrics::{CostKind, MemComponentId, MetricsSnapshot, RunMetrics};
@@ -210,72 +210,11 @@ impl Executor {
         }
     }
 
-    /// Route everything in an [`OperatorOutput`]: row results first, then
-    /// columnar results, then feedback (matching the order the operator
-    /// produced them in).
+    /// Route everything in an [`OperatorOutput`]: results first, then
+    /// feedback (matching the order the operator produced them in).
     fn route_output(&mut self, from: OperatorId, output: OperatorOutput, priority: Priority) {
-        let OperatorOutput {
-            results,
-            columnar,
-            feedback,
-        } = output;
-        self.route_results(from, results, priority);
-        if let Some(block) = columnar {
-            self.route_columnar(from, block, priority);
-        }
-        self.route_feedback(from, feedback);
-    }
-
-    /// Forward a columnar [`ResultBlock`] to the producing operator's
-    /// consumers. At a sink the rows are counted and order-checked straight
-    /// from the block's timestamp column — no [`Tuple`] is materialised
-    /// unless results are being collected. For intermediate operators each
-    /// row is materialised once ([`ResultBlock::row_message`]) and queued
-    /// per consumer exactly as on the row path, so scheduling order and
-    /// every counter are identical.
-    fn route_columnar(&mut self, from: OperatorId, block: ResultBlock, priority: Priority) {
-        if block.is_empty() {
-            return;
-        }
-        let (is_sink, consumers) = {
-            let slot = &mut self.slots[from.0];
-            (slot.is_sink, std::mem::take(&mut slot.consumers))
-        };
-        if is_sink {
-            for r in 0..block.len() {
-                self.results_count += 1;
-                self.metrics.stats.results_emitted += 1;
-                if self.config.check_temporal_order {
-                    let ts = block.row_ts(r);
-                    if ts < self.last_result_ts {
-                        self.order_violations += 1;
-                    }
-                    self.last_result_ts = self.last_result_ts.max(ts);
-                }
-                if self.config.collect_results {
-                    self.results.push(block.row_message(r).tuple);
-                }
-            }
-        } else {
-            self.metrics.stats.intermediate_produced += block.len() as u64;
-            for r in 0..block.len() {
-                let msg = block.row_message(r);
-                for (consumer, port) in &consumers {
-                    self.metrics.charge(CostKind::QueueOp, 1);
-                    self.scheduler.push(
-                        Task {
-                            to: *consumer,
-                            kind: TaskKind::Data {
-                                port: *port,
-                                msg: msg.clone(),
-                            },
-                        },
-                        priority,
-                    );
-                }
-            }
-        }
-        self.slots[from.0].consumers = consumers;
+        self.route_results(from, output.results, priority);
+        self.route_feedback(from, output.feedback);
     }
 
     /// Forward an operator's results to its consumers (or record them as
@@ -645,7 +584,6 @@ mod tests {
         ) -> OperatorOutput {
             OperatorOutput {
                 results: vec![msg.clone()],
-                columnar: None,
                 feedback: vec![(LEFT, Feedback::suspend(vec![msg.tuple.clone()]))],
             }
         }
@@ -809,6 +747,110 @@ mod tests {
         );
         exec.ingest(SourceId(0), base(0, 0, 10));
         assert_eq!(exec.results_count(), 1);
+        assert!(exec.results().is_empty());
+    }
+
+    /// Emits two rows per input — a later-stamped copy, then the input —
+    /// so a sink sees one temporal-order violation per call.
+    struct Doubler;
+
+    impl Operator for Doubler {
+        fn name(&self) -> &str {
+            "doubler"
+        }
+        fn output_schema(&self) -> SourceSet {
+            SourceSet::first_n(1)
+        }
+        fn num_ports(&self) -> usize {
+            1
+        }
+        fn process(
+            &mut self,
+            _port: Port,
+            msg: &DataMessage,
+            _ctx: &mut OpContext<'_>,
+        ) -> OperatorOutput {
+            let later = base(0, 100, msg.tuple.ts().as_millis() + 5);
+            OperatorOutput::with_results(vec![
+                DataMessage::new(Tuple::from_base(later)),
+                msg.clone(),
+            ])
+        }
+        fn memory_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    /// Logs `(own name, seq of the row it was handed)`, in dispatch order.
+    struct Recorder {
+        name: &'static str,
+        log: Arc<std::sync::Mutex<Vec<(&'static str, u64)>>>,
+    }
+
+    impl Operator for Recorder {
+        fn name(&self) -> &str {
+            self.name
+        }
+        fn output_schema(&self) -> SourceSet {
+            SourceSet::first_n(1)
+        }
+        fn num_ports(&self) -> usize {
+            1
+        }
+        fn process(
+            &mut self,
+            _port: Port,
+            msg: &DataMessage,
+            _ctx: &mut OpContext<'_>,
+        ) -> OperatorOutput {
+            let mut log = self.log.lock().expect("no recorder panicked");
+            log.push((self.name, msg.tuple.parts()[0].seq));
+            OperatorOutput::empty()
+        }
+        fn memory_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    fn each_row_is_queued_once_per_consumer_in_row_major_order() {
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut b = PlanBuilder::new();
+        let producer = b.add_operator(Box::new(Doubler), vec![Input::Source(SourceId(0))]);
+        for name in ["c1", "c2"] {
+            let log = log.clone();
+            b.add_operator(
+                Box::new(Recorder { name, log }),
+                vec![Input::Operator(producer)],
+            );
+        }
+        let mut exec = Executor::with_defaults(b.build().unwrap());
+        exec.ingest(SourceId(0), base(0, 0, 10));
+        assert_eq!(
+            *log.lock().unwrap(),
+            [("c1", 100), ("c2", 100), ("c1", 0), ("c2", 0)]
+        );
+        assert_eq!(exec.metrics().stats.intermediate_produced, 2);
+        // One queue operation for the arrival, one per (row, consumer) pair.
+        assert_eq!(exec.metrics().stats.queued_tuples, 1 + 4);
+        assert_eq!(exec.results_count(), 0);
+    }
+
+    #[test]
+    fn an_uncollecting_sink_counts_and_order_checks_every_row() {
+        let mut b = PlanBuilder::new();
+        b.add_operator(Box::new(Doubler), vec![Input::Source(SourceId(0))]);
+        let mut exec = Executor::new(
+            b.build().unwrap(),
+            ExecutorConfig {
+                collect_results: false,
+                check_temporal_order: true,
+            },
+        );
+        exec.ingest(SourceId(0), base(0, 0, 10));
+        assert_eq!(exec.results_count(), 2);
+        assert_eq!(exec.metrics().stats.results_emitted, 2);
+        assert_eq!(exec.order_violations(), 1);
         assert!(exec.results().is_empty());
     }
 

@@ -8,9 +8,7 @@
 //! default, with a nested-loop scan fallback (and
 //! [`StateIndexMode::Scan`] forcing the historical behaviour).
 
-use crate::operator::{
-    DataMessage, OpContext, Operator, OperatorOutput, Port, ResultBlock, LEFT, RIGHT,
-};
+use crate::operator::{DataMessage, OpContext, Operator, OperatorOutput, Port, LEFT, RIGHT};
 use crate::state::{JoinKeySpec, OperatorState, StateIndexMode};
 use jit_metrics::{CostKind, RunMetrics};
 use jit_types::{PredicateSet, SourceSet, Window};
@@ -138,10 +136,8 @@ impl Operator for RefJoinOperator {
 
         // Probe: only the candidate partners the index returns; the scan
         // baseline iterates the slab directly (no per-probe allocation).
-        // Matches assemble columnar-ly: components land in per-source
-        // columns instead of a fresh sorted `Tuple` per match.
         ctx.metrics.stats.state_probes += 1;
-        let mut results = ResultBlock::new();
+        let mut results = Vec::new();
         let mut evals = 0u64;
         let window = self.window;
         let predicates = &self.predicates;
@@ -150,10 +146,15 @@ impl Operator for RefJoinOperator {
                 metrics.charge(CostKind::ProbePair, 1);
                 if window.can_join(msg.tuple.ts(), entry.tuple.ts())
                     && predicates.join_matches(&msg.tuple, &entry.tuple, &mut evals)
-                    && msg.tuple.sources().is_disjoint(entry.tuple.sources())
                 {
-                    metrics.charge(CostKind::ResultBuild, 1);
-                    results.push_join(&msg.tuple, &entry.tuple, msg.marked);
+                    // `join` fails exactly when the coverages overlap.
+                    if let Ok(tuple) = msg.tuple.join(&entry.tuple) {
+                        metrics.charge(CostKind::ResultBuild, 1);
+                        results.push(DataMessage {
+                            tuple,
+                            marked: msg.marked,
+                        });
+                    }
                 }
             };
             if opp_state.index_mode() == StateIndexMode::Scan {
@@ -177,7 +178,7 @@ impl Operator for RefJoinOperator {
 
         hits.clear();
         self.scratch_hits = hits;
-        OperatorOutput::with_columnar(results)
+        OperatorOutput::with_results(results)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -247,16 +248,16 @@ mod tests {
         let mut metrics = RunMetrics::new();
         // b1 arrives first: no partners yet.
         let out = process(&mut op, RIGHT, &msg(1, 0, 0, 7), &mut metrics);
-        assert!(out.result_messages().is_empty());
+        assert!(out.results.is_empty());
         assert_eq!(op.right_len(), 1);
         // a1 with matching value joins b1.
         let out = process(&mut op, LEFT, &msg(0, 0, 1_000, 7), &mut metrics);
-        assert_eq!(out.num_results(), 1);
-        assert_eq!(out.result_messages()[0].tuple.num_parts(), 2);
+        assert_eq!(out.results.len(), 1);
+        assert_eq!(out.results[0].tuple.num_parts(), 2);
         assert_eq!(op.left_len(), 1);
         // a2 with a different value does not join.
         let out = process(&mut op, LEFT, &msg(0, 1, 2_000, 8), &mut metrics);
-        assert!(out.result_messages().is_empty());
+        assert!(out.results.is_empty());
         assert_eq!(op.left_len(), 2);
         assert_eq!(metrics.stats.state_insertions, 3);
         // Indexed probing examines only candidates: a1 met b1's bucket, a2's
@@ -271,7 +272,7 @@ mod tests {
         process(&mut op, RIGHT, &msg(1, 0, 0, 7), &mut metrics);
         process(&mut op, LEFT, &msg(0, 0, 1_000, 7), &mut metrics);
         let out = process(&mut op, LEFT, &msg(0, 1, 2_000, 8), &mut metrics);
-        assert!(out.result_messages().is_empty());
+        assert!(out.results.is_empty());
         // The scan baseline pays one probe pair per stored opposite tuple.
         assert_eq!(metrics.stats.probe_pairs, 2);
     }
@@ -284,7 +285,7 @@ mod tests {
             process(&mut op, RIGHT, &msg(1, i, i * 10, 5), &mut metrics);
         }
         let out = process(&mut op, LEFT, &msg(0, 0, 1_000, 5), &mut metrics);
-        assert_eq!(out.num_results(), 3);
+        assert_eq!(out.results.len(), 3);
     }
 
     #[test]
@@ -294,7 +295,7 @@ mod tests {
         process(&mut op, RIGHT, &msg(1, 0, 0, 7), &mut metrics);
         // 2 minutes later (window is 1 minute) the b tuple has expired.
         let out = process(&mut op, LEFT, &msg(0, 0, 120_000, 7), &mut metrics);
-        assert!(out.result_messages().is_empty());
+        assert!(out.results.is_empty());
         assert_eq!(op.right_len(), 0);
         assert_eq!(metrics.stats.purged_tuples, 1);
     }
@@ -307,13 +308,13 @@ mod tests {
         // Exactly w apart: |t - t'| = w is allowed to join per Section II,
         // but the stored tuple expires at ts + w, so purge removes it first.
         let out = process(&mut op, LEFT, &msg(0, 0, 60_000, 7), &mut metrics);
-        assert!(out.result_messages().is_empty());
+        assert!(out.results.is_empty());
         // Just inside the window it joins.
         let mut op = setup();
         let mut metrics = RunMetrics::new();
         process(&mut op, RIGHT, &msg(1, 0, 0, 7), &mut metrics);
         let out = process(&mut op, LEFT, &msg(0, 0, 59_999, 7), &mut metrics);
-        assert_eq!(out.num_results(), 1);
+        assert_eq!(out.results.len(), 1);
     }
 
     #[test]
@@ -349,8 +350,8 @@ mod tests {
         let mut marked = msg(0, 0, 100, 7);
         marked.marked = true;
         let out = process(&mut op, LEFT, &marked, &mut metrics);
-        assert_eq!(out.num_results(), 1);
-        assert!(out.result_messages()[0].marked);
+        assert_eq!(out.results.len(), 1);
+        assert!(out.results[0].marked);
     }
 
     #[test]
@@ -379,7 +380,7 @@ mod tests {
         )));
         let ab = DataMessage::new(a.join(&b).unwrap());
         let mut ctx = OpContext::new(ab.tuple.ts(), &mut metrics);
-        assert!(op.process(LEFT, &ab, &mut ctx).result_messages().is_empty());
+        assert!(op.process(LEFT, &ab, &mut ctx).results.is_empty());
         // C must match A on x0=9 and B on x1=4.
         let c_good = msg(2, 0, 100, 0);
         let c_good = DataMessage::new(Tuple::from_base(Arc::new(BaseTuple::new(
@@ -390,8 +391,8 @@ mod tests {
         ))));
         let mut ctx = OpContext::new(c_good.tuple.ts(), &mut metrics);
         let out = op.process(RIGHT, &c_good, &mut ctx);
-        assert_eq!(out.num_results(), 1);
-        assert_eq!(out.result_messages()[0].tuple.num_parts(), 3);
+        assert_eq!(out.results.len(), 1);
+        assert_eq!(out.results[0].tuple.num_parts(), 3);
         // A C tuple matching A but not B does not join.
         let c_bad = DataMessage::new(Tuple::from_base(Arc::new(BaseTuple::new(
             SourceId(2),
@@ -400,9 +401,6 @@ mod tests {
             vec![Value::int(9), Value::int(5)],
         ))));
         let mut ctx = OpContext::new(c_bad.tuple.ts(), &mut metrics);
-        assert!(op
-            .process(RIGHT, &c_bad, &mut ctx)
-            .result_messages()
-            .is_empty());
+        assert!(op.process(RIGHT, &c_bad, &mut ctx).results.is_empty());
     }
 }

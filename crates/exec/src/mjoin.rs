@@ -7,9 +7,7 @@
 //! tuples to probe, and a maintenance input carrying the tuples of the source
 //! whose state it owns.
 
-use crate::operator::{
-    DataMessage, OpContext, Operator, OperatorOutput, Port, ResultBlock, LEFT, RIGHT,
-};
+use crate::operator::{DataMessage, OpContext, Operator, OperatorOutput, Port, LEFT, RIGHT};
 use crate::state::{JoinKeySpec, OperatorState, StateIndexMode};
 use jit_metrics::{CostKind, RunMetrics};
 use jit_types::{PredicateSet, SourceSet, Window};
@@ -100,14 +98,9 @@ impl Operator for HalfJoinOperator {
             }
             _ => {
                 // Probe the state with the pipeline tuple; do not store it.
-                // The scan baseline iterates the slab directly. Matches
-                // assemble columnar-ly, as in the symmetric join: components
-                // land in per-source columns instead of a fresh sorted
-                // `Tuple` per match ([`Tuple::join`] fails exactly when the
-                // coverages overlap, so the disjointness guard is the same
-                // filter the row path applied).
+                // The scan baseline iterates the slab directly.
                 ctx.metrics.stats.state_probes += 1;
-                let mut results = ResultBlock::new();
+                let mut results = Vec::new();
                 let mut evals = 0u64;
                 let window = self.window;
                 let predicates = &self.predicates;
@@ -117,10 +110,15 @@ impl Operator for HalfJoinOperator {
                             metrics.charge(CostKind::ProbePair, 1);
                             if window.can_join(msg.tuple.ts(), entry.tuple.ts())
                                 && predicates.join_matches(&msg.tuple, &entry.tuple, &mut evals)
-                                && msg.tuple.sources().is_disjoint(entry.tuple.sources())
                             {
-                                metrics.charge(CostKind::ResultBuild, 1);
-                                results.push_join(&msg.tuple, &entry.tuple, msg.marked);
+                                // `join` fails exactly when the coverages overlap.
+                                if let Ok(tuple) = msg.tuple.join(&entry.tuple) {
+                                    metrics.charge(CostKind::ResultBuild, 1);
+                                    results.push(DataMessage {
+                                        tuple,
+                                        marked: msg.marked,
+                                    });
+                                }
                             }
                         };
                     if self.state.index_mode() == StateIndexMode::Scan {
@@ -136,7 +134,7 @@ impl Operator for HalfJoinOperator {
                     }
                 }
                 ctx.metrics.charge(CostKind::PredicateEval, evals);
-                OperatorOutput::with_columnar(results)
+                OperatorOutput::with_results(results)
             }
         }
     }
@@ -201,8 +199,13 @@ mod tests {
         op.process(MAINTENANCE_PORT, &msg(1, 1, 10, &[8]), &mut ctx);
         let mut ctx = OpContext::new(Timestamp::from_millis(100), &mut metrics);
         let out = op.process(PROBE_PORT, &msg(0, 0, 100, &[7]), &mut ctx);
-        assert!(out.results.is_empty(), "probe output is columnar");
-        assert_eq!(out.columnar.map_or(0, |b| b.len()), 1);
+        // One row: the probe tuple joined with its only partner, b0.
+        assert_eq!(out.results.len(), 1);
+        assert_eq!(
+            out.results[0].tuple.key(),
+            jit_types::TupleKey::from_iter([(0, 0), (1, 0)])
+        );
+        assert!(!out.results[0].marked);
         // The probe tuple is NOT inserted — the M-Join stores no intermediates.
         assert_eq!(op.state_len(), 2);
     }
@@ -216,7 +219,6 @@ mod tests {
         let mut ctx = OpContext::new(Timestamp::from_millis(120_000), &mut metrics);
         let out = op.process(PROBE_PORT, &msg(0, 0, 120_000, &[7]), &mut ctx);
         assert!(out.results.is_empty());
-        assert!(out.columnar.is_none_or(|b| b.is_empty()));
         assert_eq!(op.state_len(), 0);
     }
 

@@ -65,16 +65,13 @@ impl DataMessage {
     }
 }
 
-/// Columnar join results from one operator call: instead of one row
-/// [`Tuple`] allocation per match (a sorted `Arc<[Arc<BaseTuple>]>` each),
-/// matches accumulate into per-source component columns. Every result of a
-/// given join operator covers the same source set, so the block is
-/// rectangular: `columns[c][r]` is row `r`'s component from `sources[c]`.
+/// Per-source component columns for the matches of one operator call:
+/// `columns[c][r]` is row `r`'s component from `sources[c]`.
 ///
-/// Rows are only re-materialised into [`Tuple`]s when a consumer actually
-/// needs them ([`ResultBlock::row_message`], via the cheap
-/// [`Tuple::from_sorted_parts`] — the columns are already in source order);
-/// a sink that merely counts and order-checks results never rowifies.
+/// No operator or executor code uses this: results are assembled as rows by
+/// [`Tuple::join`]. The type and its four methods are retained solely for
+/// `bench_e2e/src/layers.rs`, which times [`ResultBlock::push_join`] for
+/// the `exec.result_assembly_ns_per_row` layer metric.
 #[derive(Debug, Default, Clone)]
 pub struct ResultBlock {
     /// One component column per covered source, sources ascending, all of
@@ -101,9 +98,8 @@ impl ResultBlock {
         self.rows.is_empty()
     }
 
-    /// Append the join of two tuples with disjoint source coverage — the
-    /// columnar counterpart of [`Tuple::join`] (components distributed to
-    /// their source columns; no per-row sort, no per-row `Arc` slice).
+    /// Append the join of two tuples with disjoint source coverage:
+    /// components are distributed to their source columns.
     pub fn push_join(&mut self, a: &Tuple, b: &Tuple, marked: bool) {
         debug_assert!(a.sources().is_disjoint(b.sources()));
         let mut ai = a.parts().iter().peekable();
@@ -145,26 +141,6 @@ impl ResultBlock {
         }
         self.rows.push((a.ts().max(b.ts()), marked));
     }
-
-    /// Row `r`'s result timestamp.
-    pub fn row_ts(&self, r: usize) -> Timestamp {
-        self.rows[r].0
-    }
-
-    /// Row `r`'s mark flag.
-    pub fn row_marked(&self, r: usize) -> bool {
-        self.rows[r].1
-    }
-
-    /// Materialise row `r` as a [`DataMessage`] (the row/column boundary:
-    /// called only when a consumer needs an actual tuple).
-    pub fn row_message(&self, r: usize) -> DataMessage {
-        let parts: Vec<Arc<BaseTuple>> = self.columns.iter().map(|(_, c)| c[r].clone()).collect();
-        DataMessage {
-            tuple: Tuple::from_sorted_parts(parts),
-            marked: self.rows[r].1,
-        }
-    }
 }
 
 /// Everything an operator returns from processing one input message.
@@ -172,9 +148,6 @@ impl ResultBlock {
 pub struct OperatorOutput {
     /// Result messages to forward to the operator's consumers.
     pub results: Vec<DataMessage>,
-    /// Columnar results (see [`ResultBlock`]); routed after `results`.
-    /// Operators use one representation per call, never both.
-    pub columnar: Option<ResultBlock>,
     /// Feedback to send to the producer feeding the given port.
     pub feedback: Vec<(Port, Feedback)>,
 }
@@ -189,38 +162,13 @@ impl OperatorOutput {
     pub fn with_results(results: Vec<DataMessage>) -> Self {
         OperatorOutput {
             results,
-            columnar: None,
-            feedback: Vec::new(),
-        }
-    }
-
-    /// Only columnar results (empty blocks are dropped to `None`).
-    pub fn with_columnar(block: ResultBlock) -> Self {
-        OperatorOutput {
-            results: Vec::new(),
-            columnar: (!block.is_empty()).then_some(block),
             feedback: Vec::new(),
         }
     }
 
     /// Is there nothing to deliver?
     pub fn is_empty(&self) -> bool {
-        self.results.is_empty() && self.columnar.is_none() && self.feedback.is_empty()
-    }
-
-    /// Total number of result rows (row and columnar).
-    pub fn num_results(&self) -> usize {
-        self.results.len() + self.columnar.as_ref().map_or(0, ResultBlock::len)
-    }
-
-    /// All result rows as materialised messages, in routing order — the
-    /// row view for callers (and tests) that need actual tuples.
-    pub fn result_messages(&self) -> Vec<DataMessage> {
-        let mut out = self.results.clone();
-        if let Some(block) = &self.columnar {
-            out.extend((0..block.len()).map(|r| block.row_message(r)));
-        }
-        out
+        self.results.is_empty() && self.feedback.is_empty()
     }
 }
 

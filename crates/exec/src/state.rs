@@ -37,7 +37,7 @@
 //!   (the spanning predicate is then *not applicable* and passes for every
 //!   stored tuple, so no single bucket contains all matches), or
 //! * the state runs under [`StateIndexMode::Scan`] (the baseline used by the
-//!   equivalence suite and the probe-scaling bench).
+//!   equivalence suite and the figure harness).
 //!
 //! Stored tuples missing one of the spec's stored-side columns land in a
 //! per-index *overflow* list that every probe scans in addition to its
@@ -103,7 +103,7 @@ impl Deserialize for StoredTuple {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StateIndexMode {
     /// Nested-loop scan over every stored tuple (the pre-index baseline;
-    /// kept for equivalence testing and the probe-scaling bench).
+    /// kept for equivalence testing and the figure harness).
     Scan,
     /// Hash-partitioned probing on the equi-join key, with a scan fallback
     /// when no hashable key spans the two inputs (the default).

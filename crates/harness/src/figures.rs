@@ -249,7 +249,8 @@ impl FigureResult {
 /// dominant probe term is exactly what suppression saves. Under the
 /// hash-indexed states (the engine default) REF itself becomes
 /// output-sensitive and the relative CPU gap narrows — that regime is
-/// measured separately by the `bench_indexed_join` probe-scaling bench, not
+/// measured by `bench_e2e` and pinned by `tests/indexed_state_equivalence.rs`
+/// (indexed probes ≥ 10× cheaper on the 3-source clique, equal results), not
 /// by the paper-reproduction figures.
 ///
 /// Figure 16 (left-deep, `N` swept) is the one figure whose shape is not the

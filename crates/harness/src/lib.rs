@@ -12,9 +12,8 @@
 //!   swept, over which values, on which plan family) and the sweep runner.
 //! * [`table_out`] — plain-text and CSV rendering of the measured series,
 //!   mirroring the "rows/series the paper reports".
-//! * [`parallel`] — the multi-core entry point: the same workloads executed
-//!   across hash-partitioned shards by `jit-runtime`, for the scaling
-//!   benchmarks beyond the paper.
+//! * [`parallel`] — the key-partitionable workload preset the sharded
+//!   experiments run (through `jit_engine::Engine` with a sharded backend).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -26,5 +25,5 @@ pub mod table_out;
 
 pub use config::ExperimentConfig;
 pub use figures::{run_figure, FigureResult, FigureRow, FigureSpec, SweepParameter};
-pub use parallel::{parallel_workload, run_parallel, run_parallel_trace};
+pub use parallel::parallel_workload;
 pub use table_out::{render_csv, render_table};

@@ -1,11 +1,9 @@
 //! Push-based sharded execution: long-lived worker threads fed one arrival
 //! at a time.
 //!
-//! [`ShardedSession`] is the online counterpart of the one-shot
-//! [`ShardedRuntime::run`]: the workers are spawned up front (each with its
-//! own plan instance, built on the caller's thread and *moved* to the
-//! worker), and the caller then pushes arrivals incrementally. Ingestion
-//! keeps the PR-1 batching/backpressure semantics — what the caller pushes
+//! A [`ShardedSession`] spawns its workers up front (each with its own plan
+//! instance, built on the caller's thread and *moved* to the worker), and
+//! the caller then pushes arrivals incrementally. What the caller pushes
 //! is grouped into chunks of `batch_size` *steps* per shard and sent over a
 //! *bounded* channel, so a slow shard blocks the pusher instead of queueing
 //! unboundedly.
@@ -28,7 +26,7 @@
 //!   releases them in globally merged timestamp order under a *watermark*:
 //!   a result is released only once every shard is known to have processed
 //!   past its timestamp, so the concatenation of all polls (plus the final
-//!   outcome) replays exactly the k-way merge a one-shot run would produce.
+//!   outcome) is exactly the k-way merge of the per-shard result streams.
 //!   How many results each individual poll returns depends on worker timing;
 //!   the order and the overall set do not.
 //! * **Metrics.** Each chunk's acknowledgement also carries a point-in-time
@@ -37,9 +35,9 @@
 //!
 //! [`ShardedSession::finish`] sends the partial chunks, closes the channels
 //! (each worker then runs the end-of-stream flush of `Executor::finish`),
-//! joins the workers and returns the same [`ParallelOutcome`] as the
-//! one-shot path — minus any results already handed out through
-//! `poll_results`, which are never duplicated.
+//! joins the workers and returns the [`ParallelOutcome`] — minus any
+//! results already handed out through `poll_results`, which are never
+//! duplicated.
 
 use crate::merge::merge_by_timestamp;
 use crate::sharded::{panic_message, ParallelOutcome, RuntimeError, ShardOutcome, ShardedRuntime};
@@ -326,8 +324,7 @@ impl ShardedSession {
     ///
     /// Arrivals must be pushed in non-decreasing timestamp order (the same
     /// contract as `Executor::ingest`). The send blocks when the shard's
-    /// bounded channel is full — backpressure, exactly as in the one-shot
-    /// feeder loop.
+    /// bounded channel is full — backpressure.
     pub fn push(&mut self, event: ArrivalEvent) {
         self.last_push_ts = self.last_push_ts.max(event.ts);
         let shard = self.partitioner.shard_of(&event.tuple);
@@ -432,8 +429,8 @@ impl ShardedSession {
     /// Returns the newly released results (empty when `collect_results` is
     /// off or nothing has been confirmed past the watermark yet). Across the
     /// lifetime of the session, the concatenation of all polls followed by
-    /// the final outcome's results is the same merged stream a one-shot
-    /// [`ShardedRuntime::run`] produces.
+    /// the final outcome's results is the k-way timestamp merge of the
+    /// per-shard result streams.
     ///
     /// Release is *strictly below* the watermark: pushes at exactly the
     /// watermark timestamp are still legal (the contract is non-decreasing,
@@ -709,23 +706,6 @@ mod tests {
         ShardedRuntime::new(RuntimeConfig::with_shards(shards).with_batch_size(batch))
             .start(ExecutorConfig::default(), |_| forward_plan())
             .unwrap()
-    }
-
-    #[test]
-    fn pushed_session_matches_one_shot_run() {
-        let trace = Trace::new((0..300).map(event).collect());
-        let runtime = ShardedRuntime::new(RuntimeConfig::with_shards(3).with_batch_size(16));
-        let one_shot = runtime
-            .run(&trace, ExecutorConfig::default(), |_| forward_plan())
-            .unwrap();
-        let mut live = runtime
-            .start(ExecutorConfig::default(), |_| forward_plan())
-            .unwrap();
-        live.push_trace(&trace);
-        let outcome = live.finish().unwrap();
-        assert_eq!(outcome.results_count, one_shot.results_count);
-        let keys = |r: &[Tuple]| r.iter().map(|t| t.key()).collect::<Vec<_>>();
-        assert_eq!(keys(&outcome.results), keys(&one_shot.results));
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! The sharded parallel runtime.
 //!
-//! [`ShardedRuntime::run`] hash-partitions a trace's join-key space over `N`
-//! shards, runs one independent [`Executor`](jit_exec::executor::Executor)
-//! per shard on its own OS thread
-//! (each with its own instance of the plan, built by a caller-supplied
-//! factory), feeds every shard through a *bounded* MPSC channel in batches
-//! (a full channel blocks the feeder — backpressure instead of unbounded
-//! queueing), and finally merges the per-shard result streams into one
-//! globally timestamp-ordered stream while aggregating per-shard metrics
-//! into a single [`MetricsSnapshot`].
+//! A [`ShardedRuntime`] hash-partitions the join-key space of what is pushed
+//! into its session ([`ShardedRuntime::start`]) over `N` shards, runs one
+//! independent [`Executor`](jit_exec::executor::Executor) per shard on its
+//! own OS thread (each with its own instance of the plan, built by a
+//! caller-supplied factory), feeds every shard through a *bounded* MPSC
+//! channel in batches (a full channel blocks the feeder — backpressure
+//! instead of unbounded queueing), and finally merges the per-shard result
+//! streams into one globally timestamp-ordered stream while aggregating
+//! per-shard metrics into a single [`MetricsSnapshot`].
 //!
 //! ## Correctness
 //!
@@ -24,10 +24,9 @@
 //! the merge exactly as it does on a single executor.
 
 use crate::config::RuntimeConfig;
-use jit_exec::executor::ExecutorConfig;
-use jit_exec::plan::{ExecutablePlan, PlanError};
+use jit_exec::plan::PlanError;
 use jit_metrics::MetricsSnapshot;
-use jit_stream::{ShardPartitioner, Trace};
+use jit_stream::ShardPartitioner;
 use jit_types::Tuple;
 use std::fmt;
 
@@ -163,32 +162,6 @@ impl ShardedRuntime {
     pub fn partitioner(&self) -> &ShardPartitioner {
         &self.partitioner
     }
-
-    /// Execute `trace` across the shards: the one-shot convenience over
-    /// [`ShardedRuntime::start`] — spawn a push-based session, replay the
-    /// whole trace through it, and close it.
-    ///
-    /// `plan_factory` is called once per shard (with the shard index, on the
-    /// calling thread) and must build a fresh, independent instance of the
-    /// plan — operators are stateful, so shards cannot share one.
-    ///
-    /// The calling thread acts as the feeder: it walks the trace in replay
-    /// order, assigns each arrival to its shard, and sends batches of
-    /// `batch_size` arrivals over each shard's bounded channel, blocking
-    /// when a shard's channel is full (backpressure).
-    pub fn run<F>(
-        &self,
-        trace: &Trace,
-        exec_config: ExecutorConfig,
-        plan_factory: F,
-    ) -> Result<ParallelOutcome, RuntimeError>
-    where
-        F: FnMut(usize) -> Result<ExecutablePlan, PlanError>,
-    {
-        let mut session = self.start(exec_config, plan_factory)?;
-        session.push_trace(trace);
-        session.finish()
-    }
 }
 
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -204,9 +177,11 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jit_exec::executor::ExecutorConfig;
     use jit_exec::operator::{DataMessage, OpContext, Operator, OperatorOutput, Port};
-    use jit_exec::plan::{Input, PlanBuilder};
+    use jit_exec::plan::{ExecutablePlan, Input, PlanBuilder};
     use jit_stream::arrival::ArrivalEvent;
+    use jit_stream::Trace;
     use jit_types::{BaseTuple, SourceId, SourceSet, Timestamp, Value};
     use std::sync::Arc;
 
@@ -262,6 +237,17 @@ mod tests {
         )
     }
 
+    /// Replay `trace` through a fresh forwarding session and close it.
+    fn run(
+        runtime: &ShardedRuntime,
+        trace: &Trace,
+        exec_config: ExecutorConfig,
+    ) -> ParallelOutcome {
+        let mut session = runtime.start(exec_config, |_| forward_plan()).unwrap();
+        session.push_trace(trace);
+        session.finish().unwrap()
+    }
+
     #[test]
     fn all_arrivals_reach_exactly_one_shard() {
         let runtime = ShardedRuntime::new(
@@ -269,11 +255,7 @@ mod tests {
                 .with_batch_size(8)
                 .with_channel_capacity(2),
         );
-        let outcome = runtime
-            .run(&keyed_trace(500), ExecutorConfig::default(), |_| {
-                forward_plan()
-            })
-            .unwrap();
+        let outcome = run(&runtime, &keyed_trace(500), ExecutorConfig::default());
         assert_eq!(outcome.results_count, 500);
         assert_eq!(outcome.results.len(), 500);
         assert_eq!(outcome.snapshot.stats.tuples_arrived, 500);
@@ -295,22 +277,14 @@ mod tests {
                 .with_batch_size(1)
                 .with_channel_capacity(1),
         );
-        let outcome = runtime
-            .run(&keyed_trace(300), ExecutorConfig::default(), |_| {
-                forward_plan()
-            })
-            .unwrap();
+        let outcome = run(&runtime, &keyed_trace(300), ExecutorConfig::default());
         assert_eq!(outcome.results_count, 300);
     }
 
     #[test]
     fn single_shard_degenerates_to_sequential() {
         let runtime = ShardedRuntime::new(RuntimeConfig::with_shards(1));
-        let outcome = runtime
-            .run(&keyed_trace(50), ExecutorConfig::default(), |_| {
-                forward_plan()
-            })
-            .unwrap();
+        let outcome = run(&runtime, &keyed_trace(50), ExecutorConfig::default());
         assert_eq!(outcome.per_shard.len(), 1);
         assert_eq!(outcome.per_shard[0].arrivals, 50);
         assert_eq!(outcome.results_count, 50);
@@ -319,7 +293,7 @@ mod tests {
     #[test]
     fn plan_error_is_propagated() {
         let runtime = ShardedRuntime::new(RuntimeConfig::with_shards(2));
-        let result = runtime.run(&keyed_trace(100), ExecutorConfig::default(), |shard| {
+        let result = runtime.start(ExecutorConfig::default(), |shard| {
             if shard == 1 {
                 PlanBuilder::new().build() // empty plan → error
             } else {
@@ -332,16 +306,14 @@ mod tests {
     #[test]
     fn results_collection_can_be_disabled() {
         let runtime = ShardedRuntime::new(RuntimeConfig::with_shards(2));
-        let outcome = runtime
-            .run(
-                &keyed_trace(80),
-                ExecutorConfig {
-                    collect_results: false,
-                    check_temporal_order: true,
-                },
-                |_| forward_plan(),
-            )
-            .unwrap();
+        let outcome = run(
+            &runtime,
+            &keyed_trace(80),
+            ExecutorConfig {
+                collect_results: false,
+                check_temporal_order: true,
+            },
+        );
         assert!(outcome.results.is_empty());
         assert_eq!(outcome.results_count, 80);
     }

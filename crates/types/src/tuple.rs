@@ -318,29 +318,14 @@ impl Tuple {
         })
     }
 
-    /// Build a composite tuple from components already sorted by source id
-    /// with no duplicates — the columnar result-assembly fast path, which
-    /// skips [`Tuple::from_parts`]'s sort and duplicate check (the invariant
-    /// is still verified under debug assertions).
-    pub fn from_sorted_parts(parts: Vec<Arc<BaseTuple>>) -> Self {
-        debug_assert!(parts.windows(2).all(|w| w[0].source < w[1].source));
-        let mut sources = SourceSet::EMPTY;
-        let mut ts = Timestamp::ZERO;
-        for p in &parts {
-            sources.insert(p.source);
-            ts = ts.max(p.ts);
-        }
-        Tuple {
-            parts: Parts::from_vec(parts),
-            sources,
-            ts,
-        }
-    }
-
     /// Join two tuples covering disjoint source sets.
     ///
     /// The result covers the union of sources and carries the later of the
-    /// two timestamps.
+    /// two timestamps. This is the one assembly path of every partial and
+    /// final result. When one side's sources all precede the other's —
+    /// every join of a bushy or left-deep plan — the two part lists chain
+    /// straight into the shared slice, one allocation per result;
+    /// interleaved sources merge the two sorted lists first.
     pub fn join(&self, other: &Tuple) -> Result<Tuple, TypeError> {
         if !self.sources.is_disjoint(other.sources) {
             return Err(TypeError::OverlappingSources {
@@ -348,13 +333,38 @@ impl Tuple {
                 right: other.sources,
             });
         }
-        let mut parts: Vec<Arc<BaseTuple>> =
-            Vec::with_capacity(self.num_parts() + other.num_parts());
-        parts.extend(self.parts().iter().cloned());
-        parts.extend(other.parts().iter().cloned());
-        parts.sort_by_key(|p| p.source);
+        let (a, b) = (self.parts(), other.parts());
+        let precedes = |x: &[Arc<BaseTuple>], y: &[Arc<BaseTuple>]| {
+            x.last()
+                .zip(y.first())
+                .is_none_or(|(p, q)| p.source < q.source)
+        };
+        let parts: Arc<[Arc<BaseTuple>]> = if precedes(a, b) {
+            a.iter().chain(b).cloned().collect()
+        } else if precedes(b, a) {
+            b.iter().chain(a).cloned().collect()
+        } else {
+            let mut merged = Vec::with_capacity(a.len() + b.len());
+            let (mut i, mut j) = (0, 0);
+            while i < a.len() && j < b.len() {
+                if a[i].source < b[j].source {
+                    merged.push(a[i].clone());
+                    i += 1;
+                } else {
+                    merged.push(b[j].clone());
+                    j += 1;
+                }
+            }
+            merged.extend_from_slice(&a[i..]);
+            merged.extend_from_slice(&b[j..]);
+            Arc::from(merged)
+        };
+        debug_assert!(
+            parts.windows(2).all(|w| w[0].source < w[1].source),
+            "joined parts must be strictly ascending by source"
+        );
         Ok(Tuple {
-            parts: Parts::Multi(Arc::from(parts)),
+            parts: Parts::Multi(parts),
             sources: self.sources.union(other.sources),
             ts: self.ts.max(other.ts),
         })
@@ -555,6 +565,53 @@ mod tests {
         // parts sorted by source regardless of join order
         let ba = b.join(&a).unwrap();
         assert_eq!(ab.key(), ba.key());
+    }
+
+    /// `a.join(&b)` is `from_parts(a.parts ++ b.parts)` with the parts
+    /// strictly ascending, whichever way the two source sets lie.
+    fn assert_join_is_sorted_union(a: &Tuple, b: &Tuple) {
+        let joined = a.join(b).unwrap();
+        let all = a.parts().iter().chain(b.parts()).cloned().collect();
+        assert_eq!(joined, Tuple::from_parts(all).unwrap());
+        assert!(joined.parts().windows(2).all(|w| w[0].source < w[1].source));
+    }
+
+    fn tuple_over(sources: &[u16]) -> Tuple {
+        let parts = sources
+            .iter()
+            .map(|&s| base(s, s as u64 + 10, 7 * s as u64, &[1]));
+        Tuple::from_parts(parts.collect()).unwrap()
+    }
+
+    #[test]
+    fn join_orders_parts_for_every_layout_of_the_two_source_sets() {
+        let e = Tuple::empty();
+        for (a, b) in [
+            (tuple_over(&[0, 1]), tuple_over(&[2, 3])), // a before b
+            (tuple_over(&[4, 5]), tuple_over(&[1])),    // b before a
+            (tuple_over(&[0, 2, 5]), tuple_over(&[1, 3, 4])), // interleaved: the merge branch
+            (tuple_over(&[1, 2]), tuple_over(&[0, 3])), // b around a
+            (tuple_over(&[3]), e.clone()),
+            (e.clone(), tuple_over(&[0, 6])),
+            (e.clone(), e.clone()),
+        ] {
+            assert_join_is_sorted_union(&a, &b);
+            assert_join_is_sorted_union(&b, &a);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn join_of_random_disjoint_source_sets_is_the_sorted_union(
+            mask_a in 0u32..256, mask_b in 0u32..256
+        ) {
+            let over = |mask: u32| {
+                let sources: Vec<u16> = (0..8).filter(|s| mask >> s & 1 == 1).collect();
+                tuple_over(&sources)
+            };
+            // Make the sets disjoint: `b` keeps only what `a` does not cover.
+            assert_join_is_sorted_union(&over(mask_a), &over(mask_b & !mask_a));
+        }
     }
 
     #[test]

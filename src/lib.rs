@@ -59,7 +59,7 @@ pub mod prelude {
     pub use jit_exec::state::{JoinKeySpec, StateIndexMode};
     pub use jit_harness::config::ExperimentConfig;
     pub use jit_harness::figures::{run_figure, FigureSpec};
-    pub use jit_harness::parallel::{parallel_workload, run_parallel, run_parallel_trace};
+    pub use jit_harness::parallel::parallel_workload;
     pub use jit_plan::cql::parse_cql;
     pub use jit_plan::shapes::{PlanShape, TreeShape};
     pub use jit_runtime::{ParallelOutcome, RuntimeConfig, ShardedRuntime, ShardedSession};

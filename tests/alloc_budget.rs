@@ -150,15 +150,14 @@ fn steady_state_allocations_per_arrival_stay_in_budget() {
         .with_rate(50.0)
         .with_seed(7);
     let jit = ExecutionMode::Jit(JitPolicy::full());
-    // Per shape: the JIT allocation budget, REF's (the bushy shape under REF
-    // is replayed for its heap alone), and the bound on JIT's peak heap over
-    // REF's.
+    // Per shape: the JIT allocation budget, REF's, and the bound on JIT's
+    // peak heap over REF's.
     let shapes = [
         (
             "bushy",
             &bushy,
             PlanShape::bushy(4),
-            [BUSHY_JIT_BUDGET, f64::INFINITY],
+            [BUSHY_JIT_BUDGET, BUSHY_REF_BUDGET],
             BUSHY_HEAP_RATIO_BOUND,
         ),
         (
@@ -197,15 +196,18 @@ fn steady_state_allocations_per_arrival_stay_in_budget() {
     assert!(over.is_empty(), "over budget: {over:?}");
 }
 
-/// Budgets: the counts measured when ports stopped detecting, buffering and
-/// reporting MNSs their producer cannot act on (51.66 / 7.39 / 2.55, debug
-/// and release alike), plus 10 %. The commit before measured 87.90 / 10.07 /
-/// 2.55 here. Moving the presence stamp into the state slot left all three
-/// where they were: the map it deleted hashed inline keys and grew by
-/// doubling, so it never allocated per call.
-const BUSHY_JIT_BUDGET: f64 = 56.8;
-const SHAREDKEY_JIT_BUDGET: f64 = 8.1;
-const SHAREDKEY_REF_BUDGET: f64 = 2.8;
+/// Budgets: the counts measured once every result row is assembled by
+/// `Tuple::join` in one allocation (29.50 / 27.31 / 6.27 / 1.26, debug and
+/// release alike), plus 10 %. With the columnar result lane that every
+/// consumer turned back into rows the same binary read 51.66 / 49.47 / 7.39 /
+/// 2.55. What is left per arrival: the shared part slice of each result row,
+/// the `Vec` of rows an operator call returns when it matched, one
+/// composite-key `Vec<Value>` per state / MNS-buffer insert, and the `fresh`
+/// / feedback `Vec`s a detected MNS travels in.
+const BUSHY_JIT_BUDGET: f64 = 32.5;
+const BUSHY_REF_BUDGET: f64 = 30.0;
+const SHAREDKEY_JIT_BUDGET: f64 = 6.9;
+const SHAREDKEY_REF_BUDGET: f64 = 1.4;
 
 /// JIT's peak heap over REF's: 1.216 (10.005 / 8.228 MB) and 2.373 (3.075 /
 /// 1.296 MB) once a stored tuple's presence stamp rides in its state slot,

@@ -19,6 +19,24 @@ fn spec(sources: usize, seed: u64) -> WorkloadSpec {
         .with_seed(seed)
 }
 
+/// Run `trace` through the engine on the sharded backend.
+fn run_sharded(
+    trace: &Trace,
+    spec: &WorkloadSpec,
+    shape: &PlanShape,
+    mode: ExecutionMode,
+    config: RuntimeConfig,
+) -> EngineOutcome {
+    Engine::builder()
+        .workload(spec, shape)
+        .mode(mode)
+        .sharded(config)
+        .build()
+        .expect("sharded plan builds")
+        .run_trace(trace)
+        .expect("parallel run succeeds")
+}
+
 fn check_against_sequential(spec: &WorkloadSpec, shape: &PlanShape, mode: ExecutionMode) {
     let trace = WorkloadGenerator::generate(spec);
     let sequential = Engine::builder()
@@ -33,15 +51,13 @@ fn check_against_sequential(spec: &WorkloadSpec, shape: &PlanShape, mode: Execut
         "workload must produce results for the comparison to mean anything"
     );
     for shards in SHARD_COUNTS {
-        let parallel = run_parallel_trace(
+        let parallel = run_sharded(
             &trace,
             spec,
             shape,
             mode,
-            ExecutorConfig::default(),
             RuntimeConfig::with_shards(shards),
-        )
-        .expect("parallel run succeeds");
+        );
         // Set equality against the single-threaded executor.
         assert!(
             output::same_results(&sequential.results, &parallel.results),
@@ -91,15 +107,13 @@ fn jit_matches_sequential_ref_result_set() {
         .expect("sequential REF runs");
     assert!(reference.results_count > 0);
     for shards in SHARD_COUNTS {
-        let parallel = run_parallel_trace(
+        let parallel = run_sharded(
             &trace,
             &spec,
             &shape,
             ExecutionMode::Jit(JitPolicy::full()),
-            ExecutorConfig::default(),
             RuntimeConfig::with_shards(shards),
-        )
-        .expect("parallel run succeeds");
+        );
         assert!(
             output::same_results(&reference.results, &parallel.results),
             "sharded JIT at {} shards diverged from REF: missing {}, extra {}",
@@ -162,25 +176,21 @@ fn parallel_runs_are_deterministic() {
     let shape = PlanShape::bushy(3);
     let trace = WorkloadGenerator::generate(&spec);
     let run = || {
-        run_parallel_trace(
+        run_sharded(
             &trace,
             &spec,
             &shape,
             ExecutionMode::Ref,
-            ExecutorConfig::default(),
             RuntimeConfig::with_shards(4)
                 .with_batch_size(3)
                 .with_channel_capacity(2),
         )
-        .expect("parallel run succeeds")
     };
     let first = run();
     let second = run();
     // Thread interleaving must not leak into the output: the merged result
     // sequence is identical run to run.
-    let keys = |o: &jit_dsms::runtime::ParallelOutcome| -> Vec<_> {
-        o.results.iter().map(|t| t.key()).collect()
-    };
+    let keys = |o: &EngineOutcome| -> Vec<_> { o.results.iter().map(|t| t.key()).collect() };
     assert_eq!(keys(&first), keys(&second));
     assert_eq!(first.results_count, second.results_count);
     assert_eq!(
@@ -194,27 +204,23 @@ fn batching_knobs_do_not_change_results() {
     let spec = spec(3, 5);
     let shape = PlanShape::left_deep(3);
     let trace = WorkloadGenerator::generate(&spec);
-    let baseline = run_parallel_trace(
+    let baseline = run_sharded(
         &trace,
         &spec,
         &shape,
         ExecutionMode::Ref,
-        ExecutorConfig::default(),
         RuntimeConfig::with_shards(2),
-    )
-    .expect("parallel run succeeds");
+    );
     for (batch, capacity) in [(1, 1), (7, 2), (256, 64)] {
-        let outcome = run_parallel_trace(
+        let outcome = run_sharded(
             &trace,
             &spec,
             &shape,
             ExecutionMode::Ref,
-            ExecutorConfig::default(),
             RuntimeConfig::with_shards(2)
                 .with_batch_size(batch)
                 .with_channel_capacity(capacity),
-        )
-        .expect("parallel run succeeds");
+        );
         assert!(output::same_results(&baseline.results, &outcome.results));
         assert!(output::is_temporally_ordered(&outcome.results));
     }
