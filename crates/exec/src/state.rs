@@ -314,20 +314,50 @@ impl Bucket {
     }
 }
 
+/// Columns an [`Buckets::Ints`] key holds inline.
+const INLINE_INTS: usize = 4;
+
+/// `key` as an [`Buckets::Ints`] key — two to [`INLINE_INTS`] integer
+/// columns, zero-padded — or `None` if it does not fit.
+fn inline_ints(key: &[Value]) -> Option<[i64; INLINE_INTS]> {
+    if !(2..=INLINE_INTS).contains(&key.len()) {
+        return None;
+    }
+    let mut ints = [0; INLINE_INTS];
+    for (slot, value) in ints.iter_mut().zip(key) {
+        *slot = value.as_int()?;
+    }
+    Some(ints)
+}
+
 /// Bucket storage for a [`HashIndex`], specialized by key shape.
 ///
-/// The dominant equi-join key in practice is a single `Int` column; for it
-/// the generic `Vec<Value>` keying costs real per-probe time — every hash
-/// walks a heap-allocated enum slice and every hit compares through a
-/// pointer chase, and every new key allocates an owned `Vec`. The `Int`
-/// variant keys the map with the inline `i64` instead. An index starts in
-/// `Int` mode and migrates (once, rehashing existing entries) to `Generic`
-/// the first time a key arrives that is not a single integer.
+/// The paper's workloads join on integers: a base state keys on one column,
+/// an intermediate-result state on several (`bushy_jit`'s top join files
+/// every `AB` and `CD` under a 4-column key, and JIT files them again under
+/// two 2-column settling-node keys). Keyed by `Vec<Value>`, every distinct
+/// key is a heap block allocated on its first insert and freed when its
+/// bucket empties, and every hash and equality test chases its pointer. The
+/// `Int` and `Ints` variants key the map with the values inline instead.
+/// An index starts in `Int` mode, moves to `Ints` while still empty if its
+/// first key is two to four integers, and migrates once (rehashing existing
+/// entries) to `Generic` the first time a key arrives that does not fit.
+///
+/// Every key of one index comes from one [`JoinKeySpec`], so all its keys
+/// have the same arity — which is what makes the zero padding of `Ints`
+/// unambiguous.
 #[derive(Debug, Clone)]
 pub(crate) enum Buckets {
     /// Single-column integer keys, stored inline.
     Int(FastMap<i64, Bucket>),
-    /// Composite or non-integer keys.
+    /// Keys of `arity` (2 to [`INLINE_INTS`]) integer columns, stored inline
+    /// and zero-padded. A `u8` rides in the padding after the tag, so the
+    /// variant makes no index larger.
+    Ints {
+        arity: u8,
+        map: FastMap<[i64; INLINE_INTS], Bucket>,
+    },
+    /// Any other key: wider, or holding a `Str` or `Null`.
     Generic(FastMap<Vec<Value>, Bucket>),
 }
 
@@ -338,15 +368,19 @@ impl Default for Buckets {
 }
 
 impl Buckets {
-    /// The bucket filed under `key`, if any. A non-`Int` probe key against
-    /// an `Int`-mode map correctly finds nothing (only single-integer keys
-    /// have ever been filed in it).
+    /// The bucket filed under `key`, if any. A key that does not fit an
+    /// inline map correctly finds nothing there (no such key was ever
+    /// filed: it would have migrated the map).
     fn get(&self, key: &[Value]) -> Option<&Bucket> {
         match self {
             Buckets::Int(map) => match key {
                 [Value::Int(v)] => map.get(v),
                 _ => None,
             },
+            Buckets::Ints { arity, map } => {
+                debug_assert_eq!(key.len(), usize::from(*arity), "one index, one key arity");
+                map.get(&inline_ints(key)?)
+            }
             Buckets::Generic(map) => map.get(key),
         }
     }
@@ -358,15 +392,25 @@ impl Buckets {
                 [Value::Int(v)] => map.get_mut(v),
                 _ => None,
             },
+            Buckets::Ints { arity, map } => {
+                debug_assert_eq!(key.len(), usize::from(*arity), "one index, one key arity");
+                map.get_mut(&inline_ints(key)?)
+            }
             Buckets::Generic(map) => map.get_mut(key),
         }
     }
 
-    /// Append `handle` to the bucket for `key`, migrating `Int → Generic`
-    /// if the key does not fit the specialized shape.
+    /// Append `handle` to the bucket for `key`, moving an empty `Int` map to
+    /// `Ints` or migrating to `Generic` if the key does not fit.
     fn push(&mut self, key: &[Value], handle: u64) {
         loop {
             match self {
+                Buckets::Int(map) if map.is_empty() && inline_ints(key).is_some() => {
+                    *self = Buckets::Ints {
+                        arity: key.len() as u8,
+                        map: FastMap::default(),
+                    };
+                }
                 Buckets::Int(map) => {
                     if let [Value::Int(v)] = key {
                         map.entry(*v)
@@ -377,6 +421,21 @@ impl Buckets {
                     let migrated: FastMap<Vec<Value>, Bucket> = map
                         .drain()
                         .map(|(k, bucket)| (vec![Value::Int(k)], bucket))
+                        .collect();
+                    *self = Buckets::Generic(migrated);
+                }
+                Buckets::Ints { arity, map } => {
+                    debug_assert_eq!(key.len(), usize::from(*arity), "one index, one key arity");
+                    if let Some(ints) = inline_ints(key) {
+                        map.entry(ints)
+                            .and_modify(|bucket| bucket.push(handle))
+                            .or_insert(Bucket::One(handle));
+                        return;
+                    }
+                    let arity = usize::from(*arity);
+                    let migrated: FastMap<Vec<Value>, Bucket> = map
+                        .drain()
+                        .map(|(ints, bucket)| (ints.map(Value::Int)[..arity].to_vec(), bucket))
                         .collect();
                     *self = Buckets::Generic(migrated);
                 }
@@ -399,6 +458,7 @@ impl Buckets {
     fn clear(&mut self) {
         match self {
             Buckets::Int(map) => map.clear(),
+            Buckets::Ints { map, .. } => map.clear(),
             Buckets::Generic(map) => map.clear(),
         }
     }
@@ -412,6 +472,7 @@ impl Buckets {
         };
         match self {
             Buckets::Int(map) => map.retain(|_, bucket| keep(bucket)),
+            Buckets::Ints { map, .. } => map.retain(|_, bucket| keep(bucket)),
             Buckets::Generic(map) => map.retain(|_, bucket| keep(bucket)),
         }
     }
@@ -420,6 +481,7 @@ impl Buckets {
     fn len(&self) -> usize {
         match self {
             Buckets::Int(map) => map.len(),
+            Buckets::Ints { map, .. } => map.len(),
             Buckets::Generic(map) => map.len(),
         }
     }
@@ -435,6 +497,11 @@ impl Buckets {
 /// owner calls [`HashIndex::sweep`] once removals have piled up — which
 /// bounds the dead handles *and* the emptied buckets (a stream keyed by an
 /// order or session id files every key exactly once).
+///
+/// Keys are formed in a caller-owned scratch buffer and stored by value: a
+/// key of one to four integer columns lives in its map slot, so filing and
+/// probing it allocates nothing; only a wider key or one holding a `Str` or
+/// `Null` is copied into an owned `Vec` when its bucket is created.
 #[derive(Debug, Clone, Default)]
 pub struct HashIndex {
     /// Key → handles of stored tuples carrying that key, ascending (i.e.
@@ -448,12 +515,6 @@ pub struct HashIndex {
 }
 
 impl HashIndex {
-    /// [`HashIndex::file_with`], forming the key in a buffer of its own.
-    pub(crate) fn file(&mut self, spec: &JoinKeySpec, tuple: &Tuple, handle: u64) {
-        let mut scratch = Vec::with_capacity(spec.len());
-        self.file_with(spec, tuple, handle, &mut scratch);
-    }
-
     /// File `handle` under the tuple's stored-side key (formed in the
     /// caller's `scratch`), or in the overflow list when the tuple is
     /// missing a key column or the spec is empty and keys nothing. Handles
@@ -563,9 +624,9 @@ pub struct OperatorState {
     /// linear-scanned vector beats hashing the spec on every probe.
     indexes: Vec<(JoinKeySpec, HashIndex)>,
     bytes: usize,
-    /// Reusable key buffer for the insert/probe hot path — key values are
-    /// formed here and only cloned into an owned `Vec` when a bucket sees a
-    /// key for the first time.
+    /// Reusable key buffer for filing and probing: key values are formed
+    /// here, and only a `Generic` key is cloned into an owned `Vec` (when
+    /// its bucket is created).
     key_scratch: Vec<Value>,
     /// Entries removed since the indexes were last swept (or rebuilt).
     removed_since_sweep: usize,
@@ -849,15 +910,14 @@ impl OperatorState {
     /// The hashed probe proper: the live bucket/overflow merge for one
     /// formed key, written into `out`.
     fn probe_key_slice_into(&mut self, spec: &JoinKeySpec, key: &[Value], out: &mut Vec<u64>) {
-        self.ensure_index(spec);
+        let at = match self.indexes.iter().position(|(s, _)| s == spec) {
+            Some(at) => at,
+            None => self.build_index(spec),
+        };
         let (slots, base) = (&self.slots, self.base);
-        let index = self
-            .indexes
-            .iter_mut()
-            .find_map(|(s, index)| (s == spec).then_some(index))
-            // INVARIANT: ensure_index(spec) above inserted this spec's index.
-            .expect("just ensured");
-        index.live_candidates_into(key, |seq| is_live(slots, base, seq), out);
+        self.indexes[at]
+            .1
+            .live_candidates_into(key, |seq| is_live(slots, base, seq), out);
     }
 
     /// The timestamp of the next entry the expiry heap would consider, if
@@ -882,18 +942,18 @@ impl OperatorState {
         );
     }
 
-    /// Build the index for `spec` if this is the first probe using it.
-    fn ensure_index(&mut self, spec: &JoinKeySpec) {
-        if self.indexes.iter().any(|(s, _)| s == spec) {
-            return;
-        }
+    /// Build the index for `spec`, the first time a probe uses it, by one
+    /// scan of the live entries; returns its position in `indexes`.
+    fn build_index(&mut self, spec: &JoinKeySpec) -> usize {
         let mut index = HashIndex::default();
         for (idx, slot) in self.slots.iter().enumerate() {
             if let Some(entry) = slot {
-                index.file(spec, &entry.tuple, self.base + idx as u64);
+                let seq = self.base + idx as u64;
+                index.file_with(spec, &entry.tuple, seq, &mut self.key_scratch);
             }
         }
         self.indexes.push((spec.clone(), index));
+        self.indexes.len() - 1
     }
 
     /// Amortised reclamation after removals: compact the slab once
@@ -930,7 +990,8 @@ impl OperatorState {
         for (spec, index) in self.indexes.iter_mut() {
             index.clear();
             for (idx, entry) in entries.iter().enumerate() {
-                index.file(spec, &entry.tuple, self.base + idx as u64);
+                let seq = self.base + idx as u64;
+                index.file_with(spec, &entry.tuple, seq, &mut self.key_scratch);
             }
         }
         self.slots = entries.into_iter().map(Some).collect();
@@ -1410,6 +1471,95 @@ mod tests {
         }
     }
 
+    fn ints(values: &[i64]) -> Vec<Value> {
+        values.iter().map(|&v| Value::int(v)).collect()
+    }
+
+    fn filed<'a>(buckets: &'a Buckets, key: &[Value]) -> Option<&'a [u64]> {
+        buckets.get(key).map(Bucket::as_slice)
+    }
+
+    /// The first key an empty index sees picks its map: one integer
+    /// `Int`, two to four integers `Ints` (inline, zero-padded), anything
+    /// wider or not all-integer `Generic`.
+    #[test]
+    fn the_first_key_picks_the_bucket_map() {
+        // The arity rides in the padding after the tag: one map and a word,
+        // what a two-variant `Buckets` took.
+        assert_eq!(
+            std::mem::size_of::<Buckets>(),
+            std::mem::size_of::<FastMap<i64, Bucket>>() + 8
+        );
+        for arity in 1..=5 {
+            let key: Vec<i64> = (1..=arity).collect();
+            let mut buckets = Buckets::default();
+            buckets.push(&ints(&key), 3);
+            buckets.push(&ints(&key), 5);
+            match (&buckets, arity) {
+                (Buckets::Int(_), 1) | (Buckets::Generic(_), 5) => {}
+                (
+                    Buckets::Ints {
+                        arity: filed_arity, ..
+                    },
+                    2..=4,
+                ) => {
+                    assert_eq!(i64::from(*filed_arity), arity);
+                }
+                (other, _) => panic!("arity {arity} filed in {other:?}"),
+            }
+            assert_eq!(filed(&buckets, &ints(&key)), Some(&[3, 5][..]));
+            let mut zeroed = key.clone();
+            zeroed[arity as usize - 1] = 0;
+            assert_eq!(filed(&buckets, &ints(&zeroed)), None, "arity {arity}");
+        }
+        for odd in [Value::str("x"), Value::Null] {
+            let mut buckets = Buckets::default();
+            buckets.push(&[Value::int(1), odd.clone()], 0);
+            assert!(matches!(buckets, Buckets::Generic(_)));
+            assert_eq!(filed(&buckets, &[Value::int(1), odd]), Some(&[0][..]));
+        }
+    }
+
+    /// An `Ints` map given a key holding a `Str` or `Null` migrates once to
+    /// `Generic`, keeping every bucket and its ascending handles.
+    #[test]
+    fn a_key_that_does_not_fit_migrates_inline_keys_to_generic() {
+        for odd in [Value::str("x"), Value::Null] {
+            let mut buckets = Buckets::default();
+            for handle in 0..6u64 {
+                buckets.push(&ints(&[handle as i64 % 2, 0, 9]), handle);
+            }
+            assert!(matches!(buckets, Buckets::Ints { arity: 3, .. }));
+            let odd_key = [Value::int(0), odd, Value::int(9)];
+            buckets.push(&odd_key, 6);
+            assert!(matches!(buckets, Buckets::Generic(_)));
+            buckets.push(&ints(&[1, 0, 9]), 7);
+            assert_eq!(filed(&buckets, &ints(&[0, 0, 9])), Some(&[0, 2, 4][..]));
+            assert_eq!(filed(&buckets, &ints(&[1, 0, 9])), Some(&[1, 3, 5, 7][..]));
+            assert_eq!(filed(&buckets, &odd_key), Some(&[6][..]));
+            assert_eq!(buckets.len(), 3);
+        }
+    }
+
+    /// `sweep` drops the dead handles of an `Ints` map and the buckets they
+    /// empty; `clear` drops everything but keeps the inline keying.
+    #[test]
+    fn sweep_and_clear_reclaim_inline_keyed_buckets() {
+        let mut buckets = Buckets::default();
+        for handle in 0..8u64 {
+            buckets.push(&ints(&[handle as i64 % 4, -1, 2, 7]), handle);
+        }
+        assert_eq!(buckets.len(), 4);
+        buckets.sweep(|handle| handle % 4 != 0 && handle != 5);
+        assert_eq!(buckets.len(), 3);
+        assert_eq!(filed(&buckets, &ints(&[0, -1, 2, 7])), None);
+        assert_eq!(filed(&buckets, &ints(&[1, -1, 2, 7])), Some(&[1][..]));
+        assert_eq!(filed(&buckets, &ints(&[2, -1, 2, 7])), Some(&[2, 6][..]));
+        buckets.clear();
+        assert_eq!(buckets.len(), 0);
+        assert!(matches!(buckets, Buckets::Ints { arity: 4, .. }));
+    }
+
     #[test]
     fn checkpoint_round_trips_entries_and_expiry() {
         let w = Window::new(Duration::from_secs(10));
@@ -1596,6 +1746,72 @@ mod tests {
                 }
                 assert!(compactions > 0, "the sequence must cross a compaction");
                 assert!(hashed.num_indexes() >= 3, "drain and probe specs each built an index");
+            }
+        }
+    }
+
+    /// A [`HashIndex`] against a brute-force filter over its live entries,
+    /// for random key arities and values: whatever map the keys land in and
+    /// whenever it migrates, a probe returns exactly the live entries filed
+    /// under its key or in the overflow list, ascending.
+    mod key_model {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::rand::{rngs::StdRng, Rng, SeedableRng};
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+            #[test]
+            fn live_candidates_equal_a_filter_over_live_entries(seed in 0u64..1_000_000) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let columns: Vec<ColumnRef> =
+                    (0..rng.gen_range(1u16..=6)).map(|c| ColumnRef::new(SourceId(0), c)).collect();
+                let spec = JoinKeySpec::on_columns(&columns);
+                // Before this step every value is an integer: some runs stay
+                // inline, some migrate a populated map, some start generic.
+                let mixed_from = rng.gen_range(0u64..600);
+                let value = |rng: &mut StdRng, step: u64| match rng.gen_range(0u32..20) {
+                    0 if step >= mixed_from => Value::str(["a", "b"][rng.gen_range(0usize..2)]),
+                    1 if step >= mixed_from => Value::Null,
+                    _ => Value::int(rng.gen_range(-1i64..3)),
+                };
+                let row = |rng: &mut StdRng, source: u16, step: u64| {
+                    let values = (0..6).map(|_| value(rng, step)).collect();
+                    Tuple::from_base(Arc::new(BaseTuple::new(SourceId(source), step, Timestamp::ZERO, values)))
+                };
+                let mut index = HashIndex::default();
+                let mut entries: Vec<(Tuple, bool)> = Vec::new();
+                let (mut scratch, mut key, mut got) = (Vec::new(), Vec::new(), Vec::new());
+                for step in 0..400u64 {
+                    match rng.gen_range(0u32..100) {
+                        0..=49 => {
+                            // A source-1 row lacks the key columns: overflow.
+                            let source = u16::from(rng.gen_bool(0.1));
+                            let tuple = row(&mut rng, source, step);
+                            index.file_with(&spec, &tuple, entries.len() as u64, &mut scratch);
+                            entries.push((tuple, true));
+                        }
+                        50..=69 if !entries.is_empty() => {
+                            let at = rng.gen_range(0..entries.len());
+                            entries[at].1 = false;
+                        }
+                        70..=72 => index.sweep(|h| entries[h as usize].1),
+                        _ => {
+                            let probe = row(&mut rng, 0, step);
+                            prop_assert!(spec.probe_key_into(&probe, &mut key));
+                            got.clear();
+                            index.live_candidates_into(&key, |h| entries[h as usize].1, &mut got);
+                            let want: Vec<u64> = (0..entries.len() as u64)
+                                .filter(|&h| {
+                                    let (tuple, live) = &entries[h as usize];
+                                    *live && spec.stored_key(tuple).is_none_or(|k| k == key)
+                                })
+                                .collect();
+                            prop_assert_eq!(&got, &want, "step {} key {:?}", step, key);
+                        }
+                    }
+                }
             }
         }
     }

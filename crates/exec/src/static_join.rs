@@ -78,9 +78,11 @@ impl StaticJoinOperator {
         if self.mode == StateIndexMode::Scan || self.probe_spec.is_empty() {
             return;
         }
+        let mut scratch = Vec::with_capacity(self.probe_spec.len());
         for (pos, rel_tuple) in self.relation.iter().enumerate() {
             let tuple = Tuple::from_base(rel_tuple.clone());
-            self.index.file(&self.probe_spec, &tuple, pos as u64);
+            self.index
+                .file_with(&self.probe_spec, &tuple, pos as u64, &mut scratch);
         }
     }
 

@@ -196,23 +196,25 @@ fn steady_state_allocations_per_arrival_stay_in_budget() {
     assert!(over.is_empty(), "over budget: {over:?}");
 }
 
-/// Budgets: the counts measured once every result row is assembled by
-/// `Tuple::join` in one allocation (29.50 / 27.31 / 6.27 / 1.26, debug and
-/// release alike), plus 10 %. With the columnar result lane that every
-/// consumer turned back into rows the same binary read 51.66 / 49.47 / 7.39 /
-/// 2.55. What is left per arrival: the shared part slice of each result row,
-/// the `Vec` of rows an operator call returns when it matched, one
-/// composite-key `Vec<Value>` per state / MNS-buffer insert, and the `fresh`
-/// / feedback `Vec`s a detected MNS travels in.
-const BUSHY_JIT_BUDGET: f64 = 32.5;
-const BUSHY_REF_BUDGET: f64 = 30.0;
-const SHAREDKEY_JIT_BUDGET: f64 = 6.9;
-const SHAREDKEY_REF_BUDGET: f64 = 1.4;
+/// Budgets: the counts measured once a hash index keeps a key of two to four
+/// integer columns inline in its map slot (17.74 / 16.07 / 5.95 / 0.94, debug
+/// and release alike), plus about 10 %. With every such key a heap
+/// `Vec<Value>`, allocated when its bucket was created, the same binary read
+/// 29.50 / 27.31 / 6.27 / 1.26. What is left per arrival: the shared part
+/// slice of each result row, the `Vec` of rows an operator call returns when
+/// it matched, and the `fresh` / feedback `Vec`s a detected MNS travels in.
+const BUSHY_JIT_BUDGET: f64 = 19.5;
+const BUSHY_REF_BUDGET: f64 = 17.7;
+const SHAREDKEY_JIT_BUDGET: f64 = 6.5;
+const SHAREDKEY_REF_BUDGET: f64 = 1.05;
 
 /// JIT's peak heap over REF's: 1.216 (10.005 / 8.228 MB) and 2.373 (3.075 /
 /// 1.296 MB) once a stored tuple's presence stamp rides in its state slot,
 /// plus 10 %; with the stamps in a map beside the states this binary read
-/// 1.559 and 2.910. ROADMAP's bar for the bushy shape is 1.5 — the bound may
-/// be re-pinned below that, never above.
+/// 1.559 and 2.910. Inline composite keys raise the ratios to 1.261 (8.244 /
+/// 6.537 MB) and 2.429 (2.974 / 1.225 MB) without moving the bounds: REF's
+/// top join sheds the same key blocks JIT's does, so both heaps shrink and
+/// REF's by the larger share. ROADMAP's bar for the bushy shape is 1.5 — the
+/// bound may be re-pinned below that, never above.
 const BUSHY_HEAP_RATIO_BOUND: f64 = 1.34;
 const SHAREDKEY_HEAP_RATIO_BOUND: f64 = 2.61;
