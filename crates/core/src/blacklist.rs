@@ -9,8 +9,8 @@
 //! moved back and joined only with the opposite tuples they have not been
 //! joined with yet.
 
-use jit_exec::state::{ExpiryQueue, StateIndexMode};
-use jit_types::{ColumnRef, FastMap, Signature, Timestamp, Tuple, TupleKey, Window};
+use jit_exec::state::StateIndexMode;
+use jit_types::{ColumnRef, ExpiryQueue, FastMap, Signature, Timestamp, Tuple, TupleKey, Window};
 use serde::{Content, Deserialize, Serialize};
 use std::fmt;
 

@@ -11,7 +11,9 @@
 //!   the configured lateness bound are buffered and released in timestamp
 //!   order once the watermark (max seen timestamp minus the bound) passes
 //!   them; arrivals older than the watermark are dropped and counted, never
-//!   silently reordered past a release.
+//!   silently reordered past a release. The buffer is the near-sorted
+//!   [`jit_types::ExpiryQueue`] window states expire through, so the stage
+//!   costs O(1) per in-order arrival and allocates nothing per arrival.
 //! * **Checkpoint files** — [`write_checkpoint`] / [`read_checkpoint`]: a
 //!   versioned on-disk format (magic header + JSON body over the local
 //!   `serde::Content` model) with typed corruption and version-mismatch

@@ -412,7 +412,7 @@ impl Engine {
                     "checkpoint was taken under a bounded policy, engine is strict".to_string(),
                 )))
             }
-            (state, DisorderPolicy::Bounded(_)) => {
+            (state, DisorderPolicy::Bounded(lateness)) => {
                 let dmap = state.as_map().ok_or_else(|| {
                     EngineError::Checkpoint(CheckpointError::Corrupt(
                         "disorder state is not an object".to_string(),
@@ -421,7 +421,14 @@ impl Engine {
                 let control = serde::field::<Content>(dmap, "control", TY).map_err(corrupt)?;
                 let items: Vec<(Timestamp, (SourceId, Arc<BaseTuple>))> =
                     serde::field(dmap, "items", TY).map_err(corrupt)?;
-                Some(ReorderBuffer::restore(&control, items).map_err(corrupt)?)
+                let buffer = ReorderBuffer::restore(&control, items).map_err(corrupt)?;
+                if buffer.lateness() != lateness {
+                    return Err(EngineError::Checkpoint(CheckpointError::Mismatch(format!(
+                        "checkpoint was taken with lateness {}, engine has {lateness}",
+                        buffer.lateness()
+                    ))));
+                }
+                Some(buffer)
             }
         };
         let backend_state = serde::field::<Content>(map, "backend", TY).map_err(corrupt)?;

@@ -143,11 +143,10 @@ impl Session {
         self.last_push_ts = buffer.max_ts();
         let target = buffer.target_watermark();
         if target > buffer.frontier() {
-            let released = buffer.release(target);
             // Push first, advance second: the released tuples must probe
             // state as of the previous watermark before any expiry at the
             // new one runs.
-            for (_ts, (source, tuple)) in released {
+            for (_ts, (source, tuple)) in buffer.release(target) {
                 self.backend.push(source, tuple);
             }
             self.backend.advance_watermark(target);
@@ -271,13 +270,11 @@ impl Session {
     /// semantics), join any workers, and return the remaining results plus
     /// final metrics.
     pub fn finish(mut self) -> Result<EngineOutcome, EngineError> {
-        if let Some(mut buffer) = self.disorder.take() {
-            let released = buffer.flush();
-            for (_ts, (source, tuple)) in released {
+        if let Some(buffer) = &mut self.disorder {
+            for (_ts, (source, tuple)) in buffer.flush() {
                 self.backend.push(source, tuple);
             }
             self.backend.advance_watermark(buffer.frontier());
-            self.disorder = Some(buffer); // keep counters for the overlay
         }
         let backend = std::mem::replace(&mut self.backend, Box::new(NullBackend));
         let mut outcome = backend.finish()?;

@@ -47,17 +47,20 @@
 //!
 //! ## Ordered expiry
 //!
-//! The state keeps a queue of `(tuple timestamp, seq)` so a purge pops
-//! exactly the expired entries: O(expired), not O(n). Expiry is based on the
-//! tuple's own timestamp (its lifespan is `[ts, ts + w)`), not on when it
-//! was inserted — a resumed intermediate result inserted late still expires
-//! at its original time, so purge counts are identical no matter how often a
-//! tuple is drained and restored. What an owner needs to know about *when*
-//! a tuple entered rides in the slot as [`StoredTuple::stamp`], which the
-//! state carries and never interprets: JIT keeps there the event at which
-//! the tuple's current presence began (`Resume_Production` must not
-//! regenerate results produced before a suspension) and so needs no second,
-//! hash-keyed copy of "which tuples are stored" beside the state.
+//! The state keeps a [`jit_types::ExpiryQueue`] of `(tuple timestamp, seq)`
+//! — the near-sorted queue JIT's blacklist and the reorder stage also run
+//! on — so a purge pops exactly the expired entries: O(expired), not O(n).
+//! Stale seqs (drained tuples) are skipped when they surface. Expiry is
+//! based on the tuple's own timestamp (its lifespan is `[ts, ts + w)`), not
+//! on when it was inserted — a resumed intermediate result inserted late
+//! still expires at its original time, so purge counts are identical no
+//! matter how often a tuple is drained and restored. What an owner needs to
+//! know about *when* a tuple entered rides in the slot as
+//! [`StoredTuple::stamp`], which the state carries and never interprets: JIT
+//! keeps there the event at which the tuple's current presence began
+//! (`Resume_Production` must not regenerate results produced before a
+//! suspension) and so needs no second, hash-keyed copy of "which tuples are
+//! stored" beside the state.
 //!
 //! ## Accounting invariants
 //!
@@ -69,7 +72,9 @@
 //! both modes; only the number of candidates a probe examines (the
 //! `probe_pairs` statistic and `CostKind::ProbePair` charge) shrinks.
 
-use jit_types::{ColumnRef, FastMap, PredicateSet, SourceSet, Timestamp, Tuple, Value, Window};
+use jit_types::{
+    ColumnRef, ExpiryQueue, FastMap, PredicateSet, SourceSet, Timestamp, Tuple, Value, Window,
+};
 use serde::{Content, Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
@@ -222,62 +227,6 @@ impl JoinKeySpec {
     /// `jit_types::kernel::extract_probe_keys`).
     pub fn probe_columns(&self) -> impl Iterator<Item = ColumnRef> + '_ {
         self.pairs.iter().map(|&(_, probe_col)| probe_col)
-    }
-}
-
-/// Timestamp-sorted expiry queue exploiting the near-sorted insert order of
-/// window states: arrivals enter in nondecreasing timestamp order, so the
-/// common push is an O(1) tail append and the common pop an O(1) head
-/// advance over contiguous memory — where a binary heap paid a cache-hostile
-/// sift per operation. Out-of-order pushes (restores of drained entries with
-/// their original timestamps) binary-search their slot; the memmove is rare
-/// in practice.
-///
-/// Shared by [`OperatorState`] and JIT's blacklist: both store handles into
-/// a slab and skip the handles of since-removed entries when they surface.
-#[derive(Debug, Clone, Default)]
-pub struct ExpiryQueue {
-    /// `(timestamp, handle)`, ascending by timestamp from the front.
-    entries: VecDeque<(Timestamp, u64)>,
-}
-
-impl ExpiryQueue {
-    /// Queue `handle` to surface once everything older than `ts` has.
-    pub fn push(&mut self, ts: Timestamp, handle: u64) {
-        match self.entries.back() {
-            Some(&(last, _)) if ts < last => {
-                let idx = self.entries.partition_point(|&(t, _)| t <= ts);
-                self.entries.insert(idx, (ts, handle));
-            }
-            _ => self.entries.push_back((ts, handle)),
-        }
-    }
-
-    /// The pair with the earliest timestamp, if any.
-    pub fn peek(&self) -> Option<(Timestamp, u64)> {
-        self.entries.front().copied()
-    }
-
-    /// Remove and return the pair with the earliest timestamp.
-    pub fn pop(&mut self) -> Option<(Timestamp, u64)> {
-        self.entries.pop_front()
-    }
-
-    /// Drop every queued pair.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
-/// Bulk construction (compaction, restore): one sort instead of a
-/// binary-searched insert per pair.
-impl FromIterator<(Timestamp, u64)> for ExpiryQueue {
-    fn from_iter<I: IntoIterator<Item = (Timestamp, u64)>>(pairs: I) -> Self {
-        let mut pairs: Vec<(Timestamp, u64)> = pairs.into_iter().collect();
-        pairs.sort_unstable();
-        ExpiryQueue {
-            entries: pairs.into(),
-        }
     }
 }
 

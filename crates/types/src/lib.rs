@@ -7,7 +7,9 @@
 //! This crate defines the vocabulary every other crate speaks:
 //!
 //! * [`Value`] — column values carried by stream tuples.
-//! * [`Timestamp`], [`Duration`], [`Window`] — the sliding-window time model.
+//! * [`Timestamp`], [`Duration`], [`Window`] — the sliding-window time model,
+//!   and [`ExpiryQueue`], the near-sorted timestamp queue that window expiry
+//!   and the reorder stage share.
 //! * [`SourceId`], [`SourceSet`], [`ColumnRef`], [`Catalog`] — schema metadata.
 //! * [`BaseTuple`], [`Tuple`] — source tuples and composite (joined) tuples,
 //!   including the *sub-tuple* / *super-tuple* relation central to the paper.
@@ -52,6 +54,6 @@ pub use kernel::BitMask;
 pub use predicate::{CompareOp, EquiPredicate, FilterPredicate, PredicateSet};
 pub use schema::{Catalog, ColumnRef, SourceId, SourceSchema, SourceSet};
 pub use signature::Signature;
-pub use timestamp::{Duration, Timestamp, Window};
+pub use timestamp::{Duration, ExpiryQueue, Timestamp, Window};
 pub use tuple::{BaseTuple, Tuple, TupleKey};
 pub use value::Value;

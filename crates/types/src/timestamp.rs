@@ -8,8 +8,14 @@
 //!
 //! Timestamps are integer milliseconds of *application time* (the simulated
 //! clock driven by the arrival trace), not wall-clock time.
+//!
+//! [`ExpiryQueue`] is the one timestamp-ordered container the workspace
+//! keeps: window states and JIT's blacklist expire through it, and the
+//! bounded-disorder reorder stage releases through it.
 
 use serde::{Deserialize, Serialize};
+use std::collections::vec_deque::Drain;
+use std::collections::VecDeque;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -207,6 +213,108 @@ impl Window {
     }
 }
 
+/// A timestamp-sorted queue exploiting near-sorted arrival order: items
+/// enter in nondecreasing timestamp order almost always, so the common push
+/// is an O(1) tail append and the common pop an O(1) head advance over
+/// contiguous memory — where a binary heap or a B-tree paid a
+/// cache-hostile sift or node split per operation. A late push
+/// binary-searches its slot behind every equal timestamp, so ties leave in
+/// push order; the memmove that costs is bounded by how far behind the tail
+/// the item lands.
+///
+/// Three owners share it. Window states (`jit_exec::state::OperatorState`)
+/// and JIT's blacklist queue `u64` handles into a slab and skip the handles
+/// of since-removed entries when they surface; the reorder stage
+/// (`jit_durable::ReorderBuffer`) queues the buffered arrivals themselves
+/// and releases a watermark's worth with [`ExpiryQueue::drain_through`].
+#[derive(Debug, Clone)]
+pub struct ExpiryQueue<T = u64> {
+    /// `(timestamp, item)`, ascending by timestamp from the front; equal
+    /// timestamps in push order.
+    entries: VecDeque<(Timestamp, T)>,
+}
+
+impl<T> Default for ExpiryQueue<T> {
+    fn default() -> Self {
+        ExpiryQueue {
+            entries: VecDeque::new(),
+        }
+    }
+}
+
+impl<T> ExpiryQueue<T> {
+    /// Queue `item` to surface once everything at or before `ts` queued
+    /// earlier has.
+    pub fn push(&mut self, ts: Timestamp, item: T) {
+        match self.entries.back() {
+            Some(&(last, _)) if ts < last => {
+                let idx = self.entries.partition_point(|&(t, _)| t <= ts);
+                self.entries.insert(idx, (ts, item));
+                debug_assert!(
+                    idx.checked_sub(1)
+                        .is_none_or(|before| self.entries[before].0 <= ts)
+                        && self.entries[idx + 1].0 > ts,
+                    "a late push must land behind its ties and before later timestamps"
+                );
+            }
+            _ => self.entries.push_back((ts, item)),
+        }
+    }
+
+    /// Remove and return the item with the earliest timestamp.
+    pub fn pop(&mut self) -> Option<(Timestamp, T)> {
+        self.entries.pop_front()
+    }
+
+    /// Remove every item with a timestamp at or before `ts`, front first —
+    /// O(released), the scan stops at the first later timestamp. The items
+    /// leave the queue even if the returned iterator is dropped unconsumed.
+    pub fn drain_through(&mut self, ts: Timestamp) -> Drain<'_, (Timestamp, T)> {
+        let due = self.entries.iter().take_while(|&&(t, _)| t <= ts).count();
+        self.entries.drain(..due)
+    }
+
+    /// Iterate the queued items in timestamp order.
+    pub fn iter(&self) -> impl Iterator<Item = (Timestamp, &T)> {
+        self.entries.iter().map(|(ts, item)| (*ts, item))
+    }
+
+    /// Number of queued items.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Is the queue empty?
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Drop every queued item.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+}
+
+impl<T: Copy> ExpiryQueue<T> {
+    /// The item with the earliest timestamp, if any.
+    pub fn peek(&self) -> Option<(Timestamp, T)> {
+        self.entries.front().copied()
+    }
+}
+
+/// Bulk construction (compaction, restore): one sort instead of a
+/// binary-searched insert per item. Ties are ordered by the item, not by
+/// iteration order.
+impl<T: Ord> FromIterator<(Timestamp, T)> for ExpiryQueue<T> {
+    fn from_iter<I: IntoIterator<Item = (Timestamp, T)>>(items: I) -> Self {
+        let mut items: Vec<(Timestamp, T)> = items.into_iter().collect();
+        items.sort_unstable();
+        ExpiryQueue {
+            entries: items.into(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,5 +396,78 @@ mod tests {
         assert_eq!(w.length, Duration::from_mins(5));
         let w = Window::minutes(12.5);
         assert_eq!(w.length, Duration::from_millis(750_000));
+    }
+
+    fn ms(v: u64) -> Timestamp {
+        Timestamp::from_millis(v)
+    }
+
+    fn drained<T>(queue: &mut ExpiryQueue<T>, through: u64) -> Vec<(u64, T)> {
+        queue
+            .drain_through(ms(through))
+            .map(|(ts, item)| (ts.as_millis(), item))
+            .collect()
+    }
+
+    #[test]
+    fn late_pushes_land_behind_their_ties() {
+        let mut queue = ExpiryQueue::default();
+        for (ts, item) in [(10, 'a'), (20, 'b'), (20, 'c'), (30, 'd')] {
+            queue.push(ms(ts), item);
+        }
+        // Late: behind both 20s, ahead of 30.
+        queue.push(ms(20), 'e');
+        // Late: at the very front.
+        queue.push(ms(5), 'f');
+        // Equal to the tail: an append.
+        queue.push(ms(30), 'g');
+        let order: Vec<(u64, char)> = queue.iter().map(|(ts, &c)| (ts.as_millis(), c)).collect();
+        assert_eq!(
+            order,
+            [
+                (5, 'f'),
+                (10, 'a'),
+                (20, 'b'),
+                (20, 'c'),
+                (20, 'e'),
+                (30, 'd'),
+                (30, 'g')
+            ]
+        );
+        assert_eq!(queue.len(), 7);
+        assert_eq!(queue.pop(), Some((ms(5), 'f')));
+        assert_eq!(queue.len(), 6);
+    }
+
+    #[test]
+    fn drain_through_releases_the_due_prefix_in_order() {
+        let mut queue = ExpiryQueue::default();
+        for (ts, item) in [(10, 1), (20, 2), (20, 3), (40, 4)] {
+            queue.push(ms(ts), item);
+        }
+        queue.push(ms(20), 5);
+        assert!(drained(&mut queue, 9).is_empty());
+        assert_eq!(
+            drained(&mut queue, 20),
+            [(10, 1), (20, 2), (20, 3), (20, 5)]
+        );
+        assert_eq!(queue.peek(), Some((ms(40), 4)));
+        // Dropping the iterator unconsumed still removes the items.
+        drop(queue.drain_through(ms(40)));
+        assert!(queue.is_empty());
+        assert_eq!(queue.peek(), None);
+        assert!(drained(&mut queue, u64::MAX).is_empty());
+    }
+
+    #[test]
+    fn collect_sorts_and_clear_empties() {
+        let mut queue: ExpiryQueue = [(ms(30), 1), (ms(10), 9), (ms(10), 2)]
+            .into_iter()
+            .collect();
+        assert_eq!(drained(&mut queue, 10), [(10, 2), (10, 9)]);
+        assert_eq!(queue.len(), 1);
+        queue.clear();
+        assert!(queue.is_empty());
+        assert_eq!(queue.pop(), None);
     }
 }

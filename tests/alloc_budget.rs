@@ -11,7 +11,9 @@
 //! allocator sums the bytes the thread holds, so the most a JIT session ever
 //! held over the most REF's held on the same arrivals is pinned beside it:
 //! what JIT keeps per stored tuple beyond the tuple shows up there and
-//! nowhere in the analytical accounting.
+//! nowhere in the analytical accounting. One shape replays disordered
+//! arrivals behind a bounded-disorder reorder stage, so the stage is held to
+//! the same count.
 //!
 //! Counts are deterministic: fixed seed, `FastHasher`, one thread.
 
@@ -94,32 +96,22 @@ const POLL_EVERY: usize = 4096;
 /// Windows measured after the warm-up window.
 const WINDOWS: u64 = 6;
 
-/// Allocations per arrival over `WINDOWS` windows after one window of
-/// warm-up, and the most bytes engine and session ever held (the trace is
-/// generated first and sits below that baseline), on the single-threaded
-/// backend.
-fn replay(spec: &WorkloadSpec, shape: &PlanShape, mode: ExecutionMode) -> (f64, f64) {
-    let window = spec.window().length;
-    let spec = spec
-        .clone()
-        .with_duration(Duration::from_millis(window.as_millis() * (WINDOWS + 1)));
-    let trace = WorkloadGenerator::generate(&spec);
+/// Allocations per arrival from `warm_until` on, and the most bytes engine
+/// and session ever held (the arrivals are generated first and sit below
+/// that baseline), replaying `arrivals` through `builder`'s session. A
+/// `LateDrop` is an arrival like any other.
+fn replay(builder: EngineBuilder, arrivals: &[ArrivalEvent], warm_until: Timestamp) -> (f64, f64) {
     reset_live();
-    let engine = Engine::builder()
-        .workload(&spec, shape)
-        .mode(mode)
-        .build()
-        .expect("engine builds");
+    let engine = builder.build().expect("engine builds");
     let mut session = engine.session().expect("session opens");
-    let warm_until = Timestamp::from_millis(window.as_millis());
     let mut measured = 0u64;
-    for (i, event) in trace.iter().enumerate() {
+    for (i, event) in arrivals.iter().enumerate() {
         let warm = event.ts >= warm_until;
         ARMED.with(|a| a.set(warm));
         measured += u64::from(warm);
         let _ = session
             .push(event.source, event.tuple.clone())
-            .expect("in-order push");
+            .expect("push");
         if (i + 1) % POLL_EVERY == 0 {
             drop(session.poll_results());
         }
@@ -149,14 +141,19 @@ fn steady_state_allocations_per_arrival_stay_in_budget() {
         .with_dmax(5000)
         .with_rate(50.0)
         .with_seed(7);
+    // (d), (e) `bench_e2e`'s sharded_disorder_ref inputs on the
+    // single-threaded backend: the shared-key trace with 5 % of the arrivals
+    // up to 2 s late, behind a reorder stage with a 2 s bound.
+    let max_delay = Duration::from_secs(2);
     let jit = ExecutionMode::Jit(JitPolicy::full());
-    // Per shape: the JIT allocation budget, REF's, and the bound on JIT's
-    // peak heap over REF's.
+    // Per shape: the lateness bound of a disordered replay, the JIT
+    // allocation budget, REF's, and the bound on JIT's peak heap over REF's.
     let shapes = [
         (
             "bushy",
             &bushy,
             PlanShape::bushy(4),
+            None,
             [BUSHY_JIT_BUDGET, BUSHY_REF_BUDGET],
             BUSHY_HEAP_RATIO_BOUND,
         ),
@@ -164,16 +161,39 @@ fn steady_state_allocations_per_arrival_stay_in_budget() {
             "sharedkey",
             &sharedkey,
             PlanShape::left_deep(3),
+            None,
             [SHAREDKEY_JIT_BUDGET, SHAREDKEY_REF_BUDGET],
             SHAREDKEY_HEAP_RATIO_BOUND,
         ),
+        (
+            "bounded",
+            &sharedkey,
+            PlanShape::left_deep(3),
+            Some(max_delay),
+            [BOUNDED_JIT_BUDGET, BOUNDED_REF_BUDGET],
+            BOUNDED_HEAP_RATIO_BOUND,
+        ),
     ];
     let mut over = Vec::new();
-    for (shape_name, spec, shape, budgets, ratio_bound) in shapes {
+    for (shape_name, spec, shape, lateness, budgets, ratio_bound) in shapes {
+        let window = spec.window().length;
+        let spec = spec
+            .clone()
+            .with_duration(Duration::from_millis(window.as_millis() * (WINDOWS + 1)));
+        let trace = WorkloadGenerator::generate(&spec);
+        let arrivals: Vec<ArrivalEvent> = match lateness {
+            Some(lateness) => DisorderSpec::new(0.05, lateness, 7).apply(&trace),
+            None => trace.iter().cloned().collect(),
+        };
+        let warm_until = Timestamp::from_millis(window.as_millis());
         let mut peaks = Vec::new();
         let modes = [("jit", jit), ("ref", ExecutionMode::Ref)];
         for ((mode_name, mode), budget) in modes.into_iter().zip(budgets) {
-            let (per_arrival, peak) = replay(spec, &shape, mode);
+            let mut builder = Engine::builder().workload(&spec, &shape).mode(mode);
+            if let Some(lateness) = lateness {
+                builder = builder.disorder(DisorderPolicy::Bounded(lateness));
+            }
+            let (per_arrival, peak) = replay(builder, &arrivals, warm_until);
             let name = format!("{shape_name}_{mode_name}");
             println!(
                 "{name}: {per_arrival:.2} heap allocations per arrival (budget {budget}), \
@@ -203,10 +223,17 @@ fn steady_state_allocations_per_arrival_stay_in_budget() {
 /// 29.50 / 27.31 / 6.27 / 1.26. What is left per arrival: the shared part
 /// slice of each result row, the `Vec` of rows an operator call returns when
 /// it matched, and the `fresh` / feedback `Vec`s a detected MNS travels in.
+///
+/// The bounded shape reads 6.08 / 0.94 once the reorder stage buffers in the
+/// near-sorted expiry queue and releases by draining it: REF allocates
+/// exactly what it does on in-order arrivals. With the stage a B-tree split
+/// per release into a fresh `Vec`, the same binary read 9.38 / 4.24.
 const BUSHY_JIT_BUDGET: f64 = 19.5;
 const BUSHY_REF_BUDGET: f64 = 17.7;
 const SHAREDKEY_JIT_BUDGET: f64 = 6.5;
 const SHAREDKEY_REF_BUDGET: f64 = 1.05;
+const BOUNDED_JIT_BUDGET: f64 = 6.7;
+const BOUNDED_REF_BUDGET: f64 = 1.05;
 
 /// JIT's peak heap over REF's: 1.216 (10.005 / 8.228 MB) and 2.373 (3.075 /
 /// 1.296 MB) once a stored tuple's presence stamp rides in its state slot,
@@ -215,6 +242,8 @@ const SHAREDKEY_REF_BUDGET: f64 = 1.05;
 /// 6.537 MB) and 2.429 (2.974 / 1.225 MB) without moving the bounds: REF's
 /// top join sheds the same key blocks JIT's does, so both heaps shrink and
 /// REF's by the larger share. ROADMAP's bar for the bushy shape is 1.5 — the
-/// bound may be re-pinned below that, never above.
+/// bound may be re-pinned below that, never above. The bounded shape reads
+/// 2.412 (2.987 / 1.239 MB), bound 2.65.
 const BUSHY_HEAP_RATIO_BOUND: f64 = 1.34;
 const SHAREDKEY_HEAP_RATIO_BOUND: f64 = 2.61;
+const BOUNDED_HEAP_RATIO_BOUND: f64 = 2.65;

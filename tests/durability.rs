@@ -396,3 +396,111 @@ fn v1_checkpoints_written_by_an_earlier_build_restore() {
         );
     }
 }
+
+/// The lateness bound and disordered arrivals of the Bounded v1 fixture.
+fn bounded_fixture() -> (EngineBuilder, Duration, Vec<ArrivalEvent>) {
+    let spec = fixture_spec();
+    let trace = WorkloadGenerator::generate(&spec);
+    let lateness = Duration::from_secs(5);
+    let events = DisorderSpec::new(0.2, lateness, 911).apply(&trace);
+    let builder = Engine::builder()
+        .workload(&spec, &PlanShape::bushy(4))
+        .mode(ExecutionMode::Ref)
+        .disorder(DisorderPolicy::Bounded(lateness));
+    (builder, lateness, events)
+}
+
+fn bounded_fixture_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_v1_bounded.ckpt")
+}
+
+/// The named field of a checkpoint object, for editing.
+fn field_mut<'a>(content: &'a mut Content, name: &str) -> &'a mut Content {
+    let Content::Map(fields) = content else {
+        panic!("`{name}`: not a checkpoint object");
+    };
+    let (_, value) = fields.iter_mut().find(|(key, _)| key == name).expect(name);
+    value
+}
+
+/// `tests/fixtures/checkpoint_v1_bounded.ckpt` was written by the build at
+/// commit 2c9ea09, whose reorder stage was a B-tree: `Session::checkpoint_to`
+/// on the single-threaded REF backend under `Bounded(5 s)`, after the first
+/// three fifths of `fixture_spec()`'s trace disordered by
+/// `DisorderSpec::new(0.2, 5 s, 911)` on `PlanShape::bushy(4)`, nothing
+/// polled. Twenty arrivals sit in its reorder stage. It is never
+/// regenerated: a build that cannot restore it has changed the v1 format
+/// and must bump the version instead.
+#[test]
+fn v1_checkpoint_with_a_live_reorder_stage_restores() {
+    let (builder, _, events) = bounded_fixture();
+    let straight = run_straight(&builder, &events);
+    assert!(!straight.is_empty());
+
+    let engine = builder.build().expect("engine builds");
+    let mut session = engine
+        .restore_file(bounded_fixture_path())
+        .expect("v1 Bounded fixture restores");
+    let cut = session.pushed() as usize;
+    assert_eq!(cut, events.len() * 3 / 5, "replay cursor");
+    let mut body = session.checkpoint().expect("checkpoint");
+    let buffered = field_mut(field_mut(&mut body, "disorder"), "items");
+    assert_eq!(buffered.as_seq().expect("items").len(), 20);
+    for event in events.iter().skip(cut) {
+        let outcome = session.push_event(event.clone()).expect("replayed push");
+        assert!(outcome.is_accepted(), "the bound covers every delay");
+    }
+    let outcome = session.finish().expect("finish");
+    assert_eq!(
+        straight, outcome.results,
+        "fixture + tail diverged from the uninterrupted run"
+    );
+    assert_eq!(outcome.snapshot.late_dropped, 0);
+}
+
+fn bounded_fixture_body() -> Content {
+    jit_dsms::durable::read_checkpoint(bounded_fixture_path()).expect("fixture reads")
+}
+
+/// A session restored under another lateness bound would keep the
+/// checkpoint's bound while its engine reports its own.
+#[test]
+fn restoring_a_reorder_stage_under_another_bound_is_a_mismatch() {
+    let (builder, lateness, _) = bounded_fixture();
+    let body = bounded_fixture_body();
+    let tighter = builder
+        .clone()
+        .disorder(DisorderPolicy::Bounded(Duration::from_secs(2)))
+        .build()
+        .unwrap();
+    assert!(matches!(
+        tighter.restore(&body),
+        Err(EngineError::Checkpoint(CheckpointError::Mismatch(_)))
+    ));
+    let engine = builder.build().unwrap();
+    assert_eq!(engine.disorder(), DisorderPolicy::Bounded(lateness));
+    assert!(engine.restore(&body).is_ok());
+}
+
+/// A buffered arrival under the frontier would be released behind a
+/// watermark the backend has already passed.
+#[test]
+fn a_buffered_arrival_under_the_frontier_is_a_typed_error() {
+    let (builder, _, _) = bounded_fixture();
+    let mut body = bounded_fixture_body();
+    let disorder = field_mut(&mut body, "disorder");
+    let Content::U64(frontier) = *field_mut(field_mut(disorder, "control"), "frontier") else {
+        panic!("frontier is not an integer");
+    };
+    let Content::Seq(items) = field_mut(disorder, "items") else {
+        panic!("items are not a list");
+    };
+    let Content::Seq(first) = &mut items[0] else {
+        panic!("an item is a (timestamp, arrival) pair");
+    };
+    first[0] = Content::U64(frontier - 1);
+    assert!(matches!(
+        builder.build().unwrap().restore(&body),
+        Err(EngineError::Checkpoint(CheckpointError::Serde(_)))
+    ));
+}
