@@ -25,8 +25,16 @@
 //!   index; an arrival is classified once per *distinct* class, not once per
 //!   query, and only pipelines whose class passed see the tuple.
 //!
-//! Those two layers are all the tier shares. Every pipeline's joins keep
-//! their own windows inside its session: two pipelines over the same source
+//! Routing and delivery pass references, not copies. An arrival's
+//! [`jit_types::BaseTuple`] is not copied per pipeline: every pipeline that
+//! reads its source under the catalog's id holds the pushed `Arc` itself,
+//! and a pipeline whose `FROM` order renumbers the source gets a remapped
+//! base tuple over the same value vector. A pipeline poll's fresh
+//! results become one shared batch that every subscriber's mailbox points
+//! at; a query's poll flattens its batches into its own result stream.
+//!
+//! That is all the tier shares. Every pipeline's joins keep their own
+//! windows inside its session: two pipelines over the same source
 //! and window hold two copies, and [`SharingReport::shared_state_bytes`]
 //! counts both. [`SharingReport::isolated_state_bytes`] prices the same
 //! state at one dedicated engine per query (each pipeline's bytes times its

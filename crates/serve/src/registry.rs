@@ -166,9 +166,9 @@ pub struct SharingReport {
 /// See the crate docs for the sharing model. The registry enforces the same
 /// arrival contract as [`Session`]: tuples are pushed in non-decreasing
 /// timestamp order, with the *global* source id of the registry's catalog;
-/// each pipeline sees the arrival remapped to its own dense local id space
-/// (`FROM` position) over the unchanged value vector, so results come back
-/// with local source ids — source 0 is the query's first `FROM` entry.
+/// each pipeline sees the arrival in its own dense local id space (`FROM`
+/// position), so results come back with local source ids — source 0 is the
+/// query's first `FROM` entry.
 pub struct QueryRegistry {
     catalog: Catalog,
     options: ServeOptions,
@@ -179,7 +179,9 @@ pub struct QueryRegistry {
     /// Global source id → subscribed pipeline slots, ascending.
     routes: FastMap<SourceId, Vec<usize>>,
     queries: FastMap<QueryId, usize>,
-    mailboxes: FastMap<QueryId, Vec<Tuple>>,
+    /// Per query: its undelivered result batches, oldest first. A batch is
+    /// one poll of the query's pipeline, shared by every subscriber.
+    mailboxes: FastMap<QueryId, Vec<Arc<[Tuple]>>>,
     selection: SelectionIndex,
     stats: SharingStats,
     next_query: u64,
@@ -378,12 +380,19 @@ impl QueryRegistry {
             // no subscriber and is discarded.
             pipeline.session.finish()?;
         }
-        Ok(self.mailboxes.remove(&qid).unwrap_or_default())
+        Ok(self.mailboxes.remove(&qid).unwrap_or_default().concat())
     }
 
     /// Push one arrival, carrying the *global* source id in
     /// [`BaseTuple::source`]. The arrival is classified once per distinct
-    /// filter class and routed to every pipeline whose class passed.
+    /// filter class and routed to every pipeline whose class passed, once
+    /// per pipeline (not per query).
+    ///
+    /// The arrival's values are not copied per pipeline. A pipeline that
+    /// reads the source under its global id — one whose `FROM` position of
+    /// the source equals the catalog's — is handed `tuple` itself. A pipeline
+    /// whose `FROM` order gives the source another local id gets its own
+    /// remapped base tuple over the same value vector.
     pub fn push(&mut self, tuple: Arc<BaseTuple>) -> Result<(), ServeError> {
         let source = tuple.source;
         if self.catalog.source(source).is_none() {
@@ -407,27 +416,19 @@ impl QueryRegistry {
             .and_modify(|s| *s = (*s).max(tuple.seq + 1))
             .or_insert(tuple.seq + 1);
 
-        let global_tuple = Tuple::from_base(tuple.clone());
-
         // Shared selection: one evaluation per distinct class on this
         // source, reused by every holder.
-        let verdicts = self.selection.classify(source, &global_tuple);
-        let mut passed: FastMap<ClassId, bool> =
-            FastMap::with_capacity_and_hasher(verdicts.len(), Default::default());
-        for (class, ok) in verdicts {
+        let verdicts = self
+            .selection
+            .classify(source, &Tuple::from_base(Arc::clone(&tuple)));
+        for &(class, _) in &verdicts {
             self.stats.classifications_saved += (self.selection.refcount(class) as u64).max(1) - 1;
-            passed.insert(class, ok);
         }
-        let class_passes =
-            |class: Option<ClassId>| class.is_none_or(|c| *passed.get(&c).unwrap_or(&false));
-
-        let route = self.routes.get(&source).cloned().unwrap_or_default();
 
         // Route once per subscribed pipeline (not per query), in creation
-        // order, remapped to the pipeline's local id space over the shared
-        // value vector.
+        // order, in the pipeline's local id space.
         let mut routed = 0u64;
-        for idx in route {
+        for &idx in self.routes.get(&source).map_or(&[][..], Vec::as_slice) {
             let Some(pipeline) = self.pipelines[idx].as_mut() else {
                 continue;
             };
@@ -437,18 +438,26 @@ impl QueryRegistry {
                 // INVARIANT: routes entries only name pipelines whose canonical
                 // query covers the routed source.
                 .expect("routed pipeline references source");
-            if !class_passes(pipeline.class_of_local[local.0 as usize]) {
+            // The class is on this source, so `verdicts` holds its verdict;
+            // the few classes a source has are scanned, not hashed.
+            let passes = pipeline.class_of_local[local.0 as usize]
+                .is_none_or(|class| verdicts.iter().any(|&(c, ok)| c == class && ok));
+            if !passes {
                 continue;
             }
-            let remapped = Arc::new(BaseTuple {
-                source: local,
-                seq: tuple.seq,
-                ts: tuple.ts,
-                values: tuple.values.clone(),
-            });
+            let base = if local == source {
+                Arc::clone(&tuple)
+            } else {
+                Arc::new(BaseTuple {
+                    source: local,
+                    seq: tuple.seq,
+                    ts: tuple.ts,
+                    values: Arc::clone(&tuple.values),
+                })
+            };
             // Under bounded disorder a too-late arrival comes back as a
             // counted LateDrop in the pipeline's metrics, not an error.
-            let _ = pipeline.session.push(local, remapped)?;
+            let _ = pipeline.session.push(local, base)?;
             routed += 1;
         }
         self.stats.routed += routed;
@@ -468,24 +477,27 @@ impl QueryRegistry {
     }
 
     /// Drain the results ready for `qid`: the query's pipeline is polled,
-    /// the new results fan out to *all* its subscribers' mailboxes, and
-    /// `qid`'s mailbox is emptied and returned. Result tuples are in the
-    /// query's local id space (source `i` = `i`-th `FROM` entry).
+    /// its new results become one batch shared by *all* its subscribers'
+    /// mailboxes, and `qid`'s batches are returned as one stream, oldest
+    /// first. Result tuples are in the query's local id space (source `i` =
+    /// `i`-th `FROM` entry).
     pub fn poll_results(&mut self, qid: QueryId) -> Result<Vec<Tuple>, ServeError> {
         let idx = *self
             .queries
             .get(&qid)
             .ok_or(ServeError::UnknownQuery(qid))?;
         self.fan_out(idx);
-        Ok(std::mem::take(
-            // INVARIANT: every registered query gets a mailbox at register
-            // time; both are removed together.
-            self.mailboxes.get_mut(&qid).expect("mailbox"),
-        ))
+        // INVARIANT: every registered query gets a mailbox at register time;
+        // both are removed together.
+        let mailbox = self.mailboxes.get_mut(&qid).expect("mailbox");
+        let results = mailbox.concat();
+        // Cleared, not taken: the mailbox keeps its room for the next batch.
+        mailbox.clear();
+        Ok(results)
     }
 
-    /// Poll pipeline `idx` and append the fresh results to every
-    /// subscriber's mailbox.
+    /// Poll pipeline `idx` and hand the fresh results, as one batch, to
+    /// every subscriber's mailbox.
     fn fan_out(&mut self, idx: usize) {
         let Some(pipeline) = self.pipelines[idx].as_mut() else {
             return;
@@ -494,13 +506,14 @@ impl QueryRegistry {
         if fresh.is_empty() {
             return;
         }
+        let batch: Arc<[Tuple]> = fresh.into();
         for &qid in &pipeline.subscribers {
             self.mailboxes
                 .get_mut(&qid)
                 // INVARIANT: subscribers are registered queries, each with a
                 // mailbox created at register time.
                 .expect("mailbox")
-                .extend(fresh.iter().cloned());
+                .push(Arc::clone(&batch));
         }
     }
 
@@ -541,7 +554,7 @@ impl QueryRegistry {
         let mut mailboxes: Vec<(u64, Vec<Tuple>)> = self
             .mailboxes
             .iter()
-            .map(|(qid, tuples)| (qid.0, tuples.clone()))
+            .map(|(qid, batches)| (qid.0, batches.concat()))
             .collect();
         mailboxes.sort_by_key(|(qid, _)| *qid);
         let mut seqs: Vec<(SourceId, u64)> = self.seqs.iter().map(|(s, n)| (*s, *n)).collect();
@@ -654,7 +667,13 @@ impl QueryRegistry {
             }
         }
         for (qid, tuples) in mailboxes {
-            self.mailboxes.insert(QueryId(qid), tuples);
+            // A restored mailbox is one batch, or none if it was empty.
+            let batches = if tuples.is_empty() {
+                Vec::new()
+            } else {
+                vec![Arc::from(tuples)]
+            };
+            self.mailboxes.insert(QueryId(qid), batches);
         }
         self.seqs = seqs.into_iter().collect();
         self.last_push_ts = last_push_ts;
@@ -716,15 +735,26 @@ impl QueryRegistry {
         let mut finished = Vec::with_capacity(self.queries.len());
         for slot in self.pipelines.into_iter() {
             let Some(pipeline) = slot else { continue };
-            let outcome = pipeline.session.finish()?;
+            let EngineOutcome {
+                mode_label,
+                results: flushed,
+                results_count,
+                order_violations,
+                snapshot,
+                per_shard,
+            } = pipeline.session.finish()?;
             for qid in pipeline.subscribers {
-                let mut results = self.mailboxes.remove(&qid).unwrap_or_default();
-                results.extend(outcome.results.iter().cloned());
+                let mut results = self.mailboxes.remove(&qid).unwrap_or_default().concat();
+                results.extend_from_slice(&flushed);
                 finished.push((
                     qid,
                     EngineOutcome {
+                        mode_label,
                         results,
-                        ..outcome.clone()
+                        results_count,
+                        order_violations,
+                        snapshot: snapshot.clone(),
+                        per_shard: per_shard.clone(),
                     },
                 ));
             }
@@ -1028,6 +1058,47 @@ mod tests {
         // q1's early poll happened before the cut, so the restored side owes
         // it only the post-poll remainder.
         assert_eq!(resumed[0].1.results.len(), 1);
+    }
+
+    #[test]
+    fn a_mailbox_of_several_batches_checkpoints_and_restores_as_one() {
+        // q1 polls after each of two fan-outs, q2 never: q2's mailbox holds
+        // both batches, shared with what q1 already took.
+        let mut reg = QueryRegistry::new(catalog());
+        let q1 = reg.register(JOIN_AB).unwrap();
+        let q2 = reg.register(JOIN_AB).unwrap();
+        push(&mut reg, 0, 0, vec![7, 1]);
+        push(&mut reg, 1, 1, vec![7, 2]);
+        assert_eq!(reg.poll_results(q1).unwrap().len(), 1);
+        push(&mut reg, 0, 2, vec![7, 3]);
+        assert_eq!(reg.poll_results(q1).unwrap().len(), 1);
+        assert_eq!(reg.mailboxes[&q2].len(), 2);
+
+        let blob = reg.checkpoint().unwrap();
+        let mut restored = QueryRegistry::new(catalog());
+        restored.register(JOIN_AB).unwrap();
+        restored.register(JOIN_AB).unwrap();
+        restored.restore(&blob).unwrap();
+        assert_eq!(restored.mailboxes[&q2].len(), 1);
+        assert_eq!(restored.checkpoint().unwrap(), blob, "same cut, same body");
+
+        for r in [&mut reg, &mut restored] {
+            push(r, 1, 3, vec![7, 4]);
+        }
+        // B@3 joins A@0 and A@2: q2 gets its two held results, then those.
+        let live = reg.poll_results(q2).unwrap();
+        assert_eq!(live.len(), 4);
+        assert_eq!(live, restored.poll_results(q2).unwrap());
+        for r in [&mut reg, &mut restored] {
+            push(r, 0, 4, vec![7, 5]);
+        }
+        let (live, resumed) = (reg.finish().unwrap(), restored.finish().unwrap());
+        for ((lq, lo), (rq, ro)) in live.iter().zip(&resumed) {
+            assert_eq!((lq, &lo.results), (rq, &ro.results));
+        }
+        // q1 is owed B@3's two results and A@4's two; q2 only A@4's.
+        assert_eq!(live[0].1.results.len(), 4);
+        assert_eq!(live[1].1.results.len(), 2);
     }
 
     #[test]

@@ -133,14 +133,22 @@ fn registry_results(
 }
 
 /// An overlapping workload: two texts of one query, a filtered variant, a
-/// wider window, and a three-way join.
-const QUERIES: [&str; 5] = [
+/// wider window, and a three-way join — all in catalog order, so every local
+/// id equals its global id — then four queries whose `FROM` order remaps
+/// their sources: `B, A` swaps the two ids, two `B, C` pipelines (one
+/// filtered on the remapped C) both remap B and C, and `C, A` gives C a
+/// second local id beside the one `B, C` gives it.
+const QUERIES: [&str; 9] = [
     "SELECT * FROM A [RANGE 1 minutes], B [RANGE 1 minutes] WHERE A.k = B.k",
     "select * from a [range 1 minutes], b [range 1 minutes] where B.k = A.k",
     "SELECT * FROM A [RANGE 1 minutes], B [RANGE 1 minutes] WHERE A.k = B.k AND A.v > 14",
     "SELECT * FROM A [RANGE 2 minutes], B [RANGE 2 minutes] WHERE A.k = B.k",
     "SELECT * FROM A [RANGE 1 minutes], B [RANGE 1 minutes], C [RANGE 1 minutes] \
      WHERE A.k = B.k AND B.k = C.k",
+    "SELECT * FROM B [RANGE 1 minutes], A [RANGE 1 minutes] WHERE A.k = B.k",
+    "SELECT * FROM B [RANGE 1 minutes], C [RANGE 1 minutes] WHERE B.k = C.k",
+    "SELECT * FROM B [RANGE 2 minutes], C [RANGE 2 minutes] WHERE B.k = C.k AND C.v > 9",
+    "SELECT * FROM C [RANGE 1 minutes], A [RANGE 1 minutes] WHERE A.k = C.k",
 ];
 
 fn assert_equivalent(options: &ServeOptions, n: usize, poll_every: usize) {

@@ -24,8 +24,8 @@
 //!   single-threaded executor and the sharded runtime behind one
 //!   `Backend` seam.
 //! * [`serve`] — the multi-query serving tier: a runtime `QueryRegistry`
-//!   sharing pipelines, selection pushdown and window state across many
-//!   standing queries over one pushed stream.
+//!   sharing pipelines, selection pushdown, arriving base tuples and result
+//!   batches across many standing queries over one pushed stream.
 //! * [`harness`] — experiment harness regenerating the paper's figures,
 //!   plus the parallel entry point for scaling experiments.
 //!
