@@ -20,7 +20,6 @@ pub const SCAN_ROOTS: &[&str] = &[
     "crates/engine/src",
     "crates/serve/src",
     "crates/harness/src",
-    "crates/bench/src",
     "crates/analysis/src",
 ];
 
@@ -42,10 +41,6 @@ pub const DATA_PLANE_PREFIXES: &[&str] = &[
 pub const DETERMINISM_ALLOWED_PREFIXES: &[&str] = &[
     // Wall-clock throughput reporting is the crate's purpose.
     "crates/metrics/src",
-    // Benchmarks time themselves by definition.
-    "crates/bench/src",
-    // Harness drives wall-clock figure sweeps.
-    "crates/harness/src",
     // Checkpoint writes record wall-clock duration as an operational stat
     // (never fed back into the data plane).
     "crates/durable/src/checkpoint.rs",

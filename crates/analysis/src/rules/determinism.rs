@@ -4,9 +4,10 @@
 //! Checkpoint/recovery replay and the shard-equivalence suites assert
 //! *byte-identical* reruns; one `Instant::now()` influencing data-plane
 //! behaviour breaks them non-reproducibly. Wall-clock reads are confined to
-//! `metrics` (throughput reporting), `bench`, `harness` (figure sweeps)
-//! and `durable::checkpoint` (operational stats); randomness must come
-//! from the seeded `rand` compat crate, never `thread_rng`/entropy.
+//! `metrics` (throughput reporting) and `durable::checkpoint` (operational
+//! stats); the figure harness measures in cost units and is held to the
+//! rule too. Randomness must come from the seeded `rand` compat crate,
+//! never `thread_rng`/entropy.
 
 use super::{diag, Rule};
 use crate::config::{under, DETERMINISM_ALLOWED_PREFIXES};
@@ -21,7 +22,7 @@ impl Rule for Determinism {
     }
 
     fn describe(&self) -> &'static str {
-        "no Instant::now/SystemTime/thread_rng outside metrics, bench, harness, durable::checkpoint"
+        "no Instant::now/SystemTime/thread_rng outside metrics, durable::checkpoint"
     }
 
     fn severity(&self) -> Severity {
@@ -62,7 +63,7 @@ impl Rule for Determinism {
                     t.line,
                     format!(
                         "`{what}` breaks deterministic replay; use the executor clock / a \
-                         seeded rng, or move the timing into metrics/bench"
+                         seeded rng, or move the timing into metrics"
                     ),
                 ));
             }

@@ -1,10 +1,10 @@
 //! Offline, API-compatible subset of [criterion](https://docs.rs/criterion).
 //!
-//! Implements the slice of the criterion 0.5 surface the workspace's benches
-//! use — [`Criterion`], [`criterion_group!`], [`criterion_main!`],
-//! benchmark groups, [`Bencher::iter`] / [`Bencher::iter_batched`] and
-//! [`BatchSize`] — measuring simple wall-clock statistics (mean / min / max
-//! per sample) and printing them to stdout.
+//! Implements the slice of the criterion 0.5 surface the workspace's bench
+//! uses — [`Criterion`], [`criterion_group!`], [`criterion_main!`],
+//! benchmark groups, [`Bencher::iter_batched`] and [`BatchSize`] — measuring
+//! simple wall-clock statistics (mean / min / max per sample) and printing
+//! them to stdout.
 //!
 //! Sample counts are intentionally small so `cargo test` (which executes
 //! `harness = false` bench targets) stays fast; `cargo bench` runs the same
@@ -16,18 +16,8 @@ use std::time::{Duration, Instant};
 /// compatibility; the stub times one routine call per sample regardless).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchSize {
-    /// Small per-iteration inputs.
-    SmallInput,
     /// Large per-iteration inputs.
     LargeInput,
-    /// One batch per allocation.
-    PerIteration,
-}
-
-/// Prevent the optimiser from discarding a value (best-effort stable
-/// implementation).
-pub fn black_box<T>(value: T) -> T {
-    std::hint::black_box(value)
 }
 
 /// The benchmark driver handed to registered bench functions.
@@ -47,26 +37,6 @@ impl Default for Criterion {
 }
 
 impl Criterion {
-    /// Configure the default number of samples per benchmark.
-    pub fn sample_size(&mut self, samples: usize) -> &mut Self {
-        self.samples = samples.max(1);
-        self
-    }
-
-    /// Accepted for compatibility; the stub ignores measurement time.
-    pub fn measurement_time(&mut self, _time: Duration) -> &mut Self {
-        self
-    }
-
-    /// Run one stand-alone benchmark.
-    pub fn bench_function<F>(&mut self, name: impl AsRef<str>, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        run_benchmark(name.as_ref(), self.samples, f);
-        self
-    }
-
     /// Open a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -88,11 +58,6 @@ impl BenchmarkGroup<'_> {
     /// Set the number of samples for benchmarks in this group.
     pub fn sample_size(&mut self, samples: usize) -> &mut Self {
         self.samples = samples.max(1);
-        self
-    }
-
-    /// Accepted for compatibility; the stub ignores measurement time.
-    pub fn measurement_time(&mut self, _time: Duration) -> &mut Self {
         self
     }
 
@@ -149,16 +114,6 @@ pub struct Bencher {
 }
 
 impl Bencher {
-    /// Measure a routine with no per-sample setup.
-    pub fn iter<O>(&mut self, mut routine: impl FnMut() -> O) {
-        for _ in 0..self.samples {
-            let start = Instant::now();
-            let out = routine();
-            self.durations.push(start.elapsed());
-            drop(out);
-        }
-    }
-
     /// Measure a routine with untimed per-sample setup.
     pub fn iter_batched<I, O>(
         &mut self,
@@ -202,15 +157,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_function_records_samples() {
-        let mut c = Criterion::default();
-        c.sample_size(3);
-        let mut calls = 0;
-        c.bench_function("demo", |b| b.iter(|| calls += 1));
-        assert_eq!(calls, 3);
-    }
-
-    #[test]
     fn group_runs_setup_per_sample() {
         let mut c = Criterion::default();
         let mut group = c.benchmark_group("g");
@@ -227,7 +173,7 @@ mod tests {
                     runs += 1;
                     v.len()
                 },
-                BatchSize::SmallInput,
+                BatchSize::LargeInput,
             )
         });
         group.finish();

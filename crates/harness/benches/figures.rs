@@ -8,18 +8,26 @@
 //! the paper plots.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use jit_bench::{print_figure, run_figure_scaled, BENCH_DURATION_SCALE, BENCH_SEED};
 use jit_core::policy::{ExecutionMode, JitPolicy};
 use jit_engine::Engine;
 use jit_exec::executor::ExecutorConfig;
-use jit_harness::figures::FigureSpec;
+use jit_harness::figures::{run_figure, FigureSpec};
+use jit_harness::table_out::render_table;
 use jit_stream::WorkloadGenerator;
+
+/// Duration scale of the benches. The paper runs 5 hours of application
+/// time per point (scale 5.0); a small fraction keeps a full `cargo bench`
+/// to minutes while preserving the relative JIT/REF behaviour.
+const BENCH_DURATION_SCALE: f64 = 0.05;
+
+/// Seed shared by all benches so numbers are comparable across runs.
+const BENCH_SEED: u64 = 20080415;
 
 fn bench(c: &mut Criterion) {
     for spec in FigureSpec::all() {
         // Print the full (scaled) series once so the figure can be read off the log.
-        let result = run_figure_scaled(&spec);
-        print_figure(&result);
+        let result = run_figure(&spec, BENCH_DURATION_SCALE, BENCH_SEED);
+        println!("{}", render_table(&result));
 
         // Benchmark the default point (the middle of the sweep) under both modes.
         let default_value = spec.values[spec.values.len() / 2];

@@ -14,6 +14,12 @@
 //!   mirroring the "rows/series the paper reports".
 //! * [`parallel`] — the key-partitionable workload preset the sharded
 //!   experiments run (through `jit_engine::Engine` with a sharded backend).
+//!
+//! Two targets drive the library: the `run_figures` binary regenerates every
+//! figure, checks it against the paper's expectations and exits 1 on a
+//! violation (`cargo run -p jit-harness --release --bin run_figures --
+//! --figure fig10 --scale 0.3`), and the `figures` criterion bench times each
+//! figure's default point under REF and JIT (`cargo bench -p jit-harness`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

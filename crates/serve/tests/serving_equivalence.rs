@@ -7,7 +7,7 @@ use jit_core::{ExecutionMode, JitPolicy};
 use jit_engine::Engine;
 use jit_plan::CanonicalQuery;
 use jit_runtime::RuntimeConfig;
-use jit_serve::{QueryRegistry, ServeError, ServeOptions};
+use jit_serve::{QueryRegistry, ServeError, ServeOptions, SharingReport};
 use jit_types::{BaseTuple, Catalog, SourceId, Timestamp, Tuple, Value};
 use std::sync::Arc;
 
@@ -290,6 +290,75 @@ fn register_and_deregister_mid_stream_sharded() {
         ..ServeOptions::default()
     };
     mid_stream_scenario(&options);
+}
+
+/// The i-th query of an overlapping family: an A⋈B join on `k`, one of 8
+/// filter thresholds on `A.v`, one of 2 windows — at most 16 distinct
+/// pipelines however many queries register.
+fn family_query(i: usize) -> String {
+    let threshold = 5 * (i % 8);
+    let minutes = 1 + (i / 8) % 2;
+    format!(
+        "SELECT * FROM A [RANGE {minutes} minutes], B [RANGE {minutes} minutes] \
+         WHERE A.k = B.k AND A.v > {threshold}"
+    )
+}
+
+/// A deterministic alternating A/B stream, 200 ms apart, `k` and `v` in
+/// 0..100.
+fn family_stream(n: usize) -> Vec<Arc<BaseTuple>> {
+    let mut state: u64 = 0x2545_F491_4F6C_DD1D;
+    (0..n)
+        .map(|i| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let k = ((state >> 33) % 100) as i64;
+            let v = ((state >> 17) % 100) as i64;
+            Arc::new(BaseTuple::new(
+                SourceId((i % 2) as u16),
+                (i / 2) as u64,
+                Timestamp((i as u64 + 1) * 200),
+                vec![Value::int(k), Value::int(v)],
+            ))
+        })
+        .collect()
+}
+
+/// Serving work is counted per pipeline and per filter class, never per
+/// query: past 16 queries the family adds subscribers, not work.
+#[test]
+fn serving_work_follows_pipelines_not_queries() {
+    let arrivals = family_stream(2000);
+    let [ten, hundred, thousand] = [10, 100, 1000].map(|queries| {
+        let mut reg = QueryRegistry::new(catalog());
+        for i in 0..queries {
+            reg.register(&family_query(i)).unwrap();
+        }
+        for arrival in &arrivals {
+            reg.push(arrival.clone()).unwrap();
+        }
+        reg.sharing_report()
+    });
+    let shape = |r: &SharingReport| (r.queries, r.pipelines, r.filter_classes);
+    assert_eq!(
+        [shape(&ten), shape(&hundred), shape(&thousand)],
+        [(10, 10, 8), (100, 16, 8), (1000, 16, 8)]
+    );
+
+    assert_eq!(hundred.routed, thousand.routed);
+    assert_eq!(hundred.classifications, thousand.classifications);
+    assert!(ten.classifications_saved < hundred.classifications_saved);
+    assert!(hundred.classifications_saved < thousand.classifications_saved);
+
+    // 100× the queries route at most 16/10 the tuples (linear would be
+    // 100×); measured: 1.58×.
+    assert!(thousand.routed * 10 <= ten.routed * 16);
+    assert_eq!((ten.routed, thousand.routed), (18_617, 29_350));
+
+    // 1000 subscribers over 16 pipelines: 62 or 63 each.
+    let factor = thousand.isolated_state_bytes as f64 / thousand.shared_state_bytes as f64;
+    assert!((62.0..=63.0).contains(&factor), "sharing factor {factor}");
 }
 
 #[test]

@@ -27,7 +27,7 @@
 //!   sharing pipelines, selection pushdown, arriving base tuples and result
 //!   batches across many standing queries over one pushed stream.
 //! * [`harness`] — experiment harness regenerating the paper's figures,
-//!   plus the parallel entry point for scaling experiments.
+//!   plus the key-partitionable workload preset of the sharded runs.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour,
 //! `examples/live_session.rs` for push-based live ingestion,

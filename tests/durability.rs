@@ -210,26 +210,38 @@ fn arrivals_beyond_the_bound_are_typed_drops_not_errors() {
     let spec = spec();
     let shape = PlanShape::bushy(3);
     let trace = WorkloadGenerator::generate(&spec);
-    // Delays up to 30 s against a 1 s lateness bound: the tail of the delay
-    // distribution must be dropped, visibly and without erroring.
+    // Delays up to 30 s against lateness bounds from 1 s up: the tail of the
+    // delay distribution beyond the bound must be dropped, visibly and
+    // without erroring, and a wider bound never drops more.
     let disordered = DisorderSpec::new(0.15, Duration::from_secs(30), 23).apply(&trace);
-    let engine = Engine::builder()
-        .workload(&spec, &shape)
-        .disorder(DisorderPolicy::Bounded(Duration::from_secs(1)))
-        .build()
-        .unwrap();
-    let mut session = engine.session().unwrap();
-    let mut drops = 0u64;
-    for event in &disordered {
-        if session.push_event(event.clone()).unwrap() == PushOutcome::LateDrop {
-            drops += 1;
+    let mut previous = u64::MAX;
+    for bound_ms in [1_000, 2_500, 5_000, 10_000, 30_000] {
+        let engine = Engine::builder()
+            .workload(&spec, &shape)
+            .disorder(DisorderPolicy::Bounded(Duration::from_millis(bound_ms)))
+            .build()
+            .unwrap();
+        let mut session = engine.session().unwrap();
+        let mut drops = 0u64;
+        for event in &disordered {
+            if session.push_event(event.clone()).unwrap() == PushOutcome::LateDrop {
+                drops += 1;
+            }
         }
+        if bound_ms == 1_000 {
+            assert!(drops > 0, "the workload must exercise the drop path");
+        }
+        let outcome = session.finish().unwrap();
+        assert_eq!(outcome.snapshot.late_dropped, drops);
+        assert!(outcome.snapshot.late_arrivals >= drops);
+        assert!(output::is_temporally_ordered(&outcome.results));
+        assert!(
+            drops <= previous,
+            "bound {bound_ms} ms dropped {drops}, a tighter one {previous}"
+        );
+        previous = drops;
     }
-    assert!(drops > 0, "the workload must exercise the drop path");
-    let outcome = session.finish().unwrap();
-    assert_eq!(outcome.snapshot.late_dropped, drops);
-    assert!(outcome.snapshot.late_arrivals >= drops);
-    assert!(output::is_temporally_ordered(&outcome.results));
+    assert_eq!(previous, 0, "a bound covering every delay drops nothing");
 }
 
 #[test]
@@ -281,24 +293,37 @@ fn corrupted_and_mismatched_checkpoint_files_are_typed_errors() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A checkpoint taken without a crash reports its cost and changes nothing:
+/// the session goes on to the uninterrupted run's results.
 #[test]
 fn checkpoint_cost_is_visible_in_metrics() {
     let spec = spec();
-    let shape = PlanShape::bushy(3);
-    let trace = WorkloadGenerator::generate(&spec);
-    let engine = Engine::builder().workload(&spec, &shape).build().unwrap();
-    let mut session = engine.session().unwrap();
-    for event in trace.iter().take(50) {
-        let _ = session.push_event(event.clone()).unwrap();
+    let events: Vec<ArrivalEvent> = WorkloadGenerator::generate(&spec).iter().cloned().collect();
+    let single = Engine::builder().workload(&spec, &PlanShape::bushy(3));
+    for builder in [
+        single.clone(),
+        single.sharded(RuntimeConfig::with_shards(2)),
+    ] {
+        let mut session = builder.clone().build().unwrap().session().unwrap();
+        let mut results = Vec::new();
+        for (i, event) in events.iter().enumerate() {
+            let _ = session.push_event(event.clone()).unwrap();
+            if i == 49 {
+                let path = ckpt_path("metrics");
+                let stats = session.checkpoint_to(&path).unwrap();
+                std::fs::remove_file(&path).ok();
+                assert!(stats.bytes > 0);
+                let snapshot = session.metrics_snapshot();
+                assert_eq!(snapshot.checkpoint_bytes, stats.bytes);
+                assert!(snapshot.checkpoint_millis >= stats.millis);
+            }
+            if i % 40 == 0 {
+                results.extend(session.poll_results());
+            }
+        }
+        results.extend(session.finish().unwrap().results);
+        assert_eq!(results, run_straight(&builder, &events));
     }
-    let path = ckpt_path("metrics");
-    let stats = session.checkpoint_to(&path).unwrap();
-    assert!(stats.bytes > 0);
-    let snapshot = session.metrics_snapshot();
-    assert_eq!(snapshot.checkpoint_bytes, stats.bytes);
-    assert!(snapshot.checkpoint_millis >= stats.millis);
-    session.finish().unwrap();
-    std::fs::remove_file(&path).ok();
 }
 
 /// The workload the committed v1 fixtures were cut from.
