@@ -151,5 +151,5 @@ fn workspace_is_green() {
         report.stale_baseline,
         report.errors
     );
-    assert!(report.files_scanned >= 90);
+    assert!(report.files_scanned >= 80);
 }

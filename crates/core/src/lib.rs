@@ -23,14 +23,12 @@
 //!   strategy (full lattice / Bloom / empty-state-only), similar-tuple
 //!   capture, feedback propagation. The *empty-state-only* preset is exactly
 //!   the DOE baseline the paper subsumes.
-//! * [`doe`] — convenience constructors for the DOE baseline.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod blacklist;
 pub mod bloom;
-pub mod doe;
 pub mod jit_filter;
 pub mod jit_join;
 pub mod lattice;

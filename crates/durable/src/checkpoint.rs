@@ -140,7 +140,8 @@ pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<Content, CheckpointErro
     else {
         return Err(CheckpointError::Corrupt(format!(
             "bad magic: expected `{MAGIC} v<N>`, found `{}`",
-            &header[..header.len().min(40)]
+            // By characters: a byte cut could split one.
+            header.chars().take(40).collect::<String>()
         )));
     };
     let found: u32 = version_str
@@ -201,6 +202,17 @@ mod tests {
         std::fs::write(&path, "NOT-A-CHECKPOINT v1\n{}").unwrap();
         let err = read_checkpoint(&path).unwrap_err();
         assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
+    }
+
+    /// A bad header with a multi-byte character across byte 40 once
+    /// panicked on the byte slice that quoted it.
+    #[test]
+    fn a_bad_header_is_quoted_by_characters() {
+        let path = tmp_path("bad_magic_utf8.ckpt");
+        let header = format!("{}é", "x".repeat(39));
+        std::fs::write(&path, format!("{header}\n{{}}")).unwrap();
+        let err = read_checkpoint(&path).unwrap_err();
+        assert!(err.to_string().contains(&header), "{err}");
     }
 
     #[test]

@@ -17,10 +17,8 @@
 //! * [`join::RefJoinOperator`] — the reference (REF) binary window join:
 //!   plain purge–probe–insert with no feedback, exactly the baseline the
 //!   paper compares against.
-//! * [`selection::SelectionOperator`], [`static_join::StaticJoinOperator`] —
-//!   the additional consumer types of Section V.
-//! * [`mjoin`] and [`eddy`] — the alternative plan architectures of
-//!   Figure 2 (M-Join paths and the Eddy/STeM design).
+//! * [`selection::SelectionOperator`] — the stateless constant filter that
+//!   plans wire in front of a join port.
 //! * [`plan`] — executable plan graphs wiring operators to sources and to
 //!   each other.
 //! * [`scheduler`] — the priority task scheduler implementing the policies
@@ -37,17 +35,14 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod eddy;
 pub mod executor;
 pub mod join;
-pub mod mjoin;
 pub mod operator;
 pub mod output;
 pub mod plan;
 pub mod scheduler;
 pub mod selection;
 pub mod state;
-pub mod static_join;
 
 pub use executor::{Executor, ExecutorConfig};
 pub use join::RefJoinOperator;

@@ -14,7 +14,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Index of an operator input port. Binary operators use [`LEFT`] and
-/// [`RIGHT`]; n-ary operators (e.g. the Eddy) use ports `0..n`.
+/// [`RIGHT`]; a unary operator (a selection) reads port 0.
 pub type Port = usize;
 
 /// The left input port of a binary operator.

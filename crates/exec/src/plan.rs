@@ -314,7 +314,7 @@ mod tests {
 
     #[test]
     fn multiple_sinks_are_allowed() {
-        // M-Join style: two independent paths.
+        // Two independent paths.
         let mut b = PlanBuilder::new();
         let a = b.add_operator(Dummy::boxed("pathA", 1), vec![Input::Source(SourceId(0))]);
         let c = b.add_operator(Dummy::boxed("pathB", 1), vec![Input::Source(SourceId(1))]);

@@ -26,10 +26,10 @@
 //! construction: the first probe with a new [`JoinKeySpec`] builds the index
 //! for it by one scan of the live entries, and every later insertion
 //! maintains all existing indexes incrementally. This is the "build exactly
-//! the index the workload needs" discipline — an Eddy STeM probed by
-//! composite tuples of varying shape simply accretes one small index per
-//! shape it encounters. The state transparently falls back to a full scan
-//! whenever hashing cannot answer the probe exactly:
+//! the index the workload needs" discipline — a JIT state, probed once per
+//! lattice node it settles, simply accretes one small index per node key it
+//! encounters. The state transparently falls back to a full scan whenever
+//! hashing cannot answer the probe exactly:
 //!
 //! * the spec is empty (no equi-join predicate spans the two inputs, e.g. a
 //!   cross product or a pure theta join),
@@ -320,21 +320,6 @@ impl Buckets {
     /// The bucket filed under `key`, if any. A key that does not fit an
     /// inline map correctly finds nothing there (no such key was ever
     /// filed: it would have migrated the map).
-    fn get(&self, key: &[Value]) -> Option<&Bucket> {
-        match self {
-            Buckets::Int(map) => match key {
-                [Value::Int(v)] => map.get(v),
-                _ => None,
-            },
-            Buckets::Ints { arity, map } => {
-                debug_assert_eq!(key.len(), usize::from(*arity), "one index, one key arity");
-                map.get(&inline_ints(key)?)
-            }
-            Buckets::Generic(map) => map.get(key),
-        }
-    }
-
-    /// Mutable variant of [`Buckets::get`].
     fn get_mut(&mut self, key: &[Value]) -> Option<&mut Bucket> {
         match self {
             Buckets::Int(map) => match key {
@@ -438,8 +423,8 @@ impl Buckets {
 
 /// One hash index over a slab of tuples, for one [`JoinKeySpec`] — the
 /// bucket/overflow machinery shared by [`OperatorState`] (lazily built,
-/// incrementally maintained), the static join (built once over an immutable
-/// relation) and JIT's MNS buffer (one index per MNS coverage).
+/// incrementally maintained) and JIT's MNS buffer (one index per MNS
+/// coverage).
 ///
 /// The index holds handles and never learns of a removal: readers pass the
 /// owner's liveness test to [`HashIndex::live_candidates_into`], and the
@@ -480,17 +465,6 @@ impl HashIndex {
         } else {
             self.overflow.push(handle);
         }
-    }
-
-    /// The candidates for one probe key: the key's bucket merged with the
-    /// overflow list, ascending. May include handles of since-removed
-    /// tuples; the caller's `get` filters them.
-    pub(crate) fn candidates(&self, key: &[Value]) -> Vec<u64> {
-        let bucket = self.buckets.get(key).map_or(&[][..], Bucket::as_slice);
-        if self.overflow.is_empty() {
-            return bucket.to_vec();
-        }
-        merge_ascending(bucket, &self.overflow)
     }
 
     /// Append to `out`, ascending, the handles filed under `key` or in the
@@ -957,13 +931,6 @@ fn is_live(slots: &VecDeque<Option<StoredTuple>>, base: u64, seq: u64) -> bool {
         .is_some_and(Option::is_some)
 }
 
-/// Merge two ascending handle lists into one ascending list.
-pub(crate) fn merge_ascending<T: Copy + Ord>(a: &[T], b: &[T]) -> Vec<T> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    merge_ascending_into(a, b, &mut out);
-    out
-}
-
 /// Merge two ascending handle lists into a caller-owned output vector.
 pub(crate) fn merge_ascending_into<T: Copy + Ord>(a: &[T], b: &[T], out: &mut Vec<T>) {
     out.reserve(a.len() + b.len());
@@ -1424,8 +1391,8 @@ mod tests {
         values.iter().map(|&v| Value::int(v)).collect()
     }
 
-    fn filed<'a>(buckets: &'a Buckets, key: &[Value]) -> Option<&'a [u64]> {
-        buckets.get(key).map(Bucket::as_slice)
+    fn filed<'a>(buckets: &'a mut Buckets, key: &[Value]) -> Option<&'a [u64]> {
+        buckets.get_mut(key).map(|bucket| bucket.as_slice())
     }
 
     /// The first key an empty index sees picks its map: one integer
@@ -1456,16 +1423,16 @@ mod tests {
                 }
                 (other, _) => panic!("arity {arity} filed in {other:?}"),
             }
-            assert_eq!(filed(&buckets, &ints(&key)), Some(&[3, 5][..]));
+            assert_eq!(filed(&mut buckets, &ints(&key)), Some(&[3, 5][..]));
             let mut zeroed = key.clone();
             zeroed[arity as usize - 1] = 0;
-            assert_eq!(filed(&buckets, &ints(&zeroed)), None, "arity {arity}");
+            assert_eq!(filed(&mut buckets, &ints(&zeroed)), None, "arity {arity}");
         }
         for odd in [Value::str("x"), Value::Null] {
             let mut buckets = Buckets::default();
             buckets.push(&[Value::int(1), odd.clone()], 0);
             assert!(matches!(buckets, Buckets::Generic(_)));
-            assert_eq!(filed(&buckets, &[Value::int(1), odd]), Some(&[0][..]));
+            assert_eq!(filed(&mut buckets, &[Value::int(1), odd]), Some(&[0][..]));
         }
     }
 
@@ -1483,9 +1450,12 @@ mod tests {
             buckets.push(&odd_key, 6);
             assert!(matches!(buckets, Buckets::Generic(_)));
             buckets.push(&ints(&[1, 0, 9]), 7);
-            assert_eq!(filed(&buckets, &ints(&[0, 0, 9])), Some(&[0, 2, 4][..]));
-            assert_eq!(filed(&buckets, &ints(&[1, 0, 9])), Some(&[1, 3, 5, 7][..]));
-            assert_eq!(filed(&buckets, &odd_key), Some(&[6][..]));
+            assert_eq!(filed(&mut buckets, &ints(&[0, 0, 9])), Some(&[0, 2, 4][..]));
+            assert_eq!(
+                filed(&mut buckets, &ints(&[1, 0, 9])),
+                Some(&[1, 3, 5, 7][..])
+            );
+            assert_eq!(filed(&mut buckets, &odd_key), Some(&[6][..]));
             assert_eq!(buckets.len(), 3);
         }
     }
@@ -1501,9 +1471,12 @@ mod tests {
         assert_eq!(buckets.len(), 4);
         buckets.sweep(|handle| handle % 4 != 0 && handle != 5);
         assert_eq!(buckets.len(), 3);
-        assert_eq!(filed(&buckets, &ints(&[0, -1, 2, 7])), None);
-        assert_eq!(filed(&buckets, &ints(&[1, -1, 2, 7])), Some(&[1][..]));
-        assert_eq!(filed(&buckets, &ints(&[2, -1, 2, 7])), Some(&[2, 6][..]));
+        assert_eq!(filed(&mut buckets, &ints(&[0, -1, 2, 7])), None);
+        assert_eq!(filed(&mut buckets, &ints(&[1, -1, 2, 7])), Some(&[1][..]));
+        assert_eq!(
+            filed(&mut buckets, &ints(&[2, -1, 2, 7])),
+            Some(&[2, 6][..])
+        );
         buckets.clear();
         assert_eq!(buckets.len(), 0);
         assert!(matches!(buckets, Buckets::Ints { arity: 4, .. }));

@@ -3,9 +3,7 @@
 use crate::shapes::{JoinNode, PlanInput, PlanShape};
 use jit_core::policy::ExecutionMode;
 use jit_core::{JitJoinOperator, Producer};
-use jit_exec::eddy::{EddyOperator, RoutingPolicy};
 use jit_exec::join::RefJoinOperator;
-use jit_exec::mjoin::HalfJoinOperator;
 use jit_exec::operator::{Operator, OperatorId};
 use jit_exec::plan::{ExecutablePlan, Input, PlanBuilder, PlanError};
 use jit_exec::selection::SelectionOperator;
@@ -115,93 +113,6 @@ pub fn build_tree_plan_with(
         let id = builder.add_operator(operator, vec![left_input, right_input]);
         op_ids.push(id);
     }
-    builder.build()
-}
-
-/// Build an M-Join plan (Figure 2a): for each source, a linear path of
-/// half-join operators probing the states of the other sources. No
-/// intermediate results are stored. Always runs in REF mode (the JIT
-/// extension for M-Joins is discussed but not evaluated in the paper).
-pub fn build_mjoin_plan(
-    num_sources: usize,
-    predicates: &PredicateSet,
-    window: Window,
-) -> Result<ExecutablePlan, PlanError> {
-    build_mjoin_plan_with(num_sources, predicates, window, StateIndexMode::default())
-}
-
-/// [`build_mjoin_plan`] with an explicit state index mode for every
-/// half-join.
-pub fn build_mjoin_plan_with(
-    num_sources: usize,
-    predicates: &PredicateSet,
-    window: Window,
-    index_mode: StateIndexMode,
-) -> Result<ExecutablePlan, PlanError> {
-    let mut builder = PlanBuilder::new();
-    for start in 0..num_sources {
-        // The path for `start` probes the states of the other sources in
-        // increasing id order.
-        let mut pipeline_schema = SourceSet::single(SourceId(start as u16));
-        let mut upstream: Option<OperatorId> = None;
-        for other in (0..num_sources).filter(|&o| o != start) {
-            let state_schema = SourceSet::single(SourceId(other as u16));
-            let name = format!("{}⋉S_{}", pipeline_schema, SourceId(other as u16));
-            let op = HalfJoinOperator::new(
-                name,
-                pipeline_schema,
-                state_schema,
-                predicates.clone(),
-                window,
-            )
-            .with_state_index(index_mode);
-            let probe_input = match upstream {
-                None => Input::Source(SourceId(start as u16)),
-                Some(prev) => Input::Operator(prev),
-            };
-            let id = builder.add_operator(
-                Box::new(op),
-                vec![probe_input, Input::Source(SourceId(other as u16))],
-            );
-            upstream = Some(id);
-            pipeline_schema = pipeline_schema.union(state_schema);
-        }
-    }
-    builder.build()
-}
-
-/// Build an Eddy plan (Figure 2b): a single n-ary operator holding one STeM
-/// per source and routing arrivals adaptively.
-pub fn build_eddy_plan(
-    num_sources: usize,
-    predicates: &PredicateSet,
-    window: Window,
-    policy: RoutingPolicy,
-) -> Result<ExecutablePlan, PlanError> {
-    build_eddy_plan_with(
-        num_sources,
-        predicates,
-        window,
-        policy,
-        StateIndexMode::default(),
-    )
-}
-
-/// [`build_eddy_plan`] with an explicit state index mode for every STeM.
-pub fn build_eddy_plan_with(
-    num_sources: usize,
-    predicates: &PredicateSet,
-    window: Window,
-    policy: RoutingPolicy,
-    index_mode: StateIndexMode,
-) -> Result<ExecutablePlan, PlanError> {
-    let mut builder = PlanBuilder::new();
-    let eddy = EddyOperator::new("eddy", num_sources, predicates.clone(), window, policy)
-        .with_state_index(index_mode);
-    let inputs = (0..num_sources)
-        .map(|i| Input::Source(SourceId(i as u16)))
-        .collect();
-    builder.add_operator(Box::new(eddy), inputs);
     builder.build()
 }
 
@@ -358,28 +269,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(plan.num_operators(), 3);
-    }
-
-    #[test]
-    fn mjoin_plan_has_paths_per_source() {
-        let plan = build_mjoin_plan(3, &PredicateSet::clique(3), Window::minutes(5.0)).unwrap();
-        // 3 sources × 2 half-joins per path.
-        assert_eq!(plan.num_operators(), 6);
-        // The last operator of each path is a sink.
-        assert_eq!(plan.sinks().len(), 3);
-    }
-
-    #[test]
-    fn eddy_plan_is_single_operator() {
-        let plan = build_eddy_plan(
-            4,
-            &PredicateSet::clique(4),
-            Window::minutes(5.0),
-            RoutingPolicy::SmallestStateFirst,
-        )
-        .unwrap();
-        assert_eq!(plan.num_operators(), 1);
-        assert_eq!(plan.sinks().len(), 1);
-        assert_eq!(plan.source_subscribers.len(), 4);
     }
 }

@@ -125,7 +125,9 @@ fn resolve(catalog: &Catalog, source: &str, column: &str) -> Result<ColumnRef, C
 /// Parse a CQL-subset query string.
 pub fn parse_cql(text: &str) -> Result<CqlQuery, CqlError> {
     let squashed = text.split_whitespace().collect::<Vec<_>>().join(" ");
-    let upper = squashed.to_uppercase();
+    // ASCII folding keeps byte offsets, so a keyword found in `upper` slices
+    // `squashed` at the same place; `to_uppercase` would not (`ı` → `I`).
+    let upper = squashed.to_ascii_uppercase();
     if !upper.starts_with("SELECT * FROM ") {
         return Err(err("query must start with SELECT * FROM"));
     }
@@ -160,8 +162,8 @@ pub fn parse_cql(text: &str) -> Result<CqlQuery, CqlError> {
 }
 
 fn split_case_insensitive(text: &str, sep: &str) -> Vec<String> {
-    let upper = text.to_uppercase();
-    let sep_upper = sep.to_uppercase();
+    let upper = text.to_ascii_uppercase();
+    let sep_upper = sep.to_ascii_uppercase();
     let mut parts = Vec::new();
     let mut start = 0;
     while let Some(pos) = upper[start..].find(&sep_upper) {
@@ -216,7 +218,7 @@ fn parse_from(text: &str) -> Result<Vec<(String, Duration)>, CqlError> {
 }
 
 fn parse_range(text: &str) -> Result<Duration, CqlError> {
-    let upper = text.to_uppercase();
+    let upper = text.to_ascii_uppercase();
     let rest = upper
         .strip_prefix("RANGE")
         .ok_or_else(|| err(format!("expected RANGE …, got {text}")))?
@@ -430,6 +432,19 @@ mod tests {
         .unwrap();
         assert_eq!(q.sources[0].0, "sensor_1");
         assert_eq!(q.equi_joins.len(), 1);
+    }
+
+    /// Keywords fold as ASCII: `ı` uppercases to `I`, one byte shorter, which
+    /// once shifted every keyword offset after it.
+    #[test]
+    fn non_ascii_identifiers_are_typed_errors() {
+        for query in [
+            "SELECT * FROM ıé WHERE A.x = 1",
+            "SELECT * FROM A [RANGE 1 minutes], ıé [RANGE 1 minutes] WHERE A.x = 1 AND ıé.y = 2",
+        ] {
+            let e = parse_cql(query).unwrap_err();
+            assert!(e.to_string().contains("invalid source name \"ıé\""), "{e}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Query-plan construction.
 //!
 //! * [`shapes`] — the plan shapes of Table II (bushy and left-deep binary
-//!   join trees for `N = 3..8`), plus M-Join and Eddy alternatives.
+//!   join trees for `N = 3..8`).
 //! * [`builder`] — turns a shape + predicates + window + execution mode
 //!   (REF / DOE / JIT) into an executable plan of `jit-exec` operators.
 //! * [`cql`] — a small CQL-subset parser for queries like the one in
@@ -23,10 +23,7 @@ pub mod canonical;
 pub mod cql;
 pub mod shapes;
 
-pub use builder::{
-    build_eddy_plan, build_eddy_plan_with, build_mjoin_plan, build_mjoin_plan_with,
-    build_tree_plan, build_tree_plan_with, PlanOptions,
-};
+pub use builder::{build_tree_plan, build_tree_plan_with, PlanOptions};
 pub use canonical::{CanonicalKey, CanonicalQuery, FilterTerm};
 pub use cql::{parse_cql, CqlQuery};
 pub use shapes::{JoinNode, PlanInput, PlanShape, TreeShape};

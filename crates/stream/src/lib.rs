@@ -24,7 +24,6 @@ pub mod generator;
 pub mod partition;
 pub mod skew;
 pub mod source;
-pub mod static_rel;
 pub mod trace;
 pub mod workload;
 

@@ -204,13 +204,6 @@ impl Window {
     pub fn can_join(&self, a: Timestamp, b: Timestamp) -> bool {
         a.abs_diff(b) <= self.length
     }
-
-    /// The purge threshold for a probe arriving at `now`: stored tuples with
-    /// `ts < now − w` can no longer join anything with timestamp ≥ `now` and
-    /// are removed by the purge step of purge–probe–insert.
-    pub fn purge_before(&self, now: Timestamp) -> Timestamp {
-        now.saturating_sub_duration(self.length)
-    }
 }
 
 /// A timestamp-sorted queue exploiting near-sorted arrival order: items
@@ -372,16 +365,6 @@ mod tests {
         assert!(w.can_join(b, a));
         assert!(!w.can_join(a, c));
         assert!(w.can_join(a, a));
-    }
-
-    #[test]
-    fn purge_threshold_clamps_at_zero() {
-        let w = Window::new(Duration::from_secs(60));
-        assert_eq!(w.purge_before(Timestamp::from_secs(30)), Timestamp::ZERO);
-        assert_eq!(
-            w.purge_before(Timestamp::from_secs(90)),
-            Timestamp::from_secs(30)
-        );
     }
 
     #[test]

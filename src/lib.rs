@@ -13,7 +13,7 @@
 //! * [`exec`] — the DSMS substrate: operators, states, queues, scheduler.
 //! * [`core`] — the JIT mechanism: MNS detection, blacklists, feedback,
 //!   dynamic production control, plus the DOE baseline.
-//! * [`plan`] — plan construction (bushy / left-deep / M-Join / Eddy).
+//! * [`plan`] — plan construction (bushy and left-deep join trees).
 //! * [`runtime`] — the sharded parallel runtime: hash-partitioned
 //!   multi-core execution of the same plans.
 //! * [`durable`] — the durability subsystem: watermark-driven disorder

@@ -3,6 +3,9 @@
 //! tree plans as per-source selection operators.
 
 use jit_dsms::prelude::*;
+use std::collections::BTreeSet;
+use std::panic::{self, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::Arc;
 
 fn base(source: u16, seq: u64, ts_ms: u64, val: i64) -> Arc<BaseTuple> {
@@ -93,4 +96,73 @@ fn filtered_cql_works_in_jit_mode() {
     }
     let outcome = session.finish().unwrap();
     assert_eq!(outcome.results_count, 5);
+}
+
+/// Every string literal opening with `SELECT * FROM` (in any case) in this
+/// file and in `examples/`, with line continuations resolved.
+fn seed_queries() -> BTreeSet<String> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let examples = std::fs::read_dir(root.join("examples")).expect("examples/ lists");
+    let files = examples.map(|entry| entry.expect("examples/ entry reads").path());
+    let mut seeds = BTreeSet::new();
+    for file in files.chain([root.join("tests/cql_filters.rs")]) {
+        let text = std::fs::read_to_string(file).expect("source file reads");
+        // ASCII folding keeps byte offsets, so `folded` indexes `text`.
+        let folded = text.to_ascii_uppercase();
+        for (at, _) in folded.match_indices("\"SELECT * FROM") {
+            let literal = text[at + 1..].split('"').next().unwrap_or_default();
+            seeds.insert(literal.split('\\').map(str::trim_start).collect());
+        }
+    }
+    seeds
+}
+
+/// `text` and its variants with `ı` or `ſ` (letters whose uppercase has
+/// another UTF-8 length) spliced in at every char boundary that does not
+/// split an identifier.
+fn spliced(text: &str) -> Vec<String> {
+    let ident = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    let mut out = vec![text.to_string()];
+    for at in (0..=text.len()).filter(|&at| text.is_char_boundary(at)) {
+        let (head, tail) = text.split_at(at);
+        if !(ident(head.chars().next_back()) && ident(tail.chars().next())) {
+            out.extend(['ı', 'ſ'].map(|c| format!("{head}{c}{tail}")));
+        }
+    }
+    out
+}
+
+/// Hostile CQL never panics: every char-boundary prefix of every query in
+/// this file and in the examples, spliced with non-ASCII letters, gives a
+/// typed error or a working engine and registration.
+#[test]
+fn cql_entry_points_never_panic() {
+    let seeds = seed_queries();
+    assert!(seeds.len() >= 10, "{seeds:?}");
+    let (mut inputs, mut accepted, mut panics) = (0, 0, Vec::new());
+    for seed in &seeds {
+        // A registry over the seed's own sources, so its prefixes can register.
+        let catalog = parse_cql(seed).map(|query| query.catalog());
+        let mut registry = QueryRegistry::new(catalog.unwrap_or_default());
+        let ends = (0..=seed.len()).filter(|&end| seed.is_char_boundary(end));
+        for text in ends.flat_map(|end| spliced(&seed[..end])) {
+            inputs += 1;
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                let engine = Engine::builder().query_cql(text.as_str()).build();
+                let query = registry.register(&text);
+                if let Ok(qid) = query {
+                    registry.deregister(qid).expect("deregisters");
+                }
+                (engine.is_ok(), query.is_ok())
+            }));
+            match outcome {
+                Ok((true, true)) => accepted += 1,
+                Ok(_) => {}
+                Err(_) => panics.push(text),
+            }
+        }
+    }
+    assert!(panics.is_empty(), "of {inputs}, panicked: {panics:?}");
+    // The sweep reaches valid queries, not only early parse errors.
+    assert!(inputs > 10_000 && accepted > 0, "{inputs} {accepted}");
 }

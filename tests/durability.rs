@@ -10,6 +10,7 @@
 
 use jit_dsms::prelude::*;
 use serde::Content;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 
 fn spec() -> WorkloadSpec {
@@ -528,4 +529,52 @@ fn a_buffered_arrival_under_the_frontier_is_a_typed_error() {
         builder.build().unwrap().restore(&body),
         Err(EngineError::Checkpoint(CheckpointError::Serde(_)))
     ));
+}
+
+/// Copies of the three v1 fixtures, each truncated at every offset of its
+/// header line and at sixteen evenly spaced body offsets, or with the byte at
+/// one of those offsets changed in its lowest bit (which keeps the file
+/// UTF-8, so the damage reaches past the JSON parser into the restore), give
+/// a session or a typed [`EngineError::Checkpoint`], never a panic.
+#[test]
+fn corrupt_v1_fixtures_restore_or_fail_typed() {
+    let unordered = |mode| {
+        let builder = Engine::builder().workload(&fixture_spec(), &PlanShape::bushy(4));
+        builder.mode(mode)
+    };
+    let fixtures = [
+        ("ref", unordered(ExecutionMode::Ref)),
+        ("jit", unordered(ExecutionMode::Jit(JitPolicy::full()))),
+        ("bounded", bounded_fixture().0),
+    ];
+    let path = ckpt_path("corrupt-v1");
+    let (mut restored, mut failures) = (0, Vec::new());
+    for (tag, builder) in fixtures {
+        let engine = builder.build().expect("engine builds");
+        let root = env!("CARGO_MANIFEST_DIR");
+        let bytes = std::fs::read(format!("{root}/tests/fixtures/checkpoint_v1_{tag}.ckpt"));
+        let bytes = bytes.expect("fixture reads");
+        let header = 1 + bytes
+            .iter()
+            .position(|&b| b == b'\n')
+            .expect("a header line");
+        let body = bytes.len() - header;
+        for at in (0..header).chain((0..16).map(|i| header + i * body / 16)) {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 1;
+            for (damage, file) in [("truncated", &bytes[..at]), ("flipped", &flipped[..])] {
+                std::fs::write(&path, file).expect("corrupt copy writes");
+                match panic::catch_unwind(AssertUnwindSafe(|| engine.restore_file(&path))) {
+                    Ok(Ok(_)) => restored += 1,
+                    Ok(Err(EngineError::Checkpoint(_))) => {}
+                    Ok(Err(other)) => failures.push(format!("{tag} {damage} at {at}: {other}")),
+                    Err(_) => failures.push(format!("{tag} {damage} at {at}: panicked")),
+                }
+            }
+        }
+    }
+    std::fs::remove_file(&path).ok();
+    assert!(failures.is_empty(), "{failures:#?}");
+    // Some flipped bits land where any value restores (a digit of a count).
+    assert!(restored > 0);
 }

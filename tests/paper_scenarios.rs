@@ -7,7 +7,6 @@ use jit_dsms::core::JitJoinOperator;
 use jit_dsms::exec::operator::Operator;
 use jit_dsms::exec::plan::{Input, PlanBuilder};
 use jit_dsms::exec::RefJoinOperator;
-use jit_dsms::plan::builder::{build_eddy_plan, build_mjoin_plan};
 use jit_dsms::prelude::*;
 use jit_dsms::types::{BaseTuple, FilterPredicate};
 use std::sync::Arc;
@@ -220,59 +219,4 @@ fn selection_consumer_suppresses_upstream_production() {
         "got {}",
         stats.intermediate_produced
     );
-}
-
-#[test]
-fn mjoin_and_eddy_plans_match_the_tree_plan_results() {
-    let n = 3;
-    let spec = WorkloadSpec::bushy_default()
-        .with_sources(n)
-        .with_window_minutes(30.0)
-        .with_rate(1.0)
-        .with_dmax(5)
-        .with_duration(Duration::from_secs(60))
-        .with_seed(3);
-    let predicates = spec.predicates();
-    let window = spec.window();
-    let trace = WorkloadGenerator::generate(&spec);
-
-    // Reference: left-deep tree.
-    let tree = Engine::builder()
-        .workload(&spec, &PlanShape::left_deep(n))
-        .build()
-        .unwrap()
-        .run_trace(&trace)
-        .unwrap();
-
-    // M-Join: no stored intermediate results, same final results.
-    let mut mjoin_exec = Executor::new(
-        build_mjoin_plan(n, &predicates, window).unwrap(),
-        ExecutorConfig {
-            collect_results: true,
-            check_temporal_order: false,
-        },
-    );
-    for event in trace.iter() {
-        mjoin_exec.ingest(event.source, event.tuple.clone());
-    }
-    assert!(output::same_results(&tree.results, mjoin_exec.results()));
-
-    // Eddy: STeM routing, same final results.
-    let mut eddy_exec = Executor::new(
-        build_eddy_plan(
-            n,
-            &predicates,
-            window,
-            jit_dsms::exec::eddy::RoutingPolicy::SmallestStateFirst,
-        )
-        .unwrap(),
-        ExecutorConfig {
-            collect_results: true,
-            check_temporal_order: false,
-        },
-    );
-    for event in trace.iter() {
-        eddy_exec.ingest(event.source, event.tuple.clone());
-    }
-    assert!(output::same_results(&tree.results, eddy_exec.results()));
 }
