@@ -14,13 +14,17 @@ use jit_types::{ColumnRef, ExpiryQueue, FastMap, Signature, Timestamp, Tuple, Tu
 use serde::{Content, Deserialize, Serialize};
 use std::fmt;
 
-/// Whether an entry suppresses production entirely or only marks it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// How an entry suppresses production. There is one way: its super-tuples
+/// are not produced at all (`<suspend, …>`).
+///
+/// No operator reads this: every entry suspends. The type and the `mode`
+/// argument of [`Blacklist::upsert_entry`] are retained solely for
+/// `bench_e2e/src/layers.rs`, which passes [`SuspendMode::Suspend`] in its
+/// blacklist layer drive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SuspendMode {
     /// Super-tuples are not produced at all (`<suspend, …>`).
     Suspend,
-    /// Super-tuples are produced but marked (`<mark, …>`, Type II handling).
-    Mark,
 }
 
 /// One suspended tuple.
@@ -40,8 +44,6 @@ pub struct BlacklistEntry {
     pub signature_columns: Vec<ColumnRef>,
     /// The MNS's values on those columns.
     pub signature: Signature,
-    /// Suspension vs mark-only.
-    pub mode: SuspendMode,
     /// When the suspension was installed.
     pub suspended_at: Timestamp,
     /// The suspended tuples.
@@ -320,16 +322,10 @@ impl Blacklist {
         &mut self,
         mns: Tuple,
         signature_columns: Vec<ColumnRef>,
-        mode: SuspendMode,
+        _mode: SuspendMode,
         now: Timestamp,
     ) -> usize {
         if let Some(pos) = self.entry_index(&mns.key()) {
-            // Upgrade a mark-only entry to a full suspension if asked.
-            if mode == SuspendMode::Suspend {
-                if let Some(entry) = self.slots[pos].as_mut() {
-                    entry.mode = SuspendMode::Suspend;
-                }
-            }
             return pos;
         }
         let signature = Signature::of(&mns, &signature_columns);
@@ -337,7 +333,6 @@ impl Blacklist {
             mns,
             signature_columns,
             signature,
-            mode,
             suspended_at: now,
             tuples: Vec::new(),
         };
@@ -638,16 +633,6 @@ mod tests {
         assert_eq!(bl.size_bytes(), 0);
     }
 
-    #[test]
-    fn mark_entries_can_be_upgraded_to_suspend() {
-        let mut bl = Blacklist::new("B");
-        let a1 = tup(0, 1, 0, &[7, 100]);
-        let idx = bl.upsert_entry(a1.clone(), sig_cols(), SuspendMode::Mark, a1.ts());
-        assert_eq!(bl.entry(idx).unwrap().mode, SuspendMode::Mark);
-        bl.upsert_entry(a1.clone(), sig_cols(), SuspendMode::Suspend, a1.ts());
-        assert_eq!(bl.entry(idx).unwrap().mode, SuspendMode::Suspend);
-    }
-
     /// The hashed index and the linear scan must pick the same entry for
     /// every probe, across upserts, removals and purges.
     #[test]
@@ -664,13 +649,8 @@ mod tests {
             .collect();
         for (i, mns) in mnss.iter().enumerate() {
             let cols = if i == 3 { vec![] } else { sig_cols() };
-            let mode = if i % 2 == 0 {
-                SuspendMode::Suspend
-            } else {
-                SuspendMode::Mark
-            };
-            hashed.upsert_entry(mns.clone(), cols.clone(), mode, mns.ts());
-            scan.upsert_entry(mns.clone(), cols, mode, mns.ts());
+            hashed.upsert_entry(mns.clone(), cols.clone(), SuspendMode::Suspend, mns.ts());
+            scan.upsert_entry(mns.clone(), cols, SuspendMode::Suspend, mns.ts());
         }
         hashed.upsert_entry(
             Tuple::empty(),
@@ -741,7 +721,12 @@ mod tests {
         let idx = bl.upsert_entry(a1.clone(), sig_cols(), SuspendMode::Suspend, a1.ts());
         bl.add_tuple(idx, a1.clone());
         bl.add_tuple(idx, tup(0, 2, 10, &[9, 100]));
-        bl.upsert_entry(tup(0, 3, 20, &[1, 200]), vec![], SuspendMode::Mark, a1.ts());
+        bl.upsert_entry(
+            tup(0, 3, 20, &[1, 200]),
+            vec![],
+            SuspendMode::Suspend,
+            a1.ts(),
+        );
         let blob = bl.checkpoint();
         let mut restored = Blacklist::new("B");
         restored.restore_checkpoint(&blob).unwrap();
@@ -749,7 +734,6 @@ mod tests {
         assert_eq!(restored.num_tuples(), bl.num_tuples());
         assert_eq!(restored.size_bytes(), bl.size_bytes());
         let first = restored.entry(0).unwrap();
-        assert_eq!(first.mode, SuspendMode::Suspend);
         assert_eq!(first.tuples[0].tuple.key(), a1.key());
         // The rebuilt indexes answer probes like the original.
         assert_eq!(
@@ -799,16 +783,8 @@ mod tests {
                 self.entries.iter().position(|e| &e.mns.key() == key)
             }
 
-            fn upsert_entry(
-                &mut self,
-                mns: Tuple,
-                cols: Vec<ColumnRef>,
-                mode: SuspendMode,
-            ) -> usize {
+            fn upsert_entry(&mut self, mns: Tuple, cols: Vec<ColumnRef>) -> usize {
                 if let Some(idx) = self.entry_index(&mns.key()) {
-                    if mode == SuspendMode::Suspend {
-                        self.entries[idx].mode = SuspendMode::Suspend;
-                    }
                     return idx;
                 }
                 self.entries.push(BlacklistEntry {
@@ -816,7 +792,6 @@ mod tests {
                     suspended_at: Timestamp::ZERO,
                     mns,
                     signature_columns: cols,
-                    mode,
                     tuples: Vec::new(),
                 });
                 self.entries.len() - 1
@@ -868,7 +843,7 @@ mod tests {
         fn assert_same(slab: &Blacklist, model: &Model, step: usize) {
             let shape = |e: &BlacklistEntry| {
                 let tuples: Vec<_> = e.tuples.iter().map(|t| t.tuple.key()).collect();
-                (e.mns.key(), e.mode, e.signature.clone(), tuples)
+                (e.mns.key(), e.signature.clone(), tuples)
             };
             let live: Vec<_> = slab.entries().map(shape).collect();
             let expected: Vec<_> = model.entries.iter().map(shape).collect();
@@ -933,9 +908,8 @@ mod tests {
                                 _ => a.clone(),
                             };
                             let cols = if rng.gen_bool(0.8) { sig_cols() } else { Vec::new() };
-                            let mode = if rng.gen_bool(0.5) { SuspendMode::Suspend } else { SuspendMode::Mark };
-                            let pos = slab.upsert_entry(mns.clone(), cols.clone(), mode, Timestamp::ZERO);
-                            let idx = model.upsert_entry(mns.clone(), cols, mode);
+                            let pos = slab.upsert_entry(mns.clone(), cols.clone(), SuspendMode::Suspend, Timestamp::ZERO);
+                            let idx = model.upsert_entry(mns.clone(), cols);
                             assert_eq!(identity(&slab, Some(pos)), Some(model.entries[idx].mns.key()));
                             known.push(mns);
                         }

@@ -191,10 +191,7 @@ impl Operator for JitStaticJoinOperator {
                 // `join` fails exactly when the coverages overlap.
                 if let Ok(tuple) = msg.tuple.join(&rel) {
                     ctx.metrics.charge(CostKind::ResultBuild, 1);
-                    results.push(DataMessage {
-                        tuple,
-                        marked: msg.marked,
-                    });
+                    results.push(DataMessage::new(tuple));
                 }
             }
         }

@@ -576,11 +576,10 @@ impl JitJoinOperator {
         (results, feedback)
     }
 
-    /// Handle the suspension (or mark) of one MNS in the producer role.
+    /// Handle the suspension of one MNS in the producer role.
     fn suspend_one(
         &mut self,
         mns: &Tuple,
-        command: FeedbackCommand,
         now: Timestamp,
         ctx: &mut OpContext<'_>,
         outcome: &mut FeedbackOutcome,
@@ -602,26 +601,17 @@ impl JitJoinOperator {
         let side = match (on_left, on_right) {
             (true, _) => LEFT,
             (_, true) => RIGHT,
-            // Type II MNS: spans both inputs. Handling it would need a
-            // mark-result path; ignoring it is always legal (Section IV-B).
+            // Type II MNS: spans both inputs. Ignoring it is always legal
+            // (Section IV-B); the mark-result path is not implemented.
             _ => return,
         };
         // Propagate before handling (Section III-C, rule (i)).
         if self.policy.propagate_feedback {
-            outcome.propagate.push((
-                side,
-                Feedback {
-                    command,
-                    mns_set: vec![mns.clone()],
-                },
-            ));
+            outcome
+                .propagate
+                .push((side, Feedback::suspend(vec![mns.clone()])));
             ctx.metrics.stats.feedback_propagated += 1;
         }
-        let mode = if command == FeedbackCommand::Mark {
-            SuspendMode::Mark
-        } else {
-            SuspendMode::Suspend
-        };
         // "Similar" tuples are recognised on the join attributes of the
         // MNS's sources towards the part of the query outside this
         // operator's output.
@@ -633,8 +623,12 @@ impl JitJoinOperator {
                 let spec = JoinKeySpec::on_columns(&columns);
                 (columns, spec)
             });
-        let entry_idx =
-            self.blacklists[side].upsert_entry(mns.clone(), sig_columns.clone(), mode, now);
+        let entry_idx = self.blacklists[side].upsert_entry(
+            mns.clone(),
+            sig_columns.clone(),
+            SuspendMode::Suspend,
+            now,
+        );
         // Drain super-tuples (and similar tuples) of the MNS from the state.
         // Either kind carries the MNS's own values on the signature columns
         // (they belong to the MNS's sources), so the state's hash index on
@@ -660,11 +654,10 @@ impl JitJoinOperator {
         }
     }
 
-    /// Handle the resumption (or unmark) of one MNS in the producer role.
+    /// Handle the resumption of one MNS in the producer role.
     fn resume_one(
         &mut self,
         mns: &Tuple,
-        command: FeedbackCommand,
         now: Timestamp,
         ctx: &mut OpContext<'_>,
         outcome: &mut FeedbackOutcome,
@@ -692,7 +685,7 @@ impl JitJoinOperator {
             (_, true) => RIGHT,
             _ => return, // Type II: nothing was suspended locally.
         };
-        self.propagate_resume(side, mns, command, ctx, outcome);
+        self.propagate_resume(side, mns, ctx, outcome);
         let Some(entry) = self.blacklists[side].remove_entry(&mns.key()) else {
             return;
         };
@@ -707,18 +700,13 @@ impl JitJoinOperator {
         &self,
         side: Port,
         mns: &Tuple,
-        command: FeedbackCommand,
         ctx: &mut OpContext<'_>,
         outcome: &mut FeedbackOutcome,
     ) {
         if self.policy.propagate_feedback {
-            outcome.propagate.push((
-                side,
-                Feedback {
-                    command,
-                    mns_set: vec![mns.clone()],
-                },
-            ));
+            outcome
+                .propagate
+                .push((side, Feedback::resume(vec![mns.clone()])));
             ctx.metrics.stats.feedback_propagated += 1;
         }
     }
@@ -773,10 +761,7 @@ impl JitJoinOperator {
         };
         let mut hits = std::mem::take(&mut self.probe_hits);
         self.states[opp].probe_into(spec, &suspended.tuple, &mut hits);
-        for &seq in &hits {
-            let Some(stored) = self.states[opp].get(seq) else {
-                continue;
-            };
+        for stored in hits.iter().filter_map(|&seq| self.states[opp].get(seq)) {
             ctx.metrics.charge(CostKind::ProbePair, 1);
             if !self
                 .window
@@ -851,17 +836,14 @@ impl Operator for JitJoinOperator {
         if let Some(idx) =
             self.blacklists[port].matching_entry(&msg.tuple, self.policy.capture_similar)
         {
-            let entry = self.blacklists[port].entry(idx);
-            if entry.is_some_and(|e| e.mode == SuspendMode::Suspend) {
-                self.blacklists[port].add_tuple(idx, msg.tuple.clone());
-                ctx.metrics.stats.blacklisted_tuples += 1;
-                ctx.metrics.stats.intermediate_suppressed += 1;
-                ctx.metrics.charge(CostKind::BlacklistMove, 1);
-                return OperatorOutput {
-                    results: Vec::new(),
-                    feedback,
-                };
-            }
+            self.blacklists[port].add_tuple(idx, msg.tuple.clone());
+            ctx.metrics.stats.blacklisted_tuples += 1;
+            ctx.metrics.stats.intermediate_suppressed += 1;
+            ctx.metrics.charge(CostKind::BlacklistMove, 1);
+            return OperatorOutput {
+                results: Vec::new(),
+                feedback,
+            };
         }
 
         // Consumer step 1: probe the opposite MNS buffer; matches trigger
@@ -893,122 +875,80 @@ impl Operator for JitJoinOperator {
         ctx.metrics.stats.state_probes += 1;
         let mut results = Vec::new();
         let mut evals = 0u64;
-        if self.states[opp].index_mode() == StateIndexMode::Hashed {
-            // Hash-indexed probe: only candidates carrying the full
-            // spanning equi-join key (plus unindexable overflow entries)
-            // are examined for results. The spec is precomputed per port;
-            // a fresh one is derived only for inputs not covering the
-            // port's schema exactly (never the case in well-formed plans).
-            let spec_owned;
-            let spec = if msg.tuple.sources() == self.schema_of(port) {
-                &self.probe_specs[port]
-            } else {
-                spec_owned = JoinKeySpec::between(
-                    &self.predicates,
-                    self.schema_of(opp),
-                    msg.tuple.sources(),
-                );
-                &spec_owned
-            };
-            let mut hits = std::mem::take(&mut self.probe_hits);
-            self.states[opp].probe_into(spec, &msg.tuple, &mut hits);
-            for &seq in &hits {
-                let Some(stored) = self.states[opp].get(seq) else {
-                    continue;
-                };
-                ctx.metrics.charge(CostKind::ProbePair, 1);
-                if !self.window.can_join(msg.tuple.ts(), stored.tuple.ts()) {
-                    continue;
-                }
-                let matched =
-                    self.matched_components(&msg.tuple, &stored.tuple, candidates, &mut evals);
-                if let Some(l) = lattice.as_mut() {
-                    l.observe(matched, ctx.metrics);
-                }
-                if matched == candidates {
-                    // `join` fails exactly when the coverages overlap.
-                    if let Ok(tuple) = msg.tuple.join(&stored.tuple) {
-                        ctx.metrics.charge(CostKind::ResultBuild, 1);
-                        results.push(DataMessage {
-                            tuple,
-                            marked: msg.marked,
-                        });
-                    }
-                }
-            }
-            // The lattice's remaining nodes are settled by one membership
-            // probe each (largest first, so a hit also kills the
-            // sub-nodes): node S is dead iff some live stored tuple within
-            // the window matches every predicate from S — exactly what the
-            // per-tuple scan used to establish. The top node is already
-            // settled by the full probe above.
-            if let Some(l) = lattice.as_mut() {
-                // The nodes are precomputed per port; derive them fresh only
-                // for inputs not covering the port's schema exactly.
-                let nodes_owned;
-                let nodes = if msg.tuple.sources() == self.schema_of(port) {
-                    &self.nodes[port]
-                } else {
-                    let mut nodes =
-                        Self::settling_nodes(&self.predicates, self.schema_of(opp), candidates);
-                    nodes.retain(|(node, _)| self.reports(port, *node));
-                    nodes_owned = nodes;
-                    &nodes_owned
-                };
-                for &(node, ref node_spec) in nodes {
-                    if l.all_dead() {
-                        break;
-                    }
-                    if node == candidates || !l.is_alive(node) {
-                        continue;
-                    }
-                    self.states[opp].probe_into(node_spec, &msg.tuple, &mut hits);
-                    let mut hit = false;
-                    for &seq in &hits {
-                        let Some(stored) = self.states[opp].get(seq) else {
-                            continue;
-                        };
-                        ctx.metrics.charge(CostKind::ProbePair, 1);
-                        if !self.window.can_join(msg.tuple.ts(), stored.tuple.ts()) {
-                            continue;
-                        }
-                        if self.matched_components(&msg.tuple, &stored.tuple, node, &mut evals)
-                            == node
-                        {
-                            hit = true;
-                            break;
-                        }
-                    }
-                    if hit {
-                        l.observe(node, ctx.metrics);
-                    }
-                }
-            }
-            self.probe_hits = hits;
+        // Only candidates carrying the full spanning equi-join key (plus
+        // unindexable overflow entries) are examined for results; under
+        // `Scan` that is every live tuple. The spec is precomputed per port;
+        // a fresh one is derived only for inputs not covering the port's
+        // schema exactly (never the case in well-formed plans).
+        let spec_owned;
+        let spec = if msg.tuple.sources() == self.schema_of(port) {
+            &self.probe_specs[port]
         } else {
-            // Scan baseline: every stored tuple is examined and observed.
-            for stored in self.states[opp].iter() {
-                ctx.metrics.charge(CostKind::ProbePair, 1);
-                if !self.window.can_join(msg.tuple.ts(), stored.tuple.ts()) {
-                    continue;
-                }
-                let matched =
-                    self.matched_components(&msg.tuple, &stored.tuple, candidates, &mut evals);
-                if let Some(l) = lattice.as_mut() {
-                    l.observe(matched, ctx.metrics);
-                }
-                if matched == candidates {
-                    // `join` fails exactly when the coverages overlap.
-                    if let Ok(tuple) = msg.tuple.join(&stored.tuple) {
-                        ctx.metrics.charge(CostKind::ResultBuild, 1);
-                        results.push(DataMessage {
-                            tuple,
-                            marked: msg.marked,
-                        });
-                    }
+            spec_owned =
+                JoinKeySpec::between(&self.predicates, self.schema_of(opp), msg.tuple.sources());
+            &spec_owned
+        };
+        let mut hits = std::mem::take(&mut self.probe_hits);
+        self.states[opp].probe_into(spec, &msg.tuple, &mut hits);
+        for stored in hits.iter().filter_map(|&seq| self.states[opp].get(seq)) {
+            ctx.metrics.charge(CostKind::ProbePair, 1);
+            if !self.window.can_join(msg.tuple.ts(), stored.tuple.ts()) {
+                continue;
+            }
+            let matched =
+                self.matched_components(&msg.tuple, &stored.tuple, candidates, &mut evals);
+            if let Some(l) = lattice.as_mut() {
+                l.observe(matched, ctx.metrics);
+            }
+            if matched == candidates {
+                // `join` fails exactly when the coverages overlap.
+                if let Ok(tuple) = msg.tuple.join(&stored.tuple) {
+                    ctx.metrics.charge(CostKind::ResultBuild, 1);
+                    results.push(DataMessage::new(tuple));
                 }
             }
         }
+        // The lattice's remaining nodes are settled by one membership probe
+        // each (largest first, so a hit also kills the sub-nodes): node S is
+        // dead iff some live stored tuple within the window matches every
+        // predicate from S — exactly what a scan establishes by observing
+        // every stored tuple, which is why `Scan` settles nothing here. The
+        // top node is already settled by the full probe above.
+        let settles = self.states[opp].index_mode() == StateIndexMode::Hashed;
+        if let Some(l) = lattice.as_mut().filter(|_| settles) {
+            // The nodes are precomputed per port; derive them fresh only for
+            // inputs not covering the port's schema exactly.
+            let nodes_owned;
+            let nodes = if msg.tuple.sources() == self.schema_of(port) {
+                &self.nodes[port]
+            } else {
+                let mut nodes =
+                    Self::settling_nodes(&self.predicates, self.schema_of(opp), candidates);
+                nodes.retain(|(node, _)| self.reports(port, *node));
+                nodes_owned = nodes;
+                &nodes_owned
+            };
+            for &(node, ref node_spec) in nodes {
+                if l.all_dead() {
+                    break;
+                }
+                if node == candidates || !l.is_alive(node) {
+                    continue;
+                }
+                self.states[opp].probe_into(node_spec, &msg.tuple, &mut hits);
+                let state = &self.states[opp];
+                let hit = hits.iter().filter_map(|&seq| state.get(seq)).any(|stored| {
+                    ctx.metrics.charge(CostKind::ProbePair, 1);
+                    self.window.can_join(msg.tuple.ts(), stored.tuple.ts())
+                        && self.matched_components(&msg.tuple, &stored.tuple, node, &mut evals)
+                            == node
+                });
+                if hit {
+                    l.observe(node, ctx.metrics);
+                }
+            }
+        }
+        self.probe_hits = hits;
         ctx.metrics.charge(CostKind::PredicateEval, evals);
 
         // Consumer step 3: detect the MNSs of the input this side's producer
@@ -1049,7 +989,7 @@ impl Operator for JitJoinOperator {
         // `resume_one` would, but the blacklist is emptied in one pass.
         for side in [LEFT, RIGHT] {
             for entry in self.blacklists[side].drain_entries() {
-                self.propagate_resume(side, &entry.mns, FeedbackCommand::Resume, ctx, &mut outcome);
+                self.propagate_resume(side, &entry.mns, ctx, &mut outcome);
                 for suspended in entry.tuples {
                     self.restore_suspended(side, suspended, now, ctx, &mut outcome);
                 }
@@ -1080,14 +1020,14 @@ impl Operator for JitJoinOperator {
         let now = ctx.now;
         let mut outcome = FeedbackOutcome::empty();
         match fb.command {
-            FeedbackCommand::Suspend | FeedbackCommand::Mark => {
+            FeedbackCommand::Suspend => {
                 for mns in &fb.mns_set {
-                    self.suspend_one(mns, fb.command, now, ctx, &mut outcome);
+                    self.suspend_one(mns, now, ctx, &mut outcome);
                 }
             }
-            FeedbackCommand::Resume | FeedbackCommand::Unmark => {
+            FeedbackCommand::Resume => {
                 for mns in &fb.mns_set {
-                    self.resume_one(mns, fb.command, now, ctx, &mut outcome);
+                    self.resume_one(mns, now, ctx, &mut outcome);
                 }
             }
         }
@@ -1113,10 +1053,10 @@ impl Operator for JitJoinOperator {
         // Everything derivable from the query is rebuilt by the constructor
         // (probe specs, lattice nodes); everything that evolved with the
         // stream is persisted. `pending_bytes` is recomputed on restore.
-        let pending: Vec<(usize, Tuple, bool, Timestamp)> = self
+        let pending: Vec<(usize, Tuple, Timestamp)> = self
             .pending
             .iter()
-            .map(|(port, msg, at)| (*port, msg.tuple.clone(), msg.marked, *at))
+            .map(|(port, msg, at)| (*port, msg.tuple.clone(), *at))
             .collect();
         let per_side = |f: &dyn Fn(usize) -> Content| Content::Seq(vec![f(LEFT), f(RIGHT)]);
         Content::Map(vec![
@@ -1206,11 +1146,23 @@ impl Operator for JitJoinOperator {
         }
         self.event_seq = serde::field(map, "event_seq", TY)?;
         self.fully_suspended = serde::field(map, "fully_suspended", TY)?;
-        let pending: Vec<(usize, Tuple, bool, Timestamp)> = serde::field(map, "pending", TY)?;
+        let pending: Vec<Content> = serde::field(map, "pending", TY)?;
         self.pending = pending
-            .into_iter()
-            .map(|(port, tuple, marked, at)| (port, DataMessage { tuple, marked }, at))
-            .collect();
+            .iter()
+            .map(|entry| {
+                // A build that carried a mark flag on every data message
+                // wrote `(port, tuple, marked, at)`; the flag is skipped.
+                let (port, tuple, at) = match entry.as_seq().unwrap_or_default() {
+                    [port, tuple, at] | [port, tuple, _, at] => (port, tuple, at),
+                    _ => return Err(serde::Error::expected("(port, tuple, at)", TY)),
+                };
+                Ok((
+                    usize::from_content(port)?,
+                    DataMessage::new(Tuple::from_content(tuple)?),
+                    Timestamp::from_content(at)?,
+                ))
+            })
+            .collect::<Result<_, serde::Error>>()?;
         self.pending_bytes = self
             .pending
             .iter()
@@ -1365,6 +1317,41 @@ mod tests {
         let out = restored.flush(&mut ctx);
         assert_eq!(out.resumed.len(), 1);
         assert_eq!(out.resumed[0].tuple.num_parts(), 2);
+    }
+
+    /// A blob written by a build whose data messages carried a mark flag
+    /// holds each pending input as `(port, tuple, marked, at)`: the flag is
+    /// skipped, and the blob restores to what the current form gives.
+    #[test]
+    fn restore_skips_the_mark_flag_of_a_legacy_pending_entry() {
+        let mut orig = op1(JitPolicy::full());
+        let mut metrics = RunMetrics::new();
+        let mut ctx = OpContext::new(Timestamp::from_secs(1), &mut metrics);
+        orig.handle_feedback(&Feedback::suspend(vec![Tuple::empty()]), &mut ctx);
+        process(&mut orig, LEFT, &a(1, 2, 1, 100), &mut metrics);
+        let current = orig.checkpoint();
+        let restored = |edit: fn(&mut Vec<Content>)| {
+            let mut blob = current.clone();
+            let Content::Map(fields) = &mut blob else {
+                panic!("a checkpoint is a map");
+            };
+            let pending = fields.iter_mut().find(|(k, _)| k == "pending").unwrap();
+            let Content::Seq(entries) = &mut pending.1 else {
+                panic!("pending is a list");
+            };
+            let [Content::Seq(entry)] = &mut entries[..] else {
+                panic!("one pending entry, a list");
+            };
+            edit(entry);
+            let mut op = op1(JitPolicy::full());
+            op.restore(&blob).map(|()| op)
+        };
+        let legacy = restored(|entry| entry.insert(2, Content::Bool(false)));
+        let legacy = legacy.expect("a legacy pending entry restores");
+        assert!(legacy.is_fully_suspended());
+        assert_eq!(legacy.memory_bytes(), orig.memory_bytes());
+        assert_eq!(legacy.checkpoint(), current);
+        assert!(restored(|entry| entry.truncate(2)).is_err());
     }
 
     /// Table I scenario at the consumer Op2: an AB tuple with no C partner

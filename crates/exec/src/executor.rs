@@ -275,8 +275,6 @@ impl Executor {
                     match fb.command {
                         FeedbackCommand::Suspend => self.metrics.stats.feedback_suspend += 1,
                         FeedbackCommand::Resume => self.metrics.stats.feedback_resume += 1,
-                        FeedbackCommand::Mark => self.metrics.stats.feedback_mark += 1,
-                        FeedbackCommand::Unmark => self.metrics.stats.feedback_unmark += 1,
                     }
                     self.scheduler.push(
                         Task {

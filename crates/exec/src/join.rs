@@ -10,7 +10,7 @@
 
 use crate::operator::{DataMessage, OpContext, Operator, OperatorOutput, Port, LEFT, RIGHT};
 use crate::state::{JoinKeySpec, OperatorState, StateIndexMode};
-use jit_metrics::{CostKind, RunMetrics};
+use jit_metrics::CostKind;
 use jit_types::{PredicateSet, SourceSet, Window};
 use serde::Content;
 
@@ -134,39 +134,23 @@ impl Operator for RefJoinOperator {
         let purged = own_state.purge(self.window, now) + opp_state.purge(self.window, now);
         ctx.metrics.charge(CostKind::StatePurge, purged as u64);
 
-        // Probe: only the candidate partners the index returns; the scan
-        // baseline iterates the slab directly (no per-probe allocation).
+        // Probe: only the candidate partners the index returns (every live
+        // tuple, in insertion order, under `Scan`).
         ctx.metrics.stats.state_probes += 1;
         let mut results = Vec::new();
         let mut evals = 0u64;
-        let window = self.window;
-        let predicates = &self.predicates;
-        {
-            let mut examine = |entry: &crate::state::StoredTuple, metrics: &mut RunMetrics| {
-                metrics.charge(CostKind::ProbePair, 1);
-                if window.can_join(msg.tuple.ts(), entry.tuple.ts())
-                    && predicates.join_matches(&msg.tuple, &entry.tuple, &mut evals)
-                {
-                    // `join` fails exactly when the coverages overlap.
-                    if let Ok(tuple) = msg.tuple.join(&entry.tuple) {
-                        metrics.charge(CostKind::ResultBuild, 1);
-                        results.push(DataMessage {
-                            tuple,
-                            marked: msg.marked,
-                        });
-                    }
-                }
-            };
-            if opp_state.index_mode() == StateIndexMode::Scan {
-                for entry in opp_state.iter() {
-                    examine(entry, ctx.metrics);
-                }
-            } else {
-                opp_state.probe_into(spec, &msg.tuple, &mut hits);
-                for &seq in &hits {
-                    if let Some(entry) = opp_state.get(seq) {
-                        examine(entry, ctx.metrics);
-                    }
+        opp_state.probe_into(spec, &msg.tuple, &mut hits);
+        for entry in hits.iter().filter_map(|&seq| opp_state.get(seq)) {
+            ctx.metrics.charge(CostKind::ProbePair, 1);
+            if self.window.can_join(msg.tuple.ts(), entry.tuple.ts())
+                && self
+                    .predicates
+                    .join_matches(&msg.tuple, &entry.tuple, &mut evals)
+            {
+                // `join` fails exactly when the coverages overlap.
+                if let Ok(tuple) = msg.tuple.join(&entry.tuple) {
+                    ctx.metrics.charge(CostKind::ResultBuild, 1);
+                    results.push(DataMessage::new(tuple));
                 }
             }
         }
@@ -340,18 +324,6 @@ mod tests {
         assert_eq!(op.window().length, Duration::from_secs(60));
         assert_eq!(op.left_schema(), SourceSet::single(SourceId(0)));
         assert_eq!(op.right_schema(), SourceSet::single(SourceId(1)));
-    }
-
-    #[test]
-    fn marked_flag_is_propagated() {
-        let mut op = setup();
-        let mut metrics = RunMetrics::new();
-        process(&mut op, RIGHT, &msg(1, 0, 0, 7), &mut metrics);
-        let mut marked = msg(0, 0, 100, 7);
-        marked.marked = true;
-        let out = process(&mut op, LEFT, &marked, &mut metrics);
-        assert_eq!(out.results.len(), 1);
-        assert!(out.results[0].marked);
     }
 
     #[test]

@@ -32,36 +32,23 @@ impl fmt::Display for OperatorId {
     }
 }
 
-/// A tuple flowing downstream from a producer to a consumer.
+/// A tuple flowing downstream from a producer to a consumer: the tuple and
+/// nothing else.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataMessage {
     /// The (possibly composite) tuple.
     pub tuple: Tuple,
-    /// Mark-result flag: set when the tuple is a super-tuple of a sub-tuple
-    /// named in a `<mark, …>` feedback (Type II MNS handling, Section IV-B).
-    pub marked: bool,
 }
 
 impl DataMessage {
-    /// An unmarked data message.
+    /// A data message carrying `tuple`.
     pub fn new(tuple: Tuple) -> Self {
-        DataMessage {
-            tuple,
-            marked: false,
-        }
-    }
-
-    /// A marked data message.
-    pub fn marked(tuple: Tuple) -> Self {
-        DataMessage {
-            tuple,
-            marked: true,
-        }
+        DataMessage { tuple }
     }
 
     /// Approximate footprint in bytes (for queue accounting).
     pub fn size_bytes(&self) -> usize {
-        self.tuple.size_bytes() + std::mem::size_of::<bool>()
+        self.tuple.size_bytes()
     }
 }
 
@@ -77,9 +64,8 @@ pub struct ResultBlock {
     /// One component column per covered source, sources ascending, all of
     /// equal length; fixed by the first pushed match.
     columns: Vec<(SourceId, Vec<Arc<BaseTuple>>)>,
-    /// Per row: the result timestamp (max component timestamp) and the mark
-    /// flag.
-    rows: Vec<(Timestamp, bool)>,
+    /// Per row: the result timestamp (max component timestamp).
+    rows: Vec<Timestamp>,
 }
 
 impl ResultBlock {
@@ -99,8 +85,9 @@ impl ResultBlock {
     }
 
     /// Append the join of two tuples with disjoint source coverage:
-    /// components are distributed to their source columns.
-    pub fn push_join(&mut self, a: &Tuple, b: &Tuple, marked: bool) {
+    /// components are distributed to their source columns. The `bool` is
+    /// ignored; it stays only because the layer drive passes one.
+    pub fn push_join(&mut self, a: &Tuple, b: &Tuple, _: bool) {
         debug_assert!(a.sources().is_disjoint(b.sources()));
         let mut ai = a.parts().iter().peekable();
         let mut bi = b.parts().iter().peekable();
@@ -139,7 +126,7 @@ impl ResultBlock {
             }
             debug_assert!(ai.next().is_none() && bi.next().is_none());
         }
-        self.rows.push((a.ts().max(b.ts()), marked));
+        self.rows.push(a.ts().max(b.ts()));
     }
 }
 
@@ -361,13 +348,9 @@ mod tests {
     }
 
     #[test]
-    fn data_message_constructors() {
+    fn data_message_size_is_its_tuple_size() {
         let t = tuple(0, 1);
-        let plain = DataMessage::new(t.clone());
-        let marked = DataMessage::marked(t);
-        assert!(!plain.marked);
-        assert!(marked.marked);
-        assert!(plain.size_bytes() > 0);
+        assert_eq!(DataMessage::new(t.clone()).size_bytes(), t.size_bytes());
     }
 
     #[test]

@@ -40,10 +40,6 @@ pub struct ExecStats {
     pub feedback_suspend: u64,
     /// Resumption feedback messages sent.
     pub feedback_resume: u64,
-    /// Mark-result feedback messages sent.
-    pub feedback_mark: u64,
-    /// Unmark-result feedback messages sent.
-    pub feedback_unmark: u64,
     /// Feedback messages propagated to upstream operators.
     pub feedback_propagated: u64,
     /// Tuples moved from an operator state into a blacklist.
@@ -70,7 +66,7 @@ impl ExecStats {
 
     /// Total feedback messages of any kind sent.
     pub fn feedback_total(&self) -> u64 {
-        self.feedback_suspend + self.feedback_resume + self.feedback_mark + self.feedback_unmark
+        self.feedback_suspend + self.feedback_resume
     }
 
     /// Fraction of intermediate results suppressed, in `[0, 1]`.
@@ -100,8 +96,6 @@ impl AddAssign for ExecStats {
         self.mns_detected += rhs.mns_detected;
         self.feedback_suspend += rhs.feedback_suspend;
         self.feedback_resume += rhs.feedback_resume;
-        self.feedback_mark += rhs.feedback_mark;
-        self.feedback_unmark += rhs.feedback_unmark;
         self.feedback_propagated += rhs.feedback_propagated;
         self.blacklisted_tuples += rhs.blacklisted_tuples;
         self.resumed_tuples += rhs.resumed_tuples;
@@ -130,11 +124,9 @@ mod tests {
         let s = ExecStats {
             feedback_suspend: 2,
             feedback_resume: 3,
-            feedback_mark: 5,
-            feedback_unmark: 7,
             ..ExecStats::default()
         };
-        assert_eq!(s.feedback_total(), 17);
+        assert_eq!(s.feedback_total(), 5);
     }
 
     #[test]

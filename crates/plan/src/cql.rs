@@ -230,14 +230,23 @@ fn parse_range(text: &str) -> Result<Duration, CqlError> {
         .parse()
         .map_err(|_| err(format!("bad window length in {text}")))?;
     let unit = parts.next().unwrap_or("SECONDS");
-    let duration = match unit {
-        u if u.starts_with("MIN") => Duration::from_mins_f64(amount),
-        u if u.starts_with("SEC") => Duration::from_secs_f64(amount),
-        u if u.starts_with("HOUR") => Duration::from_mins_f64(amount * 60.0),
-        u if u.starts_with("MILLI") => Duration::from_millis(amount as u64),
+    let millis = match unit {
+        u if u.starts_with("MIN") => amount * 60_000.0,
+        u if u.starts_with("SEC") => amount * 1_000.0,
+        u if u.starts_with("HOUR") => amount * 60.0 * 60_000.0,
+        u if u.starts_with("MILLI") => amount.trunc(),
         other => return Err(err(format!("unknown window unit {other}"))),
     };
-    Ok(duration)
+    // Refused by name: a NaN, infinite, negative or saturating length would
+    // silently read as no window or as one that never expires. `u64::MAX as
+    // f64` is 2^64, the first length that does not fit.
+    let millis = millis.round();
+    if !(0.0..u64::MAX as f64).contains(&millis) {
+        return Err(err(format!(
+            "window length is not a finite, non-negative u64 count of milliseconds in {text}"
+        )));
+    }
+    Ok(Duration::from_millis(millis as u64))
 }
 
 fn parse_column(text: &str) -> Result<(String, String), CqlError> {

@@ -2,9 +2,10 @@
 //!
 //! Section III-A introduces two feedback kinds — *suspension*
 //! (`<suspend, Π>`) and *resumption* (`<resume, Π>`) — where `Π` is a set of
-//! minimal non-demanded sub-tuples (MNSs). Section IV-B adds the
-//! *mark-result* / *unmark-result* variants used when a Type II MNS is
-//! decomposed and propagated to the producer's own inputs.
+//! minimal non-demanded sub-tuples (MNSs). These are the only two kinds.
+//! Section IV-B's *mark-result* / *unmark-result* pair, which handles a
+//! Type II MNS (one spanning both inputs of the producer), is not
+//! implemented: such an MNS is ignored, which is always legal.
 //!
 //! This module defines only the message shape; detection of MNSs and the
 //! producer's dynamic production control live in `jit-core`.
@@ -21,23 +22,6 @@ pub enum FeedbackCommand {
     /// Resume production for the given MNSs and return the suppressed
     /// super-tuples to the consumer.
     Resume,
-    /// Keep producing super-tuples of the given sub-tuples but *mark* them
-    /// (used for decomposed Type II MNSs, Section IV-B).
-    Mark,
-    /// Stop marking super-tuples of the given sub-tuples.
-    Unmark,
-}
-
-impl FeedbackCommand {
-    /// Does the command reduce production (suspend or mark)?
-    pub fn is_restricting(self) -> bool {
-        matches!(self, FeedbackCommand::Suspend | FeedbackCommand::Mark)
-    }
-
-    /// Does the command restore production (resume or unmark)?
-    pub fn is_restoring(self) -> bool {
-        !self.is_restricting()
-    }
 }
 
 impl fmt::Display for FeedbackCommand {
@@ -45,8 +29,6 @@ impl fmt::Display for FeedbackCommand {
         let s = match self {
             FeedbackCommand::Suspend => "suspend",
             FeedbackCommand::Resume => "resume",
-            FeedbackCommand::Mark => "mark",
-            FeedbackCommand::Unmark => "unmark",
         };
         write!(f, "{s}")
     }
@@ -75,32 +57,6 @@ impl Feedback {
     pub fn resume(mns_set: Vec<Tuple>) -> Self {
         Feedback {
             command: FeedbackCommand::Resume,
-            mns_set,
-        }
-    }
-
-    /// `<mark, Π>`.
-    pub fn mark(mns_set: Vec<Tuple>) -> Self {
-        Feedback {
-            command: FeedbackCommand::Mark,
-            mns_set,
-        }
-    }
-
-    /// `<unmark, Π>`.
-    pub fn unmark(mns_set: Vec<Tuple>) -> Self {
-        Feedback {
-            command: FeedbackCommand::Unmark,
-            mns_set,
-        }
-    }
-
-    /// A message with the same command but a different MNS set — used when an
-    /// operator propagates feedback upstream after projecting / decomposing
-    /// the MNSs onto its own inputs.
-    pub fn with_mns_set(&self, mns_set: Vec<Tuple>) -> Self {
-        Feedback {
-            command: self.command,
             mns_set,
         }
     }
@@ -148,28 +104,10 @@ mod tests {
     }
 
     #[test]
-    fn command_classification() {
-        assert!(FeedbackCommand::Suspend.is_restricting());
-        assert!(FeedbackCommand::Mark.is_restricting());
-        assert!(FeedbackCommand::Resume.is_restoring());
-        assert!(FeedbackCommand::Unmark.is_restoring());
-    }
-
-    #[test]
     fn constructors_set_command() {
         assert_eq!(Feedback::suspend(vec![]).command, FeedbackCommand::Suspend);
         assert_eq!(Feedback::resume(vec![]).command, FeedbackCommand::Resume);
-        assert_eq!(Feedback::mark(vec![]).command, FeedbackCommand::Mark);
-        assert_eq!(Feedback::unmark(vec![]).command, FeedbackCommand::Unmark);
-    }
-
-    #[test]
-    fn with_mns_set_preserves_command() {
-        let f = Feedback::suspend(vec![tup(0, 1)]);
-        let g = f.with_mns_set(vec![tup(1, 2), tup(2, 3)]);
-        assert_eq!(g.command, FeedbackCommand::Suspend);
-        assert_eq!(g.mns_set.len(), 2);
-        assert!(!f.is_empty());
+        assert!(!Feedback::suspend(vec![tup(0, 1)]).is_empty());
         assert!(Feedback::resume(vec![]).is_empty());
     }
 
@@ -182,7 +120,7 @@ mod tests {
     }
 
     #[test]
-    fn size_grows_with_mns_set() {
+    fn size_grows_with_the_mns_set() {
         let small = Feedback::suspend(vec![tup(0, 1)]);
         let large = Feedback::suspend(vec![tup(0, 1), tup(1, 2), tup(2, 3)]);
         assert!(large.size_bytes() > small.size_bytes());

@@ -18,7 +18,7 @@
 //! * [`Signature`] — the join-attribute fingerprint of a sub-tuple, used to
 //!   recognise "similar" tuples (e.g. `a2` sharing `a1`'s join values).
 //! * [`Feedback`] — the consumer→producer control messages
-//!   (`suspend` / `resume` / `mark` / `unmark`).
+//!   (`suspend` / `resume`).
 //! * [`ArrayImpl`], [`Batch`], [`Block`], [`BatchPolicy`] — the columnar
 //!   batch data plane: typed column arrays and the vectorized arrival
 //!   containers built from them (see the [`mod@array`] and [`batch`] docs).

@@ -97,11 +97,6 @@ impl Duration {
         Duration((mins * 60_000.0).round() as u64)
     }
 
-    /// Construct from fractional seconds.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        Duration((secs * 1_000.0).round() as u64)
-    }
-
     /// Raw millisecond representation.
     pub fn as_millis(self) -> u64 {
         self.0
@@ -317,7 +312,6 @@ mod tests {
         assert_eq!(Timestamp::from_secs(2), Timestamp::from_millis(2_000));
         assert_eq!(Duration::from_mins(5), Duration::from_millis(300_000));
         assert_eq!(Duration::from_mins_f64(7.5), Duration::from_millis(450_000));
-        assert_eq!(Duration::from_secs_f64(0.25), Duration::from_millis(250));
     }
 
     #[test]

@@ -205,7 +205,7 @@ impl fmt::Display for TupleKey {
 /// * Join results combine the components of both inputs
 ///   ([`Tuple::join`]); the result timestamp is the maximum component
 ///   timestamp, per Section II.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Tuple {
     /// Components sorted by source id; each source appears at most once.
     parts: Parts,
@@ -267,9 +267,41 @@ impl Serialize for Parts {
     }
 }
 
-impl Deserialize for Parts {
+/// A serialised tuple is rebuilt through [`Tuple::from_parts`], so a blob
+/// restores only a tuple this type could have built: parts strictly
+/// ascending by source, every source below [`SourceSet::MAX_SOURCES`], and
+/// the stored `sources` and `ts` equal to what the parts imply. Anything
+/// else is an error here rather than a panic (or a silently malformed
+/// tuple) at the first join that reads it.
+impl Deserialize for Tuple {
     fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        Vec::<Arc<BaseTuple>>::from_content(content).map(Parts::from_vec)
+        const TY: &str = "Tuple";
+        let map = content
+            .as_map()
+            .ok_or_else(|| serde::Error::expected("object", TY))?;
+        let parts: Vec<Arc<BaseTuple>> = serde::field(map, "parts", TY)?;
+        let ascending = parts.windows(2).all(|w| w[0].source < w[1].source);
+        if !ascending
+            || parts
+                .last()
+                .is_some_and(|p| p.source.index() >= SourceSet::MAX_SOURCES)
+        {
+            return Err(serde::Error::expected(
+                "parts ascending by source below 64",
+                TY,
+            ));
+        }
+        let tuple = Tuple::from_parts(parts).map_err(|e| serde::Error::msg(e.to_string()))?;
+        let stored = (
+            serde::field(map, "sources", TY)?,
+            serde::field(map, "ts", TY)?,
+        );
+        if stored != (tuple.sources, tuple.ts) {
+            return Err(serde::Error::msg(format!(
+                "tuple {tuple} stored with (sources, ts) {stored:?}, not its parts'"
+            )));
+        }
+        Ok(tuple)
     }
 }
 
@@ -731,6 +763,36 @@ mod tests {
             }
         }
         assert_eq!(TupleKey::default(), Tuple::empty().key());
+    }
+
+    /// A blob restores only a tuple [`Tuple::from_parts`] could have built;
+    /// a corrupt one is an error, not a panic at the next join.
+    #[test]
+    fn deserialising_checks_parts_against_sources_and_ts() {
+        let ab = Tuple::from_base(base(0, 1, 5, &[1]))
+            .join(&Tuple::from_base(base(1, 2, 9, &[2])))
+            .unwrap();
+        for t in [
+            Tuple::empty(),
+            Tuple::from_base(base(2, 3, 7, &[3])),
+            ab.clone(),
+        ] {
+            assert_eq!(Tuple::from_content(&t.to_content()).unwrap(), t);
+        }
+        let edited = |name: &str, value: serde::Content| {
+            let serde::Content::Map(mut fields) = ab.to_content() else {
+                panic!("a tuple serialises as a map");
+            };
+            fields.iter_mut().find(|(k, _)| k == name).expect(name).1 = value;
+            Tuple::from_content(&serde::Content::Map(fields))
+        };
+        let parts = |parts: &[Arc<BaseTuple>]| parts.to_vec().to_content();
+        let (a, b) = (&ab.parts()[0], &ab.parts()[1]);
+        assert!(edited("parts", parts(&[b.clone(), a.clone()])).is_err());
+        assert!(edited("parts", parts(&[a.clone(), a.clone()])).is_err());
+        assert!(edited("parts", parts(&[a.clone(), base(64, 2, 9, &[2])])).is_err());
+        assert!(edited("sources", SourceSet::first_n(3).to_content()).is_err());
+        assert!(edited("ts", Timestamp::from_millis(5).to_content()).is_err());
     }
 
     #[test]

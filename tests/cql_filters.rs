@@ -3,6 +3,7 @@
 //! tree plans as per-source selection operators.
 
 use jit_dsms::prelude::*;
+use jit_dsms::serve::ServeError;
 use std::collections::BTreeSet;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
@@ -96,6 +97,48 @@ fn filtered_cql_works_in_jit_mode() {
     }
     let outcome = session.finish().unwrap();
     assert_eq!(outcome.results_count, 5);
+}
+
+/// A `RANGE` length that is not a finite, non-negative number of
+/// milliseconds fitting in `u64` is a typed CQL error naming the clause at
+/// both entry points: it would otherwise saturate to a window that never
+/// expires (`1e300`, `inf`, `1e15 hours`) or read as no window at all
+/// (`NaN`, `-5`).
+#[test]
+fn unrepresentable_range_lengths_are_typed_cql_errors() {
+    let query =
+        |range: &str| format!("SELECT * FROM A [RANGE {range}], B [RANGE {range}] WHERE A.x = B.x");
+    let catalog = parse_cql(&query("5 minutes")).expect("parses").catalog();
+    let mut registry = QueryRegistry::new(catalog);
+    for range in [
+        "1e300 minutes",
+        "inf minutes",
+        "1e15 hours",
+        "NaN minutes",
+        "-5 minutes",
+        "2e16 seconds",
+    ] {
+        let text = query(range);
+        let Err(EngineError::Cql(built)) = Engine::builder().query_cql(text.as_str()).build()
+        else {
+            panic!("{range}: the engine builds, or fails with another error");
+        };
+        let Err(ServeError::Cql(registered)) = registry.register(&text) else {
+            panic!("{range}: the registry accepts it, or fails with another error");
+        };
+        for e in [built.to_string(), registered.to_string()] {
+            assert!(e.contains(range), "{range}: {e}");
+        }
+    }
+    // The largest representable lengths still build.
+    for range in ["1e16 seconds", "1.5 milliseconds"] {
+        let text = query(range);
+        assert!(
+            Engine::builder().query_cql(text.as_str()).build().is_ok(),
+            "{range}"
+        );
+        assert!(registry.register(&text).is_ok(), "{range}");
+    }
 }
 
 /// Every string literal opening with `SELECT * FROM` (in any case) in this

@@ -532,24 +532,29 @@ fn a_buffered_arrival_under_the_frontier_is_a_typed_error() {
 }
 
 /// Copies of the three v1 fixtures, each truncated at every offset of its
-/// header line and at sixteen evenly spaced body offsets, or with the byte at
+/// header line and at 64 evenly spaced body offsets, or with the byte at
 /// one of those offsets changed in its lowest bit (which keeps the file
 /// UTF-8, so the damage reaches past the JSON parser into the restore), give
-/// a session or a typed [`EngineError::Checkpoint`], never a panic.
+/// a session or a typed [`EngineError::Checkpoint`], never a panic. A
+/// session that restores is driven on: the fixture's tail is pushed and the
+/// session finished, and neither may panic either (a push or the finish may
+/// still fail typed, e.g. on a flipped replay cursor).
 #[test]
 fn corrupt_v1_fixtures_restore_or_fail_typed() {
+    let trace = WorkloadGenerator::generate(&fixture_spec());
     let unordered = |mode| {
         let builder = Engine::builder().workload(&fixture_spec(), &PlanShape::bushy(4));
-        builder.mode(mode)
+        (builder.mode(mode), trace.iter().cloned().collect())
     };
+    let (bounded, _, disordered) = bounded_fixture();
     let fixtures = [
         ("ref", unordered(ExecutionMode::Ref)),
         ("jit", unordered(ExecutionMode::Jit(JitPolicy::full()))),
-        ("bounded", bounded_fixture().0),
+        ("bounded", (bounded, disordered)),
     ];
     let path = ckpt_path("corrupt-v1");
     let (mut restored, mut failures) = (0, Vec::new());
-    for (tag, builder) in fixtures {
+    for (tag, (builder, events)) in fixtures {
         let engine = builder.build().expect("engine builds");
         let root = env!("CARGO_MANIFEST_DIR");
         let bytes = std::fs::read(format!("{root}/tests/fixtures/checkpoint_v1_{tag}.ckpt"));
@@ -559,13 +564,21 @@ fn corrupt_v1_fixtures_restore_or_fail_typed() {
             .position(|&b| b == b'\n')
             .expect("a header line");
         let body = bytes.len() - header;
-        for at in (0..header).chain((0..16).map(|i| header + i * body / 16)) {
+        for at in (0..header).chain((0..64).map(|i| header + i * body / 64)) {
             let mut flipped = bytes.clone();
             flipped[at] ^= 1;
             for (damage, file) in [("truncated", &bytes[..at]), ("flipped", &flipped[..])] {
                 std::fs::write(&path, file).expect("corrupt copy writes");
-                match panic::catch_unwind(AssertUnwindSafe(|| engine.restore_file(&path))) {
-                    Ok(Ok(_)) => restored += 1,
+                let run = || {
+                    let mut session = engine.restore_file(&path)?;
+                    for event in events.iter().skip(session.pushed() as usize) {
+                        let _ = session.push_event(event.clone());
+                    }
+                    let _ = session.finish();
+                    Ok(())
+                };
+                match panic::catch_unwind(AssertUnwindSafe(run)) {
+                    Ok(Ok(())) => restored += 1,
                     Ok(Err(EngineError::Checkpoint(_))) => {}
                     Ok(Err(other)) => failures.push(format!("{tag} {damage} at {at}: {other}")),
                     Err(_) => failures.push(format!("{tag} {damage} at {at}: panicked")),

@@ -245,6 +245,32 @@ fn field_diff_names_only_what_moved_and_flags_protected_fields() {
     );
 }
 
+/// No statistic that nothing counts: every `ExecStats` field is non-zero in
+/// at least one committed configuration. A counter that no code path
+/// increments any more fails here rather than riding along as a column of
+/// zeros in every line.
+#[test]
+fn every_exec_stats_field_counts_in_some_configuration() {
+    let zeros = format!("stats {:?}", jit_dsms::metrics::ExecStats::default());
+    let (_, all) = fields(&zeros);
+    assert!(all.len() >= 20, "{all:?}");
+    let golden = read_golden();
+    let lines: Vec<_> = golden.lines().map(|line| fields(line).1).collect();
+    let counted = |field| lines.iter().flatten().any(|&(f, v)| f == field && v != "0");
+    let never: Vec<_> = all.iter().filter(|(field, _)| !counted(*field)).collect();
+    assert!(never.is_empty(), "zero in every configuration: {never:?}");
+}
+
+/// A data message is its tuple and nothing else.
+#[test]
+fn a_data_message_is_only_its_tuple() {
+    use jit_dsms::exec::operator::DataMessage;
+    assert_eq!(
+        std::mem::size_of::<DataMessage>(),
+        std::mem::size_of::<Tuple>()
+    );
+}
+
 #[test]
 #[ignore = "rewrites tests/fixtures/golden_counters.txt from this build"]
 fn regenerate() {
