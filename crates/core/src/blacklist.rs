@@ -10,9 +10,12 @@
 //! joined with yet.
 
 use jit_exec::state::StateIndexMode;
-use jit_types::{ColumnRef, ExpiryQueue, FastMap, Signature, Timestamp, Tuple, TupleKey, Window};
+use jit_types::{
+    ColumnRef, ExpiryQueue, FastMap, Signature, Timestamp, Tuple, TupleKey, Value, Window,
+};
 use serde::{Content, Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// How an entry suppresses production. There is one way: its super-tuples
 /// are not produced at all (`<suspend, …>`).
@@ -40,8 +43,9 @@ pub struct BlacklistedTuple {
 pub struct BlacklistEntry {
     /// The MNS that justified the suspension (as received in the feedback).
     pub mns: Tuple,
-    /// The join-attribute columns used to recognise similar tuples.
-    pub signature_columns: Vec<ColumnRef>,
+    /// The join-attribute columns used to recognise similar tuples, shared
+    /// by every entry an operator suspends for MNSs of one coverage.
+    pub signature_columns: Arc<[ColumnRef]>,
     /// The MNS's values on those columns.
     pub signature: Signature,
     /// When the suspension was installed.
@@ -62,7 +66,7 @@ impl BlacklistEntry {
             && !self.signature_columns.is_empty()
             && self.mns.sources().is_subset(tuple.sources())
         {
-            return Signature::of(tuple, &self.signature_columns) == self.signature;
+            return self.signature.matches(tuple);
         }
         false
     }
@@ -119,11 +123,15 @@ pub struct Blacklist {
     by_component: FastMap<(u16, u64), Vec<usize>>,
     /// Similar-capture entries grouped by signature column set, then by the
     /// MNS's signature on those columns. Positions ascending.
-    by_signature: FastMap<Vec<ColumnRef>, FastMap<Signature, Vec<usize>>>,
+    by_signature: FastMap<Arc<[ColumnRef]>, FastMap<Signature, Vec<usize>>>,
     /// `(ts, position)` for every suspended tuple and every non-Ø MNS whose
     /// expiry has not been acted on yet. Pairs of removed entries are
     /// skipped when they surface.
     expiry: ExpiryQueue,
+    /// Buffers [`Blacklist::matching_entry`] reuses from call to call: the
+    /// candidate positions and an arrival's signature over one column set.
+    candidates: Vec<usize>,
+    signature_scratch: Vec<(ColumnRef, Value)>,
 }
 
 /// Remove `pos` from an ascending position list.
@@ -179,12 +187,16 @@ impl Blacklist {
             .or_default()
             .push(pos);
         if !entry.signature_columns.is_empty() {
-            self.by_signature
-                .entry(entry.signature_columns.clone())
-                .or_default()
-                .entry(entry.signature.clone())
-                .or_default()
-                .push(pos);
+            let groups = self
+                .by_signature
+                .entry(Arc::clone(&entry.signature_columns))
+                .or_default();
+            match groups.get_mut(&entry.signature) {
+                Some(bucket) => bucket.push(pos),
+                None => {
+                    groups.insert(entry.signature.clone(), vec![pos]);
+                }
+            }
         }
     }
 
@@ -321,13 +333,14 @@ impl Blacklist {
     pub fn upsert_entry(
         &mut self,
         mns: Tuple,
-        signature_columns: Vec<ColumnRef>,
+        signature_columns: impl Into<Arc<[ColumnRef]>>,
         _mode: SuspendMode,
         now: Timestamp,
     ) -> usize {
         if let Some(pos) = self.entry_index(&mns.key()) {
             return pos;
         }
+        let signature_columns = signature_columns.into();
         let signature = Signature::of(&mns, &signature_columns);
         let entry = BlacklistEntry {
             mns,
@@ -369,19 +382,26 @@ impl Blacklist {
     /// Under [`StateIndexMode::Hashed`] only the candidate entries surfaced
     /// by the hash indexes are verified (ascending, so the entry returned is
     /// exactly the linear scan's first match); under
-    /// [`StateIndexMode::Scan`] every entry is examined in order.
-    pub fn matching_entry(&self, tuple: &Tuple, allow_similar: bool) -> Option<usize> {
+    /// [`StateIndexMode::Scan`] every entry is examined in order. Either
+    /// way the check allocates nothing: candidates and the arrival's
+    /// signatures are formed in buffers the blacklist keeps.
+    pub fn matching_entry(&mut self, tuple: &Tuple, allow_similar: bool) -> Option<usize> {
         if self.live == 0 {
             return None;
         }
+        let slots = &self.slots;
         let captures = |pos: usize| {
-            self.entry(pos)
+            slots
+                .get(pos)
+                .and_then(Option::as_ref)
                 .is_some_and(|e| e.captures(tuple, allow_similar))
         };
         if self.mode == StateIndexMode::Scan {
-            return (0..self.slots.len()).find(|&pos| captures(pos));
+            return (0..slots.len()).find(|&pos| captures(pos));
         }
-        let mut candidates: Vec<usize> = self.empty_entries.clone();
+        let candidates = &mut self.candidates;
+        candidates.clear();
+        candidates.extend_from_slice(&self.empty_entries);
         for part in tuple.parts() {
             if let Some(idxs) = self.by_component.get(&(part.source.0, part.seq)) {
                 candidates.extend_from_slice(idxs);
@@ -389,14 +409,15 @@ impl Blacklist {
         }
         if allow_similar {
             for (cols, groups) in &self.by_signature {
-                if let Some(idxs) = groups.get(&Signature::of(tuple, cols)) {
+                Signature::of_into(tuple, cols, &mut self.signature_scratch);
+                if let Some(idxs) = groups.get(self.signature_scratch.as_slice()) {
                     candidates.extend_from_slice(idxs);
                 }
             }
         }
         candidates.sort_unstable();
         candidates.dedup();
-        candidates.into_iter().find(|&pos| captures(pos))
+        candidates.iter().copied().find(|&pos| captures(pos))
     }
 
     /// Remove and return the entry for an MNS (resumption).
@@ -791,7 +812,7 @@ mod tests {
                     signature: Signature::of(&mns, &cols),
                     suspended_at: Timestamp::ZERO,
                     mns,
-                    signature_columns: cols,
+                    signature_columns: cols.into(),
                     tuples: Vec::new(),
                 });
                 self.entries.len() - 1

@@ -56,13 +56,14 @@ use crate::policy::{JitPolicy, MnsDetection};
 use jit_exec::operator::{
     DataMessage, FeedbackOutcome, OpContext, Operator, OperatorOutput, Port, LEFT, RIGHT,
 };
-use jit_exec::state::{JoinKeySpec, OperatorState, StateIndexMode, StoredTuple};
+use jit_exec::state::{JoinKeySpec, OperatorState, SpecHits, StateIndexMode, StoredTuple};
 use jit_metrics::CostKind;
 use jit_types::{
     ColumnRef, FastMap, Feedback, FeedbackCommand, PredicateSet, SourceSet, Timestamp, Tuple,
     TupleKey, Window,
 };
 use serde::{Content, Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Serialise a hash map as its `(key, value)` pairs sorted by key, so the
 /// checkpoint bytes are deterministic regardless of hasher state.
@@ -76,6 +77,16 @@ fn sorted_pairs<K: Ord + Clone, V: Clone>(map: &FastMap<K, V>) -> Vec<(K, V)> {
 /// least once, expressed in the operator's logical event sequence (one tick
 /// per insertion or drain), so that same-millisecond events stay ordered.
 type PresenceHistory = FastMap<TupleKey, Vec<(u64, u64)>>;
+
+/// The positions of `node`'s sources among `candidates` (ascending), as a
+/// bit mask: which per-source probes a node's settling list intersects.
+fn members_of(candidates: SourceSet, node: SourceSet) -> u64 {
+    candidates
+        .iter()
+        .enumerate()
+        .filter(|&(_, source)| node.contains(source))
+        .fold(0, |mask, (i, _)| mask | 1 << i)
+}
 
 /// What feeds one input port of a [`JitJoinOperator`], i.e. which of the
 /// port's MNSs a `<suspend>` could do anything about. A fact of the plan,
@@ -141,18 +152,26 @@ pub struct JitJoinOperator {
     /// (only maintained under [`MnsDetection::Bloom`]).
     blooms: [FastMap<ColumnRef, BloomFilter>; 2],
     /// Full-key spec for probing the *opposite* state with an input
-    /// arriving on each port, precomputed from the predicates.
+    /// arriving on each port, precomputed from the predicates. Only a port
+    /// that does not settle probes with it (see [`JitJoinOperator::settles`]).
     probe_specs: [JoinKeySpec; 2],
+    /// Per port, one spec per candidate source (ascending): the stored
+    /// columns of the opposite state paired with that source's. A settling
+    /// port probes the opposite state through these alone; the full key is
+    /// their union, so its bucket is the intersection of theirs.
+    source_specs: [Vec<JoinKeySpec>; 2],
     /// Per-port lattice nodes (the subsets of the port's candidate sources
-    /// its producer acts on) in settling order, largest first, each with its
-    /// membership-probe spec — precomputed so the hashed probe path
-    /// allocates and sorts nothing per tuple.
-    nodes: [Vec<(SourceSet, JoinKeySpec)>; 2],
+    /// its producer acts on) in settling order, largest first — precomputed
+    /// so the hashed probe path allocates and sorts nothing per tuple. A
+    /// node keeps no spec: a singleton's membership probe is its source's
+    /// entry in `source_specs`, and a larger node's settling list is the
+    /// intersection of its members' lists.
+    nodes: [Vec<SourceSet>; 2],
     /// Per MNS coverage (which fixes the side), the columns used to
     /// recognise tuples "similar" to such an MNS and the spec that finds
     /// the stored tuples carrying its values on them. Filled on the first
     /// suspension of each coverage.
-    suspend_shapes: FastMap<SourceSet, (Vec<ColumnRef>, JoinKeySpec)>,
+    suspend_shapes: FastMap<SourceSet, (Arc<[ColumnRef]>, JoinKeySpec)>,
     /// Ø-suspension: when set, all inputs are buffered unprocessed.
     fully_suspended: bool,
     /// Inputs buffered while fully suspended, with their arrival instants.
@@ -162,6 +181,8 @@ pub struct JitJoinOperator {
     /// allocates nothing: state-probe handles, detected MNSs, and each
     /// port's lattice (its inputs share their candidates).
     probe_hits: Vec<u64>,
+    /// What a settling port's probe found under each candidate source.
+    source_hits: SpecHits,
     detected: Vec<Tuple>,
     lattices: [Option<CnsLattice>; 2],
 }
@@ -191,10 +212,15 @@ impl JitJoinOperator {
                 schema_of(port),
             )
         });
-        let nodes = [LEFT, RIGHT].map(|port| {
-            let opp_schema = schema_of(Self::opposite(port));
-            let candidates = predicates.sources_facing(schema_of(port), opp_schema);
-            Self::settling_nodes(&predicates, opp_schema, candidates)
+        let candidates = [LEFT, RIGHT].map(|port| {
+            predicates.sources_facing(schema_of(port), schema_of(Self::opposite(port)))
+        });
+        let source_specs = [LEFT, RIGHT].map(|port| {
+            Self::source_specs(
+                &predicates,
+                schema_of(Self::opposite(port)),
+                candidates[port],
+            )
         });
         JitJoinOperator {
             states: [
@@ -202,7 +228,8 @@ impl JitJoinOperator {
                 OperatorState::new(format!("{name}.SR")),
             ],
             probe_specs,
-            nodes,
+            source_specs,
+            nodes: candidates.map(Self::settling_nodes),
             producers: [Producer::Unknown; 2],
             suspend_shapes: FastMap::default(),
             mns_buffers: [
@@ -220,6 +247,7 @@ impl JitJoinOperator {
             pending: Vec::new(),
             pending_bytes: 0,
             probe_hits: Vec::new(),
+            source_hits: SpecHits::default(),
             detected: Vec::new(),
             lattices: [None, None],
             name,
@@ -239,25 +267,87 @@ impl JitJoinOperator {
     pub fn fed_by(mut self, producers: [Producer; 2]) -> Self {
         self.producers = producers;
         for port in [LEFT, RIGHT] {
-            self.nodes[port].retain(|(node, _)| producers[port].acts_on(*node));
+            self.nodes[port].retain(|node| producers[port].acts_on(*node));
         }
         self
     }
 
     /// The subsets of `candidates` in the order the hashed probe path
-    /// settles them (largest first), each with the spec of its membership
-    /// probe of the state covering `opp_schema`.
-    fn settling_nodes(
-        predicates: &PredicateSet,
-        opp_schema: SourceSet,
-        candidates: SourceSet,
-    ) -> Vec<(SourceSet, JoinKeySpec)> {
+    /// settles them (largest first).
+    fn settling_nodes(candidates: SourceSet) -> Vec<SourceSet> {
         let mut nodes = candidates.non_empty_subsets();
         nodes.sort_by_key(|s| std::cmp::Reverse(s.len()));
         nodes
-            .into_iter()
-            .map(|node| (node, JoinKeySpec::between(predicates, opp_schema, node)))
+    }
+
+    /// One spec per source of `candidates`, ascending: the probe of the
+    /// state covering `opp_schema` by that source's columns alone.
+    fn source_specs(
+        predicates: &PredicateSet,
+        opp_schema: SourceSet,
+        candidates: SourceSet,
+    ) -> Vec<JoinKeySpec> {
+        candidates
+            .iter()
+            .map(|source| JoinKeySpec::between(predicates, opp_schema, SourceSet::single(source)))
             .collect()
+    }
+
+    /// Does `port` settle lattice nodes for an input with these candidate
+    /// sources? It does when its producer listens, detection walks the
+    /// lattice, the opposite state hashes and there are two candidates or
+    /// more — exactly when a node other than the full key can need a
+    /// membership probe. A settling port probes the opposite state only
+    /// through one index per candidate source, so the state never builds
+    /// the full-key index or one per multi-source node.
+    fn settles(&self, port: Port, candidates: SourceSet) -> bool {
+        self.producers[port].listens()
+            && self.policy.detection == MnsDetection::FullLattice
+            && self.states[Self::opposite(port)].index_mode() == StateIndexMode::Hashed
+            && candidates.len() >= 2
+    }
+
+    /// Probe the state opposite `port` for the partners of `input`, whose
+    /// candidate sources are `candidates`: the handles go to `hits`, in
+    /// insertion order. A settling port answers from its per-source indexes
+    /// and leaves what each found in `per_source`; any other port probes
+    /// the full key. Both find the same handles. Returns whether the port
+    /// settles.
+    fn probe_opposite(
+        &mut self,
+        port: Port,
+        input: &Tuple,
+        candidates: SourceSet,
+        per_source: &mut SpecHits,
+        hits: &mut Vec<u64>,
+    ) -> bool {
+        let opp = Self::opposite(port);
+        // The specs are precomputed per port; fresh ones are derived only
+        // for inputs not covering the port's schema exactly (never the case
+        // in well-formed plans).
+        let covers = input.sources() == self.schema_of(port);
+        let settles = self.settles(port, candidates);
+        if settles {
+            let specs_owned;
+            let specs = if covers {
+                &self.source_specs[port]
+            } else {
+                specs_owned = Self::source_specs(&self.predicates, self.schema_of(opp), candidates);
+                &specs_owned
+            };
+            self.states[opp].probe_union_into(specs, input, per_source, hits);
+        } else {
+            let spec_owned;
+            let spec = if covers {
+                &self.probe_specs[port]
+            } else {
+                spec_owned =
+                    JoinKeySpec::between(&self.predicates, self.schema_of(opp), input.sources());
+                &spec_owned
+            };
+            self.states[opp].probe_into(spec, input, hits);
+        }
+        settles
     }
 
     /// Does `port` report an MNS with this coverage to its producer?
@@ -621,11 +711,11 @@ impl JitJoinOperator {
                 let external = predicates.referenced_sources().difference(output);
                 let columns = predicates.join_columns(mns.sources(), external);
                 let spec = JoinKeySpec::on_columns(&columns);
-                (columns, spec)
+                (columns.into(), spec)
             });
         let entry_idx = self.blacklists[side].upsert_entry(
             mns.clone(),
-            sig_columns.clone(),
+            Arc::clone(sig_columns),
             SuspendMode::Suspend,
             now,
         );
@@ -745,22 +835,20 @@ impl JitJoinOperator {
         // Regenerate exactly the pairs never produced before, probing only
         // the candidates sharing the restored tuple's equi-join key.
         let mut evals = 0u64;
+        let mut produced = Vec::new();
+        let candidates = self.candidate_sources(&suspended.tuple, side);
+        let mut hits = std::mem::take(&mut self.probe_hits);
+        let mut per_source = std::mem::take(&mut self.source_hits);
+        self.probe_opposite(
+            side,
+            &suspended.tuple,
+            candidates,
+            &mut per_source,
+            &mut hits,
+        );
+        self.source_hits = per_source;
         let own_hist = self.histories[side].get(&suspended.tuple.key());
         let own_hist = own_hist.map_or(&[][..], Vec::as_slice);
-        let mut produced = Vec::new();
-        let spec_owned;
-        let spec = if suspended.tuple.sources() == self.schema_of(side) {
-            &self.probe_specs[side]
-        } else {
-            spec_owned = JoinKeySpec::between(
-                &self.predicates,
-                self.schema_of(opp),
-                suspended.tuple.sources(),
-            );
-            &spec_owned
-        };
-        let mut hits = std::mem::take(&mut self.probe_hits);
-        self.states[opp].probe_into(spec, &suspended.tuple, &mut hits);
         for stored in hits.iter().filter_map(|&seq| self.states[opp].get(seq)) {
             ctx.metrics.charge(CostKind::ProbePair, 1);
             if !self
@@ -877,19 +965,10 @@ impl Operator for JitJoinOperator {
         let mut evals = 0u64;
         // Only candidates carrying the full spanning equi-join key (plus
         // unindexable overflow entries) are examined for results; under
-        // `Scan` that is every live tuple. The spec is precomputed per port;
-        // a fresh one is derived only for inputs not covering the port's
-        // schema exactly (never the case in well-formed plans).
-        let spec_owned;
-        let spec = if msg.tuple.sources() == self.schema_of(port) {
-            &self.probe_specs[port]
-        } else {
-            spec_owned =
-                JoinKeySpec::between(&self.predicates, self.schema_of(opp), msg.tuple.sources());
-            &spec_owned
-        };
+        // `Scan` that is every live tuple.
         let mut hits = std::mem::take(&mut self.probe_hits);
-        self.states[opp].probe_into(spec, &msg.tuple, &mut hits);
+        let mut per_source = std::mem::take(&mut self.source_hits);
+        let settles = self.probe_opposite(port, &msg.tuple, candidates, &mut per_source, &mut hits);
         for stored in hits.iter().filter_map(|&seq| self.states[opp].get(seq)) {
             ctx.metrics.charge(CostKind::ProbePair, 1);
             if !self.window.can_join(msg.tuple.ts(), stored.tuple.ts()) {
@@ -913,8 +992,9 @@ impl Operator for JitJoinOperator {
         // dead iff some live stored tuple within the window matches every
         // predicate from S — exactly what a scan establishes by observing
         // every stored tuple, which is why `Scan` settles nothing here. The
-        // top node is already settled by the full probe above.
-        let settles = self.states[opp].index_mode() == StateIndexMode::Hashed;
+        // top node is already settled by the full probe above. A node's
+        // candidates need no lookup: the full probe already found each
+        // source's, and a node takes the intersection of its members'.
         if let Some(l) = lattice.as_mut().filter(|_| settles) {
             // The nodes are precomputed per port; derive them fresh only for
             // inputs not covering the port's schema exactly.
@@ -922,20 +1002,19 @@ impl Operator for JitJoinOperator {
             let nodes = if msg.tuple.sources() == self.schema_of(port) {
                 &self.nodes[port]
             } else {
-                let mut nodes =
-                    Self::settling_nodes(&self.predicates, self.schema_of(opp), candidates);
-                nodes.retain(|(node, _)| self.reports(port, *node));
+                let mut nodes = Self::settling_nodes(candidates);
+                nodes.retain(|node| self.reports(port, *node));
                 nodes_owned = nodes;
                 &nodes_owned
             };
-            for &(node, ref node_spec) in nodes {
+            for &node in nodes {
                 if l.all_dead() {
                     break;
                 }
                 if node == candidates || !l.is_alive(node) {
                     continue;
                 }
-                self.states[opp].probe_into(node_spec, &msg.tuple, &mut hits);
+                per_source.union_into(members_of(candidates, node), &mut hits);
                 let state = &self.states[opp];
                 let hit = hits.iter().filter_map(|&seq| state.get(seq)).any(|stored| {
                     ctx.metrics.charge(CostKind::ProbePair, 1);
@@ -949,6 +1028,7 @@ impl Operator for JitJoinOperator {
             }
         }
         self.probe_hits = hits;
+        self.source_hits = per_source;
         ctx.metrics.charge(CostKind::PredicateEval, evals);
 
         // Consumer step 3: detect the MNSs of the input this side's producer
@@ -1177,7 +1257,6 @@ mod tests {
     use super::*;
     use jit_metrics::RunMetrics;
     use jit_types::{BaseTuple, Duration, SourceId, Value};
-    use std::sync::Arc;
 
     /// Sources: A=0, B=1, C=2 with the Figure 1 predicates
     /// A.x0 = B.x0 and A.x1 = C.x0.
@@ -2016,5 +2095,130 @@ mod tests {
             .collect();
         assert_eq!(kept, vec![SourceSet::single(SourceId(1))]);
         assert_eq!(restored.state_len(LEFT), 1);
+    }
+
+    /// A base tuple of source `source` under `PredicateSet::clique(4)`: one
+    /// column facing each of the other three sources.
+    fn clique_part(source: u16, seq: u64, values: [i64; 3]) -> Tuple {
+        Tuple::from_base(Arc::new(BaseTuple::new(
+            SourceId(source),
+            seq,
+            Timestamp::from_secs(seq),
+            values.into_iter().map(Value::int).collect(),
+        )))
+    }
+
+    /// The composite of `sources` at `seq`, each part's values drawn from
+    /// `0..domain` by `rng`.
+    fn clique_composite(
+        rng: &mut proptest::rand::rngs::StdRng,
+        domain: i64,
+        sources: &[u16],
+        seq: u64,
+    ) -> Tuple {
+        use proptest::rand::Rng;
+        sources
+            .iter()
+            .map(|&source| clique_part(source, seq, [(); 3].map(|()| rng.gen_range(0..domain))))
+            .reduce(|a, b| a.join(&b).expect("disjoint sources"))
+            .expect("at least one source")
+    }
+
+    /// What a plan builder states for a port fed by the join of two sources.
+    fn join_of(left: u16, right: u16) -> Producer {
+        Producer::Join {
+            left: SourceSet::single(SourceId(left)),
+            right: SourceSet::single(SourceId(right)),
+        }
+    }
+
+    /// `PlanShape::bushy(4)`'s top join `AB⋈CD`: both ports are fed by a
+    /// join and have two candidate sources, so both settle — and each
+    /// probes the opposite state through one index per candidate source.
+    /// After a run that settles lattice nodes on both sides, each state
+    /// holds exactly those two indexes and no 4-column full-key index: the
+    /// full probe is their intersection.
+    #[test]
+    fn settling_ports_index_the_opposite_state_once_per_candidate_source() {
+        use proptest::rand::{rngs::StdRng, SeedableRng};
+        let cd = SourceSet::from_iter([SourceId(2), SourceId(3)]);
+        let mut top = JitJoinOperator::new(
+            "AB⋈CD",
+            SourceSet::first_n(2),
+            cd,
+            PredicateSet::clique(4),
+            window(),
+            JitPolicy::full(),
+        )
+        .fed_by([join_of(0, 1), join_of(2, 3)]);
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut metrics = RunMetrics::new();
+        let mut results = 0;
+        for seq in 0..900 {
+            let (port, sources) = if seq % 2 == 0 {
+                (LEFT, [0, 1])
+            } else {
+                (RIGHT, [2, 3])
+            };
+            let msg = DataMessage::new(clique_composite(&mut rng, 6, &sources, seq));
+            results += process(&mut top, port, &msg, &mut metrics).results.len();
+        }
+        // A component MNS is detected only once its node, settled by a
+        // membership probe, found no partner.
+        assert!(results > 0 && metrics.stats.mns_detected > 100);
+        let indexes = [LEFT, RIGHT].map(|side| top.states[side].num_indexes());
+        assert_eq!(indexes, [2, 2]);
+    }
+
+    /// `PlanShape::left_deep(4)`'s middle join `AB⋈C`: its left port (fed
+    /// by `A⋈B`, candidates `A` and `B`) settles, so the `C` state holds one
+    /// index for each. A suspended `AB` tuple, resumed, regenerates its
+    /// results through the same two indexes — the regeneration probe builds
+    /// no full-key index either.
+    #[test]
+    fn a_resumed_tuple_regenerates_through_the_per_source_indexes() {
+        use proptest::rand::{rngs::StdRng, SeedableRng};
+        let mut middle = JitJoinOperator::new(
+            "AB⋈C",
+            SourceSet::first_n(2),
+            SourceSet::single(SourceId(2)),
+            PredicateSet::clique(4),
+            window(),
+            JitPolicy::full(),
+        )
+        .fed_by([join_of(0, 1), Producer::Passive]);
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut metrics = RunMetrics::new();
+        let (mut suspended, mut regenerated) = (Vec::new(), 0);
+        for seq in 0..600 {
+            let now = Timestamp::from_secs(seq);
+            if seq % 3 == 0 {
+                let msg = DataMessage::new(clique_composite(&mut rng, 3, &[2], seq));
+                process(&mut middle, RIGHT, &msg, &mut metrics);
+                continue;
+            }
+            let ab = clique_composite(&mut rng, 3, &[0, 1], seq);
+            process(
+                &mut middle,
+                LEFT,
+                &DataMessage::new(ab.clone()),
+                &mut metrics,
+            );
+            let mut ctx = OpContext::new(now, &mut metrics);
+            // As the top join would: the `A` of every seventh `AB` has no
+            // `D` partner, until a dozen arrivals later it does.
+            if seq % 7 == 0 {
+                let a = ab.project(SourceSet::single(SourceId(0)));
+                middle.handle_feedback(&Feedback::suspend(vec![a.clone()]), &mut ctx);
+                suspended.push((seq + 12, a));
+            }
+            while suspended.first().is_some_and(|&(due, _)| due <= seq) {
+                let (_, a) = suspended.remove(0);
+                let outcome = middle.handle_feedback(&Feedback::resume(vec![a]), &mut ctx);
+                regenerated += outcome.resumed.len();
+            }
+        }
+        assert!(metrics.stats.resumed_tuples > 50 && regenerated > 0);
+        assert_eq!(middle.states[RIGHT].num_indexes(), 2);
     }
 }

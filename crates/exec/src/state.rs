@@ -26,10 +26,14 @@
 //! construction: the first probe with a new [`JoinKeySpec`] builds the index
 //! for it by one scan of the live entries, and every later insertion
 //! maintains all existing indexes incrementally. This is the "build exactly
-//! the index the workload needs" discipline — a JIT state, probed once per
-//! lattice node it settles, simply accretes one small index per node key it
-//! encounters. The state transparently falls back to a full scan whenever
-//! hashing cannot answer the probe exactly:
+//! the index the workload needs" discipline, taken one step further where
+//! one port needs many keys: a JIT port that settles lattice nodes probes
+//! the opposite state with one small index per candidate source and
+//! composes its full-key probe, and every node's, by intersecting their
+//! buckets ([`OperatorState::probe_union_into`]) — so the state never files
+//! a tuple under the full key or a multi-source node key. The state
+//! transparently falls back to a full scan whenever hashing cannot answer
+//! the probe exactly:
 //!
 //! * the spec is empty (no equi-join predicate spans the two inputs, e.g. a
 //!   cross product or a pure theta join),
@@ -282,12 +286,13 @@ fn inline_ints(key: &[Value]) -> Option<[i64; INLINE_INTS]> {
 /// Bucket storage for a [`HashIndex`], specialized by key shape.
 ///
 /// The paper's workloads join on integers: a base state keys on one column,
-/// an intermediate-result state on several (`bushy_jit`'s top join files
-/// every `AB` and `CD` under a 4-column key, and JIT files them again under
-/// two 2-column settling-node keys). Keyed by `Vec<Value>`, every distinct
-/// key is a heap block allocated on its first insert and freed when its
-/// bucket empties, and every hash and equality test chases its pointer. The
-/// `Int` and `Ints` variants key the map with the values inline instead.
+/// an intermediate-result state on several (REF's top join on `bushy_jit`
+/// files every `AB` and `CD` under a 4-column key; JIT's files them under
+/// two 2-column keys instead, one per candidate source). Keyed by
+/// `Vec<Value>`, every distinct key is a heap block allocated on its first
+/// insert and freed when its bucket empties, and every hash and equality
+/// test chases its pointer. The `Int` and `Ints` variants key the map with
+/// the values inline instead.
 /// An index starts in `Int` mode, moves to `Ints` while still empty if its
 /// first key is two to four integers, and migrates once (rehashing existing
 /// entries) to `Generic` the first time a key arrives that does not fit.
@@ -477,21 +482,51 @@ impl HashIndex {
         is_live: impl Fn(u64) -> bool,
         out: &mut Vec<u64>,
     ) {
-        let Some(bucket) = self.buckets.get_mut(key) else {
+        if self.overflow.is_empty() {
+            self.live_bucket_into(key, &is_live, out);
+            return;
+        }
+        self.overflow.retain(|&h| is_live(h));
+        match self.buckets.get_mut(key) {
+            Some(bucket) => {
+                bucket.retain(&is_live);
+                merge_ascending_into(bucket.as_slice(), &self.overflow, out);
+            }
+            None => out.extend_from_slice(&self.overflow),
+        }
+    }
+
+    /// [`HashIndex::live_candidates_into`] with the bucket's handles and the
+    /// overflow list's kept apart, each appended ascending to its own output.
+    fn live_parts_into(
+        &mut self,
+        key: &[Value],
+        is_live: impl Fn(u64) -> bool,
+        bucket_out: &mut Vec<u64>,
+        overflow_out: &mut Vec<u64>,
+    ) {
+        if !self.overflow.is_empty() {
             self.overflow.retain(|&h| is_live(h));
-            out.extend_from_slice(&self.overflow);
+            overflow_out.extend_from_slice(&self.overflow);
+        }
+        self.live_bucket_into(key, &is_live, bucket_out);
+    }
+
+    /// Append the live handles filed under `key` to `out`, ascending. The
+    /// bucket is read, not written, unless dead handles dominate it.
+    fn live_bucket_into(
+        &mut self,
+        key: &[Value],
+        is_live: &impl Fn(u64) -> bool,
+        out: &mut Vec<u64>,
+    ) {
+        let Some(bucket) = self.buckets.get_mut(key) else {
             return;
         };
-        if self.overflow.is_empty() {
-            let before = out.len();
-            out.extend(bucket.as_slice().iter().copied().filter(|&h| is_live(h)));
-            if bucket.as_slice().len() > 2 * (out.len() - before) + 8 {
-                bucket.retain(&is_live);
-            }
-        } else {
-            bucket.retain(&is_live);
-            self.overflow.retain(|&h| is_live(h));
-            merge_ascending_into(bucket.as_slice(), &self.overflow, out);
+        let before = out.len();
+        out.extend(bucket.as_slice().iter().copied().filter(|&h| is_live(h)));
+        if bucket.as_slice().len() > 2 * (out.len() - before) + 8 {
+            bucket.retain(is_live);
         }
     }
 
@@ -507,6 +542,88 @@ impl HashIndex {
         self.buckets.clear();
         self.overflow.clear();
     }
+}
+
+/// What one probing tuple found in a state under each of several
+/// [`JoinKeySpec`]s ([`OperatorState::probe_union_into`]), kept per spec:
+/// the live handles in its bucket and in its overflow list.
+#[derive(Debug, Clone, Default)]
+pub struct SpecHits {
+    /// Number of specs probed; the vectors below may be longer (they keep
+    /// their buffers from call to call).
+    len: usize,
+    /// Per spec, the live handles filed under the probe's key, ascending.
+    buckets: Vec<Vec<u64>>,
+    /// Per spec, the live handles of its overflow list, ascending.
+    overflows: Vec<Vec<u64>>,
+    /// Bit `i` set: spec `i` could not key the probe (or the state scans),
+    /// so any union holding it has every live handle for candidates.
+    unkeyed: u64,
+    /// Every live handle, ascending — filled only when `unkeyed` is not 0.
+    live: Vec<u64>,
+}
+
+impl SpecHits {
+    fn reset(&mut self, len: usize) {
+        self.len = len;
+        if self.buckets.len() < len {
+            self.buckets.resize_with(len, Vec::new);
+            self.overflows.resize_with(len, Vec::new);
+        }
+        for list in self.buckets[..len]
+            .iter_mut()
+            .chain(&mut self.overflows[..len])
+        {
+            list.clear();
+        }
+        self.unkeyed = 0;
+        self.live.clear();
+    }
+
+    /// What [`OperatorState::probe_into`] returns, written into `out`
+    /// (cleared first), for the union of the specs whose positions are set
+    /// in `members` (bit `i` for spec `i`; at least one): the intersection
+    /// of their buckets plus the union of their overflow lists, ascending,
+    /// or every live handle if one of them could not key the probe.
+    pub fn union_into(&self, members: u64, out: &mut Vec<u64>) {
+        debug_assert!(
+            members != 0 && members >> self.len == 0,
+            "members of the probe"
+        );
+        out.clear();
+        if members & self.unkeyed != 0 {
+            out.extend_from_slice(&self.live);
+            return;
+        }
+        let positions = (0..self.len).filter(|&i| members >> i & 1 == 1);
+        // The intersection is no larger than the smallest bucket.
+        let Some(smallest) = positions.clone().min_by_key(|&i| self.buckets[i].len()) else {
+            return;
+        };
+        out.extend_from_slice(&self.buckets[smallest]);
+        for i in positions.clone().filter(|&i| i != smallest) {
+            retain_common(out, &self.buckets[i]);
+        }
+        // A handle in some spec's overflow is in no intersection: disjoint.
+        if positions.clone().any(|i| !self.overflows[i].is_empty()) {
+            let mut spilled: Vec<u64> = positions
+                .flat_map(|i| self.overflows[i].iter().copied())
+                .collect();
+            spilled.sort_unstable();
+            spilled.dedup();
+            let common = std::mem::take(out);
+            merge_ascending_into(&common, &spilled, out);
+        }
+    }
+}
+
+/// Keep in the ascending `out` only the handles the ascending `other` holds.
+fn retain_common(out: &mut Vec<u64>, other: &[u64]) {
+    let mut rest = other.iter().peekable();
+    out.retain(|&h| {
+        while rest.next_if(|&&o| o < h).is_some() {}
+        rest.peek() == Some(&&h)
+    });
 }
 
 /// Has an index owner let enough removals pile up to call
@@ -833,14 +950,64 @@ impl OperatorState {
     /// The hashed probe proper: the live bucket/overflow merge for one
     /// formed key, written into `out`.
     fn probe_key_slice_into(&mut self, spec: &JoinKeySpec, key: &[Value], out: &mut Vec<u64>) {
-        let at = match self.indexes.iter().position(|(s, _)| s == spec) {
-            Some(at) => at,
-            None => self.build_index(spec),
-        };
+        let at = self.index_for(spec);
         let (slots, base) = (&self.slots, self.base);
         self.indexes[at]
             .1
             .live_candidates_into(key, |seq| is_live(slots, base, seq), out);
+    }
+
+    /// [`OperatorState::probe_into`] for the union of `specs` (each
+    /// non-empty, at most 64), answered from one index per spec instead of
+    /// one for the union. When every spec keys the probe, the candidates are
+    /// the intersection of the specs' buckets plus the union of their
+    /// overflow lists, ascending — the union spec's bucket and overflow
+    /// exactly: a stored tuple carries the union key iff it carries each
+    /// spec's key, and lacks a union-key column iff it lacks one of some
+    /// spec's. If some spec cannot key the probe, or the state scans, the
+    /// candidates are every live handle.
+    ///
+    /// What each spec found is left in `hits`, which answers the union of
+    /// any subset of `specs` ([`SpecHits::union_into`]) with no further
+    /// lookup.
+    pub fn probe_union_into(
+        &mut self,
+        specs: &[JoinKeySpec],
+        probe: &Tuple,
+        hits: &mut SpecHits,
+        out: &mut Vec<u64>,
+    ) {
+        debug_assert!((1..=64).contains(&specs.len()), "one to 64 specs");
+        hits.reset(specs.len());
+        let mut scratch = std::mem::take(&mut self.key_scratch);
+        for (i, spec) in specs.iter().enumerate() {
+            debug_assert!(!spec.is_empty(), "an empty spec keys nothing");
+            if self.mode == StateIndexMode::Scan || !spec.probe_key_into(probe, &mut scratch) {
+                hits.unkeyed |= 1 << i;
+                continue;
+            }
+            let at = self.index_for(spec);
+            let (slots, base) = (&self.slots, self.base);
+            self.indexes[at].1.live_parts_into(
+                &scratch,
+                |seq| is_live(slots, base, seq),
+                &mut hits.buckets[i],
+                &mut hits.overflows[i],
+            );
+        }
+        self.key_scratch = scratch;
+        if hits.unkeyed != 0 {
+            self.all_live_into(&mut hits.live);
+        }
+        hits.union_into(u64::MAX >> (64 - specs.len()), out);
+    }
+
+    /// The position in `indexes` of the index for `spec`, built on first use.
+    fn index_for(&mut self, spec: &JoinKeySpec) -> usize {
+        match self.indexes.iter().position(|(s, _)| s == spec) {
+            Some(at) => at,
+            None => self.build_index(spec),
+        }
     }
 
     /// The timestamp of the next entry the expiry heap would consider, if
@@ -1668,6 +1835,117 @@ mod tests {
                 }
                 assert!(compactions > 0, "the sequence must cross a compaction");
                 assert!(hashed.num_indexes() >= 3, "drain and probe specs each built an index");
+            }
+        }
+    }
+
+    /// [`OperatorState::probe_union_into`] against [`OperatorState::probe_into`]
+    /// with the union spec, on random states: the clique of four sources,
+    /// `D` stored and probed by `ABC` composites through one spec per probe
+    /// source. Stored tuples and probes of random arity lack key columns
+    /// (overflow, scan fallback), and probes interleave with purges, drains
+    /// and restores; every subset's union answered from the hits must equal
+    /// a probe with that subset's spec, handle for handle.
+    mod union_model {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::rand::{rngs::StdRng, Rng, SeedableRng};
+
+        fn part(rng: &mut StdRng, source: u16, seq: u64, ts_ms: u64) -> Tuple {
+            let arity = if rng.gen_bool(0.15) {
+                rng.gen_range(1..3)
+            } else {
+                3
+            };
+            let values = (0..arity)
+                .map(|_| match rng.gen_range(0u32..30) {
+                    0 => Value::Null,
+                    1 => Value::str("k"),
+                    _ => Value::int(rng.gen_range(0i64..3)),
+                })
+                .collect();
+            Tuple::from_base(Arc::new(BaseTuple::new(
+                SourceId(source),
+                seq,
+                Timestamp::from_millis(ts_ms),
+                values,
+            )))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+            #[test]
+            fn union_probe_equals_the_union_spec_probe(seed in 0u64..1_000_000) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let predicates = PredicateSet::clique(4);
+                let stored = SourceSet::single(SourceId(3));
+                let sources = [0u16, 1, 2].map(SourceId);
+                let specs = sources.map(|s| JoinKeySpec::between(&predicates, stored, SourceSet::single(s)));
+                let spec_of = |members: u64| {
+                    let probe = sources
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, _)| members >> i & 1 == 1)
+                        .fold(SourceSet::EMPTY, |set, (_, &s)| set.union(SourceSet::single(s)));
+                    JoinKeySpec::between(&predicates, stored, probe)
+                };
+                let window = Window::new(Duration::from_secs(20));
+                let mut hashed = OperatorState::new("S_D");
+                let mut scan = OperatorState::with_index_mode("S_D", StateIndexMode::Scan);
+                let mut parked = Vec::new();
+                let (mut hits, mut got, mut want) = (SpecHits::default(), Vec::new(), Vec::new());
+                let (mut now_ms, mut unkeyed, mut spilled) = (0u64, 0usize, 0usize);
+                for seq in 0..600u64 {
+                    now_ms += rng.gen_range(0u64..300);
+                    let now = Timestamp::from_millis(now_ms);
+                    match rng.gen_range(0u32..100) {
+                        0..=44 => {
+                            let tuple = part(&mut rng, 3, seq, now_ms);
+                            hashed.insert(tuple.clone(), now);
+                            scan.insert(tuple, now);
+                        }
+                        45..=49 => {
+                            let residue = rng.gen_range(0u64..4);
+                            let pick = |e: &StoredTuple| e.tuple.parts()[0].seq % 4 == residue;
+                            let empty = JoinKeySpec::on_columns(&[]);
+                            parked.extend(hashed.drain_matching(&empty, &Tuple::empty(), pick));
+                            scan.drain_matching(&empty, &Tuple::empty(), pick);
+                        }
+                        50..=54 => {
+                            for entry in parked.drain(..) {
+                                hashed.restore(StoredTuple::clone(&entry));
+                                scan.restore(entry);
+                            }
+                        }
+                        55..=59 => {
+                            hashed.purge(window, now);
+                            scan.purge(window, now);
+                        }
+                        _ => {
+                            let probe = sources
+                                .iter()
+                                .map(|s| part(&mut rng, s.0, seq, now_ms))
+                                .reduce(|a, b| a.join(&b).expect("disjoint sources"))
+                                .expect("three parts");
+                            hashed.probe_union_into(&specs, &probe, &mut hits, &mut got);
+                            hashed.probe_into(&spec_of(0b111), &probe, &mut want);
+                            prop_assert_eq!(&got, &want, "step {}: the full union", seq);
+                            unkeyed += usize::from(hits.unkeyed != 0);
+                            spilled += usize::from(hits.overflows.iter().any(|o| !o.is_empty()));
+                            for members in 1..=0b111u64 {
+                                hits.union_into(members, &mut got);
+                                hashed.probe_into(&spec_of(members), &probe, &mut want);
+                                prop_assert_eq!(&got, &want, "step {}: members {:b}", seq, members);
+                            }
+                            // A state that scans answers every union with every live handle.
+                            scan.probe_union_into(&specs, &probe, &mut hits, &mut got);
+                            scan.probe_into(&spec_of(0b111), &probe, &mut want);
+                            prop_assert_eq!(&got, &want, "step {}: scan", seq);
+                        }
+                    }
+                }
+                prop_assert!(unkeyed > 0 && spilled > 0, "probes must cover the fallbacks");
             }
         }
     }

@@ -11,6 +11,7 @@ use crate::schema::ColumnRef;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// The values a tuple exposes on a fixed, ordered set of join columns.
@@ -27,13 +28,31 @@ impl Signature {
     /// keeps signatures over the same column list comparable even when taken
     /// from sub-tuples of different coverage.
     pub fn of(tuple: &Tuple, columns: &[ColumnRef]) -> Signature {
-        let mut entries: Vec<(ColumnRef, Value)> = columns
-            .iter()
-            .map(|&c| (c, tuple.value(c).cloned().unwrap_or(Value::Null)))
-            .collect();
-        entries.sort_by_key(|(c, _)| *c);
-        entries.dedup_by_key(|(c, _)| *c);
+        let mut entries = Vec::with_capacity(columns.len());
+        Self::of_into(tuple, columns, &mut entries);
         Signature(entries)
+    }
+
+    /// [`Signature::of`] into a caller-owned buffer (cleared first): a map
+    /// keyed by `Signature` is probed with the slice, allocating nothing.
+    pub fn of_into(tuple: &Tuple, columns: &[ColumnRef], out: &mut Vec<(ColumnRef, Value)>) {
+        out.clear();
+        out.extend(
+            columns
+                .iter()
+                .map(|&c| (c, tuple.value(c).cloned().unwrap_or(Value::Null))),
+        );
+        out.sort_by_key(|(c, _)| *c);
+        out.dedup_by_key(|(c, _)| *c);
+    }
+
+    /// Does `tuple` carry this signature's values — is
+    /// `Signature::of(tuple, columns)` equal to it, for the columns it was
+    /// taken over? Compared in place.
+    pub fn matches(&self, tuple: &Tuple) -> bool {
+        self.0
+            .iter()
+            .all(|(c, v)| tuple.value(*c).map_or(v.is_null(), |own| own == v))
     }
 
     /// Is the signature empty (no join columns)?
@@ -59,6 +78,15 @@ impl Signature {
                 .iter()
                 .map(|(_, v)| std::mem::size_of::<ColumnRef>() + v.size_bytes())
                 .sum::<usize>()
+    }
+}
+
+/// A signature hashes and compares as its entry slice (the derived `Hash`
+/// and `Eq` of the one-field struct are the `Vec`'s), so a map keyed by
+/// `Signature` answers a lookup by slice.
+impl Borrow<[(ColumnRef, Value)]> for Signature {
+    fn borrow(&self) -> &[(ColumnRef, Value)] {
+        &self.0
     }
 }
 
@@ -159,5 +187,38 @@ mod tests {
             .or_insert(0) += 10;
         assert_eq!(map.len(), 1);
         assert_eq!(map.values().sum::<u32>(), 11);
+        // A signature formed in a reused buffer finds the same entry.
+        let mut scratch = Vec::new();
+        Signature::of_into(&tup(0, 3, &[1, 100]), &cols, &mut scratch);
+        assert_eq!(map.get(scratch.as_slice()), Some(&11));
+        Signature::of_into(&tup(0, 4, &[1, 200]), &cols, &mut scratch);
+        assert_eq!(map.get(scratch.as_slice()), None);
+    }
+
+    /// `matches` compares in place what `of` would build and compare,
+    /// missing columns (Null) included.
+    #[test]
+    fn matches_equals_comparing_a_fresh_signature() {
+        let cols = [
+            ColumnRef::new(SourceId(0), 1),
+            ColumnRef::new(SourceId(1), 0),
+        ];
+        let a1 = tup(0, 1, &[7, 100]);
+        let sig = Signature::of(&a1, &cols);
+        let b = tup(1, 1, &[100]);
+        for probe in [
+            a1.clone(),
+            tup(0, 2, &[9, 100]),
+            tup(0, 3, &[7, 200]),
+            tup(0, 4, &[7]),
+            a1.join(&b).unwrap(),
+            b,
+        ] {
+            assert_eq!(
+                sig.matches(&probe),
+                Signature::of(&probe, &cols) == sig,
+                "{probe}"
+            );
+        }
     }
 }

@@ -316,34 +316,42 @@ fn serving_tier_allocations_per_arrival_stay_in_budget() {
     );
 }
 
-/// Budgets: the counts measured once a hash index keeps a key of two to four
-/// integer columns inline in its map slot (17.74 / 16.07 / 5.95 / 0.94, debug
-/// and release alike), plus about 10 %. With every such key a heap
-/// `Vec<Value>`, allocated when its bucket was created, the same binary read
-/// 29.50 / 27.31 / 6.27 / 1.26. What is left per arrival: the shared part
-/// slice of each result row, the `Vec` of rows an operator call returns when
-/// it matched, and the `fresh` / feedback `Vec`s a detected MNS travels in.
+/// Budgets: the counts measured plus about 10 %. JIT reads 16.79 / 4.50 /
+/// 4.63 on the bushy, shared-key and bounded shapes, REF 16.07 / 0.94 / 0.94,
+/// debug and release alike, once a settling port probes through one index
+/// per candidate source (no full-key or multi-source node index to file
+/// into) and the blacklist's diversion check forms its candidates and the
+/// arrival's signatures in reused buffers, compares a captured signature in
+/// place and shares an entry's column list; before, JIT read 17.74 / 5.95 /
+/// 6.08. With every key of two to four integer columns a heap `Vec<Value>`,
+/// allocated when its bucket was created, the bushy and shared-key shapes
+/// read 29.50 / 27.31 / 6.27 / 1.26. What is left per arrival: the shared
+/// part slice of each result row, the `Vec` of rows an operator call returns
+/// when it matched, and the `fresh` / feedback `Vec`s a detected MNS travels
+/// in.
 ///
-/// The bounded shape reads 6.08 / 0.94 once the reorder stage buffers in the
-/// near-sorted expiry queue and releases by draining it: REF allocates
-/// exactly what it does on in-order arrivals. With the stage a B-tree split
-/// per release into a fresh `Vec`, the same binary read 9.38 / 4.24.
-const BUSHY_JIT_BUDGET: f64 = 19.5;
+/// The bounded shape's REF count equals its in-order one once the reorder
+/// stage buffers in the near-sorted expiry queue and releases by draining
+/// it. With the stage a B-tree split per release into a fresh `Vec`, the
+/// same binary read 9.38 / 4.24.
+const BUSHY_JIT_BUDGET: f64 = 18.5;
 const BUSHY_REF_BUDGET: f64 = 17.7;
-const SHAREDKEY_JIT_BUDGET: f64 = 6.5;
+const SHAREDKEY_JIT_BUDGET: f64 = 5.0;
 const SHAREDKEY_REF_BUDGET: f64 = 1.05;
-const BOUNDED_JIT_BUDGET: f64 = 6.7;
+const BOUNDED_JIT_BUDGET: f64 = 5.1;
 const BOUNDED_REF_BUDGET: f64 = 1.05;
 
-/// JIT's peak heap over REF's: 1.216 (10.005 / 8.228 MB) and 2.373 (3.075 /
-/// 1.296 MB) once a stored tuple's presence stamp rides in its state slot,
-/// plus 10 %; with the stamps in a map beside the states this binary read
-/// 1.559 and 2.910. Inline composite keys raise the ratios to 1.261 (8.244 /
-/// 6.537 MB) and 2.429 (2.974 / 1.225 MB) without moving the bounds: REF's
-/// top join sheds the same key blocks JIT's does, so both heaps shrink and
-/// REF's by the larger share. ROADMAP's bar for the bushy shape is 1.5 — the
-/// bound may be re-pinned below that, never above. The bounded shape reads
-/// 2.412 (2.987 / 1.239 MB), bound 2.65.
+/// JIT's peak heap over REF's, bound at the measured ratio plus about 7 %:
+/// 0.685 (4.478 / 6.537 MB) on the bushy shape, 2.181 (2.670 / 1.224 MB) on
+/// the shared-key shape and 2.167 (2.684 / 1.239 MB) on the bounded one,
+/// once a settling port keeps one index per candidate source on the
+/// opposite state: `AB⋈CD` no longer files every `AB` and `CD` under a
+/// 4-column full key beside the two per-source keys, so JIT's bushy heap
+/// falls below REF's, which holds the full-key indexes. With them the same
+/// binary read 1.260 (8.239 / 6.537 MB), 2.412 and 2.395. Earlier: 1.216 and
+/// 2.373 once a stored tuple's presence stamp rode in its state slot; 1.559
+/// and 2.910 with the stamps in a map beside the states. ROADMAP's bar for
+/// the bushy shape is 1.5 — a bound may be re-pinned lower, never higher.
 /// The serving shape reads 2.49 push + 0.25 poll = 2.74 allocations per
 /// arrival and 2.628 MB peak heap, debug and release alike, once every
 /// pipeline that reads a source under its global id holds the pushed
@@ -355,6 +363,6 @@ const BOUNDED_REF_BUDGET: f64 = 1.05;
 const SERVE_BUDGET: f64 = 3.0;
 const SERVE_HEAP_BOUND_MB: f64 = 2.9;
 
-const BUSHY_HEAP_RATIO_BOUND: f64 = 1.34;
-const SHAREDKEY_HEAP_RATIO_BOUND: f64 = 2.61;
-const BOUNDED_HEAP_RATIO_BOUND: f64 = 2.65;
+const BUSHY_HEAP_RATIO_BOUND: f64 = 0.73;
+const SHAREDKEY_HEAP_RATIO_BOUND: f64 = 2.33;
+const BOUNDED_HEAP_RATIO_BOUND: f64 = 2.32;

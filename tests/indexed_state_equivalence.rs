@@ -96,15 +96,25 @@ proptest! {
     /// Random equi-join workloads through indexed vs scan states, REF and
     /// JIT, including the expiring regime (window shorter than the trace)
     /// so ordered expiry is exercised against the retain-scan semantics.
+    /// Up to five sources: a JIT port with three or four candidate sources
+    /// composes its probe from as many per-source indexes, and settles
+    /// multi-source lattice nodes from them.
     #[test]
     fn random_workloads_indexed_equals_scan(
-        sources in 2usize..=3,
+        sources in 2usize..=5,
         dmax in 3u64..=15,
         window_s in 40u64..=160,
         duration_s in 60u64..=140,
         seed in 0u64..10_000,
         left_deep in proptest::bool::ANY,
     ) {
+        // A dense clique's intermediate results grow with the fan-in: four
+        // and five sources run a third and a quarter as long.
+        let duration_s = match sources {
+            4 => duration_s / 3,
+            5 => duration_s / 4,
+            _ => duration_s,
+        };
         let spec = WorkloadSpec::bushy_default()
             .with_sources(sources)
             .with_window_minutes(window_s as f64 / 60.0)
@@ -392,35 +402,55 @@ fn empty_and_single_arrival_streams_finish() {
 
 /// JIT feedback behaviour (suppression, blacklisting, resumption) must be
 /// bit-for-bit identical between the two probe paths — the index only
-/// changes how candidates are found, never which MNSs are detected.
+/// changes how candidates are found, never which MNSs are detected. Left-deep
+/// N = 5 gives the top join four candidate sources: a 4-way intersection for
+/// its probe and ten multi-source lattice nodes settled from it.
 #[test]
 fn jit_feedback_counters_match_between_index_modes() {
-    let spec = WorkloadSpec::bushy_default()
+    let bushy3 = WorkloadSpec::bushy_default()
         .with_sources(3)
         .with_dmax(25)
         .with_window_minutes(1.0)
         .with_duration(Duration::from_mins(3))
         .with_seed(99);
-    let shape = PlanShape::bushy(3);
-    let trace = WorkloadGenerator::generate(&spec);
-    let mode = ExecutionMode::Jit(JitPolicy::full());
-    let scan = run_with_index(&spec, &shape, &trace, mode, StateIndexMode::Scan, None);
-    let hashed = run_with_index(&spec, &shape, &trace, mode, StateIndexMode::Hashed, None);
-    assert_observably_equal(&scan, &hashed, "JIT");
-    let (s, h) = (&scan.snapshot.stats, &hashed.snapshot.stats);
-    assert!(s.mns_detected > 0, "workload must trigger MNS detection");
-    assert_eq!(s.mns_detected, h.mns_detected, "MNS detection");
-    assert_eq!(s.feedback_suspend, h.feedback_suspend, "suspensions");
-    assert_eq!(s.feedback_resume, h.feedback_resume, "resumptions");
-    assert_eq!(
-        s.blacklisted_tuples, h.blacklisted_tuples,
-        "blacklist moves"
-    );
-    assert_eq!(s.resumed_tuples, h.resumed_tuples, "restores");
-    assert_eq!(
-        s.intermediate_suppressed, h.intermediate_suppressed,
-        "suppression"
-    );
+    let left_deep5 = WorkloadSpec::bushy_default()
+        .with_sources(5)
+        .with_dmax(6)
+        .with_window_minutes(1.0)
+        .with_duration(Duration::from_secs(90))
+        .with_seed(99);
+    let cases = [
+        (bushy3, PlanShape::bushy(3)),
+        (left_deep5, PlanShape::left_deep(5)),
+    ];
+    for (spec, shape) in cases {
+        let trace = WorkloadGenerator::generate(&spec);
+        let mode = ExecutionMode::Jit(JitPolicy::full());
+        let scan = run_with_index(&spec, &shape, &trace, mode, StateIndexMode::Scan, None);
+        let hashed = run_with_index(&spec, &shape, &trace, mode, StateIndexMode::Hashed, None);
+        let label = format!("JIT {shape:?}");
+        assert_observably_equal(&scan, &hashed, &label);
+        let (s, h) = (&scan.snapshot.stats, &hashed.snapshot.stats);
+        assert!(
+            s.mns_detected > 0 && s.resumed_tuples > 0,
+            "{label}: workload must trigger MNS detection and resumption"
+        );
+        assert_eq!(s.mns_detected, h.mns_detected, "{label}: MNS detection");
+        assert_eq!(
+            s.feedback_suspend, h.feedback_suspend,
+            "{label}: suspensions"
+        );
+        assert_eq!(s.feedback_resume, h.feedback_resume, "{label}: resumptions");
+        assert_eq!(
+            s.blacklisted_tuples, h.blacklisted_tuples,
+            "{label}: blacklist moves"
+        );
+        assert_eq!(s.resumed_tuples, h.resumed_tuples, "{label}: restores");
+        assert_eq!(
+            s.intermediate_suppressed, h.intermediate_suppressed,
+            "{label}: suppression"
+        );
+    }
 }
 
 /// The `bench_e2e` shared-key shape (3 sources on one key, 5000 key values,
