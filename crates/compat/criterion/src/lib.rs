@@ -123,6 +123,10 @@ impl Bencher {
     ) {
         for _ in 0..self.samples {
             let input = setup();
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a benchmark harness measures wall-clock time"
+            )]
             let start = Instant::now();
             let out = routine(input);
             self.durations.push(start.elapsed());

@@ -149,6 +149,10 @@ pub trait SeedableRng: Sized {
     /// Build a generator from OS entropy. Offline stub: derives the seed
     /// from the system clock — do not use where determinism matters.
     fn from_entropy() -> Self {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the stub's one entropy source; clippy.toml bans from_entropy to its callers"
+        )]
         let nanos = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_nanos() as u64)

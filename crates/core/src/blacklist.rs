@@ -161,8 +161,8 @@ impl Blacklist {
         }
     }
 
-    /// Select how [`Blacklist::matching_entry`] and
-    /// [`Blacklist::entry_index`] answer probes (default
+    /// Select how [`Blacklist::matching_entry`] and the by-MNS lookup
+    /// behind [`Blacklist::upsert_entry`] answer probes (default
     /// [`StateIndexMode::Hashed`]). The two modes return identical entries;
     /// only the number of entries examined differs.
     pub fn set_index_mode(&mut self, mode: StateIndexMode) {
@@ -282,13 +282,8 @@ impl Blacklist {
         }
     }
 
-    /// The blacklist's diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Number of entries (distinct MNSs).
-    pub fn num_entries(&self) -> usize {
+    fn num_entries(&self) -> usize {
         self.live
     }
 
@@ -312,15 +307,15 @@ impl Blacklist {
         self.slots.iter().filter_map(Option::as_ref)
     }
 
-    /// The entry at a position returned by [`Blacklist::upsert_entry`],
-    /// [`Blacklist::entry_index`] or [`Blacklist::matching_entry`], if it
-    /// is still live. Positions are stable until the next removal.
+    /// The entry at a position returned by [`Blacklist::upsert_entry`] or
+    /// [`Blacklist::matching_entry`], if it is still live. Positions are
+    /// stable until the next removal.
     pub fn entry(&self, pos: usize) -> Option<&BlacklistEntry> {
         self.slots.get(pos)?.as_ref()
     }
 
     /// Position of the entry for an MNS, if present.
-    pub fn entry_index(&self, key: &TupleKey) -> Option<usize> {
+    fn entry_index(&self, key: &TupleKey) -> Option<usize> {
         if self.mode == StateIndexMode::Hashed {
             return self.by_key.get(key).copied();
         }
@@ -369,8 +364,10 @@ impl Blacklist {
 
     /// Add a suspended tuple to the (live) entry at `pos`.
     pub fn add_tuple(&mut self, pos: usize, tuple: Tuple) {
-        // INVARIANT: callers pass a position obtained from upsert_entry or
-        // matching_entry with no removal in between, so the slot is live.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: callers pass a position obtained from upsert_entry or matching_entry with no removal in between, so the slot is live."
+        )]
         let entry = self.slots[pos].as_mut().expect("live entry");
         self.expiry.push(tuple.ts(), pos as u64);
         self.bytes += tuple.size_bytes();

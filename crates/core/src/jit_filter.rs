@@ -47,7 +47,8 @@ impl JitSelectionOperator {
     }
 
     /// Number of distinct MNSs reported so far.
-    pub fn reported_count(&self) -> usize {
+    #[cfg(test)]
+    fn reported_count(&self) -> usize {
         self.reported.len()
     }
 }

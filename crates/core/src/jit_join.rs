@@ -402,22 +402,26 @@ impl JitJoinOperator {
     }
 
     /// Number of tuples in the state of the given side.
-    pub fn state_len(&self, port: Port) -> usize {
+    #[cfg(test)]
+    fn state_len(&self, port: Port) -> usize {
         self.states[port].len()
     }
 
     /// Number of MNSs currently buffered for the given side.
-    pub fn mns_buffer_len(&self, port: Port) -> usize {
+    #[cfg(test)]
+    fn mns_buffer_len(&self, port: Port) -> usize {
         self.mns_buffers[port].len()
     }
 
     /// Number of tuples suspended in the blacklist of the given side.
-    pub fn blacklist_len(&self, port: Port) -> usize {
+    #[cfg(test)]
+    fn blacklist_len(&self, port: Port) -> usize {
         self.blacklists[port].num_tuples()
     }
 
     /// Is the operator fully suspended (Ø MNS / DOE-style)?
-    pub fn is_fully_suspended(&self) -> bool {
+    #[cfg(test)]
+    fn is_fully_suspended(&self) -> bool {
         self.fully_suspended
     }
 
@@ -725,8 +729,10 @@ impl JitJoinOperator {
         // those columns surfaces every capturable tuple; `captures` decides.
         let capture_similar = self.policy.capture_similar;
         let blacklist = &self.blacklists[side];
-        // INVARIANT: upsert_entry returned this position just above and
-        // nothing has been removed from the blacklist since.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: upsert_entry returned this position just above and nothing has been removed from the blacklist since."
+        )]
         let entry = blacklist.entry(entry_idx).expect("just upserted");
         let drained = self.states[side].drain_matching(drain_spec, mns, |stored| {
             entry.captures(&stored.tuple, capture_similar)

@@ -85,7 +85,8 @@ impl CnsLattice {
     }
 
     /// Number of lattice nodes (excluding Ø).
-    pub fn num_nodes(&self) -> usize {
+    #[cfg(test)]
+    fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
 

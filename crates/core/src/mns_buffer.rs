@@ -134,7 +134,10 @@ fn file(
                 spec,
                 index: HashIndex::default(),
             });
-            // INVARIANT: a group was pushed on the line above.
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: a group was pushed on the line above."
+            )]
             groups.last_mut().expect("just pushed")
         }
     };
@@ -219,8 +222,10 @@ impl MnsBuffer {
     /// accounting and the identity map (the derived lists keep the stale
     /// handle and filter it when read). Panics if the entry is already gone.
     fn take_at(&mut self, handle: u64) -> MnsEntry {
-        // INVARIANT: take_at's contract (doc above) requires a live entry;
-        // callers pass handles read from the identity map or candidates().
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: take_at's contract (doc above) requires a live entry; callers pass handles read from the identity map or candidates()."
+        )]
         let entry = self.entries.remove(&handle).expect("live entry");
         self.removed_since_sweep += 1;
         self.bytes -= entry.mns.size_bytes();
@@ -391,8 +396,10 @@ impl MnsBuffer {
         let mut matched = Vec::new();
         for i in 0..self.handles.len() {
             let handle = self.handles[i];
-            // INVARIANT: candidates() yields handles of live entries only,
-            // each once, and this loop removes none before examining it.
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: candidates() yields handles of live entries only, each once, and this loop removes none before examining it."
+            )]
             if is_match(self.entries.get(&handle).expect("candidates are live")) {
                 matched.push(self.take_at(handle).mns);
             }
@@ -804,7 +811,10 @@ mod tests {
         /// One random step applied to both sides. `quiet` keeps to the
         /// steady-state operations of one operator: one probe shape, no
         /// restore.
-        #[allow(clippy::too_many_arguments)]
+        #[expect(
+            clippy::too_many_arguments,
+            reason = "one random step applied to both sides takes every piece of both"
+        )]
         fn step(
             rng: &mut StdRng,
             buffer: &mut MnsBuffer,

@@ -110,6 +110,10 @@ pub fn write_checkpoint(
     body: &Content,
 ) -> Result<CheckpointStats, CheckpointError> {
     let path = path.as_ref();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a checkpoint write records its wall-clock duration as an operational stat, never fed back into the data plane"
+    )]
     let started = Instant::now();
     let mut payload = format!("{MAGIC} v{FORMAT_VERSION}\n");
     payload.push_str(&serde_json::to_string(body)?);

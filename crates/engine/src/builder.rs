@@ -279,19 +279,10 @@ impl Engine {
         &self.query
     }
 
-    /// The configured execution mode.
-    pub fn mode(&self) -> ExecutionMode {
-        self.mode
-    }
-
     /// Does this engine run on the sharded multi-core backend?
-    pub fn is_sharded(&self) -> bool {
+    #[cfg(test)]
+    fn is_sharded(&self) -> bool {
         self.runtime.is_some()
-    }
-
-    /// The state index mode every session's operator states run under.
-    pub fn state_index(&self) -> StateIndexMode {
-        self.state_index
     }
 
     /// The disorder policy every session runs under.

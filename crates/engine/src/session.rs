@@ -288,9 +288,11 @@ impl Session {
 struct NullBackend;
 
 impl Backend for NullBackend {
+    #[expect(
+        clippy::unreachable,
+        reason = "INVARIANT: finish() consumes the session while swapping this in, so no push can follow."
+    )]
     fn push(&mut self, _source: SourceId, _tuple: Arc<BaseTuple>) {
-        // INVARIANT: finish() consumes the session while swapping this in,
-        // so no push can follow.
         unreachable!("NullBackend is never pushed to")
     }
     fn poll_results(&mut self) -> Vec<Tuple> {
@@ -306,9 +308,11 @@ impl Backend for NullBackend {
     fn checkpoint(&mut self) -> Result<Content, EngineError> {
         Ok(Content::Null)
     }
+    #[expect(
+        clippy::unreachable,
+        reason = "INVARIANT: finish() consumes the session while swapping this in, so no second finish can follow."
+    )]
     fn finish(self: Box<Self>) -> Result<EngineOutcome, EngineError> {
-        // INVARIANT: finish() consumes the session while swapping this in,
-        // so no second finish can follow.
         unreachable!("NullBackend is never finished")
     }
 }

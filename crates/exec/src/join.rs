@@ -84,12 +84,14 @@ impl RefJoinOperator {
     }
 
     /// Number of tuples currently stored in the left state.
-    pub fn left_len(&self) -> usize {
+    #[cfg(test)]
+    fn left_len(&self) -> usize {
         self.left_state.len()
     }
 
     /// Number of tuples currently stored in the right state.
-    pub fn right_len(&self) -> usize {
+    #[cfg(test)]
+    fn right_len(&self) -> usize {
         self.right_state.len()
     }
 }

@@ -101,25 +101,39 @@ impl ResultBlock {
                     _ => false,
                 };
                 let part = if from_a {
-                    // INVARIANT: from_a is true only when ai peeked Some.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "INVARIANT: from_a is true only when ai peeked Some."
+                    )]
                     ai.next().expect("peeked")
                 } else {
-                    // INVARIANT: the loop condition plus !from_a imply bi peeked Some.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "INVARIANT: the loop condition plus !from_a imply bi peeked Some."
+                    )]
                     bi.next().expect("peeked")
                 };
                 self.columns.push((part.source, vec![part.clone()]));
             }
         } else {
             for (source, column) in &mut self.columns {
+                #[expect(
+                    clippy::panic,
+                    reason = "INVARIANT: join results only combine blocks covering the operator's schema; a missing source is a planner bug, so stop loudly."
+                )]
                 let part = if ai.peek().is_some_and(|p| p.source == *source) {
-                    // INVARIANT: the branch condition peeked Some on ai.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "INVARIANT: the branch condition peeked Some on ai."
+                    )]
                     ai.next().expect("peeked")
                 } else if bi.peek().is_some_and(|p| p.source == *source) {
-                    // INVARIANT: the branch condition peeked Some on bi.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "INVARIANT: the branch condition peeked Some on bi."
+                    )]
                     bi.next().expect("peeked")
                 } else {
-                    // INVARIANT: join results only combine blocks covering the
-                    // operator's schema; a missing source is a planner bug, so stop loudly.
                     panic!("match does not cover block source {source}");
                 };
                 column.push(part.clone());

@@ -111,7 +111,8 @@ impl Scheduler {
     }
 
     /// Total tasks ever enqueued.
-    pub fn pushed_total(&self) -> u64 {
+    #[cfg(test)]
+    fn pushed_total(&self) -> u64 {
         self.pushed_total
     }
 }

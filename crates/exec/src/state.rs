@@ -188,7 +188,7 @@ impl JoinKeySpec {
     /// Allocation-free variant of [`JoinKeySpec::stored_key`]: fill `buf`
     /// with the stored-side key and return `true`, or return `false` (with
     /// `buf` cleared) when the tuple is missing a stored-side column.
-    pub fn stored_key_into(&self, tuple: &Tuple, buf: &mut Vec<Value>) -> bool {
+    fn stored_key_into(&self, tuple: &Tuple, buf: &mut Vec<Value>) -> bool {
         buf.clear();
         for (stored_col, _) in &self.pairs {
             match tuple.value(*stored_col) {
@@ -815,7 +815,10 @@ impl OperatorState {
                     break;
                 }
                 debug_assert_eq!(ts, entry.tuple.ts());
-                // INVARIANT: get(seq) returned Some above, so the slot is live.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: get(seq) returned Some above, so the slot is live."
+                )]
                 let entry = self.take(seq).expect("checked live");
                 on_removed(&entry.tuple);
                 removed += 1;
@@ -850,7 +853,10 @@ impl OperatorState {
         let mut drained = Vec::new();
         for seq in self.probe(spec, probe) {
             if self.get(seq).is_some_and(&mut pred) {
-                // INVARIANT: get(seq) returned Some on the line above.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: get(seq) returned Some on the line above."
+                )]
                 drained.push(self.take(seq).expect("checked live"));
             }
         }

@@ -14,6 +14,11 @@
 //! * `--doe`       additionally run the DOE baseline.
 //!
 //! Exits 1 if any figure violates its expectations, 2 on a bad argument.
+#![expect(clippy::expect_used, reason = "a binary may exit with a message")]
+#![expect(
+    clippy::print_stdout,
+    reason = "the figure tables are this binary's output"
+)]
 
 use jit_harness::figures::{check_expectations, run_figure, FigureSpec};
 use jit_harness::table_out::{render_csv, render_table};

@@ -86,7 +86,7 @@ impl FigureSpec {
     }
 
     /// Figure 11: overhead vs stream rate `λ` (bushy plan).
-    pub fn fig11() -> FigureSpec {
+    fn fig11() -> FigureSpec {
         FigureSpec {
             id: "fig11".into(),
             caption: "Overhead vs. stream rate lambda (bushy plan)".into(),
@@ -97,7 +97,7 @@ impl FigureSpec {
     }
 
     /// Figure 12: overhead vs number of sources `N` (bushy plan).
-    pub fn fig12() -> FigureSpec {
+    fn fig12() -> FigureSpec {
         FigureSpec {
             id: "fig12".into(),
             caption: "Overhead vs. number of sources N (bushy plan)".into(),
@@ -108,7 +108,7 @@ impl FigureSpec {
     }
 
     /// Figure 13: overhead vs maximum data value `dmax` (bushy plan).
-    pub fn fig13() -> FigureSpec {
+    fn fig13() -> FigureSpec {
         FigureSpec {
             id: "fig13".into(),
             caption: "Overhead vs. max data value dmax (bushy plan)".into(),
@@ -119,7 +119,7 @@ impl FigureSpec {
     }
 
     /// Figure 14: overhead vs window size `w` (left-deep plan).
-    pub fn fig14() -> FigureSpec {
+    fn fig14() -> FigureSpec {
         FigureSpec {
             id: "fig14".into(),
             caption: "Overhead vs. window size w (left-deep plan)".into(),
@@ -130,7 +130,7 @@ impl FigureSpec {
     }
 
     /// Figure 15: overhead vs stream rate `λ` (left-deep plan).
-    pub fn fig15() -> FigureSpec {
+    fn fig15() -> FigureSpec {
         FigureSpec {
             id: "fig15".into(),
             caption: "Overhead vs. stream rate lambda (left-deep plan)".into(),
@@ -141,7 +141,7 @@ impl FigureSpec {
     }
 
     /// Figure 16: overhead vs number of sources `N` (left-deep plan).
-    pub fn fig16() -> FigureSpec {
+    fn fig16() -> FigureSpec {
         FigureSpec {
             id: "fig16".into(),
             caption: "Overhead vs. number of sources N (left-deep plan)".into(),
@@ -213,7 +213,8 @@ pub struct FigureResult {
 
 impl FigureResult {
     /// The series of CPU cost units for one mode (row order).
-    pub fn cost_series(&self, mode: &str) -> Vec<u64> {
+    #[cfg(test)]
+    fn cost_series(&self, mode: &str) -> Vec<u64> {
         self.rows
             .iter()
             .filter_map(|row| {
@@ -226,7 +227,8 @@ impl FigureResult {
     }
 
     /// The series of peak memory (KB) for one mode (row order).
-    pub fn memory_series(&self, mode: &str) -> Vec<f64> {
+    #[cfg(test)]
+    fn memory_series(&self, mode: &str) -> Vec<f64> {
         self.rows
             .iter()
             .filter_map(|row| {
@@ -278,13 +280,15 @@ pub fn run_figure(spec: &FigureSpec, duration_scale: f64, seed: u64) -> FigureRe
             check_temporal_order: false,
         };
         let trace = WorkloadGenerator::generate(&config.workload);
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: the built-in figure workloads construct valid plans; a failure here is a bug in this crate's own tables."
+        )]
         let outcomes = Engine::builder()
             .workload(&config.workload, &config.shape)
             .executor_config(exec_config)
             .state_index(StateIndexMode::Scan)
             .compare(&trace, &config.modes)
-            // INVARIANT: the built-in figure workloads construct valid plans;
-            // a failure here is a bug in this crate's own tables.
             .expect("figure plans are valid by construction");
         let measurements = outcomes
             .into_iter()

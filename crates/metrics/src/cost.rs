@@ -152,6 +152,10 @@ impl CostTracker {
         CostTracker {
             model,
             total_units: 0,
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock throughput reporting is this crate's purpose; the reading never reaches the data plane"
+            )]
             started: Instant::now(),
             wall_seconds: 0.0,
         }
@@ -181,11 +185,6 @@ impl CostTracker {
         } else {
             self.started.elapsed().as_secs_f64()
         }
-    }
-
-    /// The cost model in use.
-    pub fn model(&self) -> &CostModel {
-        &self.model
     }
 }
 

@@ -58,17 +58,20 @@ impl MemoryTracker {
     }
 
     /// Current size of one component.
-    pub fn component_bytes(&self, id: MemComponentId) -> usize {
+    #[cfg(test)]
+    fn component_bytes(&self, id: MemComponentId) -> usize {
         self.sizes[id.0]
     }
 
     /// Name of one component.
-    pub fn component_name(&self, id: MemComponentId) -> &str {
+    #[cfg(test)]
+    fn component_name(&self, id: MemComponentId) -> &str {
         &self.names[id.0]
     }
 
     /// Number of registered components.
-    pub fn num_components(&self) -> usize {
+    #[cfg(test)]
+    fn num_components(&self) -> usize {
         self.sizes.len()
     }
 
@@ -83,12 +86,14 @@ impl MemoryTracker {
     }
 
     /// Peak total in kilobytes (the unit used by the paper's plots).
-    pub fn peak_kb(&self) -> f64 {
+    #[cfg(test)]
+    fn peak_kb(&self) -> f64 {
         self.peak_total as f64 / 1024.0
     }
 
     /// A breakdown of current usage as `(name, bytes)` pairs, largest first.
-    pub fn breakdown(&self) -> Vec<(String, usize)> {
+    #[cfg(test)]
+    fn breakdown(&self) -> Vec<(String, usize)> {
         let mut v: Vec<(String, usize)> = self
             .names
             .iter()

@@ -1,6 +1,6 @@
 //! Measurement snapshots and run-level metric bundles.
 
-use crate::cost::{CostKind, CostModel, CostTracker};
+use crate::cost::{CostKind, CostTracker};
 use crate::counters::ExecStats;
 use crate::memory::{MemComponentId, MemoryTracker};
 use serde::{Deserialize, Serialize};
@@ -22,15 +22,6 @@ impl RunMetrics {
     /// Fresh metrics with the default cost model.
     pub fn new() -> Self {
         RunMetrics::default()
-    }
-
-    /// Fresh metrics with a custom cost model.
-    pub fn with_cost_model(model: CostModel) -> Self {
-        RunMetrics {
-            stats: ExecStats::default(),
-            cost: CostTracker::new(model),
-            memory: MemoryTracker::new(),
-        }
     }
 
     /// Charge `count` operations of `kind` to the cost model **and** add
@@ -151,7 +142,8 @@ impl MetricsSnapshot {
 
     /// Ratio of this run's cost to another's (`self / other`), `inf` when the
     /// other is free.
-    pub fn cost_ratio_to(&self, other: &MetricsSnapshot) -> f64 {
+    #[cfg(test)]
+    fn cost_ratio_to(&self, other: &MetricsSnapshot) -> f64 {
         if other.cost_units == 0 {
             f64::INFINITY
         } else {
@@ -160,7 +152,8 @@ impl MetricsSnapshot {
     }
 
     /// Ratio of this run's peak memory to another's.
-    pub fn memory_ratio_to(&self, other: &MetricsSnapshot) -> f64 {
+    #[cfg(test)]
+    fn memory_ratio_to(&self, other: &MetricsSnapshot) -> f64 {
         if other.peak_memory_bytes == 0 {
             f64::INFINITY
         } else {
@@ -227,6 +220,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostModel;
 
     #[test]
     fn parallel_aggregation_rules() {
@@ -361,7 +355,10 @@ mod tests {
             result_build: 1_000,
             ..CostModel::default()
         };
-        let mut m = RunMetrics::with_cost_model(model);
+        let mut m = RunMetrics {
+            cost: CostTracker::new(model),
+            ..RunMetrics::new()
+        };
         m.charge(CostKind::ResultBuild, 1);
         assert_eq!(m.cost.total_units(), 1_000);
     }

@@ -8,8 +8,7 @@ use jit_exec::operator::{Operator, OperatorId};
 use jit_exec::plan::{ExecutablePlan, Input, PlanBuilder, PlanError};
 use jit_exec::selection::SelectionOperator;
 use jit_exec::state::StateIndexMode;
-use jit_types::{FilterPredicate, PredicateSet, SourceId, SourceSet, Window};
-use std::collections::HashMap;
+use jit_types::{FastMap, FilterPredicate, PredicateSet, SourceId, SourceSet, Window};
 
 /// Cross-cutting plan-construction options threaded from the engine builder
 /// down to every operator.
@@ -68,7 +67,7 @@ pub fn build_tree_plan_with(
     let mut builder = PlanBuilder::new();
     // Group filters by source and build one selection chain per filtered
     // source; joins then consume the chain's tail instead of the raw source.
-    let mut filtered_source: HashMap<u16, OperatorId> = HashMap::new();
+    let mut filtered_source: FastMap<u16, OperatorId> = FastMap::default();
     for filter in &options.filters {
         let source = filter.column.source;
         let input = match filtered_source.get(&source.0) {
@@ -139,7 +138,7 @@ fn resolve_schema(input: PlanInput, node_schemas: &[SourceSet]) -> SourceSet {
 fn resolve_input_filtered(
     input: PlanInput,
     ops: &[OperatorId],
-    filtered: &HashMap<u16, OperatorId>,
+    filtered: &FastMap<u16, OperatorId>,
 ) -> Input {
     match input {
         PlanInput::Source(i) => match filtered.get(&(i as u16)) {

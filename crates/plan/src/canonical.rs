@@ -109,7 +109,7 @@ impl CanonicalQuery {
     ///
     /// Fails if a `FROM` entry names no catalog source or a predicate
     /// references a column the catalog does not declare.
-    pub fn from_parsed(query: &CqlQuery, catalog: &Catalog) -> Result<Self, CqlError> {
+    fn from_parsed(query: &CqlQuery, catalog: &Catalog) -> Result<Self, CqlError> {
         let mut sources = Vec::with_capacity(query.sources.len());
         for (name, _) in &query.sources {
             sources.push(lookup_source(catalog, name)?.id);
@@ -174,11 +174,6 @@ impl CanonicalQuery {
     /// The hashable identity of this query.
     pub fn key(&self) -> &CanonicalKey {
         &self.key
-    }
-
-    /// Consume into the key.
-    pub fn into_key(self) -> CanonicalKey {
-        self.key
     }
 
     /// Number of sources the query joins.

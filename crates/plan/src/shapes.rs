@@ -77,7 +77,8 @@ impl PlanShape {
     }
 
     /// Number of binary join operators in the plan (`N − 1`).
-    pub fn num_joins(&self) -> usize {
+    #[cfg(test)]
+    fn num_joins(&self) -> usize {
         self.num_sources.saturating_sub(1)
     }
 
@@ -180,7 +181,10 @@ fn bushy_nodes(n: usize) -> Vec<JoinNode> {
             j(Node(3), Node(4)),
             j(Node(2), Node(5)),
         ],
-        // INVARIANT: the assert above restricts n to 3..=8, all matched.
+        #[expect(
+            clippy::unreachable,
+            reason = "INVARIANT: the assert above restricts n to 3..=8, all matched."
+        )]
         _ => unreachable!(),
     }
 }

@@ -197,12 +197,20 @@ impl ShardedRuntime {
     /// Move the prepared executors onto their worker threads.
     fn launch(&self, executors: Vec<Executor>) -> ShardedSession {
         let shards = executors.len();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "result-return path from shard workers to the merger; the workers' input channels are bounded sync_channels that provide the backpressure, and bounding the return path too would recreate the push/poll deadlock the runtime was restructured to avoid"
+        )]
         let (chunk_tx, chunk_rx) = mpsc::channel::<ShardChunk>();
         let mut senders = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
         for (shard, mut executor) in executors.into_iter().enumerate() {
             let (tx, rx) = mpsc::sync_channel::<WorkerMsg>(self.config().channel_capacity);
             let chunk_tx = chunk_tx.clone();
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: thread spawn fails only on resource exhaustion at session startup — there is no meaningful recovery path."
+            )]
             let handle = std::thread::Builder::new()
                 .name(format!("jit-shard-{shard}"))
                 .spawn(move || {
@@ -252,8 +260,6 @@ impl ShardedRuntime {
                         snapshot,
                     }
                 })
-                // INVARIANT: thread spawn fails only on resource exhaustion at
-                // session startup — there is no meaningful recovery path.
                 .expect("spawning a shard worker thread");
             senders.push(Some(tx));
             workers.push(Some(handle));
@@ -315,11 +321,6 @@ impl std::fmt::Debug for ShardedSession {
 }
 
 impl ShardedSession {
-    /// Number of shard workers.
-    pub fn num_shards(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Route one arrival to its shard.
     ///
     /// Arrivals must be pushed in non-decreasing timestamp order (the same
@@ -470,8 +471,10 @@ impl ShardedSession {
                 .filter_map(|(other, buf)| buf.front().map(|t| (t.ts(), other)))
                 .min();
             loop {
-                // INVARIANT: `next` proved this shard's front exists, and only
-                // this loop pops from it.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: `next` proved this shard's front exists, and only this loop pops from it."
+                )]
                 released.push(self.buffered[shard].pop_front().expect("front exists"));
                 let keep_going = self.buffered[shard].front().is_some_and(|t| {
                     t.ts() < watermark
@@ -550,8 +553,10 @@ impl ShardedSession {
                 states[shard] = Some(state);
             }
         }
-        // INVARIANT: the checkpoint barrier above collected exactly one
-        // state chunk per shard.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: the checkpoint barrier above collected exactly one state chunk per shard."
+        )]
         let states: Vec<Content> = states.into_iter().map(|s| s.expect("barrier")).collect();
         let buffered: Vec<Vec<Tuple>> = self
             .buffered
@@ -601,10 +606,9 @@ impl ShardedSession {
             .iter_mut()
             .enumerate()
             .map(|(shard, handle)| {
+                #[expect(clippy::expect_used, reason = "INVARIANT: finish() runs once and is the only taker of worker handles.")]
                 handle
                     .take()
-                    // INVARIANT: finish() runs once and is the only taker of worker
-                    // handles.
                     .expect("worker joined once")
                     .join()
                     .map_err(|payload| RuntimeError::ShardPanicked {

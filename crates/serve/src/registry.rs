@@ -8,9 +8,7 @@ use jit_metrics::MetricsSnapshot;
 use jit_plan::canonical::{CanonicalKey, CanonicalQuery, FilterTerm};
 use jit_plan::cql::CqlError;
 use jit_runtime::RuntimeConfig;
-use jit_types::{
-    BaseTuple, BatchPolicy, Catalog, ColumnRef, FastMap, SourceId, Timestamp, Tuple, Value,
-};
+use jit_types::{BaseTuple, BatchPolicy, Catalog, ColumnRef, FastMap, SourceId, Timestamp, Tuple};
 use serde::{Content, Serialize};
 use std::sync::Arc;
 
@@ -225,11 +223,6 @@ impl QueryRegistry {
         }
     }
 
-    /// The registry's global catalog.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
     /// Register a CQL query; it sees every arrival pushed from now on.
     ///
     /// If an already-registered query canonicalizes to the same
@@ -273,8 +266,10 @@ impl QueryRegistry {
         // Per-query references on the shared selection classes: the
         // refcounts price the classifications isolated serving would run.
         let (sources, local_classes, is_fresh) = {
-            // INVARIANT: the queries map only holds indices of live pipeline
-            // slots (entries are removed together in unregister).
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: the queries map only holds indices of live pipeline slots (entries are removed together in unregister)."
+            )]
             let pipeline = self.pipelines[idx].as_ref().expect("live pipeline");
             let sources = pipeline.canonical.sources().to_vec();
             let local_classes: Vec<Vec<FilterTerm>> = (0..sources.len())
@@ -287,8 +282,10 @@ impl QueryRegistry {
             let terms = rebase_terms(&local_classes[local], global);
             class_of_local.push(self.selection.acquire(global, &terms));
         }
-        // INVARIANT: the queries map only holds indices of live pipeline
-        // slots (entries are removed together in unregister).
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: the queries map only holds indices of live pipeline slots (entries are removed together in unregister)."
+        )]
         let pipeline = self.pipelines[idx].as_mut().expect("live pipeline");
         if is_fresh {
             pipeline.class_of_local = class_of_local;
@@ -356,8 +353,10 @@ impl QueryRegistry {
         self.fan_out(idx);
         self.queries.remove(&qid);
 
-        // INVARIANT: the queries map only holds indices of live pipeline
-        // slots; qid was just resolved through it.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: the queries map only holds indices of live pipeline slots; qid was just resolved through it."
+        )]
         let pipeline = self.pipelines[idx].as_mut().expect("live pipeline");
         pipeline.subscribers.retain(|&q| q != qid);
         let empty = pipeline.subscribers.is_empty();
@@ -367,8 +366,10 @@ impl QueryRegistry {
         }
 
         if empty {
-            // INVARIANT: the slot was live two statements up and nothing
-            // in between can clear it.
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: the slot was live two statements up and nothing in between can clear it."
+            )]
             let pipeline = self.pipelines[idx].take().expect("live pipeline");
             self.by_key.remove(pipeline.canonical.key());
             for &global in pipeline.canonical.sources() {
@@ -432,11 +433,13 @@ impl QueryRegistry {
             let Some(pipeline) = self.pipelines[idx].as_mut() else {
                 continue;
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: routes entries only name pipelines whose canonical query covers the routed source."
+            )]
             let local = pipeline
                 .canonical
                 .local_id(source)
-                // INVARIANT: routes entries only name pipelines whose canonical
-                // query covers the routed source.
                 .expect("routed pipeline references source");
             // The class is on this source, so `verdicts` holds its verdict;
             // the few classes a source has are scanned, not hashed.
@@ -466,11 +469,12 @@ impl QueryRegistry {
 
     /// Convenience push: build the [`BaseTuple`] with a registry-assigned
     /// per-source sequence number.
-    pub fn push_values(
+    #[cfg(test)]
+    fn push_values(
         &mut self,
         source: SourceId,
         ts: Timestamp,
-        values: Vec<Value>,
+        values: Vec<jit_types::Value>,
     ) -> Result<(), ServeError> {
         let seq = self.seqs.get(&source).copied().unwrap_or(0);
         self.push(Arc::new(BaseTuple::new(source, seq, ts, values)))
@@ -487,8 +491,10 @@ impl QueryRegistry {
             .get(&qid)
             .ok_or(ServeError::UnknownQuery(qid))?;
         self.fan_out(idx);
-        // INVARIANT: every registered query gets a mailbox at register time;
-        // both are removed together.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: every registered query gets a mailbox at register time; both are removed together."
+        )]
         let mailbox = self.mailboxes.get_mut(&qid).expect("mailbox");
         let results = mailbox.concat();
         // Cleared, not taken: the mailbox keeps its room for the next batch.
@@ -508,10 +514,12 @@ impl QueryRegistry {
         }
         let batch: Arc<[Tuple]> = fresh.into();
         for &qid in &pipeline.subscribers {
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: subscribers are registered queries, each with a mailbox created at register time."
+            )]
             self.mailboxes
                 .get_mut(&qid)
-                // INVARIANT: subscribers are registered queries, each with a
-                // mailbox created at register time.
                 .expect("mailbox")
                 .push(Arc::clone(&batch));
         }
@@ -524,8 +532,10 @@ impl QueryRegistry {
             .queries
             .get(&qid)
             .ok_or(ServeError::UnknownQuery(qid))?;
-        // INVARIANT: the queries map only holds indices of live pipeline
-        // slots (entries are removed together in unregister).
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: the queries map only holds indices of live pipeline slots (entries are removed together in unregister)."
+        )]
         let pipeline = self.pipelines[idx].as_mut().expect("live pipeline");
         Ok(pipeline.session.metrics_snapshot())
     }
@@ -780,6 +790,7 @@ fn rebase_terms(terms: &[FilterTerm], global: SourceId) -> Vec<FilterTerm> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jit_types::Value;
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();

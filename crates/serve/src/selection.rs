@@ -64,9 +64,11 @@ impl SelectionIndex {
                 .map(|t| (t.column, t.op, t.constant.clone()))
                 .collect(),
         );
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: by_key only references live class slots (removed together in release)."
+        )]
         if let Some(&id) = self.by_key.get(&key) {
-            // INVARIANT: by_key only references live class slots (removed
-            // together in release).
             self.classes[id].as_mut().expect("live class").refcount += 1;
             return Some(id);
         }
@@ -108,8 +110,10 @@ impl SelectionIndex {
         };
         let mut verdicts = Vec::with_capacity(ids.len());
         for &id in ids {
-            // INVARIANT: by_source only references live class slots (removed
-            // together in release).
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: by_source only references live class slots (removed together in release)."
+            )]
             let entry = self.classes[id].as_ref().expect("live class");
             self.evaluations += 1;
             let passed = entry

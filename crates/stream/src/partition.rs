@@ -53,7 +53,7 @@ impl ShardPartitioner {
     }
 
     /// Shard of a raw key value.
-    pub fn shard_of_value(&self, value: &Value) -> usize {
+    fn shard_of_value(&self, value: &Value) -> usize {
         (hash_value(value) % self.num_shards as u64) as usize
     }
 

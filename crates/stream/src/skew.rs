@@ -44,17 +44,20 @@ impl ZipfSampler {
     }
 
     /// Number of distinct values.
-    pub fn domain_size(&self) -> usize {
+    #[cfg(test)]
+    fn domain_size(&self) -> usize {
         self.cdf.len()
     }
 
     /// Draw one value in `[1..=n]`.
     pub fn sample(&self, rng: &mut impl Rng) -> u64 {
         let u: f64 = rng.gen();
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: the CDF is built from finite weights, so the comparison is total."
+        )]
         match self
             .cdf
-            // INVARIANT: the CDF is built from finite weights, so the
-            // comparison is total.
             .binary_search_by(|p| p.partial_cmp(&u).expect("CDF contains NaN"))
         {
             Ok(idx) => idx as u64 + 1,

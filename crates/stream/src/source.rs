@@ -113,7 +113,8 @@ impl SourceSpec {
     }
 
     /// Override the domain of a single column.
-    pub fn with_column_domain(mut self, column: usize, domain: ValueDomain) -> Self {
+    #[cfg(test)]
+    fn with_column_domain(mut self, column: usize, domain: ValueDomain) -> Self {
         if column < self.column_domains.len() {
             self.column_domains[column] = Some(domain);
         }
@@ -121,7 +122,8 @@ impl SourceSpec {
     }
 
     /// The effective domain of a column.
-    pub fn domain_of(&self, column: usize) -> ValueDomain {
+    #[cfg(test)]
+    fn domain_of(&self, column: usize) -> ValueDomain {
         self.column_domains
             .get(column)
             .copied()

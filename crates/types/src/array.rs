@@ -16,8 +16,8 @@
 //!   *widens* on demand — appending a string to an `Int64` column converts
 //!   it to `Values` exactly once, so clean streams never pay for the
 //!   general case;
-//! * zero-copy reads: [`ArrayImpl::as_i64`] / [`ArrayImpl::as_utf8`] hand
-//!   out the underlying slice when the column is typed, and
+//! * zero-copy reads: [`ArrayImpl::as_i64`] hands out the underlying slice
+//!   when the column is typed, and
 //!   [`ArrayImpl::get`] falls back to per-row access everywhere else.
 //!
 //! Columns are an *acceleration structure*: every row of a batch still
@@ -80,7 +80,8 @@ impl ArrayImpl {
 
     /// The whole column as a string slice — `Some` iff every row is a
     /// string.
-    pub fn as_utf8(&self) -> Option<&[Arc<str>]> {
+    #[cfg(test)]
+    fn as_utf8(&self) -> Option<&[Arc<str>]> {
         match self {
             ArrayImpl::Utf8(v) => Some(v),
             _ => None,
@@ -145,8 +146,10 @@ impl ArrayBuilder {
                 let mut values: Vec<Value> = match repr {
                     ArrayImpl::Int64(v) => v.iter().map(|&i| Value::Int(i)).collect(),
                     ArrayImpl::Utf8(v) => v.iter().map(|s| Value::Str(Arc::clone(s))).collect(),
-                    // INVARIANT: the Values representation was consumed by the outer
-                    // match arm above.
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "INVARIANT: the Values representation was consumed by the outer match arm above."
+                    )]
                     ArrayImpl::Values(_) => unreachable!("handled above"),
                 };
                 values.push(value.clone());

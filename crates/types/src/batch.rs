@@ -192,11 +192,6 @@ impl Block {
         &self.batches
     }
 
-    /// The global arrival order as `(batch index, row index)` pairs.
-    pub fn order(&self) -> &[(u32, u32)] {
-        &self.order
-    }
-
     /// Total number of rows across all batches.
     pub fn len(&self) -> usize {
         self.order.len()

@@ -12,8 +12,10 @@
 //! for maps whose keys come from the data plane of a trusted process, never
 //! for anything exposed to untrusted input.
 
-// jit-analysis: allow(default-hasher): this is the definition site — the std
-// containers are re-exported with the fast hasher plugged in.
+#[expect(
+    clippy::disallowed_types,
+    reason = "this is the definition site: the std containers are re-exported with the fast hasher plugged in"
+)]
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -21,13 +23,17 @@ use std::hash::{BuildHasherDefault, Hasher};
 pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` using [`FastHasher`]. Construct with `FastMap::default()`.
-// jit-analysis: allow(default-hasher): alias definition site — this line plugs
-// the fast hasher into the std container for everyone else to use.
+#[expect(
+    clippy::disallowed_types,
+    reason = "alias definition site: this line plugs the fast hasher into the std container for everyone else to use"
+)]
 pub type FastMap<K, V> = HashMap<K, V, FastBuildHasher>;
 
 /// A `HashSet` using [`FastHasher`]. Construct with `FastSet::default()`.
-// jit-analysis: allow(default-hasher): alias definition site — this line plugs
-// the fast hasher into the std container for everyone else to use.
+#[expect(
+    clippy::disallowed_types,
+    reason = "alias definition site: this line plugs the fast hasher into the std container for everyone else to use"
+)]
 pub type FastSet<T> = HashSet<T, FastBuildHasher>;
 
 /// Multiplicative word-at-a-time hasher (the "Fx" scheme).
@@ -56,7 +62,10 @@ impl Hasher for FastHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for chunk in &mut chunks {
-            // INVARIANT: chunks_exact(8) yields exactly-8-byte slices.
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: chunks_exact(8) yields exactly-8-byte slices."
+            )]
             self.add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
         }
         let rem = chunks.remainder();

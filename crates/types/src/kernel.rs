@@ -35,8 +35,7 @@ const WORD_BITS: usize = 64;
 /// A packed per-row boolean mask: bit `i` of word `i / 64` is row `i`.
 ///
 /// Rows beyond `len` inside the last word are kept zero, so
-/// [`BitMask::count_ones`] and the word view ([`BitMask::words`]) need no
-/// tail masking.
+/// [`BitMask::count_ones`] needs no tail masking.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitMask {
     words: Vec<u64>,
@@ -143,13 +142,9 @@ impl BitMask {
         self.count_ones() == self.len
     }
 
-    /// The packed words (tail bits beyond [`BitMask::len`] are zero).
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// Intersect with another mask of the same length.
-    pub fn and_assign(&mut self, other: &BitMask) {
+    #[cfg(test)]
+    fn and_assign(&mut self, other: &BitMask) {
         debug_assert_eq!(self.len, other.len, "mask length mismatch");
         for (w, o) in self.words.iter_mut().zip(&other.words) {
             *w &= o;
@@ -162,7 +157,8 @@ impl BitMask {
     }
 
     /// Build from an unpacked boolean slice.
-    pub fn from_bools(bools: &[bool]) -> Self {
+    #[cfg(test)]
+    fn from_bools(bools: &[bool]) -> Self {
         let mut mask = BitMask::zeros(bools.len());
         for (w, chunk) in mask.words.iter_mut().zip(bools.chunks(WORD_BITS)) {
             let mut word = 0u64;
@@ -203,7 +199,7 @@ fn pack_by<T: Copy>(values: &[T], out: &mut BitMask, f: impl Fn(T) -> bool) {
 }
 
 /// `values[i] `op` c` over a dense `i64` slice, one pass, bit-packed.
-pub fn compare_i64_const(values: &[i64], op: CompareOp, c: i64, out: &mut BitMask) {
+fn compare_i64_const(values: &[i64], op: CompareOp, c: i64, out: &mut BitMask) {
     *out = BitMask::zeros(values.len());
     match op {
         CompareOp::Eq => pack_by(values, out, |v| v == c),
@@ -216,7 +212,7 @@ pub fn compare_i64_const(values: &[i64], op: CompareOp, c: i64, out: &mut BitMas
 }
 
 /// `values[i] `op` c` over a string column, bit-packed.
-pub fn compare_utf8_const(values: &[Arc<str>], op: CompareOp, c: &str, out: &mut BitMask) {
+fn compare_utf8_const(values: &[Arc<str>], op: CompareOp, c: &str, out: &mut BitMask) {
     *out = BitMask::zeros(values.len());
     for (w, chunk) in out.words.iter_mut().zip(values.chunks(WORD_BITS)) {
         let mut word = 0u64;
@@ -230,7 +226,7 @@ pub fn compare_utf8_const(values: &[Arc<str>], op: CompareOp, c: &str, out: &mut
 /// Scalar fallback over a boxed-value column, bit-packed. Uses the exact
 /// [`Value`] total order, so mixed-variant cells compare as on the tuple
 /// path.
-pub fn compare_values_const(values: &[Value], op: CompareOp, c: &Value, out: &mut BitMask) {
+fn compare_values_const(values: &[Value], op: CompareOp, c: &Value, out: &mut BitMask) {
     *out = BitMask::zeros(values.len());
     for (w, chunk) in out.words.iter_mut().zip(values.chunks(WORD_BITS)) {
         let mut word = 0u64;

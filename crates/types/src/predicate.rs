@@ -252,7 +252,7 @@ impl fmt::Display for PredicateSet {
 
 /// The column of source `i` that faces partner source `j` in the clique
 /// layout (each source has one column per partner, in partner-id order).
-pub fn facing_column(i: usize, j: usize) -> u16 {
+fn facing_column(i: usize, j: usize) -> u16 {
     debug_assert_ne!(i, j);
     if j < i {
         j as u16

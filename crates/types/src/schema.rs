@@ -84,7 +84,10 @@ impl SourceSet {
     ///
     /// An inherent method (not the `FromIterator` trait) so call sites can
     /// stay turbofish-free: `SourceSet::from_iter(ids)`.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "an inherent method keeps call sites turbofish-free"
+    )]
     pub fn from_iter(ids: impl IntoIterator<Item = SourceId>) -> Self {
         let mut s = SourceSet::EMPTY;
         for id in ids {
@@ -149,7 +152,8 @@ impl SourceSet {
     }
 
     /// Is `self` a superset of `other`?
-    pub fn is_superset(self, other: SourceSet) -> bool {
+    #[cfg(test)]
+    fn is_superset(self, other: SourceSet) -> bool {
         other.is_subset(self)
     }
 
@@ -310,7 +314,8 @@ impl Catalog {
     }
 
     /// The set of all source ids in the catalog.
-    pub fn all_sources(&self) -> SourceSet {
+    #[cfg(test)]
+    fn all_sources(&self) -> SourceSet {
         SourceSet::first_n(self.sources.len())
     }
 }

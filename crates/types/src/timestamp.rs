@@ -63,7 +63,7 @@ impl Timestamp {
     }
 
     /// Absolute distance between two instants.
-    pub fn abs_diff(self, other: Timestamp) -> Duration {
+    fn abs_diff(self, other: Timestamp) -> Duration {
         Duration(self.0.abs_diff(other.0))
     }
 

@@ -239,7 +239,7 @@ impl Parts {
 
     fn from_vec(mut parts: Vec<Arc<BaseTuple>>) -> Self {
         if parts.len() == 1 {
-            // INVARIANT: len == 1 was just checked.
+            #[expect(clippy::expect_used, reason = "INVARIANT: len == 1 was just checked.")]
             Parts::Single(parts.pop().expect("len checked"))
         } else {
             Parts::Multi(Arc::from(parts))
@@ -267,7 +267,7 @@ impl Serialize for Parts {
     }
 }
 
-/// A serialised tuple is rebuilt through [`Tuple::from_parts`], so a blob
+/// A serialised tuple is rebuilt through `Tuple::from_parts`, so a blob
 /// restores only a tuple this type could have built: parts strictly
 /// ascending by source, every source below [`SourceSet::MAX_SOURCES`], and
 /// the stored `sources` and `ts` equal to what the parts imply. Anything
@@ -332,7 +332,7 @@ impl Tuple {
     /// Build a composite tuple from components.
     ///
     /// Returns an error if two components come from the same source.
-    pub fn from_parts(mut parts: Vec<Arc<BaseTuple>>) -> Result<Self, TypeError> {
+    fn from_parts(mut parts: Vec<Arc<BaseTuple>>) -> Result<Self, TypeError> {
         parts.sort_by_key(|p| p.source);
         let mut sources = SourceSet::EMPTY;
         let mut ts = Timestamp::ZERO;
@@ -501,7 +501,8 @@ impl Tuple {
     }
 
     /// Is `self` a super-tuple of `other`?
-    pub fn is_supertuple_of(&self, other: &Tuple) -> bool {
+    #[cfg(test)]
+    fn is_supertuple_of(&self, other: &Tuple) -> bool {
         other.is_subtuple_of(self)
     }
 

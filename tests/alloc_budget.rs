@@ -57,6 +57,10 @@ fn reset_live() {
     PEAK.with(|peak| peak.set(0));
 }
 
+#[expect(
+    unsafe_code,
+    reason = "a counting global allocator must implement the unsafe GlobalAlloc trait"
+)]
 // SAFETY: every method forwards the caller's pointer and layout unchanged to
 // `System`, which upholds the `GlobalAlloc` contract; the thread-local
 // counters are const-initialised `Cell`s without destructors, so touching
