@@ -591,3 +591,67 @@ fn corrupt_v1_fixtures_restore_or_fail_typed() {
     // Some flipped bits land where any value restores (a digit of a count).
     assert!(restored > 0);
 }
+
+/// FNV-1a over `bytes`: a hash no toolchain or platform changes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The write path, pinned beside the fixtures' read path: the file a
+/// single-threaded session writes at the v1 fixtures' cut — the first three
+/// fifths of `fixture_spec()`'s trace on `PlanShape::bushy(4)`, nothing
+/// polled — under REF, under JIT, and under REF behind the Bounded(5 s)
+/// reorder stage of `bounded_fixture()`. The hashes were computed by the
+/// build at commit 41ef34a, whose operator states, MNS buffers and
+/// blacklists each wrote their own `{name, entries}` envelope; a build that
+/// moves one byte of what these sessions hold changes them. The JIT file
+/// holds buffered MNSs and blacklisted tuples, so all three containers'
+/// envelopes are in it.
+#[test]
+fn checkpoint_files_at_the_fixture_cut_are_byte_stable() {
+    let spec = fixture_spec();
+    let unordered = |mode| {
+        let builder = Engine::builder().workload(&spec, &PlanShape::bushy(4));
+        let events: Vec<ArrivalEvent> =
+            WorkloadGenerator::generate(&spec).iter().cloned().collect();
+        (builder.mode(mode), events)
+    };
+    let (bounded, _, disordered) = bounded_fixture();
+    let cases = [
+        ("ref", unordered(ExecutionMode::Ref), 0xc33c_5804_a9bf_8dee),
+        (
+            "jit",
+            unordered(ExecutionMode::Jit(JitPolicy::full())),
+            0xd3f3_2868_bc8a_1cbd,
+        ),
+        ("bounded", (bounded, disordered), 0xde1b_22f0_6ab3_2dcb),
+    ];
+    let path = ckpt_path("write-path");
+    for (tag, (builder, events), expected) in cases {
+        let engine = builder.build().expect("engine builds");
+        let mut session = engine.session().expect("session opens");
+        for event in &events[..events.len() * 3 / 5] {
+            let _ = session.push_event(event.clone()).expect("push");
+        }
+        session.checkpoint_to(&path).expect("checkpoint writes");
+        let bytes = std::fs::read(&path).expect("checkpoint reads");
+        let text = String::from_utf8_lossy(&bytes);
+        if tag == "jit" {
+            for container in [
+                "\"mns_buffers\"",
+                "\"blacklists\"",
+                "\"detected_at\"",
+                "\"suspended_at\"",
+            ] {
+                assert!(
+                    text.contains(container),
+                    "{tag}: no {container} in the file"
+                );
+            }
+        }
+        assert_eq!(fnv1a(&bytes), expected, "{tag}: the checkpoint file moved");
+    }
+    std::fs::remove_file(&path).ok();
+}
