@@ -241,9 +241,13 @@ impl Blacklist {
         for (pos, entry) in slots.iter().enumerate() {
             let Some(entry) = entry else { continue };
             self.index_entry(pos, entry);
-            pairs.extend(entry.tuples.iter().map(|t| (t.tuple.ts(), pos as u64)));
+            let keys = entry
+                .tuples
+                .iter()
+                .map(|t| Window::INSTANT.expires_at(&t.tuple));
+            pairs.extend(keys.map(|key| (key, pos as u64)));
             if !entry.mns.is_empty() {
-                pairs.push((entry.mns.ts(), pos as u64));
+                pairs.push((Window::INSTANT.expires_at(&entry.mns), pos as u64));
             }
         }
         self.expiry = pairs.into_iter().collect();
@@ -347,7 +351,8 @@ impl Blacklist {
         let pos = self.slots.len();
         self.bytes += entry_bytes(&entry);
         if !entry.mns.is_empty() {
-            self.expiry.push(entry.mns.ts(), pos as u64);
+            self.expiry
+                .push(Window::INSTANT.expires_at(&entry.mns), pos as u64);
         }
         self.index_entry(pos, &entry);
         self.slots.push(Some(entry));
@@ -369,7 +374,8 @@ impl Blacklist {
             reason = "INVARIANT: callers pass a position obtained from upsert_entry or matching_entry with no removal in between, so the slot is live."
         )]
         let entry = self.slots[pos].as_mut().expect("live entry");
-        self.expiry.push(tuple.ts(), pos as u64);
+        self.expiry
+            .push(Window::INSTANT.expires_at(&tuple), pos as u64);
         self.bytes += tuple.size_bytes();
         entry.tuples.push(BlacklistedTuple { tuple });
     }
@@ -454,8 +460,8 @@ impl Blacklist {
         mut on_removed: impl FnMut(&Tuple),
     ) -> usize {
         let mut touched: Vec<usize> = Vec::new();
-        while let Some((ts, pos)) = self.expiry.peek() {
-            if !window.is_expired(ts, now) {
+        while let Some((key, pos)) = self.expiry.peek() {
+            if !window.is_expired(key, now) {
                 break;
             }
             self.expiry.pop();
@@ -475,7 +481,7 @@ impl Blacklist {
             let before = entry.tuples.len();
             let mut freed = 0usize;
             entry.tuples.retain(|t| {
-                let expired = window.is_expired(t.tuple.ts(), now);
+                let expired = window.expires_at(&t.tuple) <= now;
                 if expired {
                     freed += t.tuple.size_bytes();
                     on_removed(&t.tuple);
@@ -486,7 +492,7 @@ impl Blacklist {
             self.bytes -= freed;
             if entry.tuples.is_empty()
                 && !entry.mns.is_empty()
-                && window.is_expired(entry.mns.ts(), now)
+                && window.expires_at(&entry.mns) <= now
             {
                 self.take_at(pos);
             }

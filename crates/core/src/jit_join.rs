@@ -426,15 +426,16 @@ impl JitJoinOperator {
     }
 
     /// Can a purge at `now` remove anything from any of the six containers?
-    /// Each container reports its earliest expiry (states and MNS buffers
-    /// conservatively), so the common case — nothing has expired since the
+    /// Each container reports its earliest expiry key (states and MNS
+    /// buffers conservatively) — an expiry under [`Window::INSTANT`], which
+    /// [`Window::is_expired`] shifts by the window — so the common case — nothing has expired since the
     /// last arrival — is answered with six O(1) peeks. A purge that removes
     /// nothing charges nothing and emits no feedback, so eliding it is
     /// observationally identical.
     fn purge_due(&self, now: Timestamp) -> bool {
         [LEFT, RIGHT].into_iter().any(|side| {
             let expired =
-                |ts: Option<Timestamp>| ts.is_some_and(|ts| self.window.is_expired(ts, now));
+                |key: Option<Timestamp>| key.is_some_and(|key| self.window.is_expired(key, now));
             expired(self.states[side].next_expiry())
                 || expired(self.blacklists[side].next_expiry())
                 || expired(self.mns_buffers[side].next_expiry())
@@ -820,7 +821,7 @@ impl JitJoinOperator {
         outcome: &mut FeedbackOutcome,
     ) {
         // Expired tuples can no longer contribute results.
-        if self.window.is_expired(suspended.tuple.ts(), now) {
+        if self.window.expires_at(&suspended.tuple) <= now {
             self.histories[side].remove(&suspended.tuple.key());
             return;
         }

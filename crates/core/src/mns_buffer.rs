@@ -194,7 +194,8 @@ impl MnsBuffer {
             };
             self.by_key.insert(entry.mns.key(), *handle);
             if !entry.mns.is_empty() {
-                self.expiry.push(Reverse((entry.mns.ts(), *handle)));
+                let key = Window::INSTANT.expires_at(&entry.mns);
+                self.expiry.push(Reverse((key, *handle)));
             }
         }
         self.refile_groups();
@@ -320,7 +321,8 @@ impl MnsBuffer {
         self.next_handle += 1;
         self.bytes += mns.size_bytes();
         if !mns.is_empty() {
-            self.expiry.push(Reverse((mns.ts(), handle)));
+            self.expiry
+                .push(Reverse((Window::INSTANT.expires_at(&mns), handle)));
         }
         if let Some(shape) = &self.shape {
             file(&mut self.groups, shape, &mns, handle, &mut self.key);
@@ -351,8 +353,8 @@ impl MnsBuffer {
         // expired; stale handles (already-removed entries) are skipped.
         let mut expired_at = std::mem::take(&mut self.handles);
         expired_at.clear();
-        while let Some(&Reverse((ts, handle))) = self.expiry.peek() {
-            if !window.is_expired(ts, now) {
+        while let Some(&Reverse((key, handle))) = self.expiry.peek() {
+            if !window.is_expired(key, now) {
                 break;
             }
             self.expiry.pop();

@@ -758,7 +758,8 @@ impl OperatorState {
     pub fn restore(&mut self, entry: StoredTuple) {
         let seq = self.base + self.slots.len() as u64;
         self.bytes += entry.tuple.size_bytes();
-        self.expiry.push(entry.tuple.ts(), seq);
+        self.expiry
+            .push(Window::INSTANT.expires_at(&entry.tuple), seq);
         let mut scratch = std::mem::take(&mut self.key_scratch);
         for (spec, index) in self.indexes.iter_mut() {
             index.file_with(spec, &entry.tuple, seq, &mut scratch);
@@ -809,12 +810,12 @@ impl OperatorState {
         mut on_removed: impl FnMut(&Tuple),
     ) -> usize {
         let mut removed = 0usize;
-        while let Some((ts, seq)) = self.expiry.peek() {
+        while let Some((key, seq)) = self.expiry.peek() {
             if let Some(entry) = self.get(seq) {
-                if !window.is_expired(entry.tuple.ts(), now) {
+                if window.expires_at(&entry.tuple) > now {
                     break;
                 }
-                debug_assert_eq!(ts, entry.tuple.ts());
+                debug_assert_eq!(key, Window::INSTANT.expires_at(&entry.tuple));
                 #[expect(
                     clippy::expect_used,
                     reason = "INVARIANT: get(seq) returned Some above, so the slot is live."
@@ -1081,7 +1082,10 @@ impl OperatorState {
         self.expiry = entries
             .iter()
             .enumerate()
-            .map(|(idx, entry)| (entry.tuple.ts(), self.base + idx as u64))
+            .map(|(idx, entry)| {
+                let key = Window::INSTANT.expires_at(&entry.tuple);
+                (key, self.base + idx as u64)
+            })
             .collect();
         for (spec, index) in self.indexes.iter_mut() {
             index.clear();

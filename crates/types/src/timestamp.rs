@@ -13,6 +13,7 @@
 //! keeps: window states and JIT's blacklist expire through it, and the
 //! bounded-disorder reorder stage releases through it.
 
+use crate::tuple::Tuple;
 use serde::{Deserialize, Serialize};
 use std::collections::vec_deque::Drain;
 use std::collections::VecDeque;
@@ -164,6 +165,12 @@ pub struct Window {
 }
 
 impl Window {
+    /// The zero-length window, under which a tuple expires the instant
+    /// [`Window::expires_at`] counts its lifespan from.
+    pub const INSTANT: Window = Window {
+        length: Duration::ZERO,
+    };
+
     /// Create a window of the given length.
     pub fn new(length: Duration) -> Self {
         Window { length }
@@ -183,14 +190,22 @@ impl Window {
         ts <= now && now < ts + self.length
     }
 
-    /// Has a tuple with timestamp `ts` expired by time `now`?
-    pub fn is_expired(&self, ts: Timestamp, now: Timestamp) -> bool {
-        ts + self.length <= now
+    /// The instant at which `tuple` expires: it lives during
+    /// `[ts, ts + w)`. Every expiry decision of the window containers —
+    /// operator states, MNS buffers, blacklists — and of the JIT join goes
+    /// through here.
+    pub fn expires_at(&self, tuple: &Tuple) -> Timestamp {
+        tuple.ts() + self.length
     }
 
-    /// The instant at which a tuple with timestamp `ts` expires.
-    pub fn expiry(&self, ts: Timestamp) -> Timestamp {
-        ts + self.length
+    /// Has an entry expired by `now` whose expiry under [`Window::INSTANT`]
+    /// is `key`? A container learns its window only when it purges, so it
+    /// queues an entry by `Window::INSTANT.expires_at(tuple)`; every window
+    /// shifts all such keys by its length, which keeps one queue order valid
+    /// under any window and makes this test agree with
+    /// [`Window::expires_at`].
+    pub fn is_expired(&self, key: Timestamp, now: Timestamp) -> bool {
+        key + self.length <= now
     }
 
     /// Can two tuples with the given timestamps join under this window?
@@ -346,7 +361,14 @@ mod tests {
         assert!(!w.is_alive(ts, Timestamp::from_secs(110)));
         assert!(w.is_expired(ts, Timestamp::from_secs(110)));
         assert!(!w.is_expired(ts, Timestamp::from_secs(109)));
-        assert_eq!(w.expiry(ts), Timestamp::from_secs(110));
+        let tuple = Tuple::from_base(std::sync::Arc::new(crate::BaseTuple::new(
+            crate::SourceId(0),
+            0,
+            ts,
+            Vec::new(),
+        )));
+        assert_eq!(w.expires_at(&tuple), Timestamp::from_secs(110));
+        assert!(w.is_expired(Window::INSTANT.expires_at(&tuple), w.expires_at(&tuple)));
     }
 
     #[test]
