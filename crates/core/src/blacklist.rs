@@ -9,10 +9,8 @@
 //! moved back and joined only with the opposite tuples they have not been
 //! joined with yet.
 
-use jit_exec::state::StateIndexMode;
-use jit_types::{
-    ColumnRef, ExpiryQueue, FastMap, Signature, Timestamp, Tuple, TupleKey, Value, Window,
-};
+use jit_exec::state::{read_envelope, write_envelope, Reclaim, Slab, StateIndexMode};
+use jit_types::{ColumnRef, FastMap, Signature, Timestamp, Tuple, TupleKey, Value, Window};
 use serde::{Content, Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -76,18 +74,17 @@ impl BlacklistEntry {
 ///
 /// # Storage
 ///
-/// Entries live in a slab (`slots`): an entry keeps its position for as
-/// long as it lives, positions ascend in insertion order, and a removal
-/// leaves a `None` tombstone — the same shape as
-/// [`crate::mns_buffer::MnsBuffer`]. So resuming one MNS un-files one entry
-/// from the hash indexes instead of renumbering all of them, and every
-/// "first entry in ascending order" contract below holds on positions.
-/// Compaction (once tombstones outnumber live entries) repacks the slab and
-/// rebuilds what is derived from it, amortised O(1) per removal.
+/// Entries live in a [`Slab`], the store operator states and MNS buffers
+/// use too: an entry's position is its slab handle, which it keeps for as
+/// long as it lives; positions ascend in insertion order and are never
+/// reused. So resuming one MNS un-files one entry from the hash indexes
+/// instead of renumbering all of them, and every "first entry in ascending
+/// order" contract below holds on positions. When the slab compacts, the
+/// indexes are rebuilt from it, amortised O(1) per removal.
 ///
-/// Expiry is driven by a timestamp-ordered queue of `(ts, position)` pairs
-/// — one per suspended tuple, one per non-Ø MNS — so [`Blacklist::purge`]
-/// visits only the entries something expired in, never the whole list.
+/// Each entry queues one expiry per suspended tuple and one for its MNS
+/// (unless it is Ø) in the slab, so [`Blacklist::purge`] visits only the
+/// entries something expired in, never the whole list.
 ///
 /// # The index layer
 ///
@@ -107,10 +104,8 @@ impl BlacklistEntry {
 #[derive(Debug, Clone, Default)]
 pub struct Blacklist {
     name: String,
-    /// Live entries and tombstones, in insertion order.
-    slots: Vec<Option<BlacklistEntry>>,
-    /// Number of `Some` slots.
-    live: usize,
+    /// The entries, in insertion order.
+    slots: Slab<BlacklistEntry>,
     bytes: usize,
     mode: StateIndexMode,
     /// MNS identity → entry position (all entries).
@@ -124,14 +119,13 @@ pub struct Blacklist {
     /// Similar-capture entries grouped by signature column set, then by the
     /// MNS's signature on those columns. Positions ascending.
     by_signature: FastMap<Arc<[ColumnRef]>, FastMap<Signature, Vec<usize>>>,
-    /// `(ts, position)` for every suspended tuple and every non-Ø MNS whose
-    /// expiry has not been acted on yet. Pairs of removed entries are
-    /// skipped when they surface.
-    expiry: ExpiryQueue,
     /// Buffers [`Blacklist::matching_entry`] reuses from call to call: the
     /// candidate positions and an arrival's signature over one column set.
     candidates: Vec<usize>,
     signature_scratch: Vec<(ColumnRef, Value)>,
+    /// The positions a purge found something due in, reused from call to
+    /// call.
+    due: Vec<u64>,
 }
 
 /// Remove `pos` from an ascending position list.
@@ -229,66 +223,56 @@ impl Blacklist {
         }
     }
 
-    /// Rebuild the hash indexes and the expiry queue from the slab. Needed
-    /// only after wholesale slab replacement — compaction and restore.
+    /// Rebuild the hash indexes from the slab. Needed only after the slab
+    /// renumbered its entries (a compaction) or emptied.
     fn reindex(&mut self) {
         self.by_key.clear();
         self.empty_entries.clear();
         self.by_component.clear();
         self.by_signature.clear();
         let slots = std::mem::take(&mut self.slots);
-        let mut pairs = Vec::new();
-        for (pos, entry) in slots.iter().enumerate() {
-            let Some(entry) = entry else { continue };
-            self.index_entry(pos, entry);
-            let keys = entry
-                .tuples
-                .iter()
-                .map(|t| Window::INSTANT.expires_at(&t.tuple));
-            pairs.extend(keys.map(|key| (key, pos as u64)));
-            if !entry.mns.is_empty() {
-                pairs.push((Window::INSTANT.expires_at(&entry.mns), pos as u64));
-            }
+        for (pos, entry) in slots.handles() {
+            self.index_entry(pos as usize, entry);
         }
-        self.expiry = pairs.into_iter().collect();
         self.slots = slots;
     }
 
-    /// Reclaim tombstones once they outnumber the live entries: repack the
-    /// slab and rebuild the derived structures — amortised O(1) per removal.
-    fn maybe_compact(&mut self) {
-        if self.slots.len() - self.live <= self.live.max(16) {
-            return;
+    /// Amortised reclamation after removals ([`Slab::reclaim`]). The indexes
+    /// un-file removed entries eagerly, so only a compaction concerns them.
+    fn reclaim(&mut self) {
+        if let Reclaim::Renumber(_) = self.slots.reclaim() {
+            self.reindex();
         }
-        self.slots.retain(Option::is_some);
-        self.reindex();
+    }
+
+    /// Store `entry` under the next position, queue its expiries and file
+    /// it in the indexes; returns the position.
+    fn admit(&mut self, entry: BlacklistEntry) -> usize {
+        let pos = self.slots.end();
+        self.bytes += entry_bytes(&entry);
+        for suspended in &entry.tuples {
+            self.slots.expire_with(pos, &suspended.tuple);
+        }
+        if !entry.mns.is_empty() {
+            self.slots.expire_with(pos, &entry.mns);
+        }
+        self.index_entry(pos as usize, &entry);
+        self.slots.push(entry);
+        pos as usize
     }
 
     /// Tombstone the entry at `pos` and un-file it everywhere but the
     /// expiry queue, whose pairs for it go stale.
     fn take_at(&mut self, pos: usize) -> Option<BlacklistEntry> {
-        let entry = self.slots.get_mut(pos)?.take()?;
-        self.live -= 1;
+        let entry = self.slots.take(pos as u64)?;
         self.bytes -= entry_bytes(&entry);
         self.unindex_entry(pos, &entry);
         Some(entry)
     }
 
-    /// Pop stale pairs off the front of the expiry queue, so that its front
-    /// — and with it [`Blacklist::next_expiry`] — always names something
-    /// live. Every pair is popped once, here or in [`Blacklist::purge`].
-    fn trim_expiry(&mut self) {
-        while let Some((_, pos)) = self.expiry.peek() {
-            if self.entry(pos as usize).is_some() {
-                break;
-            }
-            self.expiry.pop();
-        }
-    }
-
     /// Number of entries (distinct MNSs).
     fn num_entries(&self) -> usize {
-        self.live
+        self.slots.len()
     }
 
     /// Total number of suspended tuples across all entries.
@@ -298,7 +282,7 @@ impl Blacklist {
 
     /// Is the blacklist empty?
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.slots.is_empty()
     }
 
     /// Analytical size in bytes (MNSs plus suspended tuples).
@@ -308,14 +292,15 @@ impl Blacklist {
 
     /// The entries in insertion order, for inspection.
     pub fn entries(&self) -> impl Iterator<Item = &BlacklistEntry> {
-        self.slots.iter().filter_map(Option::as_ref)
+        self.slots.iter()
     }
 
     /// The entry at a position returned by [`Blacklist::upsert_entry`] or
-    /// [`Blacklist::matching_entry`], if it is still live. Positions are
-    /// stable until the next removal.
+    /// [`Blacklist::matching_entry`], if it is still live. A position is
+    /// stable until its entry is removed or the blacklist next purges or
+    /// removes an entry (which may compact).
     pub fn entry(&self, pos: usize) -> Option<&BlacklistEntry> {
-        self.slots.get(pos)?.as_ref()
+        self.slots.get(pos as u64)
     }
 
     /// Position of the entry for an MNS, if present.
@@ -323,9 +308,8 @@ impl Blacklist {
         if self.mode == StateIndexMode::Hashed {
             return self.by_key.get(key).copied();
         }
-        self.slots
-            .iter()
-            .position(|slot| slot.as_ref().is_some_and(|e| &e.mns.key() == key))
+        let mut found = self.slots.handles().filter(|(_, e)| &e.mns.key() == key);
+        found.next().map(|(pos, _)| pos as usize)
     }
 
     /// Create (or find) the entry for `mns`. Returns its position.
@@ -341,42 +325,32 @@ impl Blacklist {
         }
         let signature_columns = signature_columns.into();
         let signature = Signature::of(&mns, &signature_columns);
-        let entry = BlacklistEntry {
+        self.admit(BlacklistEntry {
             mns,
             signature_columns,
             signature,
             suspended_at: now,
             tuples: Vec::new(),
-        };
-        let pos = self.slots.len();
-        self.bytes += entry_bytes(&entry);
-        if !entry.mns.is_empty() {
-            self.expiry
-                .push(Window::INSTANT.expires_at(&entry.mns), pos as u64);
-        }
-        self.index_entry(pos, &entry);
-        self.slots.push(Some(entry));
-        self.live += 1;
-        pos
+        })
     }
 
-    /// The earliest timestamp whose window expiry makes
-    /// [`Blacklist::purge`] remove a tuple or an entry, or `None` when no
-    /// purge can remove anything.
+    /// The earliest expiry key of a suspended tuple or a non-Ø MNS
+    /// ([`Slab::next_expiry`]): [`Blacklist::purge`] removes something at
+    /// `now` iff `window.is_expired(key, now)`; `None` when no purge can
+    /// remove anything.
     pub fn next_expiry(&self) -> Option<Timestamp> {
-        self.expiry.peek().map(|(ts, _)| ts)
+        self.slots.next_expiry()
     }
 
     /// Add a suspended tuple to the (live) entry at `pos`.
     pub fn add_tuple(&mut self, pos: usize, tuple: Tuple) {
+        self.slots.expire_with(pos as u64, &tuple);
+        self.bytes += tuple.size_bytes();
         #[expect(
             clippy::expect_used,
             reason = "INVARIANT: callers pass a position obtained from upsert_entry or matching_entry with no removal in between, so the slot is live."
         )]
-        let entry = self.slots[pos].as_mut().expect("live entry");
-        self.expiry
-            .push(Window::INSTANT.expires_at(&tuple), pos as u64);
-        self.bytes += tuple.size_bytes();
+        let entry = self.slots.get_mut(pos as u64).expect("live entry");
         entry.tuples.push(BlacklistedTuple { tuple });
     }
 
@@ -389,18 +363,14 @@ impl Blacklist {
     /// way the check allocates nothing: candidates and the arrival's
     /// signatures are formed in buffers the blacklist keeps.
     pub fn matching_entry(&mut self, tuple: &Tuple, allow_similar: bool) -> Option<usize> {
-        if self.live == 0 {
+        if self.slots.is_empty() {
             return None;
         }
-        let slots = &self.slots;
-        let captures = |pos: usize| {
-            slots
-                .get(pos)
-                .and_then(Option::as_ref)
-                .is_some_and(|e| e.captures(tuple, allow_similar))
-        };
         if self.mode == StateIndexMode::Scan {
-            return (0..slots.len()).find(|&pos| captures(pos));
+            let mut found = self.slots.handles();
+            return found
+                .find(|(_, e)| e.captures(tuple, allow_similar))
+                .map(|(pos, _)| pos as usize);
         }
         let candidates = &mut self.candidates;
         candidates.clear();
@@ -420,6 +390,11 @@ impl Blacklist {
         }
         candidates.sort_unstable();
         candidates.dedup();
+        let slots = &self.slots;
+        let captures = |pos: usize| {
+            let entry = slots.get(pos as u64);
+            entry.is_some_and(|e| e.captures(tuple, allow_similar))
+        };
         candidates.iter().copied().find(|&pos| captures(pos))
     }
 
@@ -427,55 +402,41 @@ impl Blacklist {
     pub fn remove_entry(&mut self, key: &TupleKey) -> Option<BlacklistEntry> {
         let pos = self.entry_index(key)?;
         let entry = self.take_at(pos)?;
-        self.trim_expiry();
-        self.maybe_compact();
+        self.reclaim();
         Some(entry)
     }
 
     /// Remove and return every entry, in insertion order (end-of-stream
     /// flush: everything still suspended is released at once).
     pub fn drain_entries(&mut self) -> Vec<BlacklistEntry> {
-        let emptied = Blacklist {
-            name: std::mem::take(&mut self.name),
-            mode: self.mode,
-            ..Blacklist::default()
-        };
-        let full = std::mem::replace(self, emptied);
-        full.slots.into_iter().flatten().collect()
+        let entries = self.slots.take_all().collect();
+        self.bytes = 0;
+        self.reindex();
+        entries
     }
 
     /// Drop expired suspended tuples and entries that have become useless
     /// (MNS expired and no live tuples remain), handing each dropped tuple
-    /// to `on_removed`. Returns the number of tuples removed.
+    /// to `on_removed`. Returns the number of tuples removed. Expiry is
+    /// [`Window::expires_at`].
     ///
-    /// O(expired pairs + size of the entries they name): the expiry queue is
-    /// popped only while its front has expired, and only the entries named
-    /// by the popped pairs are looked at. An entry whose MNS expired while
-    /// it still held live tuples is dropped when its last tuple's pair
-    /// surfaces.
+    /// O(expired pairs + size of the entries they name): the slab's due-pop
+    /// yields only the entries something expired in. An entry whose MNS
+    /// expired while it still held live tuples is dropped when its last
+    /// tuple's pair surfaces.
     pub fn purge(
         &mut self,
         window: Window,
         now: Timestamp,
         mut on_removed: impl FnMut(&Tuple),
     ) -> usize {
-        let mut touched: Vec<usize> = Vec::new();
-        while let Some((key, pos)) = self.expiry.peek() {
-            if !window.is_expired(key, now) {
-                break;
-            }
-            self.expiry.pop();
-            touched.push(pos as usize);
-        }
-        if touched.is_empty() {
-            return 0;
-        }
+        let mut touched = std::mem::take(&mut self.due);
+        self.slots.pop_due(window, now, &mut touched);
         touched.sort_unstable();
         touched.dedup();
         let mut removed = 0usize;
-        for pos in touched {
-            // Pairs of entries removed since they were queued are stale.
-            let Some(entry) = self.slots[pos].as_mut() else {
+        for &pos in &touched {
+            let Some(entry) = self.slots.get_mut(pos) else {
                 continue;
             };
             let before = entry.tuples.len();
@@ -494,25 +455,22 @@ impl Blacklist {
                 && !entry.mns.is_empty()
                 && window.expires_at(&entry.mns) <= now
             {
-                self.take_at(pos);
+                self.take_at(pos as usize);
             }
         }
-        self.trim_expiry();
-        self.maybe_compact();
+        if !touched.is_empty() {
+            self.reclaim();
+        }
+        self.due = touched;
         removed
     }
 
-    /// Serialise the entries for a durability checkpoint. The index mode,
-    /// the hash indexes and the expiry queue are runtime configuration /
-    /// derived structure and are not persisted.
+    /// Serialise the entries for a durability checkpoint
+    /// ([`write_envelope`]). The index mode, the hash indexes and the
+    /// expiry queue are runtime configuration / derived structure and are
+    /// not persisted.
     pub fn checkpoint(&self) -> Content {
-        Content::Map(vec![
-            ("name".to_string(), Content::Str(self.name.clone())),
-            (
-                "entries".to_string(),
-                Content::Seq(self.entries().map(Serialize::to_content).collect()),
-            ),
-        ])
+        write_envelope(&self.name, self.entries())
     }
 
     /// Replace the entries with a checkpointed set, rebuilding the byte
@@ -520,21 +478,13 @@ impl Blacklist {
     /// must carry the same diagnostic name (i.e. come from the same
     /// operator slot).
     pub fn restore_checkpoint(&mut self, content: &Content) -> Result<(), serde::Error> {
-        let map = content
-            .as_map()
-            .ok_or_else(|| serde::Error::expected("object", "Blacklist"))?;
-        let name: String = serde::field(map, "name", "Blacklist")?;
-        if name != self.name {
-            return Err(serde::Error::msg(format!(
-                "blacklist mismatch: checkpoint holds `{name}`, plan expects `{}`",
-                self.name
-            )));
-        }
-        let entries: Vec<BlacklistEntry> = serde::field(map, "entries", "Blacklist")?;
-        self.bytes = entries.iter().map(entry_bytes).sum();
-        self.live = entries.len();
-        self.slots = entries.into_iter().map(Some).collect();
+        let entries: Vec<BlacklistEntry> = read_envelope(content, &self.name, "Blacklist")?;
+        self.slots.clear();
+        self.bytes = 0;
         self.reindex();
+        for entry in entries {
+            self.admit(entry);
+        }
         Ok(())
     }
 }
@@ -875,8 +825,12 @@ mod tests {
             assert_eq!(slab.num_entries(), model.entries.len());
             // Removals un-file eagerly: the indexes hold live positions only.
             let filed = slab.by_component.values().map(Vec::len).sum::<usize>();
-            assert_eq!(filed + slab.empty_entries.len(), slab.live, "step {step}");
-            assert_eq!(slab.by_key.len(), slab.live, "step {step}");
+            assert_eq!(
+                filed + slab.empty_entries.len(),
+                slab.slots.len(),
+                "step {step}"
+            );
+            assert_eq!(slab.by_key.len(), slab.slots.len(), "step {step}");
             let by_signature = slab.by_signature.values().flat_map(|g| g.values());
             let with_signature = slab.entries().filter(|e| !e.signature_columns.is_empty());
             assert_eq!(
@@ -923,7 +877,7 @@ mod tests {
                     } else {
                         a.clone()
                     };
-                    let slots_before = slab.slots.len();
+                    let issued = slab.slots.end();
                     match rng.gen_range(0u32..100) {
                         0..=29 => {
                             let mns = match rng.gen_range(0u32..10) {
@@ -966,7 +920,7 @@ mod tests {
                             assert_eq!(dropped, model.purge(window, now), "step {step}: purged tuples");
                         }
                     }
-                    compactions += usize::from(slab.slots.len() < slots_before);
+                    compactions += usize::from(!slab.is_empty() && slab.slots.base() >= issued);
                     assert_same(&slab, &model, step);
                 }
                 assert!(compactions > 0, "the sequence must cross a compaction");

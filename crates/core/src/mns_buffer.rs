@@ -5,13 +5,13 @@
 //! the MNS buffer." A match removes the MNS and triggers a resumption
 //! feedback to the producer.
 
-use jit_exec::state::{sweep_due, HashIndex, JoinKeySpec, StateIndexMode};
+use jit_exec::state::{
+    read_envelope, write_envelope, HashIndex, JoinKeySpec, Reclaim, Slab, StateIndexMode,
+};
 use jit_metrics::{CostKind, RunMetrics};
 use jit_types::{FastMap, PredicateSet, SourceSet, Timestamp, Tuple, TupleKey, Value, Window};
 use serde::{Content, Deserialize, Serialize};
-use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, VecDeque};
 
 /// One buffered MNS.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -53,18 +53,17 @@ struct ProbeShape {
 ///
 /// # Storage
 ///
-/// Every entry gets a handle when it is inserted; handles ascend and are
-/// never reused. The entries live in a map by handle, and everything else —
-/// the insertion-order list, the identity map, the expiry heap, the probe
-/// groups — refers to them by handle, so all of it survives every insertion
-/// and removal: nothing is rebuilt in steady state (a restore rebuilds it
-/// once). A position-indexed slab like [`jit_exec::state::OperatorState`]'s
-/// would not do: an MNS is older than its detection by up to a window, so
-/// MNSs leave in an order unrelated to the one they came in; their
-/// tombstones sit mid-slab, where trimming the front cannot reach them, and
-/// every repacking renumbers everything derived. Handles of removed entries
-/// linger in the derived lists; readers skip them, and a sweep drops them
-/// after O(live) removals.
+/// The entries live in a [`Slab`], the store operator states and blacklists
+/// use too: every entry gets a handle when it is inserted, handles ascend
+/// and are never reused, and each non-empty MNS queues one expiry. The
+/// identity map and the probe groups refer to entries by handle, so they
+/// survive every insertion and removal. An MNS is older than its detection
+/// by up to a window, so MNSs leave in an order unrelated to the one they
+/// came in and their tombstones sit mid-slab; the slab compacts once they
+/// outnumber the live entries, and the groups and the identity map then map
+/// their handles through the renumbering instead of being re-filed. Handles
+/// of removed entries linger in the groups; readers skip them, and a sweep
+/// drops them after O(live) removals.
 ///
 /// # The index layer
 ///
@@ -82,25 +81,16 @@ struct ProbeShape {
 #[derive(Debug, Clone, Default)]
 pub struct MnsBuffer {
     name: String,
-    /// The buffered entries, by handle.
-    entries: FastMap<u64, MnsEntry>,
-    /// Handles in insertion order.
-    order: VecDeque<u64>,
-    next_handle: u64,
+    /// The buffered entries, in insertion order.
+    slots: Slab<MnsEntry>,
     bytes: usize,
     mode: StateIndexMode,
-    /// Min-heap of `(mns timestamp, handle)` over non-empty entries:
-    /// purges pop only what has expired instead of scanning the buffer.
-    /// The empty MNS Ø never expires, so it is never pushed.
-    expiry: BinaryHeap<Reverse<(Timestamp, u64)>>,
     /// MNS identity → handle (kept in sync across removals).
     by_key: FastMap<TupleKey, u64>,
     /// The probe shape the groups answer for; `None` until the first hashed
     /// probe, and nothing is filed before it.
     shape: Option<ProbeShape>,
     groups: Vec<ProbeGroup>,
-    /// Entries removed since the derived lists were last swept.
-    removed_since_sweep: usize,
     /// Reused buffers: candidate / expired handles, and key values.
     handles: Vec<u64>,
     key: Vec<Value>,
@@ -175,60 +165,42 @@ impl MnsBuffer {
         }
         self.groups.clear();
         let Some(shape) = &self.shape else { return };
-        for handle in self.order.iter() {
-            if let Some(entry) = self.entries.get(handle) {
-                file(&mut self.groups, shape, &entry.mns, *handle, &mut self.key);
-            }
+        for (handle, entry) in self.slots.handles() {
+            file(&mut self.groups, shape, &entry.mns, handle, &mut self.key);
         }
     }
 
-    /// Rebuild everything derived from the entries (identity map, expiry
-    /// heap, probe groups). Needed only after they are replaced wholesale —
-    /// a restore.
-    fn rebuild_derived(&mut self) {
-        self.by_key.clear();
-        self.expiry.clear();
-        for handle in &self.order {
-            let Some(entry) = self.entries.get(handle) else {
-                continue;
-            };
-            self.by_key.insert(entry.mns.key(), *handle);
-            if !entry.mns.is_empty() {
-                let key = Window::INSTANT.expires_at(&entry.mns);
-                self.expiry.push(Reverse((key, *handle)));
-            }
-        }
-        self.refile_groups();
-    }
-
-    /// Amortised reclamation after removals: drop the dead handles at the
-    /// front of the insertion-order list (MNSs mostly leave oldest first),
-    /// and sweep the rest out of it and out of the groups once enough
-    /// have piled up.
+    /// Amortised reclamation after removals ([`Slab::reclaim`]): sweep the
+    /// dead handles out of the groups once enough have piled up, and
+    /// follow a compaction's renumbering.
     fn reclaim(&mut self) {
-        let entries = &self.entries;
-        while self.order.front().is_some_and(|h| !entries.contains_key(h)) {
-            self.order.pop_front();
-        }
-        if sweep_due(self.removed_since_sweep, entries.len()) {
-            self.order.retain(|h| entries.contains_key(h));
-            for group in &mut self.groups {
-                group.index.sweep(|h| entries.contains_key(&h));
+        match self.slots.reclaim() {
+            Reclaim::Keep => {}
+            Reclaim::Sweep => {
+                let slots = &self.slots;
+                for group in &mut self.groups {
+                    group.index.sweep(|h| slots.is_live(h));
+                }
             }
-            self.removed_since_sweep = 0;
+            Reclaim::Renumber(renumbering) => {
+                for group in &mut self.groups {
+                    group.index.renumber(|h| renumbering.get(h));
+                }
+                self.by_key
+                    .retain(|_, h| renumbering.get(*h).map(|fresh| *h = fresh).is_some());
+            }
         }
     }
 
     /// Remove the live entry with handle `handle`, maintaining the byte
-    /// accounting and the identity map (the derived lists keep the stale
-    /// handle and filter it when read). Panics if the entry is already gone.
+    /// accounting and the identity map (the groups keep the stale handle
+    /// and filter it when read). Panics if the entry is already gone.
     fn take_at(&mut self, handle: u64) -> MnsEntry {
         #[expect(
             clippy::expect_used,
-            reason = "INVARIANT: take_at's contract (doc above) requires a live entry; callers pass handles read from the identity map or candidates()."
+            reason = "INVARIANT: take_at's contract (doc above) requires a live entry; callers pass handles read from the identity map, candidates() or a due-pop."
         )]
-        let entry = self.entries.remove(&handle).expect("live entry");
-        self.removed_since_sweep += 1;
+        let entry = self.slots.take(handle).expect("live entry");
         self.bytes -= entry.mns.size_bytes();
         self.by_key.remove(&entry.mns.key());
         entry
@@ -260,22 +232,21 @@ impl MnsBuffer {
         let mut cand = std::mem::take(&mut self.handles);
         cand.clear();
         if self.mode == StateIndexMode::Scan {
-            cand.extend(self.order.iter().filter(|h| self.entries.contains_key(h)));
+            cand.extend(self.slots.handles().map(|(h, _)| h));
         } else {
             self.ensure_shape(predicates, tuple.sources());
-            let entries = &self.entries;
+            let slots = &self.slots;
             for g in &mut self.groups {
                 if g.spec.probe_key_into(tuple, &mut self.key) {
-                    let live = |h: u64| entries.contains_key(&h);
+                    let live = |h: u64| slots.is_live(h);
                     g.index.live_candidates_into(&self.key, live, &mut cand);
                 } else {
                     // The probe lacks a key column: the spanning predicate
                     // is not applicable, so the whole group is examined.
-                    let in_group = |h: &u64| {
-                        let entry = entries.get(h);
-                        entry.is_some_and(|e| e.mns.sources() == g.coverage)
-                    };
-                    cand.extend(self.order.iter().copied().filter(in_group));
+                    let in_group = slots
+                        .handles()
+                        .filter(|(_, e)| e.mns.sources() == g.coverage);
+                    cand.extend(in_group.map(|(h, _)| h));
                 }
             }
             cand.sort_unstable();
@@ -290,12 +261,12 @@ impl MnsBuffer {
 
     /// Number of buffered MNSs.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// Is the buffer empty?
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// Analytical size in bytes.
@@ -311,28 +282,30 @@ impl MnsBuffer {
     /// Buffer a newly detected MNS (ignored if an identical one is present).
     /// Returns whether it was inserted.
     pub fn insert(&mut self, mns: Tuple, now: Timestamp) -> bool {
-        // The new entry takes the largest handle, so filing it keeps every
-        // derived list ascending.
-        let handle = self.next_handle;
-        match self.by_key.entry(mns.key()) {
+        self.admit(MnsEntry {
+            mns,
+            detected_at: now,
+        })
+    }
+
+    /// Store `entry` under the next handle unless its MNS is buffered
+    /// already. The new entry takes the largest handle, so filing it keeps
+    /// every group ascending. The empty MNS Ø never expires, so it queues
+    /// no expiry.
+    fn admit(&mut self, entry: MnsEntry) -> bool {
+        let handle = self.slots.end();
+        match self.by_key.entry(entry.mns.key()) {
             Entry::Occupied(_) => return false,
             Entry::Vacant(slot) => slot.insert(handle),
         };
-        self.next_handle += 1;
-        self.bytes += mns.size_bytes();
-        if !mns.is_empty() {
-            self.expiry
-                .push(Reverse((Window::INSTANT.expires_at(&mns), handle)));
+        self.bytes += entry.mns.size_bytes();
+        if !entry.mns.is_empty() {
+            self.slots.expire_with(handle, &entry.mns);
         }
         if let Some(shape) = &self.shape {
-            file(&mut self.groups, shape, &mns, handle, &mut self.key);
+            file(&mut self.groups, shape, &entry.mns, handle, &mut self.key);
         }
-        self.order.push_back(handle);
-        let entry = MnsEntry {
-            mns,
-            detected_at: now,
-        };
-        self.entries.insert(handle, entry);
+        self.slots.push(entry);
         true
     }
 
@@ -342,31 +315,20 @@ impl MnsBuffer {
         self.take_expired(window, now).len()
     }
 
-    /// Remove and return the MNSs whose components have expired.
+    /// Remove and return, in entry (insertion) order, the MNSs that have
+    /// expired by `now` ([`Window::expires_at`]).
     ///
     /// The caller (the consumer operator) turns these into resumption
     /// feedback: once the justification for a suspension has expired, the
     /// producer must release any still-alive similar tuples it suppressed on
     /// its behalf, otherwise their future join partners would be missed.
     pub fn take_expired(&mut self, window: Window, now: Timestamp) -> Vec<Tuple> {
-        // O(expired): pop the heap only while its minimum timestamp has
-        // expired; stale handles (already-removed entries) are skipped.
-        let mut expired_at = std::mem::take(&mut self.handles);
-        expired_at.clear();
-        while let Some(&Reverse((key, handle))) = self.expiry.peek() {
-            if !window.is_expired(key, now) {
-                break;
-            }
-            self.expiry.pop();
-            if self.entries.contains_key(&handle) {
-                expired_at.push(handle);
-            }
-        }
-        // Heap order is by timestamp; the historical contract is entry
-        // (insertion) order.
-        expired_at.sort_unstable();
-        let expired: Vec<Tuple> = expired_at.iter().map(|&h| self.take_at(h).mns).collect();
-        self.handles = expired_at;
+        let mut due = std::mem::take(&mut self.handles);
+        self.slots.pop_due(window, now, &mut due);
+        // The due-pop yields expiry order; the contract is entry order.
+        due.sort_unstable();
+        let expired: Vec<Tuple> = due.iter().map(|&h| self.take_at(h).mns).collect();
+        self.handles = due;
         if !expired.is_empty() {
             self.reclaim();
         }
@@ -402,7 +364,7 @@ impl MnsBuffer {
                 clippy::expect_used,
                 reason = "INVARIANT: candidates() yields handles of live entries only, each once, and this loop removes none before examining it."
             )]
-            if is_match(self.entries.get(&handle).expect("candidates are live")) {
+            if is_match(self.slots.get(handle).expect("candidates are live")) {
                 matched.push(self.take_at(handle).mns);
             }
         }
@@ -413,15 +375,13 @@ impl MnsBuffer {
         matched
     }
 
-    /// The earliest timestamp at which any buffered MNS *could* expire — the
-    /// expiry heap's minimum. Conservative: stale heap handles (already
-    /// removed entries) may report an instant at which [`MnsBuffer::take_expired`]
-    /// removes nothing, which is harmless (it charges nothing and emits no
-    /// feedback). `None` means no purge can ever remove anything (the buffer
-    /// is empty or holds only the never-expiring Ø), so callers can elide
-    /// the purge entirely.
+    /// The earliest expiry key of a buffered MNS ([`Slab::next_expiry`]):
+    /// [`MnsBuffer::take_expired`] removes something at `now` iff
+    /// `window.is_expired(key, now)`. `None` means no purge can ever remove
+    /// anything (the buffer is empty or holds only the never-expiring Ø),
+    /// so callers can elide the purge entirely.
     pub fn next_expiry(&self) -> Option<Timestamp> {
-        self.expiry.peek().map(|&Reverse((ts, _))| ts)
+        self.slots.next_expiry()
     }
 
     /// Remove a specific MNS by identity (used when a producer reports it can
@@ -439,46 +399,29 @@ impl MnsBuffer {
 
     /// Iterate over buffered entries, in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &MnsEntry> {
-        self.order.iter().filter_map(|h| self.entries.get(h))
+        self.slots.iter()
     }
 
-    /// Serialise the entries for a durability checkpoint. The index mode,
-    /// the identity map and the probe groups are runtime configuration /
-    /// derived structure and are not persisted.
+    /// Serialise the entries for a durability checkpoint
+    /// ([`write_envelope`]). The index mode, the identity map and the probe
+    /// groups are runtime configuration / derived structure and are not
+    /// persisted.
     pub fn checkpoint(&self) -> Content {
-        Content::Map(vec![
-            ("name".to_string(), Content::Str(self.name.clone())),
-            (
-                "entries".to_string(),
-                Content::Seq(self.iter().map(Serialize::to_content).collect()),
-            ),
-        ])
+        write_envelope(&self.name, self.iter())
     }
 
     /// Replace the entries with a checkpointed set, rebuilding the byte
     /// accounting and everything derived. The checkpoint must carry the same
     /// diagnostic name (i.e. come from the same operator slot).
     pub fn restore_checkpoint(&mut self, content: &Content) -> Result<(), serde::Error> {
-        let map = content
-            .as_map()
-            .ok_or_else(|| serde::Error::expected("object", "MnsBuffer"))?;
-        let name: String = serde::field(map, "name", "MnsBuffer")?;
-        if name != self.name {
-            return Err(serde::Error::msg(format!(
-                "MNS buffer mismatch: checkpoint holds `{name}`, plan expects `{}`",
-                self.name
-            )));
-        }
-        let entries: Vec<MnsEntry> = serde::field(map, "entries", "MnsBuffer")?;
-        self.bytes = entries.iter().map(|e| e.mns.size_bytes()).sum();
-        self.order.clear();
-        self.entries.clear();
+        let entries: Vec<MnsEntry> = read_envelope(content, &self.name, "MnsBuffer")?;
+        self.slots.clear();
+        self.by_key.clear();
+        self.groups.clear();
+        self.bytes = 0;
         for entry in entries {
-            self.order.push_back(self.next_handle);
-            self.entries.insert(self.next_handle, entry);
-            self.next_handle += 1;
+            self.admit(entry);
         }
-        self.rebuild_derived();
         Ok(())
     }
 }
@@ -801,7 +744,7 @@ mod tests {
                 assert!(bound <= due, "step {step}: purge bound late");
             }
             // Dead handles stay within a multiple of the live entries.
-            let dead = buffer.order.len() - buffer.len();
+            let dead = (buffer.slots.end() - buffer.slots.base()) as usize - buffer.len();
             assert!(
                 dead <= 2 * buffer.len() + 65,
                 "step {step}: {dead} dead handles"

@@ -259,10 +259,20 @@ impl Bucket {
     }
 
     fn retain(&mut self, keep: impl Fn(u64) -> bool) {
+        self.renumber(|h| keep(h).then_some(h));
+    }
+
+    /// Map every handle through `to`, dropping those it maps to `None`.
+    /// `to` must be ascending, which keeps the bucket ascending.
+    fn renumber(&mut self, to: impl Fn(u64) -> Option<u64>) {
         match self {
-            Bucket::One(handle) if !keep(*handle) => *self = Bucket::Many(Vec::new()),
-            Bucket::One(_) => {}
-            Bucket::Many(handles) => handles.retain(|&h| keep(h)),
+            Bucket::One(handle) => match to(*handle) {
+                Some(fresh) => *handle = fresh,
+                None => *self = Bucket::Many(Vec::new()),
+            },
+            Bucket::Many(handles) => {
+                handles.retain_mut(|h| to(*h).map(|fresh| *h = fresh).is_some())
+            }
         }
     }
 }
@@ -394,19 +404,11 @@ impl Buckets {
         }
     }
 
-    fn clear(&mut self) {
-        match self {
-            Buckets::Int(map) => map.clear(),
-            Buckets::Ints { map, .. } => map.clear(),
-            Buckets::Generic(map) => map.clear(),
-        }
-    }
-
-    /// Keep only the handles `is_live` accepts and drop the buckets that
-    /// empty out.
-    fn sweep(&mut self, is_live: impl Fn(u64) -> bool) {
+    /// Map every handle through `to` ([`Bucket::renumber`]) and drop the
+    /// buckets that empty out.
+    fn renumber(&mut self, to: impl Fn(u64) -> Option<u64>) {
         let keep = |bucket: &mut Bucket| {
-            bucket.retain(&is_live);
+            bucket.renumber(&to);
             !bucket.as_slice().is_empty()
         };
         match self {
@@ -432,10 +434,12 @@ impl Buckets {
 /// coverage).
 ///
 /// The index holds handles and never learns of a removal: readers pass the
-/// owner's liveness test to [`HashIndex::live_candidates_into`], and the
-/// owner calls [`HashIndex::sweep`] once removals have piled up — which
-/// bounds the dead handles *and* the emptied buckets (a stream keyed by an
-/// order or session id files every key exactly once).
+/// owner's liveness test ([`Slab::is_live`]) to
+/// [`HashIndex::live_candidates_into`], and the owner calls
+/// [`HashIndex::sweep`] or [`HashIndex::renumber`] when its [`Slab`] asks
+/// ([`Slab::reclaim`]) — which bounds the dead handles *and* the emptied
+/// buckets (a stream keyed by an order or session id files every key exactly
+/// once).
 ///
 /// Keys are formed in a caller-owned scratch buffer and stored by value: a
 /// key of one to four integer columns lives in its map slot, so filing and
@@ -533,14 +537,16 @@ impl HashIndex {
     /// Drop every handle `is_live` rejects and every bucket that empties.
     /// O(filed handles): call it once per O(live) removals.
     pub fn sweep(&mut self, is_live: impl Fn(u64) -> bool) {
-        self.buckets.sweep(&is_live);
-        self.overflow.retain(|&h| is_live(h));
+        self.renumber(|h| is_live(h).then_some(h));
     }
 
-    /// Drop every filed handle.
-    pub(crate) fn clear(&mut self) {
-        self.buckets.clear();
-        self.overflow.clear();
+    /// Map every filed handle through `to` — ascending, e.g. a compaction's
+    /// [`Renumbering::get`] — dropping the handles it maps to `None` and the
+    /// buckets that empty out. O(filed handles), no key is formed again.
+    pub fn renumber(&mut self, to: impl Fn(u64) -> Option<u64>) {
+        self.buckets.renumber(&to);
+        self.overflow
+            .retain_mut(|h| to(*h).map(|fresh| *h = fresh).is_some());
     }
 }
 
@@ -626,39 +632,313 @@ fn retain_common(out: &mut Vec<u64>, other: &[u64]) {
     });
 }
 
-/// Has an index owner let enough removals pile up to call
-/// [`HashIndex::sweep`]? As many as it has live entries (a sweep then costs
-/// O(1) per removal), and never fewer than 64.
-pub fn sweep_due(removed_since_sweep: usize, live: usize) -> bool {
-    removed_since_sweep > live.max(64)
+/// The store every window container keeps its entries in — an operator
+/// state's stored tuples, an MNS buffer's MNSs, a blacklist's entries —
+/// with the queue that expires them.
+///
+/// Each entry gets a handle when it is pushed: handles ascend in insertion
+/// order and are never reused, and the entry with handle `h` sits at
+/// `slots[h - base]`, so a lookup is an array index. A removal leaves a
+/// tombstone; [`Slab::reclaim`] drops the tombstones at the front (purges
+/// remove the oldest entries, i.e. mostly the front) and compacts once
+/// tombstones outnumber live entries, rebasing past every handle ever
+/// issued — amortised O(1) per removal. Entries that leave in an order
+/// unrelated to the one they came in (drained tuples, matched or resumed
+/// MNSs) tombstone mid-slab, where compaction reaches them.
+///
+/// An owner's indexes hold handles and never learn of a removal: they filter
+/// with [`Slab::is_live`] on read and follow what [`Slab::reclaim`] asks.
+///
+/// Expiry runs on a [`jit_types::ExpiryQueue`] of `(key, handle)`, keyed by
+/// `Window::INSTANT.expires_at(tuple)` ([`Slab::expire_with`]): an owner may
+/// queue one pair per entry or several (a blacklist entry expires by its MNS
+/// and by each suspended tuple), or none (the empty MNS Ø never expires).
+/// [`Slab::pop_due`] pops the pairs now due; pairs of removed entries are
+/// dropped as they reach the front, so after every due-pop and reclaim the
+/// front names a live entry and [`Slab::next_expiry`] is exact.
+#[derive(Debug, Clone)]
+pub struct Slab<T> {
+    /// Live entries and tombstones, in insertion order. A deque so that the
+    /// front trims in O(1).
+    slots: VecDeque<Option<T>>,
+    /// Handle of the front slot; handles below it are dead.
+    base: u64,
+    /// Number of `Some` slots.
+    live: usize,
+    expiry: ExpiryQueue,
+    /// Entries removed since the owner was last asked to sweep its indexes
+    /// (or the slab compacted).
+    removed_since_sweep: usize,
+}
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
+            slots: VecDeque::new(),
+            base: 0,
+            live: 0,
+            expiry: ExpiryQueue::default(),
+            removed_since_sweep: 0,
+        }
+    }
+}
+
+/// What [`Slab::reclaim`] asks of the owner's handle indexes.
+#[derive(Debug)]
+pub enum Reclaim {
+    /// Nothing yet.
+    Keep,
+    /// As many entries have left since the last sweep as are live (and at
+    /// least 64): drop the dead handles, e.g. with [`HashIndex::sweep`] and
+    /// [`Slab::is_live`] — O(1) per removal.
+    Sweep,
+    /// The slab compacted: every live entry has a new handle and every old
+    /// handle is dead. Map each filed handle through the renumbering.
+    Renumber(Renumbering),
+}
+
+/// The handles a compaction gave the live entries, by old handle.
+#[derive(Debug)]
+pub struct Renumbering {
+    /// The slab's base before the compaction.
+    old_base: u64,
+    /// Per old slot, the new handle of its entry (`None`: a tombstone).
+    fresh: Vec<Option<u64>>,
+}
+
+impl Renumbering {
+    /// The new handle of the entry that had `handle`, or `None` if that
+    /// entry was gone before the compaction. Ascending in `handle`.
+    pub fn get(&self, handle: u64) -> Option<u64> {
+        let at = handle.checked_sub(self.old_base)?;
+        *self.fresh.get(usize::try_from(at).ok()?)?
+    }
+}
+
+impl<T> Slab<T> {
+    /// Number of live entries.
+    pub fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Is no entry live?
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// The lowest handle that may be live.
+    pub fn base(&self) -> u64 {
+        self.base
+    }
+
+    /// The handle the next [`Slab::push`] issues.
+    pub fn end(&self) -> u64 {
+        self.base + self.slots.len() as u64
+    }
+
+    /// The live entry with `handle`, if any.
+    pub fn get(&self, handle: u64) -> Option<&T> {
+        let at = handle.checked_sub(self.base)?;
+        self.slots.get(at as usize)?.as_ref()
+    }
+
+    /// The live entry with `handle`, mutably.
+    pub fn get_mut(&mut self, handle: u64) -> Option<&mut T> {
+        let at = handle.checked_sub(self.base)?;
+        self.slots.get_mut(at as usize)?.as_mut()
+    }
+
+    /// Is the entry with `handle` live?
+    pub fn is_live(&self, handle: u64) -> bool {
+        self.get(handle).is_some()
+    }
+
+    /// The live entries in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().flatten()
+    }
+
+    /// The live entries in insertion order, mutably.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.slots.iter_mut().flatten()
+    }
+
+    /// The live entries with their handles, ascending.
+    pub fn handles(&self) -> impl Iterator<Item = (u64, &T)> {
+        let base = self.base;
+        let slots = self.slots.iter().enumerate();
+        slots.filter_map(move |(at, slot)| Some((base + at as u64, slot.as_ref()?)))
+    }
+
+    /// Store `entry` under the next handle ([`Slab::end`]) and return it.
+    pub fn push(&mut self, entry: T) -> u64 {
+        let handle = self.end();
+        self.slots.push_back(Some(entry));
+        self.live += 1;
+        handle
+    }
+
+    /// Queue `handle` — live, or the next one [`Slab::push`] issues — to
+    /// fall due when `tuple` expires. The key is the tuple's expiry under
+    /// [`Window::INSTANT`]: the owner names its window only when it pops.
+    pub fn expire_with(&mut self, handle: u64, tuple: &Tuple) {
+        self.expiry.push(Window::INSTANT.expires_at(tuple), handle);
+    }
+
+    /// Remove and return the live entry with `handle`, leaving a tombstone.
+    /// Its queued pairs go stale; call [`Slab::reclaim`] after a batch of
+    /// removals.
+    pub fn take(&mut self, handle: u64) -> Option<T> {
+        let at = handle.checked_sub(self.base)?;
+        let entry = self.slots.get_mut(at as usize)?.take()?;
+        self.live -= 1;
+        self.removed_since_sweep += 1;
+        Some(entry)
+    }
+
+    /// Pop every queued pair due at `now` under `window`, writing the live
+    /// handles into `due` (cleared first) in `(key, push)` order — which is
+    /// `(expiry, handle)` order for an owner that queues each entry as it
+    /// pushes it. A handle with several due pairs comes out once per pair.
+    /// The entries stay live: the owner takes what it removes. O(popped).
+    pub fn pop_due(&mut self, window: Window, now: Timestamp, due: &mut Vec<u64>) {
+        due.clear();
+        while let Some((key, handle)) = self.expiry.peek() {
+            let live = self.is_live(handle);
+            if live && !window.is_expired(key, now) {
+                break;
+            }
+            self.expiry.pop();
+            if live {
+                due.push(handle);
+            }
+        }
+    }
+
+    /// The earliest queued key of a live entry (an expiry under
+    /// [`Window::INSTANT`]; see [`Window::is_expired`]), or `None` when no
+    /// pop can yield anything. Exact after [`Slab::pop_due`] and
+    /// [`Slab::reclaim`]; a lower bound after a bare [`Slab::take`].
+    pub fn next_expiry(&self) -> Option<Timestamp> {
+        self.expiry.peek().map(|(key, _)| key)
+    }
+
+    /// Amortised reclamation after removals: drop the tombstones at the
+    /// front and the stale pairs at the queue's front, then compact once
+    /// tombstones outnumber the live entries (and the slab holds more than
+    /// 64 slots), or else tell the owner when its indexes are due a sweep.
+    pub fn reclaim(&mut self) -> Reclaim {
+        while matches!(self.slots.front(), Some(None)) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        while let Some((_, handle)) = self.expiry.peek() {
+            if self.is_live(handle) {
+                break;
+            }
+            self.expiry.pop();
+        }
+        if self.slots.len() > 64 && self.slots.len() > 2 * self.live {
+            Reclaim::Renumber(self.compact())
+        } else if self.removed_since_sweep > self.live.max(64) {
+            self.removed_since_sweep = 0;
+            Reclaim::Sweep
+        } else {
+            Reclaim::Keep
+        }
+    }
+
+    /// Drop the tombstones, give the live entries fresh handles from
+    /// [`Slab::end`] on, and carry their queued pairs over in queue order.
+    fn compact(&mut self) -> Renumbering {
+        let old_base = self.base;
+        self.base = self.end();
+        let mut next = self.base;
+        let fresh: Vec<Option<u64>> = self
+            .slots
+            .iter()
+            .map(|slot| {
+                slot.as_ref().map(|_| {
+                    next += 1;
+                    next - 1
+                })
+            })
+            .collect();
+        let renumbering = Renumbering { old_base, fresh };
+        self.slots.retain(Option::is_some);
+        let mut expiry = ExpiryQueue::default();
+        for (key, &handle) in self.expiry.iter() {
+            if let Some(handle) = renumbering.get(handle) {
+                expiry.push(key, handle);
+            }
+        }
+        self.expiry = expiry;
+        self.removed_since_sweep = 0;
+        debug_assert_eq!(self.slots.len(), self.live, "slab live-count agreement");
+        renumbering
+    }
+
+    /// Remove every entry and return the live ones in insertion order. The
+    /// handles issued so far stay dead.
+    pub fn take_all(&mut self) -> impl Iterator<Item = T> {
+        self.base = self.end();
+        self.live = 0;
+        self.removed_since_sweep = 0;
+        self.expiry.clear();
+        std::mem::take(&mut self.slots).into_iter().flatten()
+    }
+
+    /// Remove every entry. The handles issued so far stay dead.
+    pub fn clear(&mut self) {
+        self.take_all().for_each(drop);
+    }
+}
+
+/// The checkpoint envelope of a window container: its diagnostic name,
+/// checked on restore, and its entries in insertion order. The container's
+/// indexes and expiry queue are derived from the entries and not persisted.
+pub fn write_envelope<'a, T: Serialize + 'a>(
+    name: &str,
+    entries: impl Iterator<Item = &'a T>,
+) -> Content {
+    Content::Map(vec![
+        ("name".to_string(), Content::Str(name.to_string())),
+        (
+            "entries".to_string(),
+            Content::Seq(entries.map(Serialize::to_content).collect()),
+        ),
+    ])
+}
+
+/// The entries of a [`write_envelope`] blob for the container `name` of
+/// type `kind`. A blob written for another name is an error: plan geometry
+/// is rebuilt from the query, not the checkpoint, so it must line up.
+pub fn read_envelope<T: Deserialize>(
+    content: &Content,
+    name: &str,
+    kind: &str,
+) -> Result<Vec<T>, serde::Error> {
+    let map = content
+        .as_map()
+        .ok_or_else(|| serde::Error::expected("object", kind))?;
+    let found: String = serde::field(map, "name", kind)?;
+    if found != name {
+        return Err(serde::Error::msg(format!(
+            "{kind} mismatch: checkpoint holds `{found}`, plan expects `{name}`"
+        )));
+    }
+    serde::field(map, "entries", kind)
 }
 
 /// A window-bounded collection of tuples with running byte accounting,
-/// hash-partitioned probing and timestamp-ordered expiry.
-///
-/// Storage is a slab: entry `seq` lives at `slots[seq - base]`, so handle
-/// lookup is an array index, slots of removed entries become tombstones
-/// skipped on iteration, and compaction (once tombstones outnumber live
-/// entries) rebases `base` past every seq ever issued and rebuilds the heap
-/// and indexes — amortised O(1) per removal, and no handle is ever reused.
+/// hash-partitioned probing and timestamp-ordered expiry, stored in a
+/// [`Slab`].
 #[derive(Debug, Clone, Default)]
 pub struct OperatorState {
     name: String,
     mode: StateIndexMode,
-    /// Live entries (and tombstones) in insertion order; the entry with
-    /// handle `seq` is at index `seq - base`. A deque so that purges —
-    /// which remove the oldest timestamps, i.e. (almost always) the front —
-    /// shrink the slab in O(1) instead of leaving tombstones that force
-    /// periodic compaction. Mid-slab removals (drains) still tombstone.
-    slots: VecDeque<Option<StoredTuple>>,
-    /// Handle of the front slot. Seqs below `base` are dead (purged off the
-    /// front or compacted away).
-    base: u64,
-    /// Number of `Some` slots.
-    live_count: usize,
-    /// Timestamp-sorted queue of `(tuple timestamp, seq)`: the next entry
-    /// to expire is at the front. Stale seqs are skipped when popped.
-    expiry: ExpiryQueue,
+    /// The stored tuples, one queued expiry each.
+    slots: Slab<StoredTuple>,
     /// The indexes built so far, one per probe pattern observed. A state
     /// sees one or two distinct probe patterns in practice, so a
     /// linear-scanned vector beats hashing the spec on every probe.
@@ -668,8 +948,8 @@ pub struct OperatorState {
     /// here, and only a `Generic` key is cloned into an owned `Vec` (when
     /// its bucket is created).
     key_scratch: Vec<Value>,
-    /// Entries removed since the indexes were last swept (or rebuilt).
-    removed_since_sweep: usize,
+    /// Reusable buffer for the handles a purge removes.
+    due: Vec<u64>,
 }
 
 impl OperatorState {
@@ -708,12 +988,12 @@ impl OperatorState {
 
     /// Number of stored tuples.
     pub fn len(&self) -> usize {
-        self.live_count
+        self.slots.len()
     }
 
     /// Is the state empty?
     pub fn is_empty(&self) -> bool {
-        self.live_count == 0
+        self.slots.is_empty()
     }
 
     /// Running analytical size in bytes (stored tuple payloads only; index
@@ -729,13 +1009,12 @@ impl OperatorState {
 
     /// Iterate over stored entries in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &StoredTuple> {
-        self.slots.iter().filter_map(|slot| slot.as_ref())
+        self.slots.iter()
     }
 
     /// The stored entry with the given probe handle, if still live.
     pub fn get(&self, seq: u64) -> Option<&StoredTuple> {
-        let idx = seq.checked_sub(self.base)? as usize;
-        self.slots.get(idx)?.as_ref()
+        self.slots.get(seq)
     }
 
     /// Insert a tuple for an owner that keeps no stamp (it is stored with
@@ -747,7 +1026,7 @@ impl OperatorState {
     /// Re-stamp every stored entry in place — for an owner whose entries
     /// were loaded from a checkpoint written before the stamp existed.
     pub fn restamp(&mut self, mut stamp_of: impl FnMut(&Tuple) -> u64) {
-        for entry in self.slots.iter_mut().flatten() {
+        for entry in self.slots.iter_mut() {
             entry.stamp = stamp_of(&entry.tuple);
         }
     }
@@ -756,46 +1035,31 @@ impl OperatorState {
     /// carries: a previously drained entry coming back, or a new one under
     /// its owner's stamp.
     pub fn restore(&mut self, entry: StoredTuple) {
-        let seq = self.base + self.slots.len() as u64;
+        let seq = self.slots.end();
         self.bytes += entry.tuple.size_bytes();
-        self.expiry
-            .push(Window::INSTANT.expires_at(&entry.tuple), seq);
+        self.slots.expire_with(seq, &entry.tuple);
         let mut scratch = std::mem::take(&mut self.key_scratch);
         for (spec, index) in self.indexes.iter_mut() {
             index.file_with(spec, &entry.tuple, seq, &mut scratch);
         }
         self.key_scratch = scratch;
-        self.slots.push_back(Some(entry));
-        self.live_count += 1;
+        self.slots.push(entry);
     }
 
     /// Remove and return the entry with handle `seq`, leaving a tombstone.
     fn take(&mut self, seq: u64) -> Option<StoredTuple> {
-        let idx = seq.checked_sub(self.base)? as usize;
-        let entry = self.slots.get_mut(idx)?.take()?;
+        let entry = self.slots.take(seq)?;
         self.bytes -= entry.tuple.size_bytes();
-        self.live_count -= 1;
-        self.removed_since_sweep += 1;
         Some(entry)
-    }
-
-    /// Drop leading tombstones, advancing `base` past them — the O(1)
-    /// reclamation path for purges (which remove the oldest timestamps,
-    /// i.e. the front of the insertion-ordered slab).
-    fn trim_front(&mut self) {
-        while matches!(self.slots.front(), Some(None)) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
     }
 
     /// Remove every tuple that has expired by `now` under `window`; returns
     /// how many were removed.
     ///
-    /// O(expired): the expiry heap is popped only while its minimum has
-    /// expired. Expiry is based on the tuple's own timestamp (its lifespan
-    /// is `[ts, ts + w)`), not on when it was inserted — a resumed
-    /// intermediate result inserted late still expires at its original time.
+    /// O(expired): the expiry queue is popped only while its front is due.
+    /// Expiry is [`Window::expires_at`] — the tuple's own timestamp plus the
+    /// window — not when it was inserted: a resumed intermediate result
+    /// inserted late still expires at its original time.
     pub fn purge(&mut self, window: Window, now: Timestamp) -> usize {
         self.purge_with(window, now, |_| {})
     }
@@ -809,25 +1073,15 @@ impl OperatorState {
         now: Timestamp,
         mut on_removed: impl FnMut(&Tuple),
     ) -> usize {
-        let mut removed = 0usize;
-        while let Some((key, seq)) = self.expiry.peek() {
-            if let Some(entry) = self.get(seq) {
-                if window.expires_at(&entry.tuple) > now {
-                    break;
-                }
-                debug_assert_eq!(key, Window::INSTANT.expires_at(&entry.tuple));
-                #[expect(
-                    clippy::expect_used,
-                    reason = "INVARIANT: get(seq) returned Some above, so the slot is live."
-                )]
-                let entry = self.take(seq).expect("checked live");
+        let mut due = std::mem::take(&mut self.due);
+        self.slots.pop_due(window, now, &mut due);
+        for &seq in &due {
+            if let Some(entry) = self.take(seq) {
                 on_removed(&entry.tuple);
-                removed += 1;
             }
-            // Stale queue entries (drained tuples) are skipped silently.
-            self.expiry.pop();
         }
-        self.trim_front();
+        let removed = due.len();
+        self.due = due;
         self.reclaim();
         removed
     }
@@ -843,7 +1097,7 @@ impl OperatorState {
     /// (plus the overflow list) and the drain costs O(candidates) instead
     /// of O(n). With an empty spec, a probe missing a key column or
     /// [`StateIndexMode::Scan`] every live entry is a candidate: the
-    /// paper's "scan the state" (Section IV-B). Index and heap references
+    /// paper's "scan the state" (Section IV-B). Index and queue references
     /// to the drained entries are reclaimed lazily.
     pub fn drain_matching(
         &mut self,
@@ -867,51 +1121,29 @@ impl OperatorState {
 
     /// Remove everything (indexes included; they rebuild lazily).
     pub fn clear(&mut self) {
-        // Rebase past every handle ever issued so stale handles stay dead.
-        self.base += self.slots.len() as u64;
         self.slots.clear();
-        self.live_count = 0;
-        self.expiry.clear();
         self.indexes.clear();
         self.bytes = 0;
-        self.removed_since_sweep = 0;
     }
 
     /// Serialise the resumable content of the state: the live entries in
-    /// insertion order (tuples plus their stamps), tagged with the state's
-    /// name for validation on restore.
+    /// insertion order (tuples plus their stamps) in the envelope of
+    /// [`write_envelope`].
     ///
-    /// The expiry heap and the hash indexes are deliberately *not*
+    /// The expiry queue and the hash indexes are deliberately *not*
     /// serialised: both are pure functions of the entries
-    /// ([`OperatorState::restore_checkpoint`] rebuilds the heap eagerly and
+    /// ([`OperatorState::restore_checkpoint`] rebuilds the queue eagerly and
     /// the indexes lazily on the next probe), so a restored state purges and
     /// probes exactly like the original.
     pub fn checkpoint(&self) -> Content {
-        Content::Map(vec![
-            ("name".to_string(), Content::Str(self.name.clone())),
-            (
-                "entries".to_string(),
-                Content::Seq(self.iter().map(Serialize::to_content).collect()),
-            ),
-        ])
+        write_envelope(&self.name, self.iter())
     }
 
     /// Rebuild the state from a [`OperatorState::checkpoint`] blob. The
-    /// state must have been constructed with the same name (plan geometry is
-    /// reconstructed from the query, not the checkpoint); existing entries
-    /// are discarded.
+    /// state must have been constructed with the same name; existing
+    /// entries are discarded.
     pub fn restore_checkpoint(&mut self, content: &Content) -> Result<(), serde::Error> {
-        let map = content
-            .as_map()
-            .ok_or_else(|| serde::Error::expected("object", "OperatorState"))?;
-        let name: String = serde::field(map, "name", "OperatorState")?;
-        if name != self.name {
-            return Err(serde::Error::msg(format!(
-                "operator state mismatch: checkpoint holds `{name}`, plan expects `{}`",
-                self.name
-            )));
-        }
-        let entries: Vec<StoredTuple> = serde::field(map, "entries", "OperatorState")?;
+        let entries: Vec<StoredTuple> = read_envelope(content, &self.name, "OperatorState")?;
         self.clear();
         for entry in entries {
             self.restore(entry);
@@ -958,10 +1190,10 @@ impl OperatorState {
     /// formed key, written into `out`.
     fn probe_key_slice_into(&mut self, spec: &JoinKeySpec, key: &[Value], out: &mut Vec<u64>) {
         let at = self.index_for(spec);
-        let (slots, base) = (&self.slots, self.base);
+        let slots = &self.slots;
         self.indexes[at]
             .1
-            .live_candidates_into(key, |seq| is_live(slots, base, seq), out);
+            .live_candidates_into(key, |seq| slots.is_live(seq), out);
     }
 
     /// [`OperatorState::probe_into`] for the union of `specs` (each
@@ -994,10 +1226,10 @@ impl OperatorState {
                 continue;
             }
             let at = self.index_for(spec);
-            let (slots, base) = (&self.slots, self.base);
+            let slots = &self.slots;
             self.indexes[at].1.live_parts_into(
                 &scratch,
-                |seq| is_live(slots, base, seq),
+                |seq| slots.is_live(seq),
                 &mut hits.buckets[i],
                 &mut hits.overflows[i],
             );
@@ -1017,95 +1249,51 @@ impl OperatorState {
         }
     }
 
-    /// The timestamp of the next entry the expiry heap would consider, if
-    /// any — a *lower bound* on the earliest live tuple timestamp (stale
-    /// heap entries for drained tuples may report an earlier time). Lets a
-    /// caller elide a provably empty purge: if even this bound has not
-    /// expired, the purge can remove nothing, and skipping it is
-    /// counter-neutral (`purged_tuples` and `CostKind::StatePurge` are
-    /// charged per removed tuple, not per purge call).
+    /// The earliest expiry key of a stored tuple ([`Slab::next_expiry`]):
+    /// a purge at `now` removes something iff
+    /// `window.is_expired(key, now)`. Lets a caller elide a provably empty
+    /// purge, which is counter-neutral (`purged_tuples` and
+    /// `CostKind::StatePurge` are charged per removed tuple, not per purge
+    /// call).
     pub fn next_expiry(&self) -> Option<Timestamp> {
-        self.expiry.peek().map(|(ts, _)| ts)
+        self.slots.next_expiry()
     }
 
     /// Append all live handles in insertion order to `out` (the scan path).
     fn all_live_into(&self, out: &mut Vec<u64>) {
-        out.extend(
-            self.slots
-                .iter()
-                .enumerate()
-                .filter(|(_, slot)| slot.is_some())
-                .map(|(idx, _)| self.base + idx as u64),
-        );
+        out.extend(self.slots.handles().map(|(seq, _)| seq));
     }
 
     /// Build the index for `spec`, the first time a probe uses it, by one
     /// scan of the live entries; returns its position in `indexes`.
     fn build_index(&mut self, spec: &JoinKeySpec) -> usize {
         let mut index = HashIndex::default();
-        for (idx, slot) in self.slots.iter().enumerate() {
-            if let Some(entry) = slot {
-                let seq = self.base + idx as u64;
-                index.file_with(spec, &entry.tuple, seq, &mut self.key_scratch);
-            }
+        for (seq, entry) in self.slots.handles() {
+            index.file_with(spec, &entry.tuple, seq, &mut self.key_scratch);
         }
         self.indexes.push((spec.clone(), index));
         self.indexes.len() - 1
     }
 
-    /// Amortised reclamation after removals: compact the slab once
-    /// tombstones outnumber the live entries (rare — purges trim the front),
-    /// else sweep the indexes once enough dead handles have piled up.
-    /// Purges never touch an index, so without the sweep a bucket outlives
-    /// its last tuple until its key is probed again, and its map entry
-    /// forever.
+    /// Amortised reclamation after removals ([`Slab::reclaim`]): purges
+    /// never touch an index, so without the sweep a bucket outlives its
+    /// last tuple until its key is probed again, and its map entry forever.
     fn reclaim(&mut self) {
-        if self.slots.len() > 64 && self.slots.len() > 2 * self.live_count {
-            self.compact();
-        } else if sweep_due(self.removed_since_sweep, self.live_count) {
-            let (slots, base) = (&self.slots, self.base);
-            for (_, index) in self.indexes.iter_mut() {
-                index.sweep(|seq| is_live(slots, base, seq));
+        match self.slots.reclaim() {
+            Reclaim::Keep => {}
+            Reclaim::Sweep => {
+                let slots = &self.slots;
+                for (_, index) in self.indexes.iter_mut() {
+                    index.sweep(|seq| slots.is_live(seq));
+                }
             }
-            self.removed_since_sweep = 0;
-        }
-    }
-
-    /// Rebase `base` past every handle ever issued, drop the tombstones,
-    /// and rebuild the heap and indexes over the fresh handles — amortised
-    /// O(1) per removal.
-    fn compact(&mut self) {
-        self.base += self.slots.len() as u64;
-        let entries: Vec<StoredTuple> = self.slots.drain(..).flatten().collect();
-        // Slab order is only near-sorted when restores interleaved; the
-        // queue's invariant is full timestamp order (collect sorts).
-        self.expiry = entries
-            .iter()
-            .enumerate()
-            .map(|(idx, entry)| {
-                let key = Window::INSTANT.expires_at(&entry.tuple);
-                (key, self.base + idx as u64)
-            })
-            .collect();
-        for (spec, index) in self.indexes.iter_mut() {
-            index.clear();
-            for (idx, entry) in entries.iter().enumerate() {
-                let seq = self.base + idx as u64;
-                index.file_with(spec, &entry.tuple, seq, &mut self.key_scratch);
+            Reclaim::Renumber(renumbering) => {
+                for (_, index) in self.indexes.iter_mut() {
+                    index.renumber(|seq| renumbering.get(seq));
+                }
             }
         }
-        self.slots = entries.into_iter().map(Some).collect();
-        self.removed_since_sweep = 0;
-        debug_assert_eq!(self.slots.len(), self.live_count);
     }
-}
-
-/// Is the slot of handle `seq` occupied, in a slab whose front slot has
-/// handle `base`?
-fn is_live(slots: &VecDeque<Option<StoredTuple>>, base: u64, seq: u64) -> bool {
-    seq.checked_sub(base)
-        .and_then(|idx| slots.get(idx as usize))
-        .is_some_and(Option::is_some)
 }
 
 /// Merge two ascending handle lists into a caller-owned output vector.
@@ -1288,13 +1476,13 @@ mod tests {
             s.restore(entry);
         }
         // Front-trim: a purge pops the oldest slots and advances `base`.
-        let base = s.base;
+        let base = s.slots.base();
         assert_eq!(s.purge(w, Timestamp::from_millis(1_500)), 51);
-        assert!(s.base > base);
+        assert!(s.slots.base() > base);
         // Compaction: tombstone most of the slab mid-way.
-        let issued = s.base + s.slots.len() as u64;
+        let issued = s.slots.end();
         drain_scan(&mut s, |e| e.tuple.parts()[0].seq % 4 != 0);
-        assert!(s.base >= issued, "the drain must have compacted");
+        assert!(s.slots.base() >= issued, "the drain must have compacted");
         assert!(!s.is_empty());
         assert!(stamps(&s)
             .iter()
@@ -1560,7 +1748,7 @@ mod tests {
                 }
             }
             assert_eq!(hashed.len(), 100);
-            assert_eq!(hashed.slots.len(), 100);
+            assert_eq!(hashed.slots.end() - hashed.slots.base(), 100);
         }
     }
 
@@ -1638,15 +1826,15 @@ mod tests {
     }
 
     /// `sweep` drops the dead handles of an `Ints` map and the buckets they
-    /// empty; `clear` drops everything but keeps the inline keying.
+    /// empty, and `renumber` maps the rest, keeping the inline keying.
     #[test]
-    fn sweep_and_clear_reclaim_inline_keyed_buckets() {
+    fn sweep_and_renumber_reclaim_inline_keyed_buckets() {
         let mut buckets = Buckets::default();
         for handle in 0..8u64 {
             buckets.push(&ints(&[handle as i64 % 4, -1, 2, 7]), handle);
         }
         assert_eq!(buckets.len(), 4);
-        buckets.sweep(|handle| handle % 4 != 0 && handle != 5);
+        buckets.renumber(|handle| (handle % 4 != 0 && handle != 5).then_some(handle));
         assert_eq!(buckets.len(), 3);
         assert_eq!(filed(&mut buckets, &ints(&[0, -1, 2, 7])), None);
         assert_eq!(filed(&mut buckets, &ints(&[1, -1, 2, 7])), Some(&[1][..]));
@@ -1654,8 +1842,13 @@ mod tests {
             filed(&mut buckets, &ints(&[2, -1, 2, 7])),
             Some(&[2, 6][..])
         );
-        buckets.clear();
-        assert_eq!(buckets.len(), 0);
+        buckets.renumber(|handle| (handle != 1).then_some(handle + 100));
+        assert_eq!(buckets.len(), 2);
+        assert_eq!(filed(&mut buckets, &ints(&[1, -1, 2, 7])), None);
+        assert_eq!(
+            filed(&mut buckets, &ints(&[2, -1, 2, 7])),
+            Some(&[102, 106][..])
+        );
         assert!(matches!(buckets, Buckets::Ints { arity: 4, .. }));
     }
 
@@ -1780,7 +1973,7 @@ mod tests {
                 for step in 0..900 {
                     now_ms += rng.gen_range(0u64..400);
                     let now = Timestamp::from_millis(now_ms);
-                    let issued = hashed.base + hashed.slots.len() as u64;
+                    let issued = hashed.slots.end();
                     match rng.gen_range(0u32..100) {
                         0..=54 => {
                             seq += 1;
@@ -1829,7 +2022,7 @@ mod tests {
                             assert_eq!(gone.0.len(), removed);
                         }
                     }
-                    compactions += usize::from(!hashed.is_empty() && hashed.base >= issued);
+                    compactions += usize::from(!hashed.is_empty() && hashed.slots.base() >= issued);
                     assert_eq!(hashed.len(), scan.len(), "step {step}");
                     assert_eq!(hashed.size_bytes(), scan.size_bytes(), "step {step}");
                     let stored = |s: &OperatorState| keys(&s.iter().cloned().collect::<Vec<_>>());
@@ -2022,6 +2215,136 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// The [`Slab`] against a `BTreeMap` model on random sequences of push
+    /// (some entries queue no expiry, as Ø does), take, due-pop, reclaim
+    /// (front trim, sweep or compaction) and clear: handles ascend and are
+    /// never reused, across compactions and clears; `is_live` agrees with
+    /// the model on every handle ever issued; and a due-pop returns exactly
+    /// the model's live due handles, in `(expiry, handle)` order.
+    mod slab_model {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        /// What the model holds per live handle: its payload and, until a
+        /// due-pop yields it, its expiry key.
+        type Model = BTreeMap<u64, (u64, Option<Timestamp>)>;
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+            #[test]
+            fn slab_matches_a_btreemap_model(seed in 0u64..1_000_000) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let window = Window::new(Duration::from_millis(400));
+                let mut slab: Slab<u64> = Slab::default();
+                let mut model = Model::new();
+                let (mut issued, mut due) = (Vec::new(), Vec::new());
+                let (mut now_ms, mut next_handle, mut payload) = (0u64, 0u64, 0u64);
+                let (mut compactions, mut clears, mut popped) = (0usize, 0usize, 0usize);
+                for step in 0..800 {
+                    now_ms += rng.gen_range(0u64..40);
+                    let now = Timestamp::from_millis(now_ms);
+                    let op = if step % 300 == 299 { 100 } else { rng.gen_range(0u32..100) };
+                    match op {
+                        0..=44 => {
+                            // Timestamps jitter backwards, so pushes land
+                            // behind the queue's tail.
+                            let ts = now_ms.saturating_sub(rng.gen_range(0u64..300));
+                            let handle = slab.end();
+                            prop_assert!(handle >= next_handle, "step {}: handle {} reused", step, handle);
+                            let key = rng.gen_bool(0.9).then(|| {
+                                let tuple = Tuple::from_base(Arc::new(BaseTuple::new(
+                                    SourceId(0), payload, Timestamp::from_millis(ts), Vec::new(),
+                                )));
+                                slab.expire_with(handle, &tuple);
+                                Window::INSTANT.expires_at(&tuple)
+                            });
+                            prop_assert_eq!(slab.push(payload), handle);
+                            model.insert(handle, (payload, key));
+                            issued.push(handle);
+                            next_handle = handle + 1;
+                            payload += 1;
+                        }
+                        45..=64 if !issued.is_empty() => {
+                            // Mostly a live handle, else any handle ever
+                            // issued: taken, trimmed or renumbered away.
+                            let live: Vec<u64> = model.keys().copied().collect();
+                            let handle = if !live.is_empty() && rng.gen_bool(0.7) {
+                                live[rng.gen_range(0..live.len())]
+                            } else {
+                                issued[rng.gen_range(0..issued.len())]
+                            };
+                            let want = model.remove(&handle).map(|(payload, _)| payload);
+                            prop_assert_eq!(slab.take(handle), want, "step {}: take {}", step, handle);
+                        }
+                        65..=79 => {
+                            slab.pop_due(window, now, &mut due);
+                            let mut want: Vec<(Timestamp, u64)> = model
+                                .iter()
+                                .filter_map(|(&h, &(_, key))| Some((key?, h)))
+                                .filter(|&(key, _)| window.is_expired(key, now))
+                                .collect();
+                            want.sort_unstable();
+                            let want: Vec<u64> = want.into_iter().map(|(_, h)| h).collect();
+                            prop_assert_eq!(&due, &want, "step {}: due at {}", step, now_ms);
+                            popped += due.len();
+                            for h in &due {
+                                if let Some(entry) = model.get_mut(h) {
+                                    entry.1 = None;
+                                }
+                            }
+                            // An owner usually takes what fell due.
+                            for &h in due.iter().filter(|_| rng.gen_bool(0.8)) {
+                                prop_assert!(slab.take(h).is_some());
+                                model.remove(&h);
+                            }
+                        }
+                        80..=99 => {
+                            let end = slab.end();
+                            if let Reclaim::Renumber(renumbering) = slab.reclaim() {
+                                compactions += 1;
+                                prop_assert_eq!(slab.base(), end, "step {}: rebased past every handle", step);
+                                // Exactly the live handles move, in order, onto fresh
+                                // handles from the old end on.
+                                for &h in &issued {
+                                    prop_assert_eq!(renumbering.get(h).is_some(), model.contains_key(&h), "step {}: {}", step, h);
+                                }
+                                let moved = std::mem::take(&mut model).into_iter();
+                                model = moved.map(|(old, entry)| (renumbering.get(old).unwrap_or(u64::MAX), entry)).collect();
+                                prop_assert!(model.keys().copied().eq(end..end + model.len() as u64));
+                                issued.extend(model.keys().copied());
+                            }
+                            // The front is trimmed, and the queue's front is the
+                            // earliest queued live entry.
+                            let first = model.keys().next().copied();
+                            prop_assert_eq!(slab.base(), first.unwrap_or(slab.end()), "step {}: front", step);
+                            let earliest = model.values().filter_map(|&(_, key)| key).min();
+                            prop_assert_eq!(slab.next_expiry(), earliest, "step {}: queue front", step);
+                        }
+                        _ => {
+                            let end = slab.end();
+                            slab.clear();
+                            model.clear();
+                            prop_assert_eq!(slab.base(), end);
+                            prop_assert_eq!(slab.next_expiry(), None);
+                            clears += 1;
+                        }
+                    }
+                    prop_assert_eq!(slab.len(), model.len(), "step {}", step);
+                    for &h in &issued {
+                        prop_assert_eq!(slab.is_live(h), model.contains_key(&h), "step {}: is_live({})", step, h);
+                    }
+                    let stored: Vec<(u64, u64)> = slab.handles().map(|(h, &p)| (h, p)).collect();
+                    let modelled: Vec<(u64, u64)> = model.iter().map(|(&h, &(p, _))| (h, p)).collect();
+                    prop_assert_eq!(stored, modelled, "step {}: entries in handle order", step);
+                }
+                prop_assert!(compactions > 0 && clears > 0 && popped > 0, "the sequence must compact, clear and pop");
             }
         }
     }
