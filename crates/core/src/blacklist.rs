@@ -9,7 +9,7 @@
 //! moved back and joined only with the opposite tuples they have not been
 //! joined with yet.
 
-use jit_exec::state::{read_envelope, write_envelope, Reclaim, Slab, StateIndexMode};
+use jit_exec::state::{read_envelope, write_envelope, Slab, StateIndexMode};
 use jit_types::{ColumnRef, FastMap, Signature, Timestamp, Tuple, TupleKey, Value, Window};
 use serde::{Content, Deserialize, Serialize};
 use std::fmt;
@@ -74,17 +74,13 @@ impl BlacklistEntry {
 ///
 /// # Storage
 ///
-/// Entries live in a [`Slab`], the store operator states and MNS buffers
-/// use too: an entry's position is its slab handle, which it keeps for as
-/// long as it lives; positions ascend in insertion order and are never
-/// reused. So resuming one MNS un-files one entry from the hash indexes
-/// instead of renumbering all of them, and every "first entry in ascending
-/// order" contract below holds on positions. When the slab compacts, the
-/// indexes are rebuilt from it, amortised O(1) per removal.
-///
-/// Each entry queues one expiry per suspended tuple and one for its MNS
-/// (unless it is Ø) in the slab, so [`Blacklist::purge`] visits only the
-/// entries something expired in, never the whole list.
+/// Entries live in a [`Slab`], as operator states' and MNS buffers' do: an
+/// entry's position is its slab handle, ascending in insertion order, so
+/// resuming one MNS un-files one entry from the hash indexes and every
+/// "first entry in ascending order" contract below holds on positions (a
+/// compaction renumbers them in order). Each entry queues one expiry per
+/// suspended tuple and one for its MNS (unless it is Ø), so
+/// [`Blacklist::purge`] visits only the entries something expired in.
 ///
 /// # The index layer
 ///
@@ -163,11 +159,6 @@ impl Blacklist {
         self.mode = mode;
     }
 
-    /// The probing mode in effect.
-    pub fn index_mode(&self) -> StateIndexMode {
-        self.mode
-    }
-
     /// File `entry`, stored at `pos`, in the hash indexes. Callers file in
     /// ascending `pos` order, which keeps every position list ascending.
     fn index_entry(&mut self, pos: usize, entry: &BlacklistEntry) {
@@ -223,26 +214,38 @@ impl Blacklist {
         }
     }
 
-    /// Rebuild the hash indexes from the slab. Needed only after the slab
-    /// renumbered its entries (a compaction) or emptied.
-    fn reindex(&mut self) {
+    /// Drop every filed position (the slab is empty).
+    fn clear_indexes(&mut self) {
         self.by_key.clear();
         self.empty_entries.clear();
         self.by_component.clear();
         self.by_signature.clear();
-        let slots = std::mem::take(&mut self.slots);
-        for (pos, entry) in slots.handles() {
-            self.index_entry(pos as usize, entry);
-        }
-        self.slots = slots;
     }
 
-    /// Amortised reclamation after removals ([`Slab::reclaim`]). The indexes
-    /// un-file removed entries eagerly, so only a compaction concerns them.
+    /// Amortised reclamation after removals ([`Slab::reclaim`]). Removals
+    /// un-file eagerly, so every filed position is live: a sweep maps each
+    /// to itself, a compaction to its entry's new handle.
     fn reclaim(&mut self) {
-        if let Reclaim::Renumber(_) = self.slots.reclaim() {
-            self.reindex();
-        }
+        let (by_key, empty, by_component) = (
+            &mut self.by_key,
+            &mut self.empty_entries,
+            &mut self.by_component,
+        );
+        let by_signature = &mut self.by_signature;
+        self.slots.reclaim(|to| {
+            let positions = (by_key.values_mut().chain(empty.iter_mut()))
+                .chain(by_component.values_mut().flatten())
+                .chain(
+                    by_signature
+                        .values_mut()
+                        .flat_map(|g| g.values_mut().flatten()),
+                );
+            for pos in positions {
+                if let Some(fresh) = to(*pos as u64) {
+                    *pos = fresh as usize;
+                }
+            }
+        });
     }
 
     /// Store `entry` under the next position, queue its expiries and file
@@ -278,11 +281,6 @@ impl Blacklist {
     /// Total number of suspended tuples across all entries.
     pub fn num_tuples(&self) -> usize {
         self.entries().map(|e| e.tuples.len()).sum()
-    }
-
-    /// Is the blacklist empty?
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 
     /// Analytical size in bytes (MNSs plus suspended tuples).
@@ -411,7 +409,7 @@ impl Blacklist {
     pub fn drain_entries(&mut self) -> Vec<BlacklistEntry> {
         let entries = self.slots.take_all().collect();
         self.bytes = 0;
-        self.reindex();
+        self.clear_indexes();
         entries
     }
 
@@ -481,7 +479,7 @@ impl Blacklist {
         let entries: Vec<BlacklistEntry> = read_envelope(content, &self.name, "Blacklist")?;
         self.slots.clear();
         self.bytes = 0;
-        self.reindex();
+        self.clear_indexes();
         for entry in entries {
             self.admit(entry);
         }
@@ -571,7 +569,7 @@ mod tests {
         let entry = bl.remove_entry(&a1.key()).unwrap();
         assert_eq!(entry.tuples.len(), 2);
         assert_eq!(entry.tuples[0].tuple.key(), a1.key());
-        assert!(bl.is_empty());
+        assert_eq!(bl.num_entries(), 0);
         assert!(bl.size_bytes() < bytes_with_tuples);
         assert_eq!(bl.size_bytes(), 0);
     }
@@ -614,8 +612,8 @@ mod tests {
         let mut hashed = Blacklist::new("H");
         let mut scan = Blacklist::new("S");
         scan.set_index_mode(StateIndexMode::Scan);
-        assert_eq!(hashed.index_mode(), StateIndexMode::Hashed);
-        assert_eq!(scan.index_mode(), StateIndexMode::Scan);
+        assert_eq!(hashed.mode, StateIndexMode::Hashed);
+        assert_eq!(scan.mode, StateIndexMode::Scan);
         // A mix of entries: several signatures, one signature-less entry,
         // and the Ø entry added last (so earlier entries win first-match).
         let mnss: Vec<Tuple> = (0..6)
@@ -920,7 +918,7 @@ mod tests {
                             assert_eq!(dropped, model.purge(window, now), "step {step}: purged tuples");
                         }
                     }
-                    compactions += usize::from(!slab.is_empty() && slab.slots.base() >= issued);
+                    compactions += usize::from(!slab.slots.is_empty() && slab.slots.base() >= issued);
                     assert_same(&slab, &model, step);
                 }
                 assert!(compactions > 0, "the sequence must cross a compaction");

@@ -6,7 +6,7 @@
 //! feedback to the producer.
 
 use jit_exec::state::{
-    read_envelope, write_envelope, HashIndex, JoinKeySpec, Reclaim, Slab, StateIndexMode,
+    read_envelope, write_envelope, HashIndex, JoinKeySpec, Slab, StateIndexMode,
 };
 use jit_metrics::{CostKind, RunMetrics};
 use jit_types::{FastMap, PredicateSet, SourceSet, Timestamp, Tuple, TupleKey, Value, Window};
@@ -53,17 +53,13 @@ struct ProbeShape {
 ///
 /// # Storage
 ///
-/// The entries live in a [`Slab`], the store operator states and blacklists
-/// use too: every entry gets a handle when it is inserted, handles ascend
-/// and are never reused, and each non-empty MNS queues one expiry. The
-/// identity map and the probe groups refer to entries by handle, so they
-/// survive every insertion and removal. An MNS is older than its detection
-/// by up to a window, so MNSs leave in an order unrelated to the one they
-/// came in and their tombstones sit mid-slab; the slab compacts once they
-/// outnumber the live entries, and the groups and the identity map then map
-/// their handles through the renumbering instead of being re-filed. Handles
-/// of removed entries linger in the groups; readers skip them, and a sweep
-/// drops them after O(live) removals.
+/// The entries live in a [`Slab`], as operator states' and blacklists' do;
+/// each non-empty MNS queues one expiry. The identity map and the probe
+/// groups refer to entries by handle. An MNS is older than its detection by
+/// up to a window, so MNSs leave in an order unrelated to the one they came
+/// in; when their tombstones make the slab compact, the groups and the
+/// identity map follow the renumbering instead of being re-filed. Handles
+/// of removed entries linger in the groups until a sweep; readers skip them.
 ///
 /// # The index layer
 ///
@@ -170,26 +166,15 @@ impl MnsBuffer {
         }
     }
 
-    /// Amortised reclamation after removals ([`Slab::reclaim`]): sweep the
-    /// dead handles out of the groups once enough have piled up, and
-    /// follow a compaction's renumbering.
+    /// Amortised reclamation after removals ([`Slab::reclaim`]): the groups
+    /// drop their dead handles or follow a compaction, and so does the
+    /// identity map.
     fn reclaim(&mut self) {
-        match self.slots.reclaim() {
-            Reclaim::Keep => {}
-            Reclaim::Sweep => {
-                let slots = &self.slots;
-                for group in &mut self.groups {
-                    group.index.sweep(|h| slots.is_live(h));
-                }
-            }
-            Reclaim::Renumber(renumbering) => {
-                for group in &mut self.groups {
-                    group.index.renumber(|h| renumbering.get(h));
-                }
-                self.by_key
-                    .retain(|_, h| renumbering.get(*h).map(|fresh| *h = fresh).is_some());
-            }
-        }
+        let (groups, by_key) = (&mut self.groups, &mut self.by_key);
+        self.slots.reclaim(|to| {
+            groups.iter_mut().for_each(|g| g.index.renumber(to));
+            by_key.retain(|_, h| to(*h).map(|fresh| *h = fresh).is_some());
+        });
     }
 
     /// Remove the live entry with handle `handle`, maintaining the byte
@@ -274,11 +259,6 @@ impl MnsBuffer {
         self.bytes
     }
 
-    /// Is an MNS with the same component identity already buffered?
-    pub fn contains(&self, mns: &Tuple) -> bool {
-        self.by_key.contains_key(&mns.key())
-    }
-
     /// Buffer a newly detected MNS (ignored if an identical one is present).
     /// Returns whether it was inserted.
     pub fn insert(&mut self, mns: Tuple, now: Timestamp) -> bool {
@@ -307,12 +287,6 @@ impl MnsBuffer {
         }
         self.slots.push(entry);
         true
-    }
-
-    /// Drop MNSs whose components have expired. The empty MNS Ø never
-    /// expires through the window (it is removed when resumed).
-    pub fn purge(&mut self, window: Window, now: Timestamp) -> usize {
-        self.take_expired(window, now).len()
     }
 
     /// Remove and return, in entry (insertion) order, the MNSs that have
@@ -452,7 +426,7 @@ mod tests {
         assert!(b.insert(a1.clone(), Timestamp::ZERO));
         assert!(!b.insert(a1.clone(), Timestamp::from_millis(10)));
         assert_eq!(b.len(), 1);
-        assert!(b.contains(&a1));
+        assert!(b.iter().any(|e| e.mns.key() == a1.key()));
         assert!(b.size_bytes() > 0);
         assert_eq!(b.name(), "NB_left");
     }
@@ -552,7 +526,9 @@ mod tests {
         let mut metrics = RunMetrics::new();
         let mut b = MnsBuffer::new("NB");
         b.insert(Tuple::empty(), Timestamp::ZERO);
-        assert_eq!(b.purge(window(), Timestamp::from_millis(10_000_000)), 0);
+        assert!(b
+            .take_expired(window(), Timestamp::from_millis(10_000_000))
+            .is_empty());
         let matched = b.take_matching(&tup(1, 1, 500, &[1]), &preds, window(), &mut metrics);
         assert_eq!(matched.len(), 1);
         assert!(matched[0].is_empty());
@@ -568,8 +544,9 @@ mod tests {
         // After the window has passed, the MNS cannot be matched…
         let matched = b.take_matching(&tup(1, 1, 100_000, &[5]), &preds, window(), &mut metrics);
         assert!(matched.is_empty());
-        // …and purge removes it.
-        assert_eq!(b.purge(window(), Timestamp::from_millis(100_000)), 1);
+        // …and the purge removes it.
+        let expired = b.take_expired(window(), Timestamp::from_millis(100_000));
+        assert_eq!(expired.len(), 1);
         assert!(b.is_empty());
         assert_eq!(b.size_bytes(), 0);
     }

@@ -7,6 +7,11 @@
 //! in the paper) plus the operations the JIT machinery needs: draining
 //! selected tuples into a blacklist and appending resumed tuples.
 //!
+//! JIT's MNS buffer, which keeps each MNS "until [its] expiration"
+//! (§III-A), and the producer's blacklist (§IV-B) are window-bounded too:
+//! all three store their entries in a [`Slab`] and checkpoint them in one
+//! envelope ([`write_envelope`] / [`read_envelope`]).
+//!
 //! # The index layer
 //!
 //! The paper's clique workloads are pure equi-joins, so probing a state with
@@ -51,14 +56,14 @@
 //!
 //! ## Ordered expiry
 //!
-//! The state keeps a [`jit_types::ExpiryQueue`] of `(tuple timestamp, seq)`
-//! — the near-sorted queue JIT's blacklist and the reorder stage also run
-//! on — so a purge pops exactly the expired entries: O(expired), not O(n).
-//! Stale seqs (drained tuples) are skipped when they surface. Expiry is
-//! based on the tuple's own timestamp (its lifespan is `[ts, ts + w)`), not
-//! on when it was inserted — a resumed intermediate result inserted late
-//! still expires at its original time, so purge counts are identical no
-//! matter how often a tuple is drained and restored. What an owner needs to
+//! The slab's [`jit_types::ExpiryQueue`] — the near-sorted queue the
+//! reorder stage also runs on — holds one `(expiry key, seq)` per stored
+//! tuple, so a purge pops exactly the expired entries: O(expired), not
+//! O(n). Stale seqs (drained tuples) are skipped when they surface. Expiry
+//! is [`Window::expires_at`], a function of the tuple alone (its lifespan is
+//! `[ts, ts + w)`), not of when it was inserted — a resumed intermediate
+//! result inserted late still expires at its original time, so purge counts
+//! are identical no matter how often a tuple is drained and restored. What an owner needs to
 //! know about *when* a tuple entered rides in the slot as
 //! [`StoredTuple::stamp`], which the state carries and never interprets: JIT
 //! keeps there the event at which the tuple's current presence began
@@ -540,8 +545,8 @@ impl HashIndex {
         self.renumber(|h| is_live(h).then_some(h));
     }
 
-    /// Map every filed handle through `to` — ascending, e.g. a compaction's
-    /// [`Renumbering::get`] — dropping the handles it maps to `None` and the
+    /// Map every filed handle through `to` — ascending, as [`Slab::reclaim`]
+    /// hands it over — dropping the handles it maps to `None` and the
     /// buckets that empty out. O(filed handles), no key is formed again.
     pub fn renumber(&mut self, to: impl Fn(u64) -> Option<u64>) {
         self.buckets.renumber(&to);
@@ -632,42 +637,28 @@ fn retain_common(out: &mut Vec<u64>, other: &[u64]) {
     });
 }
 
-/// The store every window container keeps its entries in — an operator
-/// state's stored tuples, an MNS buffer's MNSs, a blacklist's entries —
-/// with the queue that expires them.
+/// The store of every window container — an operator state's tuples, an MNS
+/// buffer's MNSs, a blacklist's entries — with the queue that expires them.
 ///
-/// Each entry gets a handle when it is pushed: handles ascend in insertion
-/// order and are never reused, and the entry with handle `h` sits at
-/// `slots[h - base]`, so a lookup is an array index. A removal leaves a
-/// tombstone; [`Slab::reclaim`] drops the tombstones at the front (purges
-/// remove the oldest entries, i.e. mostly the front) and compacts once
-/// tombstones outnumber live entries, rebasing past every handle ever
-/// issued — amortised O(1) per removal. Entries that leave in an order
-/// unrelated to the one they came in (drained tuples, matched or resumed
-/// MNSs) tombstone mid-slab, where compaction reaches them.
+/// Handles ascend in insertion order and are never reused; the entry with
+/// handle `h` sits at `slots[h - base]`, and a removal leaves a tombstone
+/// that [`Slab::reclaim`] trims off the front or, once tombstones outnumber
+/// live entries, compacts away. An owner's indexes hold handles, filter
+/// them with [`Slab::is_live`] and map them as [`Slab::reclaim`] says.
 ///
-/// An owner's indexes hold handles and never learn of a removal: they filter
-/// with [`Slab::is_live`] on read and follow what [`Slab::reclaim`] asks.
-///
-/// Expiry runs on a [`jit_types::ExpiryQueue`] of `(key, handle)`, keyed by
-/// `Window::INSTANT.expires_at(tuple)` ([`Slab::expire_with`]): an owner may
-/// queue one pair per entry or several (a blacklist entry expires by its MNS
-/// and by each suspended tuple), or none (the empty MNS Ø never expires).
-/// [`Slab::pop_due`] pops the pairs now due; pairs of removed entries are
-/// dropped as they reach the front, so after every due-pop and reclaim the
-/// front names a live entry and [`Slab::next_expiry`] is exact.
+/// The expiry queue holds `(key, handle)` pairs keyed by
+/// `Window::INSTANT.expires_at(tuple)`: one per entry, several (a blacklist
+/// entry expires by its MNS and each suspended tuple) or none (Ø). After
+/// [`Slab::pop_due`] and [`Slab::reclaim`] its front pair is live.
 #[derive(Debug, Clone)]
 pub struct Slab<T> {
-    /// Live entries and tombstones, in insertion order. A deque so that the
-    /// front trims in O(1).
     slots: VecDeque<Option<T>>,
     /// Handle of the front slot; handles below it are dead.
     base: u64,
     /// Number of `Some` slots.
     live: usize,
     expiry: ExpiryQueue,
-    /// Entries removed since the owner was last asked to sweep its indexes
-    /// (or the slab compacted).
+    /// Removals since the owner's indexes were last swept or renumbered.
     removed_since_sweep: usize,
 }
 
@@ -680,38 +671,6 @@ impl<T> Default for Slab<T> {
             expiry: ExpiryQueue::default(),
             removed_since_sweep: 0,
         }
-    }
-}
-
-/// What [`Slab::reclaim`] asks of the owner's handle indexes.
-#[derive(Debug)]
-pub enum Reclaim {
-    /// Nothing yet.
-    Keep,
-    /// As many entries have left since the last sweep as are live (and at
-    /// least 64): drop the dead handles, e.g. with [`HashIndex::sweep`] and
-    /// [`Slab::is_live`] — O(1) per removal.
-    Sweep,
-    /// The slab compacted: every live entry has a new handle and every old
-    /// handle is dead. Map each filed handle through the renumbering.
-    Renumber(Renumbering),
-}
-
-/// The handles a compaction gave the live entries, by old handle.
-#[derive(Debug)]
-pub struct Renumbering {
-    /// The slab's base before the compaction.
-    old_base: u64,
-    /// Per old slot, the new handle of its entry (`None`: a tombstone).
-    fresh: Vec<Option<u64>>,
-}
-
-impl Renumbering {
-    /// The new handle of the entry that had `handle`, or `None` if that
-    /// entry was gone before the compaction. Ascending in `handle`.
-    pub fn get(&self, handle: u64) -> Option<u64> {
-        let at = handle.checked_sub(self.old_base)?;
-        *self.fresh.get(usize::try_from(at).ok()?)?
     }
 }
 
@@ -736,16 +695,18 @@ impl<T> Slab<T> {
         self.base + self.slots.len() as u64
     }
 
-    /// The live entry with `handle`, if any.
+    /// The live entry with `handle`.
     pub fn get(&self, handle: u64) -> Option<&T> {
-        let at = handle.checked_sub(self.base)?;
-        self.slots.get(at as usize)?.as_ref()
+        self.slots
+            .get(handle.checked_sub(self.base)? as usize)?
+            .as_ref()
     }
 
     /// The live entry with `handle`, mutably.
     pub fn get_mut(&mut self, handle: u64) -> Option<&mut T> {
-        let at = handle.checked_sub(self.base)?;
-        self.slots.get_mut(at as usize)?.as_mut()
+        self.slots
+            .get_mut(handle.checked_sub(self.base)? as usize)?
+            .as_mut()
     }
 
     /// Is the entry with `handle` live?
@@ -770,37 +731,32 @@ impl<T> Slab<T> {
         slots.filter_map(move |(at, slot)| Some((base + at as u64, slot.as_ref()?)))
     }
 
-    /// Store `entry` under the next handle ([`Slab::end`]) and return it.
+    /// Store `entry` under handle [`Slab::end`] and return it.
     pub fn push(&mut self, entry: T) -> u64 {
-        let handle = self.end();
         self.slots.push_back(Some(entry));
         self.live += 1;
-        handle
+        self.end() - 1
     }
 
-    /// Queue `handle` — live, or the next one [`Slab::push`] issues — to
-    /// fall due when `tuple` expires. The key is the tuple's expiry under
-    /// [`Window::INSTANT`]: the owner names its window only when it pops.
+    /// Queue `handle` (live, or the next to be pushed) to fall due when
+    /// `tuple` expires. The owner names its window only when it pops.
     pub fn expire_with(&mut self, handle: u64, tuple: &Tuple) {
         self.expiry.push(Window::INSTANT.expires_at(tuple), handle);
     }
 
-    /// Remove and return the live entry with `handle`, leaving a tombstone.
-    /// Its queued pairs go stale; call [`Slab::reclaim`] after a batch of
-    /// removals.
+    /// Remove the live entry with `handle`, leaving a tombstone; call
+    /// [`Slab::reclaim`] after a batch of removals.
     pub fn take(&mut self, handle: u64) -> Option<T> {
-        let at = handle.checked_sub(self.base)?;
-        let entry = self.slots.get_mut(at as usize)?.take()?;
+        let at = handle.checked_sub(self.base)? as usize;
+        let entry = self.slots.get_mut(at)?.take()?;
         self.live -= 1;
         self.removed_since_sweep += 1;
         Some(entry)
     }
 
-    /// Pop every queued pair due at `now` under `window`, writing the live
-    /// handles into `due` (cleared first) in `(key, push)` order — which is
-    /// `(expiry, handle)` order for an owner that queues each entry as it
-    /// pushes it. A handle with several due pairs comes out once per pair.
-    /// The entries stay live: the owner takes what it removes. O(popped).
+    /// Pop every pair due at `now` under `window` and write the live
+    /// handles into `due` (cleared first), in `(key, push)` order — once per
+    /// due pair. The entries stay live. O(popped).
     pub fn pop_due(&mut self, window: Window, now: Timestamp, due: &mut Vec<u64>) {
         due.clear();
         while let Some((key, handle)) = self.expiry.peek() {
@@ -815,67 +771,51 @@ impl<T> Slab<T> {
         }
     }
 
-    /// The earliest queued key of a live entry (an expiry under
-    /// [`Window::INSTANT`]; see [`Window::is_expired`]), or `None` when no
-    /// pop can yield anything. Exact after [`Slab::pop_due`] and
-    /// [`Slab::reclaim`]; a lower bound after a bare [`Slab::take`].
+    /// The earliest key queued for a live entry (see [`Window::is_expired`]),
+    /// or `None` if no pop can yield anything.
     pub fn next_expiry(&self) -> Option<Timestamp> {
         self.expiry.peek().map(|(key, _)| key)
     }
 
-    /// Amortised reclamation after removals: drop the tombstones at the
-    /// front and the stale pairs at the queue's front, then compact once
-    /// tombstones outnumber the live entries (and the slab holds more than
-    /// 64 slots), or else tell the owner when its indexes are due a sweep.
-    pub fn reclaim(&mut self) -> Reclaim {
+    /// After removals: trim the fronts of the slots and the queue; then,
+    /// once tombstones outnumber live entries (past 64 slots), compact and
+    /// hand `renumber` each old handle's new one (`None`: gone), ascending,
+    /// or, once as many entries left as are live (at least 64), the identity
+    /// on live handles. Amortised O(1) per removal.
+    pub fn reclaim(&mut self, renumber: impl FnOnce(&dyn Fn(u64) -> Option<u64>)) {
         while matches!(self.slots.front(), Some(None)) {
             self.slots.pop_front();
             self.base += 1;
         }
-        while let Some((_, handle)) = self.expiry.peek() {
-            if self.is_live(handle) {
-                break;
-            }
+        while self.expiry.peek().is_some_and(|(_, h)| !self.is_live(h)) {
             self.expiry.pop();
         }
         if self.slots.len() > 64 && self.slots.len() > 2 * self.live {
-            Reclaim::Renumber(self.compact())
-        } else if self.removed_since_sweep > self.live.max(64) {
-            self.removed_since_sweep = 0;
-            Reclaim::Sweep
-        } else {
-            Reclaim::Keep
-        }
-    }
-
-    /// Drop the tombstones, give the live entries fresh handles from
-    /// [`Slab::end`] on, and carry their queued pairs over in queue order.
-    fn compact(&mut self) -> Renumbering {
-        let old_base = self.base;
-        self.base = self.end();
-        let mut next = self.base;
-        let fresh: Vec<Option<u64>> = self
-            .slots
-            .iter()
-            .map(|slot| {
-                slot.as_ref().map(|_| {
-                    next += 1;
-                    next - 1
+            let (old_base, mut next) = (self.base, self.end());
+            let fresh: Vec<Option<u64>> = (self.slots.iter())
+                .map(|slot| {
+                    next += u64::from(slot.is_some());
+                    slot.as_ref().map(|_| next - 1)
                 })
-            })
-            .collect();
-        let renumbering = Renumbering { old_base, fresh };
-        self.slots.retain(Option::is_some);
-        let mut expiry = ExpiryQueue::default();
-        for (key, &handle) in self.expiry.iter() {
-            if let Some(handle) = renumbering.get(handle) {
-                expiry.push(key, handle);
+                .collect();
+            let to = |h: u64| *fresh.get(h.checked_sub(old_base)? as usize)?;
+            self.base = self.end();
+            self.slots.retain(Option::is_some);
+            let mut expiry = ExpiryQueue::default();
+            for (key, &h) in self.expiry.iter() {
+                if let Some(h) = to(h) {
+                    expiry.push(key, h);
+                }
             }
+            self.expiry = expiry;
+            debug_assert_eq!(self.slots.len(), self.live, "slab live-count agreement");
+            renumber(&to);
+        } else if self.removed_since_sweep > self.live.max(64) {
+            renumber(&|h| self.is_live(h).then_some(h));
+        } else {
+            return;
         }
-        self.expiry = expiry;
         self.removed_since_sweep = 0;
-        debug_assert_eq!(self.slots.len(), self.live, "slab live-count agreement");
-        renumbering
     }
 
     /// Remove every entry and return the live ones in insertion order. The
@@ -894,25 +834,22 @@ impl<T> Slab<T> {
     }
 }
 
-/// The checkpoint envelope of a window container: its diagnostic name,
-/// checked on restore, and its entries in insertion order. The container's
-/// indexes and expiry queue are derived from the entries and not persisted.
+/// The checkpoint envelope of a window container: its name, checked on
+/// restore, and its entries in insertion order. Indexes and the expiry
+/// queue are derived from the entries and not persisted.
 pub fn write_envelope<'a, T: Serialize + 'a>(
     name: &str,
     entries: impl Iterator<Item = &'a T>,
 ) -> Content {
+    let entries = Content::Seq(entries.map(Serialize::to_content).collect());
     Content::Map(vec![
         ("name".to_string(), Content::Str(name.to_string())),
-        (
-            "entries".to_string(),
-            Content::Seq(entries.map(Serialize::to_content).collect()),
-        ),
+        ("entries".to_string(), entries),
     ])
 }
 
-/// The entries of a [`write_envelope`] blob for the container `name` of
-/// type `kind`. A blob written for another name is an error: plan geometry
-/// is rebuilt from the query, not the checkpoint, so it must line up.
+/// The entries of a [`write_envelope`] blob, which must have been written
+/// for the container `name` of type `kind`.
 pub fn read_envelope<T: Deserialize>(
     content: &Content,
     name: &str,
@@ -1249,12 +1186,8 @@ impl OperatorState {
         }
     }
 
-    /// The earliest expiry key of a stored tuple ([`Slab::next_expiry`]):
-    /// a purge at `now` removes something iff
-    /// `window.is_expired(key, now)`. Lets a caller elide a provably empty
-    /// purge, which is counter-neutral (`purged_tuples` and
-    /// `CostKind::StatePurge` are charged per removed tuple, not per purge
-    /// call).
+    /// The earliest expiry key of a stored tuple ([`Slab::next_expiry`]),
+    /// so that a caller can elide a purge that would remove nothing.
     pub fn next_expiry(&self) -> Option<Timestamp> {
         self.slots.next_expiry()
     }
@@ -1279,20 +1212,9 @@ impl OperatorState {
     /// never touch an index, so without the sweep a bucket outlives its
     /// last tuple until its key is probed again, and its map entry forever.
     fn reclaim(&mut self) {
-        match self.slots.reclaim() {
-            Reclaim::Keep => {}
-            Reclaim::Sweep => {
-                let slots = &self.slots;
-                for (_, index) in self.indexes.iter_mut() {
-                    index.sweep(|seq| slots.is_live(seq));
-                }
-            }
-            Reclaim::Renumber(renumbering) => {
-                for (_, index) in self.indexes.iter_mut() {
-                    index.renumber(|seq| renumbering.get(seq));
-                }
-            }
-        }
+        let indexes = &mut self.indexes;
+        self.slots
+            .reclaim(|to| indexes.iter_mut().for_each(|(_, index)| index.renumber(to)));
     }
 }
 
@@ -2307,18 +2229,25 @@ mod tests {
                         }
                         80..=99 => {
                             let end = slab.end();
-                            if let Reclaim::Renumber(renumbering) = slab.reclaim() {
-                                compactions += 1;
-                                prop_assert_eq!(slab.base(), end, "step {}: rebased past every handle", step);
-                                // Exactly the live handles move, in order, onto fresh
-                                // handles from the old end on.
-                                for &h in &issued {
-                                    prop_assert_eq!(renumbering.get(h).is_some(), model.contains_key(&h), "step {}: {}", step, h);
+                            let mut mapped: Option<Vec<(u64, Option<u64>)>> = None;
+                            slab.reclaim(|to| mapped = Some(issued.iter().map(|&h| (h, to(h))).collect()));
+                            if let Some(mapped) = mapped {
+                                // Exactly the live handles map, in order: onto
+                                // themselves (a sweep) or onto fresh handles
+                                // from the old end on (a compaction).
+                                for &(h, to) in &mapped {
+                                    prop_assert_eq!(to.is_some(), model.contains_key(&h), "step {}: {}", step, h);
                                 }
+                                let to: BTreeMap<u64, u64> = mapped.into_iter().filter_map(|(h, to)| Some((h, to?))).collect();
                                 let moved = std::mem::take(&mut model).into_iter();
-                                model = moved.map(|(old, entry)| (renumbering.get(old).unwrap_or(u64::MAX), entry)).collect();
-                                prop_assert!(model.keys().copied().eq(end..end + model.len() as u64));
-                                issued.extend(model.keys().copied());
+                                model = moved.map(|(h, entry)| (to[&h], entry)).collect();
+                                if slab.base() == end && !model.is_empty() {
+                                    compactions += 1;
+                                    prop_assert!(model.keys().copied().eq(end..end + model.len() as u64));
+                                    issued.extend(model.keys().copied());
+                                } else {
+                                    prop_assert!(to.iter().all(|(h, to)| h == to), "step {}: a sweep moved a handle", step);
+                                }
                             }
                             // The front is trimmed, and the queue's front is the
                             // earliest queued live entry.

@@ -10,8 +10,8 @@
 //! clock driven by the arrival trace), not wall-clock time.
 //!
 //! [`ExpiryQueue`] is the one timestamp-ordered container the workspace
-//! keeps: window states and JIT's blacklist expire through it, and the
-//! bounded-disorder reorder stage releases through it.
+//! keeps: window states, JIT's MNS buffers and blacklists expire through it,
+//! and the bounded-disorder reorder stage releases through it.
 
 use crate::tuple::Tuple;
 use serde::{Deserialize, Serialize};
@@ -165,8 +165,7 @@ pub struct Window {
 }
 
 impl Window {
-    /// The zero-length window, under which a tuple expires the instant
-    /// [`Window::expires_at`] counts its lifespan from.
+    /// The zero-length window.
     pub const INSTANT: Window = Window {
         length: Duration::ZERO,
     };
@@ -190,20 +189,15 @@ impl Window {
         ts <= now && now < ts + self.length
     }
 
-    /// The instant at which `tuple` expires: it lives during
-    /// `[ts, ts + w)`. Every expiry decision of the window containers —
-    /// operator states, MNS buffers, blacklists — and of the JIT join goes
-    /// through here.
+    /// The instant at which `tuple` expires (it lives during `[ts, ts + w)`):
+    /// every expiry decision of the window containers goes through here.
     pub fn expires_at(&self, tuple: &Tuple) -> Timestamp {
         tuple.ts() + self.length
     }
 
     /// Has an entry expired by `now` whose expiry under [`Window::INSTANT`]
-    /// is `key`? A container learns its window only when it purges, so it
-    /// queues an entry by `Window::INSTANT.expires_at(tuple)`; every window
-    /// shifts all such keys by its length, which keeps one queue order valid
-    /// under any window and makes this test agree with
-    /// [`Window::expires_at`].
+    /// is `key`? Containers learn their window only when they purge, so they
+    /// queue by that key, which every window shifts by its length.
     pub fn is_expired(&self, key: Timestamp, now: Timestamp) -> bool {
         key + self.length <= now
     }
@@ -225,11 +219,13 @@ impl Window {
 /// push order; the memmove that costs is bounded by how far behind the tail
 /// the item lands.
 ///
-/// Three owners share it. Window states (`jit_exec::state::OperatorState`)
-/// and JIT's blacklist queue `u64` handles into a slab and skip the handles
-/// of since-removed entries when they surface; the reorder stage
-/// (`jit_durable::ReorderBuffer`) queues the buffered arrivals themselves
-/// and releases a watermark's worth with [`ExpiryQueue::drain_through`].
+/// Two owners share it. The slab every window container stores its entries
+/// in (`jit_exec::state::Slab`: operator states, MNS buffers, blacklists)
+/// queues `u64` handles, keyed by [`Window::expires_at`] under
+/// [`Window::INSTANT`], and skips the handles of since-removed entries when
+/// they surface; the reorder stage (`jit_durable::ReorderBuffer`) queues
+/// the buffered arrivals themselves and releases a watermark's worth with
+/// [`ExpiryQueue::drain_through`].
 #[derive(Debug, Clone)]
 pub struct ExpiryQueue<T = u64> {
     /// `(timestamp, item)`, ascending by timestamp from the front; equal
@@ -302,19 +298,6 @@ impl<T: Copy> ExpiryQueue<T> {
     /// The item with the earliest timestamp, if any.
     pub fn peek(&self) -> Option<(Timestamp, T)> {
         self.entries.front().copied()
-    }
-}
-
-/// Bulk construction (compaction, restore): one sort instead of a
-/// binary-searched insert per item. Ties are ordered by the item, not by
-/// iteration order.
-impl<T: Ord> FromIterator<(Timestamp, T)> for ExpiryQueue<T> {
-    fn from_iter<I: IntoIterator<Item = (Timestamp, T)>>(items: I) -> Self {
-        let mut items: Vec<(Timestamp, T)> = items.into_iter().collect();
-        items.sort_unstable();
-        ExpiryQueue {
-            entries: items.into(),
-        }
     }
 }
 
@@ -459,11 +442,12 @@ mod tests {
     }
 
     #[test]
-    fn collect_sorts_and_clear_empties() {
-        let mut queue: ExpiryQueue = [(ms(30), 1), (ms(10), 9), (ms(10), 2)]
-            .into_iter()
-            .collect();
-        assert_eq!(drained(&mut queue, 10), [(10, 2), (10, 9)]);
+    fn clear_empties() {
+        let mut queue = ExpiryQueue::default();
+        for (ts, item) in [(30, 1), (10, 9), (10, 2)] {
+            queue.push(ms(ts), item);
+        }
+        assert_eq!(drained(&mut queue, 10), [(10, 9), (10, 2)]);
         assert_eq!(queue.len(), 1);
         queue.clear();
         assert!(queue.is_empty());
