@@ -306,8 +306,10 @@ impl Blacklist {
         if self.mode == StateIndexMode::Hashed {
             return self.by_key.get(key).copied();
         }
-        let mut found = self.slots.handles().filter(|(_, e)| &e.mns.key() == key);
-        found.next().map(|(pos, _)| pos as usize)
+        let mut entries = self.slots.handles();
+        entries
+            .find(|(_, e)| &e.mns.key() == key)
+            .map(|(pos, _)| pos as usize)
     }
 
     /// Create (or find) the entry for `mns`. Returns its position.
@@ -365,8 +367,8 @@ impl Blacklist {
             return None;
         }
         if self.mode == StateIndexMode::Scan {
-            let mut found = self.slots.handles();
-            return found
+            let mut entries = self.slots.handles();
+            return entries
                 .find(|(_, e)| e.captures(tuple, allow_similar))
                 .map(|(pos, _)| pos as usize);
         }
@@ -429,7 +431,8 @@ impl Blacklist {
         mut on_removed: impl FnMut(&Tuple),
     ) -> usize {
         let mut touched = std::mem::take(&mut self.due);
-        self.slots.pop_due(window, now, &mut touched);
+        touched.clear();
+        touched.extend(std::iter::from_fn(|| self.slots.pop_due(window, now)));
         touched.sort_unstable();
         touched.dedup();
         let mut removed = 0usize;

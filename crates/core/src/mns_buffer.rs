@@ -298,7 +298,8 @@ impl MnsBuffer {
     /// its behalf, otherwise their future join partners would be missed.
     pub fn take_expired(&mut self, window: Window, now: Timestamp) -> Vec<Tuple> {
         let mut due = std::mem::take(&mut self.handles);
-        self.slots.pop_due(window, now, &mut due);
+        due.clear();
+        due.extend(std::iter::from_fn(|| self.slots.pop_due(window, now)));
         // The due-pop yields expiry order; the contract is entry order.
         due.sort_unstable();
         let expired: Vec<Tuple> = due.iter().map(|&h| self.take_at(h).mns).collect();

@@ -720,7 +720,7 @@ impl<T> Slab<T> {
     }
 
     /// The live entries in insertion order, mutably.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.slots.iter_mut().flatten()
     }
 
@@ -754,21 +754,23 @@ impl<T> Slab<T> {
         Some(entry)
     }
 
-    /// Pop every pair due at `now` under `window` and write the live
-    /// handles into `due` (cleared first), in `(key, push)` order — once per
-    /// due pair. The entries stay live. O(popped).
-    pub fn pop_due(&mut self, window: Window, now: Timestamp, due: &mut Vec<u64>) {
-        due.clear();
+    /// Pop the next pair due at `now` under `window`, skipping pairs of
+    /// removed entries, and return its handle; `None` once the front is not
+    /// due. Handles come in `(key, push)` order — `(expiry, handle)` for an
+    /// owner that queues each entry as it pushes it — once per due pair, and
+    /// the entry stays live.
+    pub fn pop_due(&mut self, window: Window, now: Timestamp) -> Option<u64> {
         while let Some((key, handle)) = self.expiry.peek() {
             let live = self.is_live(handle);
             if live && !window.is_expired(key, now) {
-                break;
+                return None;
             }
             self.expiry.pop();
             if live {
-                due.push(handle);
+                return Some(handle);
             }
         }
+        None
     }
 
     /// The earliest key queued for a live entry (see [`Window::is_expired`]),
@@ -792,7 +794,9 @@ impl<T> Slab<T> {
         }
         if self.slots.len() > 64 && self.slots.len() > 2 * self.live {
             let (old_base, mut next) = (self.base, self.end());
-            let fresh: Vec<Option<u64>> = (self.slots.iter())
+            let fresh: Vec<Option<u64>> = self
+                .slots
+                .iter()
                 .map(|slot| {
                     next += u64::from(slot.is_some());
                     slot.as_ref().map(|_| next - 1)
@@ -885,8 +889,6 @@ pub struct OperatorState {
     /// here, and only a `Generic` key is cloned into an owned `Vec` (when
     /// its bucket is created).
     key_scratch: Vec<Value>,
-    /// Reusable buffer for the handles a purge removes.
-    due: Vec<u64>,
 }
 
 impl OperatorState {
@@ -1010,15 +1012,13 @@ impl OperatorState {
         now: Timestamp,
         mut on_removed: impl FnMut(&Tuple),
     ) -> usize {
-        let mut due = std::mem::take(&mut self.due);
-        self.slots.pop_due(window, now, &mut due);
-        for &seq in &due {
+        let mut removed = 0usize;
+        while let Some(seq) = self.slots.pop_due(window, now) {
             if let Some(entry) = self.take(seq) {
                 on_removed(&entry.tuple);
+                removed += 1;
             }
         }
-        let removed = due.len();
-        self.due = due;
         self.reclaim();
         removed
     }
@@ -2206,7 +2206,8 @@ mod tests {
                             prop_assert_eq!(slab.take(handle), want, "step {}: take {}", step, handle);
                         }
                         65..=79 => {
-                            slab.pop_due(window, now, &mut due);
+                            due.clear();
+                            due.extend(std::iter::from_fn(|| slab.pop_due(window, now)));
                             let mut want: Vec<(Timestamp, u64)> = model
                                 .iter()
                                 .filter_map(|(&h, &(_, key))| Some((key?, h)))

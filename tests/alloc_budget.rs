@@ -322,14 +322,17 @@ fn serving_tier_allocations_per_arrival_stay_in_budget() {
 
 /// Budgets: the counts measured plus about 10 %. JIT reads 16.79 / 3.83 /
 /// 3.91 on the bushy, shared-key and bounded shapes, REF 16.07 / 0.94 / 0.94,
-/// debug and release alike, once a blacklist purge pops the due entries into
-/// a buffer it reuses instead of a fresh `Vec` per call (16.79 / 4.50 /
-/// 4.63 before), and once a settling port probes through one index
-/// per candidate source (no full-key or multi-source node index to file
-/// into) and the blacklist's diversion check forms its candidates and the
-/// arrival's signatures in reused buffers, compares a captured signature in
-/// place and shares an entry's column list; before, JIT read 17.74 / 5.95 /
-/// 6.08. With every key of two to four integer columns a heap `Vec<Value>`,
+/// debug and release alike, once the blacklist stores its entries in the
+/// slab operator states use: a compaction renumbers its indexes in place
+/// instead of re-filing them, and a purge pops into a buffer it reuses
+/// (with a fresh `Vec` per purge the same binary reads 3.93 / 4.06). With
+/// the blacklist's own slot vector JIT read 16.79 / 4.50 / 4.63, once a
+/// settling port probes through one index per candidate source (no
+/// full-key or multi-source node index to file into) and the blacklist's
+/// diversion check forms its candidates and the arrival's signatures in
+/// reused buffers, compares a captured signature in place and shares an
+/// entry's column list; before those, JIT read 17.74 / 5.95 / 6.08. With
+/// every key of two to four integer columns a heap `Vec<Value>`,
 /// allocated when its bucket was created, the bushy and shared-key shapes
 /// read 29.50 / 27.31 / 6.27 / 1.26. What is left per arrival: the shared
 /// part slice of each result row, the `Vec` of rows an operator call returns
@@ -359,8 +362,8 @@ const BOUNDED_REF_BUDGET: f64 = 1.05;
 /// and 2.910 with the stamps in a map beside the states. ROADMAP's bar for
 /// the bushy shape is 1.5 — a bound may be re-pinned lower, never higher.
 /// Since MNS buffers and blacklists store their entries in the slab
-/// operator states use, the same binary reads 0.687 (4.496 / 6.540 MB),
-/// 2.229 (2.731 / 1.225 MB) and 2.218 (2.748 / 1.239 MB).
+/// operator states use, the same binary reads 0.687 (4.493 / 6.537 MB),
+/// 2.230 (2.730 / 1.224 MB) and 2.216 (2.745 / 1.239 MB).
 /// The serving shape reads 2.49 push + 0.25 poll = 2.74 allocations per
 /// arrival and 2.628 MB peak heap, debug and release alike, once every
 /// pipeline that reads a source under its global id holds the pushed
