@@ -115,13 +115,11 @@ pub struct Blacklist {
     /// Similar-capture entries grouped by signature column set, then by the
     /// MNS's signature on those columns. Positions ascending.
     by_signature: FastMap<Arc<[ColumnRef]>, FastMap<Signature, Vec<usize>>>,
-    /// Buffers [`Blacklist::matching_entry`] reuses from call to call: the
-    /// candidate positions and an arrival's signature over one column set.
+    /// Buffers reused from call to call: positions (the candidates of
+    /// [`Blacklist::matching_entry`], the entries a purge found something
+    /// due in) and an arrival's signature over one column set.
     candidates: Vec<usize>,
     signature_scratch: Vec<(ColumnRef, Value)>,
-    /// The positions a purge found something due in, reused from call to
-    /// call.
-    due: Vec<u64>,
 }
 
 /// Remove `pos` from an ascending position list.
@@ -430,14 +428,15 @@ impl Blacklist {
         now: Timestamp,
         mut on_removed: impl FnMut(&Tuple),
     ) -> usize {
-        let mut touched = std::mem::take(&mut self.due);
+        let mut touched = std::mem::take(&mut self.candidates);
         touched.clear();
-        touched.extend(std::iter::from_fn(|| self.slots.pop_due(window, now)));
+        let due = std::iter::from_fn(|| self.slots.pop_due(window, now));
+        touched.extend(due.map(|pos| pos as usize));
         touched.sort_unstable();
         touched.dedup();
         let mut removed = 0usize;
         for &pos in &touched {
-            let Some(entry) = self.slots.get_mut(pos) else {
+            let Some(entry) = self.slots.get_mut(pos as u64) else {
                 continue;
             };
             let before = entry.tuples.len();
@@ -456,13 +455,13 @@ impl Blacklist {
                 && !entry.mns.is_empty()
                 && window.expires_at(&entry.mns) <= now
             {
-                self.take_at(pos as usize);
+                self.take_at(pos);
             }
         }
         if !touched.is_empty() {
             self.reclaim();
         }
-        self.due = touched;
+        self.candidates = touched;
         removed
     }
 

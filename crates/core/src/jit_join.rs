@@ -428,9 +428,9 @@ impl JitJoinOperator {
     /// Can a purge at `now` remove anything from any of the six containers?
     /// Each reports its earliest expiry key ([`Window::is_expired`]), so the
     /// common case — nothing has expired since the last arrival — is
-    /// answered with six O(1) peeks. A purge that removes
-    /// nothing charges nothing and emits no feedback, so eliding it is
-    /// observationally identical.
+    /// answered with six O(1) peeks. A purge that removes nothing charges
+    /// nothing and emits no feedback, so eliding it is observationally
+    /// identical.
     fn purge_due(&self, now: Timestamp) -> bool {
         [LEFT, RIGHT].into_iter().any(|side| {
             let expired =

@@ -363,7 +363,7 @@ const BOUNDED_REF_BUDGET: f64 = 1.05;
 /// the bushy shape is 1.5 — a bound may be re-pinned lower, never higher.
 /// Since MNS buffers and blacklists store their entries in the slab
 /// operator states use, the same binary reads 0.687 (4.493 / 6.537 MB),
-/// 2.230 (2.730 / 1.224 MB) and 2.216 (2.745 / 1.239 MB).
+/// 2.229 (2.730 / 1.224 MB) and 2.216 (2.744 / 1.239 MB).
 /// The serving shape reads 2.49 push + 0.25 poll = 2.74 allocations per
 /// arrival and 2.628 MB peak heap, debug and release alike, once every
 /// pipeline that reads a source under its global id holds the pushed
