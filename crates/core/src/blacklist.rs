@@ -9,7 +9,7 @@
 //! moved back and joined only with the opposite tuples they have not been
 //! joined with yet.
 
-use jit_exec::state::{read_envelope, write_envelope, Slab, StateIndexMode};
+use jit_exec::{read_envelope, write_envelope, Slab, StateIndexMode};
 use jit_types::{ColumnRef, FastMap, Signature, Timestamp, Tuple, TupleKey, Value, Window};
 use serde::{Content, Deserialize, Serialize};
 use std::fmt;
@@ -30,33 +30,33 @@ pub enum SuspendMode {
 
 /// One suspended tuple.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BlacklistedTuple {
+pub(crate) struct BlacklistedTuple {
     /// The suspended tuple (a super-tuple of the entry's MNS, or a similar
     /// tuple captured by signature).
-    pub tuple: Tuple,
+    pub(crate) tuple: Tuple,
 }
 
 /// All tuples suspended on behalf of one MNS.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BlacklistEntry {
+pub(crate) struct BlacklistEntry {
     /// The MNS that justified the suspension (as received in the feedback).
-    pub mns: Tuple,
+    pub(crate) mns: Tuple,
     /// The join-attribute columns used to recognise similar tuples, shared
     /// by every entry an operator suspends for MNSs of one coverage.
-    pub signature_columns: Arc<[ColumnRef]>,
+    pub(crate) signature_columns: Arc<[ColumnRef]>,
     /// The MNS's values on those columns.
-    pub signature: Signature,
+    pub(crate) signature: Signature,
     /// When the suspension was installed.
-    pub suspended_at: Timestamp,
+    pub(crate) suspended_at: Timestamp,
     /// The suspended tuples.
-    pub tuples: Vec<BlacklistedTuple>,
+    pub(crate) tuples: Vec<BlacklistedTuple>,
 }
 
 impl BlacklistEntry {
     /// Does `tuple` belong to this entry — i.e. is it a super-tuple of the
     /// MNS, or (when `allow_similar`) does it carry the same join-attribute
     /// values?
-    pub fn captures(&self, tuple: &Tuple, allow_similar: bool) -> bool {
+    pub(crate) fn captures(&self, tuple: &Tuple, allow_similar: bool) -> bool {
         if self.mns.is_subtuple_of(tuple) {
             return true;
         }
@@ -80,7 +80,7 @@ impl BlacklistEntry {
 /// "first entry in ascending order" contract below holds on positions (a
 /// compaction renumbers them in order). Each entry queues one expiry per
 /// suspended tuple and one for its MNS (unless it is Ø), so
-/// [`Blacklist::purge`] visits only the entries something expired in.
+/// `Blacklist::purge` visits only the entries something expired in.
 ///
 /// # The index layer
 ///
@@ -91,12 +91,12 @@ impl BlacklistEntry {
 /// identity of the MNS's first component (a super-tuple must carry that
 /// component), and by signature over each distinct signature-column set —
 /// so [`Blacklist::matching_entry`] examines only the candidate entries.
-/// Candidates are verified with [`BlacklistEntry::captures`] in ascending
+/// Candidates are verified with `BlacklistEntry::captures` in ascending
 /// entry order, which makes the hashed lookup return exactly the entry the
 /// historical linear scan would have found. [`StateIndexMode::Scan`]
 /// restores the linear scan itself. Neither mode changes the analytical
 /// byte accounting: index bookkeeping is not charged, mirroring
-/// [`jit_exec::state::OperatorState`].
+/// [`jit_exec::OperatorState`].
 #[derive(Debug, Clone, Default)]
 pub struct Blacklist {
     name: String,
@@ -153,7 +153,7 @@ impl Blacklist {
     /// behind [`Blacklist::upsert_entry`] answer probes (default
     /// [`StateIndexMode::Hashed`]). The two modes return identical entries;
     /// only the number of entries examined differs.
-    pub fn set_index_mode(&mut self, mode: StateIndexMode) {
+    pub(crate) fn set_index_mode(&mut self, mode: StateIndexMode) {
         self.mode = mode;
     }
 
@@ -277,17 +277,17 @@ impl Blacklist {
     }
 
     /// Total number of suspended tuples across all entries.
-    pub fn num_tuples(&self) -> usize {
+    pub(crate) fn num_tuples(&self) -> usize {
         self.entries().map(|e| e.tuples.len()).sum()
     }
 
     /// Analytical size in bytes (MNSs plus suspended tuples).
-    pub fn size_bytes(&self) -> usize {
+    pub(crate) fn size_bytes(&self) -> usize {
         self.bytes
     }
 
     /// The entries in insertion order, for inspection.
-    pub fn entries(&self) -> impl Iterator<Item = &BlacklistEntry> {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = &BlacklistEntry> {
         self.slots.iter()
     }
 
@@ -295,7 +295,7 @@ impl Blacklist {
     /// [`Blacklist::matching_entry`], if it is still live. A position is
     /// stable until its entry is removed or the blacklist next purges or
     /// removes an entry (which may compact).
-    pub fn entry(&self, pos: usize) -> Option<&BlacklistEntry> {
+    pub(crate) fn entry(&self, pos: usize) -> Option<&BlacklistEntry> {
         self.slots.get(pos as u64)
     }
 
@@ -336,12 +336,12 @@ impl Blacklist {
     /// ([`Slab::next_expiry`]): [`Blacklist::purge`] removes something at
     /// `now` iff `window.is_expired(key, now)`; `None` when no purge can
     /// remove anything.
-    pub fn next_expiry(&self) -> Option<Timestamp> {
+    pub(crate) fn next_expiry(&self) -> Option<Timestamp> {
         self.slots.next_expiry()
     }
 
     /// Add a suspended tuple to the (live) entry at `pos`.
-    pub fn add_tuple(&mut self, pos: usize, tuple: Tuple) {
+    pub(crate) fn add_tuple(&mut self, pos: usize, tuple: Tuple) {
         self.slots.expire_with(pos as u64, &tuple);
         self.bytes += tuple.size_bytes();
         #[expect(
@@ -397,7 +397,7 @@ impl Blacklist {
     }
 
     /// Remove and return the entry for an MNS (resumption).
-    pub fn remove_entry(&mut self, key: &TupleKey) -> Option<BlacklistEntry> {
+    pub(crate) fn remove_entry(&mut self, key: &TupleKey) -> Option<BlacklistEntry> {
         let pos = self.entry_index(key)?;
         let entry = self.take_at(pos)?;
         self.reclaim();
@@ -406,7 +406,7 @@ impl Blacklist {
 
     /// Remove and return every entry, in insertion order (end-of-stream
     /// flush: everything still suspended is released at once).
-    pub fn drain_entries(&mut self) -> Vec<BlacklistEntry> {
+    pub(crate) fn drain_entries(&mut self) -> Vec<BlacklistEntry> {
         let entries = self.slots.take_all().collect();
         self.bytes = 0;
         self.clear_indexes();
@@ -422,7 +422,7 @@ impl Blacklist {
     /// yields only the entries something expired in. An entry whose MNS
     /// expired while it still held live tuples is dropped when its last
     /// tuple's pair surfaces.
-    pub fn purge(
+    pub(crate) fn purge(
         &mut self,
         window: Window,
         now: Timestamp,
@@ -469,7 +469,7 @@ impl Blacklist {
     /// ([`write_envelope`]). The index mode, the hash indexes and the
     /// expiry queue are runtime configuration / derived structure and are
     /// not persisted.
-    pub fn checkpoint(&self) -> Content {
+    pub(crate) fn checkpoint(&self) -> Content {
         write_envelope(&self.name, self.entries())
     }
 
@@ -477,7 +477,7 @@ impl Blacklist {
     /// accounting, the hash indexes and the expiry queue. The checkpoint
     /// must carry the same diagnostic name (i.e. come from the same
     /// operator slot).
-    pub fn restore_checkpoint(&mut self, content: &Content) -> Result<(), serde::Error> {
+    pub(crate) fn restore_checkpoint(&mut self, content: &Content) -> Result<(), serde::Error> {
         let entries: Vec<BlacklistEntry> = read_envelope(content, &self.name, "Blacklist")?;
         self.slots.clear();
         self.bytes = 0;

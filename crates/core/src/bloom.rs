@@ -16,8 +16,6 @@ use std::hash::{Hash, Hasher};
 ///
 /// Insert-only: expired values are not removed, which only increases the
 /// false-positive rate (fewer detected MNSs) and never affects correctness.
-/// Callers may call [`BloomFilter::clear`] to rebuild it from the live state
-/// when staleness accumulates.
 ///
 /// The filter is plain data (`derive`d `Serialize`/`Deserialize`): a
 /// durability checkpoint persists the exact bit pattern, so a restored
@@ -74,23 +72,12 @@ impl BloomFilter {
     }
 
     /// Definitely absent?
-    pub fn definitely_absent(&self, value: &Value) -> bool {
+    pub(crate) fn definitely_absent(&self, value: &Value) -> bool {
         !self.maybe_contains(value)
     }
 
-    /// Number of insertions performed since the last clear.
-    pub fn inserted(&self) -> u64 {
-        self.inserted
-    }
-
-    /// Reset the filter to empty.
-    pub fn clear(&mut self) {
-        self.bits.iter_mut().for_each(|w| *w = 0);
-        self.inserted = 0;
-    }
-
     /// Analytical size in bytes.
-    pub fn size_bytes(&self) -> usize {
+    pub(crate) fn size_bytes(&self) -> usize {
         self.bits.len() * 8 + std::mem::size_of::<Self>()
     }
 }
@@ -109,7 +96,6 @@ mod tests {
             assert!(f.maybe_contains(&Value::int(v)));
             assert!(!f.definitely_absent(&Value::int(v)));
         }
-        assert_eq!(f.inserted(), 100);
     }
 
     #[test]
@@ -137,16 +123,6 @@ mod tests {
         // A saturated filter may answer "maybe" for everything, but it must
         // never answer "absent" for something inserted.
         assert!(values.iter().all(|v| f.maybe_contains(v)));
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut f = BloomFilter::new(256, 2);
-        f.insert(&Value::int(7));
-        assert!(f.maybe_contains(&Value::int(7)));
-        f.clear();
-        assert!(f.definitely_absent(&Value::int(7)));
-        assert_eq!(f.inserted(), 0);
     }
 
     #[test]

@@ -56,7 +56,7 @@ use crate::policy::{JitPolicy, MnsDetection};
 use jit_exec::operator::{
     DataMessage, FeedbackOutcome, OpContext, Operator, OperatorOutput, Port, LEFT, RIGHT,
 };
-use jit_exec::state::{JoinKeySpec, OperatorState, SpecHits, StateIndexMode, StoredTuple};
+use jit_exec::{JoinKeySpec, OperatorState, SpecHits, StateIndexMode, StoredTuple};
 use jit_metrics::CostKind;
 use jit_types::{
     ColumnRef, FastMap, Feedback, FeedbackCommand, PredicateSet, SourceSet, Timestamp, Tuple,
@@ -394,11 +394,6 @@ impl JitJoinOperator {
         } else {
             LEFT
         }
-    }
-
-    /// The policy the operator runs under.
-    pub fn policy(&self) -> &JitPolicy {
-        &self.policy
     }
 
     /// Number of tuples in the state of the given side.
@@ -1665,7 +1660,7 @@ mod tests {
         assert_eq!(op.output_schema(), SourceSet::first_n(2));
         assert_eq!(op.memory_bytes(), 0);
         assert!(!op.is_suspended());
-        assert_eq!(op.policy().detection, MnsDetection::FullLattice);
+        assert_eq!(op.policy.detection, MnsDetection::FullLattice);
         assert_eq!(op.name(), "A⋈B");
     }
 

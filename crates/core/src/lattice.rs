@@ -58,7 +58,7 @@ impl CnsLattice {
     /// whether a node is an MNS depends on the node and its subsets only.
     /// The JIT join uses this to leave out the nodes its producer could not
     /// act on (those spanning both of the producer's inputs).
-    pub fn restricted(candidates: SourceSet, keep: impl Fn(SourceSet) -> bool) -> Self {
+    pub(crate) fn restricted(candidates: SourceSet, keep: impl Fn(SourceSet) -> bool) -> Self {
         let nodes = candidates
             .non_empty_subsets()
             .into_iter()
@@ -72,13 +72,13 @@ impl CnsLattice {
     }
 
     /// The candidate source set the lattice was built over.
-    pub fn candidates(&self) -> SourceSet {
+    pub(crate) fn candidates(&self) -> SourceSet {
         self.candidates
     }
 
     /// Make every node alive again — the lattice as [`CnsLattice::new`]
     /// built it, for the next input with the same candidates.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         for node in &mut self.nodes {
             node.alive = true;
         }
@@ -92,7 +92,7 @@ impl CnsLattice {
 
     /// Are all nodes dead (every CNS has found a match)? When true the caller
     /// can stop scanning the opposite state early.
-    pub fn all_dead(&self) -> bool {
+    pub(crate) fn all_dead(&self) -> bool {
         self.nodes.iter().all(|n| !n.alive)
     }
 
@@ -122,7 +122,7 @@ impl CnsLattice {
     /// death with one membership probe per node (largest nodes first, so a
     /// hit also kills every sub-node via [`CnsLattice::observe`]) instead of
     /// observing every stored tuple. Unknown source sets report as dead.
-    pub fn is_alive(&self, sources: SourceSet) -> bool {
+    pub(crate) fn is_alive(&self, sources: SourceSet) -> bool {
         self.nodes.iter().any(|n| n.sources == sources && n.alive)
     }
 
@@ -135,7 +135,7 @@ impl CnsLattice {
     }
 
     /// [`CnsLattice::minimal_alive`] without the `Vec`, in the same order.
-    pub fn minimal_alive_iter(&self) -> impl Iterator<Item = SourceSet> + '_ {
+    pub(crate) fn minimal_alive_iter(&self) -> impl Iterator<Item = SourceSet> + '_ {
         let alive = || self.nodes.iter().filter(|n| n.alive);
         alive()
             .filter(move |node| {
@@ -144,13 +144,6 @@ impl CnsLattice {
                 })
             })
             .map(|node| node.sources)
-    }
-
-    /// Is the lattice empty (no candidate components)? In that case the input
-    /// has no CNS other than Ø and the consumer cannot detect anything
-    /// beyond the empty-state case.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 }
 
@@ -168,9 +161,7 @@ mod tests {
         let l = CnsLattice::new(set(&[0, 1, 2, 3]));
         assert_eq!(l.num_nodes(), 15);
         assert_eq!(l.candidates(), set(&[0, 1, 2, 3]));
-        assert!(!l.is_empty());
         let empty = CnsLattice::new(SourceSet::EMPTY);
-        assert!(empty.is_empty());
         assert_eq!(empty.num_nodes(), 0);
     }
 

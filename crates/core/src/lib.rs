@@ -7,18 +7,18 @@
 //!
 //! The crate implements, on top of the `jit-exec` substrate:
 //!
-//! * [`lattice`] — the CNS lattice and the `Identify_MNS` algorithm
+//! * [`CnsLattice`] — the CNS lattice and the `Identify_MNS` algorithm
 //!   (Section IV-A, Figure 8).
-//! * [`bloom`] — Bloom-filter-accelerated MNS detection (Section IV-A).
-//! * [`mns_buffer`] — the consumer-side buffer of detected MNSs, probed by
+//! * [`BloomFilter`] — Bloom-filter-accelerated MNS detection (Section IV-A).
+//! * [`MnsBuffer`] — the consumer-side buffer of detected MNSs, probed by
 //!   arriving tuples to trigger resumption feedback.
-//! * [`blacklist`] — the producer-side blacklist holding suspended tuples,
+//! * [`Blacklist`] — the producer-side blacklist holding suspended tuples,
 //!   including "similar" tuples with identical join-attribute signatures.
-//! * [`jit_join`] — the JIT-enabled binary window join combining the
+//! * [`JitJoinOperator`] — the JIT-enabled binary window join combining the
 //!   consumer role (`Process_Input`, Figure 6) and the producer role
 //!   (`Handle_Feedback`: suspend / resume / propagate, Section IV-B).
-//! * [`jit_filter`] — JIT-aware selection and stream–static-relation join
-//!   consumers (Section V, Figure 9), which issue suspension-only feedback.
+//! * [`JitSelectionOperator`] — the JIT-aware selection consumer (Section V,
+//!   Figure 9a), which issues suspension-only feedback.
 //! * [`policy`] — configuration knobs ([`policy::JitPolicy`]): detection
 //!   strategy (full lattice / Bloom / empty-state-only), similar-tuple
 //!   capture, feedback propagation. The *empty-state-only* preset is exactly
@@ -27,17 +27,18 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod blacklist;
-pub mod bloom;
-pub mod jit_filter;
-pub mod jit_join;
-pub mod lattice;
-pub mod mns_buffer;
+mod blacklist;
+mod bloom;
+mod jit_filter;
+mod jit_join;
+mod lattice;
+mod mns_buffer;
 pub mod policy;
 
-pub use blacklist::{Blacklist, BlacklistEntry, BlacklistedTuple, SuspendMode};
+pub use blacklist::{Blacklist, SuspendMode};
 pub use bloom::BloomFilter;
+pub use jit_filter::JitSelectionOperator;
 pub use jit_join::{JitJoinOperator, Producer};
 pub use lattice::CnsLattice;
-pub use mns_buffer::{MnsBuffer, MnsEntry};
-pub use policy::{ExecutionMode, JitPolicy, MnsDetection};
+pub use mns_buffer::MnsBuffer;
+pub use policy::{ExecutionMode, JitPolicy};

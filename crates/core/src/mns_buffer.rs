@@ -5,9 +5,7 @@
 //! the MNS buffer." A match removes the MNS and triggers a resumption
 //! feedback to the producer.
 
-use jit_exec::state::{
-    read_envelope, write_envelope, HashIndex, JoinKeySpec, Slab, StateIndexMode,
-};
+use jit_exec::{read_envelope, write_envelope, HashIndex, JoinKeySpec, Slab, StateIndexMode};
 use jit_metrics::{CostKind, RunMetrics};
 use jit_types::{FastMap, PredicateSet, SourceSet, Timestamp, Tuple, TupleKey, Value, Window};
 use serde::{Content, Deserialize, Serialize};
@@ -15,11 +13,11 @@ use std::collections::hash_map::Entry;
 
 /// One buffered MNS.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MnsEntry {
+pub(crate) struct MnsEntry {
     /// The minimal non-demanded sub-tuple.
-    pub mns: Tuple,
+    pub(crate) mns: Tuple,
     /// When it was detected (application time).
-    pub detected_at: Timestamp,
+    pub(crate) detected_at: Timestamp,
 }
 
 /// The entries of one MNS-coverage class, indexed on the equi-join key
@@ -142,15 +140,10 @@ impl MnsBuffer {
     /// Select how [`MnsBuffer::take_matching`] answers probes (default
     /// [`StateIndexMode::Hashed`]). Matched MNSs are identical in both
     /// modes; only the probe count charged differs.
-    pub fn set_index_mode(&mut self, mode: StateIndexMode) {
+    pub(crate) fn set_index_mode(&mut self, mode: StateIndexMode) {
         self.mode = mode;
         self.shape = None;
         self.groups.clear();
-    }
-
-    /// The probing mode in effect.
-    pub fn index_mode(&self) -> StateIndexMode {
-        self.mode
     }
 
     /// File every live entry in the groups, from scratch.
@@ -239,23 +232,19 @@ impl MnsBuffer {
         self.handles = cand;
     }
 
-    /// The buffer's diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Number of buffered MNSs.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
 
     /// Is the buffer empty?
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
 
     /// Analytical size in bytes.
-    pub fn size_bytes(&self) -> usize {
+    pub(crate) fn size_bytes(&self) -> usize {
         self.bytes
     }
 
@@ -296,7 +285,7 @@ impl MnsBuffer {
     /// feedback: once the justification for a suspension has expired, the
     /// producer must release any still-alive similar tuples it suppressed on
     /// its behalf, otherwise their future join partners would be missed.
-    pub fn take_expired(&mut self, window: Window, now: Timestamp) -> Vec<Tuple> {
+    pub(crate) fn take_expired(&mut self, window: Window, now: Timestamp) -> Vec<Tuple> {
         let mut due = std::mem::take(&mut self.handles);
         due.clear();
         due.extend(std::iter::from_fn(|| self.slots.pop_due(window, now)));
@@ -355,13 +344,13 @@ impl MnsBuffer {
     /// `window.is_expired(key, now)`. `None` means no purge can ever remove
     /// anything (the buffer is empty or holds only the never-expiring Ø),
     /// so callers can elide the purge entirely.
-    pub fn next_expiry(&self) -> Option<Timestamp> {
+    pub(crate) fn next_expiry(&self) -> Option<Timestamp> {
         self.slots.next_expiry()
     }
 
     /// Remove a specific MNS by identity (used when a producer reports it can
     /// no longer serve it). Returns whether it was present.
-    pub fn remove(&mut self, key: &TupleKey) -> bool {
+    pub(crate) fn remove(&mut self, key: &TupleKey) -> bool {
         // Identities are unique in the buffer (insert dedups), so the map
         // lookup finds the only possible entry.
         let Some(&handle) = self.by_key.get(key) else {
@@ -373,7 +362,7 @@ impl MnsBuffer {
     }
 
     /// Iterate over buffered entries, in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &MnsEntry> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &MnsEntry> {
         self.slots.iter()
     }
 
@@ -381,14 +370,14 @@ impl MnsBuffer {
     /// ([`write_envelope`]). The index mode, the identity map and the probe
     /// groups are runtime configuration / derived structure and are not
     /// persisted.
-    pub fn checkpoint(&self) -> Content {
+    pub(crate) fn checkpoint(&self) -> Content {
         write_envelope(&self.name, self.iter())
     }
 
     /// Replace the entries with a checkpointed set, rebuilding the byte
     /// accounting and everything derived. The checkpoint must carry the same
     /// diagnostic name (i.e. come from the same operator slot).
-    pub fn restore_checkpoint(&mut self, content: &Content) -> Result<(), serde::Error> {
+    pub(crate) fn restore_checkpoint(&mut self, content: &Content) -> Result<(), serde::Error> {
         let entries: Vec<MnsEntry> = read_envelope(content, &self.name, "MnsBuffer")?;
         self.slots.clear();
         self.by_key.clear();
@@ -429,7 +418,7 @@ mod tests {
         assert_eq!(b.len(), 1);
         assert!(b.iter().any(|e| e.mns.key() == a1.key()));
         assert!(b.size_bytes() > 0);
-        assert_eq!(b.name(), "NB_left");
+        assert_eq!(b.name, "NB_left");
     }
 
     #[test]
@@ -456,7 +445,7 @@ mod tests {
         let preds = PredicateSet::clique(2);
         let mut metrics = RunMetrics::new();
         let mut b = MnsBuffer::new("NB");
-        assert_eq!(b.index_mode(), StateIndexMode::Hashed);
+        assert_eq!(b.mode, StateIndexMode::Hashed);
         b.insert(tup(0, 1, 0, &[5]), Timestamp::ZERO);
         b.insert(tup(0, 2, 0, &[9]), Timestamp::ZERO);
         // The hashed probe examines only the key-5 bucket: one candidate.
@@ -813,8 +802,8 @@ mod tests {
                 }
                 _ if !quiet => {
                     let blob = buffer.checkpoint();
-                    let mut restored = MnsBuffer::new(buffer.name());
-                    restored.set_index_mode(buffer.index_mode());
+                    let mut restored = MnsBuffer::new(&buffer.name);
+                    restored.set_index_mode(buffer.mode);
                     restored.restore_checkpoint(&blob).expect("own checkpoint");
                     *buffer = restored;
                 }

@@ -25,19 +25,19 @@ pub enum MnsDetection {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct JitPolicy {
     /// MNS detection strategy used in the consumer role.
-    pub detection: MnsDetection,
+    pub(crate) detection: MnsDetection,
     /// Capture "similar" tuples (identical join-attribute signature) into the
     /// blacklist, so records like `a2` in the running example are suppressed
     /// together with `a1` (Section IV-B).
     pub capture_similar: bool,
     /// Propagate feedback to upstream operators (Section III-C). Without it,
     /// JIT only affects the immediate producer.
-    pub propagate_feedback: bool,
+    pub(crate) propagate_feedback: bool,
     /// Number of bits in each Bloom filter (only used with
     /// [`MnsDetection::Bloom`]).
-    pub bloom_bits: usize,
+    pub(crate) bloom_bits: usize,
     /// Number of hash functions per Bloom filter.
-    pub bloom_hashes: usize,
+    pub(crate) bloom_hashes: usize,
 }
 
 impl Default for JitPolicy {
@@ -60,7 +60,7 @@ impl JitPolicy {
 
     /// The DOE baseline: suspend a producer only when the consumer's opposite
     /// state is empty.
-    pub fn doe() -> Self {
+    pub(crate) fn doe() -> Self {
         JitPolicy {
             detection: MnsDetection::EmptyStateOnly,
             capture_similar: false,

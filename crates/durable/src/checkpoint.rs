@@ -36,10 +36,10 @@ use std::path::Path;
 use std::time::Instant;
 
 /// Magic string opening every checkpoint file.
-pub const MAGIC: &str = "JITDSMS-CHECKPOINT";
+pub(crate) const MAGIC: &str = "JITDSMS-CHECKPOINT";
 
 /// Current (and only) supported format version.
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Debug)]

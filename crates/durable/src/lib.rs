@@ -27,7 +27,5 @@
 mod checkpoint;
 mod reorder;
 
-pub use checkpoint::{
-    read_checkpoint, write_checkpoint, CheckpointError, CheckpointStats, FORMAT_VERSION, MAGIC,
-};
+pub use checkpoint::{read_checkpoint, write_checkpoint, CheckpointError, CheckpointStats};
 pub use reorder::{DisorderPolicy, PushOutcome, ReorderBuffer};

@@ -109,16 +109,6 @@ impl<T> ReorderBuffer<T> {
         self.max_ts
     }
 
-    /// Number of arrivals currently buffered.
-    pub fn len(&self) -> usize {
-        self.buffered.len()
-    }
-
-    /// Is the buffer empty?
-    pub fn is_empty(&self) -> bool {
-        self.buffered.is_empty()
-    }
-
     /// Arrivals that came in with a timestamp smaller than an earlier one —
     /// reordered if within the bound, dropped if not (a superset of
     /// [`ReorderBuffer::late_dropped`]).
@@ -269,7 +259,7 @@ mod tests {
         // max_ts 450, bound 100 → watermark 350 releases ids 0..=7.
         let target = buf.target_watermark();
         assert_eq!(ids(buf.release(target)), (0..=7).collect::<Vec<_>>());
-        assert_eq!(buf.len(), 2);
+        assert_eq!(buf.buffered.len(), 2);
         assert_eq!(buf.late_arrivals(), 0);
         assert_eq!(ids(buf.flush()), vec![8, 9]);
         assert_eq!(buf.frontier(), ms(450));
@@ -305,7 +295,7 @@ mod tests {
         assert_eq!(buf.release(target).len(), 1); // watermark 1950 releases "a"
         assert_eq!(buf.push(ms(900), "too-late"), PushOutcome::LateDrop);
         assert_eq!(buf.late_dropped(), 1);
-        assert_eq!(buf.len(), 1); // only "b"
+        assert_eq!(buf.buffered.len(), 1); // only "b"
     }
 
     #[test]
@@ -346,7 +336,7 @@ mod tests {
         assert_eq!(restored.max_ts(), buf.max_ts());
         assert_eq!(restored.late_arrivals(), buf.late_arrivals());
         assert_eq!(restored.peak(), buf.peak());
-        assert_eq!(restored.len(), buf.len());
+        assert_eq!(restored.buffered.len(), buf.buffered.len());
         assert_eq!(snapshot(&restored), snapshot(&buf));
     }
 
@@ -484,7 +474,7 @@ mod tests {
                 released.extend(buf.flush().map(|(_, id)| id));
                 expected.extend(model.release(model.max_ts.max(model.frontier)));
                 prop_assert_eq!(released, expected);
-                prop_assert!(buf.is_empty());
+                prop_assert!(buf.buffered.is_empty());
                 // A zero bound drops every late arrival; any other also
                 // reorders some.
                 prop_assert!(

@@ -16,10 +16,10 @@
 //! remaining results plus final metrics.
 
 use crate::error::EngineError;
-use jit_exec::executor::Executor;
+use jit_exec::Executor;
 use jit_metrics::MetricsSnapshot;
 use jit_runtime::{ShardOutcome, ShardedSession};
-use jit_stream::arrival::ArrivalEvent;
+use jit_stream::ArrivalEvent;
 use jit_types::{BaseTuple, SourceId, Timestamp, Tuple};
 use serde::Content;
 use std::sync::Arc;
@@ -59,13 +59,11 @@ impl EngineOutcome {
     }
 }
 
-/// A push-based execution backend.
-///
-/// The trait is public so callers (and the cross-backend equivalence tests)
-/// can drive the two implementations through one generic seam, but ordinary
-/// use goes through [`crate::Session`], which adds ordering validation on
-/// top.
-pub trait Backend {
+/// A push-based execution backend: the seam behind [`crate::Session`],
+/// implemented by [`SingleThreadBackend`] and [`ShardedBackend`]. Only the
+/// session drives it, adding ordering validation, the reorder stage and
+/// checkpoint framing on top.
+pub(crate) trait Backend {
     /// Ingest one base tuple from `source`. Arrivals must be pushed in
     /// non-decreasing timestamp order.
     fn push(&mut self, source: SourceId, tuple: Arc<BaseTuple>);
@@ -108,14 +106,14 @@ pub trait Backend {
 }
 
 /// The paper's single-threaded cascade executor behind the [`Backend`] seam.
-pub struct SingleThreadBackend {
+pub(crate) struct SingleThreadBackend {
     executor: Executor,
     mode_label: &'static str,
 }
 
 impl SingleThreadBackend {
     /// Wrap an executor.
-    pub fn new(executor: Executor, mode_label: &'static str) -> Self {
+    pub(crate) fn new(executor: Executor, mode_label: &'static str) -> Self {
         SingleThreadBackend {
             executor,
             mode_label,
@@ -164,14 +162,14 @@ impl Backend for SingleThreadBackend {
 }
 
 /// The hash-partitioned multi-core runtime behind the [`Backend`] seam.
-pub struct ShardedBackend {
+pub(crate) struct ShardedBackend {
     session: ShardedSession,
     mode_label: &'static str,
 }
 
 impl ShardedBackend {
     /// Wrap a live sharded session.
-    pub fn new(session: ShardedSession, mode_label: &'static str) -> Self {
+    pub(crate) fn new(session: ShardedSession, mode_label: &'static str) -> Self {
         ShardedBackend {
             session,
             mode_label,

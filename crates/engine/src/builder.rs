@@ -7,8 +7,7 @@ use crate::query::{QuerySpec, ResolvedQuery};
 use crate::session::Session;
 use jit_core::policy::ExecutionMode;
 use jit_durable::{read_checkpoint, CheckpointError, DisorderPolicy, ReorderBuffer};
-use jit_exec::executor::{Executor, ExecutorConfig};
-use jit_exec::state::StateIndexMode;
+use jit_exec::{Executor, ExecutorConfig, StateIndexMode};
 use jit_plan::builder::{build_tree_plan_with, PlanOptions};
 use jit_plan::shapes::PlanShape;
 use jit_runtime::{RuntimeConfig, ShardPartitioner, ShardedRuntime};
@@ -61,7 +60,7 @@ impl Default for EngineBuilder {
 impl EngineBuilder {
     /// A fresh builder: REF mode, default executor configuration,
     /// single-threaded backend, no query yet.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EngineBuilder::default()
     }
 
@@ -290,11 +289,6 @@ impl Engine {
         self.disorder
     }
 
-    /// The batching policy (see [`EngineBuilder::batch_policy`]).
-    pub fn batch_policy(&self) -> BatchPolicy {
-        self.batch
-    }
-
     /// Open a live session: instantiate the plan(s), spawn shard workers if
     /// sharded, and return the push-based handle.
     pub fn session(&self) -> Result<Session, EngineError> {
@@ -350,9 +344,7 @@ impl Engine {
                     )
                 };
                 let session = match restore {
-                    None => {
-                        runtime.start_opts(self.exec_config.clone(), watermark_clock, factory)?
-                    }
+                    None => runtime.start(self.exec_config.clone(), watermark_clock, factory)?,
                     Some(state) => runtime.start_restored(
                         self.exec_config.clone(),
                         watermark_clock,
@@ -579,9 +571,9 @@ mod tests {
         let shape = PlanShape::left_deep(2);
         let builder = Engine::builder().workload(&spec, &shape);
         let tuple_mode = builder.clone().build().unwrap();
-        assert_eq!(tuple_mode.batch_policy(), BatchPolicy::default());
+        assert_eq!(tuple_mode.batch, BatchPolicy::default());
         let batched = builder.batch_policy(BatchPolicy::rows(64)).build().unwrap();
-        assert_eq!(batched.batch_policy(), BatchPolicy::rows(64));
+        assert_eq!(batched.batch, BatchPolicy::rows(64));
         let a = tuple_mode.run_trace(&trace).unwrap();
         let b = batched.run_trace(&trace).unwrap();
         assert_eq!(a.results_count, b.results_count);
@@ -598,7 +590,7 @@ mod tests {
     #[test]
     fn compared_modes_agree_on_results() {
         use jit_core::policy::JitPolicy;
-        use jit_exec::output;
+        use jit_exec::{has_duplicates, same_results};
         use jit_stream::{WorkloadGenerator, WorkloadSpec};
         let spec = WorkloadSpec::bushy_default()
             .with_sources(3)
@@ -623,10 +615,10 @@ mod tests {
         };
         assert_eq!(ref_run.mode_label, "REF");
         assert!(ref_run.results_count > 0, "workload produced no results");
-        assert!(output::same_results(&ref_run.results, &jit_run.results));
-        assert!(output::same_results(&ref_run.results, &doe_run.results));
+        assert!(same_results(&ref_run.results, &jit_run.results));
+        assert!(same_results(&ref_run.results, &doe_run.results));
         assert_eq!(jit_run.order_violations, 0);
-        assert!(!output::has_duplicates(&jit_run.results));
+        assert!(!has_duplicates(&jit_run.results));
     }
 
     #[test]
@@ -646,7 +638,6 @@ mod tests {
             .workload(&spec, &PlanShape::bushy(4))
             .executor_config(ExecutorConfig {
                 collect_results: false,
-                check_temporal_order: true,
             })
             .compare(
                 &WorkloadGenerator::generate(&spec),

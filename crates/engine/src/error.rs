@@ -1,8 +1,8 @@
 //! The engine's typed error.
 
 use jit_durable::CheckpointError;
-use jit_exec::plan::PlanError;
-use jit_plan::cql::CqlError;
+use jit_exec::PlanError;
+use jit_plan::CqlError;
 use jit_runtime::{ConfigError, RuntimeError};
 use jit_types::Timestamp;
 use std::fmt;

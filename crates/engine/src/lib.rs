@@ -3,7 +3,7 @@
 //! The unified, push-based entry point of the workspace: one
 //! [`EngineBuilder`] → [`Engine`] → [`Session`] pipeline serving both the
 //! paper's single-threaded cascade executor and the sharded multi-core
-//! runtime behind a single trait-level seam ([`Backend`]).
+//! runtime behind one crate-internal backend seam.
 //!
 //! The JIT mechanism is inherently *online* — MNS detection, feedback and
 //! blacklists react tuple by tuple — so the API is too:
@@ -33,31 +33,28 @@
 //! Switching the same program onto every core is one builder call —
 //! `.sharded(RuntimeConfig::with_shards(8))` — and the builder *rejects*
 //! workloads the hash partitioner cannot shard losslessly with a typed
-//! [`EngineError::NotPartitionable`] instead of silently losing results
-//! (see [`partition`]).
+//! [`EngineError::NotPartitionable`] instead of silently losing results.
 //!
-//! * [`builder`] — [`EngineBuilder`] (typed, defaulted configuration) and
-//!   the reusable [`Engine`].
-//! * [`session`] — the live push/poll/finish [`Session`].
-//! * [`backend`] — the [`Backend`] seam and its two implementations.
-//! * [`partition`] — static key-partitionability analysis.
-//! * [`query`] — CQL-or-shape query specification and validation.
-//! * [`error`] — the typed [`EngineError`].
+//! * [`EngineBuilder`] (typed, defaulted configuration) and the reusable
+//!   [`Engine`].
+//! * [`Session`] — the live push/poll/finish session, ending in an
+//!   [`EngineOutcome`].
+//! * [`ResolvedQuery`] — a CQL-or-shape query resolved and validated.
+//! * [`EngineError`] — the typed build, push and restore errors.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod backend;
-pub mod builder;
-pub mod error;
-pub mod partition;
-pub mod query;
-pub mod session;
+mod backend;
+mod builder;
+mod error;
+mod partition;
+mod query;
+mod session;
 
-pub use backend::{Backend, EngineOutcome, ShardedBackend, SingleThreadBackend};
+pub use backend::EngineOutcome;
 pub use builder::{Engine, EngineBuilder};
 pub use error::EngineError;
 pub use jit_durable::{CheckpointError, CheckpointStats, DisorderPolicy, PushOutcome};
-pub use partition::check_key_partitionable;
-pub use query::{QuerySpec, ResolvedQuery};
+pub use query::ResolvedQuery;
 pub use session::Session;

@@ -59,7 +59,7 @@ impl UnionFind {
 /// transitively equated with source 0's — the witness that two joinable
 /// tuples could disagree on the partition key and end up in different
 /// shards.
-pub fn check_key_partitionable(
+pub(crate) fn check_key_partitionable(
     predicates: &PredicateSet,
     num_sources: usize,
     key_column: usize,

@@ -1,13 +1,13 @@
 //! Query specification and resolution.
 
 use crate::error::EngineError;
-use jit_plan::cql::parse_cql;
+use jit_plan::parse_cql;
 use jit_plan::shapes::{PlanShape, TreeShape};
 use jit_types::{Duration, FilterPredicate, PredicateSet, Window};
 
 /// How the caller described the continuous query.
 #[derive(Debug, Clone)]
-pub enum QuerySpec {
+pub(crate) enum QuerySpec {
     /// A CQL-subset string (see [`jit_plan::cql`]); the plan defaults to the
     /// left-deep tree over the declared sources.
     Cql(String),
@@ -29,19 +29,19 @@ pub struct ResolvedQuery {
     /// Join-tree shape.
     pub shape: PlanShape,
     /// Equi-join predicates.
-    pub predicates: PredicateSet,
+    pub(crate) predicates: PredicateSet,
     /// Sliding window.
-    pub window: Window,
+    pub(crate) window: Window,
     /// Constant filters (`A.x > 200`); each filtered source is routed
     /// through a selection operator before its join port.
-    pub filters: Vec<FilterPredicate>,
+    pub(crate) filters: Vec<FilterPredicate>,
 }
 
 impl QuerySpec {
     /// Validate the specification and resolve it to a [`ResolvedQuery`],
     /// reporting structural problems as typed errors instead of letting the
     /// plan layer panic on them.
-    pub fn resolve(&self) -> Result<ResolvedQuery, EngineError> {
+    pub(crate) fn resolve(&self) -> Result<ResolvedQuery, EngineError> {
         match self {
             QuerySpec::Cql(text) => {
                 let query = parse_cql(text)?;

@@ -4,8 +4,7 @@ use crate::backend::{Backend, EngineOutcome};
 use crate::error::EngineError;
 use jit_durable::{write_checkpoint, CheckpointStats, PushOutcome, ReorderBuffer};
 use jit_metrics::MetricsSnapshot;
-use jit_stream::arrival::ArrivalEvent;
-use jit_stream::Trace;
+use jit_stream::{ArrivalEvent, Trace};
 use jit_types::{BaseTuple, SourceId, Timestamp, Tuple};
 use serde::{Content, Serialize};
 use std::path::Path;
@@ -37,10 +36,10 @@ type Buffered = (SourceId, Arc<BaseTuple>);
 /// erroring. Each release pushes the ready tuples *first* and advances the
 /// backend's watermark clock *second*, so a released tuple always probes
 /// the state as it stood before any expiry at its watermark. On the sharded
-/// backend both travel in the same per-shard chunks, in that order
-/// ([`Backend::advance_watermark`]), so a bounded-disorder session batches
-/// exactly as a strict one does: what has been pushed is processed, and its
-/// results become pollable, when a chunk fills or at the next poll.
+/// backend both travel in the same per-shard chunks, in that order, so a
+/// bounded-disorder session batches exactly as a strict one does: what has
+/// been pushed is processed, and its results become pollable, when a chunk
+/// fills or at the next poll.
 ///
 /// ## Durability
 ///
@@ -196,26 +195,18 @@ impl Session {
     /// so far, including the session's own disorder and checkpoint counters.
     pub fn metrics_snapshot(&mut self) -> MetricsSnapshot {
         let mut snapshot = self.backend.metrics_snapshot();
-        self.overlay(&mut snapshot);
+        overlay(
+            &mut snapshot,
+            self.disorder.as_ref(),
+            self.ckpt_bytes,
+            self.ckpt_millis,
+        );
         snapshot
     }
 
-    /// Add the session-level counters (reorder stage, checkpoint cost) the
-    /// backend cannot know about.
-    fn overlay(&self, snapshot: &mut MetricsSnapshot) {
-        if let Some(buffer) = &self.disorder {
-            snapshot.late_arrivals = buffer.late_arrivals();
-            snapshot.late_dropped = buffer.late_dropped();
-            snapshot.reorder_buffer_peak = snapshot.reorder_buffer_peak.max(buffer.peak());
-        }
-        snapshot.checkpoint_bytes += self.ckpt_bytes;
-        snapshot.checkpoint_millis += self.ckpt_millis;
-    }
-
-    /// Analytical bytes the running plan currently holds, without touching
-    /// the backend (see [`Backend::state_bytes`]): exact on the
-    /// single-threaded backend, as of each shard's last acknowledged chunk
-    /// on the sharded one.
+    /// Analytical bytes the running plan currently holds, without waiting
+    /// on the backend: exact on the single-threaded backend, as of each
+    /// shard's last acknowledged chunk on the sharded one.
     pub fn state_bytes(&self) -> usize {
         self.backend.state_bytes()
     }
@@ -269,50 +260,44 @@ impl Session {
     /// flush suppressed production to quiescence (watermark/close
     /// semantics), join any workers, and return the remaining results plus
     /// final metrics.
-    pub fn finish(mut self) -> Result<EngineOutcome, EngineError> {
-        if let Some(buffer) = &mut self.disorder {
+    pub fn finish(self) -> Result<EngineOutcome, EngineError> {
+        let Session {
+            mut backend,
+            mut disorder,
+            ckpt_bytes,
+            ckpt_millis,
+            ..
+        } = self;
+        if let Some(buffer) = &mut disorder {
             for (_ts, (source, tuple)) in buffer.flush() {
-                self.backend.push(source, tuple);
+                backend.push(source, tuple);
             }
-            self.backend.advance_watermark(buffer.frontier());
+            backend.advance_watermark(buffer.frontier());
         }
-        let backend = std::mem::replace(&mut self.backend, Box::new(NullBackend));
         let mut outcome = backend.finish()?;
-        self.overlay(&mut outcome.snapshot);
+        overlay(
+            &mut outcome.snapshot,
+            disorder.as_ref(),
+            ckpt_bytes,
+            ckpt_millis,
+        );
         Ok(outcome)
     }
 }
 
-/// Placeholder backend left behind while [`Session::finish`] consumes the
-/// real one (never pushed to — `finish` takes `self` by value).
-struct NullBackend;
-
-impl Backend for NullBackend {
-    #[expect(
-        clippy::unreachable,
-        reason = "INVARIANT: finish() consumes the session while swapping this in, so no push can follow."
-    )]
-    fn push(&mut self, _source: SourceId, _tuple: Arc<BaseTuple>) {
-        unreachable!("NullBackend is never pushed to")
+/// Add the session-level counters (reorder stage, checkpoint cost) the
+/// backend cannot know about.
+fn overlay(
+    snapshot: &mut MetricsSnapshot,
+    disorder: Option<&ReorderBuffer<Buffered>>,
+    ckpt_bytes: u64,
+    ckpt_millis: u64,
+) {
+    if let Some(buffer) = disorder {
+        snapshot.late_arrivals = buffer.late_arrivals();
+        snapshot.late_dropped = buffer.late_dropped();
+        snapshot.reorder_buffer_peak = snapshot.reorder_buffer_peak.max(buffer.peak());
     }
-    fn poll_results(&mut self) -> Vec<Tuple> {
-        Vec::new()
-    }
-    fn metrics_snapshot(&mut self) -> MetricsSnapshot {
-        MetricsSnapshot::zero()
-    }
-    fn state_bytes(&self) -> usize {
-        0
-    }
-    fn advance_watermark(&mut self, _w: Timestamp) {}
-    fn checkpoint(&mut self) -> Result<Content, EngineError> {
-        Ok(Content::Null)
-    }
-    #[expect(
-        clippy::unreachable,
-        reason = "INVARIANT: finish() consumes the session while swapping this in, so no second finish can follow."
-    )]
-    fn finish(self: Box<Self>) -> Result<EngineOutcome, EngineError> {
-        unreachable!("NullBackend is never finished")
-    }
+    snapshot.checkpoint_bytes += ckpt_bytes;
+    snapshot.checkpoint_millis += ckpt_millis;
 }

@@ -23,16 +23,12 @@ pub struct ExecutorConfig {
     /// Keep every final result tuple in memory (needed for correctness
     /// checks; disable for long benchmark runs).
     pub collect_results: bool,
-    /// Panic (in debug terms: return an error flag) if final results are
-    /// emitted out of timestamp order.
-    pub check_temporal_order: bool,
 }
 
 impl Default for ExecutorConfig {
     fn default() -> Self {
         ExecutorConfig {
             collect_results: true,
-            check_temporal_order: true,
         }
     }
 }
@@ -234,12 +230,10 @@ impl Executor {
             for msg in results {
                 self.results_count += 1;
                 self.metrics.stats.results_emitted += 1;
-                if self.config.check_temporal_order {
-                    if msg.tuple.ts() < self.last_result_ts {
-                        self.order_violations += 1;
-                    }
-                    self.last_result_ts = self.last_result_ts.max(msg.tuple.ts());
+                if msg.tuple.ts() < self.last_result_ts {
+                    self.order_violations += 1;
                 }
+                self.last_result_ts = self.last_result_ts.max(msg.tuple.ts());
                 if self.config.collect_results {
                     self.results.push(msg.tuple);
                 }
@@ -351,8 +345,9 @@ impl Executor {
         self.current_time
     }
 
-    /// Immutable access to an operator (diagnostics and tests).
-    pub fn operator(&self, id: OperatorId) -> &dyn crate::operator::Operator {
+    /// Immutable access to an operator.
+    #[cfg(test)]
+    fn operator(&self, id: OperatorId) -> &dyn crate::operator::Operator {
         self.slots[id.0].operator.as_ref()
     }
 
@@ -740,7 +735,6 @@ mod tests {
             b.build().unwrap(),
             ExecutorConfig {
                 collect_results: false,
-                check_temporal_order: true,
             },
         );
         exec.ingest(SourceId(0), base(0, 0, 10));
@@ -842,7 +836,6 @@ mod tests {
             b.build().unwrap(),
             ExecutorConfig {
                 collect_results: false,
-                check_temporal_order: true,
             },
         );
         exec.ingest(SourceId(0), base(0, 0, 10));

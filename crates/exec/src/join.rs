@@ -68,21 +68,6 @@ impl RefJoinOperator {
         self
     }
 
-    /// The left input's schema.
-    pub fn left_schema(&self) -> SourceSet {
-        self.left_schema
-    }
-
-    /// The right input's schema.
-    pub fn right_schema(&self) -> SourceSet {
-        self.right_schema
-    }
-
-    /// The operator's window.
-    pub fn window(&self) -> Window {
-        self.window
-    }
-
     /// Number of tuples currently stored in the left state.
     #[cfg(test)]
     fn left_len(&self) -> usize {
@@ -323,9 +308,6 @@ mod tests {
         assert_eq!(op.num_ports(), 2);
         assert_eq!(op.output_schema(), SourceSet::first_n(2));
         assert_eq!(op.name(), "A⋈B");
-        assert_eq!(op.window().length, Duration::from_secs(60));
-        assert_eq!(op.left_schema(), SourceSet::single(SourceId(0)));
-        assert_eq!(op.right_schema(), SourceSet::single(SourceId(1)));
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub const RIGHT: Port = 1;
 
 /// Identifier of an operator within an [`crate::plan::ExecutablePlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct OperatorId(pub usize);
+pub struct OperatorId(pub(crate) usize);
 
 impl fmt::Display for OperatorId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -189,11 +189,6 @@ impl FeedbackOutcome {
     /// Nothing to do.
     pub fn empty() -> Self {
         FeedbackOutcome::default()
-    }
-
-    /// Is there nothing to deliver?
-    pub fn is_empty(&self) -> bool {
-        self.resumed.is_empty() && self.propagate.is_empty()
     }
 }
 
@@ -370,14 +365,15 @@ mod tests {
     #[test]
     fn output_and_outcome_emptiness() {
         assert!(OperatorOutput::empty().is_empty());
-        assert!(FeedbackOutcome::empty().is_empty());
+        let empty = FeedbackOutcome::empty();
+        assert!(empty.resumed.is_empty() && empty.propagate.is_empty());
         let out = OperatorOutput::with_results(vec![DataMessage::new(tuple(0, 1))]);
         assert!(!out.is_empty());
         let outcome = FeedbackOutcome {
             resumed: vec![DataMessage::new(tuple(0, 1))],
             propagate: Vec::new(),
         };
-        assert!(!outcome.is_empty());
+        assert!(!outcome.resumed.is_empty());
     }
 
     #[test]
@@ -388,7 +384,7 @@ mod tests {
         let mut metrics = RunMetrics::new();
         let mut ctx = OpContext::new(Timestamp::ZERO, &mut metrics);
         let outcome = op.handle_feedback(&Feedback::suspend(vec![tuple(0, 1)]), &mut ctx);
-        assert!(outcome.is_empty());
+        assert!(outcome.resumed.is_empty() && outcome.propagate.is_empty());
         assert!(!op.is_suspended());
     }
 

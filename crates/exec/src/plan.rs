@@ -19,16 +19,16 @@ pub enum Input {
 }
 
 /// One operator in the plan, together with its wiring.
-pub struct OperatorSlot {
+pub(crate) struct OperatorSlot {
     /// The operator instance.
-    pub operator: Box<dyn Operator>,
+    pub(crate) operator: Box<dyn Operator>,
     /// What feeds each input port (`inputs[p]` feeds port `p`).
-    pub inputs: Vec<Input>,
+    pub(crate) inputs: Vec<Input>,
     /// The downstream operators consuming this operator's output, and the
     /// port on which they receive it. Computed by [`PlanBuilder::build`].
-    pub consumers: Vec<(OperatorId, Port)>,
+    pub(crate) consumers: Vec<(OperatorId, Port)>,
     /// Is this a sink (its results are the query's final output)?
-    pub is_sink: bool,
+    pub(crate) is_sink: bool,
 }
 
 impl fmt::Debug for OperatorSlot {
@@ -46,10 +46,10 @@ impl fmt::Debug for OperatorSlot {
 #[derive(Debug)]
 pub struct ExecutablePlan {
     /// Operator slots indexed by [`OperatorId`].
-    pub slots: Vec<OperatorSlot>,
+    pub(crate) slots: Vec<OperatorSlot>,
     /// For each source id (by index), the operators subscribed to it and the
     /// port on which they receive its tuples.
-    pub source_subscribers: Vec<Vec<(OperatorId, Port)>>,
+    pub(crate) source_subscribers: Vec<Vec<(OperatorId, Port)>>,
 }
 
 impl ExecutablePlan {

@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 
 /// Priority class of a scheduled task (lower value = more urgent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Priority {
+pub(crate) enum Priority {
     /// Feedback handling; pre-empts all data processing.
     Control,
     /// Delivery of resumed production.
@@ -31,7 +31,7 @@ pub enum Priority {
 
 /// What a task asks an operator to do.
 #[derive(Debug, Clone)]
-pub enum TaskKind {
+pub(crate) enum TaskKind {
     /// Process a data message arriving on a port.
     Data {
         /// Destination input port.
@@ -45,17 +45,17 @@ pub enum TaskKind {
 
 /// A unit of work for one operator.
 #[derive(Debug, Clone)]
-pub struct Task {
+pub(crate) struct Task {
     /// The operator that should perform the work.
-    pub to: OperatorId,
+    pub(crate) to: OperatorId,
     /// What to do.
-    pub kind: TaskKind,
+    pub(crate) kind: TaskKind,
 }
 
 /// Three-class priority queue of tasks with byte accounting for the queued
 /// data messages (the "inter-operator queues" of Section III-B).
 #[derive(Debug, Default)]
-pub struct Scheduler {
+pub(crate) struct Scheduler {
     control: VecDeque<Task>,
     resumed: VecDeque<Task>,
     normal: VecDeque<Task>,
@@ -65,12 +65,12 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// An empty scheduler.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Scheduler::default()
     }
 
     /// Enqueue a task at the given priority.
-    pub fn push(&mut self, task: Task, priority: Priority) {
+    pub(crate) fn push(&mut self, task: Task, priority: Priority) {
         self.pushed_total += 1;
         if let TaskKind::Data { msg, .. } = &task.kind {
             self.queued_bytes += msg.size_bytes();
@@ -83,7 +83,7 @@ impl Scheduler {
     }
 
     /// Dequeue the most urgent task, if any.
-    pub fn pop(&mut self) -> Option<Task> {
+    pub(crate) fn pop(&mut self) -> Option<Task> {
         let task = self
             .control
             .pop_front()
@@ -96,17 +96,12 @@ impl Scheduler {
     }
 
     /// Are there no pending tasks?
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.control.is_empty() && self.resumed.is_empty() && self.normal.is_empty()
     }
 
-    /// Number of pending tasks.
-    pub fn len(&self) -> usize {
-        self.control.len() + self.resumed.len() + self.normal.len()
-    }
-
     /// Bytes held by queued data messages.
-    pub fn queued_bytes(&self) -> usize {
+    pub(crate) fn queued_bytes(&self) -> usize {
         self.queued_bytes
     }
 
@@ -188,13 +183,11 @@ mod tests {
     fn counters() {
         let mut s = Scheduler::new();
         assert!(s.is_empty());
-        assert_eq!(s.len(), 0);
         s.push(data_task(0, 1), Priority::Normal);
         s.push(data_task(0, 2), Priority::Resumed);
-        assert_eq!(s.len(), 2);
         assert_eq!(s.pushed_total(), 2);
         s.pop();
-        assert_eq!(s.len(), 1);
+        assert!(!s.is_empty());
         assert_eq!(s.pushed_total(), 2);
     }
 

@@ -29,11 +29,6 @@ impl SelectionOperator {
             input_schema,
         }
     }
-
-    /// The filter predicate.
-    pub fn predicate(&self) -> &FilterPredicate {
-        &self.predicate
-    }
 }
 
 impl Operator for SelectionOperator {
@@ -135,6 +130,5 @@ mod tests {
         assert_eq!(op.memory_bytes(), 0);
         assert_eq!(op.output_schema(), SourceSet::single(SourceId(0)));
         assert!(op.name().contains('σ'));
-        assert!(op.predicate().holds_on(&msg(300).tuple).unwrap());
     }
 }

@@ -177,11 +177,6 @@ impl JoinKeySpec {
         self.pairs.is_empty()
     }
 
-    /// Number of column pairs in the key.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
     /// The key a *stored* tuple files under, or `None` if the tuple is
     /// missing one of the stored-side columns (it then goes to the index's
     /// overflow list).
@@ -441,7 +436,7 @@ impl Buckets {
 /// The index holds handles and never learns of a removal: readers pass the
 /// owner's liveness test ([`Slab::is_live`]) to
 /// [`HashIndex::live_candidates_into`], and the owner calls
-/// [`HashIndex::sweep`] or [`HashIndex::renumber`] when its [`Slab`] asks
+/// [`HashIndex::renumber`] when its [`Slab`] asks
 /// ([`Slab::reclaim`]) — which bounds the dead handles *and* the emptied
 /// buckets (a stream keyed by an order or session id files every key exactly
 /// once).
@@ -537,12 +532,6 @@ impl HashIndex {
         if bucket.as_slice().len() > 2 * (out.len() - before) + 8 {
             bucket.retain(is_live);
         }
-    }
-
-    /// Drop every handle `is_live` rejects and every bucket that empties.
-    /// O(filed handles): call it once per O(live) removals.
-    pub fn sweep(&mut self, is_live: impl Fn(u64) -> bool) {
-        self.renumber(|h| is_live(h).then_some(h));
     }
 
     /// Map every filed handle through `to` — ascending, as [`Slab::reclaim`]
@@ -899,7 +888,7 @@ impl OperatorState {
     }
 
     /// An empty state with an explicit index mode.
-    pub fn with_index_mode(name: impl Into<String>, mode: StateIndexMode) -> Self {
+    pub(crate) fn with_index_mode(name: impl Into<String>, mode: StateIndexMode) -> Self {
         OperatorState {
             name: name.into(),
             mode,
@@ -918,11 +907,6 @@ impl OperatorState {
     /// The probing mode in effect.
     pub fn index_mode(&self) -> StateIndexMode {
         self.mode
-    }
-
-    /// The state's diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Number of stored tuples.
@@ -1057,7 +1041,7 @@ impl OperatorState {
     }
 
     /// Remove everything (indexes included; they rebuild lazily).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.slots.clear();
         self.indexes.clear();
         self.bytes = 0;
@@ -1283,7 +1267,6 @@ mod tests {
         s.insert(t, Timestamp::from_millis(100));
         assert_eq!(s.len(), 1);
         assert_eq!(s.size_bytes(), sz);
-        assert_eq!(s.name(), "S_A");
         assert!(s.to_string().contains("S_A"));
         assert_eq!(s.index_mode(), StateIndexMode::Hashed);
     }
@@ -1475,7 +1458,6 @@ mod tests {
     #[test]
     fn spec_between_orients_pairs() {
         let spec = ab_spec();
-        assert_eq!(spec.len(), 1);
         assert!(!spec.is_empty());
         // No predicate spans A with A.
         let none = JoinKeySpec::between(
@@ -1747,8 +1729,8 @@ mod tests {
         }
     }
 
-    /// `sweep` drops the dead handles of an `Ints` map and the buckets they
-    /// empty, and `renumber` maps the rest, keeping the inline keying.
+    /// `renumber` drops the dead handles of an `Ints` map and the buckets
+    /// they empty, and maps the rest, keeping the inline keying.
     #[test]
     fn sweep_and_renumber_reclaim_inline_keyed_buckets() {
         let mut buckets = Buckets::default();
@@ -2121,7 +2103,6 @@ mod tests {
                             let at = rng.gen_range(0..entries.len());
                             entries[at].1 = false;
                         }
-                        70..=72 => index.sweep(|h| entries[h as usize].1),
                         _ => {
                             let probe = row(&mut rng, 0, step);
                             prop_assert!(spec.probe_key_into(&probe, &mut key));

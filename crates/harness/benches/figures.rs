@@ -10,9 +10,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use jit_core::policy::{ExecutionMode, JitPolicy};
 use jit_engine::Engine;
-use jit_exec::executor::ExecutorConfig;
-use jit_harness::figures::{run_figure, FigureSpec};
-use jit_harness::table_out::render_table;
+use jit_exec::ExecutorConfig;
+use jit_harness::{render_table, run_figure, FigureSpec};
 use jit_stream::WorkloadGenerator;
 
 /// Duration scale of the benches. The paper runs 5 hours of application
@@ -40,7 +39,6 @@ fn bench(c: &mut Criterion) {
             .workload(&config.workload, &config.shape)
             .executor_config(ExecutorConfig {
                 collect_results: false,
-                check_temporal_order: false,
             });
         let mut group = c.benchmark_group(&spec.id);
         group.sample_size(10);

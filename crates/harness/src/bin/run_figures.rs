@@ -20,8 +20,7 @@
     reason = "the figure tables are this binary's output"
 )]
 
-use jit_harness::figures::{check_expectations, run_figure, FigureSpec};
-use jit_harness::table_out::{render_csv, render_table};
+use jit_harness::{check_expectations, render_csv, render_table, run_figure, FigureSpec};
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -103,7 +102,7 @@ fn main() {
         println!("{}", render_table(&result));
         let violations = check_expectations(&result, options.scale);
         if violations.is_empty() {
-            if options.scale >= jit_harness::figures::MEMORY_CHECK_MIN_SCALE {
+            if options.scale >= jit_harness::MEMORY_CHECK_MIN_SCALE {
                 println!(
                     "  ✓ expectations hold (JIT ≤ REF in cost and memory, result counts agree)\n"
                 );
@@ -111,7 +110,7 @@ fn main() {
                 println!(
                     "  ✓ expectations hold (JIT ≤ REF in cost, result counts agree; memory not \
                      compared below scale {} — no-expiry regime)\n",
-                    jit_harness::figures::MEMORY_CHECK_MIN_SCALE
+                    jit_harness::MEMORY_CHECK_MIN_SCALE
                 );
             }
         } else {

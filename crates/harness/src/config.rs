@@ -11,19 +11,19 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExperimentConfig {
     /// Human-readable name (e.g. `"fig10"`).
-    pub name: String,
+    pub(crate) name: String,
     /// Plan shape.
     pub shape: PlanShape,
     /// Base workload (Table III defaults; sweeps override one field).
     pub workload: WorkloadSpec,
     /// Execution modes to compare (typically REF and JIT).
-    pub modes: Vec<ExecutionMode>,
+    pub(crate) modes: Vec<ExecutionMode>,
 }
 
 impl ExperimentConfig {
     /// The bushy-plan default configuration of Table III (`N = 6`,
     /// `w = 20 min`, `λ = 1/s`, `dmax = 200`).
-    pub fn bushy_default() -> Self {
+    pub(crate) fn bushy_default() -> Self {
         ExperimentConfig {
             name: "bushy-default".to_string(),
             shape: PlanShape::bushy(6),
@@ -37,7 +37,7 @@ impl ExperimentConfig {
 
     /// The left-deep default configuration of Table III (`N = 4`,
     /// `w = 10 min`, `λ = 1/s`, `dmax = 50`, last source enlarged 100×).
-    pub fn leftdeep_default() -> Self {
+    pub(crate) fn leftdeep_default() -> Self {
         ExperimentConfig {
             name: "leftdeep-default".to_string(),
             shape: PlanShape::left_deep(4),

@@ -7,8 +7,7 @@
 
 use crate::config::ExperimentConfig;
 use jit_engine::Engine;
-use jit_exec::executor::ExecutorConfig;
-use jit_exec::state::StateIndexMode;
+use jit_exec::{ExecutorConfig, StateIndexMode};
 use jit_metrics::MetricsSnapshot;
 use jit_plan::shapes::PlanShape;
 use jit_stream::WorkloadGenerator;
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 /// The workload parameter a figure sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum SweepParameter {
+pub(crate) enum SweepParameter {
     /// Window size in minutes (Figures 10 and 14).
     WindowMinutes,
     /// Stream rate in tuples per second (Figures 11 and 15).
@@ -29,7 +28,7 @@ pub enum SweepParameter {
 
 impl SweepParameter {
     /// Axis label used in tables.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             SweepParameter::WindowMinutes => "w (min)",
             SweepParameter::RatePerSec => "lambda (/s)",
@@ -45,11 +44,11 @@ pub struct FigureSpec {
     /// Identifier, e.g. `"fig10"`.
     pub id: String,
     /// Caption matching the paper.
-    pub caption: String,
+    pub(crate) caption: String,
     /// Base experiment configuration (Table III defaults).
     pub base: ExperimentConfig,
     /// The swept parameter.
-    pub parameter: SweepParameter,
+    pub(crate) parameter: SweepParameter,
     /// Values of the swept parameter.
     pub values: Vec<f64>,
 }
@@ -75,7 +74,7 @@ impl FigureSpec {
     }
 
     /// Figure 10: overhead vs window size `w` (bushy plan).
-    pub fn fig10() -> FigureSpec {
+    pub(crate) fn fig10() -> FigureSpec {
         FigureSpec {
             id: "fig10".into(),
             caption: "Overhead vs. window size w (bushy plan)".into(),
@@ -152,7 +151,7 @@ impl FigureSpec {
     }
 
     /// Figure 17: overhead vs maximum data value `dmax` (left-deep plan).
-    pub fn fig17() -> FigureSpec {
+    pub(crate) fn fig17() -> FigureSpec {
         FigureSpec {
             id: "fig17".into(),
             caption: "Overhead vs. max data value dmax (left-deep plan)".into(),
@@ -191,11 +190,11 @@ impl FigureSpec {
 /// One measured point of a figure: the swept value and, per mode, the
 /// metrics snapshot.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FigureRow {
+pub(crate) struct FigureRow {
     /// The swept parameter value.
-    pub x: f64,
+    pub(crate) x: f64,
     /// `(mode label, snapshot, final result count)` per execution mode.
-    pub measurements: Vec<(String, MetricsSnapshot, u64)>,
+    pub(crate) measurements: Vec<(String, MetricsSnapshot, u64)>,
 }
 
 /// A fully measured figure.
@@ -204,11 +203,11 @@ pub struct FigureResult {
     /// The figure's identifier.
     pub id: String,
     /// The figure's caption.
-    pub caption: String,
+    pub(crate) caption: String,
     /// Axis label of the swept parameter.
-    pub x_label: String,
+    pub(crate) x_label: String,
     /// One row per swept value.
-    pub rows: Vec<FigureRow>,
+    pub(crate) rows: Vec<FigureRow>,
 }
 
 impl FigureResult {
@@ -277,7 +276,6 @@ pub fn run_figure(spec: &FigureSpec, duration_scale: f64, seed: u64) -> FigureRe
             .with_seed(seed);
         let exec_config = ExecutorConfig {
             collect_results: false,
-            check_temporal_order: false,
         };
         let trace = WorkloadGenerator::generate(&config.workload);
         #[expect(

@@ -61,31 +61,31 @@ pub enum CostKind {
 
 /// Weights (in abstract units) for each [`CostKind`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CostModel {
+pub(crate) struct CostModel {
     /// Cost of a nested-loop probe step.
-    pub probe_pair: u64,
+    pub(crate) probe_pair: u64,
     /// Cost of one predicate evaluation.
-    pub predicate_eval: u64,
+    pub(crate) predicate_eval: u64,
     /// Cost of materialising a result.
-    pub result_build: u64,
+    pub(crate) result_build: u64,
     /// Cost of a state insertion.
-    pub state_insert: u64,
+    pub(crate) state_insert: u64,
     /// Cost of purging one tuple.
-    pub state_purge: u64,
+    pub(crate) state_purge: u64,
     /// Cost of a queue operation.
-    pub queue_op: u64,
+    pub(crate) queue_op: u64,
     /// Cost of probing one MNS buffer entry.
-    pub mns_buffer_probe: u64,
+    pub(crate) mns_buffer_probe: u64,
     /// Cost of visiting one lattice node.
-    pub lattice_node: u64,
+    pub(crate) lattice_node: u64,
     /// Cost of one Bloom filter check.
-    pub bloom_check: u64,
+    pub(crate) bloom_check: u64,
     /// Cost of handling one feedback message.
-    pub feedback_handle: u64,
+    pub(crate) feedback_handle: u64,
     /// Cost of one blacklist move.
-    pub blacklist_move: u64,
+    pub(crate) blacklist_move: u64,
     /// Cost of dispatching one scheduler task.
-    pub task_dispatch: u64,
+    pub(crate) task_dispatch: u64,
 }
 
 impl Default for CostModel {
@@ -113,7 +113,7 @@ impl Default for CostModel {
 impl CostModel {
     /// The weight for a given operation kind.
     #[inline]
-    pub fn weight(&self, kind: CostKind) -> u64 {
+    pub(crate) fn weight(&self, kind: CostKind) -> u64 {
         match kind {
             CostKind::ProbePair => self.probe_pair,
             CostKind::PredicateEval => self.predicate_eval,
@@ -133,7 +133,7 @@ impl CostModel {
 
 /// Accumulates cost units and wall-clock time over one execution.
 #[derive(Debug, Clone)]
-pub struct CostTracker {
+pub(crate) struct CostTracker {
     model: CostModel,
     total_units: u64,
     started: Instant,
@@ -148,7 +148,7 @@ impl Default for CostTracker {
 
 impl CostTracker {
     /// Create a tracker using the given weights; the wall clock starts now.
-    pub fn new(model: CostModel) -> Self {
+    pub(crate) fn new(model: CostModel) -> Self {
         CostTracker {
             model,
             total_units: 0,
@@ -163,23 +163,23 @@ impl CostTracker {
 
     /// Charge `count` operations of the given kind.
     #[inline]
-    pub fn charge(&mut self, kind: CostKind, count: u64) {
+    pub(crate) fn charge(&mut self, kind: CostKind, count: u64) {
         self.total_units += self.model.weight(kind) * count;
     }
 
     /// Total abstract cost units charged so far.
-    pub fn total_units(&self) -> u64 {
+    pub(crate) fn total_units(&self) -> u64 {
         self.total_units
     }
 
     /// Freeze the wall clock (call once at the end of the run).
-    pub fn stop_wall_clock(&mut self) {
+    pub(crate) fn stop_wall_clock(&mut self) {
         self.wall_seconds = self.started.elapsed().as_secs_f64();
     }
 
     /// Wall-clock seconds between construction and [`CostTracker::stop_wall_clock`]
     /// (or until now, if the clock was never stopped).
-    pub fn wall_seconds(&self) -> f64 {
+    pub(crate) fn wall_seconds(&self) -> f64 {
         if self.wall_seconds > 0.0 {
             self.wall_seconds
         } else {

@@ -59,11 +59,6 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// A zeroed counter set.
-    pub fn new() -> Self {
-        ExecStats::default()
-    }
-
     /// Total feedback messages of any kind sent.
     pub fn feedback_total(&self) -> u64 {
         self.feedback_suspend + self.feedback_resume
@@ -113,7 +108,7 @@ mod tests {
 
     #[test]
     fn default_is_zero() {
-        let s = ExecStats::new();
+        let s = ExecStats::default();
         assert_eq!(s.tuples_arrived, 0);
         assert_eq!(s.feedback_total(), 0);
         assert_eq!(s.suppression_ratio(), 0.0);

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// Handle identifying one registered memory component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct MemComponentId(pub usize);
+pub struct MemComponentId(pub(crate) usize);
 
 /// Per-component byte accounting with global peak tracking.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
@@ -25,13 +25,8 @@ pub struct MemoryTracker {
 }
 
 impl MemoryTracker {
-    /// An empty tracker.
-    pub fn new() -> Self {
-        MemoryTracker::default()
-    }
-
     /// Register a component (e.g. `"state S_AB"`); returns its handle.
-    pub fn register(&mut self, name: impl Into<String>) -> MemComponentId {
+    pub(crate) fn register(&mut self, name: impl Into<String>) -> MemComponentId {
         self.names.push(name.into());
         self.sizes.push(0);
         MemComponentId(self.sizes.len() - 1)
@@ -45,16 +40,6 @@ impl MemoryTracker {
         if self.current_total > self.peak_total {
             self.peak_total = self.current_total;
         }
-    }
-
-    /// Increase a component's size by `bytes`.
-    pub fn add(&mut self, id: MemComponentId, bytes: usize) {
-        self.set(id, self.sizes[id.0] + bytes);
-    }
-
-    /// Decrease a component's size by `bytes` (saturating at zero).
-    pub fn sub(&mut self, id: MemComponentId, bytes: usize) {
-        self.set(id, self.sizes[id.0].saturating_sub(bytes));
     }
 
     /// Current size of one component.
@@ -111,7 +96,7 @@ mod tests {
 
     #[test]
     fn register_and_set() {
-        let mut m = MemoryTracker::new();
+        let mut m = MemoryTracker::default();
         let a = m.register("state A");
         let b = m.register("queue AB");
         assert_eq!(m.num_components(), 2);
@@ -124,7 +109,7 @@ mod tests {
 
     #[test]
     fn peak_is_maximum_of_totals() {
-        let mut m = MemoryTracker::new();
+        let mut m = MemoryTracker::default();
         let a = m.register("a");
         let b = m.register("b");
         m.set(a, 100);
@@ -137,24 +122,8 @@ mod tests {
     }
 
     #[test]
-    fn add_and_sub_adjust_incrementally() {
-        let mut m = MemoryTracker::new();
-        let a = m.register("a");
-        m.add(a, 40);
-        m.add(a, 60);
-        assert_eq!(m.component_bytes(a), 100);
-        m.sub(a, 30);
-        assert_eq!(m.component_bytes(a), 70);
-        // saturating at zero
-        m.sub(a, 1_000);
-        assert_eq!(m.component_bytes(a), 0);
-        assert_eq!(m.current_bytes(), 0);
-        assert_eq!(m.peak_bytes(), 100);
-    }
-
-    #[test]
     fn shrinking_does_not_move_peak() {
-        let mut m = MemoryTracker::new();
+        let mut m = MemoryTracker::default();
         let a = m.register("a");
         m.set(a, 500);
         m.set(a, 0);
@@ -164,7 +133,7 @@ mod tests {
 
     #[test]
     fn breakdown_sorted_by_size() {
-        let mut m = MemoryTracker::new();
+        let mut m = MemoryTracker::default();
         let a = m.register("small");
         let b = m.register("big");
         m.set(a, 1);
@@ -177,7 +146,7 @@ mod tests {
     #[test]
     fn total_is_sum_of_components_invariant() {
         // mirror of the accounting invariant tested at system level
-        let mut m = MemoryTracker::new();
+        let mut m = MemoryTracker::default();
         let ids: Vec<_> = (0..5).map(|i| m.register(format!("c{i}"))).collect();
         for (i, id) in ids.iter().enumerate() {
             m.set(*id, i * 11);

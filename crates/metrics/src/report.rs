@@ -13,7 +13,7 @@ pub struct RunMetrics {
     /// Event counters.
     pub stats: ExecStats,
     /// CPU cost accounting (abstract units + wall clock).
-    pub cost: CostTracker,
+    pub(crate) cost: CostTracker,
     /// Analytical memory accounting.
     pub memory: MemoryTracker,
 }

@@ -3,11 +3,11 @@
 use crate::shapes::{JoinNode, PlanInput, PlanShape};
 use jit_core::policy::ExecutionMode;
 use jit_core::{JitJoinOperator, Producer};
-use jit_exec::join::RefJoinOperator;
 use jit_exec::operator::{Operator, OperatorId};
-use jit_exec::plan::{ExecutablePlan, Input, PlanBuilder, PlanError};
-use jit_exec::selection::SelectionOperator;
-use jit_exec::state::StateIndexMode;
+use jit_exec::{
+    ExecutablePlan, Input, PlanBuilder, PlanError, RefJoinOperator, SelectionOperator,
+    StateIndexMode,
+};
 use jit_types::{FastMap, FilterPredicate, PredicateSet, SourceId, SourceSet, Window};
 
 /// Cross-cutting plan-construction options threaded from the engine builder
@@ -33,23 +33,14 @@ impl PlanOptions {
 }
 
 /// Build an executable binary-join-tree plan for the given shape and
-/// execution mode, with default [`PlanOptions`] (hash-indexed states, no
-/// filters).
+/// execution mode.
 ///
 /// * [`ExecutionMode::Ref`] instantiates [`RefJoinOperator`]s (no feedback);
 /// * [`ExecutionMode::Doe`] and [`ExecutionMode::Jit`] instantiate
 ///   [`JitJoinOperator`]s under the corresponding policy.
-pub fn build_tree_plan(
-    shape: &PlanShape,
-    predicates: &PredicateSet,
-    window: Window,
-    mode: ExecutionMode,
-) -> Result<ExecutablePlan, PlanError> {
-    build_tree_plan_with(shape, predicates, window, mode, &PlanOptions::default())
-}
-
-/// [`build_tree_plan`] with explicit [`PlanOptions`]: index-mode selection
-/// for every operator state and per-source selection (filter) wiring.
+///
+/// [`PlanOptions`] select the index mode of every operator state and wire
+/// per-source selections (filters).
 ///
 /// Filters are stateless single-source conditions; each filtered source
 /// feeds a [`SelectionOperator`] chain (one operator per filter, in input
@@ -158,11 +149,12 @@ mod tests {
     fn ref_tree_plan_has_one_operator_per_join() {
         for n in 3..=8 {
             let shape = PlanShape::bushy(n);
-            let plan = build_tree_plan(
+            let plan = build_tree_plan_with(
                 &shape,
                 &PredicateSet::clique(n),
                 Window::minutes(5.0),
                 ExecutionMode::Ref,
+                &PlanOptions::default(),
             )
             .unwrap();
             assert_eq!(plan.num_operators(), n - 1);
@@ -173,11 +165,12 @@ mod tests {
     #[test]
     fn jit_tree_plan_uses_jit_operators() {
         let shape = PlanShape::left_deep(4);
-        let plan = build_tree_plan(
+        let plan = build_tree_plan_with(
             &shape,
             &PredicateSet::clique(4),
             Window::minutes(5.0),
             ExecutionMode::Jit(JitPolicy::full()),
+            &PlanOptions::default(),
         )
         .unwrap();
         // All operator names follow the schema⋈schema convention, and the
@@ -192,7 +185,7 @@ mod tests {
     /// on feedback — B raw, A through its selection — so nothing is detected.
     #[test]
     fn a_selection_fed_port_counts_as_source_fed() {
-        use jit_exec::executor::Executor;
+        use jit_exec::Executor;
         use jit_types::{BaseTuple, Timestamp, Value};
         use std::sync::Arc;
 
@@ -235,18 +228,19 @@ mod tests {
     /// suspends production at `A⋈B`.
     #[test]
     fn a_join_fed_port_reports_to_its_producer() {
-        use jit_exec::executor::Executor;
+        use jit_exec::Executor;
         use jit_stream::{WorkloadGenerator, WorkloadSpec};
 
         let spec = WorkloadSpec::leftdeep_default()
             .with_sources(3)
             .with_dmax(8)
             .with_duration(jit_types::Duration::from_secs(120));
-        let plan = build_tree_plan(
+        let plan = build_tree_plan_with(
             &PlanShape::left_deep(3),
             &PredicateSet::clique(3),
             spec.window(),
             ExecutionMode::Jit(JitPolicy::full()),
+            &PlanOptions::default(),
         )
         .unwrap();
         let mut exec = Executor::with_defaults(plan);
@@ -260,11 +254,12 @@ mod tests {
 
     #[test]
     fn doe_mode_builds() {
-        let plan = build_tree_plan(
+        let plan = build_tree_plan_with(
             &PlanShape::bushy(4),
             &PredicateSet::clique(4),
             Window::minutes(5.0),
             ExecutionMode::Doe,
+            &PlanOptions::default(),
         )
         .unwrap();
         assert_eq!(plan.num_operators(), 3);

@@ -82,13 +82,13 @@ fn op_rank(op: CompareOp) -> u8 {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CanonicalKey {
     /// Referenced global source ids, in `FROM` order.
-    pub sources: Vec<SourceId>,
+    pub(crate) sources: Vec<SourceId>,
     /// The global window.
-    pub window: Window,
+    pub(crate) window: Window,
     /// Normalized equi-join predicates (local source ids, global columns).
-    pub predicates: Vec<EquiPredicate>,
+    pub(crate) predicates: Vec<EquiPredicate>,
     /// Normalized constant filters (local source ids, global columns).
-    pub filters: Vec<FilterTerm>,
+    pub(crate) filters: Vec<FilterTerm>,
 }
 
 /// A query resolved against a global [`Catalog`] and reduced to canonical
@@ -177,7 +177,7 @@ impl CanonicalQuery {
     }
 
     /// Number of sources the query joins.
-    pub fn num_sources(&self) -> usize {
+    pub(crate) fn num_sources(&self) -> usize {
         self.key.sources.len()
     }
 
@@ -212,11 +212,6 @@ impl CanonicalQuery {
     /// The join conjunction in local id space, ready for the plan builder.
     pub fn predicates(&self) -> PredicateSet {
         PredicateSet::from_predicates(self.key.predicates.clone())
-    }
-
-    /// All constant filters in local id space.
-    pub fn filters(&self) -> Vec<FilterPredicate> {
-        self.key.filters.iter().map(FilterTerm::predicate).collect()
     }
 
     /// The filter conjunction applied to one local source (empty if the
@@ -345,7 +340,6 @@ mod tests {
         assert_eq!(a_class.len(), 2);
         assert!(a_class.iter().all(|t| t.column.source == SourceId(0)));
         assert_eq!(q.filter_class(SourceId(1)).len(), 1);
-        assert_eq!(q.filters().len(), 3);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::fmt;
 
 /// A parse error with a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CqlError(pub String);
+pub struct CqlError(pub(crate) String);
 
 impl fmt::Display for CqlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -41,9 +41,9 @@ pub struct CqlQuery {
     /// Source names in declaration order, with their window lengths.
     pub sources: Vec<(String, Duration)>,
     /// Equi-join conditions as `(source, column, source, column)` names.
-    pub equi_joins: Vec<(String, String, String, String)>,
+    pub(crate) equi_joins: Vec<(String, String, String, String)>,
     /// Filters as `(source, column, op, constant)`.
-    pub filters: Vec<(String, String, CompareOp, i64)>,
+    pub(crate) filters: Vec<(String, String, CompareOp, i64)>,
 }
 
 impl CqlQuery {

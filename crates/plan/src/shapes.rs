@@ -25,7 +25,7 @@ pub enum TreeShape {
 
 /// What feeds one input of a join node while describing a shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PlanInput {
+pub(crate) enum PlanInput {
     /// A raw source, by index.
     Source(usize),
     /// The output of an earlier join node, by index into the node list.
@@ -35,11 +35,11 @@ pub enum PlanInput {
 /// One binary join of the shape. Nodes are listed bottom-up; the last node is
 /// the root (the query's output operator).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct JoinNode {
+pub(crate) struct JoinNode {
     /// Left input.
-    pub left: PlanInput,
+    pub(crate) left: PlanInput,
     /// Right input.
-    pub right: PlanInput,
+    pub(crate) right: PlanInput,
 }
 
 /// A plan shape: tree family + number of sources.
@@ -69,7 +69,7 @@ impl PlanShape {
     }
 
     /// The join nodes of the shape, bottom-up (the last node is the root).
-    pub fn nodes(&self) -> Vec<JoinNode> {
+    pub(crate) fn nodes(&self) -> Vec<JoinNode> {
         match self.shape {
             TreeShape::LeftDeep => left_deep_nodes(self.num_sources),
             TreeShape::Bushy => bushy_nodes(self.num_sources),
@@ -84,7 +84,7 @@ impl PlanShape {
 
     /// The schema (set of sources) covered by each node's output, in node
     /// order. Useful when instantiating operators.
-    pub fn node_schemas(&self) -> Vec<SourceSet> {
+    pub(crate) fn node_schemas(&self) -> Vec<SourceSet> {
         let nodes = self.nodes();
         let mut schemas: Vec<SourceSet> = Vec::with_capacity(nodes.len());
         for node in &nodes {
@@ -93,11 +93,6 @@ impl PlanShape {
             schemas.push(left.union(right));
         }
         schemas
-    }
-
-    /// The schema of a given plan input, given the schemas of earlier nodes.
-    pub fn input_schema(&self, input: PlanInput) -> SourceSet {
-        input_schema(input, &self.node_schemas())
     }
 
     /// A short label like `"bushy-6"` for reports.
@@ -248,19 +243,6 @@ mod tests {
         assert_eq!(nodes[3].left, PlanInput::Source(4));
         assert_eq!(nodes[4].left, PlanInput::Node(2));
         assert_eq!(nodes[4].right, PlanInput::Node(3));
-    }
-
-    #[test]
-    fn input_schema_resolves_sources_and_nodes() {
-        let shape = PlanShape::bushy(4);
-        assert_eq!(
-            shape.input_schema(PlanInput::Source(2)),
-            SourceSet::single(SourceId(2))
-        );
-        assert_eq!(
-            shape.input_schema(PlanInput::Node(0)),
-            SourceSet::first_n(2)
-        );
     }
 
     #[test]

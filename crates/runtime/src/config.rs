@@ -5,17 +5,16 @@ use std::fmt;
 /// A runtime configuration knob set to an illegal value.
 ///
 /// Produced by [`RuntimeConfig::validate`]; the engine layer surfaces this
-/// as a typed build-time error instead of silently clamping (which
-/// [`RuntimeConfig::normalized`] still does for callers that prefer it).
+/// as a typed build-time error instead of silently clamping.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
     /// Name of the offending knob (`"shards"`, `"batch_size"`,
     /// `"channel_capacity"`).
     pub field: &'static str,
     /// The rejected value.
-    pub value: usize,
+    pub(crate) value: usize,
     /// The smallest legal value.
-    pub min: usize,
+    pub(crate) min: usize,
 }
 
 impl fmt::Display for ConfigError {
@@ -84,7 +83,7 @@ impl RuntimeConfig {
     }
 
     /// Clamp every knob to its minimum legal value.
-    pub fn normalized(mut self) -> Self {
+    pub(crate) fn normalized(mut self) -> Self {
         self.shards = self.shards.max(1);
         self.batch_size = self.batch_size.max(1);
         self.channel_capacity = self.channel_capacity.max(1);

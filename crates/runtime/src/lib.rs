@@ -7,17 +7,17 @@
 //! (`jit-exec`). This crate scales that executor across cores without
 //! touching its internals:
 //!
-//! * [`config::RuntimeConfig`] — the knobs: `shards` (worker threads),
+//! * [`RuntimeConfig`] — the knobs: `shards` (worker threads),
 //!   `batch_size` (arrivals per ingestion batch) and `channel_capacity`
 //!   (bound of each shard's ingestion channel, in batches).
-//! * `jit_stream::partition::ShardPartitioner` — assigns each arrival to a
+//! * [`ShardPartitioner`] — assigns each arrival to a
 //!   shard by hashing its join-key column; key-equal tuples always share a
 //!   shard, so key-partitionable workloads shard losslessly.
-//! * [`sharded::ShardedRuntime`] — one independent `Executor` per shard on
+//! * [`ShardedRuntime`] — one independent `Executor` per shard on
 //!   its own OS thread, each with its own plan instance; the caller's thread
 //!   pushes batched arrivals through *bounded* MPSC channels (backpressure,
 //!   not unbounded queues).
-//! * [`merge`] — a timestamp-ordered k-way merge of the per-shard result
+//! * [`merge_by_timestamp`] — a timestamp-ordered k-way merge of the per-shard result
 //!   streams, restoring the paper's global temporal-order guarantee at the
 //!   sink; per-shard metrics aggregate into a single `MetricsSnapshot`.
 //!
@@ -30,10 +30,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod config;
-pub mod merge;
-pub mod session;
-pub mod sharded;
+mod config;
+mod merge;
+mod session;
+mod sharded;
 
 pub use config::{ConfigError, RuntimeConfig};
 pub use jit_stream::ShardPartitioner;

@@ -41,11 +41,9 @@
 
 use crate::merge::merge_by_timestamp;
 use crate::sharded::{panic_message, ParallelOutcome, RuntimeError, ShardOutcome, ShardedRuntime};
-use jit_exec::executor::{Executor, ExecutorConfig};
-use jit_exec::plan::{ExecutablePlan, PlanError};
+use jit_exec::{ExecutablePlan, Executor, ExecutorConfig, PlanError};
 use jit_metrics::MetricsSnapshot;
-use jit_stream::arrival::ArrivalEvent;
-use jit_stream::{ShardPartitioner, Trace};
+use jit_stream::{ArrivalEvent, ShardPartitioner};
 use jit_types::{Timestamp, Tuple};
 use serde::{Content, Serialize};
 use std::collections::VecDeque;
@@ -95,23 +93,13 @@ impl ShardedRuntime {
     /// errors surface here, before any thread exists); each fresh plan
     /// instance is then moved onto its worker thread — operators are
     /// stateful, so shards never share one.
+    ///
+    /// `watermark_clock` enables the executors' *watermark clock*: ingestion
+    /// then does not advance operator time, and the caller drives expiry
+    /// explicitly through [`ShardedSession::advance_watermark`] (the
+    /// disorder-tolerant engine path does this after each reorder-buffer
+    /// release).
     pub fn start<F>(
-        &self,
-        exec_config: ExecutorConfig,
-        plan_factory: F,
-    ) -> Result<ShardedSession, RuntimeError>
-    where
-        F: FnMut(usize) -> Result<ExecutablePlan, PlanError>,
-    {
-        self.start_opts(exec_config, false, plan_factory)
-    }
-
-    /// [`ShardedRuntime::start`] with the executors' *watermark clock*
-    /// enabled or disabled. Under the watermark clock, ingestion does not
-    /// advance operator time — the caller drives expiry explicitly through
-    /// [`ShardedSession::advance_watermark`] (the disorder-tolerant engine
-    /// path does this after each reorder-buffer release).
-    pub fn start_opts<F>(
         &self,
         exec_config: ExecutorConfig,
         watermark_clock: bool,
@@ -341,18 +329,6 @@ impl ShardedSession {
         if self.pending[shard].len() >= self.batch_size {
             self.dispatch(shard);
         }
-    }
-
-    /// Push a sequence of arrivals (in timestamp order).
-    pub fn push_batch(&mut self, events: impl IntoIterator<Item = ArrivalEvent>) {
-        for event in events {
-            self.push(event);
-        }
-    }
-
-    /// Replay a whole trace through the session.
-    pub fn push_trace(&mut self, trace: &Trace) {
-        self.push_batch(trace.iter().cloned());
     }
 
     /// Send shard `shard`'s partial chunk. A send failure means the worker
@@ -657,7 +633,8 @@ mod tests {
     use super::*;
     use crate::config::RuntimeConfig;
     use jit_exec::operator::{DataMessage, OpContext, Operator, OperatorOutput, Port};
-    use jit_exec::plan::{Input, PlanBuilder};
+    use jit_exec::{Input, PlanBuilder};
+    use jit_stream::Trace;
     use jit_types::{BaseTuple, SourceId, SourceSet, Value};
     use std::sync::Arc;
 
@@ -708,7 +685,7 @@ mod tests {
 
     fn session(shards: usize, batch: usize) -> ShardedSession {
         ShardedRuntime::new(RuntimeConfig::with_shards(shards).with_batch_size(batch))
-            .start(ExecutorConfig::default(), |_| forward_plan())
+            .start(ExecutorConfig::default(), false, |_| forward_plan())
             .unwrap()
     }
 
@@ -883,7 +860,7 @@ mod tests {
     fn checkpoint_restores_mid_stream_and_replays_the_tail() {
         let runtime = ShardedRuntime::new(RuntimeConfig::with_shards(2).with_batch_size(4));
         let mut live = runtime
-            .start(ExecutorConfig::default(), |_| forward_plan())
+            .start(ExecutorConfig::default(), false, |_| forward_plan())
             .unwrap();
         for i in 0..40 {
             live.push(event(i));
@@ -906,7 +883,7 @@ mod tests {
     fn restore_rejects_a_shard_count_mismatch() {
         let two = ShardedRuntime::new(RuntimeConfig::with_shards(2));
         let mut live = two
-            .start(ExecutorConfig::default(), |_| forward_plan())
+            .start(ExecutorConfig::default(), false, |_| forward_plan())
             .unwrap();
         let ckpt = live.checkpoint().unwrap();
         let three = ShardedRuntime::new(RuntimeConfig::with_shards(3));
@@ -919,7 +896,7 @@ mod tests {
     #[test]
     fn plan_error_surfaces_before_any_thread_spawns() {
         let runtime = ShardedRuntime::new(RuntimeConfig::with_shards(2));
-        let result = runtime.start(ExecutorConfig::default(), |shard| {
+        let result = runtime.start(ExecutorConfig::default(), false, |shard| {
             if shard == 1 {
                 PlanBuilder::new().build()
             } else {

@@ -2,7 +2,7 @@
 //!
 //! A [`ShardedRuntime`] hash-partitions the join-key space of what is pushed
 //! into its session ([`ShardedRuntime::start`]) over `N` shards, runs one
-//! independent [`Executor`](jit_exec::executor::Executor) per shard on its
+//! independent [`Executor`](jit_exec::Executor) per shard on its
 //! own OS thread (each with its own instance of the plan, built by a
 //! caller-supplied factory), feeds every shard through a *bounded* MPSC
 //! channel in batches (a full channel blocks the feeder — backpressure
@@ -24,7 +24,7 @@
 //! the merge exactly as it does on a single executor.
 
 use crate::config::RuntimeConfig;
-use jit_exec::plan::PlanError;
+use jit_exec::PlanError;
 use jit_metrics::MetricsSnapshot;
 use jit_stream::ShardPartitioner;
 use jit_types::Tuple;
@@ -78,11 +78,11 @@ pub struct ShardOutcome {
     /// Arrivals this shard ingested.
     pub arrivals: u64,
     /// Results collected at this shard's sink (empty when collection is off).
-    pub results: Vec<Tuple>,
+    pub(crate) results: Vec<Tuple>,
     /// Number of results emitted at this shard's sink.
     pub results_count: u64,
     /// Temporal-order violations at this shard's sink.
-    pub order_violations: u64,
+    pub(crate) order_violations: u64,
     /// This shard's metrics.
     pub snapshot: MetricsSnapshot,
 }
@@ -107,18 +107,7 @@ pub struct ParallelOutcome {
     pub per_shard: Vec<ShardOutcome>,
 }
 
-impl ParallelOutcome {
-    /// Largest shard's share of all arrivals, in `[0, 1]` — a quick skew
-    /// diagnostic (1/N is perfect balance).
-    pub fn max_shard_load(&self) -> f64 {
-        let total: u64 = self.per_shard.iter().map(|s| s.arrivals).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let max = self.per_shard.iter().map(|s| s.arrivals).max().unwrap_or(0);
-        max as f64 / total as f64
-    }
-}
+impl ParallelOutcome {}
 
 /// Hash-partitioned multi-core executor of JIT cascades.
 #[derive(Debug, Clone)]
@@ -154,12 +143,12 @@ impl ShardedRuntime {
     }
 
     /// The runtime's configuration.
-    pub fn config(&self) -> &RuntimeConfig {
+    pub(crate) fn config(&self) -> &RuntimeConfig {
         &self.config
     }
 
     /// The partitioner in use.
-    pub fn partitioner(&self) -> &ShardPartitioner {
+    pub(crate) fn partitioner(&self) -> &ShardPartitioner {
         &self.partitioner
     }
 }
@@ -177,11 +166,9 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jit_exec::executor::ExecutorConfig;
     use jit_exec::operator::{DataMessage, OpContext, Operator, OperatorOutput, Port};
-    use jit_exec::plan::{ExecutablePlan, Input, PlanBuilder};
-    use jit_stream::arrival::ArrivalEvent;
-    use jit_stream::Trace;
+    use jit_exec::{ExecutablePlan, ExecutorConfig, Input, PlanBuilder};
+    use jit_stream::{ArrivalEvent, Trace};
     use jit_types::{BaseTuple, SourceId, SourceSet, Timestamp, Value};
     use std::sync::Arc;
 
@@ -243,8 +230,12 @@ mod tests {
         trace: &Trace,
         exec_config: ExecutorConfig,
     ) -> ParallelOutcome {
-        let mut session = runtime.start(exec_config, |_| forward_plan()).unwrap();
-        session.push_trace(trace);
+        let mut session = runtime
+            .start(exec_config, false, |_| forward_plan())
+            .unwrap();
+        for event in trace.iter() {
+            session.push(event.clone());
+        }
         session.finish().unwrap()
     }
 
@@ -265,7 +256,8 @@ mod tests {
         // The merged stream is globally timestamp-ordered.
         assert!(outcome.results.windows(2).all(|w| w[0].ts() <= w[1].ts()));
         // With 500 distinct keys over 4 shards, no shard should dominate.
-        assert!(outcome.max_shard_load() < 0.5);
+        let max_shard = outcome.per_shard.iter().map(|s| s.arrivals).max();
+        assert!(max_shard < Some(250));
     }
 
     #[test]
@@ -293,7 +285,7 @@ mod tests {
     #[test]
     fn plan_error_is_propagated() {
         let runtime = ShardedRuntime::new(RuntimeConfig::with_shards(2));
-        let result = runtime.start(ExecutorConfig::default(), |shard| {
+        let result = runtime.start(ExecutorConfig::default(), false, |shard| {
             if shard == 1 {
                 PlanBuilder::new().build() // empty plan → error
             } else {
@@ -311,7 +303,6 @@ mod tests {
             &keyed_trace(80),
             ExecutorConfig {
                 collect_results: false,
-                check_temporal_order: true,
             },
         );
         assert!(outcome.results.is_empty());

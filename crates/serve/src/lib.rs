@@ -46,7 +46,7 @@
 //! same query over the same arrivals (the `serving_equivalence` integration
 //! tests pin this on both backends).
 
-pub mod registry;
+mod registry;
 pub mod selection;
 
 pub use registry::{QueryId, QueryRegistry, ServeError, ServeOptions, SharingReport};

@@ -3,10 +3,9 @@
 use crate::selection::{ClassId, SelectionIndex};
 use jit_core::ExecutionMode;
 use jit_engine::{CheckpointError, DisorderPolicy, Engine, EngineError, EngineOutcome, Session};
-use jit_exec::state::StateIndexMode;
+use jit_exec::StateIndexMode;
 use jit_metrics::MetricsSnapshot;
-use jit_plan::canonical::{CanonicalKey, CanonicalQuery, FilterTerm};
-use jit_plan::cql::CqlError;
+use jit_plan::{CanonicalKey, CanonicalQuery, CqlError, FilterTerm};
 use jit_runtime::RuntimeConfig;
 use jit_types::{BaseTuple, BatchPolicy, Catalog, ColumnRef, FastMap, SourceId, Timestamp, Tuple};
 use serde::{Content, Serialize};
@@ -15,7 +14,7 @@ use std::sync::Arc;
 /// Handle to one registered query, unique for the registry's lifetime
 /// (handles are never reused, even after [`QueryRegistry::deregister`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct QueryId(pub u64);
+pub struct QueryId(pub(crate) u64);
 
 impl std::fmt::Display for QueryId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -712,13 +711,6 @@ impl QueryRegistry {
         }
     }
 
-    /// Registered query ids, ascending.
-    pub fn queries(&self) -> Vec<QueryId> {
-        let mut ids: Vec<QueryId> = self.queries.keys().copied().collect();
-        ids.sort();
-        ids
-    }
-
     /// Number of registered queries.
     pub fn num_queries(&self) -> usize {
         self.queries.len()
@@ -1041,11 +1033,12 @@ mod tests {
         // delivered-already cursor and the undelivered mailbox. "Crash":
         // rebuild from configuration + blob.
         let (mut reg, blob, mut restored) = cut_pair();
-        assert_eq!(
-            restored.queries(),
-            reg.queries(),
-            "identical registration order"
-        );
+        let ids = |r: &QueryRegistry| {
+            let mut ids: Vec<QueryId> = r.queries.keys().copied().collect();
+            ids.sort();
+            ids
+        };
+        assert_eq!(ids(&restored), ids(&reg), "identical registration order");
         restored.restore(&blob).unwrap();
 
         // The window state came back…

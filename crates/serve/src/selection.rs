@@ -17,7 +17,7 @@ use jit_plan::FilterTerm;
 use jit_types::{ColumnRef, CompareOp, FastMap, FilterPredicate, SourceId, Tuple, Value};
 
 /// Stable handle to one deduplicated filter conjunction.
-pub type ClassId = usize;
+pub(crate) type ClassId = usize;
 
 /// Hashable identity of a class: its normalized terms, in canonical order
 /// (the canonicalizer sorts them, and all terms of one class share a source,
@@ -85,7 +85,7 @@ impl SelectionIndex {
     }
 
     /// Drop one reference; the class disappears at refcount 0.
-    pub fn release(&mut self, id: ClassId) {
+    pub(crate) fn release(&mut self, id: ClassId) {
         let Some(slot) = self.classes.get_mut(id) else {
             return;
         };
@@ -103,7 +103,7 @@ impl SelectionIndex {
 
     /// Evaluate every distinct class on `source` against one arrival, once
     /// each. Returns `(class, passed)` pairs; a missing column rejects, as
-    /// in [`jit_exec::selection::SelectionOperator`].
+    /// in [`jit_exec::SelectionOperator`].
     pub fn classify(&mut self, source: SourceId, tuple: &Tuple) -> Vec<(ClassId, bool)> {
         let Some(ids) = self.by_source.get(&source) else {
             return Vec::new();
@@ -126,7 +126,7 @@ impl SelectionIndex {
     }
 
     /// Number of references currently held on `id` (0 if released).
-    pub fn refcount(&self, id: ClassId) -> usize {
+    pub(crate) fn refcount(&self, id: ClassId) -> usize {
         self.classes
             .get(id)
             .and_then(Option::as_ref)
@@ -134,12 +134,12 @@ impl SelectionIndex {
     }
 
     /// Number of live classes.
-    pub fn num_classes(&self) -> usize {
+    pub(crate) fn num_classes(&self) -> usize {
         self.classes.iter().flatten().count()
     }
 
     /// Total class evaluations performed so far.
-    pub fn evaluations(&self) -> u64 {
+    pub(crate) fn evaluations(&self) -> u64 {
         self.evaluations
     }
 }

@@ -23,7 +23,7 @@ pub struct ArrivalEvent {
 
 /// How inter-arrival gaps are drawn.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ArrivalProcess {
+pub(crate) enum ArrivalProcess {
     /// Poisson process: exponential inter-arrival times with the given mean
     /// rate (tuples per second).
     Poisson {
@@ -39,7 +39,7 @@ pub enum ArrivalProcess {
 
 impl ArrivalProcess {
     /// The process's mean rate in tuples per second.
-    pub fn rate_per_sec(&self) -> f64 {
+    pub(crate) fn rate_per_sec(&self) -> f64 {
         match self {
             ArrivalProcess::Poisson { rate_per_sec }
             | ArrivalProcess::Constant { rate_per_sec } => *rate_per_sec,
@@ -50,7 +50,7 @@ impl ArrivalProcess {
     ///
     /// The result is sorted and strictly within the horizon. A non-positive
     /// rate yields no arrivals.
-    pub fn arrival_times(&self, duration_ms: u64, rng: &mut impl Rng) -> Vec<Timestamp> {
+    pub(crate) fn arrival_times(&self, duration_ms: u64, rng: &mut impl Rng) -> Vec<Timestamp> {
         let rate = self.rate_per_sec();
         if rate <= 0.0 || duration_ms == 0 {
             return Vec::new();

@@ -26,12 +26,12 @@ use rand::{Rng, SeedableRng};
 pub struct DisorderSpec {
     /// Fraction of events delayed, in `[0, 1]` (the paper-adjacent sweeps
     /// use 1–10%).
-    pub late_fraction: f64,
+    pub(crate) late_fraction: f64,
     /// Upper bound on the injected delay; a delayed event arrives at
     /// `ts + d` with `d` uniform in `(0, max_delay]`.
-    pub max_delay: Duration,
+    pub(crate) max_delay: Duration,
     /// Seed for the (deterministic) selection and delay draws.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl DisorderSpec {
@@ -101,7 +101,7 @@ mod tests {
         let t = trace(50);
         let spec = DisorderSpec::new(0.0, Duration::from_millis(500), 7);
         let out = spec.apply(&t);
-        assert_eq!(out, t.events().to_vec());
+        assert_eq!(out, t.iter().cloned().collect::<Vec<_>>());
     }
 
     #[test]

@@ -18,19 +18,18 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod arrival;
-pub mod disorder;
-pub mod generator;
-pub mod partition;
-pub mod skew;
-pub mod source;
-pub mod trace;
-pub mod workload;
+mod arrival;
+mod disorder;
+mod generator;
+mod partition;
+mod skew;
+mod source;
+mod trace;
+mod workload;
 
-pub use arrival::{ArrivalEvent, ArrivalProcess};
+pub use arrival::ArrivalEvent;
 pub use disorder::DisorderSpec;
 pub use generator::WorkloadGenerator;
 pub use partition::ShardPartitioner;
-pub use source::{SourceSpec, ValueDomain};
 pub use trace::Trace;
 pub use workload::WorkloadSpec;

@@ -16,7 +16,7 @@ thread_local! {
 /// Samples integers in `[1..=n]` with probability proportional to
 /// `1 / k^s`.
 #[derive(Debug, Clone)]
-pub struct ZipfSampler {
+pub(crate) struct ZipfSampler {
     cdf: Vec<f64>,
 }
 
@@ -24,7 +24,7 @@ impl ZipfSampler {
     /// Create a sampler over `[1..=n]` with exponent `s`.
     ///
     /// `n` is clamped to at least 1; `s ≤ 0` degenerates to uniform.
-    pub fn new(n: u64, s: f64) -> Self {
+    pub(crate) fn new(n: u64, s: f64) -> Self {
         #[cfg(test)]
         TABLES_BUILT.with(|built| built.set(built.get() + 1));
         let n = n.max(1) as usize;
@@ -50,7 +50,7 @@ impl ZipfSampler {
     }
 
     /// Draw one value in `[1..=n]`.
-    pub fn sample(&self, rng: &mut impl Rng) -> u64 {
+    pub(crate) fn sample(&self, rng: &mut impl Rng) -> u64 {
         let u: f64 = rng.gen();
         #[expect(
             clippy::expect_used,

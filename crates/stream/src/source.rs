@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 /// The distribution a source draws its column values from.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ValueDomain {
+pub(crate) enum ValueDomain {
     /// Uniform integers in `[1..=max]` — the paper's default.
     Uniform {
         /// Largest value (the paper's `dmax`).
@@ -25,22 +25,8 @@ pub enum ValueDomain {
 
 impl ValueDomain {
     /// The uniform domain `[1..=dmax]`.
-    pub fn uniform(dmax: u64) -> Self {
+    pub(crate) fn uniform(dmax: u64) -> Self {
         ValueDomain::Uniform { max: dmax }
-    }
-
-    /// The largest value of the domain.
-    pub fn max(&self) -> u64 {
-        match self {
-            ValueDomain::Uniform { max } => *max,
-            ValueDomain::Zipf { max, .. } => *max,
-        }
-    }
-
-    /// Draw one value. A Zipf draw builds the domain's O(`max`) table each
-    /// time: fine for one value, not for a trace.
-    pub fn sample(&self, rng: &mut impl Rng) -> Value {
-        DomainSampler::new(*self).sample(rng)
     }
 }
 
@@ -74,23 +60,23 @@ impl DomainSampler {
 
 /// Parameters of one streaming source.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SourceSpec {
+pub(crate) struct SourceSpec {
     /// Human-readable name (matches the catalog entry).
-    pub name: String,
+    pub(crate) name: String,
     /// Mean arrival rate in tuples per second (the paper's `λ`).
-    pub rate_per_sec: f64,
+    pub(crate) rate_per_sec: f64,
     /// Number of columns each tuple carries.
-    pub num_columns: usize,
+    pub(crate) num_columns: usize,
     /// Value domain, per column index. If a column has no entry the
     /// `default_domain` is used.
-    pub column_domains: Vec<Option<ValueDomain>>,
+    pub(crate) column_domains: Vec<Option<ValueDomain>>,
     /// Default value domain for columns without an override.
-    pub default_domain: ValueDomain,
+    pub(crate) default_domain: ValueDomain,
 }
 
 impl SourceSpec {
     /// A source with uniform values in `[1..=dmax]` on every column.
-    pub fn uniform(
+    pub(crate) fn uniform(
         name: impl Into<String>,
         rate_per_sec: f64,
         num_columns: usize,
@@ -107,7 +93,7 @@ impl SourceSpec {
 
     /// Override the domain of every column (used by the left-deep setup where
     /// the last source draws from `[1..100·dmax]`).
-    pub fn with_domain(mut self, domain: ValueDomain) -> Self {
+    pub(crate) fn with_domain(mut self, domain: ValueDomain) -> Self {
         self.default_domain = domain;
         self
     }
@@ -129,12 +115,6 @@ impl SourceSpec {
             .copied()
             .flatten()
             .unwrap_or(self.default_domain)
-    }
-
-    /// Draw the column values for one tuple. Builds the source's samplers
-    /// for this one draw; the generator keeps them for the whole source.
-    pub fn sample_values(&self, rng: &mut impl Rng) -> Vec<Value> {
-        self.sampler().sample_values(rng)
     }
 
     /// The source's samplers: one for the default domain, one more per
@@ -180,17 +160,16 @@ mod tests {
         let dom = ValueDomain::uniform(50);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..1_000 {
-            let v = dom.sample(&mut rng).as_int().unwrap();
+            let v = DomainSampler::new(dom).sample(&mut rng).as_int().unwrap();
             assert!((1..=50).contains(&v));
         }
-        assert_eq!(dom.max(), 50);
     }
 
     #[test]
     fn uniform_with_max_one_is_constant() {
         let dom = ValueDomain::uniform(1);
         let mut rng = StdRng::seed_from_u64(2);
-        assert_eq!(dom.sample(&mut rng), Value::int(1));
+        assert_eq!(DomainSampler::new(dom).sample(&mut rng), Value::int(1));
     }
 
     #[test]
@@ -202,7 +181,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut small = 0;
         for _ in 0..2_000 {
-            let v = dom.sample(&mut rng).as_int().unwrap();
+            let v = DomainSampler::new(dom).sample(&mut rng).as_int().unwrap();
             assert!((1..=100).contains(&v));
             if v <= 10 {
                 small += 1;
@@ -216,7 +195,7 @@ mod tests {
     fn source_spec_samples_right_arity() {
         let spec = SourceSpec::uniform("A", 1.0, 3, 200);
         let mut rng = StdRng::seed_from_u64(4);
-        let vals = spec.sample_values(&mut rng);
+        let vals = spec.sampler().sample_values(&mut rng);
         assert_eq!(vals.len(), 3);
         for v in vals {
             assert!((1..=200).contains(&v.as_int().unwrap()));
@@ -227,16 +206,16 @@ mod tests {
     fn per_column_override_applies() {
         let spec =
             SourceSpec::uniform("D", 1.0, 2, 50).with_column_domain(1, ValueDomain::uniform(5_000));
-        assert_eq!(spec.domain_of(0).max(), 50);
-        assert_eq!(spec.domain_of(1).max(), 5_000);
+        assert_eq!(spec.domain_of(0), ValueDomain::uniform(50));
+        assert_eq!(spec.domain_of(1), ValueDomain::uniform(5_000));
         // out-of-range column override is ignored
         let spec2 =
             SourceSpec::uniform("D", 1.0, 2, 50).with_column_domain(9, ValueDomain::uniform(5_000));
-        assert_eq!(spec2.domain_of(0).max(), 50);
+        assert_eq!(spec2.domain_of(0), ValueDomain::uniform(50));
     }
 
-    /// The samplers a generator keeps draw what `sample_values` draws, and a
-    /// Zipf override costs its source one table more, not one per value.
+    /// A source's samplers honour its overrides, and a Zipf override costs
+    /// the source one table more, not one per value.
     #[test]
     fn source_sampler_honours_overrides_and_builds_each_table_once() {
         use crate::skew::TABLES_BUILT;
@@ -249,8 +228,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let rows: Vec<_> = (0..500).map(|_| sampler.sample_values(&mut rng)).collect();
         assert_eq!(TABLES_BUILT.with(|built| built.get()) - before, 2);
-        let mut rng = StdRng::seed_from_u64(5);
-        assert!(rows.iter().all(|row| *row == spec.sample_values(&mut rng)));
         let max_of = |c: usize| rows.iter().map(|row| row[c].as_int().unwrap()).max();
         assert!(max_of(0) <= Some(40) && max_of(2) <= Some(40));
         assert!(max_of(1) > Some(40), "column 1 draws from the override");
@@ -259,8 +236,8 @@ mod tests {
     #[test]
     fn whole_source_override_applies() {
         let spec = SourceSpec::uniform("D", 1.0, 2, 50).with_domain(ValueDomain::uniform(5_000));
-        assert_eq!(spec.domain_of(0).max(), 5_000);
-        assert_eq!(spec.domain_of(1).max(), 5_000);
+        assert_eq!(spec.domain_of(0), ValueDomain::uniform(5_000));
+        assert_eq!(spec.domain_of(1), ValueDomain::uniform(5_000));
     }
 
     #[test]
@@ -268,11 +245,15 @@ mod tests {
         let spec = SourceSpec::uniform("A", 1.0, 4, 300);
         let a: Vec<_> = {
             let mut rng = StdRng::seed_from_u64(99);
-            (0..10).map(|_| spec.sample_values(&mut rng)).collect()
+            (0..10)
+                .map(|_| spec.sampler().sample_values(&mut rng))
+                .collect()
         };
         let b: Vec<_> = {
             let mut rng = StdRng::seed_from_u64(99);
-            (0..10).map(|_| spec.sample_values(&mut rng)).collect()
+            (0..10)
+                .map(|_| spec.sampler().sample_values(&mut rng))
+                .collect()
         };
         assert_eq!(a, b);
     }

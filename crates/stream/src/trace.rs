@@ -1,8 +1,7 @@
 //! Arrival traces: the fully materialised input of one experiment run.
 
 use crate::arrival::ArrivalEvent;
-use jit_types::{SourceId, Timestamp};
-use std::collections::BTreeMap;
+use jit_types::Timestamp;
 
 /// A time-ordered sequence of arrival events across all sources.
 ///
@@ -39,35 +38,9 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// The events in replay order.
-    pub fn events(&self) -> &[ArrivalEvent] {
-        &self.events
-    }
-
     /// Iterate over the events in replay order.
     pub fn iter(&self) -> impl Iterator<Item = &ArrivalEvent> {
         self.events.iter()
-    }
-
-    /// Timestamp of the last arrival (or time zero for an empty trace).
-    pub fn horizon(&self) -> Timestamp {
-        self.events.last().map(|e| e.ts).unwrap_or(Timestamp::ZERO)
-    }
-
-    /// Number of arrivals per source.
-    pub fn per_source_counts(&self) -> BTreeMap<SourceId, usize> {
-        let mut counts = BTreeMap::new();
-        for e in &self.events {
-            *counts.entry(e.source).or_insert(0) += 1;
-        }
-        counts
-    }
-
-    /// Merge two traces into one (re-sorted).
-    pub fn merge(self, other: Trace) -> Trace {
-        let mut events = self.events;
-        events.extend(other.events);
-        Trace::new(events)
     }
 
     /// Keep only the events arriving strictly before `cutoff` — useful for
@@ -95,7 +68,7 @@ impl IntoIterator for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jit_types::{BaseTuple, Value};
+    use jit_types::{BaseTuple, SourceId, Value};
     use std::sync::Arc;
 
     fn ev(source: u16, seq: u64, ts_ms: u64) -> ArrivalEvent {
@@ -119,7 +92,6 @@ mod tests {
         assert_eq!(times, vec![100, 300, 500]);
         assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
-        assert_eq!(t.horizon(), Timestamp::from_millis(500));
     }
 
     #[test]
@@ -133,25 +105,6 @@ mod tests {
     fn empty_trace_properties() {
         let t = Trace::empty();
         assert!(t.is_empty());
-        assert_eq!(t.horizon(), Timestamp::ZERO);
-        assert!(t.per_source_counts().is_empty());
-    }
-
-    #[test]
-    fn per_source_counts() {
-        let t = Trace::new(vec![ev(0, 1, 1), ev(0, 2, 2), ev(1, 1, 3)]);
-        let counts = t.per_source_counts();
-        assert_eq!(counts[&SourceId(0)], 2);
-        assert_eq!(counts[&SourceId(1)], 1);
-    }
-
-    #[test]
-    fn merge_combines_and_resorts() {
-        let a = Trace::new(vec![ev(0, 1, 10), ev(0, 2, 30)]);
-        let b = Trace::new(vec![ev(1, 1, 20)]);
-        let m = a.merge(b);
-        let times: Vec<u64> = m.iter().map(|e| e.ts.as_millis()).collect();
-        assert_eq!(times, vec![10, 20, 30]);
     }
 
     #[test]
@@ -159,7 +112,10 @@ mod tests {
         let t = Trace::new(vec![ev(0, 1, 10), ev(0, 2, 20), ev(0, 3, 30)]);
         let cut = t.truncate_at(Timestamp::from_millis(30));
         assert_eq!(cut.len(), 2);
-        assert_eq!(cut.horizon(), Timestamp::from_millis(20));
+        assert_eq!(
+            cut.iter().last().map(|e| e.ts),
+            Some(Timestamp::from_millis(20))
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::arrival::ArrivalProcess;
 use crate::source::{SourceSpec, ValueDomain};
-use jit_types::{Catalog, Duration, PredicateSet, Window};
+use jit_types::{Duration, PredicateSet, Window};
 use serde::{Deserialize, Serialize};
 
 /// Full description of one synthetic workload: how many sources, how fast
@@ -29,9 +29,9 @@ pub struct WorkloadSpec {
     /// RNG seed; the whole trace is a deterministic function of the spec.
     pub seed: u64,
     /// Arrival process (Poisson by default).
-    pub arrival: ArrivalProcess,
+    pub(crate) arrival: ArrivalProcess,
     /// Optional Zipf exponent: when set, values are skewed instead of uniform.
-    pub zipf_exponent: Option<f64>,
+    pub(crate) zipf_exponent: Option<f64>,
     /// Shared-key mode: every tuple draws a *single* key value and carries it
     /// in all of its columns, so each clique predicate reduces to an equality
     /// between the two tuples' keys. Such workloads are *key-partitionable*:
@@ -126,11 +126,6 @@ impl WorkloadSpec {
         Window::minutes(self.window_minutes)
     }
 
-    /// The catalog of `N` clique sources (each with `N − 1` columns).
-    pub fn catalog(&self) -> Catalog {
-        Catalog::clique(self.num_sources)
-    }
-
     /// The clique-join predicate over the `N` sources.
     pub fn predicates(&self) -> PredicateSet {
         PredicateSet::clique(self.num_sources)
@@ -141,7 +136,7 @@ impl WorkloadSpec {
     /// Every source emits at `rate_per_sec` and carries `N − 1` columns; the
     /// last source's domain is enlarged by `last_source_domain_factor` when
     /// set (the left-deep configuration of Section VI).
-    pub fn source_specs(&self) -> Vec<SourceSpec> {
+    pub(crate) fn source_specs(&self) -> Vec<SourceSpec> {
         let n = self.num_sources;
         let cols = n.saturating_sub(1);
         (0..n)
@@ -162,11 +157,6 @@ impl WorkloadSpec {
                 SourceSpec::uniform(name, self.rate_per_sec, cols, dmax).with_domain(domain)
             })
             .collect()
-    }
-
-    /// Expected number of arrivals over the whole run (all sources).
-    pub fn expected_arrivals(&self) -> f64 {
-        self.num_sources as f64 * self.rate_per_sec * self.duration.as_secs_f64()
     }
 }
 
@@ -214,21 +204,22 @@ mod tests {
     #[test]
     fn derived_schema_objects() {
         let s = WorkloadSpec::bushy_default().with_sources(4);
-        assert_eq!(s.catalog().num_sources(), 4);
         assert_eq!(s.predicates().len(), 6);
         assert_eq!(s.window().length, Duration::from_mins(20));
         let specs = s.source_specs();
         assert_eq!(specs.len(), 4);
         assert!(specs.iter().all(|sp| sp.num_columns == 3));
-        assert!(specs.iter().all(|sp| sp.default_domain.max() == 200));
+        assert!(specs
+            .iter()
+            .all(|sp| sp.default_domain == ValueDomain::uniform(200)));
     }
 
     #[test]
     fn leftdeep_last_source_has_enlarged_domain() {
         let s = WorkloadSpec::leftdeep_default();
         let specs = s.source_specs();
-        assert_eq!(specs[0].default_domain.max(), 50);
-        assert_eq!(specs[3].default_domain.max(), 5_000);
+        assert_eq!(specs[0].default_domain, ValueDomain::uniform(50));
+        assert_eq!(specs[3].default_domain, ValueDomain::uniform(5_000));
     }
 
     #[test]
@@ -241,15 +232,6 @@ mod tests {
             ValueDomain::Zipf { exponent, .. } => assert_eq!(exponent, 1.1),
             other => panic!("expected zipf, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn expected_arrivals_formula() {
-        let s = WorkloadSpec::bushy_default()
-            .with_sources(2)
-            .with_rate(2.0)
-            .with_duration(Duration::from_secs(30));
-        assert_eq!(s.expected_arrivals(), 120.0);
     }
 
     #[test]

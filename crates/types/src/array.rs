@@ -16,9 +16,9 @@
 //!   *widens* on demand — appending a string to an `Int64` column converts
 //!   it to `Values` exactly once, so clean streams never pay for the
 //!   general case;
-//! * zero-copy reads: [`ArrayImpl::as_i64`] hands out the underlying slice
-//!   when the column is typed, and
-//!   [`ArrayImpl::get`] falls back to per-row access everywhere else.
+//! * zero-copy reads: kernels match on the typed variant and read its
+//!   slice directly, and [`ArrayImpl::get`] gives per-row access everywhere
+//!   else.
 //!
 //! Columns are an *acceleration structure*: every row of a batch still
 //! carries its [`crate::BaseTuple`], which remains the unit of state
@@ -30,9 +30,8 @@ use std::sync::Arc;
 
 /// One column of a batch, laid out contiguously per type.
 ///
-/// See the [module docs](self) for the design rationale. Arrays are
-/// append-only during construction (via [`ArrayBuilder`]) and immutable
-/// afterwards.
+/// Arrays are append-only during construction (via the batch builder) and
+/// immutable afterwards.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArrayImpl {
     /// Every row is [`Value::Int`]; stored unboxed.
@@ -45,46 +44,13 @@ pub enum ArrayImpl {
 }
 
 impl ArrayImpl {
-    /// Number of rows in the column.
-    pub fn len(&self) -> usize {
-        match self {
-            ArrayImpl::Int64(v) => v.len(),
-            ArrayImpl::Utf8(v) => v.len(),
-            ArrayImpl::Values(v) => v.len(),
-        }
-    }
-
-    /// Is the column empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The value at `row`, if in bounds. Typed variants rebuild a [`Value`]
     /// on the fly (cheap: an `i64` copy or an `Arc` clone).
-    pub fn get(&self, row: usize) -> Option<Value> {
+    pub(crate) fn get(&self, row: usize) -> Option<Value> {
         match self {
             ArrayImpl::Int64(v) => v.get(row).map(|&i| Value::Int(i)),
             ArrayImpl::Utf8(v) => v.get(row).map(|s| Value::Str(Arc::clone(s))),
             ArrayImpl::Values(v) => v.get(row).cloned(),
-        }
-    }
-
-    /// The whole column as an `i64` slice — `Some` iff every row is an
-    /// integer. This is the zero-copy fast path for vectorized kernels.
-    pub fn as_i64(&self) -> Option<&[i64]> {
-        match self {
-            ArrayImpl::Int64(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The whole column as a string slice — `Some` iff every row is a
-    /// string.
-    #[cfg(test)]
-    fn as_utf8(&self) -> Option<&[Arc<str>]> {
-        match self {
-            ArrayImpl::Utf8(v) => Some(v),
-            _ => None,
         }
     }
 }
@@ -96,7 +62,7 @@ impl ArrayImpl {
 /// arrives: `Int64`/`Utf8` → `Values`. An all-integer column therefore
 /// never touches the general representation.
 #[derive(Debug, Clone)]
-pub struct ArrayBuilder {
+pub(crate) struct ArrayBuilder {
     repr: ArrayImpl,
 }
 
@@ -108,31 +74,14 @@ impl Default for ArrayBuilder {
 
 impl ArrayBuilder {
     /// An empty builder (starts as an integer column and widens on demand).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ArrayBuilder {
             repr: ArrayImpl::Int64(Vec::new()),
         }
     }
 
-    /// An empty builder with pre-allocated capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        ArrayBuilder {
-            repr: ArrayImpl::Int64(Vec::with_capacity(capacity)),
-        }
-    }
-
-    /// Number of rows appended so far.
-    pub fn len(&self) -> usize {
-        self.repr.len()
-    }
-
-    /// Is the builder empty?
-    pub fn is_empty(&self) -> bool {
-        self.repr.is_empty()
-    }
-
     /// Append one value, widening the representation if needed.
-    pub fn push(&mut self, value: &Value) {
+    pub(crate) fn push(&mut self, value: &Value) {
         match (&mut self.repr, value) {
             (ArrayImpl::Int64(v), Value::Int(i)) => v.push(*i),
             (ArrayImpl::Utf8(v), Value::Str(s)) => v.push(Arc::clone(s)),
@@ -159,7 +108,7 @@ impl ArrayBuilder {
     }
 
     /// Finish the column.
-    pub fn finish(self) -> ArrayImpl {
+    pub(crate) fn finish(self) -> ArrayImpl {
         self.repr
     }
 }
@@ -175,8 +124,7 @@ mod tests {
             b.push(&Value::int(i));
         }
         let a = b.finish();
-        assert_eq!(a.len(), 5);
-        assert_eq!(a.as_i64(), Some(&[0i64, 1, 2, 3, 4][..]));
+        assert_eq!(a, ArrayImpl::Int64(vec![0, 1, 2, 3, 4]));
         assert_eq!(a.get(2), Some(Value::int(2)));
         assert_eq!(a.get(5), None);
     }
@@ -187,31 +135,26 @@ mod tests {
         b.push(&Value::str("x"));
         b.push(&Value::str("y"));
         let a = b.finish();
-        assert!(a.as_i64().is_none());
-        assert_eq!(a.as_utf8().map(|s| s.len()), Some(2));
+        assert_eq!(a, ArrayImpl::Utf8(vec![Arc::from("x"), Arc::from("y")]));
         assert_eq!(a.get(1), Some(Value::str("y")));
     }
 
     #[test]
     fn mixed_column_widens_once_and_preserves_order() {
-        let mut b = ArrayBuilder::with_capacity(4);
+        let mut b = ArrayBuilder::new();
         b.push(&Value::int(1));
         b.push(&Value::str("s"));
         b.push(&Value::Null);
         let a = b.finish();
-        assert!(a.as_i64().is_none());
-        assert!(a.as_utf8().is_none());
-        assert_eq!(a.get(0), Some(Value::int(1)));
+        assert_eq!(
+            a,
+            ArrayImpl::Values(vec![Value::int(1), Value::str("s"), Value::Null])
+        );
         assert_eq!(a.get(1), Some(Value::str("s")));
-        assert_eq!(a.get(2), Some(Value::Null));
     }
 
     #[test]
-    fn empty_builder_properties() {
-        let b = ArrayBuilder::new();
-        assert!(b.is_empty());
-        assert_eq!(b.len(), 0);
-        let a = b.finish();
-        assert!(a.is_empty());
+    fn empty_builder_is_an_empty_int_column() {
+        assert_eq!(ArrayBuilder::new().finish(), ArrayImpl::Int64(Vec::new()));
     }
 }

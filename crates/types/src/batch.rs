@@ -3,14 +3,10 @@
 //! # Layout
 //!
 //! A [`Batch`] is a run of arrivals from *one* source: the row tuples
-//! (shared `Arc<BaseTuple>`s, still the unit of state storage), an optional
-//! column-major projection of their values ([`ArrayImpl`] per column), and
-//! the per-row timestamps with cached min/max — the batch *frontier* that
-//! the sharded sink merges instead of individual tuples.
-//!
-//! A [`Block`] packages the batches of one flush window across sources,
-//! plus the exact global arrival order as `(batch, row)` index pairs, so a
-//! consumer can replay the rows in the interleaving they arrived in.
+//! (shared `Arc<BaseTuple>`s, still the unit of state storage) and an
+//! optional column-major projection of their values ([`ArrayImpl`] per
+//! column). A [`Block`] packages the batches of one flush window across
+//! sources.
 //!
 //! # Building
 //!
@@ -21,7 +17,6 @@
 
 use crate::array::{ArrayBuilder, ArrayImpl};
 use crate::schema::SourceId;
-use crate::timestamp::Timestamp;
 use crate::tuple::BaseTuple;
 use std::sync::Arc;
 
@@ -54,22 +49,13 @@ impl BatchPolicy {
 /// A run of arrivals from one source, with optional columnar projection.
 #[derive(Debug, Clone)]
 pub struct Batch {
-    source: SourceId,
     rows: Vec<Arc<BaseTuple>>,
     /// Column-major projection of the row values; empty when column
     /// building was disabled or the rows disagree on arity.
     columns: Vec<ArrayImpl>,
-    timestamps: Vec<Timestamp>,
-    min_ts: Timestamp,
-    max_ts: Timestamp,
 }
 
 impl Batch {
-    /// The source every row arrived on.
-    pub fn source(&self) -> SourceId {
-        self.source
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -81,38 +67,13 @@ impl Batch {
     }
 
     /// The row tuples, in arrival order.
-    pub fn rows(&self) -> &[Arc<BaseTuple>] {
+    pub(crate) fn rows(&self) -> &[Arc<BaseTuple>] {
         &self.rows
-    }
-
-    /// The row at `index`, if in bounds.
-    pub fn row(&self, index: usize) -> Option<&Arc<BaseTuple>> {
-        self.rows.get(index)
-    }
-
-    /// The columnar projection (empty when columns were not built).
-    pub fn columns(&self) -> &[ArrayImpl] {
-        &self.columns
     }
 
     /// One column of the projection, if built.
     pub fn column(&self, index: usize) -> Option<&ArrayImpl> {
         self.columns.get(index)
-    }
-
-    /// Per-row arrival timestamps (parallel to [`Batch::rows`]).
-    pub fn timestamps(&self) -> &[Timestamp] {
-        &self.timestamps
-    }
-
-    /// The batch frontier's lower bound: the earliest row timestamp.
-    pub fn min_ts(&self) -> Timestamp {
-        self.min_ts
-    }
-
-    /// The batch frontier's upper bound: the latest row timestamp.
-    pub fn max_ts(&self) -> Timestamp {
-        self.max_ts
     }
 }
 
@@ -121,12 +82,9 @@ impl Batch {
 struct BatchInProgress {
     source: SourceId,
     rows: Vec<Arc<BaseTuple>>,
-    timestamps: Vec<Timestamp>,
     /// Per-column builders; `None` when column building is off or the rows
     /// disagreed on arity (the projection is then abandoned for the batch).
     columns: Option<Vec<ArrayBuilder>>,
-    min_ts: Timestamp,
-    max_ts: Timestamp,
 }
 
 impl BatchInProgress {
@@ -134,18 +92,11 @@ impl BatchInProgress {
         BatchInProgress {
             source,
             rows: Vec::new(),
-            timestamps: Vec::new(),
             columns: with_columns.then(Vec::new),
-            min_ts: Timestamp::MAX,
-            max_ts: Timestamp::ZERO,
         }
     }
 
     fn push(&mut self, tuple: Arc<BaseTuple>) {
-        let ts = tuple.ts;
-        self.min_ts = self.min_ts.min(ts);
-        self.max_ts = self.max_ts.max(ts);
-        self.timestamps.push(ts);
         if let Some(builders) = &mut self.columns {
             if self.rows.is_empty() {
                 *builders = (0..tuple.arity()).map(|_| ArrayBuilder::new()).collect();
@@ -165,25 +116,19 @@ impl BatchInProgress {
 
     fn finish(self) -> Batch {
         Batch {
-            source: self.source,
             columns: self
                 .columns
                 .map(|builders| builders.into_iter().map(ArrayBuilder::finish).collect())
                 .unwrap_or_default(),
             rows: self.rows,
-            timestamps: self.timestamps,
-            min_ts: self.min_ts,
-            max_ts: self.max_ts,
         }
     }
 }
 
-/// A flush window of batches plus the exact global arrival order.
+/// The batches of one flush window, one per source.
 #[derive(Debug, Clone, Default)]
 pub struct Block {
     batches: Vec<Batch>,
-    /// `(batch index, row index)` per arrival, in global push order.
-    order: Vec<(u32, u32)>,
 }
 
 impl Block {
@@ -191,57 +136,17 @@ impl Block {
     pub fn batches(&self) -> &[Batch] {
         &self.batches
     }
-
-    /// Total number of rows across all batches.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Is the block empty?
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// The earliest row timestamp across all batches ([`Timestamp::MAX`]
-    /// when empty).
-    pub fn min_ts(&self) -> Timestamp {
-        self.batches
-            .iter()
-            .map(Batch::min_ts)
-            .min()
-            .unwrap_or(Timestamp::MAX)
-    }
-
-    /// The latest row timestamp across all batches ([`Timestamp::ZERO`]
-    /// when empty).
-    pub fn max_ts(&self) -> Timestamp {
-        self.batches
-            .iter()
-            .map(Batch::max_ts)
-            .max()
-            .unwrap_or(Timestamp::ZERO)
-    }
-
-    /// Iterate the rows in global arrival order as `(source, tuple)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (SourceId, &Arc<BaseTuple>)> {
-        self.order.iter().map(move |&(b, r)| {
-            let batch = &self.batches[b as usize];
-            (batch.source(), &batch.rows()[r as usize])
-        })
-    }
 }
 
 /// Accumulates pushed arrivals into a [`Block`].
 ///
 /// Consecutive rows from the same source extend that source's current
 /// batch; a row from a different source opens (or extends) another batch.
-/// The global push order is recorded exactly, so consumers can replay the
-/// block as if the rows had arrived one at a time.
 #[derive(Debug)]
 pub struct BlockBuilder {
     with_columns: bool,
     batches: Vec<BatchInProgress>,
-    order: Vec<(u32, u32)>,
+    len: usize,
 }
 
 impl Default for BlockBuilder {
@@ -256,7 +161,7 @@ impl BlockBuilder {
         BlockBuilder {
             with_columns: true,
             batches: Vec::new(),
-            order: Vec::new(),
+            len: 0,
         }
     }
 
@@ -269,12 +174,12 @@ impl BlockBuilder {
 
     /// Number of buffered rows.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.len
     }
 
     /// Is the builder empty?
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.len == 0
     }
 
     /// Append one arrival.
@@ -288,20 +193,19 @@ impl BlockBuilder {
                 self.batches.len() - 1
             }
         };
-        let row_idx = self.batches[batch_idx].rows.len();
-        self.order.push((batch_idx as u32, row_idx as u32));
+        self.len += 1;
         self.batches[batch_idx].push(tuple);
     }
 
     /// Drain the buffered rows into a [`Block`], leaving the builder empty.
     pub fn finish(&mut self) -> Block {
+        self.len = 0;
         Block {
             batches: self
                 .batches
                 .drain(..)
                 .map(BatchInProgress::finish)
                 .collect(),
-            order: std::mem::take(&mut self.order),
         }
     }
 }
@@ -309,6 +213,7 @@ impl BlockBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timestamp::Timestamp;
     use crate::value::Value;
 
     fn base(source: u16, seq: u64, ts: u64, key: i64) -> Arc<BaseTuple> {
@@ -321,25 +226,20 @@ mod tests {
     }
 
     #[test]
-    fn builder_groups_by_source_and_preserves_order() {
+    fn builder_groups_by_source() {
         let mut b = BlockBuilder::new();
         b.push(SourceId(0), base(0, 0, 10, 7));
         b.push(SourceId(1), base(1, 0, 20, 8));
         b.push(SourceId(0), base(0, 1, 30, 9));
         assert_eq!(b.len(), 3);
         let block = b.finish();
-        assert!(b.is_empty());
-        assert_eq!(block.len(), 3);
+        assert_eq!(b.len(), 0);
         assert_eq!(block.batches().len(), 2);
-        // Global order is exactly the push order.
-        let replay: Vec<(u16, u64)> = block.iter().map(|(s, t)| (s.0, t.seq)).collect();
-        assert_eq!(replay, vec![(0, 0), (1, 0), (0, 1)]);
-        assert_eq!(block.min_ts(), Timestamp::from_millis(10));
-        assert_eq!(block.max_ts(), Timestamp::from_millis(30));
+        assert_eq!(block.batches()[0].len(), 2);
     }
 
     #[test]
-    fn batch_carries_columns_and_frontier() {
+    fn batch_carries_columns() {
         let mut b = BlockBuilder::new();
         for i in 0..4u64 {
             b.push(SourceId(0), base(0, i, 100 + i, i as i64 % 2));
@@ -347,17 +247,8 @@ mod tests {
         let block = b.finish();
         let batch = &block.batches()[0];
         assert_eq!(batch.len(), 4);
-        assert_eq!(batch.source(), SourceId(0));
-        assert_eq!(batch.min_ts(), Timestamp::from_millis(100));
-        assert_eq!(batch.max_ts(), Timestamp::from_millis(103));
-        assert_eq!(batch.timestamps().len(), 4);
-        assert_eq!(batch.columns().len(), 2);
-        assert_eq!(
-            batch.column(0).and_then(ArrayImpl::as_i64),
-            Some(&[0i64, 1, 0, 1][..])
-        );
+        assert_eq!(batch.column(0), Some(&ArrayImpl::Int64(vec![0, 1, 0, 1])));
         assert!(batch.column(2).is_none());
-        assert_eq!(batch.row(3).map(|t| t.seq), Some(3));
     }
 
     #[test]
@@ -365,7 +256,7 @@ mod tests {
         let mut b = BlockBuilder::new().with_columns(false);
         b.push(SourceId(0), base(0, 0, 1, 1));
         let block = b.finish();
-        assert!(block.batches()[0].columns().is_empty());
+        assert!(block.batches()[0].column(0).is_none());
         assert_eq!(block.batches()[0].len(), 1);
     }
 
@@ -374,13 +265,5 @@ mod tests {
         assert_eq!(BatchPolicy::rows(3).max_rows, 3);
         assert_eq!(BatchPolicy::default().max_rows, 1);
         assert_eq!(BatchPolicy::rows(0), BatchPolicy::default());
-    }
-
-    #[test]
-    fn empty_block_frontiers() {
-        let block = Block::default();
-        assert!(block.is_empty());
-        assert_eq!(block.min_ts(), Timestamp::MAX);
-        assert_eq!(block.max_ts(), Timestamp::ZERO);
     }
 }

@@ -60,16 +60,6 @@ impl Feedback {
             mns_set,
         }
     }
-
-    /// Is the MNS set empty (nothing to do)?
-    pub fn is_empty(&self) -> bool {
-        self.mns_set.is_empty()
-    }
-
-    /// Approximate footprint in bytes (for queue memory accounting).
-    pub fn size_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.mns_set.iter().map(Tuple::size_bytes).sum::<usize>()
-    }
 }
 
 impl fmt::Display for Feedback {
@@ -107,8 +97,6 @@ mod tests {
     fn constructors_set_command() {
         assert_eq!(Feedback::suspend(vec![]).command, FeedbackCommand::Suspend);
         assert_eq!(Feedback::resume(vec![]).command, FeedbackCommand::Resume);
-        assert!(!Feedback::suspend(vec![tup(0, 1)]).is_empty());
-        assert!(Feedback::resume(vec![]).is_empty());
     }
 
     #[test]
@@ -117,12 +105,5 @@ mod tests {
         let s = f.to_string();
         assert!(s.starts_with("<suspend, {"), "{s}");
         assert!(s.contains("A1"));
-    }
-
-    #[test]
-    fn size_grows_with_the_mns_set() {
-        let small = Feedback::suspend(vec![tup(0, 1)]);
-        let large = Feedback::suspend(vec![tup(0, 1), tup(1, 2), tup(2, 3)]);
-        assert!(large.size_bytes() > small.size_bytes());
     }
 }

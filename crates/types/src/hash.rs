@@ -20,7 +20,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `BuildHasher` for [`FastHasher`]; deterministic (no per-map seed).
-pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
+pub(crate) type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` using [`FastHasher`]. Construct with `FastMap::default()`.
 #[expect(

@@ -1,6 +1,6 @@
 //! SIMD-friendly columnar kernels.
 //!
-//! The batch data plane ([`crate::batch`]) carries typed column arrays; this
+//! The batch data plane ([`crate::Batch`]) carries typed column arrays; this
 //! module holds the tight loops that consume them *as slices* instead of
 //! boxing every cell into a [`Value`]:
 //!
@@ -34,8 +34,8 @@ const WORD_BITS: usize = 64;
 
 /// A packed per-row boolean mask: bit `i` of word `i / 64` is row `i`.
 ///
-/// Rows beyond `len` inside the last word are kept zero, so
-/// [`BitMask::count_ones`] needs no tail masking.
+/// Rows beyond `len` inside the last word are kept zero, so two masks over
+/// the same rows compare equal exactly when their rows do.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitMask {
     words: Vec<u64>,
@@ -49,7 +49,7 @@ impl BitMask {
     }
 
     /// An all-false mask over `len` rows.
-    pub fn zeros(len: usize) -> Self {
+    pub(crate) fn zeros(len: usize) -> Self {
         BitMask {
             words: vec![0; len.div_ceil(WORD_BITS)],
             len,
@@ -57,7 +57,7 @@ impl BitMask {
     }
 
     /// A uniform mask over `len` rows.
-    pub fn filled(len: usize, value: bool) -> Self {
+    pub(crate) fn filled(len: usize, value: bool) -> Self {
         if !value {
             return BitMask::zeros(len);
         }
@@ -77,83 +77,6 @@ impl BitMask {
                 *last &= (1u64 << tail) - 1;
             }
         }
-    }
-
-    /// Number of rows covered by the mask.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Is the mask over zero rows?
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The row `i` bit.
-    pub fn get(&self, i: usize) -> bool {
-        debug_assert!(
-            i < self.len,
-            "bit {i} out of range for mask of {}",
-            self.len
-        );
-        (self.words[i / WORD_BITS] >> (i % WORD_BITS)) & 1 == 1
-    }
-
-    /// Set the row `i` bit.
-    pub fn set(&mut self, i: usize, value: bool) {
-        debug_assert!(
-            i < self.len,
-            "bit {i} out of range for mask of {}",
-            self.len
-        );
-        let word = &mut self.words[i / WORD_BITS];
-        let bit = 1u64 << (i % WORD_BITS);
-        if value {
-            *word |= bit;
-        } else {
-            *word &= !bit;
-        }
-    }
-
-    /// Append one row to the mask.
-    pub fn push(&mut self, value: bool) {
-        if self.len.is_multiple_of(WORD_BITS) {
-            self.words.push(0);
-        }
-        if value {
-            let i = self.len;
-            self.words[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
-        }
-        self.len += 1;
-    }
-
-    /// Number of set (passing) rows.
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Is any row set?
-    pub fn any(&self) -> bool {
-        self.words.iter().any(|&w| w != 0)
-    }
-
-    /// Are all rows set?
-    pub fn all(&self) -> bool {
-        self.count_ones() == self.len
-    }
-
-    /// Intersect with another mask of the same length.
-    #[cfg(test)]
-    fn and_assign(&mut self, other: &BitMask) {
-        debug_assert_eq!(self.len, other.len, "mask length mismatch");
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w &= o;
-        }
-    }
-
-    /// Iterate the rows as booleans.
-    pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
-        (0..self.len).map(|i| self.get(i))
     }
 
     /// Build from an unpacked boolean slice.
@@ -268,7 +191,7 @@ pub fn filter_mask(array: &ArrayImpl, op: CompareOp, constant: &Value, out: &mut
 /// `probe_key` would).
 ///
 /// Typed `Int64` columns are copied in one pass over the `&[i64]` slice;
-/// other arrays go through [`ArrayImpl::get`]; a column with no columnar
+/// other arrays go through `ArrayImpl::get`; a column with no columnar
 /// projection (or out of the projection's range) reads the row tuples.
 ///
 /// No engine code calls this any more: the join operators form their probe
@@ -329,46 +252,17 @@ mod tests {
     use crate::tuple::BaseTuple;
 
     #[test]
-    fn bitmask_word_boundaries() {
+    fn filled_masks_clear_the_tail_word() {
         for len in [0, 1, 63, 64, 65, 127, 128, 200] {
-            let mut mask = BitMask::zeros(len);
-            assert_eq!(mask.len(), len);
-            assert_eq!(mask.count_ones(), 0);
-            for i in 0..len {
-                mask.set(i, i % 3 == 0);
-            }
-            for i in 0..len {
-                assert_eq!(mask.get(i), i % 3 == 0, "len {len} bit {i}");
-            }
-            assert_eq!(mask.count_ones(), len.div_ceil(3));
-            let filled = BitMask::filled(len, true);
-            assert_eq!(filled.count_ones(), len);
-            assert!(len == 0 || filled.all());
-            assert_eq!(filled.any(), len > 0);
+            assert_eq!(
+                BitMask::filled(len, true),
+                BitMask::from_bools(&vec![true; len])
+            );
+            assert_eq!(
+                BitMask::filled(len, false),
+                BitMask::from_bools(&vec![false; len])
+            );
         }
-    }
-
-    #[test]
-    fn bitmask_push_matches_from_bools() {
-        let bools: Vec<bool> = (0..130).map(|i| i % 7 < 3).collect();
-        let mut pushed = BitMask::new();
-        for &b in &bools {
-            pushed.push(b);
-        }
-        assert_eq!(pushed, BitMask::from_bools(&bools));
-        assert_eq!(pushed.iter().collect::<Vec<_>>(), bools);
-    }
-
-    #[test]
-    fn bitmask_and_assign_intersects() {
-        let a = BitMask::from_bools(&[true, true, false, false, true]);
-        let b = BitMask::from_bools(&[true, false, true, false, true]);
-        let mut c = a.clone();
-        c.and_assign(&b);
-        assert_eq!(
-            c.iter().collect::<Vec<_>>(),
-            [true, false, false, false, true]
-        );
     }
 
     #[test]
@@ -385,9 +279,8 @@ mod tests {
         ] {
             let mut mask = BitMask::new();
             compare_i64_const(&values, op, c, &mut mask);
-            for (i, &v) in values.iter().enumerate() {
-                assert_eq!(mask.get(i), op_holds(v.cmp(&c), op), "{op:?} row {i}");
-            }
+            let scalar: Vec<bool> = values.iter().map(|v| op_holds(v.cmp(&c), op)).collect();
+            assert_eq!(mask, BitMask::from_bools(&scalar), "{op:?}");
         }
     }
 
@@ -399,9 +292,9 @@ mod tests {
             .collect();
         let mut mask = BitMask::new();
         compare_utf8_const(&values, CompareOp::Eq, "pear", &mut mask);
-        assert_eq!(mask.iter().collect::<Vec<_>>(), [false, true, false, true]);
+        assert_eq!(mask, BitMask::from_bools(&[false, true, false, true]));
         compare_utf8_const(&values, CompareOp::Lt, "pear", &mut mask);
-        assert_eq!(mask.iter().collect::<Vec<_>>(), [true, false, true, false]);
+        assert_eq!(mask, BitMask::from_bools(&[true, false, true, false]));
     }
 
     #[test]
@@ -410,16 +303,16 @@ mod tests {
         let col = ArrayImpl::Int64(vec![1, 2, 3]);
         let mut mask = BitMask::new();
         filter_mask(&col, CompareOp::Lt, &Value::str("z"), &mut mask);
-        assert!(mask.all());
+        assert_eq!(mask, BitMask::filled(3, true));
         filter_mask(&col, CompareOp::Ge, &Value::str("z"), &mut mask);
-        assert!(!mask.any());
+        assert_eq!(mask, BitMask::filled(3, false));
         // Int column vs Null constant: Int > Null.
         filter_mask(&col, CompareOp::Gt, &Value::Null, &mut mask);
-        assert!(mask.all());
+        assert_eq!(mask, BitMask::filled(3, true));
         // Utf8 column vs Int constant: Str > Int.
         let col = ArrayImpl::Utf8(vec![Arc::from("a"), Arc::from("b")]);
         filter_mask(&col, CompareOp::Gt, &Value::int(5), &mut mask);
-        assert!(mask.all());
+        assert_eq!(mask, BitMask::filled(2, true));
     }
 
     #[test]
@@ -427,16 +320,14 @@ mod tests {
         let col = ArrayImpl::Values(vec![Value::Null, Value::int(5), Value::str("x")]);
         let mut mask = BitMask::new();
         filter_mask(&col, CompareOp::Le, &Value::int(5), &mut mask);
-        assert_eq!(mask.iter().collect::<Vec<_>>(), [true, true, false]);
+        assert_eq!(mask, BitMask::from_bools(&[true, true, false]));
     }
 
     #[test]
     fn empty_inputs_produce_empty_masks() {
         let mut mask = BitMask::new();
         compare_i64_const(&[], CompareOp::Eq, 0, &mut mask);
-        assert!(mask.is_empty());
-        assert_eq!(mask.count_ones(), 0);
-        assert!(!mask.any());
+        assert_eq!(mask, BitMask::new());
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //!   (`suspend` / `resume`).
 //! * [`ArrayImpl`], [`Batch`], [`Block`], [`BatchPolicy`] — the columnar
 //!   batch data plane: typed column arrays and the vectorized arrival
-//!   containers built from them (see the [`mod@array`] and [`batch`] docs).
-//! * [`BitMask`] and the [`kernel`] module — SIMD-friendly predicate and
-//!   probe-key kernels over the typed arrays.
+//!   containers built from them.
+//! * [`kernel`] — SIMD-friendly predicate and probe-key kernels over the
+//!   typed arrays, writing a packed [`kernel::BitMask`].
 //!
 //! The crate is deliberately free of any execution logic so that the operator
 //! framework (`jit-exec`) and the JIT mechanism (`jit-core`) can evolve
@@ -32,25 +32,24 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod array;
-pub mod batch;
-pub mod error;
-pub mod feedback;
-pub mod hash;
+mod array;
+mod batch;
+mod error;
+mod feedback;
+mod hash;
 pub mod kernel;
-pub mod predicate;
-pub mod schema;
-pub mod signature;
-pub mod timestamp;
-pub mod tuple;
-pub mod value;
+mod predicate;
+mod schema;
+mod signature;
+mod timestamp;
+mod tuple;
+mod value;
 
-pub use array::{ArrayBuilder, ArrayImpl};
+pub use array::ArrayImpl;
 pub use batch::{Batch, BatchPolicy, Block, BlockBuilder};
 pub use error::TypeError;
 pub use feedback::{Feedback, FeedbackCommand};
-pub use hash::{FastBuildHasher, FastHasher, FastMap, FastSet};
-pub use kernel::BitMask;
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use predicate::{CompareOp, EquiPredicate, FilterPredicate, PredicateSet};
 pub use schema::{Catalog, ColumnRef, SourceId, SourceSchema, SourceSet};
 pub use signature::Signature;

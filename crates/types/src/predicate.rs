@@ -31,25 +31,10 @@ impl EquiPredicate {
         EquiPredicate { left, right }
     }
 
-    /// The pair of sources the predicate connects.
-    pub fn sources(&self) -> (SourceId, SourceId) {
-        (self.left.source, self.right.source)
-    }
-
     /// Does the predicate connect a source in `a` with a source in `b`?
     pub fn spans(&self, a: SourceSet, b: SourceSet) -> bool {
         (a.contains(self.left.source) && b.contains(self.right.source))
             || (a.contains(self.right.source) && b.contains(self.left.source))
-    }
-
-    /// Are both referenced sources inside `set`?
-    pub fn within(&self, set: SourceSet) -> bool {
-        set.contains(self.left.source) && set.contains(self.right.source)
-    }
-
-    /// Does the predicate reference at least one source in `set`?
-    pub fn touches(&self, set: SourceSet) -> bool {
-        set.contains(self.left.source) || set.contains(self.right.source)
     }
 
     /// Evaluate the predicate over a single (composite) tuple.
@@ -138,20 +123,6 @@ impl PredicateSet {
     /// Add a predicate to the conjunction.
     pub fn push(&mut self, p: EquiPredicate) {
         self.predicates.push(p);
-    }
-
-    /// The sub-conjunction of predicates connecting a source in `a` with a
-    /// source in `b` — the join condition evaluated by an operator whose two
-    /// inputs have schemas `a` and `b`.
-    pub fn between(&self, a: SourceSet, b: SourceSet) -> PredicateSet {
-        PredicateSet {
-            predicates: self
-                .predicates
-                .iter()
-                .filter(|p| p.spans(a, b))
-                .copied()
-                .collect(),
-        }
     }
 
     /// Evaluate the *spanning* predicates between two tuples.
@@ -286,7 +257,7 @@ pub struct FilterPredicate {
     /// Comparison operator.
     pub op: CompareOp,
     /// Constant operand.
-    pub constant: Value,
+    pub(crate) constant: Value,
 }
 
 impl FilterPredicate {
@@ -302,16 +273,6 @@ impl FilterPredicate {
     /// `column > constant`.
     pub fn gt(column: ColumnRef, constant: impl Into<Value>) -> Self {
         Self::new(column, CompareOp::Gt, constant.into())
-    }
-
-    /// `column = constant`.
-    pub fn eq(column: ColumnRef, constant: impl Into<Value>) -> Self {
-        Self::new(column, CompareOp::Eq, constant.into())
-    }
-
-    /// `column < constant`.
-    pub fn lt(column: ColumnRef, constant: impl Into<Value>) -> Self {
-        Self::new(column, CompareOp::Lt, constant.into())
     }
 
     /// Evaluate against a tuple. Returns `None` when the tuple does not cover
@@ -381,10 +342,7 @@ mod tests {
                 let count = p
                     .predicates()
                     .iter()
-                    .filter(|pr| {
-                        let (a, b) = pr.sources();
-                        (a, b) == (SourceId(i), SourceId(j))
-                    })
+                    .filter(|pr| (pr.left.source, pr.right.source) == (SourceId(i), SourceId(j)))
                     .count();
                 assert_eq!(count, 1, "pair ({i},{j})");
             }
@@ -415,7 +373,7 @@ mod tests {
     }
 
     #[test]
-    fn spans_and_within() {
+    fn spans_either_way() {
         let p = EquiPredicate::new(
             ColumnRef::new(SourceId(0), 0),
             ColumnRef::new(SourceId(1), 0),
@@ -425,10 +383,6 @@ mod tests {
         assert!(p.spans(a, b));
         assert!(p.spans(b, a));
         assert!(!p.spans(a, a));
-        assert!(p.within(a.union(b)));
-        assert!(!p.within(a));
-        assert!(p.touches(a));
-        assert!(!p.touches(SourceSet::single(SourceId(4))));
     }
 
     #[test]
@@ -467,17 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn between_selects_operator_condition() {
-        let preds = PredicateSet::clique(4);
-        let ab = SourceSet::first_n(2);
-        let cd = SourceSet::from_iter([SourceId(2), SourceId(3)]);
-        let cond = preds.between(ab, cd);
-        // A-C, A-D, B-C, B-D
-        assert_eq!(cond.len(), 4);
-        assert!(cond.predicates().iter().all(|p| p.spans(ab, cd)));
-    }
-
-    #[test]
     fn sources_facing_restricts_cns_components() {
         // 3-way query from Figure 1: A.x = B.x, A.y = C.y.
         let preds = PredicateSet::from_predicates(vec![
@@ -504,11 +447,15 @@ mod tests {
         let a = tup(0, 1, &[250, 3]);
         let f = FilterPredicate::gt(ColumnRef::new(SourceId(0), 0), 200);
         assert_eq!(f.holds_on(&a), Some(true));
-        let f = FilterPredicate::lt(ColumnRef::new(SourceId(0), 0), 200);
+        let f = FilterPredicate::new(
+            ColumnRef::new(SourceId(0), 0),
+            CompareOp::Lt,
+            Value::int(200),
+        );
         assert_eq!(f.holds_on(&a), Some(false));
-        let f = FilterPredicate::eq(ColumnRef::new(SourceId(0), 1), 3);
+        let f = FilterPredicate::new(ColumnRef::new(SourceId(0), 1), CompareOp::Eq, Value::int(3));
         assert_eq!(f.holds_on(&a), Some(true));
-        let f = FilterPredicate::eq(ColumnRef::new(SourceId(5), 0), 3);
+        let f = FilterPredicate::new(ColumnRef::new(SourceId(5), 0), CompareOp::Eq, Value::int(3));
         assert_eq!(f.holds_on(&a), None);
         assert_eq!(
             FilterPredicate::gt(ColumnRef::new(SourceId(0), 0), 200).to_string(),

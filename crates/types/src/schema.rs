@@ -65,14 +65,14 @@ impl fmt::Display for ColumnRef {
 #[derive(
     Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
 )]
-pub struct SourceSet(pub u64);
+pub struct SourceSet(pub(crate) u64);
 
 impl SourceSet {
     /// The empty set (schema of the empty tuple Ø).
     pub const EMPTY: SourceSet = SourceSet(0);
 
     /// Maximum number of distinct sources supported.
-    pub const MAX_SOURCES: usize = 64;
+    pub(crate) const MAX_SOURCES: usize = 64;
 
     /// A singleton set containing only `source`.
     pub fn single(source: SourceId) -> Self {
@@ -84,11 +84,7 @@ impl SourceSet {
     ///
     /// An inherent method (not the `FromIterator` trait) so call sites can
     /// stay turbofish-free: `SourceSet::from_iter(ids)`.
-    #[expect(
-        clippy::should_implement_trait,
-        reason = "an inherent method keeps call sites turbofish-free"
-    )]
-    pub fn from_iter(ids: impl IntoIterator<Item = SourceId>) -> Self {
+    pub(crate) fn from_iter(ids: impl IntoIterator<Item = SourceId>) -> Self {
         let mut s = SourceSet::EMPTY;
         for id in ids {
             s.insert(id);
@@ -126,19 +122,9 @@ impl SourceSet {
         self.0 |= 1u64 << source.0;
     }
 
-    /// Remove a source from the set.
-    pub fn remove(&mut self, source: SourceId) {
-        self.0 &= !(1u64 << source.0);
-    }
-
     /// Set union.
     pub fn union(self, other: SourceSet) -> SourceSet {
         SourceSet(self.0 | other.0)
-    }
-
-    /// Set intersection.
-    pub fn intersection(self, other: SourceSet) -> SourceSet {
-        SourceSet(self.0 & other.0)
     }
 
     /// Set difference (`self \ other`).
@@ -227,12 +213,12 @@ pub struct SourceSchema {
     /// Human-readable name (`"A"`, `"sensors"`, …).
     pub name: String,
     /// Column names, in declaration order.
-    pub columns: Vec<String>,
+    pub(crate) columns: Vec<String>,
 }
 
 impl SourceSchema {
     /// Create a schema with the given name and columns.
-    pub fn new(id: SourceId, name: impl Into<String>, columns: Vec<String>) -> Self {
+    pub(crate) fn new(id: SourceId, name: impl Into<String>, columns: Vec<String>) -> Self {
         SourceSchema {
             id,
             name: name.into(),
@@ -345,9 +331,7 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert!(s.contains(SourceId(3)));
         assert!(!s.contains(SourceId(1)));
-        s.remove(SourceId(3));
-        assert!(!s.contains(SourceId(3)));
-        assert_eq!(s, SourceSet::single(SourceId(0)));
+        assert_eq!(s, SourceSet::from_iter([SourceId(0), SourceId(3)]));
     }
 
     #[test]
@@ -355,7 +339,6 @@ mod tests {
         let a = SourceSet::from_iter([SourceId(0), SourceId(1)]);
         let b = SourceSet::from_iter([SourceId(1), SourceId(2)]);
         assert_eq!(a.union(b), SourceSet::first_n(3));
-        assert_eq!(a.intersection(b), SourceSet::single(SourceId(1)));
         assert_eq!(a.difference(b), SourceSet::single(SourceId(0)));
         assert!(SourceSet::single(SourceId(1)).is_subset(a));
         assert!(a.is_superset(SourceSet::single(SourceId(0))));

@@ -19,7 +19,7 @@ use std::fmt;
 /// Signatures are hashable, so blacklists and MNS buffers can index entries
 /// by signature for O(1) "similar tuple" lookups.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub struct Signature(pub Vec<(ColumnRef, Value)>);
+pub struct Signature(pub(crate) Vec<(ColumnRef, Value)>);
 
 impl Signature {
     /// Extract the signature of `tuple` over `columns`.
@@ -53,21 +53,6 @@ impl Signature {
         self.0
             .iter()
             .all(|(c, v)| tuple.value(*c).map_or(v.is_null(), |own| own == v))
-    }
-
-    /// Is the signature empty (no join columns)?
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Number of `(column, value)` entries.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// The value recorded for `column`, if the signature covers it.
-    pub fn value(&self, column: ColumnRef) -> Option<&Value> {
-        self.0.iter().find(|(c, _)| *c == column).map(|(_, v)| v)
     }
 
     /// Approximate footprint in bytes.
@@ -140,14 +125,9 @@ mod tests {
         ];
         let a = tup(0, 1, &[5]);
         let sig = Signature::of(&a, &cols);
-        assert_eq!(sig.len(), 2);
         assert_eq!(
-            sig.value(ColumnRef::new(SourceId(1), 0)),
-            Some(&Value::Null)
-        );
-        assert_eq!(
-            sig.value(ColumnRef::new(SourceId(0), 0)),
-            Some(&Value::int(5))
+            sig,
+            Signature(vec![(cols[0], Value::int(5)), (cols[1], Value::Null)])
         );
     }
 
@@ -158,15 +138,14 @@ mod tests {
         let a = tup(0, 1, &[1, 2]);
         assert_eq!(Signature::of(&a, &[c0, c1]), Signature::of(&a, &[c1, c0]));
         // duplicated columns collapse
-        assert_eq!(Signature::of(&a, &[c0, c0]).len(), 1);
+        assert_eq!(Signature::of(&a, &[c0, c0]).0.len(), 1);
     }
 
     #[test]
     fn empty_signature() {
         let a = tup(0, 1, &[1]);
         let sig = Signature::of(&a, &[]);
-        assert!(sig.is_empty());
-        assert_eq!(sig.len(), 0);
+        assert_eq!(sig, Signature::default());
     }
 
     #[test]

@@ -35,8 +35,6 @@ pub struct Duration(pub u64);
 impl Timestamp {
     /// The origin of application time.
     pub const ZERO: Timestamp = Timestamp(0);
-    /// The latest representable instant.
-    pub const MAX: Timestamp = Timestamp(u64::MAX);
 
     /// Construct from raw milliseconds.
     pub fn from_millis(ms: u64) -> Self {
@@ -54,7 +52,7 @@ impl Timestamp {
     }
 
     /// Value in (fractional) seconds, for reporting.
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
@@ -182,13 +180,6 @@ impl Window {
         }
     }
 
-    /// Is a tuple with timestamp `ts` still alive at time `now`?
-    ///
-    /// A tuple lives during `[ts, ts + w)`.
-    pub fn is_alive(&self, ts: Timestamp, now: Timestamp) -> bool {
-        ts <= now && now < ts + self.length
-    }
-
     /// The instant at which `tuple` expires (it lives during `[ts, ts + w)`):
     /// every expiry decision of the window containers goes through here.
     pub fn expires_at(&self, tuple: &Tuple) -> Timestamp {
@@ -220,7 +211,7 @@ impl Window {
 /// the item lands.
 ///
 /// Two owners share it. The slab every window container stores its entries
-/// in (`jit_exec::state::Slab`: operator states, MNS buffers, blacklists)
+/// in (`jit_exec::Slab`: operator states, MNS buffers, blacklists)
 /// queues `u64` handles, keyed by [`Window::expires_at`] under
 /// [`Window::INSTANT`], and skips the handles of since-removed entries when
 /// they surface; the reorder stage (`jit_durable::ReorderBuffer`) queues
@@ -338,10 +329,7 @@ mod tests {
     fn window_lifespan_is_half_open() {
         let w = Window::new(Duration::from_secs(10));
         let ts = Timestamp::from_secs(100);
-        assert!(w.is_alive(ts, ts));
-        assert!(w.is_alive(ts, Timestamp::from_secs(109)));
         // Expires exactly at ts + w.
-        assert!(!w.is_alive(ts, Timestamp::from_secs(110)));
         assert!(w.is_expired(ts, Timestamp::from_secs(110)));
         assert!(!w.is_expired(ts, Timestamp::from_secs(109)));
         let tuple = Tuple::from_base(std::sync::Arc::new(crate::BaseTuple::new(

@@ -49,7 +49,7 @@ impl BaseTuple {
     }
 
     /// Value of the `column`-th attribute, if present.
-    pub fn value(&self, column: u16) -> Option<&Value> {
+    pub(crate) fn value(&self, column: u16) -> Option<&Value> {
         self.values.get(column as usize)
     }
 
@@ -81,7 +81,7 @@ impl fmt::Display for BaseTuple {
 /// its components. Two tuples with equal keys represent the same join result.
 ///
 /// Keys are built to look something up on every operator call, so up to
-/// [`TupleKey::INLINE`] pairs live in the key itself; only wider composites
+/// `TupleKey::INLINE` pairs live in the key itself; only wider composites
 /// spill to the heap. Equality, ordering, hashing, `Debug`, `Display` and the
 /// serialised form all read the key as its pair sequence, whichever way it is
 /// stored.
@@ -99,10 +99,10 @@ enum KeyPairs {
 
 impl TupleKey {
     /// Most pairs a key holds without a heap allocation.
-    pub const INLINE: usize = 4;
+    pub(crate) const INLINE: usize = 4;
 
     /// The `(source, seq)` pairs, in the order they were given.
-    pub fn pairs(&self) -> &[(u16, u64)] {
+    pub(crate) fn pairs(&self) -> &[(u16, u64)] {
         match &self.0 {
             KeyPairs::Inline { len, pairs } => &pairs[..*len as usize],
             KeyPairs::Spilled(pairs) => pairs,
@@ -269,7 +269,7 @@ impl Serialize for Parts {
 
 /// A serialised tuple is rebuilt through `Tuple::from_parts`, so a blob
 /// restores only a tuple this type could have built: parts strictly
-/// ascending by source, every source below [`SourceSet::MAX_SOURCES`], and
+/// ascending by source, every source below `SourceSet::MAX_SOURCES`, and
 /// the stored `sources` and `ts` equal to what the parts imply. Anything
 /// else is an error here rather than a panic (or a silently malformed
 /// tuple) at the first join that reads it.
@@ -441,7 +441,7 @@ impl Tuple {
     }
 
     /// The component contributed by `source`, if any.
-    pub fn part(&self, source: SourceId) -> Option<&Arc<BaseTuple>> {
+    pub(crate) fn part(&self, source: SourceId) -> Option<&Arc<BaseTuple>> {
         self.parts().iter().find(|p| p.source == source)
     }
 

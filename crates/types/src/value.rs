@@ -44,16 +44,8 @@ impl Value {
         }
     }
 
-    /// Returns the string payload, if this is a [`Value::Str`].
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// True if the value is [`Value::Null`].
-    pub fn is_null(&self) -> bool {
+    pub(crate) fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
 
@@ -61,7 +53,7 @@ impl Value {
     ///
     /// Used by the analytical memory accountant (`jit-metrics`); the goal is a
     /// consistent, hardware-independent estimate rather than allocator truth.
-    pub fn size_bytes(&self) -> usize {
+    pub(crate) fn size_bytes(&self) -> usize {
         match self {
             Value::Null => std::mem::size_of::<Value>(),
             Value::Int(_) => std::mem::size_of::<Value>(),
@@ -138,14 +130,13 @@ mod tests {
     fn int_roundtrip() {
         let v = Value::int(42);
         assert_eq!(v.as_int(), Some(42));
-        assert_eq!(v.as_str(), None);
         assert!(!v.is_null());
     }
 
     #[test]
     fn str_roundtrip() {
         let v = Value::str("sensor-7");
-        assert_eq!(v.as_str(), Some("sensor-7"));
+        assert_eq!(v, Value::Str(Arc::from("sensor-7")));
         assert_eq!(v.as_int(), None);
     }
 

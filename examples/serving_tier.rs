@@ -14,7 +14,6 @@
 //! serving, never missing a result.
 
 use jit_dsms::prelude::*;
-use jit_dsms::serve::QueryRegistry;
 use std::sync::Arc;
 
 fn main() {

@@ -6,3 +6,4 @@ pub mod hasher;
 pub mod locks;
 pub mod panic_hygiene;
 pub mod unsafety;
+mod visibility;

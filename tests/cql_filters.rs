@@ -3,7 +3,7 @@
 //! tree plans as per-source selection operators.
 
 use jit_dsms::prelude::*;
-use jit_dsms::serve::ServeError;
+use jit_dsms::ServeError;
 use std::collections::BTreeSet;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;

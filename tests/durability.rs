@@ -485,7 +485,7 @@ fn v1_checkpoint_with_a_live_reorder_stage_restores() {
 }
 
 fn bounded_fixture_body() -> Content {
-    jit_dsms::durable::read_checkpoint(bounded_fixture_path()).expect("fixture reads")
+    jit_durable::read_checkpoint(bounded_fixture_path()).expect("fixture reads")
 }
 
 /// A session restored under another lateness bound would keep the

@@ -251,7 +251,7 @@ fn field_diff_names_only_what_moved_and_flags_protected_fields() {
 /// zeros in every line.
 #[test]
 fn every_exec_stats_field_counts_in_some_configuration() {
-    let zeros = format!("stats {:?}", jit_dsms::metrics::ExecStats::default());
+    let zeros = format!("stats {:?}", jit_metrics::ExecStats::default());
     let (_, all) = fields(&zeros);
     assert!(all.len() >= 20, "{all:?}");
     let golden = read_golden();
@@ -264,7 +264,7 @@ fn every_exec_stats_field_counts_in_some_configuration() {
 /// A data message is its tuple and nothing else.
 #[test]
 fn a_data_message_is_only_its_tuple() {
-    use jit_dsms::exec::operator::DataMessage;
+    use jit_exec::operator::DataMessage;
     assert_eq!(
         std::mem::size_of::<DataMessage>(),
         std::mem::size_of::<Tuple>()

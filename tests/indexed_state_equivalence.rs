@@ -4,8 +4,8 @@
 //! examining far fewer candidate pairs (the acceptance bar on the paper's
 //! 3-source clique workload is a ≥ 10× `probe_pairs` reduction).
 
-use jit_dsms::metrics::MetricsSnapshot;
 use jit_dsms::prelude::*;
+use jit_dsms::MetricsSnapshot;
 use proptest::prelude::*;
 
 /// Run one (mode, index-mode, batch-size) combination over a shared trace.

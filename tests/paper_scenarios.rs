@@ -2,13 +2,11 @@
 //! arrival sequence, the Figure 5 five-way propagation example, the
 //! Section V extensions, and the Table II plan catalogue.
 
-use jit_dsms::core::jit_filter::JitSelectionOperator;
-use jit_dsms::core::JitJoinOperator;
-use jit_dsms::exec::operator::Operator;
-use jit_dsms::exec::plan::{Input, PlanBuilder};
-use jit_dsms::exec::RefJoinOperator;
+use jit_core::{JitJoinOperator, JitSelectionOperator};
 use jit_dsms::prelude::*;
-use jit_dsms::types::{BaseTuple, FilterPredicate};
+use jit_exec::operator::Operator;
+use jit_exec::{Input, PlanBuilder, RefJoinOperator};
+use jit_types::{BaseTuple, FilterPredicate};
 use std::sync::Arc;
 
 fn base(source: u16, seq: u64, ts_s: u64, values: Vec<i64>) -> Arc<BaseTuple> {

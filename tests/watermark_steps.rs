@@ -9,15 +9,15 @@
 //! expires MNSs sends its own resume feedback and resumes production at its
 //! own instant — so `ShardedSession::advance_watermark` delivers every mark.
 
-use jit_dsms::plan::builder::{build_tree_plan_with, PlanOptions};
 use jit_dsms::prelude::*;
+use jit_plan::builder::{build_tree_plan_with, PlanOptions};
 
 /// Everything a run reports that does not depend on the wall clock.
 #[derive(Debug, PartialEq)]
 struct Observed {
     /// Result identities, in emission order.
     results: Vec<String>,
-    stats: jit_dsms::metrics::ExecStats,
+    stats: jit_metrics::ExecStats,
     cost_units: u64,
     peak_memory_bytes: usize,
     /// The executor's checkpoint at the end of the drive, before `finish`.
