@@ -187,8 +187,9 @@ mod tests {
         s.push(data_task(0, 2), Priority::Resumed);
         assert_eq!(s.pushed_total(), 2);
         s.pop();
-        assert!(!s.is_empty());
         assert_eq!(s.pushed_total(), 2);
+        assert!(s.pop().is_some());
+        assert!(s.is_empty());
     }
 
     #[test]

@@ -130,5 +130,6 @@ mod tests {
         assert_eq!(op.memory_bytes(), 0);
         assert_eq!(op.output_schema(), SourceSet::single(SourceId(0)));
         assert!(op.name().contains('σ'));
+        assert!(op.predicate.holds_on(&msg(300).tuple).unwrap());
     }
 }

@@ -2103,6 +2103,7 @@ mod tests {
                             let at = rng.gen_range(0..entries.len());
                             entries[at].1 = false;
                         }
+                        70..=72 => index.renumber(|h| entries[h as usize].1.then_some(h)),
                         _ => {
                             let probe = row(&mut rng, 0, step);
                             prop_assert!(spec.probe_key_into(&probe, &mut key));

@@ -340,6 +340,7 @@ mod tests {
         assert_eq!(a_class.len(), 2);
         assert!(a_class.iter().all(|t| t.column.source == SourceId(0)));
         assert_eq!(q.filter_class(SourceId(1)).len(), 1);
+        assert_eq!(q.key.filters.len(), 3);
     }
 
     #[test]

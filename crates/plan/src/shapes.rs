@@ -246,6 +246,19 @@ mod tests {
     }
 
     #[test]
+    fn input_schema_resolves_sources_and_nodes() {
+        let schemas = PlanShape::bushy(4).node_schemas();
+        assert_eq!(
+            input_schema(PlanInput::Source(2), &schemas),
+            SourceSet::single(SourceId(2))
+        );
+        assert_eq!(
+            input_schema(PlanInput::Node(0), &schemas),
+            SourceSet::first_n(2)
+        );
+    }
+
+    #[test]
     fn labels() {
         assert_eq!(PlanShape::bushy(6).label(), "bushy-6");
         assert_eq!(PlanShape::left_deep(4).label(), "leftdeep-4");

@@ -107,8 +107,6 @@ pub struct ParallelOutcome {
     pub per_shard: Vec<ShardOutcome>,
 }
 
-impl ParallelOutcome {}
-
 /// Hash-partitioned multi-core executor of JIT cascades.
 #[derive(Debug, Clone)]
 pub struct ShardedRuntime {

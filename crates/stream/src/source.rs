@@ -214,8 +214,9 @@ mod tests {
         assert_eq!(spec2.domain_of(0), ValueDomain::uniform(50));
     }
 
-    /// A source's samplers honour its overrides, and a Zipf override costs
-    /// the source one table more, not one per value.
+    /// The samplers a generator keeps draw what a sampler built per draw
+    /// draws, and a Zipf override costs its source one table more, not one
+    /// per value.
     #[test]
     fn source_sampler_honours_overrides_and_builds_each_table_once() {
         use crate::skew::TABLES_BUILT;
@@ -228,6 +229,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let rows: Vec<_> = (0..500).map(|_| sampler.sample_values(&mut rng)).collect();
         assert_eq!(TABLES_BUILT.with(|built| built.get()) - before, 2);
+        let mut rng = StdRng::seed_from_u64(5);
+        assert!(rows
+            .iter()
+            .all(|row| *row == spec.sampler().sample_values(&mut rng)));
         let max_of = |c: usize| rows.iter().map(|row| row[c].as_int().unwrap()).max();
         assert!(max_of(0) <= Some(40) && max_of(2) <= Some(40));
         assert!(max_of(1) > Some(40), "column 1 draws from the override");
