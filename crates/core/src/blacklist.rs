@@ -9,7 +9,7 @@
 //! moved back and joined only with the opposite tuples they have not been
 //! joined with yet.
 
-use jit_exec::{read_envelope, write_envelope, Slab, StateIndexMode};
+use jit_exec::{read_envelope, write_envelope, Slab};
 use jit_types::{ColumnRef, FastMap, Signature, Timestamp, Tuple, TupleKey, Value, Window};
 use serde::{Content, Deserialize, Serialize};
 use std::fmt;
@@ -85,17 +85,15 @@ impl BlacklistEntry {
 /// # The index layer
 ///
 /// Every arrival is probed against the blacklist (the producer-side
-/// diversion check), so a linear scan over the entries is a per-arrival
-/// cost term. Under [`StateIndexMode::Hashed`] (the default) the blacklist
-/// keeps three hash indexes over its entries — by MNS identity, by the
-/// identity of the MNS's first component (a super-tuple must carry that
-/// component), and by signature over each distinct signature-column set —
-/// so [`Blacklist::matching_entry`] examines only the candidate entries.
-/// Candidates are verified with `BlacklistEntry::captures` in ascending
-/// entry order, which makes the hashed lookup return exactly the entry the
-/// historical linear scan would have found. [`StateIndexMode::Scan`]
-/// restores the linear scan itself. Neither mode changes the analytical
-/// byte accounting: index bookkeeping is not charged, mirroring
+/// diversion check), so a linear scan over the entries would be a
+/// per-arrival cost term. The blacklist keeps three hash indexes over its
+/// entries — by MNS identity, by the identity of the MNS's first component
+/// (a super-tuple must carry that component), and by signature over each
+/// distinct signature-column set — so [`Blacklist::matching_entry`]
+/// examines only the candidate entries. Candidates are verified with
+/// `BlacklistEntry::captures` in ascending entry order, which makes the
+/// hashed lookup return exactly the entry a linear scan would find. The
+/// indexes are not charged in the analytical byte accounting, mirroring
 /// [`jit_exec::OperatorState`].
 #[derive(Debug, Clone, Default)]
 pub struct Blacklist {
@@ -103,7 +101,6 @@ pub struct Blacklist {
     /// The entries, in insertion order.
     slots: Slab<BlacklistEntry>,
     bytes: usize,
-    mode: StateIndexMode,
     /// MNS identity → entry position (all entries).
     by_key: FastMap<TupleKey, usize>,
     /// Positions of entries whose MNS is Ø (they capture every tuple).
@@ -147,14 +144,6 @@ impl Blacklist {
             name: name.into(),
             ..Blacklist::default()
         }
-    }
-
-    /// Select how [`Blacklist::matching_entry`] and the by-MNS lookup
-    /// behind [`Blacklist::upsert_entry`] answer probes (default
-    /// [`StateIndexMode::Hashed`]). The two modes return identical entries;
-    /// only the number of entries examined differs.
-    pub(crate) fn set_index_mode(&mut self, mode: StateIndexMode) {
-        self.mode = mode;
     }
 
     /// File `entry`, stored at `pos`, in the hash indexes. Callers file in
@@ -301,13 +290,7 @@ impl Blacklist {
 
     /// Position of the entry for an MNS, if present.
     fn entry_index(&self, key: &TupleKey) -> Option<usize> {
-        if self.mode == StateIndexMode::Hashed {
-            return self.by_key.get(key).copied();
-        }
-        let mut entries = self.slots.handles();
-        entries
-            .find(|(_, e)| &e.mns.key() == key)
-            .map(|(pos, _)| pos as usize)
+        self.by_key.get(key).copied()
     }
 
     /// Create (or find) the entry for `mns`. Returns its position.
@@ -354,21 +337,13 @@ impl Blacklist {
 
     /// The first entry that captures an arriving tuple, if any.
     ///
-    /// Under [`StateIndexMode::Hashed`] only the candidate entries surfaced
-    /// by the hash indexes are verified (ascending, so the entry returned is
-    /// exactly the linear scan's first match); under
-    /// [`StateIndexMode::Scan`] every entry is examined in order. Either
-    /// way the check allocates nothing: candidates and the arrival's
+    /// Only the candidate entries surfaced by the hash indexes are verified
+    /// (ascending, so the entry returned is exactly a linear scan's first
+    /// match). The check allocates nothing: candidates and the arrival's
     /// signatures are formed in buffers the blacklist keeps.
     pub fn matching_entry(&mut self, tuple: &Tuple, allow_similar: bool) -> Option<usize> {
         if self.slots.is_empty() {
             return None;
-        }
-        if self.mode == StateIndexMode::Scan {
-            let mut entries = self.slots.handles();
-            return entries
-                .find(|(_, e)| e.captures(tuple, allow_similar))
-                .map(|(pos, _)| pos as usize);
         }
         let candidates = &mut self.candidates;
         candidates.clear();
@@ -466,9 +441,8 @@ impl Blacklist {
     }
 
     /// Serialise the entries for a durability checkpoint
-    /// ([`write_envelope`]). The index mode, the hash indexes and the
-    /// expiry queue are runtime configuration / derived structure and are
-    /// not persisted.
+    /// ([`write_envelope`]). The hash indexes and the expiry queue are
+    /// derived structure and are not persisted.
     pub(crate) fn checkpoint(&self) -> Content {
         write_envelope(&self.name, self.entries())
     }
@@ -607,15 +581,11 @@ mod tests {
         assert_eq!(bl.size_bytes(), 0);
     }
 
-    /// The hashed index and the linear scan must pick the same entry for
-    /// every probe, across upserts, removals and purges.
+    /// The hashed lookup must pick the entry a linear scan over the entries
+    /// finds first, for every probe, across upserts, removals and purges.
     #[test]
     fn hashed_and_scan_agree_on_matching_entry() {
-        let mut hashed = Blacklist::new("H");
-        let mut scan = Blacklist::new("S");
-        scan.set_index_mode(StateIndexMode::Scan);
-        assert_eq!(hashed.mode, StateIndexMode::Hashed);
-        assert_eq!(scan.mode, StateIndexMode::Scan);
+        let mut bl = Blacklist::new("H");
         // A mix of entries: several signatures, one signature-less entry,
         // and the Ø entry added last (so earlier entries win first-match).
         let mnss: Vec<Tuple> = (0..6)
@@ -623,16 +593,9 @@ mod tests {
             .collect();
         for (i, mns) in mnss.iter().enumerate() {
             let cols = if i == 3 { vec![] } else { sig_cols() };
-            hashed.upsert_entry(mns.clone(), cols.clone(), SuspendMode::Suspend, mns.ts());
-            scan.upsert_entry(mns.clone(), cols, SuspendMode::Suspend, mns.ts());
+            bl.upsert_entry(mns.clone(), cols, SuspendMode::Suspend, mns.ts());
         }
-        hashed.upsert_entry(
-            Tuple::empty(),
-            vec![],
-            SuspendMode::Suspend,
-            Timestamp::ZERO,
-        );
-        scan.upsert_entry(
+        bl.upsert_entry(
             Tuple::empty(),
             vec![],
             SuspendMode::Suspend,
@@ -642,34 +605,36 @@ mod tests {
             .map(|i| tup(0, 20 + i, 5_000, &[i as i64 / 2, (i % 4) as i64 * 100]))
             .chain(mnss.iter().cloned())
             .collect();
-        for allow_similar in [false, true] {
-            for p in &probes {
-                assert_eq!(
-                    hashed.matching_entry(p, allow_similar),
-                    scan.matching_entry(p, allow_similar),
-                    "probe {p} similar={allow_similar}"
-                );
+        let check = |bl: &mut Blacklist, stage: &str| {
+            let mut found = 0;
+            for allow_similar in [false, true] {
+                for p in &probes {
+                    let hashed = bl.matching_entry(p, allow_similar);
+                    let hashed = hashed.map(|pos| bl.entry(pos).expect("live").mns.key());
+                    let scan = bl.entries().find(|e| e.captures(p, allow_similar));
+                    let scan = scan.map(|e| e.mns.key());
+                    assert_eq!(hashed, scan, "{stage} probe {p} similar={allow_similar}");
+                    found += usize::from(scan.is_some());
+                }
             }
-        }
-        for mns in &mnss {
-            assert_eq!(hashed.entry_index(&mns.key()), scan.entry_index(&mns.key()));
-        }
-        // Remove an entry (indices shift) and re-check agreement.
-        hashed.remove_entry(&mnss[1].key());
-        scan.remove_entry(&mnss[1].key());
-        // Purge the oldest entries (indices shift again).
-        hashed.purge(window(), Timestamp::from_millis(62_000), |_| {});
-        scan.purge(window(), Timestamp::from_millis(62_000), |_| {});
-        assert_eq!(hashed.num_entries(), scan.num_entries());
-        for allow_similar in [false, true] {
-            for p in &probes {
-                assert_eq!(
-                    hashed.matching_entry(p, allow_similar),
-                    scan.matching_entry(p, allow_similar),
-                    "post-removal probe {p} similar={allow_similar}"
-                );
+            for mns in &mnss {
+                let key = mns.key();
+                let hashed = bl
+                    .entry_index(&key)
+                    .map(|pos| bl.entry(pos).expect("live").mns.key());
+                let scan = bl.entries().map(|e| e.mns.key()).find(|k| *k == key);
+                assert_eq!(hashed, scan, "{stage} entry for {mns}");
             }
-        }
+            found
+        };
+        assert!(check(&mut bl, "initial") > 0);
+        // Remove an entry (positions shift) and re-check agreement.
+        bl.remove_entry(&mnss[1].key());
+        check(&mut bl, "post-removal");
+        // Purge the oldest entries (positions shift again).
+        bl.purge(window(), Timestamp::from_millis(62_000), |_| {});
+        assert!(bl.num_entries() < mnss.len());
+        check(&mut bl, "post-purge");
     }
 
     /// A super-tuple probe (components from several sources) is found via
@@ -851,13 +816,10 @@ mod tests {
             #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
             #[test]
-            fn slab_blacklist_matches_vec_and_scan_model(seed in 0u64..1_000_000, scan in proptest::bool::ANY) {
+            fn slab_blacklist_matches_vec_and_scan_model(seed in 0u64..1_000_000) {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let window = Window::new(Duration::from_secs(20));
-                            let mut slab = Blacklist::new("B");
-                if scan {
-                    slab.set_index_mode(StateIndexMode::Scan);
-                }
+                let mut slab = Blacklist::new("B");
                 let mut model = Model::default();
                 // Every MNS ever upserted: removals pick from here, so they hit
                 // live, removed and purged entries alike.

@@ -355,25 +355,22 @@ impl JitJoinOperator {
         self.producers[port].acts_on(coverage)
     }
 
-    /// Select how the two operator states, MNS buffers and blacklists
-    /// answer probes (default [`StateIndexMode::Hashed`]).
+    /// Select how the two operator states and MNS buffers answer probes
+    /// (default [`StateIndexMode::Hashed`]).
     ///
     /// Under the hashed mode the consumer probe, the lattice-based MNS
     /// detection, `Resume_Production`'s regeneration probe,
-    /// `Suspend_Production`'s state drain, the MNS-buffer match and the
-    /// blacklist diversion check all go through hash indexes;
-    /// [`StateIndexMode::Scan`] restores the historical nested-loop
-    /// behaviour (the two are result- and feedback-equivalent, see the
-    /// equivalence suite).
+    /// `Suspend_Production`'s state drain and the MNS-buffer match go
+    /// through hash indexes; [`StateIndexMode::Scan`] restores the
+    /// historical nested-loop behaviour (the two are result- and
+    /// feedback-equivalent, see the equivalence suite). The blacklist
+    /// diversion check is hashed under both modes.
     pub fn with_state_index(mut self, mode: StateIndexMode) -> Self {
         for state in &mut self.states {
             state.set_index_mode(mode);
         }
         for buffer in &mut self.mns_buffers {
             buffer.set_index_mode(mode);
-        }
-        for blacklist in &mut self.blacklists {
-            blacklist.set_index_mode(mode);
         }
         self
     }

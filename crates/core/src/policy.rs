@@ -6,10 +6,8 @@
 //! capture). [`JitPolicy`] exposes these choices so the ablation benchmarks
 //! can quantify each one, and so the DOE baseline falls out as a preset.
 
-use serde::{Deserialize, Serialize};
-
 /// How a consumer detects minimal non-demanded sub-tuples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MnsDetection {
     /// Full `Identify_MNS` over the CNS lattice (Figure 8): finds every MNS.
     FullLattice,
@@ -22,7 +20,7 @@ pub enum MnsDetection {
 }
 
 /// Configuration of the JIT mechanism for one operator (or a whole plan).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JitPolicy {
     /// MNS detection strategy used in the consumer role.
     pub(crate) detection: MnsDetection,
@@ -91,7 +89,7 @@ impl JitPolicy {
 }
 
 /// Which execution strategy a plan is built for.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExecutionMode {
     /// The reference solution: plain window joins, no feedback (the paper's
     /// REF).
@@ -173,13 +171,5 @@ mod tests {
     #[test]
     fn default_is_full() {
         assert_eq!(JitPolicy::default(), JitPolicy::full());
-    }
-
-    #[test]
-    fn serialises() {
-        let p = JitPolicy::full();
-        let json = serde_json::to_string(&p).unwrap();
-        let back: JitPolicy = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
     }
 }

@@ -12,10 +12,9 @@
 //! | 8 | `((A⋈B)⋈(C⋈D))⋈((E⋈F)⋈(G⋈H))` | — |
 
 use jit_types::{SourceId, SourceSet};
-use serde::{Deserialize, Serialize};
 
 /// Which family of binary tree to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TreeShape {
     /// Balanced plans pairing sources first (Table II, middle column).
     Bushy,
@@ -24,7 +23,7 @@ pub enum TreeShape {
 }
 
 /// What feeds one input of a join node while describing a shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PlanInput {
     /// A raw source, by index.
     Source(usize),
@@ -34,7 +33,7 @@ pub(crate) enum PlanInput {
 
 /// One binary join of the shape. Nodes are listed bottom-up; the last node is
 /// the root (the query's output operator).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct JoinNode {
     /// Left input.
     pub(crate) left: PlanInput,
@@ -43,7 +42,7 @@ pub(crate) struct JoinNode {
 }
 
 /// A plan shape: tree family + number of sources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanShape {
     /// Bushy or left-deep.
     pub shape: TreeShape,

@@ -33,19 +33,20 @@ impl std::error::Error for ConfigError {}
 ///
 /// * `shards` — number of independent executors (one OS thread each). The
 ///   join-key space is hash-partitioned over them.
-/// * `batch_size` — arrivals per ingestion batch. The feeder groups
-///   consecutive same-shard arrivals into batches before sending, amortising
-///   channel synchronisation over many tuples.
-/// * `channel_capacity` — bound (in batches) of each shard's ingestion
+/// * `batch_size` — steps per shard chunk. A step is an arrival routed to
+///   the shard or a watermark advance; the session queues each shard's
+///   steps and sends them as one chunk once `batch_size` are queued,
+///   amortising channel synchronisation over many steps.
+/// * `channel_capacity` — bound (in chunks) of each shard's ingestion
 ///   channel. A full channel blocks the feeder (backpressure) instead of
 ///   queueing unboundedly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Number of shards / worker threads (≥ 1).
     pub shards: usize,
-    /// Arrivals per ingestion batch (≥ 1).
+    /// Steps (arrivals and watermark advances) per shard chunk (≥ 1).
     pub batch_size: usize,
-    /// Per-shard channel bound, in batches (≥ 1).
+    /// Per-shard channel bound, in chunks (≥ 1).
     pub channel_capacity: usize,
 }
 
@@ -70,13 +71,13 @@ impl RuntimeConfig {
         }
     }
 
-    /// Set the ingestion batch size.
+    /// Set the number of steps per shard chunk.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;
         self
     }
 
-    /// Set the per-shard channel bound (in batches).
+    /// Set the per-shard channel bound (in chunks).
     pub fn with_channel_capacity(mut self, channel_capacity: usize) -> Self {
         self.channel_capacity = channel_capacity;
         self

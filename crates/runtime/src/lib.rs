@@ -8,22 +8,22 @@
 //! touching its internals:
 //!
 //! * [`RuntimeConfig`] — the knobs: `shards` (worker threads),
-//!   `batch_size` (arrivals per ingestion batch) and `channel_capacity`
-//!   (bound of each shard's ingestion channel, in batches).
+//!   `batch_size` (steps per shard chunk: arrivals and watermark advances)
+//!   and `channel_capacity` (bound of each shard's ingestion channel, in
+//!   chunks).
 //! * [`ShardPartitioner`] — assigns each arrival to a
 //!   shard by hashing its join-key column; key-equal tuples always share a
 //!   shard, so key-partitionable workloads shard losslessly.
 //! * [`ShardedRuntime`] — one independent `Executor` per shard on
 //!   its own OS thread, each with its own plan instance; the caller's thread
-//!   pushes batched arrivals through *bounded* MPSC channels (backpressure,
+//!   pushes chunks of steps through *bounded* MPSC channels (backpressure,
 //!   not unbounded queues).
 //! * [`merge_by_timestamp`] — a timestamp-ordered k-way merge of the per-shard result
 //!   streams, restoring the paper's global temporal-order guarantee at the
 //!   sink; per-shard metrics aggregate into a single `MetricsSnapshot`.
 //!
 //! The crate is mode-agnostic: REF, DOE and JIT plans all shard the same
-//! way, which is what lets `jit-harness` expose parallel variants of every
-//! experiment. This is also the seam later work builds on: async backends
+//! way. This is also the seam later work builds on: async backends
 //! replace the thread-per-shard worker, NUMA placement pins shards, and
 //! distributed sharding swaps the channel for a network transport.
 

@@ -5,7 +5,7 @@
 //! independent [`Executor`](jit_exec::Executor) per shard on its
 //! own OS thread (each with its own instance of the plan, built by a
 //! caller-supplied factory), feeds every shard through a *bounded* MPSC
-//! channel in batches (a full channel blocks the feeder — backpressure
+//! channel in chunks of steps (a full channel blocks the feeder — backpressure
 //! instead of unbounded queueing), and finally merges the per-shard result
 //! streams into one globally timestamp-ordered stream while aggregating
 //! per-shard metrics into a single [`MetricsSnapshot`].

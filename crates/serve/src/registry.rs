@@ -182,8 +182,6 @@ pub struct QueryRegistry {
     selection: SelectionIndex,
     stats: SharingStats,
     next_query: u64,
-    /// Per-source sequence counters for [`QueryRegistry::push_values`].
-    seqs: FastMap<SourceId, u64>,
     last_push_ts: Timestamp,
 }
 
@@ -217,7 +215,6 @@ impl QueryRegistry {
             selection: SelectionIndex::new(),
             stats: SharingStats::default(),
             next_query: 0,
-            seqs: FastMap::default(),
             last_push_ts: Timestamp::ZERO,
         }
     }
@@ -411,10 +408,6 @@ impl QueryRegistry {
         }
         self.last_push_ts = self.last_push_ts.max(tuple.ts);
         self.stats.arrivals += 1;
-        self.seqs
-            .entry(source)
-            .and_modify(|s| *s = (*s).max(tuple.seq + 1))
-            .or_insert(tuple.seq + 1);
 
         // Shared selection: one evaluation per distinct class on this
         // source, reused by every holder.
@@ -464,19 +457,6 @@ impl QueryRegistry {
         }
         self.stats.routed += routed;
         Ok(())
-    }
-
-    /// Convenience push: build the [`BaseTuple`] with a registry-assigned
-    /// per-source sequence number.
-    #[cfg(test)]
-    fn push_values(
-        &mut self,
-        source: SourceId,
-        ts: Timestamp,
-        values: Vec<jit_types::Value>,
-    ) -> Result<(), ServeError> {
-        let seq = self.seqs.get(&source).copied().unwrap_or(0);
-        self.push(Arc::new(BaseTuple::new(source, seq, ts, values)))
     }
 
     /// Drain the results ready for `qid`: the query's pipeline is polled,
@@ -566,14 +546,11 @@ impl QueryRegistry {
             .map(|(qid, batches)| (qid.0, batches.concat()))
             .collect();
         mailboxes.sort_by_key(|(qid, _)| *qid);
-        let mut seqs: Vec<(SourceId, u64)> = self.seqs.iter().map(|(s, n)| (*s, *n)).collect();
-        seqs.sort_by_key(|(s, _)| *s);
         Ok(Content::Map(vec![
             ("next_query".to_string(), Content::U64(self.next_query)),
             ("last_push_ts".to_string(), self.last_push_ts.to_content()),
             ("pipelines".to_string(), Content::Seq(pipelines)),
             ("mailboxes".to_string(), mailboxes.to_content()),
-            ("seqs".to_string(), seqs.to_content()),
             (
                 "stats".to_string(),
                 Content::Map(vec![
@@ -598,7 +575,8 @@ impl QueryRegistry {
     /// [`ServeError::Engine`]). The whole blob is parsed and validated
     /// before the registry is touched: on any error nothing is applied.
     /// Keys this build does not write (earlier builds added a `stems`
-    /// section and one more `stats` counter) are not read.
+    /// section, per-source `seqs` counters and one more `stats` counter)
+    /// are not read.
     pub fn restore(&mut self, checkpoint: &Content) -> Result<(), ServeError> {
         const TY: &str = "QueryRegistry checkpoint";
         let mismatch = |detail: String| {
@@ -640,7 +618,6 @@ impl QueryRegistry {
                 "checkpoint mailbox for unknown query Q{qid}"
             )));
         }
-        let seqs: Vec<(SourceId, u64)> = serde::field(map, "seqs", TY).map_err(corrupt)?;
         let last_push_ts: Timestamp = serde::field(map, "last_push_ts", TY).map_err(corrupt)?;
         let stats = serde::field::<Content>(map, "stats", TY).map_err(corrupt)?;
         let stats_map = stats
@@ -684,7 +661,6 @@ impl QueryRegistry {
             };
             self.mailboxes.insert(QueryId(qid), batches);
         }
-        self.seqs = seqs.into_iter().collect();
         self.last_push_ts = last_push_ts;
         self.stats = stats;
         Ok(())
@@ -794,13 +770,15 @@ mod tests {
 
     const JOIN_AB: &str = "SELECT * FROM A [RANGE 1 minutes], B [RANGE 1 minutes] WHERE A.k = B.k";
 
+    /// An arrival numbered by its timestamp: no test pushes two arrivals
+    /// of one source at the same instant.
+    fn arrival(source: u16, ts: u64, values: Vec<i64>) -> Arc<BaseTuple> {
+        let values = values.into_iter().map(Value::int).collect();
+        Arc::new(BaseTuple::new(SourceId(source), ts, Timestamp(ts), values))
+    }
+
     fn push(reg: &mut QueryRegistry, source: u16, ts: u64, values: Vec<i64>) {
-        reg.push_values(
-            SourceId(source),
-            Timestamp(ts),
-            values.into_iter().map(Value::int).collect(),
-        )
-        .unwrap();
+        reg.push(arrival(source, ts, values)).unwrap();
     }
 
     #[test]
@@ -972,17 +950,28 @@ mod tests {
         reg.register(JOIN_AB).unwrap();
         push(&mut reg, 0, 10, vec![1, 1]);
         assert!(matches!(
-            reg.push_values(SourceId(0), Timestamp(5), vec![Value::int(1)]),
+            reg.push(arrival(0, 5, vec![1])),
             Err(ServeError::OutOfOrder { .. })
         ));
         assert!(matches!(
-            reg.push_values(SourceId(9), Timestamp(10), vec![]),
+            reg.push(arrival(9, 10, vec![])),
             Err(ServeError::UnknownSource(SourceId(9)))
         ));
         assert!(matches!(
             reg.register("SELECT nonsense"),
             Err(ServeError::Cql(_))
         ));
+    }
+
+    /// The registry keeps no per-arrival arithmetic on `seq`: the last
+    /// sequence number is an arrival like any other.
+    #[test]
+    fn push_accepts_the_largest_sequence_number() {
+        let mut reg = QueryRegistry::new(catalog());
+        reg.register(JOIN_AB).unwrap();
+        let values = vec![Value::int(1), Value::int(1)];
+        let last = BaseTuple::new(SourceId(0), u64::MAX, Timestamp(1), values);
+        assert!(reg.push(Arc::new(last)).is_ok());
     }
 
     #[test]
@@ -1180,6 +1169,10 @@ mod tests {
         entries.push((
             "stems".to_string(),
             Content::Seq(vec![Content::Null, Content::U64(3)]),
+        ));
+        entries.push((
+            "seqs".to_string(),
+            vec![(SourceId(0), 3u64), (SourceId(1), 2)].to_content(),
         ));
         let Content::Map(stats) = entry(&mut blob, "stats") else {
             panic!("stats is a map")

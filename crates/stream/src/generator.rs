@@ -1,6 +1,6 @@
 //! Deterministic workload generation.
 
-use crate::arrival::{ArrivalEvent, ArrivalProcess};
+use crate::arrival::{poisson_arrival_times, ArrivalEvent};
 use crate::trace::Trace;
 use crate::workload::WorkloadSpec;
 use jit_types::{BaseTuple, SourceId};
@@ -31,15 +31,7 @@ impl WorkloadGenerator {
                 .seed
                 .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(idx as u64 + 1));
             let mut rng = StdRng::seed_from_u64(seed);
-            let process = match spec.arrival {
-                ArrivalProcess::Poisson { .. } => ArrivalProcess::Poisson {
-                    rate_per_sec: source_spec.rate_per_sec,
-                },
-                ArrivalProcess::Constant { .. } => ArrivalProcess::Constant {
-                    rate_per_sec: source_spec.rate_per_sec,
-                },
-            };
-            let times = process.arrival_times(duration_ms, &mut rng);
+            let times = poisson_arrival_times(source_spec.rate_per_sec, duration_ms, &mut rng);
             // Built once per source: a Zipf table costs O(`dmax`).
             let sampler = source_spec.sampler();
             for (seq, ts) in times.into_iter().enumerate() {

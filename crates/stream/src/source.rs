@@ -3,10 +3,9 @@
 use crate::skew::ZipfSampler;
 use jit_types::Value;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The distribution a source draws its column values from.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum ValueDomain {
     /// Uniform integers in `[1..=max]` — the paper's default.
     Uniform {
@@ -59,7 +58,7 @@ impl DomainSampler {
 }
 
 /// Parameters of one streaming source.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SourceSpec {
     /// Human-readable name (matches the catalog entry).
     pub(crate) name: String,

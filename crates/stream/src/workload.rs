@@ -1,9 +1,7 @@
 //! Workload specifications matching Table III of the paper.
 
-use crate::arrival::ArrivalProcess;
 use crate::source::{SourceSpec, ValueDomain};
 use jit_types::{Duration, PredicateSet, Window};
-use serde::{Deserialize, Serialize};
 
 /// Full description of one synthetic workload: how many sources, how fast
 /// they emit, how selective the join is, and for how long the query runs.
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// Defaults follow Table III: bushy experiments use `N = 6`, `w = 20 min`,
 /// `λ = 1 /s`, `dmax = 200`; left-deep experiments use `N = 4`, `w = 10 min`,
 /// `λ = 1 /s`, `dmax = 50` with the last source drawing from `[1..100·dmax]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Number of streaming sources `N`.
     pub num_sources: usize,
@@ -28,8 +26,6 @@ pub struct WorkloadSpec {
     pub duration: Duration,
     /// RNG seed; the whole trace is a deterministic function of the spec.
     pub seed: u64,
-    /// Arrival process (Poisson by default).
-    pub(crate) arrival: ArrivalProcess,
     /// Optional Zipf exponent: when set, values are skewed instead of uniform.
     pub(crate) zipf_exponent: Option<f64>,
     /// Shared-key mode: every tuple draws a *single* key value and carries it
@@ -52,7 +48,6 @@ impl WorkloadSpec {
             last_source_domain_factor: None,
             duration: Duration::from_mins(60),
             seed: 42,
-            arrival: ArrivalProcess::Poisson { rate_per_sec: 1.0 },
             zipf_exponent: None,
             shared_key: false,
         }
@@ -68,7 +63,6 @@ impl WorkloadSpec {
             last_source_domain_factor: Some(100),
             duration: Duration::from_mins(60),
             seed: 42,
-            arrival: ArrivalProcess::Poisson { rate_per_sec: 1.0 },
             zipf_exponent: None,
             shared_key: false,
         }
@@ -86,13 +80,9 @@ impl WorkloadSpec {
         self
     }
 
-    /// Set the arrival rate (also updates the arrival process's rate).
+    /// Set the arrival rate.
     pub fn with_rate(mut self, rate: f64) -> Self {
         self.rate_per_sec = rate;
-        self.arrival = match self.arrival {
-            ArrivalProcess::Poisson { .. } => ArrivalProcess::Poisson { rate_per_sec: rate },
-            ArrivalProcess::Constant { .. } => ArrivalProcess::Constant { rate_per_sec: rate },
-        };
         self
     }
 
@@ -195,7 +185,6 @@ mod tests {
         assert_eq!(s.num_sources, 8);
         assert_eq!(s.window_minutes, 30.0);
         assert_eq!(s.rate_per_sec, 1.6);
-        assert_eq!(s.arrival.rate_per_sec(), 1.6);
         assert_eq!(s.dmax, 300);
         assert_eq!(s.seed, 7);
         assert_eq!(s.duration, Duration::from_mins(5));
@@ -232,13 +221,5 @@ mod tests {
             ValueDomain::Zipf { exponent, .. } => assert_eq!(exponent, 1.1),
             other => panic!("expected zipf, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn spec_serialises() {
-        let s = WorkloadSpec::leftdeep_default();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: WorkloadSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
     }
 }

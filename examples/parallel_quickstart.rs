@@ -16,7 +16,10 @@ fn main() {
     // (shared-key mode), which makes hash-sharding lossless. The engine
     // checks this at build time: a non-partitionable workload would be a
     // typed `EngineError::NotPartitionable`, not silently missing results.
-    let spec = parallel_workload(4, 50)
+    let spec = WorkloadSpec::bushy_default()
+        .with_sources(4)
+        .with_dmax(50)
+        .with_shared_key()
         .with_rate(2.0)
         .with_window_minutes(3.0)
         .with_duration(Duration::from_mins(4))

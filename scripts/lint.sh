@@ -22,7 +22,7 @@ LIB_LINTS=(
 case "${1:-workspace}" in
 workspace)
     exec cargo clippy --workspace --lib --bins --no-deps \
-        --exclude criterion --exclude proptest --exclude rand \
+        --exclude proptest --exclude rand \
         --exclude serde --exclude serde_derive --exclude serde_json \
         -- "${LIB_LINTS[@]}"
     ;;

@@ -4,18 +4,15 @@ use jit_core::policy::ExecutionMode;
 use jit_plan::shapes::PlanShape;
 use jit_stream::WorkloadSpec;
 use jit_types::Duration;
-use serde::{Deserialize, Serialize};
 
 /// One experiment: a plan, a base workload, and the execution modes to
 /// compare on it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExperimentConfig {
-    /// Human-readable name (e.g. `"fig10"`).
-    pub(crate) name: String,
+#[derive(Debug, Clone)]
+pub(crate) struct ExperimentConfig {
     /// Plan shape.
-    pub shape: PlanShape,
+    pub(crate) shape: PlanShape,
     /// Base workload (Table III defaults; sweeps override one field).
-    pub workload: WorkloadSpec,
+    pub(crate) workload: WorkloadSpec,
     /// Execution modes to compare (typically REF and JIT).
     pub(crate) modes: Vec<ExecutionMode>,
 }
@@ -25,7 +22,6 @@ impl ExperimentConfig {
     /// `w = 20 min`, `λ = 1/s`, `dmax = 200`).
     pub(crate) fn bushy_default() -> Self {
         ExperimentConfig {
-            name: "bushy-default".to_string(),
             shape: PlanShape::bushy(6),
             workload: WorkloadSpec::bushy_default(),
             modes: vec![
@@ -39,7 +35,6 @@ impl ExperimentConfig {
     /// `w = 10 min`, `λ = 1/s`, `dmax = 50`, last source enlarged 100×).
     pub(crate) fn leftdeep_default() -> Self {
         ExperimentConfig {
-            name: "leftdeep-default".to_string(),
             shape: PlanShape::left_deep(4),
             workload: WorkloadSpec::leftdeep_default(),
             modes: vec![
@@ -51,21 +46,21 @@ impl ExperimentConfig {
 
     /// Scale the run length. The paper uses 5 hours of application time per
     /// point; a scale of 1.0 here corresponds to 60 minutes, so `scale = 5.0`
-    /// reproduces the paper's duration and smaller values keep benches fast.
-    pub fn with_duration_scale(mut self, scale: f64) -> Self {
+    /// reproduces the paper's duration and smaller values keep runs short.
+    pub(crate) fn with_duration_scale(mut self, scale: f64) -> Self {
         let minutes = (60.0 * scale).max(1.0);
         self.workload.duration = Duration::from_mins_f64(minutes);
         self
     }
 
     /// Override the random seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
+    pub(crate) fn with_seed(mut self, seed: u64) -> Self {
         self.workload.seed = seed;
         self
     }
 
     /// Also compare the DOE baseline.
-    pub fn with_doe(mut self) -> Self {
+    pub(crate) fn with_doe(mut self) -> Self {
         if !self.modes.iter().any(|m| matches!(m, ExecutionMode::Doe)) {
             self.modes.push(ExecutionMode::Doe);
         }

@@ -11,10 +11,10 @@ use jit_exec::{ExecutorConfig, StateIndexMode};
 use jit_metrics::MetricsSnapshot;
 use jit_plan::shapes::PlanShape;
 use jit_stream::WorkloadGenerator;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The workload parameter a figure sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum SweepParameter {
     /// Window size in minutes (Figures 10 and 14).
     WindowMinutes,
@@ -39,23 +39,23 @@ impl SweepParameter {
 }
 
 /// The specification of one figure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FigureSpec {
+#[derive(Debug, Clone)]
+pub(crate) struct FigureSpec {
     /// Identifier, e.g. `"fig10"`.
-    pub id: String,
+    pub(crate) id: String,
     /// Caption matching the paper.
     pub(crate) caption: String,
     /// Base experiment configuration (Table III defaults).
-    pub base: ExperimentConfig,
+    pub(crate) base: ExperimentConfig,
     /// The swept parameter.
     pub(crate) parameter: SweepParameter,
     /// Values of the swept parameter.
-    pub values: Vec<f64>,
+    pub(crate) values: Vec<f64>,
 }
 
 impl FigureSpec {
     /// All eight figures of Section VI, in paper order.
-    pub fn all() -> Vec<FigureSpec> {
+    pub(crate) fn all() -> Vec<FigureSpec> {
         vec![
             Self::fig10(),
             Self::fig11(),
@@ -69,7 +69,7 @@ impl FigureSpec {
     }
 
     /// Look up a figure by id (`"fig10"` … `"fig17"`).
-    pub fn by_id(id: &str) -> Option<FigureSpec> {
+    pub(crate) fn by_id(id: &str) -> Option<FigureSpec> {
         Self::all().into_iter().find(|f| f.id == id)
     }
 
@@ -162,7 +162,7 @@ impl FigureSpec {
     }
 
     /// The experiment configuration for one swept value.
-    pub fn config_for(&self, value: f64) -> ExperimentConfig {
+    pub(crate) fn config_for(&self, value: f64) -> ExperimentConfig {
         let mut config = self.base.clone();
         match self.parameter {
             SweepParameter::WindowMinutes => {
@@ -189,7 +189,7 @@ impl FigureSpec {
 
 /// One measured point of a figure: the swept value and, per mode, the
 /// metrics snapshot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub(crate) struct FigureRow {
     /// The swept parameter value.
     pub(crate) x: f64,
@@ -198,10 +198,10 @@ pub(crate) struct FigureRow {
 }
 
 /// A fully measured figure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FigureResult {
+#[derive(Debug, Clone, Serialize)]
+pub(crate) struct FigureResult {
     /// The figure's identifier.
-    pub id: String,
+    pub(crate) id: String,
     /// The figure's caption.
     pub(crate) caption: String,
     /// Axis label of the swept parameter.
@@ -267,7 +267,7 @@ impl FigureResult {
 /// `LatticeNode` + 1.8, `ProbePair` − 2.0) and `{A,B,C}⋈{D}` 3.7; at
 /// `N = 6` they are 8.8 and 12.1 of 21.1 (`{A,B,C}⋈{D}`: `PredicateEval`
 /// + 6.3, `LatticeNode` + 4.0, `MnsBufferProbe` + 2.6, `ProbePair` − 0.9).
-pub fn run_figure(spec: &FigureSpec, duration_scale: f64, seed: u64) -> FigureResult {
+pub(crate) fn run_figure(spec: &FigureSpec, duration_scale: f64, seed: u64) -> FigureResult {
     let mut rows = Vec::with_capacity(spec.values.len());
     for &value in &spec.values {
         let config = spec
@@ -317,7 +317,7 @@ pub fn run_figure(spec: &FigureSpec, duration_scale: f64, seed: u64) -> FigureRe
 /// the expiring regime, where JIT's memory advantage is the headline
 /// result. CPU-cost and result-count expectations hold at every scale and
 /// are always checked.
-pub const MEMORY_CHECK_MIN_SCALE: f64 = 0.3;
+pub(crate) const MEMORY_CHECK_MIN_SCALE: f64 = 0.3;
 
 /// Check the qualitative claims of the paper on a measured figure: JIT's
 /// CPU cost (at any `duration_scale`) and peak memory (at scales ≥
@@ -327,7 +327,7 @@ pub const MEMORY_CHECK_MIN_SCALE: f64 = 0.3;
 /// runs JIT's auxiliary structures (MNS buffers, blacklists) can cost a few
 /// percent before the suppression savings kick in. Returns a list of
 /// violations (empty = the figure reproduces the paper's shape).
-pub fn check_expectations(result: &FigureResult, duration_scale: f64) -> Vec<String> {
+pub(crate) fn check_expectations(result: &FigureResult, duration_scale: f64) -> Vec<String> {
     const SLACK: f64 = 1.10;
     let mut violations = Vec::new();
     for row in &result.rows {

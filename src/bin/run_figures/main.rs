@@ -1,9 +1,12 @@
-//! Regenerate every figure of the paper's evaluation (Figures 10–17).
+//! Regenerate every figure of the paper's evaluation (Figures 10–17): each
+//! figure is a parameter sweep comparing JIT against REF (and optionally DOE)
+//! on synthetic clique-join workloads, reporting CPU cost and peak memory,
+//! checked against the paper's expectations.
 //!
 //! Usage:
 //!
 //! ```text
-//! cargo run -p jit-harness --release --bin run_figures [-- --scale 0.25 --seed 1 --out results/ --figure fig10]
+//! cargo run --release --bin run_figures [-- --scale 0.25 --seed 1 --out results/ --figure fig10]
 //! ```
 //!
 //! * `--scale S`   application-time scale: 1.0 = 60 minutes per point, the
@@ -14,15 +17,15 @@
 //! * `--doe`       additionally run the DOE baseline.
 //!
 //! Exits 1 if any figure violates its expectations, 2 on a bad argument.
-#![expect(clippy::expect_used, reason = "a binary may exit with a message")]
-#![expect(
-    clippy::print_stdout,
-    reason = "the figure tables are this binary's output"
-)]
 
-use jit_harness::{check_expectations, render_csv, render_table, run_figure, FigureSpec};
+mod config;
+mod figures;
+mod table_out;
+
+use figures::{check_expectations, run_figure, FigureSpec, MEMORY_CHECK_MIN_SCALE};
 use std::path::PathBuf;
 use std::str::FromStr;
+use table_out::{render_csv, render_table};
 
 const USAGE: &str = "run_figures [--scale S] [--seed N] [--out DIR] [--figure figNN] [--doe]";
 
@@ -69,6 +72,11 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
     Ok(options)
 }
 
+#[expect(clippy::expect_used, reason = "a binary may exit with a message")]
+#[expect(
+    clippy::print_stdout,
+    reason = "the figure tables are this binary's output"
+)]
 fn main() {
     let options = parse_args(std::env::args().skip(1)).unwrap_or_else(|message| {
         eprintln!("{message}\nusage: {USAGE}");
@@ -102,7 +110,7 @@ fn main() {
         println!("{}", render_table(&result));
         let violations = check_expectations(&result, options.scale);
         if violations.is_empty() {
-            if options.scale >= jit_harness::MEMORY_CHECK_MIN_SCALE {
+            if options.scale >= MEMORY_CHECK_MIN_SCALE {
                 println!(
                     "  ✓ expectations hold (JIT ≤ REF in cost and memory, result counts agree)\n"
                 );
@@ -110,7 +118,7 @@ fn main() {
                 println!(
                     "  ✓ expectations hold (JIT ≤ REF in cost, result counts agree; memory not \
                      compared below scale {} — no-expiry regime)\n",
-                    jit_harness::MEMORY_CHECK_MIN_SCALE
+                    MEMORY_CHECK_MIN_SCALE
                 );
             }
         } else {

@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 /// Render a figure as a plain-text table with one row per swept value and
 /// per-mode CPU cost, peak memory and result count columns — the "rows the
 /// paper reports" for each figure.
-pub fn render_table(result: &FigureResult) -> String {
+pub(crate) fn render_table(result: &FigureResult) -> String {
     let modes: Vec<String> = result
         .rows
         .first()
@@ -44,7 +44,7 @@ pub fn render_table(result: &FigureResult) -> String {
 }
 
 /// Render a figure as CSV (one line per swept value, per-mode columns).
-pub fn render_csv(result: &FigureResult) -> String {
+pub(crate) fn render_csv(result: &FigureResult) -> String {
     let modes: Vec<String> = result
         .rows
         .first()

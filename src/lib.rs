@@ -18,7 +18,7 @@
 //! * [`output`] — result-set comparisons (multiset equality, duplicates,
 //!   order, window validity).
 //! * [`prelude`] — the names virtually every program, example and test
-//!   uses, including the experiment harness and workload generator.
+//!   uses, including the workload generator.
 //!
 //! Code that reaches an engine internal (an operator, a state, a plan
 //! builder) depends on the member crate that defines it.
@@ -59,7 +59,6 @@ pub mod prelude {
         EngineOutcome, PushOutcome, Session,
     };
     pub use jit_exec::{Executor, ExecutorConfig, JoinKeySpec, StateIndexMode};
-    pub use jit_harness::{parallel_workload, run_figure, ExperimentConfig, FigureSpec};
     pub use jit_plan::parse_cql;
     pub use jit_plan::shapes::{PlanShape, TreeShape};
     pub use jit_runtime::{ParallelOutcome, RuntimeConfig, ShardedRuntime, ShardedSession};

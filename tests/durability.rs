@@ -14,7 +14,10 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 
 fn spec() -> WorkloadSpec {
-    parallel_workload(3, 16)
+    WorkloadSpec::bushy_default()
+        .with_sources(3)
+        .with_dmax(16)
+        .with_shared_key()
         .with_rate(1.0)
         .with_window_minutes(2.0)
         .with_duration(Duration::from_secs(100))

@@ -11,7 +11,10 @@ use jit_dsms::prelude::*;
 use std::sync::Arc;
 
 fn shared_key_spec() -> WorkloadSpec {
-    parallel_workload(4, 16)
+    WorkloadSpec::bushy_default()
+        .with_sources(4)
+        .with_dmax(16)
+        .with_shared_key()
         .with_rate(1.0)
         .with_window_minutes(2.0)
         .with_duration(Duration::from_secs(120))

@@ -94,7 +94,10 @@ fn dump() -> String {
 
     // The key-partitionable shared-key workload, single-threaded and on two
     // shards.
-    let shared = parallel_workload(3, 40)
+    let shared = WorkloadSpec::bushy_default()
+        .with_sources(3)
+        .with_dmax(40)
+        .with_shared_key()
         .with_rate(1.0)
         .with_window_minutes(1.0)
         .with_duration(Duration::from_secs(240))

@@ -12,7 +12,10 @@ use jit_dsms::prelude::*;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn spec(sources: usize, seed: u64) -> WorkloadSpec {
-    parallel_workload(sources, 16)
+    WorkloadSpec::bushy_default()
+        .with_sources(sources)
+        .with_dmax(16)
+        .with_shared_key()
         .with_rate(1.0)
         .with_window_minutes(2.0)
         .with_duration(Duration::from_secs(110))
