@@ -65,6 +65,11 @@ use jit_types::{
 use serde::{Content, Deserialize, Serialize};
 use std::sync::Arc;
 
+/// Bits in each Bloom filter of a port under [`MnsDetection::Bloom`].
+const BLOOM_BITS: usize = 4096;
+/// Hash functions per Bloom filter.
+const BLOOM_HASHES: usize = 3;
+
 /// Serialise a hash map as its `(key, value)` pairs sorted by key, so the
 /// checkpoint bytes are deterministic regardless of hasher state.
 fn sorted_pairs<K: Ord + Clone, V: Clone>(map: &FastMap<K, V>) -> Vec<(K, V)> {
@@ -321,31 +326,13 @@ impl JitJoinOperator {
         per_source: &mut SpecHits,
         hits: &mut Vec<u64>,
     ) -> bool {
+        debug_assert_eq!(input.sources(), self.schema_of(port));
         let opp = Self::opposite(port);
-        // The specs are precomputed per port; fresh ones are derived only
-        // for inputs not covering the port's schema exactly (never the case
-        // in well-formed plans).
-        let covers = input.sources() == self.schema_of(port);
         let settles = self.settles(port, candidates);
         if settles {
-            let specs_owned;
-            let specs = if covers {
-                &self.source_specs[port]
-            } else {
-                specs_owned = Self::source_specs(&self.predicates, self.schema_of(opp), candidates);
-                &specs_owned
-            };
-            self.states[opp].probe_union_into(specs, input, per_source, hits);
+            self.states[opp].probe_union_into(&self.source_specs[port], input, per_source, hits);
         } else {
-            let spec_owned;
-            let spec = if covers {
-                &self.probe_specs[port]
-            } else {
-                spec_owned =
-                    JoinKeySpec::between(&self.predicates, self.schema_of(opp), input.sources());
-                &spec_owned
-            };
-            self.states[opp].probe_into(spec, input, hits);
+            self.states[opp].probe_into(&self.probe_specs[port], input, hits);
         }
         settles
     }
@@ -600,9 +587,7 @@ impl JitJoinOperator {
             if let Some(v) = tuple.value(col) {
                 self.blooms[port]
                     .entry(col)
-                    .or_insert_with(|| {
-                        BloomFilter::new(self.policy.bloom_bits, self.policy.bloom_hashes)
-                    })
+                    .or_insert_with(|| BloomFilter::new(BLOOM_BITS, BLOOM_HASHES))
                     .insert(v);
             }
         }
@@ -672,13 +657,11 @@ impl JitJoinOperator {
     ) {
         if mns.is_empty() {
             self.enter_full_suspension();
-            if self.policy.propagate_feedback {
-                for side in [LEFT, RIGHT] {
-                    outcome
-                        .propagate
-                        .push((side, Feedback::suspend(vec![Tuple::empty()])));
-                    ctx.metrics.stats.feedback_propagated += 1;
-                }
+            for side in [LEFT, RIGHT] {
+                outcome
+                    .propagate
+                    .push((side, Feedback::suspend(vec![Tuple::empty()])));
+                ctx.metrics.stats.feedback_propagated += 1;
             }
             return;
         }
@@ -692,12 +675,10 @@ impl JitJoinOperator {
             _ => return,
         };
         // Propagate before handling (Section III-C, rule (i)).
-        if self.policy.propagate_feedback {
-            outcome
-                .propagate
-                .push((side, Feedback::suspend(vec![mns.clone()])));
-            ctx.metrics.stats.feedback_propagated += 1;
-        }
+        outcome
+            .propagate
+            .push((side, Feedback::suspend(vec![mns.clone()])));
+        ctx.metrics.stats.feedback_propagated += 1;
         // "Similar" tuples are recognised on the join attributes of the
         // MNS's sources towards the part of the query outside this
         // operator's output.
@@ -756,13 +737,11 @@ impl JitJoinOperator {
                 outcome.resumed.extend(results);
                 outcome.propagate.extend(feedback);
             }
-            if self.policy.propagate_feedback {
-                for side in [LEFT, RIGHT] {
-                    outcome
-                        .propagate
-                        .push((side, Feedback::resume(vec![Tuple::empty()])));
-                    ctx.metrics.stats.feedback_propagated += 1;
-                }
+            for side in [LEFT, RIGHT] {
+                outcome
+                    .propagate
+                    .push((side, Feedback::resume(vec![Tuple::empty()])));
+                ctx.metrics.stats.feedback_propagated += 1;
             }
             return;
         }
@@ -791,12 +770,10 @@ impl JitJoinOperator {
         ctx: &mut OpContext<'_>,
         outcome: &mut FeedbackOutcome,
     ) {
-        if self.policy.propagate_feedback {
-            outcome
-                .propagate
-                .push((side, Feedback::resume(vec![mns.clone()])));
-            ctx.metrics.stats.feedback_propagated += 1;
-        }
+        outcome
+            .propagate
+            .push((side, Feedback::resume(vec![mns.clone()])));
+        ctx.metrics.stats.feedback_propagated += 1;
     }
 
     /// Move one suspended tuple back into the state of `side`: regenerate
@@ -994,18 +971,7 @@ impl Operator for JitJoinOperator {
         // candidates need no lookup: the full probe already found each
         // source's, and a node takes the intersection of its members'.
         if let Some(l) = lattice.as_mut().filter(|_| settles) {
-            // The nodes are precomputed per port; derive them fresh only for
-            // inputs not covering the port's schema exactly.
-            let nodes_owned;
-            let nodes = if msg.tuple.sources() == self.schema_of(port) {
-                &self.nodes[port]
-            } else {
-                let mut nodes = Self::settling_nodes(candidates);
-                nodes.retain(|node| self.reports(port, *node));
-                nodes_owned = nodes;
-                &nodes_owned
-            };
-            for &node in nodes {
+            for &node in &self.nodes[port] {
                 if l.all_dead() {
                     break;
                 }
@@ -1594,11 +1560,6 @@ mod tests {
             && fb.command == FeedbackCommand::Suspend
             && fb.mns_set[0].key() == a1.key()));
         assert_eq!(metrics.stats.feedback_propagated, 1);
-        // Without propagation the list stays empty.
-        let mut quiet = op2(JitPolicy::full().without_propagation());
-        let mut ctx = OpContext::new(Timestamp::from_secs(1), &mut metrics);
-        let outcome = quiet.handle_feedback(&Feedback::suspend(vec![a1]), &mut ctx);
-        assert!(outcome.propagate.is_empty());
     }
 
     /// DOE (empty-state-only) never detects component MNSs.

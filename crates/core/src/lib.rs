@@ -17,19 +17,16 @@
 //! * [`JitJoinOperator`] — the JIT-enabled binary window join combining the
 //!   consumer role (`Process_Input`, Figure 6) and the producer role
 //!   (`Handle_Feedback`: suspend / resume / propagate, Section IV-B).
-//! * [`JitSelectionOperator`] — the JIT-aware selection consumer (Section V,
-//!   Figure 9a), which issues suspension-only feedback.
 //! * [`policy`] — configuration knobs ([`policy::JitPolicy`]): detection
-//!   strategy (full lattice / Bloom / empty-state-only), similar-tuple
-//!   capture, feedback propagation. The *empty-state-only* preset is exactly
-//!   the DOE baseline the paper subsumes.
+//!   strategy (full lattice / Bloom / empty-state-only) and similar-tuple
+//!   capture. The *empty-state-only* preset is exactly the DOE baseline the
+//!   paper subsumes.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 mod blacklist;
 mod bloom;
-mod jit_filter;
 mod jit_join;
 mod lattice;
 mod mns_buffer;
@@ -37,7 +34,6 @@ pub mod policy;
 
 pub use blacklist::{Blacklist, SuspendMode};
 pub use bloom::BloomFilter;
-pub use jit_filter::JitSelectionOperator;
 pub use jit_join::{JitJoinOperator, Producer};
 pub use lattice::CnsLattice;
 pub use mns_buffer::MnsBuffer;

@@ -3,8 +3,9 @@
 //! Section III-A stresses that the framework is flexible: a consumer "may
 //! choose not to detect all MNSs", a producer "may decide to ignore the
 //! message", and Section IV-B lists an optional refinement (similar-tuple
-//! capture). [`JitPolicy`] exposes these choices so the ablation benchmarks
-//! can quantify each one, and so the DOE baseline falls out as a preset.
+//! capture). [`JitPolicy`] exposes the detection strategy and similar-tuple
+//! capture, so the DOE baseline falls out as a preset; feedback always
+//! propagates upstream (Section III-C).
 
 /// How a consumer detects minimal non-demanded sub-tuples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,14 +29,6 @@ pub struct JitPolicy {
     /// blacklist, so records like `a2` in the running example are suppressed
     /// together with `a1` (Section IV-B).
     pub capture_similar: bool,
-    /// Propagate feedback to upstream operators (Section III-C). Without it,
-    /// JIT only affects the immediate producer.
-    pub(crate) propagate_feedback: bool,
-    /// Number of bits in each Bloom filter (only used with
-    /// [`MnsDetection::Bloom`]).
-    pub(crate) bloom_bits: usize,
-    /// Number of hash functions per Bloom filter.
-    pub(crate) bloom_hashes: usize,
 }
 
 impl Default for JitPolicy {
@@ -50,9 +43,6 @@ impl JitPolicy {
         JitPolicy {
             detection: MnsDetection::FullLattice,
             capture_similar: true,
-            propagate_feedback: true,
-            bloom_bits: 4096,
-            bloom_hashes: 3,
         }
     }
 
@@ -62,8 +52,6 @@ impl JitPolicy {
         JitPolicy {
             detection: MnsDetection::EmptyStateOnly,
             capture_similar: false,
-            propagate_feedback: true,
-            ..JitPolicy::full()
         }
     }
 
@@ -78,12 +66,6 @@ impl JitPolicy {
     /// Disable similar-tuple capture (ablation).
     pub fn without_similar_capture(mut self) -> Self {
         self.capture_similar = false;
-        self
-    }
-
-    /// Disable feedback propagation (ablation).
-    pub fn without_propagation(mut self) -> Self {
-        self.propagate_feedback = false;
         self
     }
 }
@@ -129,7 +111,6 @@ mod tests {
         let p = JitPolicy::full();
         assert_eq!(p.detection, MnsDetection::FullLattice);
         assert!(p.capture_similar);
-        assert!(p.propagate_feedback);
     }
 
     #[test]
@@ -143,8 +124,6 @@ mod tests {
     fn ablation_builders() {
         let p = JitPolicy::full().without_similar_capture();
         assert!(!p.capture_similar);
-        let p = JitPolicy::full().without_propagation();
-        assert!(!p.propagate_feedback);
         let p = JitPolicy::bloom();
         assert_eq!(p.detection, MnsDetection::Bloom);
     }

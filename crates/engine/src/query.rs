@@ -52,13 +52,7 @@ impl QuerySpec {
                     )));
                 }
                 let window = query.window();
-                if window.length == Duration::ZERO {
-                    return Err(EngineError::InvalidQuery(
-                        "no RANGE window declared: an unbounded window never expires \
-                         and the engine cannot bound its state"
-                            .into(),
-                    ));
-                }
+                validate_window(window)?;
                 let predicates = query.predicates()?;
                 let filters = query.filter_predicates()?;
                 Ok(ResolvedQuery {
@@ -74,6 +68,7 @@ impl QuerySpec {
                 window,
             } => {
                 validate_shape(shape)?;
+                validate_window(*window)?;
                 Ok(ResolvedQuery {
                     shape: *shape,
                     predicates: predicates.clone(),
@@ -99,6 +94,21 @@ fn validate_shape(shape: &PlanShape) -> Result<(), EngineError> {
             )))
         }
         _ => Ok(()),
+    }
+}
+
+/// Reject a zero-length window: CQL without a `RANGE` clause (or with
+/// `RANGE 0`) declares one, and such a window never expires, so the engine
+/// cannot bound its state.
+fn validate_window(window: Window) -> Result<(), EngineError> {
+    if window.length == Duration::ZERO {
+        Err(EngineError::InvalidQuery(
+            "no RANGE window declared: an unbounded window never expires \
+             and the engine cannot bound its state"
+                .into(),
+        ))
+    } else {
+        Ok(())
     }
 }
 

@@ -67,10 +67,9 @@ impl Executor {
         let op_mem = plan
             .slots
             .iter()
-            .enumerate()
-            .map(|(i, s)| metrics.register_memory(format!("op{} {}", i, s.operator.name())))
+            .map(|_| metrics.register_memory())
             .collect();
-        let queue_mem = metrics.register_memory("inter-operator queues");
+        let queue_mem = metrics.register_memory();
         Executor {
             slots: plan.slots,
             source_subscribers: plan.source_subscribers,

@@ -1,8 +1,9 @@
 //! Selection (filter) operators.
 //!
-//! Section V (Figure 9a) uses a selection as the consumer of a join to show
-//! that JIT consumers need not be joins. This module provides the plain
-//! (REF) selection; the MNS-detecting variant lives in `jit-core`.
+//! Plans push every constant filter below the joins, so a selection only
+//! ever filters one source's arrivals and detects no MNSs: Section V's JIT
+//! selection, the consumer of a join in Figure 9a, has no place in such a
+//! plan.
 
 use crate::operator::{DataMessage, OpContext, Operator, OperatorOutput, Port};
 use jit_metrics::CostKind;

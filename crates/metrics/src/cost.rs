@@ -8,7 +8,6 @@
 //! because both systems execute the same kinds of elementary operations —
 //! only in different quantities. Wall-clock time is captured alongside.
 
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// The elementary operations charged by the cost model.
@@ -18,7 +17,7 @@ use std::time::Instant;
 /// themselves. `ResultBuild`, `FeedbackHandle` and `BlacklistMove` feed no
 /// statistic through `charge`: their counters depend on something the kind
 /// does not carry, and the call sites keep explicit `stats` statements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CostKind {
     /// Examining one *candidate* stored tuple while probing a state: every
     /// live tuple under a nested-loop scan, only the hash partition (plus
@@ -59,74 +58,26 @@ pub enum CostKind {
     TaskDispatch,
 }
 
-/// Weights (in abstract units) for each [`CostKind`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct CostModel {
-    /// Cost of a nested-loop probe step.
-    pub(crate) probe_pair: u64,
-    /// Cost of one predicate evaluation.
-    pub(crate) predicate_eval: u64,
-    /// Cost of materialising a result.
-    pub(crate) result_build: u64,
-    /// Cost of a state insertion.
-    pub(crate) state_insert: u64,
-    /// Cost of purging one tuple.
-    pub(crate) state_purge: u64,
-    /// Cost of a queue operation.
-    pub(crate) queue_op: u64,
-    /// Cost of probing one MNS buffer entry.
-    pub(crate) mns_buffer_probe: u64,
-    /// Cost of visiting one lattice node.
-    pub(crate) lattice_node: u64,
-    /// Cost of one Bloom filter check.
-    pub(crate) bloom_check: u64,
-    /// Cost of handling one feedback message.
-    pub(crate) feedback_handle: u64,
-    /// Cost of one blacklist move.
-    pub(crate) blacklist_move: u64,
-    /// Cost of dispatching one scheduler task.
-    pub(crate) task_dispatch: u64,
-}
-
-impl Default for CostModel {
-    /// Weights roughly proportional to the work each operation performs in
-    /// the substrate: building and inserting tuples is more expensive than a
-    /// comparison; bookkeeping operations are cheap.
-    fn default() -> Self {
-        CostModel {
-            probe_pair: 2,
-            predicate_eval: 1,
-            result_build: 6,
-            state_insert: 3,
-            state_purge: 2,
-            queue_op: 1,
-            mns_buffer_probe: 2,
-            lattice_node: 1,
-            bloom_check: 1,
-            feedback_handle: 4,
-            blacklist_move: 3,
-            task_dispatch: 1,
-        }
-    }
-}
-
-impl CostModel {
-    /// The weight for a given operation kind.
+impl CostKind {
+    /// The kind's weight in abstract units, roughly proportional to the work
+    /// the operation performs in the substrate: building and inserting
+    /// tuples is more expensive than a comparison; bookkeeping operations
+    /// are cheap.
     #[inline]
-    pub(crate) fn weight(&self, kind: CostKind) -> u64 {
-        match kind {
-            CostKind::ProbePair => self.probe_pair,
-            CostKind::PredicateEval => self.predicate_eval,
-            CostKind::ResultBuild => self.result_build,
-            CostKind::StateInsert => self.state_insert,
-            CostKind::StatePurge => self.state_purge,
-            CostKind::QueueOp => self.queue_op,
-            CostKind::MnsBufferProbe => self.mns_buffer_probe,
-            CostKind::LatticeNode => self.lattice_node,
-            CostKind::BloomCheck => self.bloom_check,
-            CostKind::FeedbackHandle => self.feedback_handle,
-            CostKind::BlacklistMove => self.blacklist_move,
-            CostKind::TaskDispatch => self.task_dispatch,
+    pub(crate) const fn weight(self) -> u64 {
+        match self {
+            CostKind::ProbePair => 2,
+            CostKind::PredicateEval => 1,
+            CostKind::ResultBuild => 6,
+            CostKind::StateInsert => 3,
+            CostKind::StatePurge => 2,
+            CostKind::QueueOp => 1,
+            CostKind::MnsBufferProbe => 2,
+            CostKind::LatticeNode => 1,
+            CostKind::BloomCheck => 1,
+            CostKind::FeedbackHandle => 4,
+            CostKind::BlacklistMove => 3,
+            CostKind::TaskDispatch => 1,
         }
     }
 }
@@ -134,23 +85,15 @@ impl CostModel {
 /// Accumulates cost units and wall-clock time over one execution.
 #[derive(Debug, Clone)]
 pub(crate) struct CostTracker {
-    model: CostModel,
     total_units: u64,
     started: Instant,
     wall_seconds: f64,
 }
 
 impl Default for CostTracker {
+    /// A tracker with nothing charged; the wall clock starts now.
     fn default() -> Self {
-        CostTracker::new(CostModel::default())
-    }
-}
-
-impl CostTracker {
-    /// Create a tracker using the given weights; the wall clock starts now.
-    pub(crate) fn new(model: CostModel) -> Self {
         CostTracker {
-            model,
             total_units: 0,
             #[expect(
                 clippy::disallowed_methods,
@@ -160,11 +103,13 @@ impl CostTracker {
             wall_seconds: 0.0,
         }
     }
+}
 
+impl CostTracker {
     /// Charge `count` operations of the given kind.
     #[inline]
     pub(crate) fn charge(&mut self, kind: CostKind, count: u64) {
-        self.total_units += self.model.weight(kind) * count;
+        self.total_units += kind.weight() * count;
     }
 
     /// Total abstract cost units charged so far.
@@ -194,7 +139,6 @@ mod tests {
 
     #[test]
     fn default_weights_are_positive() {
-        let m = CostModel::default();
         for kind in [
             CostKind::ProbePair,
             CostKind::PredicateEval,
@@ -209,7 +153,7 @@ mod tests {
             CostKind::BlacklistMove,
             CostKind::TaskDispatch,
         ] {
-            assert!(m.weight(kind) > 0, "{kind:?}");
+            assert!(kind.weight() > 0, "{kind:?}");
         }
     }
 
@@ -218,7 +162,7 @@ mod tests {
         let mut t = CostTracker::default();
         t.charge(CostKind::ProbePair, 10);
         t.charge(CostKind::ResultBuild, 1);
-        let expected = CostModel::default().probe_pair * 10 + CostModel::default().result_build;
+        let expected = CostKind::ProbePair.weight() * 10 + CostKind::ResultBuild.weight();
         assert_eq!(t.total_units(), expected);
     }
 
@@ -238,22 +182,5 @@ mod tests {
         assert!(stopped >= first);
         // After stopping, the value is frozen.
         assert_eq!(t.wall_seconds(), stopped);
-    }
-
-    #[test]
-    fn custom_model_changes_totals() {
-        let cheap = CostModel {
-            probe_pair: 1,
-            ..CostModel::default()
-        };
-        let costly = CostModel {
-            probe_pair: 100,
-            ..CostModel::default()
-        };
-        let mut a = CostTracker::new(cheap);
-        let mut b = CostTracker::new(costly);
-        a.charge(CostKind::ProbePair, 5);
-        b.charge(CostKind::ProbePair, 5);
-        assert!(b.total_units() > a.total_units());
     }
 }

@@ -1,6 +1,6 @@
 //! Execution event counters.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::ops::AddAssign;
 
 /// Raw counts of the events that matter for the paper's analysis.
@@ -14,7 +14,7 @@ use std::ops::AddAssign;
 /// * `probe_pairs` — tuple pairs examined during state probes (the dominant
 ///   CPU term under nested-loop joins);
 /// * `feedback_*` — the overhead JIT pays for its savings.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ExecStats {
     /// Base tuples ingested from the sources.
     pub tuples_arrived: u64,
@@ -170,7 +170,5 @@ mod tests {
         };
         let json = serde_json::to_string(&s).unwrap();
         assert!(json.contains("\"tuples_arrived\":4"));
-        let back: ExecStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
     }
 }

@@ -9,25 +9,22 @@
 //! This measures exactly the quantity the paper's argument is about (bytes
 //! spent storing tuples and intermediate results), without allocator noise.
 
-use serde::{Deserialize, Serialize};
-
 /// Handle identifying one registered memory component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemComponentId(pub(crate) usize);
 
 /// Per-component byte accounting with global peak tracking.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct MemoryTracker {
-    names: Vec<String>,
     sizes: Vec<usize>,
     current_total: usize,
     peak_total: usize,
 }
 
 impl MemoryTracker {
-    /// Register a component (e.g. `"state S_AB"`); returns its handle.
-    pub(crate) fn register(&mut self, name: impl Into<String>) -> MemComponentId {
-        self.names.push(name.into());
+    /// Register a component (an operator state, the queues); returns its
+    /// handle.
+    pub(crate) fn register(&mut self) -> MemComponentId {
         self.sizes.push(0);
         MemComponentId(self.sizes.len() - 1)
     }
@@ -46,12 +43,6 @@ impl MemoryTracker {
     #[cfg(test)]
     fn component_bytes(&self, id: MemComponentId) -> usize {
         self.sizes[id.0]
-    }
-
-    /// Name of one component.
-    #[cfg(test)]
-    fn component_name(&self, id: MemComponentId) -> &str {
-        &self.names[id.0]
     }
 
     /// Number of registered components.
@@ -75,19 +66,6 @@ impl MemoryTracker {
     fn peak_kb(&self) -> f64 {
         self.peak_total as f64 / 1024.0
     }
-
-    /// A breakdown of current usage as `(name, bytes)` pairs, largest first.
-    #[cfg(test)]
-    fn breakdown(&self) -> Vec<(String, usize)> {
-        let mut v: Vec<(String, usize)> = self
-            .names
-            .iter()
-            .cloned()
-            .zip(self.sizes.iter().copied())
-            .collect();
-        v.sort_by_key(|entry| std::cmp::Reverse(entry.1));
-        v
-    }
 }
 
 #[cfg(test)]
@@ -97,21 +75,20 @@ mod tests {
     #[test]
     fn register_and_set() {
         let mut m = MemoryTracker::default();
-        let a = m.register("state A");
-        let b = m.register("queue AB");
+        let a = m.register();
+        let b = m.register();
         assert_eq!(m.num_components(), 2);
         m.set(a, 100);
         m.set(b, 50);
         assert_eq!(m.current_bytes(), 150);
         assert_eq!(m.component_bytes(a), 100);
-        assert_eq!(m.component_name(b), "queue AB");
     }
 
     #[test]
     fn peak_is_maximum_of_totals() {
         let mut m = MemoryTracker::default();
-        let a = m.register("a");
-        let b = m.register("b");
+        let a = m.register();
+        let b = m.register();
         m.set(a, 100);
         m.set(b, 200); // total 300
         m.set(a, 10); // total 210
@@ -124,7 +101,7 @@ mod tests {
     #[test]
     fn shrinking_does_not_move_peak() {
         let mut m = MemoryTracker::default();
-        let a = m.register("a");
+        let a = m.register();
         m.set(a, 500);
         m.set(a, 0);
         m.set(a, 100);
@@ -132,22 +109,10 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_sorted_by_size() {
-        let mut m = MemoryTracker::default();
-        let a = m.register("small");
-        let b = m.register("big");
-        m.set(a, 1);
-        m.set(b, 10);
-        let bd = m.breakdown();
-        assert_eq!(bd[0].0, "big");
-        assert_eq!(bd[1], ("small".to_string(), 1));
-    }
-
-    #[test]
     fn total_is_sum_of_components_invariant() {
         // mirror of the accounting invariant tested at system level
         let mut m = MemoryTracker::default();
-        let ids: Vec<_> = (0..5).map(|i| m.register(format!("c{i}"))).collect();
+        let ids: Vec<_> = (0..5).map(|_| m.register()).collect();
         for (i, id) in ids.iter().enumerate() {
             m.set(*id, i * 11);
         }

@@ -944,6 +944,28 @@ mod tests {
         assert_eq!(reg.sharing_report().routed, 3);
     }
 
+    /// The registry refuses a window the engine refuses: a query without a
+    /// `RANGE` clause or with a zero one fails typed, and leaves nothing
+    /// registered behind.
+    #[test]
+    fn zero_windows_are_refused_and_leave_the_registry_unchanged() {
+        let mut reg = QueryRegistry::new(catalog());
+        for text in [
+            "SELECT * FROM A, B WHERE A.k = B.k",
+            "SELECT * FROM A [RANGE 0 seconds], B [RANGE 0 seconds] WHERE A.k = B.k",
+        ] {
+            assert!(
+                matches!(
+                    reg.register(text),
+                    Err(ServeError::Engine(EngineError::InvalidQuery(_)))
+                ),
+                "{text}"
+            );
+            assert_eq!((reg.num_queries(), reg.num_pipelines()), (0, 0), "{text}");
+        }
+        assert_eq!(reg.register(JOIN_AB).unwrap(), QueryId(0));
+    }
+
     #[test]
     fn push_contract_is_enforced() {
         let mut reg = QueryRegistry::new(catalog());

@@ -3,9 +3,9 @@
 use crate::arrival::{poisson_arrival_times, ArrivalEvent};
 use crate::trace::Trace;
 use crate::workload::WorkloadSpec;
-use jit_types::{BaseTuple, SourceId};
+use jit_types::{BaseTuple, SourceId, Value};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Turns a [`WorkloadSpec`] into a concrete, replayable [`Trace`].
@@ -20,10 +20,10 @@ pub struct WorkloadGenerator;
 impl WorkloadGenerator {
     /// Generate the full arrival trace for a workload specification.
     pub fn generate(spec: &WorkloadSpec) -> Trace {
-        let source_specs = spec.source_specs();
+        let columns = spec.num_sources.saturating_sub(1);
         let duration_ms = spec.duration.as_millis();
         let mut events = Vec::new();
-        for (idx, source_spec) in source_specs.iter().enumerate() {
+        for idx in 0..spec.num_sources {
             let source = SourceId(idx as u16);
             // Mix the source index into the seed with a large odd constant so
             // per-source streams are decorrelated but reproducible.
@@ -31,18 +31,17 @@ impl WorkloadGenerator {
                 .seed
                 .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(idx as u64 + 1));
             let mut rng = StdRng::seed_from_u64(seed);
-            let times = poisson_arrival_times(source_spec.rate_per_sec, duration_ms, &mut rng);
-            // Built once per source: a Zipf table costs O(`dmax`).
-            let sampler = source_spec.sampler();
+            let times = poisson_arrival_times(spec.rate_per_sec, duration_ms, &mut rng);
+            let dmax = spec.dmax_of(idx).max(1);
+            let mut draw = || Value::int(rng.gen_range(1..=dmax) as i64);
             for (seq, ts) in times.into_iter().enumerate() {
                 let values = if spec.shared_key {
                     // Shared-key mode: one draw, replicated across all
                     // columns, so every clique predicate reduces to an
                     // equality between tuple keys (key-partitionable).
-                    let key = sampler.default.sample(&mut rng);
-                    vec![key; source_spec.num_columns]
+                    vec![draw(); columns]
                 } else {
-                    sampler.sample_values(&mut rng)
+                    (0..columns).map(|_| draw()).collect()
                 };
                 let tuple = Arc::new(BaseTuple::new(source, seq as u64, ts, values));
                 events.push(ArrivalEvent { ts, source, tuple });
@@ -185,30 +184,45 @@ mod tests {
         hash
     }
 
-    /// A Zipf workload builds one prefix-sum table per source — it used to
-    /// build one per value drawn, O(`dmax`) each — and draws the trace it
-    /// always drew: the hashes were computed by the build that still did.
+    /// Traces are pinned event for event, so a change to the arrival times,
+    /// the values drawn or the order of the draws shows here.
     #[test]
-    fn zipf_tables_are_built_once_per_source_and_the_trace_is_unchanged() {
-        use crate::skew::TABLES_BUILT;
-        let mut spec = WorkloadSpec::bushy_default()
-            .with_sources(3)
-            .with_rate(100.0)
-            .with_dmax(5_000)
-            .with_duration(Duration::from_secs(340))
-            .with_seed(31);
-        spec.zipf_exponent = Some(1.1);
-        for (spec, values_at_least, hash) in [
-            (spec.clone(), 200_000, 0xc514_9068_b090_2314u64),
-            (spec.with_shared_key(), 100_000, 0xf944_a9d6_6d88_fb3au64),
+    fn uniform_traces_are_pinned() {
+        let secs = Duration::from_secs(900);
+        for (spec, events, hash) in [
+            (
+                WorkloadSpec::bushy_default().with_sources(4).with_seed(3),
+                3_575,
+                0x1241_7b72_2ce8_2be3u64,
+            ),
+            (
+                WorkloadSpec::leftdeep_default().with_seed(5),
+                3_473,
+                0x8ed2_ebc8_7ab8_b341,
+            ),
+            (
+                WorkloadSpec::bushy_default()
+                    .with_sources(3)
+                    .with_shared_key()
+                    .with_seed(9),
+                2_703,
+                0x92f0_5f59_639f_48fc,
+            ),
         ] {
-            let before = TABLES_BUILT.with(|built| built.get());
-            let trace = WorkloadGenerator::generate(&spec);
-            assert_eq!(TABLES_BUILT.with(|built| built.get()) - before, 3);
-            let drawn = if spec.shared_key { 1 } else { 2 } * trace.len();
-            assert!(drawn >= values_at_least, "{drawn} values drawn");
+            let trace = WorkloadGenerator::generate(&spec.with_duration(secs));
+            assert_eq!(trace.len(), events);
             assert_eq!(trace_hash(&trace), hash, "{:#018x}", trace_hash(&trace));
         }
+    }
+
+    #[test]
+    fn dmax_one_draws_only_ones() {
+        let trace = WorkloadGenerator::generate(&small_spec().with_dmax(1));
+        assert!(!trace.is_empty());
+        assert!(trace
+            .iter()
+            .flat_map(|e| e.tuple.values.iter())
+            .all(|v| v.as_int() == Some(1)));
     }
 
     #[test]

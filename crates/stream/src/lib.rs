@@ -6,9 +6,9 @@
 //! * `N` streaming sources, each with an average arrival rate of `λ` tuples
 //!   per second (Poisson arrivals).
 //! * Every tuple carries `N − 1` integer columns, one per partner source,
-//!   with values drawn uniformly from `[1..dmax]` (per-source overrides are
-//!   supported — the left-deep experiments feed the last source with values
-//!   from `[1..100·dmax]`).
+//!   with values drawn uniformly from `[1..dmax]`; the last source's domain
+//!   factor widens its range (the left-deep experiments feed it values from
+//!   `[1..100·dmax]`).
 //! * A clique equi-join predicate connects every pair of sources.
 //!
 //! The generator is fully deterministic given a seed, so every experiment is
@@ -22,8 +22,6 @@ mod arrival;
 mod disorder;
 mod generator;
 mod partition;
-mod skew;
-mod source;
 mod trace;
 mod workload;
 

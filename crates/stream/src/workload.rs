@@ -1,6 +1,5 @@
 //! Workload specifications matching Table III of the paper.
 
-use crate::source::{SourceSpec, ValueDomain};
 use jit_types::{Duration, PredicateSet, Window};
 
 /// Full description of one synthetic workload: how many sources, how fast
@@ -26,8 +25,6 @@ pub struct WorkloadSpec {
     pub duration: Duration,
     /// RNG seed; the whole trace is a deterministic function of the spec.
     pub seed: u64,
-    /// Optional Zipf exponent: when set, values are skewed instead of uniform.
-    pub(crate) zipf_exponent: Option<f64>,
     /// Shared-key mode: every tuple draws a *single* key value and carries it
     /// in all of its columns, so each clique predicate reduces to an equality
     /// between the two tuples' keys. Such workloads are *key-partitionable*:
@@ -48,7 +45,6 @@ impl WorkloadSpec {
             last_source_domain_factor: None,
             duration: Duration::from_mins(60),
             seed: 42,
-            zipf_exponent: None,
             shared_key: false,
         }
     }
@@ -63,7 +59,6 @@ impl WorkloadSpec {
             last_source_domain_factor: Some(100),
             duration: Duration::from_mins(60),
             seed: 42,
-            zipf_exponent: None,
             shared_key: false,
         }
     }
@@ -121,32 +116,15 @@ impl WorkloadSpec {
         PredicateSet::clique(self.num_sources)
     }
 
-    /// Per-source generation parameters.
-    ///
-    /// Every source emits at `rate_per_sec` and carries `N − 1` columns; the
-    /// last source's domain is enlarged by `last_source_domain_factor` when
-    /// set (the left-deep configuration of Section VI).
-    pub(crate) fn source_specs(&self) -> Vec<SourceSpec> {
-        let n = self.num_sources;
-        let cols = n.saturating_sub(1);
-        (0..n)
-            .map(|i| {
-                let name = jit_types::SourceId(i as u16).to_string();
-                let dmax = if i + 1 == n {
-                    self.dmax * self.last_source_domain_factor.unwrap_or(1)
-                } else {
-                    self.dmax
-                };
-                let domain = match self.zipf_exponent {
-                    Some(s) => ValueDomain::Zipf {
-                        max: dmax,
-                        exponent: s,
-                    },
-                    None => ValueDomain::uniform(dmax),
-                };
-                SourceSpec::uniform(name, self.rate_per_sec, cols, dmax).with_domain(domain)
-            })
-            .collect()
+    /// The largest value source `source` draws, `dmax` times
+    /// `last_source_domain_factor` for the last source (the left-deep
+    /// configuration of Section VI).
+    pub(crate) fn dmax_of(&self, source: usize) -> u64 {
+        if source + 1 == self.num_sources {
+            self.dmax * self.last_source_domain_factor.unwrap_or(1)
+        } else {
+            self.dmax
+        }
     }
 }
 
@@ -195,31 +173,13 @@ mod tests {
         let s = WorkloadSpec::bushy_default().with_sources(4);
         assert_eq!(s.predicates().len(), 6);
         assert_eq!(s.window().length, Duration::from_mins(20));
-        let specs = s.source_specs();
-        assert_eq!(specs.len(), 4);
-        assert!(specs.iter().all(|sp| sp.num_columns == 3));
-        assert!(specs
-            .iter()
-            .all(|sp| sp.default_domain == ValueDomain::uniform(200)));
+        assert!((0..4).all(|i| s.dmax_of(i) == 200));
     }
 
     #[test]
     fn leftdeep_last_source_has_enlarged_domain() {
         let s = WorkloadSpec::leftdeep_default();
-        let specs = s.source_specs();
-        assert_eq!(specs[0].default_domain, ValueDomain::uniform(50));
-        assert_eq!(specs[3].default_domain, ValueDomain::uniform(5_000));
-    }
-
-    #[test]
-    fn zipf_option_switches_domains() {
-        let s = WorkloadSpec {
-            zipf_exponent: Some(1.1),
-            ..WorkloadSpec::bushy_default()
-        };
-        match s.source_specs()[0].default_domain {
-            ValueDomain::Zipf { exponent, .. } => assert_eq!(exponent, 1.1),
-            other => panic!("expected zipf, got {other:?}"),
-        }
+        assert_eq!(s.dmax_of(0), 50);
+        assert_eq!(s.dmax_of(3), 5_000);
     }
 }

@@ -11,11 +11,10 @@
 //! producer's dynamic production control live in `jit-core`.
 
 use crate::tuple::Tuple;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The command carried by a feedback message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeedbackCommand {
     /// Stop producing results that are super-tuples of the given MNSs.
     Suspend,
@@ -36,7 +35,7 @@ impl fmt::Display for FeedbackCommand {
 
 /// A feedback message `<command, Π>` sent from a consumer operator to one of
 /// its producers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Feedback {
     /// What the producer should do.
     pub command: FeedbackCommand,

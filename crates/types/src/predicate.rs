@@ -7,17 +7,16 @@
 //! columns, one per partner source).
 //!
 //! [`FilterPredicate`] models single-tuple conditions used by selection
-//! operators (Section V, Figure 9a).
+//! operators (CQL's constant filters, such as `A.x > 200`).
 
 use crate::schema::{ColumnRef, SourceId, SourceSet};
 use crate::tuple::Tuple;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An equality condition between two columns of different sources,
 /// e.g. `A.x1 = B.x1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EquiPredicate {
     /// Left column.
     pub left: ColumnRef,
@@ -70,7 +69,7 @@ impl fmt::Display for EquiPredicate {
 }
 
 /// A conjunction of equi-join predicates — the join condition of a query.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PredicateSet {
     predicates: Vec<EquiPredicate>,
 }
@@ -233,7 +232,7 @@ fn facing_column(i: usize, j: usize) -> u16 {
 }
 
 /// Comparison operators for selection predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompareOp {
     /// Equal.
     Eq,
@@ -250,7 +249,7 @@ pub enum CompareOp {
 }
 
 /// A single-tuple filter, e.g. `A.x > 200` (Figure 9a).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FilterPredicate {
     /// Column being tested.
     pub column: ColumnRef,

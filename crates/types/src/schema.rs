@@ -206,7 +206,7 @@ impl FromIterator<SourceId> for SourceSet {
 }
 
 /// Schema of a single streaming source: a name and named columns.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceSchema {
     /// Dense identifier of the source.
     pub id: SourceId,
@@ -246,7 +246,7 @@ impl SourceSchema {
 }
 
 /// The catalog of all sources referenced by a query.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Catalog {
     sources: Vec<SourceSchema>,
 }

@@ -156,7 +156,7 @@ impl fmt::Display for Duration {
 
 /// A sliding window of fixed length applied to every source (the paper's
 /// global window `w`, clause `RANGE w` in CQL).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Window {
     /// Window length `w`.
     pub length: Duration,

@@ -38,7 +38,6 @@ fn all_modes() -> Vec<ExecutionMode> {
         ExecutionMode::Jit(JitPolicy::full()),
         ExecutionMode::Jit(JitPolicy::bloom()),
         ExecutionMode::Jit(JitPolicy::full().without_similar_capture()),
-        ExecutionMode::Jit(JitPolicy::full().without_propagation()),
     ]
 }
 

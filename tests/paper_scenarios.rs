@@ -1,12 +1,11 @@
 //! Scenario tests taken directly from the paper's narrative: the Table I
-//! arrival sequence, the Figure 5 five-way propagation example, the
-//! Section V extensions, and the Table II plan catalogue.
+//! arrival sequence under JIT and DOE, and the Table II plan catalogue.
 
-use jit_core::{JitJoinOperator, JitSelectionOperator};
+use jit_core::JitJoinOperator;
 use jit_dsms::prelude::*;
 use jit_exec::operator::Operator;
 use jit_exec::{Input, PlanBuilder, RefJoinOperator};
-use jit_types::{BaseTuple, FilterPredicate};
+use jit_types::BaseTuple;
 use std::sync::Arc;
 
 fn base(source: u16, seq: u64, ts_s: u64, values: Vec<i64>) -> Arc<BaseTuple> {
@@ -168,53 +167,4 @@ fn all_table2_plans_run_under_every_mode() {
             );
         }
     }
-}
-
-#[test]
-fn selection_consumer_suppresses_upstream_production() {
-    // Figure 9a: Op1 = A⋈B (JIT), Op2 = σ A.x > 200.
-    let predicates = PredicateSet::from_predicates(vec![EquiPredicate::new(
-        ColumnRef::new(SourceId(0), 0),
-        ColumnRef::new(SourceId(1), 0),
-    )]);
-    let window = Window::new(Duration::from_mins(5));
-    let mut builder = PlanBuilder::new();
-    let op1 = builder.add_operator(
-        Box::new(JitJoinOperator::new(
-            "A⋈B",
-            SourceSet::single(SourceId(0)),
-            SourceSet::single(SourceId(1)),
-            predicates,
-            window,
-            JitPolicy::full(),
-        )),
-        vec![Input::Source(SourceId(0)), Input::Source(SourceId(1))],
-    );
-    builder.add_operator(
-        Box::new(JitSelectionOperator::new(
-            "σ A.x1>200",
-            FilterPredicate::gt(ColumnRef::new(SourceId(0), 1), 200),
-            SourceSet::first_n(2),
-        )),
-        vec![Input::Operator(op1)],
-    );
-    let mut exec = Executor::new(builder.build().unwrap(), ExecutorConfig::default());
-    // a1 fails the filter (x1 = 100): after its first joined output reaches
-    // the selection, Op1 is told to stop joining a1.
-    exec.ingest(SourceId(1), base(1, 1, 0, vec![7]));
-    exec.ingest(SourceId(0), base(0, 1, 1, vec![7, 100]));
-    exec.ingest(SourceId(1), base(1, 2, 2, vec![7]));
-    exec.ingest(SourceId(1), base(1, 3, 3, vec![7]));
-    // a2 passes the filter and joins all three b tuples.
-    exec.ingest(SourceId(0), base(0, 2, 4, vec![7, 300]));
-    assert_eq!(exec.results_count(), 3);
-    let stats = exec.metrics().stats;
-    assert!(stats.feedback_suspend >= 1);
-    // REF would have produced 1 + 3·1 + 3 = 7 partials; JIT suppresses the
-    // later a1 joins.
-    assert!(
-        stats.intermediate_produced < 7,
-        "got {}",
-        stats.intermediate_produced
-    );
 }
