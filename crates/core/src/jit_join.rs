@@ -1,26 +1,15 @@
 //! The JIT-enabled binary window join.
 //!
-//! This operator plays both roles of the paper's framework (Figure 6):
+//! [`JitJoinOperator`] is the [`WindowJoin`] REF runs alone, plus the two
+//! roles of the paper's framework (Figure 6), one module each:
 //!
-//! * **Consumer** (`Process_Input`): every arriving tuple first probes the
-//!   MNS buffer of the opposite input (possibly triggering resumption
-//!   feedback), then the opposite state (producing join results and feeding
-//!   the CNS lattice), then reports newly detected MNSs as suspension
-//!   feedback to the producer of its own input, and is finally inserted into
-//!   its own state. Detection is demand-driven: a port looks only for the
-//!   MNSs its producer can act on ([`Producer`], stated by the plan builder).
-//!   Fed by a source or a selection chain it looks for none and runs the
-//!   plain join path — no lattice, no membership probes, no MNS buffer
-//!   entry, no feedback, no Bloom filter on the opposite state; fed by a
-//!   join it leaves out the MNSs spanning both of that join's inputs.
-//!   Ignoring a message is always legal (Section IV-B), so not sending one
-//!   the receiver would ignore changes no suppression decision.
-//! * **Producer** (`Handle_Feedback`): suspension feedback drains the
-//!   super-tuples of the named MNS (and, optionally, "similar" tuples with
-//!   the same join-attribute values) from the corresponding state into a
-//!   blacklist and diverts future matching arrivals; resumption feedback
-//!   restores them, regenerating exactly the partial results that were never
-//!   produced; both kinds are propagated upstream (Section III-C).
+//! * the **consumer** half (`consumer.rs`, `Process_Input`): MNS buffers,
+//!   detection, and `<suspend>` / `<resume>` emission;
+//! * the **producer** half (`producer.rs`, `Handle_Feedback`): blacklists,
+//!   presence histories, suspend / resume / propagate, and the Ø buffer.
+//!
+//! An input is held while Ø is suspended; otherwise it purges, is diverted
+//! if a blacklist captures it, is consumed, and is inserted.
 //!
 //! ## Granularity note (vs the paper)
 //!
@@ -32,43 +21,22 @@
 //! MNS appears — all subsequent suppression, which dominates the savings, is
 //! identical — and matches the paper's own treatment of partial results that
 //! are already sitting in an inter-operator queue (Section III-B).
-//!
-//! ## Duplicate avoidance on resumption
-//!
-//! The paper regenerates, on resumption, the super-tuples "not produced
-//! before" using a per-tuple suspension timestamp. When *both* inputs of the
-//! same operator have suspended tuples with interleaved suspension/resumption
-//! cycles, a single timestamp cannot tell whether a particular pair was
-//! already produced. This implementation regenerates a pair iff its
-//! members' *presence intervals* in the two states never overlapped, which
-//! makes resumed production exactly duplicate-free. The start of a stored
-//! tuple's current presence is the stamp in its state slot
-//! ([`StoredTuple::stamp`]); only a tuple that has been blacklisted has
-//! closed intervals, in a map dropped with its tuple — purged from the state
-//! or the blacklist, or found expired on resumption — so nothing beside the
-//! states grows with them and a run that suspends nothing keeps no map.
 
-use crate::blacklist::{Blacklist, SuspendMode};
 use crate::bloom::BloomFilter;
-use crate::lattice::CnsLattice;
-use crate::mns_buffer::MnsBuffer;
-use crate::policy::{JitPolicy, MnsDetection};
+use crate::consumer::{Consumer, Producer};
+use crate::policy::JitPolicy;
+use crate::producer::{forget, propagate, Suppressed};
 use jit_exec::operator::{
     DataMessage, FeedbackOutcome, OpContext, Operator, OperatorOutput, Port, LEFT, RIGHT,
 };
-use jit_exec::{JoinKeySpec, OperatorState, SpecHits, StateIndexMode, StoredTuple};
-use jit_metrics::CostKind;
+use jit_exec::{opposite, JoinKeySpec, SpecHits, StateIndexMode, WindowJoin};
+use jit_metrics::{CostKind, RunMetrics};
 use jit_types::{
     ColumnRef, FastMap, Feedback, FeedbackCommand, PredicateSet, SourceSet, Timestamp, Tuple,
     TupleKey, Window,
 };
 use serde::{Content, Deserialize, Serialize};
 use std::sync::Arc;
-
-/// Bits in each Bloom filter of a port under [`MnsDetection::Bloom`].
-const BLOOM_BITS: usize = 4096;
-/// Hash functions per Bloom filter.
-const BLOOM_HASHES: usize = 3;
 
 /// Serialise a hash map as its `(key, value)` pairs sorted by key, so the
 /// checkpoint bytes are deterministic regardless of hasher state.
@@ -78,118 +46,33 @@ fn sorted_pairs<K: Ord + Clone, V: Clone>(map: &FastMap<K, V>) -> Vec<(K, V)> {
     pairs
 }
 
-/// Closed presence intervals of the tuples that have been blacklisted at
-/// least once, expressed in the operator's logical event sequence (one tick
-/// per insertion or drain), so that same-millisecond events stay ordered.
-type PresenceHistory = FastMap<TupleKey, Vec<(u64, u64)>>;
-
-/// The positions of `node`'s sources among `candidates` (ascending), as a
-/// bit mask: which per-source probes a node's settling list intersects.
-fn members_of(candidates: SourceSet, node: SourceSet) -> u64 {
-    candidates
-        .iter()
-        .enumerate()
-        .filter(|&(_, source)| node.contains(source))
-        .fold(0, |mask, (i, _)| mask | 1 << i)
-}
-
-/// What feeds one input port of a [`JitJoinOperator`], i.e. which of the
-/// port's MNSs a `<suspend>` could do anything about. A fact of the plan,
-/// fixed when the plan is built ([`JitJoinOperator::fed_by`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Producer {
-    /// Not stated (an operator constructed outside a plan builder): every
-    /// MNS is detected, buffered and reported.
-    #[default]
-    Unknown,
-    /// A raw source or a selection chain. Neither withholds production, so
-    /// feedback to it is dropped and the port detects nothing, Ø included.
-    Passive,
-    /// A join with these two input schemas. It acts on Ø and on an MNS lying
-    /// inside one of its inputs; one spanning both (Type II, Section IV-B)
-    /// it ignores.
-    Join {
-        /// Schema of the producer's left input.
-        left: SourceSet,
-        /// Schema of the producer's right input.
-        right: SourceSet,
-    },
-}
-
-impl Producer {
-    /// Does the port report anything at all?
-    fn listens(self) -> bool {
-        self != Producer::Passive
-    }
-
-    /// Would the producer act on feedback naming an MNS with this coverage?
-    fn acts_on(self, coverage: SourceSet) -> bool {
-        match self {
-            Producer::Unknown => true,
-            Producer::Passive => false,
-            Producer::Join { left, right } => coverage.is_subset(left) || coverage.is_subset(right),
-        }
-    }
-}
-
-/// Binary sliding-window join with JIT feedback (consumer and producer roles).
+/// Binary sliding-window join with JIT feedback: a [`WindowJoin`] plus a
+/// consumer half per port and a producer half per side.
 pub struct JitJoinOperator {
-    name: String,
-    left_schema: SourceSet,
-    right_schema: SourceSet,
-    predicates: PredicateSet,
-    window: Window,
-    policy: JitPolicy,
-    /// Per-port: what feeds the port, hence which MNSs it detects.
-    producers: [Producer; 2],
-    /// Per-side operator states (index 0 = left, 1 = right).
-    states: [OperatorState; 2],
-    /// Per-side MNS buffers: MNSs detected on that side's inputs.
-    mns_buffers: [MnsBuffer; 2],
-    /// Per-side blacklists: suspended tuples drained from that side's state.
-    blacklists: [Blacklist; 2],
-    /// Per-side presence histories for tuples that have been blacklisted.
-    histories: [PresenceHistory; 2],
+    /// The purge–probe–insert join REF runs alone.
+    pub(crate) join: WindowJoin,
+    pub(crate) policy: JitPolicy,
+    /// Per port, the consumer half: what the port detects and reports.
+    pub(crate) consumers: [Consumer; 2],
+    /// Per side, the producer half: what it holds back from its state.
+    pub(crate) producers: [Suppressed; 2],
     /// Logical event counter (ticks on every state insertion or drain). A
     /// stored tuple's stamp is the tick its current presence started at.
-    event_seq: u64,
-    /// Per-side Bloom filters over the state's join-column values
-    /// (only maintained under [`MnsDetection::Bloom`]).
-    blooms: [FastMap<ColumnRef, BloomFilter>; 2],
-    /// Full-key spec for probing the *opposite* state with an input
-    /// arriving on each port, precomputed from the predicates. Only a port
-    /// that does not settle probes with it (see [`JitJoinOperator::settles`]).
-    probe_specs: [JoinKeySpec; 2],
-    /// Per port, one spec per candidate source (ascending): the stored
-    /// columns of the opposite state paired with that source's. A settling
-    /// port probes the opposite state through these alone; the full key is
-    /// their union, so its bucket is the intersection of theirs.
-    source_specs: [Vec<JoinKeySpec>; 2],
-    /// Per-port lattice nodes (the subsets of the port's candidate sources
-    /// its producer acts on) in settling order, largest first — precomputed
-    /// so the hashed probe path allocates and sorts nothing per tuple. A
-    /// node keeps no spec: a singleton's membership probe is its source's
-    /// entry in `source_specs`, and a larger node's settling list is the
-    /// intersection of its members' lists.
-    nodes: [Vec<SourceSet>; 2],
+    pub(crate) event_seq: u64,
     /// Per MNS coverage (which fixes the side), the columns used to
     /// recognise tuples "similar" to such an MNS and the spec that finds
     /// the stored tuples carrying its values on them. Filled on the first
     /// suspension of each coverage.
-    suspend_shapes: FastMap<SourceSet, (Arc<[ColumnRef]>, JoinKeySpec)>,
+    pub(crate) suspend_shapes: FastMap<SourceSet, (Arc<[ColumnRef]>, JoinKeySpec)>,
     /// Ø-suspension: when set, all inputs are buffered unprocessed.
-    fully_suspended: bool,
+    pub(crate) fully_suspended: bool,
     /// Inputs buffered while fully suspended, with their arrival instants.
-    pending: Vec<(Port, DataMessage, Timestamp)>,
-    pending_bytes: usize,
-    /// Buffers reused from call to call, so that a call that finds nothing
-    /// allocates nothing: state-probe handles, detected MNSs, and each
-    /// port's lattice (its inputs share their candidates).
-    probe_hits: Vec<u64>,
+    pub(crate) pending: Vec<(Port, DataMessage, Timestamp)>,
+    pub(crate) pending_bytes: usize,
     /// What a settling port's probe found under each candidate source.
-    source_hits: SpecHits,
-    detected: Vec<Tuple>,
-    lattices: [Option<CnsLattice>; 2],
+    pub(crate) source_hits: SpecHits,
+    /// The MNSs the current input yielded, reused from call to call.
+    pub(crate) detected: Vec<Tuple>,
 }
 
 impl JitJoinOperator {
@@ -202,144 +85,32 @@ impl JitJoinOperator {
         window: Window,
         policy: JitPolicy,
     ) -> Self {
-        let name = name.into();
-        let schema_of = |port: Port| {
-            if port == LEFT {
-                left_schema
-            } else {
-                right_schema
-            }
-        };
-        let probe_specs = [LEFT, RIGHT].map(|port| {
-            JoinKeySpec::between(
-                &predicates,
-                schema_of(Self::opposite(port)),
-                schema_of(port),
-            )
-        });
-        let candidates = [LEFT, RIGHT].map(|port| {
-            predicates.sources_facing(schema_of(port), schema_of(Self::opposite(port)))
-        });
-        let source_specs = [LEFT, RIGHT].map(|port| {
-            Self::source_specs(
-                &predicates,
-                schema_of(Self::opposite(port)),
-                candidates[port],
-            )
-        });
+        let join = WindowJoin::new(name, left_schema, right_schema, predicates, window);
         JitJoinOperator {
-            states: [
-                OperatorState::new(format!("{name}.SL")),
-                OperatorState::new(format!("{name}.SR")),
-            ],
-            probe_specs,
-            source_specs,
-            nodes: candidates.map(Self::settling_nodes),
-            producers: [Producer::Unknown; 2],
-            suspend_shapes: FastMap::default(),
-            mns_buffers: [
-                MnsBuffer::new(format!("{name}.NB_L")),
-                MnsBuffer::new(format!("{name}.NB_R")),
-            ],
-            blacklists: [
-                Blacklist::new(format!("{name}.BL_L")),
-                Blacklist::new(format!("{name}.BL_R")),
-            ],
-            histories: [FastMap::default(), FastMap::default()],
+            consumers: [Consumer::new(&join, LEFT), Consumer::new(&join, RIGHT)],
+            producers: [Suppressed::new(&join, LEFT), Suppressed::new(&join, RIGHT)],
+            join,
+            policy,
             event_seq: 0,
-            blooms: [FastMap::default(), FastMap::default()],
+            suspend_shapes: FastMap::default(),
             fully_suspended: false,
             pending: Vec::new(),
             pending_bytes: 0,
-            probe_hits: Vec::new(),
             source_hits: SpecHits::default(),
             detected: Vec::new(),
-            lattices: [None, None],
-            name,
-            left_schema,
-            right_schema,
-            predicates,
-            window,
-            policy,
         }
     }
 
     /// State what feeds the left and the right port. A port detects, buffers
     /// and reports only the MNSs its producer acts on (see [`Producer`]); a
-    /// [`Producer::Passive`] port runs the plain join path. Plan builders
-    /// call this with what the plan says; without it both ports are
+    /// [`Producer::Passive`] port runs REF's probe. Plan builders call this
+    /// with what the plan says; without it both ports are
     /// [`Producer::Unknown`].
     pub fn fed_by(mut self, producers: [Producer; 2]) -> Self {
-        self.producers = producers;
-        for port in [LEFT, RIGHT] {
-            self.nodes[port].retain(|node| producers[port].acts_on(*node));
+        for (consumer, producer) in self.consumers.iter_mut().zip(producers) {
+            consumer.feed(producer);
         }
         self
-    }
-
-    /// The subsets of `candidates` in the order the hashed probe path
-    /// settles them (largest first).
-    fn settling_nodes(candidates: SourceSet) -> Vec<SourceSet> {
-        let mut nodes = candidates.non_empty_subsets();
-        nodes.sort_by_key(|s| std::cmp::Reverse(s.len()));
-        nodes
-    }
-
-    /// One spec per source of `candidates`, ascending: the probe of the
-    /// state covering `opp_schema` by that source's columns alone.
-    fn source_specs(
-        predicates: &PredicateSet,
-        opp_schema: SourceSet,
-        candidates: SourceSet,
-    ) -> Vec<JoinKeySpec> {
-        candidates
-            .iter()
-            .map(|source| JoinKeySpec::between(predicates, opp_schema, SourceSet::single(source)))
-            .collect()
-    }
-
-    /// Does `port` settle lattice nodes for an input with these candidate
-    /// sources? It does when its producer listens, detection walks the
-    /// lattice, the opposite state hashes and there are two candidates or
-    /// more — exactly when a node other than the full key can need a
-    /// membership probe. A settling port probes the opposite state only
-    /// through one index per candidate source, so the state never builds
-    /// the full-key index or one per multi-source node.
-    fn settles(&self, port: Port, candidates: SourceSet) -> bool {
-        self.producers[port].listens()
-            && self.policy.detection == MnsDetection::FullLattice
-            && self.states[Self::opposite(port)].index_mode() == StateIndexMode::Hashed
-            && candidates.len() >= 2
-    }
-
-    /// Probe the state opposite `port` for the partners of `input`, whose
-    /// candidate sources are `candidates`: the handles go to `hits`, in
-    /// insertion order. A settling port answers from its per-source indexes
-    /// and leaves what each found in `per_source`; any other port probes
-    /// the full key. Both find the same handles. Returns whether the port
-    /// settles.
-    fn probe_opposite(
-        &mut self,
-        port: Port,
-        input: &Tuple,
-        candidates: SourceSet,
-        per_source: &mut SpecHits,
-        hits: &mut Vec<u64>,
-    ) -> bool {
-        debug_assert_eq!(input.sources(), self.schema_of(port));
-        let opp = Self::opposite(port);
-        let settles = self.settles(port, candidates);
-        if settles {
-            self.states[opp].probe_union_into(&self.source_specs[port], input, per_source, hits);
-        } else {
-            self.states[opp].probe_into(&self.probe_specs[port], input, hits);
-        }
-        settles
-    }
-
-    /// Does `port` report an MNS with this coverage to its producer?
-    fn reports(&self, port: Port, coverage: SourceSet) -> bool {
-        self.producers[port].acts_on(coverage)
     }
 
     /// Select how the two operator states and MNS buffers answer probes
@@ -353,55 +124,11 @@ impl JitJoinOperator {
     /// feedback-equivalent, see the equivalence suite). The blacklist
     /// diversion check is hashed under both modes.
     pub fn with_state_index(mut self, mode: StateIndexMode) -> Self {
-        for state in &mut self.states {
-            state.set_index_mode(mode);
-        }
-        for buffer in &mut self.mns_buffers {
-            buffer.set_index_mode(mode);
+        for side in [LEFT, RIGHT] {
+            self.join.state_mut(side).set_index_mode(mode);
+            self.consumers[side].mns_buffer.set_index_mode(mode);
         }
         self
-    }
-
-    /// Schema of one input side.
-    fn schema_of(&self, port: Port) -> SourceSet {
-        if port == LEFT {
-            self.left_schema
-        } else {
-            self.right_schema
-        }
-    }
-
-    /// The opposite port.
-    fn opposite(port: Port) -> Port {
-        if port == LEFT {
-            RIGHT
-        } else {
-            LEFT
-        }
-    }
-
-    /// Number of tuples in the state of the given side.
-    #[cfg(test)]
-    fn state_len(&self, port: Port) -> usize {
-        self.states[port].len()
-    }
-
-    /// Number of MNSs currently buffered for the given side.
-    #[cfg(test)]
-    fn mns_buffer_len(&self, port: Port) -> usize {
-        self.mns_buffers[port].len()
-    }
-
-    /// Number of tuples suspended in the blacklist of the given side.
-    #[cfg(test)]
-    fn blacklist_len(&self, port: Port) -> usize {
-        self.blacklists[port].num_tuples()
-    }
-
-    /// Is the operator fully suspended (Ø MNS / DOE-style)?
-    #[cfg(test)]
-    fn is_fully_suspended(&self) -> bool {
-        self.fully_suspended
     }
 
     /// Can a purge at `now` remove anything from any of the six containers?
@@ -411,457 +138,59 @@ impl JitJoinOperator {
     /// nothing and emits no feedback, so eliding it is observationally
     /// identical.
     fn purge_due(&self, now: Timestamp) -> bool {
+        let window = self.join.window();
+        let expired = |key: Option<Timestamp>| key.is_some_and(|key| window.is_expired(key, now));
         [LEFT, RIGHT].into_iter().any(|side| {
-            let expired =
-                |key: Option<Timestamp>| key.is_some_and(|key| self.window.is_expired(key, now));
-            expired(self.states[side].next_expiry())
-                || expired(self.blacklists[side].next_expiry())
-                || expired(self.mns_buffers[side].next_expiry())
+            expired(self.join.state(side).next_expiry())
+                || expired(self.producers[side].blacklist.next_expiry())
+                || expired(self.consumers[side].mns_buffer.next_expiry())
         })
     }
 
     /// Purge every container and emit resumption feedback for MNSs whose
     /// justification has expired.
-    fn purge_all(
-        &mut self,
-        now: Timestamp,
-        ctx: &mut OpContext<'_>,
-        output: &mut Vec<(Port, Feedback)>,
-    ) {
+    fn purge_all(&mut self, ctx: &mut OpContext<'_>, feedback: &mut Vec<(Port, Feedback)>) {
+        let now = ctx.now;
         if !self.purge_due(now) {
             return;
         }
-        let mut purged = 0usize;
+        let producers = &mut self.producers;
+        let mut purged = self.join.purge(now, |side, tuple| {
+            forget(&mut producers[side].history, tuple)
+        });
+        let window = self.join.window();
         for side in [LEFT, RIGHT] {
-            // A tuple that expires leaves for good: drop its presence
-            // history with it, if any tuple has one.
-            let history = &mut self.histories[side];
-            let mut forget = |tuple: &Tuple| {
-                if !history.is_empty() {
-                    history.remove(&tuple.key());
-                }
-            };
-            purged += self.states[side].purge_with(self.window, now, &mut forget);
-            purged += self.blacklists[side].purge(self.window, now, &mut forget);
-            let expired = self.mns_buffers[side].take_expired(self.window, now);
+            let held = &mut self.producers[side];
+            purged += held
+                .blacklist
+                .purge(window, now, |t| forget(&mut held.history, t));
+            let expired = self.consumers[side].mns_buffer.take_expired(window, now);
             purged += expired.len();
             if !expired.is_empty() {
                 // The suspension justification expired: ask the producer of
                 // that side to release anything it still holds for these MNSs.
-                output.push((side, Feedback::resume(expired)));
+                feedback.push((side, Feedback::resume(expired)));
             }
         }
         ctx.metrics.charge(CostKind::StatePurge, purged as u64);
     }
 
-    /// The candidate sources of an input on `port`: its components that are
-    /// referenced by a predicate towards the opposite schema.
-    fn candidate_sources(&self, tuple: &Tuple, port: Port) -> SourceSet {
-        self.predicates
-            .sources_facing(tuple.sources(), self.schema_of(Self::opposite(port)))
-    }
-
-    /// For one (input, stored) pair, the set of candidate components of the
-    /// input whose predicates towards the stored tuple all hold.
-    fn matched_components(
-        &self,
-        input: &Tuple,
-        stored: &Tuple,
-        candidates: SourceSet,
-        evals: &mut u64,
-    ) -> SourceSet {
-        let mut matched = SourceSet::EMPTY;
-        for source in candidates.iter() {
-            // `holds_across` on the component alone, without projecting it
-            // out of the input first: only its own columns have a value.
-            let own = |col: ColumnRef| (col.source == source).then(|| input.value(col)).flatten();
-            let mut ok = true;
-            for p in self.predicates.predicates() {
-                if p.spans(SourceSet::single(source), stored.sources()) {
-                    *evals += 1;
-                    let holds = match (own(p.left), stored.value(p.right)) {
-                        (Some(a), Some(b)) => a == b,
-                        _ => match (own(p.right), stored.value(p.left)) {
-                            (Some(a), Some(b)) => a == b,
-                            _ => true,
-                        },
-                    };
-                    if !holds {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                matched.insert(source);
-            }
-        }
-        matched
-    }
-
-    /// An all-alive lattice over the subsets of `candidates` the port
-    /// reports: the port's previous one, reset, unless this input's
-    /// candidates differ.
-    fn fresh_lattice(&mut self, port: Port, candidates: SourceSet) -> CnsLattice {
-        match self.lattices[port].take() {
-            Some(mut lattice) if lattice.candidates() == candidates => {
-                lattice.reset();
-                lattice
-            }
-            _ => CnsLattice::restricted(candidates, |node| self.reports(port, node)),
-        }
-    }
-
-    /// MNS detection for an input whose probe of the opposite state has been
-    /// summarised in `lattice` (if the full algorithm is active). The MNSs
-    /// are appended to `self.detected`.
-    fn detect_mns(
-        &mut self,
-        input: &Tuple,
-        port: Port,
-        candidates: SourceSet,
-        lattice: Option<&CnsLattice>,
-        ctx: &mut OpContext<'_>,
-    ) {
-        let opp = Self::opposite(port);
-        if self.states[opp].is_empty() {
-            // Figure 8, line 2: an empty opposite state makes Ø the only MNS.
-            self.detected.push(Tuple::empty());
-            return;
-        }
-        match self.policy.detection {
-            MnsDetection::EmptyStateOnly => {}
-            MnsDetection::FullLattice => {
-                if let Some(l) = lattice {
-                    let minimal = l.minimal_alive_iter();
-                    self.detected
-                        .extend(minimal.map(|sources| input.project(sources)));
-                }
-            }
-            MnsDetection::Bloom => {
-                // A level-1 component is an MNS if any of its equi-join
-                // values is definitively absent from the opposite state.
-                for source in candidates.iter() {
-                    let single = SourceSet::single(source);
-                    let mut absent = false;
-                    for p in self.predicates.predicates() {
-                        if !p.spans(single, self.schema_of(opp)) {
-                            continue;
-                        }
-                        let (own_col, opp_col) = if single.contains(p.left.source) {
-                            (p.left, p.right)
-                        } else {
-                            (p.right, p.left)
-                        };
-                        let Some(value) = input.value(own_col) else {
-                            continue;
-                        };
-                        ctx.metrics.charge(CostKind::BloomCheck, 1);
-                        if let Some(filter) = self.blooms[opp].get(&opp_col) {
-                            if filter.definitely_absent(value) {
-                                absent = true;
-                                break;
-                            }
-                        }
-                    }
-                    if absent {
-                        self.detected.push(input.project(single));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Record a value insertion in the Bloom filters of `port`'s state,
-    /// which only the opposite port's detection reads.
-    fn update_bloom(&mut self, port: Port, tuple: &Tuple) {
-        if self.policy.detection != MnsDetection::Bloom
-            || !self.producers[Self::opposite(port)].listens()
-        {
-            return;
-        }
-        let own_schema = self.schema_of(port);
-        let opp_schema = self.schema_of(Self::opposite(port));
-        let columns = self.predicates.join_columns(own_schema, opp_schema);
-        for col in columns {
-            if let Some(v) = tuple.value(col) {
-                self.blooms[port]
-                    .entry(col)
-                    .or_insert_with(|| BloomFilter::new(BLOOM_BITS, BLOOM_HASHES))
-                    .insert(v);
-            }
-        }
-    }
-
-    /// Insert into the state of `side` (normal processing or a restore):
-    /// ticks the event clock and starts a presence interval.
-    fn insert_present(&mut self, side: Port, tuple: Tuple) {
+    /// Store `tuple` in `side`'s state (an arrival or a restore): it ticks
+    /// the event clock and starts a presence interval.
+    pub(crate) fn insert(&mut self, side: Port, tuple: Tuple, metrics: &mut RunMetrics) {
+        self.update_bloom(side, &tuple);
         self.event_seq += 1;
-        let stamp = self.event_seq;
-        self.states[side].restore(StoredTuple { tuple, stamp });
-    }
-
-    /// Has the pair (restoring tuple with the closed intervals `own_hist`,
-    /// tuple `stored` on side `opp`) been produced before? True iff their
-    /// presence intervals ever overlapped: a pair is joined exactly when one
-    /// member is inserted while the other is present.
-    fn produced_before(&self, own_hist: &[(u64, u64)], opp: Port, stored: &StoredTuple) -> bool {
-        if own_hist.is_empty() {
-            // Diverted on arrival: never present, never joined anything.
-            return false;
-        }
-        let opp_hist = self.histories[opp].get(&stored.tuple.key());
-        let opp_hist = opp_hist.map_or(&[][..], Vec::as_slice);
-        let overlaps = |a: (u64, u64), b: (u64, u64)| a.0 < b.1 && b.0 < a.1;
-        // The opposite tuple's current (ongoing) presence interval.
-        let opp_current = (stored.stamp, u64::MAX);
-        own_hist.iter().any(|&interval| {
-            overlaps(interval, opp_current)
-                || opp_hist.iter().any(|&other| overlaps(interval, other))
-        })
-    }
-
-    /// Enter Ø suspension: every future input is buffered unprocessed.
-    fn enter_full_suspension(&mut self) {
-        self.fully_suspended = true;
-    }
-
-    /// Leave Ø suspension, reprocessing buffered inputs with their original
-    /// arrival instants (so purge decisions match what a prompt execution
-    /// would have done).
-    fn exit_full_suspension(
-        &mut self,
-        ctx: &mut OpContext<'_>,
-    ) -> (Vec<DataMessage>, Vec<(Port, Feedback)>) {
-        self.fully_suspended = false;
-        let pending = std::mem::take(&mut self.pending);
-        self.pending_bytes = 0;
-        let mut results = Vec::new();
-        let mut feedback = Vec::new();
-        for (port, msg, arrived_at) in pending {
-            let mut inner = OpContext::new(arrived_at, &mut *ctx.metrics);
-            let out = self.process(port, &msg, &mut inner);
-            results.extend(out.results);
-            feedback.extend(out.feedback);
-        }
-        (results, feedback)
-    }
-
-    /// Handle the suspension of one MNS in the producer role.
-    fn suspend_one(
-        &mut self,
-        mns: &Tuple,
-        now: Timestamp,
-        ctx: &mut OpContext<'_>,
-        outcome: &mut FeedbackOutcome,
-    ) {
-        if mns.is_empty() {
-            self.enter_full_suspension();
-            for side in [LEFT, RIGHT] {
-                outcome
-                    .propagate
-                    .push((side, Feedback::suspend(vec![Tuple::empty()])));
-                ctx.metrics.stats.feedback_propagated += 1;
-            }
-            return;
-        }
-        let on_left = mns.sources().is_subset(self.left_schema);
-        let on_right = mns.sources().is_subset(self.right_schema);
-        let side = match (on_left, on_right) {
-            (true, _) => LEFT,
-            (_, true) => RIGHT,
-            // Type II MNS: spans both inputs. Ignoring it is always legal
-            // (Section IV-B); the mark-result path is not implemented.
-            _ => return,
-        };
-        // Propagate before handling (Section III-C, rule (i)).
-        outcome
-            .propagate
-            .push((side, Feedback::suspend(vec![mns.clone()])));
-        ctx.metrics.stats.feedback_propagated += 1;
-        // "Similar" tuples are recognised on the join attributes of the
-        // MNS's sources towards the part of the query outside this
-        // operator's output.
-        let (predicates, output) = (&self.predicates, self.left_schema.union(self.right_schema));
-        let (sig_columns, drain_spec) =
-            self.suspend_shapes.entry(mns.sources()).or_insert_with(|| {
-                let external = predicates.referenced_sources().difference(output);
-                let columns = predicates.join_columns(mns.sources(), external);
-                let spec = JoinKeySpec::on_columns(&columns);
-                (columns.into(), spec)
-            });
-        let entry_idx = self.blacklists[side].upsert_entry(
-            mns.clone(),
-            Arc::clone(sig_columns),
-            SuspendMode::Suspend,
-            now,
-        );
-        // Drain super-tuples (and similar tuples) of the MNS from the state.
-        // Either kind carries the MNS's own values on the signature columns
-        // (they belong to the MNS's sources), so the state's hash index on
-        // those columns surfaces every capturable tuple; `captures` decides.
-        let capture_similar = self.policy.capture_similar;
-        let blacklist = &self.blacklists[side];
-        #[expect(
-            clippy::expect_used,
-            reason = "INVARIANT: upsert_entry returned this position just above and nothing has been removed from the blacklist since."
-        )]
-        let entry = blacklist.entry(entry_idx).expect("just upserted");
-        let drained = self.states[side].drain_matching(drain_spec, mns, |stored| {
-            entry.captures(&stored.tuple, capture_similar)
-        });
-        for stored in drained {
-            // Close the tuple's presence interval at the current event.
-            self.event_seq += 1;
-            self.histories[side]
-                .entry(stored.tuple.key())
-                .or_default()
-                .push((stored.stamp, self.event_seq));
-            ctx.metrics.stats.blacklisted_tuples += 1;
-            ctx.metrics.charge(CostKind::BlacklistMove, 1);
-            self.blacklists[side].add_tuple(entry_idx, stored.tuple);
-        }
-    }
-
-    /// Handle the resumption of one MNS in the producer role.
-    fn resume_one(
-        &mut self,
-        mns: &Tuple,
-        now: Timestamp,
-        ctx: &mut OpContext<'_>,
-        outcome: &mut FeedbackOutcome,
-    ) {
-        if mns.is_empty() {
-            if self.fully_suspended {
-                let (results, feedback) = self.exit_full_suspension(ctx);
-                outcome.resumed.extend(results);
-                outcome.propagate.extend(feedback);
-            }
-            for side in [LEFT, RIGHT] {
-                outcome
-                    .propagate
-                    .push((side, Feedback::resume(vec![Tuple::empty()])));
-                ctx.metrics.stats.feedback_propagated += 1;
-            }
-            return;
-        }
-        let on_left = mns.sources().is_subset(self.left_schema);
-        let on_right = mns.sources().is_subset(self.right_schema);
-        let side = match (on_left, on_right) {
-            (true, _) => LEFT,
-            (_, true) => RIGHT,
-            _ => return, // Type II: nothing was suspended locally.
-        };
-        self.propagate_resume(side, mns, ctx, outcome);
-        let Some(entry) = self.blacklists[side].remove_entry(&mns.key()) else {
-            return;
-        };
-        for suspended in entry.tuples {
-            self.restore_suspended(side, suspended, now, ctx, outcome);
-        }
-    }
-
-    /// Pass a resumption on to the producer of `side`, so that it
-    /// regenerates what it suppressed on behalf of `mns`.
-    fn propagate_resume(
-        &self,
-        side: Port,
-        mns: &Tuple,
-        ctx: &mut OpContext<'_>,
-        outcome: &mut FeedbackOutcome,
-    ) {
-        outcome
-            .propagate
-            .push((side, Feedback::resume(vec![mns.clone()])));
-        ctx.metrics.stats.feedback_propagated += 1;
-    }
-
-    /// Move one suspended tuple back into the state of `side`: regenerate
-    /// exactly the pairs never produced before, resume any opposite-side MNS
-    /// the tuple is the awaited partner of, and start a fresh presence
-    /// interval.
-    fn restore_suspended(
-        &mut self,
-        side: Port,
-        suspended: crate::blacklist::BlacklistedTuple,
-        now: Timestamp,
-        ctx: &mut OpContext<'_>,
-        outcome: &mut FeedbackOutcome,
-    ) {
-        // Expired tuples can no longer contribute results.
-        if self.window.expires_at(&suspended.tuple) <= now {
-            self.histories[side].remove(&suspended.tuple.key());
-            return;
-        }
-        let opp = Self::opposite(side);
-        ctx.metrics.stats.resumed_tuples += 1;
-        ctx.metrics.charge(CostKind::BlacklistMove, 1);
-        // The restored tuple may be the awaited partner of an MNS
-        // detected on the opposite input while it was suspended.
-        let matching = self.mns_buffers[opp].take_matching(
-            &suspended.tuple,
-            &self.predicates,
-            self.window,
-            ctx.metrics,
-        );
-        if !matching.is_empty() {
-            outcome.propagate.push((opp, Feedback::resume(matching)));
-        }
-        // Regenerate exactly the pairs never produced before, probing only
-        // the candidates sharing the restored tuple's equi-join key.
-        let mut evals = 0u64;
-        let mut produced = Vec::new();
-        let candidates = self.candidate_sources(&suspended.tuple, side);
-        let mut hits = std::mem::take(&mut self.probe_hits);
-        let mut per_source = std::mem::take(&mut self.source_hits);
-        self.probe_opposite(
-            side,
-            &suspended.tuple,
-            candidates,
-            &mut per_source,
-            &mut hits,
-        );
-        self.source_hits = per_source;
-        let own_hist = self.histories[side].get(&suspended.tuple.key());
-        let own_hist = own_hist.map_or(&[][..], Vec::as_slice);
-        for stored in hits.iter().filter_map(|&seq| self.states[opp].get(seq)) {
-            ctx.metrics.charge(CostKind::ProbePair, 1);
-            if !self
-                .window
-                .can_join(suspended.tuple.ts(), stored.tuple.ts())
-            {
-                continue;
-            }
-            if self.produced_before(own_hist, opp, stored) {
-                continue;
-            }
-            if self
-                .predicates
-                .join_matches(&suspended.tuple, &stored.tuple, &mut evals)
-            {
-                if let Ok(joined) = suspended.tuple.join(&stored.tuple) {
-                    ctx.metrics.charge(CostKind::ResultBuild, 1);
-                    produced.push(DataMessage::new(joined));
-                }
-            }
-        }
-        self.probe_hits = hits;
-        ctx.metrics.charge(CostKind::PredicateEval, evals);
-        outcome.resumed.extend(produced);
-        // Back into the state; a fresh presence interval starts now.
-        self.insert_present(side, suspended.tuple.clone());
-        self.update_bloom(side, &suspended.tuple);
-        ctx.metrics.charge(CostKind::StateInsert, 1);
+        self.join.insert(side, tuple, self.event_seq, metrics);
     }
 }
 
 impl Operator for JitJoinOperator {
     fn name(&self) -> &str {
-        &self.name
+        self.join.name()
     }
 
     fn output_schema(&self) -> SourceSet {
-        self.left_schema.union(self.right_schema)
+        self.join.output_schema()
     }
 
     fn num_ports(&self) -> usize {
@@ -880,144 +209,20 @@ impl Operator for JitJoinOperator {
     ) -> OperatorOutput {
         debug_assert!(port == LEFT || port == RIGHT);
         let now = ctx.now;
-
-        // Ø suspension: buffer the input untouched.
         if self.fully_suspended {
-            self.pending_bytes += msg.size_bytes();
-            self.pending.push((port, msg.clone(), now));
-            ctx.metrics.stats.intermediate_suppressed += 1;
+            self.hold(port, msg, ctx);
             return OperatorOutput::empty();
         }
-
-        let mut feedback: Vec<(Port, Feedback)> = Vec::new();
-        self.purge_all(now, ctx, &mut feedback);
-
-        let opp = Self::opposite(port);
-
-        // Producer-side diversion: an arrival captured by a blacklist entry is
-        // suspended immediately instead of being processed.
-        if let Some(idx) =
-            self.blacklists[port].matching_entry(&msg.tuple, self.policy.capture_similar)
-        {
-            self.blacklists[port].add_tuple(idx, msg.tuple.clone());
-            ctx.metrics.stats.blacklisted_tuples += 1;
-            ctx.metrics.stats.intermediate_suppressed += 1;
-            ctx.metrics.charge(CostKind::BlacklistMove, 1);
+        let mut feedback = Vec::new();
+        self.purge_all(ctx, &mut feedback);
+        if self.divert(port, &msg.tuple, ctx.metrics) {
             return OperatorOutput {
                 results: Vec::new(),
                 feedback,
             };
         }
-
-        // Consumer step 1: probe the opposite MNS buffer; matches trigger
-        // resumption at the opposite producer.
-        if !self.mns_buffers[opp].is_empty() {
-            let resumed_mns = self.mns_buffers[opp].take_matching(
-                &msg.tuple,
-                &self.predicates,
-                self.window,
-                ctx.metrics,
-            );
-            if !resumed_mns.is_empty() {
-                feedback.push((opp, Feedback::resume(resumed_mns)));
-            }
-        }
-
-        // Consumer step 2: probe the opposite state, producing results and
-        // — if this port's producer listens — feeding the CNS lattice.
-        let listens = self.producers[port].listens();
-        let candidates = self.candidate_sources(&msg.tuple, port);
-        let mut lattice = match self.policy.detection {
-            MnsDetection::FullLattice
-                if listens && !self.states[opp].is_empty() && !candidates.is_empty() =>
-            {
-                Some(self.fresh_lattice(port, candidates))
-            }
-            _ => None,
-        };
-        ctx.metrics.stats.state_probes += 1;
-        let mut results = Vec::new();
-        let mut evals = 0u64;
-        // Only candidates carrying the full spanning equi-join key (plus
-        // unindexable overflow entries) are examined for results; under
-        // `Scan` that is every live tuple.
-        let mut hits = std::mem::take(&mut self.probe_hits);
-        let mut per_source = std::mem::take(&mut self.source_hits);
-        let settles = self.probe_opposite(port, &msg.tuple, candidates, &mut per_source, &mut hits);
-        for stored in hits.iter().filter_map(|&seq| self.states[opp].get(seq)) {
-            ctx.metrics.charge(CostKind::ProbePair, 1);
-            if !self.window.can_join(msg.tuple.ts(), stored.tuple.ts()) {
-                continue;
-            }
-            let matched =
-                self.matched_components(&msg.tuple, &stored.tuple, candidates, &mut evals);
-            if let Some(l) = lattice.as_mut() {
-                l.observe(matched, ctx.metrics);
-            }
-            if matched == candidates {
-                // `join` fails exactly when the coverages overlap.
-                if let Ok(tuple) = msg.tuple.join(&stored.tuple) {
-                    ctx.metrics.charge(CostKind::ResultBuild, 1);
-                    results.push(DataMessage::new(tuple));
-                }
-            }
-        }
-        // The lattice's remaining nodes are settled by one membership probe
-        // each (largest first, so a hit also kills the sub-nodes): node S is
-        // dead iff some live stored tuple within the window matches every
-        // predicate from S — exactly what a scan establishes by observing
-        // every stored tuple, which is why `Scan` settles nothing here. The
-        // top node is already settled by the full probe above. A node's
-        // candidates need no lookup: the full probe already found each
-        // source's, and a node takes the intersection of its members'.
-        if let Some(l) = lattice.as_mut().filter(|_| settles) {
-            for &node in &self.nodes[port] {
-                if l.all_dead() {
-                    break;
-                }
-                if node == candidates || !l.is_alive(node) {
-                    continue;
-                }
-                per_source.union_into(members_of(candidates, node), &mut hits);
-                let state = &self.states[opp];
-                let hit = hits.iter().filter_map(|&seq| state.get(seq)).any(|stored| {
-                    ctx.metrics.charge(CostKind::ProbePair, 1);
-                    self.window.can_join(msg.tuple.ts(), stored.tuple.ts())
-                        && self.matched_components(&msg.tuple, &stored.tuple, node, &mut evals)
-                            == node
-                });
-                if hit {
-                    l.observe(node, ctx.metrics);
-                }
-            }
-        }
-        self.probe_hits = hits;
-        self.source_hits = per_source;
-        ctx.metrics.charge(CostKind::PredicateEval, evals);
-
-        // Consumer step 3: detect the MNSs of the input this side's producer
-        // acts on, and report them to it.
-        if listens {
-            self.detect_mns(&msg.tuple, port, candidates, lattice.as_ref(), ctx);
-            if lattice.is_some() {
-                self.lattices[port] = lattice;
-            }
-            let mut fresh = Vec::new();
-            for mns in self.detected.drain(..) {
-                if self.mns_buffers[port].insert(mns.clone(), now) {
-                    fresh.push(mns);
-                }
-            }
-            if !fresh.is_empty() {
-                ctx.metrics.stats.mns_detected += fresh.len() as u64;
-                feedback.push((port, Feedback::suspend(fresh)));
-            }
-        }
-
-        self.insert_present(port, msg.tuple.clone());
-        self.update_bloom(port, &msg.tuple);
-        ctx.metrics.charge(CostKind::StateInsert, 1);
-
+        let results = self.consume(port, &msg.tuple, now, ctx.metrics, &mut feedback);
+        self.insert(port, msg.tuple.clone(), ctx.metrics);
         OperatorOutput { results, feedback }
     }
 
@@ -1025,17 +230,16 @@ impl Operator for JitJoinOperator {
         let now = ctx.now;
         let mut outcome = FeedbackOutcome::empty();
         if self.fully_suspended {
-            let (results, feedback) = self.exit_full_suspension(ctx);
-            outcome.resumed.extend(results);
-            outcome.propagate.extend(feedback);
+            self.exit_full_suspension(ctx.metrics, &mut outcome);
         }
         // Everything still suspended is resumed, entry by entry as
         // `resume_one` would, but the blacklist is emptied in one pass.
         for side in [LEFT, RIGHT] {
-            for entry in self.blacklists[side].drain_entries() {
-                self.propagate_resume(side, &entry.mns, ctx, &mut outcome);
+            for entry in self.producers[side].blacklist.drain_entries() {
+                let fb = Feedback::resume(vec![entry.mns.clone()]);
+                propagate(side, fb, ctx.metrics, &mut outcome);
                 for suspended in entry.tuples {
-                    self.restore_suspended(side, suspended, now, ctx, &mut outcome);
+                    self.restore_suspended(side, suspended, now, ctx.metrics, &mut outcome);
                 }
             }
         }
@@ -1053,7 +257,7 @@ impl Operator for JitJoinOperator {
             return OperatorOutput::empty();
         }
         let mut feedback = Vec::new();
-        self.purge_all(ctx.now, ctx, &mut feedback);
+        self.purge_all(ctx, &mut feedback);
         OperatorOutput {
             results: Vec::new(),
             feedback,
@@ -1063,34 +267,23 @@ impl Operator for JitJoinOperator {
     fn handle_feedback(&mut self, fb: &Feedback, ctx: &mut OpContext<'_>) -> FeedbackOutcome {
         let now = ctx.now;
         let mut outcome = FeedbackOutcome::empty();
-        match fb.command {
-            FeedbackCommand::Suspend => {
-                for mns in &fb.mns_set {
-                    self.suspend_one(mns, now, ctx, &mut outcome);
-                }
-            }
-            FeedbackCommand::Resume => {
-                for mns in &fb.mns_set {
-                    self.resume_one(mns, now, ctx, &mut outcome);
-                }
+        for mns in &fb.mns_set {
+            match fb.command {
+                FeedbackCommand::Suspend => self.suspend_one(mns, now, ctx.metrics, &mut outcome),
+                FeedbackCommand::Resume => self.resume_one(mns, now, ctx.metrics, &mut outcome),
             }
         }
         outcome
     }
 
     fn memory_bytes(&self) -> usize {
-        self.states[LEFT].size_bytes()
-            + self.states[RIGHT].size_bytes()
-            + self.mns_buffers[LEFT].size_bytes()
-            + self.mns_buffers[RIGHT].size_bytes()
-            + self.blacklists[LEFT].size_bytes()
-            + self.blacklists[RIGHT].size_bytes()
-            + self.pending_bytes
-            + self.blooms[LEFT]
-                .values()
-                .chain(self.blooms[RIGHT].values())
-                .map(|b| b.size_bytes())
-                .sum::<usize>()
+        let per_side = |side: Port| {
+            let blooms = self.consumers[side].bloom.values();
+            self.consumers[side].mns_buffer.size_bytes()
+                + self.producers[side].blacklist.size_bytes()
+                + blooms.map(BloomFilter::size_bytes).sum::<usize>()
+        };
+        self.join.memory_bytes() + per_side(LEFT) + per_side(RIGHT) + self.pending_bytes
     }
 
     fn checkpoint(&self) -> Content {
@@ -1106,24 +299,24 @@ impl Operator for JitJoinOperator {
         Content::Map(vec![
             (
                 "states".to_string(),
-                per_side(&|s| self.states[s].checkpoint()),
+                per_side(&|s| self.join.state(s).checkpoint()),
             ),
             (
                 "mns_buffers".to_string(),
-                per_side(&|s| self.mns_buffers[s].checkpoint()),
+                per_side(&|s| self.consumers[s].mns_buffer.checkpoint()),
             ),
             (
                 "blacklists".to_string(),
-                per_side(&|s| self.blacklists[s].checkpoint()),
+                per_side(&|s| self.producers[s].blacklist.checkpoint()),
             ),
             (
                 "histories".to_string(),
-                per_side(&|s| sorted_pairs(&self.histories[s]).to_content()),
+                per_side(&|s| sorted_pairs(&self.producers[s].history).to_content()),
             ),
             ("event_seq".to_string(), self.event_seq.to_content()),
             (
                 "blooms".to_string(),
-                per_side(&|s| sorted_pairs(&self.blooms[s]).to_content()),
+                per_side(&|s| sorted_pairs(&self.consumers[s].bloom).to_content()),
             ),
             (
                 "fully_suspended".to_string(),
@@ -1161,31 +354,35 @@ impl Operator for JitJoinOperator {
             .transpose()?;
         let blooms = sides("blooms")?;
         for side in [LEFT, RIGHT] {
-            self.states[side].restore_checkpoint(&states[side])?;
-            self.mns_buffers[side].restore_checkpoint(&mns_buffers[side])?;
-            let unreported: Vec<TupleKey> = self.mns_buffers[side]
-                .iter()
-                .filter(|entry| !self.reports(side, entry.mns.sources()))
-                .map(|entry| entry.mns.key())
-                .collect();
-            for key in &unreported {
-                self.mns_buffers[side].remove(key);
-            }
-            self.blacklists[side].restore_checkpoint(&blacklists[side])?;
-            self.histories[side] =
-                Vec::<(TupleKey, Vec<(u64, u64)>)>::from_content(&histories[side])?
-                    .into_iter()
-                    .collect();
+            let opp_listens = self.consumers[opposite(side)].fed_by.listens();
+            let state = self.join.state_mut(side);
+            state.restore_checkpoint(&states[side])?;
             if let Some(starts) = &legacy_starts {
                 let starts = Vec::<(TupleKey, u64)>::from_content(&starts[side])?;
                 let starts: FastMap<TupleKey, u64> = starts.into_iter().collect();
-                self.states[side].restamp(|t| starts.get(&t.key()).copied().unwrap_or(0));
+                state.restamp(|t| starts.get(&t.key()).copied().unwrap_or(0));
             }
-            self.blooms[side] = Vec::<(ColumnRef, BloomFilter)>::from_content(&blooms[side])?
+            let consumer = &mut self.consumers[side];
+            consumer.mns_buffer.restore_checkpoint(&mns_buffers[side])?;
+            let unreported: Vec<TupleKey> = consumer
+                .mns_buffer
+                .iter()
+                .filter(|entry| !consumer.fed_by.acts_on(entry.mns.sources()))
+                .map(|entry| entry.mns.key())
+                .collect();
+            for key in &unreported {
+                consumer.mns_buffer.remove(key);
+            }
+            let producer = &mut self.producers[side];
+            producer.blacklist.restore_checkpoint(&blacklists[side])?;
+            producer.history = Vec::<(TupleKey, Vec<(u64, u64)>)>::from_content(&histories[side])?
                 .into_iter()
                 .collect();
-            if !self.producers[Self::opposite(side)].listens() {
-                self.blooms[side].clear();
+            consumer.bloom = Vec::<(ColumnRef, BloomFilter)>::from_content(&blooms[side])?
+                .into_iter()
+                .collect();
+            if !opp_listens {
+                consumer.bloom.clear();
             }
         }
         self.event_seq = serde::field(map, "event_seq", TY)?;
@@ -1219,8 +416,32 @@ impl Operator for JitJoinOperator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::MnsDetection;
+    use jit_exec::StoredTuple;
     use jit_metrics::RunMetrics;
     use jit_types::{BaseTuple, Duration, SourceId, Value};
+
+    impl JitJoinOperator {
+        /// Number of tuples in the state of the given side.
+        fn state_len(&self, side: Port) -> usize {
+            self.join.state(side).len()
+        }
+
+        /// Number of MNSs currently buffered for the given port.
+        fn mns_buffer_len(&self, port: Port) -> usize {
+            self.consumers[port].mns_buffer.len()
+        }
+
+        /// Number of tuples suspended in the blacklist of the given side.
+        fn blacklist_len(&self, side: Port) -> usize {
+            self.producers[side].blacklist.num_tuples()
+        }
+
+        /// Is the operator fully suspended (Ø MNS / DOE-style)?
+        fn is_fully_suspended(&self) -> bool {
+            self.fully_suspended
+        }
+    }
 
     /// Sources: A=0, B=1, C=2 with the Figure 1 predicates
     /// A.x0 = B.x0 and A.x1 = C.x0.
@@ -1718,19 +939,22 @@ mod tests {
             |seq, producer, consumer| {
                 for op in [&*producer, &*consumer] {
                     for side in [LEFT, RIGHT] {
-                        let stored = op.states[side].iter().map(|e| e.tuple.key());
-                        let suspended = op.blacklists[side].entries();
+                        let stored = op.join.state(side).iter().map(|e| e.tuple.key());
+                        let suspended = op.producers[side].blacklist.entries();
                         let suspended =
                             suspended.flat_map(|e| e.tuples.iter().map(|t| t.tuple.key()));
                         let held: std::collections::HashSet<TupleKey> =
                             stored.chain(suspended).collect();
                         assert!(
-                            op.histories[side].keys().all(|key| held.contains(key)),
+                            op.producers[side]
+                                .history
+                                .keys()
+                                .all(|key| held.contains(key)),
                             "a history outlives its tuple at t = {seq} s"
                         );
                     }
                 }
-                most_histories = most_histories.max(producer.histories[LEFT].len());
+                most_histories = most_histories.max(producer.producers[LEFT].history.len());
                 if seq + 1 == 2 * window_s || seq + 1 == 10 * window_s {
                     let blob =
                         |op: &JitJoinOperator| serde_json::to_string(&op.checkpoint()).unwrap();
@@ -1804,11 +1028,13 @@ mod tests {
                 900,
                 |_, producer, _| match &watched {
                     None => {
-                        let twice = producer.blacklists[LEFT]
+                        let twice = producer.producers[LEFT]
+                            .blacklist
                             .entries()
                             .flat_map(|e| e.tuples.iter().map(|t| t.tuple.key()))
                             .find(|key| {
-                                producer.histories[LEFT]
+                                producer.producers[LEFT]
+                                    .history
                                     .get(key)
                                     .is_some_and(|h| h.len() == 2)
                             });
@@ -1825,7 +1051,11 @@ mod tests {
                         }
                     }
                     Some((key, swapped_at)) => {
-                        let back = producer.states[LEFT].iter().find(|e| e.tuple.key() == *key);
+                        let back = producer
+                            .join
+                            .state(LEFT)
+                            .iter()
+                            .find(|e| e.tuple.key() == *key);
                         resumed_after_swap |= back.is_some_and(|e| e.stamp > *swapped_at);
                     }
                 },
@@ -1856,7 +1086,7 @@ mod tests {
         [LEFT, RIGHT]
             .into_iter()
             .flat_map(|side| {
-                op.blacklists[side].entries().map(move |entry| {
+                op.producers[side].blacklist.entries().map(move |entry| {
                     let tuples = entry.tuples.iter().map(|t| t.tuple.key()).collect();
                     (side, entry.mns.key(), tuples)
                 })
@@ -1907,7 +1137,10 @@ mod tests {
                         consumer.mns_buffer_len(RIGHT),
                     ];
                     assert_eq!(buffered, [0; 3], "t = {seq} s");
-                    assert!(producer.blooms[LEFT].is_empty() && producer.blooms[RIGHT].is_empty());
+                    assert!(
+                        producer.consumers[LEFT].bloom.is_empty()
+                            && producer.consumers[RIGHT].bloom.is_empty()
+                    );
                 },
             );
             assert_eq!(results, expected);
@@ -1918,6 +1151,67 @@ mod tests {
             assert_eq!(few.intermediate_suppressed, all.intermediate_suppressed);
             assert_eq!(few.probe_pairs, all.probe_pairs);
             assert!(few.mns_detected < all.mns_detected);
+        }
+    }
+
+    /// A port fed by a source runs REF's code: a JIT join fed by
+    /// `[Producer::Passive; 2]` and a REF join over the same expiring stream
+    /// return the same results in the same order from every call, and end
+    /// with the same counters and cost units — under both index modes.
+    #[test]
+    fn passive_ports_run_the_ref_join() {
+        use jit_exec::RefJoinOperator;
+        use proptest::rand::{rngs::StdRng, Rng, SeedableRng};
+        let (a_schema, b_schema) = (
+            SourceSet::single(SourceId(0)),
+            SourceSet::single(SourceId(1)),
+        );
+        for mode in [StateIndexMode::Hashed, StateIndexMode::Scan] {
+            let predicates = PredicateSet::clique(2);
+            let mut jit = JitJoinOperator::new(
+                "A⋈B",
+                a_schema,
+                b_schema,
+                predicates.clone(),
+                window(),
+                JitPolicy::full(),
+            )
+            .fed_by([Producer::Passive; 2])
+            .with_state_index(mode);
+            let mut reference =
+                RefJoinOperator::new("A⋈B", a_schema, b_schema, predicates, window())
+                    .with_state_index(mode);
+            let (mut jit_metrics, mut ref_metrics) = (RunMetrics::new(), RunMetrics::new());
+            let mut rng = StdRng::seed_from_u64(11);
+            let mut joined = 0;
+            for seq in 0..1_200u64 {
+                let port = rng.gen_range(0..2usize);
+                let msg = DataMessage::new(Tuple::from_base(Arc::new(BaseTuple::new(
+                    SourceId(port as u16),
+                    seq,
+                    Timestamp::from_secs(seq / 2),
+                    vec![Value::int(rng.gen_range(0..8))],
+                ))));
+                let jit_out = process(&mut jit, port, &msg, &mut jit_metrics);
+                let mut ctx = OpContext::new(msg.tuple.ts(), &mut ref_metrics);
+                let ref_out = reference.process(port, &msg, &mut ctx);
+                let keys = |out: &OperatorOutput| {
+                    out.results
+                        .iter()
+                        .map(|m| m.tuple.key())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(keys(&jit_out), keys(&ref_out), "{mode:?}, arrival {seq}");
+                assert!(jit_out.feedback.is_empty(), "{mode:?}, arrival {seq}");
+                joined += ref_out.results.len();
+            }
+            assert!(
+                joined > 0 && ref_metrics.stats.purged_tuples > 0,
+                "{mode:?}"
+            );
+            assert_eq!(jit_metrics.stats, ref_metrics.stats, "{mode:?}");
+            let units = |m: &RunMetrics| m.snapshot().cost_units;
+            assert_eq!(units(&jit_metrics), units(&ref_metrics), "{mode:?}");
         }
     }
 
@@ -2009,7 +1303,7 @@ mod tests {
                 "AB⋈C",
                 SourceSet::first_n(2),
                 SourceSet::single(SourceId(2)),
-                top_join(JitPolicy::full(), mode).predicates,
+                top_join(JitPolicy::full(), mode).join.predicates().clone(),
                 window(),
                 JitPolicy::full(),
             )
@@ -2048,7 +1342,8 @@ mod tests {
             top_join(JitPolicy::full(), StateIndexMode::Hashed).fed_by([ab_c, Producer::Passive]);
         restored.restore(&blob).unwrap();
         assert_eq!(buffered(&restored), [1, 0]);
-        let kept: Vec<SourceSet> = restored.mns_buffers[LEFT]
+        let kept: Vec<SourceSet> = restored.consumers[LEFT]
+            .mns_buffer
             .iter()
             .map(|e| e.mns.sources())
             .collect();
@@ -2125,7 +1420,7 @@ mod tests {
         // A component MNS is detected only once its node, settled by a
         // membership probe, found no partner.
         assert!(results > 0 && metrics.stats.mns_detected > 100);
-        let indexes = [LEFT, RIGHT].map(|side| top.states[side].num_indexes());
+        let indexes = [LEFT, RIGHT].map(|side| top.join.state(side).num_indexes());
         assert_eq!(indexes, [2, 2]);
     }
 
@@ -2178,6 +1473,6 @@ mod tests {
             }
         }
         assert!(metrics.stats.resumed_tuples > 50 && regenerated > 0);
-        assert_eq!(middle.states[RIGHT].num_indexes(), 2);
+        assert_eq!(middle.join.state(RIGHT).num_indexes(), 2);
     }
 }

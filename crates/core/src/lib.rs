@@ -14,9 +14,13 @@
 //!   arriving tuples to trigger resumption feedback.
 //! * [`Blacklist`] — the producer-side blacklist holding suspended tuples,
 //!   including "similar" tuples with identical join-attribute signatures.
-//! * [`JitJoinOperator`] — the JIT-enabled binary window join combining the
-//!   consumer role (`Process_Input`, Figure 6) and the producer role
-//!   (`Handle_Feedback`: suspend / resume / propagate, Section IV-B).
+//! * [`JitJoinOperator`] — the JIT-enabled binary window join: the
+//!   `jit-exec` window join REF runs (`WindowJoin`), plus a consumer half
+//!   per port (`Process_Input`, Figure 6: MNS detection and buffering,
+//!   `<suspend>` / `<resume>` emission) and a producer half
+//!   (`Handle_Feedback`: blacklists, suspend / resume / propagate, the Ø
+//!   buffer, Section IV-B). A port fed by a source ([`Producer::Passive`])
+//!   runs REF's probe.
 //! * [`policy`] — configuration knobs ([`policy::JitPolicy`]): detection
 //!   strategy (full lattice / Bloom / empty-state-only) and similar-tuple
 //!   capture. The *empty-state-only* preset is exactly the DOE baseline the
@@ -27,14 +31,17 @@
 
 mod blacklist;
 mod bloom;
+mod consumer;
 mod jit_join;
 mod lattice;
 mod mns_buffer;
 pub mod policy;
+mod producer;
 
 pub use blacklist::{Blacklist, SuspendMode};
 pub use bloom::BloomFilter;
-pub use jit_join::{JitJoinOperator, Producer};
+pub use consumer::Producer;
+pub use jit_join::JitJoinOperator;
 pub use lattice::CnsLattice;
 pub use mns_buffer::MnsBuffer;
 pub use policy::{ExecutionMode, JitPolicy};

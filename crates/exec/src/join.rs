@@ -1,39 +1,63 @@
-//! The reference (REF) binary window join.
+//! The window join REF and JIT share, and REF itself.
 //!
-//! This is the baseline the paper compares JIT against: the classic
-//! purge–probe–insert routine for sliding-window joins (Kang et al.,
-//! reference \[16\]), storing every generated intermediate result. It never
-//! sends or reacts to feedback. Probing goes through the
-//! [`OperatorState`] index layer: hash-partitioned on the equi-join key by
-//! default, with a nested-loop scan fallback (and
-//! [`StateIndexMode::Scan`] forcing the historical behaviour).
+//! [`WindowJoin`] is the classic purge–probe–insert routine for
+//! sliding-window joins (Kang et al., the paper's reference \[16\]): two
+//! [`OperatorState`]s, one purge, one probe loop with one window check
+//! ([`WindowJoin::in_window`]) and result assembly, one insert. Probes go
+//! through the state's hash index on the equi-join key, or scan
+//! ([`StateIndexMode::Scan`]).
+//!
+//! REF is the window join alone ([`RefJoinOperator`]): no feedback, every
+//! intermediate result stored. The JIT join (`jit-core`) adds a consumer and
+//! a producer half around it; each probe takes the per-pair test that
+//! decides a match, REF's being [`join_matches`].
 
 use crate::operator::{DataMessage, OpContext, Operator, OperatorOutput, Port, LEFT, RIGHT};
-use crate::state::{JoinKeySpec, OperatorState, StateIndexMode};
-use jit_metrics::CostKind;
-use jit_types::{PredicateSet, SourceSet, Window};
+use crate::state::{JoinKeySpec, OperatorState, SpecHits, StateIndexMode, StoredTuple};
+use jit_metrics::{CostKind, RunMetrics};
+use jit_types::{PredicateSet, SourceSet, Timestamp, Tuple, Window};
 use serde::Content;
 
-/// Binary sliding-window equi-join without feedback (the REF baseline).
-#[derive(Debug)]
-pub struct RefJoinOperator {
-    name: String,
-    left_schema: SourceSet,
-    right_schema: SourceSet,
-    left_state: OperatorState,
-    right_state: OperatorState,
-    predicates: PredicateSet,
-    window: Window,
-    /// Key spec for probing the right state with left inputs (and its
-    /// mirror): derived once from the predicates spanning the two schemas.
-    probe_right_spec: JoinKeySpec,
-    probe_left_spec: JoinKeySpec,
-    /// Reusable candidate buffer for the probe path — cleared and refilled
-    /// per probe so steady state allocates nothing.
-    scratch_hits: Vec<u64>,
+/// The port opposite `port`.
+pub fn opposite(port: Port) -> Port {
+    port ^ 1
 }
 
-impl RefJoinOperator {
+/// REF's test of a candidate pair inside the window: every predicate
+/// spanning the two holds. A probe passes it to [`WindowJoin::probe`].
+pub fn join_matches(
+    predicates: &PredicateSet,
+    input: &Tuple,
+    stored: &StoredTuple,
+    evals: &mut u64,
+    _: &mut RunMetrics,
+) -> bool {
+    predicates.join_matches(input, &stored.tuple, evals)
+}
+
+/// Binary sliding-window equi-join: two states, purge, probe, insert.
+#[derive(Debug)]
+pub struct WindowJoin {
+    name: String,
+    /// Schema of each input port.
+    schemas: [SourceSet; 2],
+    predicates: PredicateSet,
+    window: Window,
+    /// Per side, the tuples stored from that port's inputs.
+    states: [OperatorState; 2],
+    /// Per port, the full-key spec probing the *opposite* state with an
+    /// input on that port, derived once from the predicates spanning the
+    /// two schemas.
+    probe_specs: [JoinKeySpec; 2],
+    /// Reusable candidate buffer — cleared and refilled per probe so
+    /// steady state allocates nothing.
+    hits: Vec<u64>,
+}
+
+/// The REF baseline: the window join alone, with no feedback.
+pub type RefJoinOperator = WindowJoin;
+
+impl WindowJoin {
     /// Create a join whose left/right inputs produce tuples covering
     /// `left_schema` / `right_schema`. Only the predicates spanning the two
     /// schemas are evaluated here; the full set is retained so composite
@@ -46,15 +70,18 @@ impl RefJoinOperator {
         window: Window,
     ) -> Self {
         let name = name.into();
-        RefJoinOperator {
-            left_state: OperatorState::new(format!("{name}.SL")),
-            right_state: OperatorState::new(format!("{name}.SR")),
-            probe_right_spec: JoinKeySpec::between(&predicates, right_schema, left_schema),
-            probe_left_spec: JoinKeySpec::between(&predicates, left_schema, right_schema),
-            scratch_hits: Vec::new(),
+        WindowJoin {
+            states: [
+                OperatorState::new(format!("{name}.SL")),
+                OperatorState::new(format!("{name}.SR")),
+            ],
+            probe_specs: [
+                JoinKeySpec::between(&predicates, right_schema, left_schema),
+                JoinKeySpec::between(&predicates, left_schema, right_schema),
+            ],
+            hits: Vec::new(),
             name,
-            left_schema,
-            right_schema,
+            schemas: [left_schema, right_schema],
             predicates,
             window,
         }
@@ -63,31 +90,141 @@ impl RefJoinOperator {
     /// Select how the two states answer probes (default
     /// [`StateIndexMode::Hashed`]).
     pub fn with_state_index(mut self, mode: StateIndexMode) -> Self {
-        self.left_state.set_index_mode(mode);
-        self.right_state.set_index_mode(mode);
+        for state in &mut self.states {
+            state.set_index_mode(mode);
+        }
         self
     }
 
-    /// Number of tuples currently stored in the left state.
-    #[cfg(test)]
-    fn left_len(&self) -> usize {
-        self.left_state.len()
+    /// Schema of the inputs on `port`.
+    pub fn schema(&self, port: Port) -> SourceSet {
+        self.schemas[port]
     }
 
-    /// Number of tuples currently stored in the right state.
-    #[cfg(test)]
-    fn right_len(&self) -> usize {
-        self.right_state.len()
+    /// The join predicates (the whole query's).
+    pub fn predicates(&self) -> &PredicateSet {
+        &self.predicates
+    }
+
+    /// The sliding window.
+    pub fn window(&self) -> Window {
+        self.window
+    }
+
+    /// The state holding `side`'s inputs.
+    pub fn state(&self, side: Port) -> &OperatorState {
+        &self.states[side]
+    }
+
+    /// The state holding `side`'s inputs, for an owner that drains or
+    /// restores entries of its own.
+    pub fn state_mut(&mut self, side: Port) -> &mut OperatorState {
+        &mut self.states[side]
+    }
+
+    /// May `a` and `b` join under the window? The one join-time window
+    /// check: Section II's `|a.ts − b.ts| ≤ w`.
+    pub fn in_window(&self, a: &Tuple, b: &Tuple) -> bool {
+        self.window.can_join(a.ts(), b.ts())
+    }
+
+    /// Remove every tuple expired by `now` from both states, handing each to
+    /// `on_removed` with its side; returns how many were removed.
+    pub fn purge(&mut self, now: Timestamp, mut on_removed: impl FnMut(Port, &Tuple)) -> usize {
+        let window = self.window;
+        let mut purged = 0;
+        for (side, state) in self.states.iter_mut().enumerate() {
+            purged += state.purge_with(window, now, |tuple| on_removed(side, tuple));
+        }
+        purged
+    }
+
+    /// Probe the state opposite `port` for the partners of `input` and join
+    /// each accepted one into a result, in insertion order. Every candidate
+    /// is charged as a probe pair; one [`WindowJoin::in_window`] of `input`
+    /// goes to `accept`, which counts its predicate evaluations. The
+    /// candidates are the full key's, or, when a settling JIT port passes
+    /// its per-source specs, the same handles found through one index per
+    /// spec, with what each found left in the [`SpecHits`].
+    pub fn probe(
+        &mut self,
+        port: Port,
+        input: &Tuple,
+        per_source: Option<(&[JoinKeySpec], &mut SpecHits)>,
+        metrics: &mut RunMetrics,
+        mut accept: impl FnMut(&PredicateSet, &Tuple, &StoredTuple, &mut u64, &mut RunMetrics) -> bool,
+    ) -> Vec<DataMessage> {
+        debug_assert_eq!(input.sources(), self.schemas[port]);
+        let opp = &mut self.states[opposite(port)];
+        let mut hits = std::mem::take(&mut self.hits);
+        match per_source {
+            Some((specs, found)) => opp.probe_union_into(specs, input, found, &mut hits),
+            None => opp.probe_into(&self.probe_specs[port], input, &mut hits),
+        }
+        let mut results = Vec::new();
+        let mut evals = 0u64;
+        for stored in hits
+            .iter()
+            .filter_map(|&seq| self.states[opposite(port)].get(seq))
+        {
+            metrics.charge(CostKind::ProbePair, 1);
+            if self.in_window(input, &stored.tuple)
+                && accept(&self.predicates, input, stored, &mut evals, metrics)
+            {
+                // `join` fails exactly when the coverages overlap.
+                if let Ok(tuple) = input.join(&stored.tuple) {
+                    metrics.charge(CostKind::ResultBuild, 1);
+                    results.push(DataMessage::new(tuple));
+                }
+            }
+        }
+        metrics.charge(CostKind::PredicateEval, evals);
+        self.hits = hits;
+        results
+    }
+
+    /// A settling port's membership probe: is some tuple of the opposite
+    /// state among those `found` lists for the specs in `members` (bit `i`
+    /// for spec `i`) in the window of `input` and passed by `accept`? Every
+    /// candidate examined is charged as a probe pair, and the evaluations
+    /// `accept` counts.
+    pub fn any_partner(
+        &mut self,
+        port: Port,
+        input: &Tuple,
+        (found, members): (&SpecHits, u64),
+        metrics: &mut RunMetrics,
+        mut accept: impl FnMut(&PredicateSet, &Tuple, &StoredTuple, &mut u64) -> bool,
+    ) -> bool {
+        let mut hits = std::mem::take(&mut self.hits);
+        found.union_into(members, &mut hits);
+        let mut evals = 0u64;
+        let state = &self.states[opposite(port)];
+        let hit = hits.iter().filter_map(|&seq| state.get(seq)).any(|stored| {
+            metrics.charge(CostKind::ProbePair, 1);
+            self.in_window(input, &stored.tuple)
+                && accept(&self.predicates, input, stored, &mut evals)
+        });
+        metrics.charge(CostKind::PredicateEval, evals);
+        self.hits = hits;
+        hit
+    }
+
+    /// Store `tuple` in `port`'s state under the owner's `stamp` (0 for
+    /// REF, which keeps none).
+    pub fn insert(&mut self, port: Port, tuple: Tuple, stamp: u64, metrics: &mut RunMetrics) {
+        self.states[port].restore(StoredTuple { tuple, stamp });
+        metrics.charge(CostKind::StateInsert, 1);
     }
 }
 
-impl Operator for RefJoinOperator {
+impl Operator for WindowJoin {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn output_schema(&self) -> SourceSet {
-        self.left_schema.union(self.right_schema)
+        self.schemas[LEFT].union(self.schemas[RIGHT])
     }
 
     fn num_ports(&self) -> usize {
@@ -101,65 +238,22 @@ impl Operator for RefJoinOperator {
         ctx: &mut OpContext<'_>,
     ) -> OperatorOutput {
         debug_assert!(port == LEFT || port == RIGHT);
-        let now = ctx.now;
-        let mut hits = std::mem::take(&mut self.scratch_hits);
-        let (own_state, opp_state, spec) = if port == LEFT {
-            (
-                &mut self.left_state,
-                &mut self.right_state,
-                &self.probe_right_spec,
-            )
-        } else {
-            (
-                &mut self.right_state,
-                &mut self.left_state,
-                &self.probe_left_spec,
-            )
-        };
-
-        // Purge: drop expired tuples from both states.
-        let purged = own_state.purge(self.window, now) + opp_state.purge(self.window, now);
+        let purged = self.purge(ctx.now, |_, _| {});
         ctx.metrics.charge(CostKind::StatePurge, purged as u64);
-
-        // Probe: only the candidate partners the index returns (every live
-        // tuple, in insertion order, under `Scan`).
         ctx.metrics.stats.state_probes += 1;
-        let mut results = Vec::new();
-        let mut evals = 0u64;
-        opp_state.probe_into(spec, &msg.tuple, &mut hits);
-        for entry in hits.iter().filter_map(|&seq| opp_state.get(seq)) {
-            ctx.metrics.charge(CostKind::ProbePair, 1);
-            if self.window.can_join(msg.tuple.ts(), entry.tuple.ts())
-                && self
-                    .predicates
-                    .join_matches(&msg.tuple, &entry.tuple, &mut evals)
-            {
-                // `join` fails exactly when the coverages overlap.
-                if let Ok(tuple) = msg.tuple.join(&entry.tuple) {
-                    ctx.metrics.charge(CostKind::ResultBuild, 1);
-                    results.push(DataMessage::new(tuple));
-                }
-            }
-        }
-        ctx.metrics.charge(CostKind::PredicateEval, evals);
-
-        // Insert: store the incoming tuple in its own state.
-        own_state.insert(msg.tuple.clone(), now);
-        ctx.metrics.charge(CostKind::StateInsert, 1);
-
-        hits.clear();
-        self.scratch_hits = hits;
+        let results = self.probe(port, &msg.tuple, None, ctx.metrics, join_matches);
+        self.insert(port, msg.tuple.clone(), 0, ctx.metrics);
         OperatorOutput::with_results(results)
     }
 
     fn memory_bytes(&self) -> usize {
-        self.left_state.size_bytes() + self.right_state.size_bytes()
+        self.states[LEFT].size_bytes() + self.states[RIGHT].size_bytes()
     }
 
     fn checkpoint(&self) -> Content {
         Content::Map(vec![
-            ("left".to_string(), self.left_state.checkpoint()),
-            ("right".to_string(), self.right_state.checkpoint()),
+            ("left".to_string(), self.states[LEFT].checkpoint()),
+            ("right".to_string(), self.states[RIGHT].checkpoint()),
         ])
     }
 
@@ -167,10 +261,9 @@ impl Operator for RefJoinOperator {
         let map = state
             .as_map()
             .ok_or_else(|| serde::Error::expected("object", "RefJoinOperator"))?;
-        self.left_state
-            .restore_checkpoint(&serde::field::<Content>(map, "left", "RefJoinOperator")?)?;
-        self.right_state
-            .restore_checkpoint(&serde::field::<Content>(map, "right", "RefJoinOperator")?)?;
+        let field = |name| serde::field::<Content>(map, name, "RefJoinOperator");
+        self.states[LEFT].restore_checkpoint(&field("left")?)?;
+        self.states[RIGHT].restore_checkpoint(&field("right")?)?;
         Ok(())
     }
 }
@@ -181,6 +274,16 @@ mod tests {
     use jit_metrics::RunMetrics;
     use jit_types::{BaseTuple, Duration, SourceId, Timestamp, Tuple, Value};
     use std::sync::Arc;
+
+    impl WindowJoin {
+        fn left_len(&self) -> usize {
+            self.states[LEFT].len()
+        }
+
+        fn right_len(&self) -> usize {
+            self.states[RIGHT].len()
+        }
+    }
 
     fn setup() -> RefJoinOperator {
         // Two sources A (id 0) and B (id 1); predicate A.x0 = B.x0.
@@ -298,7 +401,7 @@ mod tests {
         assert!(op.memory_bytes() > 0);
         assert_eq!(
             op.memory_bytes(),
-            op.left_state.size_bytes() + op.right_state.size_bytes()
+            op.states[LEFT].size_bytes() + op.states[RIGHT].size_bytes()
         );
     }
 

@@ -14,9 +14,11 @@
 //!   hash-partitioned probing on the equi-join key ([`JoinKeySpec`]) with a
 //!   scan fallback, timestamp-ordered O(expired) purging, and running byte
 //!   accounting.
-//! * [`RefJoinOperator`] — the reference (REF) binary window join: plain
-//!   purge–probe–insert with no feedback, exactly the baseline the paper
-//!   compares against.
+//! * [`WindowJoin`] — the binary sliding-window join both modes share: the
+//!   two states, one purge, one probe loop with one window check
+//!   ([`WindowJoin::in_window`]) and result assembly, one insert. Alone it
+//!   is the reference (REF) join the paper compares against, named
+//!   [`RefJoinOperator`]; `jit-core` adds its consumer and producer halves.
 //! * [`SelectionOperator`] — the stateless constant filter that plans wire
 //!   in front of a join port.
 //! * [`PlanBuilder`] → [`ExecutablePlan`] — executable plan graphs wiring
@@ -29,8 +31,8 @@
 //!
 //! Everything here is JIT-agnostic: the REF baseline runs purely on this
 //! crate, and `jit-core` layers MNS detection, blacklists and dynamic
-//! production control on top by implementing the same [`operator::Operator`]
-//! trait.
+//! production control around the same [`WindowJoin`], passing each probe
+//! its own per-pair test in place of REF's [`join_matches`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -45,7 +47,7 @@ mod selection;
 mod state;
 
 pub use executor::{Executor, ExecutorConfig};
-pub use join::RefJoinOperator;
+pub use join::{join_matches, opposite, RefJoinOperator, WindowJoin};
 pub use output::{
     all_within_window, has_duplicates, is_temporally_ordered, missing_from, result_multiset,
     same_results,

@@ -39,18 +39,6 @@ impl MemoryTracker {
         }
     }
 
-    /// Current size of one component.
-    #[cfg(test)]
-    fn component_bytes(&self, id: MemComponentId) -> usize {
-        self.sizes[id.0]
-    }
-
-    /// Number of registered components.
-    #[cfg(test)]
-    fn num_components(&self) -> usize {
-        self.sizes.len()
-    }
-
     /// Current total across all components.
     pub fn current_bytes(&self) -> usize {
         self.current_total
@@ -59,12 +47,6 @@ impl MemoryTracker {
     /// Peak total observed since construction.
     pub fn peak_bytes(&self) -> usize {
         self.peak_total
-    }
-
-    /// Peak total in kilobytes (the unit used by the paper's plots).
-    #[cfg(test)]
-    fn peak_kb(&self) -> f64 {
-        self.peak_total as f64 / 1024.0
     }
 }
 
@@ -77,11 +59,13 @@ mod tests {
         let mut m = MemoryTracker::default();
         let a = m.register();
         let b = m.register();
-        assert_eq!(m.num_components(), 2);
+        assert_ne!(a, b);
         m.set(a, 100);
         m.set(b, 50);
         assert_eq!(m.current_bytes(), 150);
-        assert_eq!(m.component_bytes(a), 100);
+        // Setting a component replaces its size rather than adding to it.
+        m.set(a, 70);
+        assert_eq!(m.current_bytes(), 120);
     }
 
     #[test]
@@ -95,7 +79,6 @@ mod tests {
         m.set(b, 20); // total 30
         assert_eq!(m.current_bytes(), 30);
         assert_eq!(m.peak_bytes(), 300);
-        assert!((m.peak_kb() - 300.0 / 1024.0).abs() < 1e-9);
     }
 
     #[test]
@@ -110,13 +93,20 @@ mod tests {
 
     #[test]
     fn total_is_sum_of_components_invariant() {
-        // mirror of the accounting invariant tested at system level
+        // Mirror of the accounting invariant tested at system level: after
+        // any sequence of updates the total is the sum of each component's
+        // latest size, and the peak the largest total seen after an update.
         let mut m = MemoryTracker::default();
         let ids: Vec<_> = (0..5).map(|_| m.register()).collect();
-        for (i, id) in ids.iter().enumerate() {
-            m.set(*id, i * 11);
+        let mut sizes = [0usize; 5];
+        let mut peak = 0;
+        for step in 0..40usize {
+            let i = step * 7 % 5;
+            sizes[i] = step * 13 % 29;
+            m.set(ids[i], sizes[i]);
+            peak = peak.max(sizes.iter().sum());
+            assert_eq!(m.current_bytes(), sizes.iter().sum::<usize>());
+            assert_eq!(m.peak_bytes(), peak);
         }
-        let sum: usize = ids.iter().map(|id| m.component_bytes(*id)).sum();
-        assert_eq!(sum, m.current_bytes());
     }
 }

@@ -127,27 +127,6 @@ impl MetricsSnapshot {
         self.cost_units as f64 / 1.0e6
     }
 
-    /// Ratio of this run's cost to another's (`self / other`), `inf` when the
-    /// other is free.
-    #[cfg(test)]
-    fn cost_ratio_to(&self, other: &MetricsSnapshot) -> f64 {
-        if other.cost_units == 0 {
-            f64::INFINITY
-        } else {
-            self.cost_units as f64 / other.cost_units as f64
-        }
-    }
-
-    /// Ratio of this run's peak memory to another's.
-    #[cfg(test)]
-    fn memory_ratio_to(&self, other: &MetricsSnapshot) -> f64 {
-        if other.peak_memory_bytes == 0 {
-            f64::INFINITY
-        } else {
-            self.peak_memory_bytes as f64 / other.peak_memory_bytes as f64
-        }
-    }
-
     /// A snapshot with every quantity at zero (the identity of
     /// [`MetricsSnapshot::absorb_parallel`]).
     pub fn zero() -> MetricsSnapshot {
@@ -292,38 +271,6 @@ mod tests {
         m.charge(CostKind::ResultBuild, 1);
         let second = m.snapshot();
         assert!(second.cost_units > first.cost_units);
-    }
-
-    #[test]
-    fn ratios() {
-        let a = MetricsSnapshot {
-            stats: ExecStats::default(),
-            cost_units: 100,
-            steady_cost_units: 100,
-            wall_seconds: 0.0,
-            peak_memory_bytes: 4096,
-            steady_peak_memory_bytes: 4096,
-            final_memory_bytes: 0,
-            late_arrivals: 0,
-            late_dropped: 0,
-            reorder_buffer_peak: 0,
-            checkpoint_bytes: 0,
-            checkpoint_millis: 0,
-        };
-        let b = MetricsSnapshot {
-            cost_units: 50,
-            peak_memory_bytes: 1024,
-            ..a.clone()
-        };
-        assert!((a.cost_ratio_to(&b) - 2.0).abs() < 1e-12);
-        assert!((a.memory_ratio_to(&b) - 4.0).abs() < 1e-12);
-        let zero = MetricsSnapshot {
-            cost_units: 0,
-            peak_memory_bytes: 0,
-            ..a.clone()
-        };
-        assert!(a.cost_ratio_to(&zero).is_infinite());
-        assert!(a.memory_ratio_to(&zero).is_infinite());
     }
 
     #[test]

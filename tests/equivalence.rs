@@ -185,6 +185,57 @@ fn cross_suppressed_results_are_lost_once_their_parts_expire() {
     }
 }
 
+/// A known defect, written as a test (ROADMAP item 20): while one source is
+/// silent, JIT holds every arrival of the others. On `A⋈B⋈C` with C silent
+/// the top join's C state is empty, so its consumer reports Ø to the `A⋈B`
+/// producer, which from then on buffers each A and B arrival unprocessed
+/// (`JitJoinOperator::pending`) until C's first push: neither the Ø MNS nor
+/// the buffer ever expires. REF keeps one window of A and B. Once C wakes
+/// the results agree. When item 20 bounds the buffer, JIT's state stays
+/// within 2× REF's and the first assertion fails: flip it then.
+#[test]
+fn a_silent_source_makes_jit_hold_every_arrival_until_it_wakes() {
+    let cql = "SELECT * FROM A [RANGE 1 seconds], B [RANGE 1 seconds], C [RANGE 1 seconds] \
+               WHERE A.x = B.x AND B.x = C.x";
+    let run = |mode: ExecutionMode| {
+        let engine = Engine::builder().query_cql(cql).mode(mode).build();
+        let mut session = engine
+            .expect("query builds")
+            .session()
+            .expect("session opens");
+        // One arrival every 15 ms (≈ 67/s), the sources in turns; the
+        // arrivals of each 45 ms share a key, cycling over 50 values. First
+        // 300 s of A and B while C is silent, then 30 s of all three.
+        let arrivals = |sources: u64, from_ms: u64, to_ms: u64| {
+            (from_ms..to_ms)
+                .step_by(15)
+                .map(move |ts_ms| (sources, ts_ms))
+        };
+        let mut after_silence = 0;
+        let schedule = arrivals(2, 0, 300_000).chain(arrivals(3, 300_000, 330_000));
+        for (seq, (sources, ts_ms)) in (0u64..).zip(schedule) {
+            if sources == 3 && after_silence == 0 {
+                after_silence = session.state_bytes();
+            }
+            let source = SourceId((seq % sources) as u16);
+            let key = Value::int((ts_ms / 45 % 50) as i64);
+            let at = Timestamp::from_millis(ts_ms);
+            let tuple = std::sync::Arc::new(BaseTuple::new(source, seq, at, vec![key]));
+            let _ = session.push(source, tuple).expect("in-order arrival");
+        }
+        let results = session.finish().expect("session finishes").results;
+        (after_silence, results)
+    };
+    let (ref_bytes, ref_results) = run(ExecutionMode::Ref);
+    let (jit_bytes, jit_results) = run(ExecutionMode::Jit(JitPolicy::full()));
+    assert!(
+        jit_bytes > 100 * ref_bytes,
+        "JIT holds {jit_bytes} B after the silence, REF {ref_bytes} B"
+    );
+    assert!(!ref_results.is_empty());
+    assert!(output::same_results(&ref_results, &jit_results));
+}
+
 #[test]
 fn results_are_window_valid_and_ordered() {
     let spec = WorkloadSpec::leftdeep_default()

@@ -14,6 +14,11 @@
 use jit_dsms::prelude::*;
 use std::path::PathBuf;
 
+mod support {
+    pub(crate) mod oracle;
+}
+use support::oracle;
+
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_counters.txt")
 }
@@ -59,9 +64,12 @@ fn line(label: &str, builder: EngineBuilder, trace: &Trace) -> String {
     )
 }
 
-/// The whole matrix, one line per configuration, in a fixed order.
-fn dump() -> String {
-    let mut out = String::new();
+/// One workload of the matrix: its spec, its trace, and its configurations
+/// as `(label, builder)` pairs.
+type Workload = (WorkloadSpec, Trace, Vec<(String, EngineBuilder)>);
+
+/// The whole matrix, in a fixed order.
+fn grid() -> Vec<Workload> {
     let index_modes = [
         ("hashed", StateIndexMode::Hashed),
         ("scan", StateIndexMode::Scan),
@@ -75,7 +83,7 @@ fn dump() -> String {
         .with_window_minutes(1.0)
         .with_duration(Duration::from_secs(200))
         .with_seed(41);
-    let trace = WorkloadGenerator::generate(&clique);
+    let mut configs = Vec::new();
     for (shape_label, shape) in [
         ("bushy4", PlanShape::bushy(4)),
         ("leftdeep4", PlanShape::left_deep(4)),
@@ -87,10 +95,11 @@ fn dump() -> String {
                     .mode(mode)
                     .state_index(index);
                 let label = format!("clique/{shape_label}/{mode_label}/{index_label}/single");
-                out.push_str(&line(&label, builder, &trace));
+                configs.push((label, builder));
             }
         }
     }
+    let clique_trace = WorkloadGenerator::generate(&clique);
 
     // The key-partitionable shared-key workload, single-threaded and on two
     // shards.
@@ -102,8 +111,8 @@ fn dump() -> String {
         .with_window_minutes(1.0)
         .with_duration(Duration::from_secs(240))
         .with_seed(43);
-    let trace = WorkloadGenerator::generate(&shared);
     let shape = PlanShape::bushy(3);
+    let mut shared_configs = Vec::new();
     for (mode_label, mode) in modes() {
         for (index_label, index) in index_modes {
             let single = Engine::builder()
@@ -113,8 +122,23 @@ fn dump() -> String {
             let sharded = single.clone().sharded(RuntimeConfig::with_shards(2));
             for (backend_label, builder) in [("single", single), ("2shards", sharded)] {
                 let label = format!("sharedkey/bushy3/{mode_label}/{index_label}/{backend_label}");
-                out.push_str(&line(&label, builder, &trace));
+                shared_configs.push((label, builder));
             }
+        }
+    }
+    let shared_trace = WorkloadGenerator::generate(&shared);
+    vec![
+        (clique, clique_trace, configs),
+        (shared, shared_trace, shared_configs),
+    ]
+}
+
+/// The whole matrix, one line per configuration, in a fixed order.
+fn dump() -> String {
+    let mut out = String::new();
+    for (_, trace, configs) in grid() {
+        for (label, builder) in configs {
+            out.push_str(&line(&label, builder, &trace));
         }
     }
     out
@@ -223,6 +247,35 @@ fn counters_and_results_match_the_golden_file() {
         report.is_empty(),
         "observables moved (golden file -> this build):\n{report}"
     );
+}
+
+/// ROADMAP item 3, step 0: on every configuration of the matrix, the
+/// results whose parts lie within one window of each other (span < `w`)
+/// are, by identity and multiplicity, those of the naive nested-loop join
+/// in `tests/support/oracle.rs`. The engine also emits results of span
+/// `≥ w` (ROADMAP item 2); they are left out of the comparison here.
+#[test]
+fn in_window_results_equal_the_oracle_on_every_configuration() {
+    for (spec, trace, configs) in grid() {
+        let window = spec.window().length;
+        let answer = oracle::window_join(&trace, &spec.predicates(), spec.num_sources, window);
+        let expected = oracle::identities(&answer);
+        assert!(!expected.is_empty());
+        for (label, builder) in configs {
+            let outcome = builder.build().expect("engine builds").run_trace(&trace);
+            let results = outcome.expect("trace runs").results;
+            let in_window = results.iter().filter(|t| oracle::within_window(t, window));
+            let (missing, extra) = oracle::difference(&expected, &oracle::identities(in_window));
+            assert!(
+                missing.is_empty() && extra.is_empty(),
+                "{label}: {} oracle results missing, {} extra; first missing {:?}, first extra {:?}",
+                missing.len(),
+                extra.len(),
+                missing.first(),
+                extra.first(),
+            );
+        }
+    }
 }
 
 #[test]
