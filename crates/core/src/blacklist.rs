@@ -156,7 +156,7 @@ impl Blacklist {
         };
         self.by_component
             .entry((first.source.0, first.seq))
-            .or_default()
+            .or_insert_with(|| Vec::with_capacity(1))
             .push(pos);
         if !entry.signature_columns.is_empty() {
             let groups = self
@@ -332,6 +332,10 @@ impl Blacklist {
             reason = "INVARIANT: callers pass a position obtained from upsert_entry or matching_entry with no removal in between, so the slot is live."
         )]
         let entry = self.slots.get_mut(pos as u64).expect("live entry");
+        // Most entries hold one tuple; a first push would take four slots.
+        if entry.tuples.capacity() == 0 {
+            entry.tuples.reserve_exact(1);
+        }
         entry.tuples.push(BlacklistedTuple { tuple });
     }
 

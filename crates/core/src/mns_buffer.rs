@@ -94,12 +94,14 @@ pub struct MnsBuffer {
 }
 
 /// File one entry in the group of its coverage, creating the group if this
-/// is the coverage's first entry. Callers file in ascending handle order.
+/// is the coverage's first entry. Callers file in ascending handle order;
+/// every handle below `base` (the slab's) is dead.
 fn file(
     groups: &mut Vec<ProbeGroup>,
     shape: &ProbeShape,
     mns: &Tuple,
     handle: u64,
+    base: u64,
     key: &mut Vec<Value>,
 ) {
     let coverage = mns.sources();
@@ -125,7 +127,7 @@ fn file(
             groups.last_mut().expect("just pushed")
         }
     };
-    group.index.file_with(&group.spec, mns, handle, key);
+    group.index.file_with(&group.spec, mns, handle, base, key);
 }
 
 impl MnsBuffer {
@@ -154,8 +156,16 @@ impl MnsBuffer {
         }
         self.groups.clear();
         let Some(shape) = &self.shape else { return };
+        let base = self.slots.base();
         for (handle, entry) in self.slots.handles() {
-            file(&mut self.groups, shape, &entry.mns, handle, &mut self.key);
+            file(
+                &mut self.groups,
+                shape,
+                &entry.mns,
+                handle,
+                base,
+                &mut self.key,
+            );
         }
     }
 
@@ -272,7 +282,15 @@ impl MnsBuffer {
             self.slots.expire_with(handle, &entry.mns);
         }
         if let Some(shape) = &self.shape {
-            file(&mut self.groups, shape, &entry.mns, handle, &mut self.key);
+            let base = self.slots.base();
+            file(
+                &mut self.groups,
+                shape,
+                &entry.mns,
+                handle,
+                base,
+                &mut self.key,
+            );
         }
         self.slots.push(entry);
         true

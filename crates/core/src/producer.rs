@@ -196,7 +196,7 @@ impl JitJoinOperator {
             self.event_seq += 1;
             held.history
                 .entry(stored.tuple.key())
-                .or_default()
+                .or_insert_with(|| Vec::with_capacity(1))
                 .push((stored.stamp, self.event_seq));
             metrics.stats.blacklisted_tuples += 1;
             metrics.charge(CostKind::BlacklistMove, 1);

@@ -54,16 +54,33 @@
 //! *matches* in exactly the same (insertion) order — result sets and their
 //! ordering are byte-identical between the two modes.
 //!
+//! An index holds handles and is not told of a removal. Handles ascend and
+//! mostly die oldest first, so a bucket's dead handles gather at its front:
+//! a probe drains that front in place, and a filing overwrites a bucket's
+//! single dead handle or, before a full bucket would grow, drops its handles
+//! below the slab's base. An amortised sweep after removals
+//! ([`Slab::reclaim`]) reclaims the buckets of keys nobody touches again.
+//!
 //! ## Ordered expiry
 //!
-//! The slab's [`jit_types::ExpiryQueue`] — the near-sorted queue the
-//! reorder stage also runs on — holds one `(expiry key, seq)` per stored
-//! tuple, so a purge pops exactly the expired entries: O(expired), not
-//! O(n). Stale seqs (drained tuples) are skipped when they surface. Expiry
+//! A purge pops exactly the expired entries: O(expired), not O(n). Expiry
 //! is [`Window::expires_at`], a function of the tuple alone (its lifespan is
 //! `[ts, ts + w)`), not of when it was inserted — a resumed intermediate
 //! result inserted late still expires at its original time, so purge counts
-//! are identical no matter how often a tuple is drained and restored. What an owner needs to
+//! are identical no matter how often a tuple is drained and restored.
+//!
+//! Most tuples reach a state in expiry order, and the slab already keeps
+//! them in insertion order, so the slab is its own expiry queue: the state
+//! remembers the key of the last entry it stored in order, and a purge pops
+//! the slab's front ([`Slab::pop_front_due`]) while it is due. Only an
+//! entry keyed below that — a resumed, Ø-replayed or drained-and-restored
+//! tuple, a *straggler* — queues an `(expiry key, seq)` pair in the slab's
+//! [`jit_types::ExpiryQueue`] (the near-sorted queue the reorder stage also
+//! runs on), which the purge pops next; stale seqs (drained tuples, a
+//! straggler that left by the front) are skipped when they surface. This is
+//! sound because the in-order entries have non-decreasing keys in slab
+//! order: a front entry that is not due hides no due in-order entry behind
+//! it, and every straggler is in the queue. What an owner needs to
 //! know about *when* a tuple entered rides in the slot as
 //! [`StoredTuple::stamp`], which the state carries and never interprets: JIT
 //! keeps there the event at which the tuple's current presence began
@@ -251,10 +268,22 @@ impl Bucket {
         }
     }
 
-    fn push(&mut self, handle: u64) {
+    /// Append `handle`, shedding what lies below `base` (the slab's: dead)
+    /// where it costs nothing extra: a dead `One` is overwritten, and a
+    /// full `Many` drops its dead prefix before it would grow. A `Many`
+    /// that has room is not scanned: pruning on every filing would touch
+    /// the bucket's front as well as its back.
+    fn push(&mut self, handle: u64, base: u64) {
         match self {
+            Bucket::One(first) if *first < base => *first = handle,
             Bucket::One(first) => *self = Bucket::Many(vec![*first, handle]),
-            Bucket::Many(handles) => handles.push(handle),
+            Bucket::Many(handles) => {
+                if handles.len() == handles.capacity() {
+                    let dead = handles.partition_point(|&h| h < base);
+                    handles.drain(..dead);
+                }
+                handles.push(handle);
+            }
         }
     }
 
@@ -349,9 +378,10 @@ impl Buckets {
         }
     }
 
-    /// Append `handle` to the bucket for `key`, moving an empty `Int` map to
-    /// `Ints` or migrating to `Generic` if the key does not fit.
-    fn push(&mut self, key: &[Value], handle: u64) {
+    /// Append `handle` to the bucket for `key` ([`Bucket::push`], dead below
+    /// `base`), moving an empty `Int` map to `Ints` or migrating to
+    /// `Generic` if the key does not fit.
+    fn push(&mut self, key: &[Value], handle: u64, base: u64) {
         loop {
             match self {
                 Buckets::Int(map) if map.is_empty() && inline_ints(key).is_some() => {
@@ -363,7 +393,7 @@ impl Buckets {
                 Buckets::Int(map) => {
                     if let [Value::Int(v)] = key {
                         map.entry(*v)
-                            .and_modify(|bucket| bucket.push(handle))
+                            .and_modify(|bucket| bucket.push(handle, base))
                             .or_insert(Bucket::One(handle));
                         return;
                     }
@@ -377,7 +407,7 @@ impl Buckets {
                     debug_assert_eq!(key.len(), usize::from(*arity), "one index, one key arity");
                     if let Some(ints) = inline_ints(key) {
                         map.entry(ints)
-                            .and_modify(|bucket| bucket.push(handle))
+                            .and_modify(|bucket| bucket.push(handle, base))
                             .or_insert(Bucket::One(handle));
                         return;
                     }
@@ -393,7 +423,7 @@ impl Buckets {
                     // the borrowed slice; an owned key is allocated only
                     // when the bucket sees the key for the first time.
                     match map.get_mut(key) {
-                        Some(bucket) => bucket.push(handle),
+                        Some(bucket) => bucket.push(handle, base),
                         None => {
                             map.insert(key.to_vec(), Bucket::One(handle));
                         }
@@ -433,13 +463,17 @@ impl Buckets {
 /// incrementally maintained) and JIT's MNS buffer (one index per MNS
 /// coverage).
 ///
-/// The index holds handles and never learns of a removal: readers pass the
+/// The index holds handles and is not told of a removal: readers pass the
 /// owner's liveness test ([`Slab::is_live`]) to
 /// [`HashIndex::live_candidates_into`], and the owner calls
 /// [`HashIndex::renumber`] when its [`Slab`] asks
 /// ([`Slab::reclaim`]) — which bounds the dead handles *and* the emptied
 /// buckets (a stream keyed by an order or session id files every key exactly
-/// once).
+/// once). Between sweeps a bucket sheds dead handles where it is touched:
+/// handles ascend and mostly die oldest first, so the dead ones gather at a
+/// bucket's front, which a probe drains in place and a filing overwrites
+/// (a `One`) or drops before it would grow the bucket (a `Many`, below the
+/// slab's [`Slab::base`]).
 ///
 /// Keys are formed in a caller-owned scratch buffer and stored by value: a
 /// key of one to four integer columns lives in its map slot, so filing and
@@ -461,25 +495,29 @@ impl HashIndex {
     /// File `handle` under the tuple's stored-side key (formed in the
     /// caller's `scratch`), or in the overflow list when the tuple is
     /// missing a key column or the spec is empty and keys nothing. Handles
-    /// must be filed in ascending order.
+    /// must be filed in ascending order; every handle below `base` (the
+    /// owner's [`Slab::base`]) is dead, and the bucket may drop it.
     pub fn file_with(
         &mut self,
         spec: &JoinKeySpec,
         tuple: &Tuple,
         handle: u64,
+        base: u64,
         scratch: &mut Vec<Value>,
     ) {
         if !spec.is_empty() && spec.stored_key_into(tuple, scratch) {
-            self.buckets.push(scratch, handle);
+            self.buckets.push(scratch, handle, base);
         } else {
             self.overflow.push(handle);
         }
     }
 
     /// Append to `out`, ascending, the handles filed under `key` or in the
-    /// overflow list that `is_live` accepts. The common case (no overflow)
-    /// filters the bucket read-only, so the hot path stays alloc- and
-    /// write-free; a bucket is rewritten only once dead handles dominate it.
+    /// overflow list that `is_live` accepts. `is_live` is the owner's slab's
+    /// ([`Slab::is_live`]): a handle it rejects is dead for good. The common
+    /// case (no overflow) filters the bucket in place, allocation-free,
+    /// draining its dead front; the rest of the bucket is rewritten only
+    /// once dead handles dominate it.
     pub fn live_candidates_into(
         &mut self,
         key: &[Value],
@@ -516,8 +554,9 @@ impl HashIndex {
         self.live_bucket_into(key, &is_live, bucket_out);
     }
 
-    /// Append the live handles filed under `key` to `out`, ascending. The
-    /// bucket is read, not written, unless dead handles dominate it.
+    /// Append the live handles filed under `key` to `out`, ascending. A
+    /// `Many` bucket loses its dead front; interior dead handles are
+    /// filtered, and written away only once they dominate the bucket.
     fn live_bucket_into(
         &mut self,
         key: &[Value],
@@ -527,6 +566,10 @@ impl HashIndex {
         let Some(bucket) = self.buckets.get_mut(key) else {
             return;
         };
+        if let Bucket::Many(handles) = bucket {
+            let dead = handles.iter().take_while(|&&h| !is_live(h)).count();
+            handles.drain(..dead);
+        }
         let before = out.len();
         out.extend(bucket.as_slice().iter().copied().filter(|&h| is_live(h)));
         if bucket.as_slice().len() > 2 * (out.len() - before) + 8 {
@@ -637,7 +680,9 @@ fn retain_common(out: &mut Vec<u64>, other: &[u64]) {
 ///
 /// The expiry queue holds `(key, handle)` pairs keyed by
 /// `Window::INSTANT.expires_at(tuple)`: one per entry, several (a blacklist
-/// entry expires by its MNS and each suspended tuple) or none (Ø). After
+/// entry expires by its MNS and each suspended tuple) or none (Ø, or an
+/// operator state's entry stored in expiry order, which
+/// `Slab::pop_front_due` finds at the front of the slots instead). After
 /// [`Slab::pop_due`] and [`Slab::reclaim`] its front pair is live.
 #[derive(Debug, Clone)]
 pub struct Slab<T> {
@@ -768,16 +813,43 @@ impl<T> Slab<T> {
         self.expiry.peek().map(|(key, _)| key)
     }
 
+    /// Trim the tombstones off the front of the slots; then remove and
+    /// return the front entry if its key, read by `key`, is due at `now`
+    /// under `window`. For an owner whose entries mostly arrive in key
+    /// order: the slots are then their own expiry queue, and only the
+    /// entries stored out of order need a pair in the queue.
+    pub(crate) fn pop_front_due(
+        &mut self,
+        window: Window,
+        now: Timestamp,
+        key: impl Fn(&T) -> Timestamp,
+    ) -> Option<T> {
+        self.trim_front();
+        if !window.is_expired(key(self.slots.front()?.as_ref()?), now) {
+            return None;
+        }
+        let entry = self.slots.pop_front().flatten()?;
+        self.base += 1;
+        self.live -= 1;
+        self.removed_since_sweep += 1;
+        Some(entry)
+    }
+
+    /// Drop the tombstones at the front of the slots.
+    fn trim_front(&mut self) {
+        while matches!(self.slots.front(), Some(None)) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+    }
+
     /// After removals: trim the fronts of the slots and the queue; then,
     /// once tombstones outnumber live entries (past 64 slots), compact and
     /// hand `renumber` each old handle's new one (`None`: gone), ascending,
     /// or, once as many entries left as are live (at least 64), the identity
     /// on live handles. Amortised O(1) per removal.
     pub fn reclaim(&mut self, renumber: impl FnOnce(&dyn Fn(u64) -> Option<u64>)) {
-        while matches!(self.slots.front(), Some(None)) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
+        self.trim_front();
         while self.expiry.peek().is_some_and(|(_, h)| !self.is_live(h)) {
             self.expiry.pop();
         }
@@ -867,8 +939,13 @@ pub fn read_envelope<T: Deserialize>(
 pub struct OperatorState {
     name: String,
     mode: StateIndexMode,
-    /// The stored tuples, one queued expiry each.
+    /// The stored tuples. The slots are their own expiry queue for the
+    /// entries stored in expiry order; the slab's queue holds a pair only
+    /// for each straggler (see the module docs).
     slots: Slab<StoredTuple>,
+    /// The expiry key of the last entry stored in expiry order: an entry
+    /// keyed below it is a straggler.
+    in_order_key: Timestamp,
     /// The indexes built so far, one per probe pattern observed. A state
     /// sees one or two distinct probe patterns in practice, so a
     /// linear-scanned vector beats hashing the spec on every probe.
@@ -958,12 +1035,17 @@ impl OperatorState {
     /// carries: a previously drained entry coming back, or a new one under
     /// its owner's stamp.
     pub fn restore(&mut self, entry: StoredTuple) {
-        let seq = self.slots.end();
+        let (seq, base) = (self.slots.end(), self.slots.base());
         self.bytes += entry.tuple.size_bytes();
-        self.slots.expire_with(seq, &entry.tuple);
+        let key = Window::INSTANT.expires_at(&entry.tuple);
+        if key < self.in_order_key {
+            self.slots.expire_with(seq, &entry.tuple);
+        } else {
+            self.in_order_key = key;
+        }
         let mut scratch = std::mem::take(&mut self.key_scratch);
         for (spec, index) in self.indexes.iter_mut() {
-            index.file_with(spec, &entry.tuple, seq, &mut scratch);
+            index.file_with(spec, &entry.tuple, seq, base, &mut scratch);
         }
         self.key_scratch = scratch;
         self.slots.push(entry);
@@ -979,10 +1061,11 @@ impl OperatorState {
     /// Remove every tuple that has expired by `now` under `window`; returns
     /// how many were removed.
     ///
-    /// O(expired): the expiry queue is popped only while its front is due.
-    /// Expiry is [`Window::expires_at`] — the tuple's own timestamp plus the
-    /// window — not when it was inserted: a resumed intermediate result
-    /// inserted late still expires at its original time.
+    /// O(expired): the slots' front and the stragglers' queue are each
+    /// popped only while due. Expiry is [`Window::expires_at`] — the tuple's
+    /// own timestamp plus the window — not when it was inserted: a resumed
+    /// intermediate result inserted late still expires at its original
+    /// time.
     pub fn purge(&mut self, window: Window, now: Timestamp) -> usize {
         self.purge_with(window, now, |_| {})
     }
@@ -997,6 +1080,15 @@ impl OperatorState {
         mut on_removed: impl FnMut(&Tuple),
     ) -> usize {
         let mut removed = 0usize;
+        // The entries stored in expiry order have non-decreasing keys in
+        // slot order, so a front that is not due hides no due one of them;
+        // a straggler is in the queue, whichever way it leaves.
+        let key = |entry: &StoredTuple| Window::INSTANT.expires_at(&entry.tuple);
+        while let Some(entry) = self.slots.pop_front_due(window, now, key) {
+            self.bytes -= entry.tuple.size_bytes();
+            on_removed(&entry.tuple);
+            removed += 1;
+        }
         while let Some(seq) = self.slots.pop_due(window, now) {
             if let Some(entry) = self.take(seq) {
                 on_removed(&entry.tuple);
@@ -1045,17 +1137,18 @@ impl OperatorState {
         self.slots.clear();
         self.indexes.clear();
         self.bytes = 0;
+        self.in_order_key = Timestamp::ZERO;
     }
 
     /// Serialise the resumable content of the state: the live entries in
     /// insertion order (tuples plus their stamps) in the envelope of
     /// [`write_envelope`].
     ///
-    /// The expiry queue and the hash indexes are deliberately *not*
-    /// serialised: both are pure functions of the entries
-    /// ([`OperatorState::restore_checkpoint`] rebuilds the queue eagerly and
-    /// the indexes lazily on the next probe), so a restored state purges and
-    /// probes exactly like the original.
+    /// The stragglers' expiry queue and the hash indexes are deliberately
+    /// *not* serialised: both are pure functions of the entries and their
+    /// order ([`OperatorState::restore_checkpoint`] rebuilds the queue
+    /// eagerly and the indexes lazily on the next probe), so a restored
+    /// state purges and probes exactly like the original.
     pub fn checkpoint(&self) -> Content {
         write_envelope(&self.name, self.iter())
     }
@@ -1170,10 +1263,13 @@ impl OperatorState {
         }
     }
 
-    /// The earliest expiry key of a stored tuple ([`Slab::next_expiry`]),
-    /// so that a caller can elide a purge that would remove nothing.
+    /// The earliest expiry key of a stored tuple, so that a caller can
+    /// elide a purge that would remove nothing: the smaller of the front
+    /// entry's key and the stragglers' ([`Slab::next_expiry`]).
     pub fn next_expiry(&self) -> Option<Timestamp> {
-        self.slots.next_expiry()
+        let front = self.slots.iter().next();
+        let front = front.map(|entry| Window::INSTANT.expires_at(&entry.tuple));
+        front.into_iter().chain(self.slots.next_expiry()).min()
     }
 
     /// Append all live handles in insertion order to `out` (the scan path).
@@ -1185,8 +1281,9 @@ impl OperatorState {
     /// scan of the live entries; returns its position in `indexes`.
     fn build_index(&mut self, spec: &JoinKeySpec) -> usize {
         let mut index = HashIndex::default();
+        let base = self.slots.base();
         for (seq, entry) in self.slots.handles() {
-            index.file_with(spec, &entry.tuple, seq, &mut self.key_scratch);
+            index.file_with(spec, &entry.tuple, seq, base, &mut self.key_scratch);
         }
         self.indexes.push((spec.clone(), index));
         self.indexes.len() - 1
@@ -1194,7 +1291,8 @@ impl OperatorState {
 
     /// Amortised reclamation after removals ([`Slab::reclaim`]): purges
     /// never touch an index, so without the sweep a bucket outlives its
-    /// last tuple until its key is probed again, and its map entry forever.
+    /// last tuple until its key is probed or filed again, and its map entry
+    /// forever.
     fn reclaim(&mut self) {
         let indexes = &mut self.indexes;
         self.slots
@@ -1589,6 +1687,66 @@ mod tests {
         assert_eq!(s.iter().count(), 1);
     }
 
+    /// One hot key over several windows, probed and filed as the join's
+    /// purge–probe–insert routine does: its `Many` bucket never holds a
+    /// handle below the slab's base, neither after the probe (which drains
+    /// the dead front) nor after the filing. Filed without probes, the
+    /// bucket drops its dead front instead of growing. A key that comes
+    /// back once its last tuple has expired reuses its `One` bucket.
+    #[test]
+    fn touched_buckets_shed_their_dead_handles() {
+        let w = Window::new(Duration::from_secs(1));
+        let spec = ab_spec();
+        let hot = [Value::int(7)];
+        let bucket = |s: &mut OperatorState, key: &[Value]| -> Option<Bucket> {
+            s.indexes[0].1.buckets.get_mut(key).cloned()
+        };
+        let mut s = OperatorState::new("S_B");
+        // Twenty tuples a window, five windows, the probe before the insert.
+        for seq in 0..100u64 {
+            let now = Timestamp::from_millis(seq * 50);
+            s.purge(w, now);
+            let probed = s.probe(&spec, &keyed(0, seq, seq * 50, 7));
+            assert_eq!(probed.len(), s.len(), "every stored tuple carries the key");
+            s.insert(keyed(1, seq, seq * 50, 7), now);
+            let Some(Bucket::Many(handles)) = bucket(&mut s, &hot) else {
+                assert!(seq == 0, "a second tuple makes the bucket a `Many`");
+                continue;
+            };
+            let base = s.slots.base();
+            assert!(
+                handles.iter().all(|&h| h >= base),
+                "{seq}: {handles:?} below {base}"
+            );
+            assert_eq!(handles.len(), s.len(), "{seq}: only live handles");
+        }
+        // Filings alone: the capacity follows the live tuples, not the
+        // handles ever filed.
+        let mut most = 0;
+        for seq in 100..400u64 {
+            s.purge(w, Timestamp::from_millis(seq * 50));
+            s.insert(keyed(1, seq, seq * 50, 7), Timestamp::from_millis(seq * 50));
+            most = most.max(s.len());
+            // Read in place: a clone's capacity is its length.
+            let Some(Bucket::Many(handles)) = s.indexes[0].1.buckets.get_mut(&hot) else {
+                panic!("{seq}: the hot key holds a `Many` bucket");
+            };
+            let capacity = handles.capacity();
+            assert!(capacity <= 2 * (most + 1), "{seq}: capacity {capacity}");
+        }
+        // A key filed once a window apart: its dead `One` is overwritten.
+        for round in 0..3u64 {
+            let ts = 100_000 + round * 5_000;
+            s.purge(w, Timestamp::from_millis(ts));
+            s.insert(keyed(1, 1_000 + round, ts, 9), Timestamp::from_millis(ts));
+            let handle = s.slots.end() - 1;
+            assert!(
+                matches!(bucket(&mut s, &[Value::int(9)]), Some(Bucket::One(h)) if h == handle),
+                "round {round}: a dead `One` is reused"
+            );
+        }
+    }
+
     /// A stream keyed by an ever-fresh id (order, session, trace) files
     /// every key once: the index must give the bucket back when the tuple
     /// is purged, not hold one bucket per key ever seen.
@@ -1678,8 +1836,8 @@ mod tests {
         for arity in 1..=5 {
             let key: Vec<i64> = (1..=arity).collect();
             let mut buckets = Buckets::default();
-            buckets.push(&ints(&key), 3);
-            buckets.push(&ints(&key), 5);
+            buckets.push(&ints(&key), 3, 0);
+            buckets.push(&ints(&key), 5, 0);
             match (&buckets, arity) {
                 (Buckets::Int(_), 1) | (Buckets::Generic(_), 5) => {}
                 (
@@ -1699,7 +1857,7 @@ mod tests {
         }
         for odd in [Value::str("x"), Value::Null] {
             let mut buckets = Buckets::default();
-            buckets.push(&[Value::int(1), odd.clone()], 0);
+            buckets.push(&[Value::int(1), odd.clone()], 0, 0);
             assert!(matches!(buckets, Buckets::Generic(_)));
             assert_eq!(filed(&mut buckets, &[Value::int(1), odd]), Some(&[0][..]));
         }
@@ -1712,13 +1870,13 @@ mod tests {
         for odd in [Value::str("x"), Value::Null] {
             let mut buckets = Buckets::default();
             for handle in 0..6u64 {
-                buckets.push(&ints(&[handle as i64 % 2, 0, 9]), handle);
+                buckets.push(&ints(&[handle as i64 % 2, 0, 9]), handle, 0);
             }
             assert!(matches!(buckets, Buckets::Ints { arity: 3, .. }));
             let odd_key = [Value::int(0), odd, Value::int(9)];
-            buckets.push(&odd_key, 6);
+            buckets.push(&odd_key, 6, 0);
             assert!(matches!(buckets, Buckets::Generic(_)));
-            buckets.push(&ints(&[1, 0, 9]), 7);
+            buckets.push(&ints(&[1, 0, 9]), 7, 0);
             assert_eq!(filed(&mut buckets, &ints(&[0, 0, 9])), Some(&[0, 2, 4][..]));
             assert_eq!(
                 filed(&mut buckets, &ints(&[1, 0, 9])),
@@ -1735,7 +1893,7 @@ mod tests {
     fn sweep_and_renumber_reclaim_inline_keyed_buckets() {
         let mut buckets = Buckets::default();
         for handle in 0..8u64 {
-            buckets.push(&ints(&[handle as i64 % 4, -1, 2, 7]), handle);
+            buckets.push(&ints(&[handle as i64 % 4, -1, 2, 7]), handle, 0);
         }
         assert_eq!(buckets.len(), 4);
         buckets.renumber(|handle| (handle % 4 != 0 && handle != 5).then_some(handle));
@@ -2096,7 +2254,9 @@ mod tests {
                             // A source-1 row lacks the key columns: overflow.
                             let source = u16::from(rng.gen_bool(0.1));
                             let tuple = row(&mut rng, source, step);
-                            index.file_with(&spec, &tuple, entries.len() as u64, &mut scratch);
+                            // Every handle below the first live one is dead.
+                            let base = entries.iter().position(|e| e.1).unwrap_or(entries.len());
+                            index.file_with(&spec, &tuple, entries.len() as u64, base as u64, &mut scratch);
                             entries.push((tuple, true));
                         }
                         50..=69 if !entries.is_empty() => {
@@ -2119,6 +2279,106 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// An [`OperatorState`] against a `BTreeMap` model of its live tuples'
+    /// expiry keys, on random sequences of in-order inserts, restores of
+    /// older tuples (drained ones or late ones), drains, purges at an
+    /// advancing `now` and one checkpoint round trip: every purge removes
+    /// exactly the model's expired tuples, `next_expiry` is the model's
+    /// earliest key, and the stragglers' queue never holds more pairs than
+    /// tuples were stored out of expiry order.
+    mod expiry_model {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+            #[test]
+            fn slab_front_and_straggler_queue_expire_like_a_model(seed in 0u64..1_000_000) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let window = Window::new(Duration::from_millis(800));
+                let mut s = OperatorState::new("S");
+                // Tuple seq -> its expiry key, for every stored tuple.
+                let mut model: BTreeMap<u64, Timestamp> = BTreeMap::new();
+                let mut parked: Vec<StoredTuple> = Vec::new();
+                let (mut now_ms, mut seq, mut newest) = (0u64, 0u64, Timestamp::ZERO);
+                let (mut out_of_order, mut purged, mut drained) = (0usize, 0usize, 0usize);
+                let key_of = |e: &StoredTuple| Window::INSTANT.expires_at(&e.tuple);
+                let seq_of = |t: &Tuple| t.parts()[0].seq;
+                for step in 0..600 {
+                    now_ms += rng.gen_range(0u64..60);
+                    let now = Timestamp::from_millis(now_ms);
+                    let mut store = |s: &mut OperatorState, entry: StoredTuple, model: &mut BTreeMap<u64, Timestamp>| {
+                        let key = key_of(&entry);
+                        if key < newest {
+                            out_of_order += 1;
+                        }
+                        newest = newest.max(key);
+                        model.insert(seq_of(&entry.tuple), key);
+                        s.restore(entry);
+                    };
+                    match rng.gen_range(0u32..100) {
+                        0..=49 => {
+                            seq += 1;
+                            let entry = StoredTuple { tuple: tuple(seq, now_ms), stamp: seq };
+                            store(&mut s, entry, &mut model);
+                        }
+                        50..=59 => {
+                            // A late tuple: its timestamp lies behind `now`.
+                            seq += 1;
+                            let ts = now_ms.saturating_sub(rng.gen_range(0u64..700));
+                            store(&mut s, StoredTuple { tuple: tuple(seq, ts), stamp: seq }, &mut model);
+                        }
+                        60..=69 => {
+                            let residue = rng.gen_range(0u64..4);
+                            let got = drain_scan(&mut s, |e| seq_of(&e.tuple) % 4 == residue);
+                            for entry in &got {
+                                prop_assert!(model.remove(&seq_of(&entry.tuple)).is_some());
+                            }
+                            drained += got.len();
+                            parked.extend(got);
+                        }
+                        70..=79 => {
+                            for entry in std::mem::take(&mut parked) {
+                                store(&mut s, entry, &mut model);
+                            }
+                        }
+                        _ => {
+                            let mut gone = Vec::new();
+                            let removed = s.purge_with(window, now, |t| gone.push(seq_of(t)));
+                            gone.sort_unstable();
+                            let due: Vec<u64> = model
+                                .iter()
+                                .filter(|&(_, &key)| window.is_expired(key, now))
+                                .map(|(&seq, _)| seq)
+                                .collect();
+                            prop_assert_eq!(&gone, &due, "step {}: purged at {}", step, now_ms);
+                            prop_assert_eq!(removed, due.len());
+                            model.retain(|_, key| !window.is_expired(*key, now));
+                            purged += removed;
+                            prop_assert_eq!(s.next_expiry(), model.values().min().copied(), "step {}", step);
+                            prop_assert!(
+                                s.slots.expiry.len() <= out_of_order,
+                                "step {}: {} queued pairs, {} stored out of order",
+                                step, s.slots.expiry.len(), out_of_order
+                            );
+                        }
+                    }
+                    if step == 300 {
+                        let mut r = OperatorState::new("S");
+                        r.restore_checkpoint(&s.checkpoint()).unwrap();
+                        prop_assert!(r.slots.expiry.len() <= s.slots.expiry.len());
+                        s = r;
+                    }
+                    prop_assert_eq!(s.len(), model.len(), "step {}", step);
+                }
+                prop_assert!(purged > 0 && drained > 0 && out_of_order > 0);
             }
         }
     }

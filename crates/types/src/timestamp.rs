@@ -211,11 +211,12 @@ impl Window {
 /// the item lands.
 ///
 /// Two owners share it. The slab every window container stores its entries
-/// in (`jit_exec::Slab`: operator states, MNS buffers, blacklists)
-/// queues `u64` handles, keyed by [`Window::expires_at`] under
-/// [`Window::INSTANT`], and skips the handles of since-removed entries when
-/// they surface; the reorder stage (`jit_durable::ReorderBuffer`) queues
-/// the buffered arrivals themselves and releases a watermark's worth with
+/// in (`jit_exec::Slab`: MNS buffers, blacklists, and an operator state's
+/// stragglers — the tuples it stores out of expiry order) queues `u64`
+/// handles, keyed by [`Window::expires_at`] under [`Window::INSTANT`], and
+/// skips the handles of since-removed entries when they surface; the
+/// reorder stage (`jit_durable::ReorderBuffer`) queues the buffered
+/// arrivals themselves and releases a watermark's worth with
 /// [`ExpiryQueue::drain_through`].
 #[derive(Debug, Clone)]
 pub struct ExpiryQueue<T = u64> {

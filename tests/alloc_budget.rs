@@ -320,61 +320,88 @@ fn serving_tier_allocations_per_arrival_stay_in_budget() {
     );
 }
 
-/// Budgets: the counts measured plus about 10 %. JIT reads 16.79 / 3.83 /
-/// 3.91 on the bushy, shared-key and bounded shapes, REF 16.07 / 0.94 / 0.94,
-/// debug and release alike, once the blacklist stores its entries in the
-/// slab operator states use: a compaction renumbers its indexes in place
-/// instead of re-filing them, and a purge pops into a buffer it reuses
-/// (with a fresh `Vec` per purge the same binary reads 3.93 / 4.06). With
-/// the blacklist's own slot vector JIT read 16.79 / 4.50 / 4.63, once a
-/// settling port probes through one index per candidate source (no
-/// full-key or multi-source node index to file into) and the blacklist's
-/// diversion check forms its candidates and the arrival's signatures in
-/// reused buffers, compares a captured signature in place and shares an
-/// entry's column list; before those, JIT read 17.74 / 5.95 / 6.08. With
-/// every key of two to four integer columns a heap `Vec<Value>`,
-/// allocated when its bucket was created, the bushy and shared-key shapes
-/// read 29.50 / 27.31 / 6.27 / 1.26. What is left per arrival: the shared
-/// part slice of each result row, the `Vec` of rows an operator call returns
-/// when it matched, and the `fresh` / feedback `Vec`s a detected MNS travels
-/// in.
+/// Budgets: the counts measured plus about 7 %. Once an in-order operator
+/// state's slab is its own expiry queue (a pair is queued only for a tuple
+/// stored out of expiry order), touched buckets shed their dead handles and
+/// JIT's per-suspension vectors start with one slot, the same shapes read:
+///
+/// | count per arrival | before | now   | budget before → now |
+/// |-------------------|--------|-------|---------------------|
+/// | bushy JIT         | 16.79  | 16.54 | 18.5 → 17.7         |
+/// | bushy REF         | 16.07  | 15.98 | 17.7 → 17.1         |
+/// | shared-key JIT    | 3.83   | 3.72  | 4.2 → 4.0           |
+/// | shared-key REF    | 0.94   | 0.86  | 1.05 → 0.92         |
+/// | bounded JIT       | 3.91   | 3.81  | 4.3 → 4.1           |
+/// | bounded REF       | 0.94   | 0.86  | 1.05 → 0.92         |
+///
+/// debug and release alike. Before, JIT read 16.79 / 3.83 / 3.91 once the
+/// blacklist stored its entries in the slab operator states use: a
+/// compaction renumbers its indexes in place instead of re-filing them,
+/// and a purge pops into a buffer it reuses (with a fresh `Vec` per purge
+/// the same binary reads 3.93 / 4.06). With the blacklist's own slot
+/// vector JIT read 16.79 / 4.50 / 4.63, once a settling port probes through
+/// one index per candidate source (no full-key or multi-source node index
+/// to file into) and the blacklist's diversion check forms its candidates
+/// and the arrival's signatures in reused buffers, compares a captured
+/// signature in place and shares an entry's column list; before those, JIT
+/// read 17.74 / 5.95 / 6.08. With every key of two to four integer columns
+/// a heap `Vec<Value>`, allocated when its bucket was created, the bushy
+/// and shared-key shapes read 29.50 / 27.31 / 6.27 / 1.26. What is left per
+/// arrival: the shared part slice of each result row, the `Vec` of rows an
+/// operator call returns when it matched, and the `fresh` / feedback `Vec`s
+/// a detected MNS travels in.
 ///
 /// The bounded shape's REF count equals its in-order one once the reorder
 /// stage buffers in the near-sorted expiry queue and releases by draining
 /// it. With the stage a B-tree split per release into a fresh `Vec`, the
 /// same binary read 9.38 / 4.24.
-const BUSHY_JIT_BUDGET: f64 = 18.5;
-const BUSHY_REF_BUDGET: f64 = 17.7;
-const SHAREDKEY_JIT_BUDGET: f64 = 4.2;
-const SHAREDKEY_REF_BUDGET: f64 = 1.05;
-const BOUNDED_JIT_BUDGET: f64 = 4.3;
-const BOUNDED_REF_BUDGET: f64 = 1.05;
+const BUSHY_JIT_BUDGET: f64 = 17.7;
+const BUSHY_REF_BUDGET: f64 = 17.1;
+const SHAREDKEY_JIT_BUDGET: f64 = 4.0;
+const SHAREDKEY_REF_BUDGET: f64 = 0.92;
+const BOUNDED_JIT_BUDGET: f64 = 4.1;
+const BOUNDED_REF_BUDGET: f64 = 0.92;
 
-/// JIT's peak heap over REF's, bound at the measured ratio plus about 7 %:
-/// 0.685 (4.478 / 6.537 MB) on the bushy shape, 2.181 (2.670 / 1.224 MB) on
-/// the shared-key shape and 2.167 (2.684 / 1.239 MB) on the bounded one,
-/// once a settling port keeps one index per candidate source on the
-/// opposite state: `AB⋈CD` no longer files every `AB` and `CD` under a
-/// 4-column full key beside the two per-source keys, so JIT's bushy heap
-/// falls below REF's, which holds the full-key indexes. With them the same
-/// binary read 1.260 (8.239 / 6.537 MB), 2.412 and 2.395. Earlier: 1.216 and
-/// 2.373 once a stored tuple's presence stamp rode in its state slot; 1.559
-/// and 2.910 with the stamps in a map beside the states. ROADMAP's bar for
-/// the bushy shape is 1.5 — a bound may be re-pinned lower, never higher.
-/// Since MNS buffers and blacklists store their entries in the slab
-/// operator states use, the same binary reads 0.687 (4.493 / 6.537 MB),
-/// 2.229 (2.730 / 1.224 MB) and 2.216 (2.744 / 1.239 MB).
-/// The serving shape reads 2.49 push + 0.25 poll = 2.74 allocations per
-/// arrival and 2.628 MB peak heap, debug and release alike, once every
-/// pipeline that reads a source under its global id holds the pushed
-/// `Arc<BaseTuple>` itself and a pipeline poll's results are one batch that
-/// every subscriber's mailbox points at. With a remapped base tuple built per
-/// pipeline, the class verdicts re-hashed into a fresh map and the route list
-/// cloned per arrival, and each result copied into every subscriber's
-/// mailbox, the same binary read 18.51 + 0.24 = 18.75 and 8.173 MB.
-const SERVE_BUDGET: f64 = 3.0;
-const SERVE_HEAP_BOUND_MB: f64 = 2.9;
+/// JIT's peak heap over REF's, bound at the measured ratio plus about 7 %
+/// where that lowers the bound; a bound is never raised. The same change
+/// (an in-order state's slab as its own expiry queue, buckets shedding dead
+/// handles where touched, one-slot suspension vectors) reads:
+///
+/// | peak heap     | JIT MB before → now | REF MB before → now | ratio before → now | bound before → now |
+/// |---------------|---------------------|---------------------|--------------------|--------------------|
+/// | bushy         | 4.492 → 3.740       | 6.536 → 6.035       | 0.687 → 0.620      | 0.73 → 0.66        |
+/// | shared-key    | 2.730 → 2.518       | 1.224 → 1.100       | 2.230 → 2.289      | 2.33 (kept)        |
+/// | bounded       | 2.744 → 2.533       | 1.238 → 1.114       | 2.216 → 2.273      | 2.32 (kept)        |
+/// | serve (MB)    | 2.624 → 2.435       |                     |                    | 2.9 → 2.6          |
+///
+/// The shared-key and bounded ratios rise because REF's heap falls by as
+/// much as JIT's: the expiry pairs the slab replaces were the same on both.
+/// Earlier history: 0.685 (4.478 / 6.537 MB) on the bushy shape, 2.181
+/// (2.670 / 1.224 MB) on the shared-key shape and 2.167 (2.684 / 1.239 MB)
+/// on the bounded one, once a settling port keeps one index per candidate
+/// source on the opposite state: `AB⋈CD` no longer files every `AB` and
+/// `CD` under a 4-column full key beside the two per-source keys, so JIT's
+/// bushy heap falls below REF's, which holds the full-key indexes. With them
+/// the same binary read 1.260 (8.239 / 6.537 MB), 2.412 and 2.395. Earlier:
+/// 1.216 and 2.373 once a stored tuple's presence stamp rode in its state
+/// slot; 1.559 and 2.910 with the stamps in a map beside the states.
+/// ROADMAP's bar for the bushy shape is 1.5 — a bound may be re-pinned
+/// lower, never higher. Since MNS buffers and blacklists store their
+/// entries in the slab operator states use, the same binary read 0.687
+/// (4.493 / 6.537 MB), 2.229 (2.730 / 1.224 MB) and 2.216 (2.744 / 1.239 MB).
+///
+/// The serving shape reads 2.22 push + 0.25 poll = 2.47 allocations per
+/// arrival (budget 3.0 → 2.65; 2.49 + 0.25 = 2.74 before) and 2.435 MB
+/// peak heap, debug and release alike, once every pipeline that reads a
+/// source under its global id holds the pushed `Arc<BaseTuple>` itself and
+/// a pipeline poll's results are one batch that every subscriber's mailbox
+/// points at. With a remapped base tuple built per pipeline, the class
+/// verdicts re-hashed into a fresh map and the route list cloned per
+/// arrival, and each result copied into every subscriber's mailbox, the
+/// same binary read 18.51 + 0.24 = 18.75 and 8.173 MB.
+const SERVE_BUDGET: f64 = 2.65;
+const SERVE_HEAP_BOUND_MB: f64 = 2.6;
 
-const BUSHY_HEAP_RATIO_BOUND: f64 = 0.73;
+const BUSHY_HEAP_RATIO_BOUND: f64 = 0.66;
 const SHAREDKEY_HEAP_RATIO_BOUND: f64 = 2.33;
 const BOUNDED_HEAP_RATIO_BOUND: f64 = 2.32;

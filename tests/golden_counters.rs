@@ -13,6 +13,7 @@
 
 use jit_dsms::prelude::*;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 mod support {
     pub(crate) mod oracle;
@@ -46,12 +47,7 @@ fn multiset_hash(results: &[Tuple]) -> u64 {
     hash
 }
 
-fn line(label: &str, builder: EngineBuilder, trace: &Trace) -> String {
-    let outcome = builder
-        .build()
-        .expect("engine builds")
-        .run_trace(trace)
-        .expect("trace runs");
+fn line(label: &str, outcome: &EngineOutcome) -> String {
     let snap = &outcome.snapshot;
     format!(
         "{label} results={} hash={:016x} cost_units={} steady_cost_units={} peak_memory_bytes={} {:?}\n",
@@ -133,15 +129,35 @@ fn grid() -> Vec<Workload> {
     ]
 }
 
+/// One workload of the matrix, run: its spec, its trace, and each
+/// configuration's label with the outcome of its run.
+type Ran = (WorkloadSpec, Trace, Vec<(String, EngineOutcome)>);
+
+/// Every configuration of [`grid`], run once and shared by the golden dump,
+/// the oracle comparison and `regenerate`.
+fn runs() -> &'static [Ran] {
+    static RUNS: OnceLock<Vec<Ran>> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let run = |trace: &Trace, builder: EngineBuilder| {
+            let engine = builder.build().expect("engine builds");
+            engine.run_trace(trace).expect("trace runs")
+        };
+        let ran = grid().into_iter().map(|(spec, trace, configs)| {
+            let configs = configs.into_iter();
+            let outcomes = configs.map(|(label, builder)| (label, run(&trace, builder)));
+            let outcomes = outcomes.collect();
+            (spec, trace, outcomes)
+        });
+        ran.collect()
+    })
+}
+
 /// The whole matrix, one line per configuration, in a fixed order.
 fn dump() -> String {
-    let mut out = String::new();
-    for (_, trace, configs) in grid() {
-        for (label, builder) in configs {
-            out.push_str(&line(&label, builder, &trace));
-        }
-    }
-    out
+    let configs = runs().iter().flat_map(|(_, _, configs)| configs);
+    configs
+        .map(|(label, outcome)| line(label, outcome))
+        .collect()
 }
 
 /// The fields the latest deliberate re-pin may move (PR 17, demand-driven
@@ -256,14 +272,13 @@ fn counters_and_results_match_the_golden_file() {
 /// `≥ w` (ROADMAP item 2); they are left out of the comparison here.
 #[test]
 fn in_window_results_equal_the_oracle_on_every_configuration() {
-    for (spec, trace, configs) in grid() {
+    for (spec, trace, configs) in runs() {
         let window = spec.window().length;
-        let answer = oracle::window_join(&trace, &spec.predicates(), spec.num_sources, window);
+        let answer = oracle::window_join(trace, &spec.predicates(), spec.num_sources, window);
         let expected = oracle::identities(&answer);
         assert!(!expected.is_empty());
-        for (label, builder) in configs {
-            let outcome = builder.build().expect("engine builds").run_trace(&trace);
-            let results = outcome.expect("trace runs").results;
+        for (label, outcome) in configs {
+            let results = &outcome.results;
             let in_window = results.iter().filter(|t| oracle::within_window(t, window));
             let (missing, extra) = oracle::difference(&expected, &oracle::identities(in_window));
             assert!(
